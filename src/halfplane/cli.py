@@ -55,6 +55,9 @@ def load_spec(path):
     tasks = [k for k in obj if k in FUNCTION_TASKS or k in PROBLEM_TASKS]
     if len(tasks) != 1:
         raise SpecError(f"spec must contain exactly one task, found {tasks}")
+    if obj.get("version", 1) != 1:
+        raise SpecError(f"unsupported spec version {obj['version']!r}; "
+                        "this program reads version 1")
     return tasks[0], obj[tasks[0]], obj.get("options", {}), obj
 
 
@@ -63,28 +66,27 @@ def spec_seed(obj, seed):
     return zlib.crc32(canon.encode()) ^ (seed & 0xFFFFFFFF)
 
 
+def _krein_product(kspec, options):
+    """The Kreĭn product of a "krein" body: explicit arcs, or the Cantor
+    complement with the body's (else the options') depth and tolerance."""
+    if "cantor" not in kspec:
+        return KreinProduct(ArcSet.from_json(kspec))
+    cc = kspec["cantor"]
+    return cantor_complement_product(
+        tuple(cc.get("interval", [0, 1])),
+        int(cc.get("depth", options.get("depth", 26))),
+        tol=float(kspec.get("tol", options.get("tol", 1e-6))),
+        max_factors=int(kspec.get("max_factors", 2_000_000)))
+
+
 def build_function_spec(task, body, options):
     if task == "nevanlinna":
         return RepFunction(NevanlinnaRep.from_json(body))
     if task == "krein":
-        if "cantor" in body:
-            cc = body["cantor"]
-            base = tuple(cc.get("interval", [0, 1]))
-            depth = int(cc.get("depth", options.get("depth", 26)))
-            return CompositeFunction(1.0, cantor_complement_product(
-                base, depth, tol=float(body.get("tol", options.get("tol", 1e-6))),
-                max_factors=int(body.get("max_factors", 2_000_000))))
-        arcs = ArcSet.from_json(body)
-        return CompositeFunction(1.0, KreinProduct(arcs))
+        return CompositeFunction(1.0, _krein_product(body, options))
     if task == "product":
         c = float(body.get("c", 1.0))
-        kspec = body.get("krein", {})
-        if "cantor" in kspec:
-            prod = cantor_complement_product(
-                tuple(kspec["cantor"].get("interval", [0, 1])),
-                int(kspec["cantor"].get("depth", 26)))
-        else:
-            prod = KreinProduct(ArcSet.from_json(kspec))
+        prod = _krein_product(body.get("krein", {}), options)
         exp = ExpRep.from_json(body["exp"]) if "exp" in body else None
         return CompositeFunction(c, prod, exp)
     raise SpecError(f"not a function task: {task}")
@@ -134,7 +136,11 @@ def cmd_eval(args):
             rows.append((z.real, z.imag, v.real, v.imag, "interior"))
             continue
         if eps:
-            v = fn(complex(z, float(eps)))
+            try:
+                v = fn(complex(z, float(eps)))
+            except TailNotCertified:
+                rows.append((z, float(eps), math.inf, 0.0, "uncertified"))
+                continue
             rows.append((z, float(eps), v.real, v.imag, "eps"))
             continue
         try:
@@ -163,7 +169,7 @@ def rows_to_csv(rows):
 
 def _cert_entries(certs):
     return [{"name": c.name, "residual": c.residual, "tolerance": c.tolerance,
-             "pass": bool(c.passed), "note": getattr(c, "note", "")}
+             "pass": bool(c.passed), "note": c.note}
             for c in certs]
 
 

@@ -209,8 +209,10 @@ class ArcSet:
             if isinstance(item, dict) and "puncture" in item:
                 x = point_from_json(item["puncture"])
                 arcs.append(Arc(x, x, puncture=True))
-            else:
+            elif isinstance(item, (list, tuple)) and len(item) == 2:
                 arcs.append(Arc(point_from_json(item[0]), point_from_json(item[1])))
+            else:
+                raise ValueError(f"arc {item!r} is not a [b, a] pair of points")
         return normalize(arcs)
 
     def __repr__(self):

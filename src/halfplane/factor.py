@@ -2,10 +2,10 @@
 
 Every nonzero f in the class factors as f = k_Γ · g where Γ is the set of
 boundary negativity of f and g is positive on its own regular boundary set;
-when the singular set of f has measure zero, g collapses to a positive
-constant.  Structured (atomic) representations are divided exactly: dividing
-off the arc (−∞, 0) has a closed form, and a general arc is handled by
-conjugating with the half-plane automorphism that maps (−∞, 0) onto it.
+when the singular set of f has measure zero, g collapses to the positive
+constant |f(i)|, which is how atomic representations are factored.  Dividing
+an atomic representation by a single Kreĭn factor p_J leaves a rational Pick
+function whose Nevanlinna data have a closed partial-fraction form.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable, Optional
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, arcs_overlap, is_inf,
                       is_regular, normalize, points_equal, regularize)
 from .krein import KreinProduct, log_p, log_p_real, p_eval
-from .moebius import HalfPlaneAuto
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
                          SigmaDescriptor, analyze)
 from .util import bisect_increasing, halton, halton_box, ladder_limit
@@ -30,6 +29,17 @@ class CertificationError(RuntimeError):
     def __init__(self, message, worst=None):
         super().__init__(message)
         self.worst = worst
+
+
+@dataclass
+class Certification:
+    """One named check: its residual against a tolerance, and the verdict."""
+
+    name: str
+    residual: float
+    tolerance: float
+    passed: bool
+    note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -264,136 +274,62 @@ def _blackbox_gamma_piece(fn, comp: Arc):
 
 
 # ---------------------------------------------------------------------------
-# exact division machinery for atomic representations
+# exact division for atomic representations
 
 
-def _moebius_terms(a: float, b: float, c: float, d: float, det=None):
-    """Pick data (alpha, beta, atoms) of the real Möbius map (az+b)/(cz+d),
-    requiring det > 0.  Pass det when it is known in closed form: the
-    recomputed a·d − b·c cancels badly for near-affine maps.
-
-    The coefficient forms w = det/(c²+d²) and β = (ac+bd)/(c²+d²) are
-    cancellation-free and degenerate continuously into the affine case, so a
-    pole |−d/c| beyond 1e12 (an atom pushed toward ∞ by roundoff) is folded
-    into the linear coefficient.
-    """
-    if det is None:
-        det = a * d - b * c
-    if det <= 0:
-        raise ValueError("Moebius term needs positive determinant")
-    denom = c * c + d * d
-    w = det / denom
-    beta = (a * c + b * d) / denom
-    if c == 0.0 or abs(d / c) > 1e12:
-        return w, beta, ()
-    return 0.0, beta, ((-d / c, w),)
-
-
-def _pullback_rep(rep: NevanlinnaRep, phi: HalfPlaneAuto) -> NevanlinnaRep:
-    """Nevanlinna data of f∘φ for an atomic f (exact, term by term)."""
-    if not rep.rho.is_atomic():
-        raise ValueError("pullback requires an atomic representation")
-    alpha, beta = 0.0, rep.beta
-    atoms: dict = {}
-
-    def add_atoms(new, scale):
-        for t, w in new:
-            key = None
-            for existing in atoms:
-                if abs(existing - t) <= 1e-12:
-                    key = existing
-                    break
-            key = t if key is None else key
-            atoms[key] = atoms.get(key, 0.0) + scale * w
-
-    if rep.alpha > 0:
-        al, be, at = _moebius_terms(phi.a, phi.b, phi.c, phi.d, det=1.0)
-        alpha += rep.alpha * al
-        beta += rep.alpha * be
-        add_atoms(at, rep.alpha)
-    for t, w in rep.rho.atoms:
-        # (1 + φ(z)t)/(t − φ(z)) as a Möbius map of z, of determinant 1 + t²
-        ma = phi.c + t * phi.a
-        mb = phi.d + t * phi.b
-        mc = t * phi.c - phi.a
-        md = t * phi.d - phi.b
-        # an atom at the pullback of ∞ makes mc cancel to rounding noise;
-        # indistinguishable-from-zero means the term is linear
-        if abs(mc) <= 8e-16 * (abs(t * phi.c) + abs(phi.a)):
-            mc = 0.0
-        al, be, at = _moebius_terms(ma, mb, mc, md, det=1.0 + t * t)
-        alpha += w * al
-        beta += w * be
-        add_atoms(at, w)
-    kept = tuple((t, w) for t, w in sorted(atoms.items()) if w > 1e-14)
-    return NevanlinnaRep(max(alpha, 0.0), beta, Measure(atoms=kept))
-
-
-def _divide_neg_halfline(rep: NevanlinnaRep) -> NevanlinnaRep:
-    """g with f = p_{(−∞,0)} · g = z · g, for σ(f) ⊂ (0, ∞) and f(0) ≤ 0.
-
-    f(z)/z = α + f(0)/z + ∫ (1+t²)/(t(t−z)) dρ; regrouping the kernel gives
-    the Nevanlinna data α_g = 0, β_g = α + ρ(R), atoms (t, w/t) plus an atom
-    at 0 of weight −f(0).
-    """
-    if not rep.rho.is_atomic():
-        raise ValueError("closed-form division requires an atomic measure")
-    for t, _ in rep.rho.atoms:
-        if t <= 1e-300:
-            raise ValueError("division arc is not contained in the negativity set")
-    c0 = rep.beta + sum(w / t for t, w in rep.rho.atoms)
-    # the f(0) computation carries the magnitude of its own summands, so both
-    # the sign guard and the dust threshold must be relative to it
-    scale0 = max(1.0, abs(rep.beta) + sum(w / t for t, w in rep.rho.atoms))
-    if c0 > 1e-9 * scale0:
-        raise ValueError(f"f(0) = {c0} > 0: the arc is not inside the negativity set")
-    atoms = [(t, w / t) for t, w in rep.rho.atoms]
-    beta_g = rep.alpha + sum(w for _, w in rep.rho.atoms)
-    # a weight at the endpoint below the dust threshold is root-finding
-    # residue (the arc ends at a polished zero of f), not a real atom
-    if -c0 > 1e-11 * scale0:
-        atoms.append((0.0, -c0))
-    return NevanlinnaRep(0.0, beta_g, Measure(atoms=tuple(sorted(atoms))))
-
-
-def _phi_onto_arc(j: Arc) -> HalfPlaneAuto:
-    """Automorphism of C⁺ carrying the half-line (−∞, 0) onto the arc J."""
-    bi, ai = is_inf(j.b), is_inf(j.a)
-    if bi and not ai:  # (−∞, a): translate
-        return HalfPlaneAuto(1.0, float(j.a), 0.0, 1.0)
-    if ai and not bi:  # (b, +∞): z ↦ b − 1/z
-        return HalfPlaneAuto(float(j.b), -1.0, 1.0, 0.0)
-    b, a = float(j.b), float(j.a)
-    if b < a:
-        return HalfPlaneAuto(b, -a, 1.0, -1.0)
-    return HalfPlaneAuto(b, a, 1.0, 1.0)  # wrap arc
-
-
-def _snap_atoms(rep: NevanlinnaRep, anchor, rtol: float = 1e-11) -> NevanlinnaRep:
-    """Move atoms sitting within relative roundoff of ``anchor`` exactly onto
-    it.  Iterated divisions transport atom positions through Möbius maps, and
-    a position one ulp off the next arc's pole endpoint would conjugate into
-    a huge spurious atom instead of the intended linear term."""
-    if anchor is None or is_inf(anchor):
-        return rep
-    b = float(anchor)
-    tol = rtol * max(1.0, abs(b))
-    atoms = tuple((b if abs(t - b) <= tol else t, w) for t, w in rep.rho.atoms)
-    if all(t == s for (t, _), (s, _) in zip(atoms, rep.rho.atoms)):
-        return rep
-    return NevanlinnaRep(rep.alpha, rep.beta, Measure(atoms=atoms))
+def _zero_end_weight(terms, factor: float, j: Arc) -> float:
+    """Weight −f·factor that the zero end of p_J carries in f/p_J, from the
+    summands of f there.  Zero when f vanishes to within the roundoff of its
+    summands (the arc ends at a polished zero of f); f above that roundoff
+    means the arc leaves the negativity set."""
+    value = math.fsum(terms)
+    if abs(value) <= 1e-11 * math.fsum(abs(u) for u in terms):
+        return 0.0
+    if value > 0:
+        raise ValueError(f"f = {value:.3e} > 0 at the zero end of {j!r}: the "
+                         "arc is not inside the negativity set")
+    return -value * factor
 
 
 def _divide_rep(rep: NevanlinnaRep, j: Arc) -> NevanlinnaRep:
-    """Exact Nevanlinna data of f / p_J for atomic f with J ⊆ Γ(f)."""
-    rep = _snap_atoms(rep, j.b)
-    phi = _phi_onto_arc(j)
-    pulled = _pullback_rep(rep, phi)
-    g0 = _divide_neg_halfline(pulled)
-    inv = phi.inverse()
-    g_pre = _pullback_rep(g0, inv)
-    scale = abs(complex(inv(1j)))
-    return g_pre.scale(scale)
+    """Exact Nevanlinna data of g = f/p_J for atomic f with J ⊆ Γ(f).
+
+    g = f·q with q = 1/p_J is rational, so its data follow from its poles:
+    an atom (t, w) of f has residue −w(1+t²) and becomes (t, w·q(t)); an
+    atom on the pole b of p_J cancels; the finite zero a of p_J becomes an
+    atom of weight −f(a)·Res_a(q)/(1+a²), and a zero at ∞ becomes the linear
+    term −f(∞)/|i − b|.  Every kernel (1+it)/(t−i) equals i, so
+    β_g = Re g(i).  Positive weights certify that g is in the class.
+    """
+    b, a = j.b, j.a
+    atoms = []
+    for t, w in rep.rho.atoms:
+        # an atom within relative roundoff of b sits on the pole
+        if not is_inf(b) and abs(t - float(b)) <= 1e-11 * max(1.0, abs(float(b))):
+            continue
+        atoms.append((t, w / p_eval(j, t)))
+    if is_inf(a):
+        # q(z) = −(z − b)/|i − b| grows at ∞, where f tends to f(∞) when α = 0
+        if rep.alpha > 0:
+            raise ValueError(f"f grows at ∞, so {j!r} is not inside the "
+                             "negativity set")
+        terms = [rep.beta] + [-w * t for t, w in rep.rho.atoms]
+        alpha = _zero_end_weight(terms, 1.0 / math.hypot(1.0, float(b)), j)
+    else:
+        alpha = rep.alpha / p_eval(j, INF)
+        x = float(a)
+        terms = [rep.alpha * x, rep.beta] + [w * (1.0 + x * t) / (t - x)
+                                             for t, w in rep.rho.atoms]
+        # Res_a(q)/(1 + a²) is |a − b|/(|i − a|·|i − b|), or 1/|i − a| for b = ∞
+        res = 1.0 if is_inf(b) else abs(x - float(b)) / math.hypot(1.0, float(b))
+        w_a = _zero_end_weight(terms, res / math.hypot(1.0, x), j)
+        if w_a > 0:
+            atoms.append((x, w_a))
+    if alpha < 0 or any(w <= 0 for _, w in atoms):
+        raise ValueError(f"dividing by {j!r} leaves negative weights: the arc "
+                         "is not inside the negativity set")
+    beta = (rep.eval(1j) / p_eval(j, 1j)).real
+    return NevanlinnaRep(alpha, beta, Measure(atoms=tuple(atoms)))
 
 
 def _quotient_blackbox(f, j: Arc, sigma: Optional[SigmaDescriptor]):
@@ -475,7 +411,7 @@ def _im_nonneg_residual(fn, pts) -> float:
 # public operations
 
 
-def divide_single(f, j: Arc, *, verify: bool = True, _pre_checked: bool = False):
+def divide_single(f, j: Arc):
     """g with f = p_J · g, for an arc J inside the negativity set of f.
 
     Structured atomic representations are divided exactly; composite forms
@@ -488,24 +424,21 @@ def divide_single(f, j: Arc, *, verify: bool = True, _pre_checked: bool = False)
         if len(j.arcs) != 1:
             raise ValueError("divide_single expects a single arc")
         j = j.arcs[0]
-    if not _pre_checked:
-        ana = analyze_pick(f)
-        if not arcset_contains_arc(ana.gamma, j):
-            raise ValueError(f"{j!r} is not contained in the negativity set")
+    ana = analyze_pick(f)
+    if not arcset_contains_arc(ana.gamma, j):
+        raise ValueError(f"{j!r} is not contained in the negativity set")
 
     if isinstance(f, RepFunction) and f.rep.rho.is_atomic():
-        g = RepFunction(_divide_rep(f.rep, j))
-    elif isinstance(f, CompositeFunction):
+        return RepFunction(_divide_rep(f.rep, j))
+    if isinstance(f, CompositeFunction):
         g = _divide_composite(f, j)
     else:
         sigma = f.sigma if isinstance(f, BlackBoxFunction) else None
         g = _quotient_blackbox(f, j, sigma)
-
-    if verify:
-        resid = _im_nonneg_residual(g, certification_grid(None, 200, 0))
-        if resid > 1e-9:
-            raise CertificationError(
-                f"quotient leaves the class: Im dips to -{resid:.2e}")
+    resid = _im_nonneg_residual(g, certification_grid(None, 200, 0))
+    if resid > 1e-9:
+        raise CertificationError(
+            f"quotient leaves the class: Im dips to -{resid:.2e}")
     return g
 
 
@@ -528,15 +461,6 @@ def _divide_composite(f: CompositeFunction, j: Arc) -> CompositeFunction:
     product = KreinProduct(new_set, tol=f.product.tol,
                            max_factors=f.product.max_factors)
     return CompositeFunction(f.c, product, f.exp)
-
-
-@dataclass
-class PostCheck:
-    name: str
-    residual: float
-    tolerance: float
-    passed: bool
-    note: str = ""
 
 
 @dataclass
@@ -575,17 +499,8 @@ def factorize(f, *, grid_n: int = 400) -> FactorizationResult:
     else:
         k = KreinProduct(gamma)
         if isinstance(f, RepFunction) and f.rep.rho.is_atomic():
-            try:
-                g = f
-                for arc in gamma.arcs:
-                    g = divide_single(g, arc, verify=False, _pre_checked=True)
-            except ValueError:
-                # far-from-origin supports inflate the kernel conditioning
-                # ((1+t²) factors) until the exact chain cannot separate
-                # endpoint residue from real data; the pointwise quotient
-                # stays well-defined
-                g = BlackBoxFunction(lambda z, _f=f, _k=k: _f(z) / _k(z),
-                                     sigma=ana.sigma, label="quotient")
+            # the corollary: σ(f) has measure zero, so g is the constant |f(i)|
+            g = RepFunction(NevanlinnaRep(0.0, abs(complex(f(1j)))))
         elif isinstance(f, CompositeFunction) and f.product.cantor is None:
             # k_O / k_Γ is exactly 1 (the sets differ by measure zero)
             g = CompositeFunction(f.c, KreinProduct(EMPTY), f.exp) \
@@ -600,7 +515,7 @@ def factorize(f, *, grid_n: int = 400) -> FactorizationResult:
     if ana.sigma.is_measure_zero():
         c, resid = _constant_certificate(f, k)
         res.constant, res.constant_residual = c, resid
-        posts.append(PostCheck("constant_factor", resid, 1e-9, resid <= 1e-9,
+        posts.append(Certification("constant_factor", resid, 1e-9, resid <= 1e-9,
                                f"c = {c:.12g}"))
     if not res.ok:
         bad = [p.name for p in posts if not p.passed]
@@ -651,7 +566,7 @@ def _verify_posts(f, ana: AnalysisResult, k: KreinProduct, g, grid_n: int):
                 resid1 = max(resid1, d)
         if sig_g.has_inf and not ana.sigma.has_inf:
             resid1 = max(resid1, g.rep.alpha)
-        posts.append(PostCheck("sigma_subset", resid1, 1e-6, resid1 <= 1e-6))
+        posts.append(Certification("sigma_subset", resid1, 1e-6, resid1 <= 1e-6))
     else:
         pts = [complex(x, 1e-6) for x in _omega_samples(ana.omega)]
         resid1 = 0.0
@@ -659,7 +574,7 @@ def _verify_posts(f, ana: AnalysisResult, k: KreinProduct, g, grid_n: int):
             v = g(z)
             if isinstance(v, complex):
                 resid1 = max(resid1, abs(v.imag) / (1.0 + abs(v)))
-        posts.append(PostCheck("sigma_subset", resid1, 1e-3, resid1 <= 1e-3,
+        posts.append(Certification("sigma_subset", resid1, 1e-3, resid1 <= 1e-3,
                                "sampled real-extendability across Omega(f)"))
 
     omega_g = _effective_sigma(g.rep).omega() if structured else ana.omega
@@ -675,11 +590,11 @@ def _verify_posts(f, ana: AnalysisResult, k: KreinProduct, g, grid_n: int):
             continue
         vals.append(v)
     resid2 = max(0.0, -min(vals)) if vals else 0.0
-    posts.append(PostCheck("g_positive_on_omega", resid2, 1e-9, resid2 <= 1e-9))
+    posts.append(Certification("g_positive_on_omega", resid2, 1e-9, resid2 <= 1e-9))
 
     if structured:
         reg_ok = is_regular(_effective_sigma(g.rep).omega())
-        posts.append(PostCheck("omega_g_regular", 0.0 if reg_ok else 1.0, 0.0,
+        posts.append(Certification("omega_g_regular", 0.0 if reg_ok else 1.0, 0.0,
                                reg_ok))
         x_pts = tuple(ana.gamma.left_endpoints()) if not ana.gamma.full else ()
         sig_g = _effective_sigma(g.rep)
@@ -688,11 +603,11 @@ def _verify_posts(f, ana: AnalysisResult, k: KreinProduct, g, grid_n: int):
             intervals=sig_g.intervals,
             has_inf=any(is_inf(p) for p in x_pts) or sig_g.has_inf)
         ok4 = combined.omega().isclose(ana.omega, 1e-7)
-        posts.append(PostCheck("omega_intersection", 0.0 if ok4 else 1.0, 0.0, ok4))
+        posts.append(Certification("omega_intersection", 0.0 if ok4 else 1.0, 0.0, ok4))
     else:
-        posts.append(PostCheck("omega_g_regular", 0.0, 0.0, True,
+        posts.append(Certification("omega_g_regular", 0.0, 0.0, True,
                                "not structurally checkable for quotient forms"))
-        posts.append(PostCheck("omega_intersection", 0.0, 0.0, True,
+        posts.append(Certification("omega_intersection", 0.0, 0.0, True,
                                "not structurally checkable for quotient forms"))
     return posts
 

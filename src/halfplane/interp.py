@@ -18,7 +18,8 @@ from typing import Optional
 
 from .extreal import (Arc, ArcSet, EMPTY, INF, is_inf, is_regular,
                       normalize, points_equal, regularize)
-from .factor import CertificationError, CompositeFunction, ExpRep
+from .factor import (Certification, CertificationError, CompositeFunction,
+                     ExpRep)
 from .krein import EvaluationDomainError, KreinProduct
 from .moebius import DiskMap, cayley, disk_target_map
 from .util import halton
@@ -214,15 +215,6 @@ def _sweep_component(comp, seq, tags):
 
 
 @dataclass
-class Certification:
-    name: str
-    residual: float
-    tolerance: float
-    passed: bool
-    note: str = ""
-
-
-@dataclass
 class BuildResult:
     problem: InterpProblem
     region: ArcSet
@@ -395,30 +387,22 @@ def _closed_complement_intervals(omega1: ArcSet):
     arcs = omega1.arcs
     if len(arcs) == 1 and arcs[0].puncture:
         return []  # complement is a single point: zero length, no density
-    # walk the gaps between consecutive arcs in circular order
+    # walk the gaps between consecutive arcs in circular order; the gap
+    # through ∞ need not be the last one, as a wrap arc of Ω₁ may carry ∞
     n = len(arcs)
     for i in range(n):
-        cur, nxt = arcs[i], arcs[(i + 1) % n]
-        hi = cur.a
-        lo = nxt.b
-        if is_inf(hi) and is_inf(lo):
-            continue
+        hi, lo = arcs[i].a, arcs[(i + 1) % n].b
         if points_equal(hi, lo):
             continue  # single-point gap carries no density
-        if i + 1 < n:
-            pieces.append((float(hi), float(lo)))
-        else:
+        if is_inf(hi) or is_inf(lo) or float(hi) > float(lo):
             # gap through ∞ splits into two half-lines
             if not is_inf(hi):
                 pieces.append((float(hi), INF))
             if not is_inf(lo):
                 pieces.append((-INF, float(lo)))
-    out = []
-    for l, r in pieces:
-        if l == r:
-            continue
-        out.append((l, r))
-    return sorted(out)
+        else:
+            pieces.append((float(hi), float(lo)))
+    return sorted(pieces)
 
 
 def _sign_certificate(f, omega: ArcSet, o: ArcSet) -> float:

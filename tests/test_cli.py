@@ -59,6 +59,30 @@ class TestEval:
         assert row[4] == "eps" and row[1] == 1e-3
         assert row[3] == pytest.approx(1e3, rel=1e-5)
 
+    def test_eps_row_uncertified(self, tmp_path, capsys):
+        # the tail budget refuses tol 1e-9 at height 0.01: that row is flagged
+        # and the rest of the grid still reports
+        spec = write_spec(tmp_path, "c.json", {
+            "version": 1, "krein": {"cantor": {"interval": [0, 1]}, "tol": 1e-9}})
+        code, out = run(capsys, ["eval", "--spec", spec, "--grid", "2:3:2",
+                                 "--eps", "0.01"])
+        assert code == 0
+        flags = [r[4] for r in json.loads(out)["rows"]]
+        assert "uncertified" in flags
+
+    def test_product_cantor_honours_tol(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "p.json", {
+            "version": 1,
+            "product": {"c": 2.0, "krein": {"cantor": {"interval": [0, 1]}}}})
+        code, out = run(capsys, ["eval", "--spec", spec, "--tol", "1e-2",
+                                 "--grid", "box:0:1:0.5:1:2"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r[4] for r in rows] == ["interior"] * 4
+        for r in rows:
+            # the Cantor-complement product tends to −1
+            assert abs(complex(r[2], r[3]) + 2.0) < 2.0 * 1e-2
+
     def test_csv_format(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "k.json",
                           {"version": 1, "krein": {"arcs": [[0, 1]]}})
@@ -143,6 +167,26 @@ class TestSolve:
         assert code == 0
         assert rep["certifications"][0]["length"] == pytest.approx(1.0, abs=1e-8)
 
+    def test_realizable_omega_through_infinity(self, tmp_path, capsys):
+        # Ω₁ has a wrap arc carrying ∞, so the gap sorted last is finite
+        spec = write_spec(tmp_path, "p.json", {
+            "version": 1,
+            "realizable": {
+                "omega": {"arcs": [
+                    [-6.471395489978533, -2.219983806782345],
+                    [-0.4316717043535707, 0.16942842328625574],
+                    [0.16942842328625574, 1.55977835819259],
+                    [2.3046646840303833, 3.7885103347732603],
+                    [3.7885103347732603, 5.541806578446369],
+                    [6.336005087124985, -6.471395489978533]]},
+                "o": {"arcs": [
+                    [-6.471395489978533, -5.8656274585917245],
+                    [0.16942842328625574, 0.8848624023435576],
+                    [3.7885103347732603, 4.155468001777409]]}}})
+        code, out = run(capsys, ["solve", "--spec", spec])
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
     def test_realizable(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "p.json", {
             "version": 1,
@@ -201,6 +245,19 @@ class TestErrors:
         spec = write_spec(tmp_path, "p.json",
                           {"version": 1, "boole": {"atoms": [[0.0, 1.0]]}})
         assert main(["eval", "--spec", spec]) == 2
+
+    def test_malformed_arc(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "bad.json", {"krein": {"arcs": [[0]]}})
+        assert main(["eval", "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert "[0]" in err and "Traceback" not in err
+
+    def test_unsupported_version(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "bad.json",
+                          {"version": 99, "nevanlinna": {"alpha": 1.0}})
+        assert main(["eval", "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert "version" in err and "Traceback" not in err
 
     def test_interlacing_failure_is_certification_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "p.json", {
