@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -29,6 +30,7 @@ from .krein import (EvaluationDomainError, KreinProduct, TailNotCertified,
 from .nevanlinna import (Measure, NevanlinnaRep, boole_superlevel_measure,
                          letac_pushforward_check, recover_alpha,
                          recover_atom, recover_beta)
+from .util import RootBracketError
 
 FUNCTION_TASKS = ("nevanlinna", "krein", "product")
 PROBLEM_TASKS = ("interp", "realizable", "boole", "letac")
@@ -471,7 +473,10 @@ def write_output(report, code, args, t0):
     return code
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argparse tree, built on first use and shared by every later
+    ``main`` call in the process (parse_args keeps no state in it)."""
     parser = argparse.ArgumentParser(
         prog="halfplane",
         description="numerics for analytic self-maps of the upper half-plane")
@@ -503,8 +508,11 @@ def main(argv=None):
     p_check = sub.add_parser("check", help="run a verification suite")
     common(p_check)
     p_check.add_argument("--suite", required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         if args.command == "eval":
@@ -519,7 +527,7 @@ def main(argv=None):
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except (factor.CertificationError, interp.InterlacingError,
-            TailNotCertified) as exc:
+            RootBracketError, TailNotCertified) as exc:
         sys.stderr.write(f"certification failure: {exc}\n")
         return 1
     except (OSError, KeyError, TypeError, ValueError) as exc:

@@ -19,7 +19,7 @@ from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, arcs_overlap, is_inf,
                       is_regular, normalize, points_equal, regularize)
 from .krein import KreinProduct, log_p, log_p_real, p_eval
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
-                         SigmaDescriptor, analyze)
+                         SigmaDescriptor, analyze, interval_entries)
 from .util import bisect_increasing, halton, halton_box, ladder_limit
 
 
@@ -127,8 +127,7 @@ class ExpRep:
     @staticmethod
     def from_json(obj) -> "ExpRep":
         return ExpRep(float(obj.get("gamma", 0.0)),
-                      tuple((p["interval"][0], p["interval"][1], p["value"])
-                            for p in obj.get("psi", [])))
+                      interval_entries(obj.get("psi", []), "value", "psi"))
 
 
 @dataclass(frozen=True)
@@ -277,13 +276,16 @@ def _blackbox_gamma_piece(fn, comp: Arc):
 # exact division for atomic representations
 
 
-def _zero_end_weight(terms, factor: float, j: Arc) -> float:
+def _zero_end_weight(terms, factor: float, j: Arc,
+                     position_roundoff: float = 0.0) -> float:
     """Weight −f·factor that the zero end of p_J carries in f/p_J, from the
     summands of f there.  Zero when f vanishes to within the roundoff of its
-    summands (the arc ends at a polished zero of f); f above that roundoff
-    means the arc leaves the negativity set."""
+    summands or of the end's position (f'·a few ulps: the arc ends at a
+    polished zero of f, and a steep f leaves dust there otherwise); f above
+    that roundoff means the arc leaves the negativity set."""
     value = math.fsum(terms)
-    if abs(value) <= 1e-11 * math.fsum(abs(u) for u in terms):
+    if abs(value) <= max(1e-11 * math.fsum(abs(u) for u in terms),
+                         position_roundoff):
         return 0.0
     if value > 0:
         raise ValueError(f"f = {value:.3e} > 0 at the zero end of {j!r}: the "
@@ -322,7 +324,8 @@ def _divide_rep(rep: NevanlinnaRep, j: Arc) -> NevanlinnaRep:
                                              for t, w in rep.rho.atoms]
         # Res_a(q)/(1 + a²) is |a − b|/(|i − a|·|i − b|), or 1/|i − a| for b = ∞
         res = 1.0 if is_inf(b) else abs(x - float(b)) / math.hypot(1.0, float(b))
-        w_a = _zero_end_weight(terms, res / math.hypot(1.0, x), j)
+        w_a = _zero_end_weight(terms, res / math.hypot(1.0, x), j,
+                               4.0 * rep.derivative(x) * math.ulp(x))
         if w_a > 0:
             atoms.append((x, w_a))
     if alpha < 0 or any(w <= 0 for _, w in atoms):
@@ -362,12 +365,15 @@ def _arc_midpoint(j: Arc) -> float:
 
 
 def _arc_contains_arc(outer: Arc, inner: Arc, tol: float = 1e-9) -> bool:
+    """inner ⊆ outer, endpoints compared to within tol·max(1, |p|): zeros
+    far from the origin carry an absolute roundoff that grows with |p|."""
     mid = _arc_midpoint(inner)
     if not (outer.contains(mid, tol) or (is_inf(mid) and outer.is_wrap)):
         return False
     for p in (inner.b, inner.a):
-        if not (outer.contains(p, tol)
-                or points_equal(p, outer.b, tol) or points_equal(p, outer.a, tol)):
+        t = tol if is_inf(p) else tol * max(1.0, abs(float(p)))
+        if not (outer.contains(p, t)
+                or points_equal(p, outer.b, t) or points_equal(p, outer.a, t)):
             return False
     return True
 

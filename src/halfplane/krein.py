@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .extreal import (Arc, ArcSet, BoundaryDescriptor, CantorComplement, EMPTY,
                       FULL, INF, Point, boundary_left, is_inf, is_regular,
@@ -370,7 +369,12 @@ def k_eval(k: KreinProduct, z):
 def k_integral_eval(o: ArcSet, z: complex, *, epsabs: float = 1e-11,
                     epsrel: float = 1e-11) -> complex:
     """k_O(z) = e^{v(z)} with v(z) = ∫_O (1+tz)/(t−z) · dt/(1+t²) computed by
-    adaptive quadrature, arc by arc.  Requires Im z > 0 and an explicit set."""
+    adaptive quadrature, arc by arc.  Requires Im z > 0 and an explicit set.
+
+    A cross-check of the closed forms only, so scipy is imported here rather
+    than with the package."""
+    from scipy.integrate import quad
+
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("k_integral_eval requires Im z > 0")

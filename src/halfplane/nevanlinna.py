@@ -5,7 +5,8 @@ densities (optionally a depth-k atomic stand-in for the Cantor measure).
 Both the representation and its derivative have closed forms, so evaluation
 never needs quadrature.  Boundary recovery (α, β, atoms, densities) uses
 geometric ladders with Richardson extrapolation; the Boole and pushforward
-identities are verified by monotone root isolation on each component.
+identities are verified from secular-matrix eigenvalues, each root polished
+and sign-bracketed on its own component.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, complement_of_closed,
                       is_inf, normalize, regularize)
-from .util import (RecoveryError, bisect_increasing, expand_to_sign,
-                   ladder_limit, richardson, shrink_to_sign)
+from .util import (RecoveryError, RootBracketError, bisect_increasing,
+                   expand_to_sign, ladder_limit, richardson, shrink_to_sign)
 
 __all__ = [
     "Measure", "NevanlinnaRep", "SigmaDescriptor", "AnalysisResult",
@@ -100,6 +103,19 @@ def _log_ratio(z, l: float, r: float):
         raise ValueError(f"real evaluation at {x} inside the density "
                          f"support [{l}, {r}]")
     return math.log((x - r) / (x - l))
+
+
+def interval_entries(entries, value_key: str, field: str) -> tuple:
+    """(l, r, value) triples of JSON entries {"interval": [l, r], value_key: v};
+    a malformed entry raises ValueError naming the field and the entry."""
+    out = []
+    for k, p in enumerate(entries):
+        iv = p.get("interval") if isinstance(p, dict) else None
+        if not (isinstance(iv, (list, tuple)) and len(iv) == 2 and value_key in p):
+            raise ValueError(f"{field} entry {k} {p!r} is not of the form "
+                             f'{{"interval": [l, r], "{value_key}": v}}')
+        out.append((iv[0], iv[1], p[value_key]))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -205,8 +221,7 @@ class NevanlinnaRep:
     @staticmethod
     def from_json(obj) -> "NevanlinnaRep":
         atoms = tuple((t, w) for t, w in obj.get("atoms", []))
-        ac = tuple((p["interval"][0], p["interval"][1], p["density"])
-                   for p in obj.get("ac", []))
+        ac = interval_entries(obj.get("ac", []), "density", "ac")
         rho = Measure(atoms=atoms, ac=ac)
         if "cantor_depth" in obj:
             extra = Measure.cantor_atoms(int(obj["cantor_depth"]))
@@ -379,41 +394,26 @@ def boole_superlevel_measure(mu: Measure, y: float):
     bounded gaps), so each gap holds exactly one root of G = y and one of
     G = −y; the superlevel components run from each atom to the next root.
     Both lengths equal μ(R)/y.
+
+    All roots come from one secular-matrix solve: the roots of G = y, one
+    right of each atom, are the eigenvalues of diag(t) + zzᵀ with z = √(w/y),
+    and those of G = −y, one left of each atom, the eigenvalues of
+    diag(t) − zzᵀ (the same problem on the reflected atoms t → −t).  The
+    eigenvalues only seed the roots: each is polished by Newton steps on
+    G itself and accepted after a sign bracket of width 4e-12·max(1, |x|)
+    inside its gap (see ``_secular_roots``).  The bracket is the certificate;
+    the lengths alone would match μ(R)/y by the trace identity whatever the
+    roots' quality.
     """
     if not mu.is_atomic():
         raise ValueError("the superlevel identity is computed for atomic measures")
     if y <= 0:
         raise ValueError("y must be positive")
-    ts = [t for t, _ in mu.atoms]
-    if not ts:
+    if not mu.atoms:
         return 0.0, 0.0
-
-    def g(x):
-        return cauchy_transform(mu, x)
-
-    def root_decreasing(lo, hi, target):
-        return bisect_increasing(lambda x: target - g(x), lo, hi)
-
-    plus = 0.0
-    for i in range(len(ts) - 1):
-        lo = shrink_to_sign(lambda x: y - g(x), ts[i], ts[i + 1], negative=True)
-        hi = shrink_to_sign(lambda x: y - g(x), ts[i + 1], ts[i], negative=False)
-        plus += root_decreasing(lo, hi, y) - ts[i]
-    # unbounded right gap: G decreases from +∞ to 0⁺
-    lo = shrink_to_sign(lambda x: y - g(x), ts[-1], ts[-1] + 1.0, negative=True)
-    hi = expand_to_sign(lambda x: y - g(x), ts[-1], 1.0, negative=False)
-    plus += root_decreasing(lo, hi, y) - ts[-1]
-
-    minus = 0.0
-    for i in range(len(ts) - 1):
-        lo = shrink_to_sign(lambda x: -y - g(x), ts[i], ts[i + 1], negative=True)
-        hi = shrink_to_sign(lambda x: -y - g(x), ts[i + 1], ts[i], negative=False)
-        minus += ts[i + 1] - root_decreasing(lo, hi, -y)
-    # unbounded left gap: G decreases from 0⁻ to −∞
-    hi = shrink_to_sign(lambda x: -y - g(x), ts[0], ts[0] - 1.0, negative=False)
-    lo = expand_to_sign(lambda x: -y - g(x), ts[0], -1.0, negative=True)
-    minus += ts[0] - root_decreasing(lo, hi, -y)
-    return plus, minus
+    ts, ws = (np.array(col) for col in zip(*mu.atoms))
+    plus, minus = _boole_roots(ts, ws, float(y))
+    return float(np.sum(plus - ts)), float(np.sum(ts - minus))
 
 
 def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
@@ -422,6 +422,13 @@ def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
     f increases from −∞ to +∞ on every component of R minus the atoms, so
     each of the N+1 branches contributes f⁻¹(d) − f⁻¹(c); the total equals
     d − c (f preserves Lebesgue measure).
+
+    With u = √(w(1+t²)) and s = target − β + Σ w t, the N+1 roots of
+    f = target are the eigenvalues of the arrowhead matrix
+    [[diag t, u], [uᵀ, s]]; both targets are solved in one call.  As for
+    Boole, the eigenvalues only seed the roots: Newton steps on the original
+    kernel w(1+xt)/(t−x) (the rewritten form loses digits for large |t|)
+    polish them, and each is accepted after a sign bracket inside its branch.
     """
     c, d = float(interval[0]), float(interval[1])
     if not c < d:
@@ -430,33 +437,116 @@ def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
         raise ValueError("the pushforward identity requires alpha = 1")
     if not rep.rho.is_atomic():
         raise ValueError("the pushforward identity is verified for atomic rho")
-    ts = [t for t, _ in rep.rho.atoms]
-    fn = rep.eval
-
-    def branch_preimages(lo_anchor, hi_anchor):
-        # anchors: (None, t): left unbounded; (t, None): right; else a gap,
-        # and brackets must stay inside it
-        def solve(target):
-            def h(x):
-                return fn(x) - target
-            if lo_anchor is None:
-                lo = expand_to_sign(h, hi_anchor - 1.0, -1.0, negative=True)
-            else:
-                other = hi_anchor if hi_anchor is not None else lo_anchor + 1.0
-                lo = shrink_to_sign(h, lo_anchor, other, negative=True)
-            if hi_anchor is None:
-                hi = expand_to_sign(h, lo_anchor + 1.0, 1.0, negative=False)
-            else:
-                other = lo_anchor if lo_anchor is not None else hi_anchor - 1.0
-                hi = shrink_to_sign(h, hi_anchor, other, negative=False)
-            return bisect_increasing(h, lo, hi)
-
-        return solve(d) - solve(c)
-
-    if not ts:
+    if not rep.rho.atoms:
         return d - c
-    total = branch_preimages(None, ts[0])
-    for i in range(len(ts) - 1):
-        total += branch_preimages(ts[i], ts[i + 1])
-    total += branch_preimages(ts[-1], None)
-    return total
+    ts, ws = (np.array(col) for col in zip(*rep.rho.atoms))
+    at_c, at_d = _letac_roots(ts, ws, rep.beta, (c, d))
+    return float(np.sum(at_d - at_c))
+
+
+# ---------------------------------------------------------------------------
+# the secular-equation kernel behind the Boole and Letac identities
+
+_BRACKET = 4e-12  # relative half-width of the sign bracket that accepts a root
+
+
+def _boole_roots(ts, ws, y: float):
+    """Roots of G = y (one right of each atom) and of G = −y (one left of
+    each), for sorted atoms ts with weights ws."""
+    z = np.sqrt(ws / y)
+    rank_one = np.outer(z, z)
+    diag = np.diag(ts)
+    seeds = np.linalg.eigvalsh(np.stack((diag + rank_one, diag - rank_one)))
+    # by Weyl, every eigenvalue lies within ‖z‖² = μ(R)/y of an atom
+    reach = 2.0 * float(np.sum(ws)) / y
+    lo = np.concatenate((ts, [ts[0] - reach], ts[:-1]))
+    hi = np.concatenate((ts[1:], [ts[-1] + reach], ts))
+    target = np.repeat((-y, y), len(ts))
+
+    def neg_g(x):  # −G_μ, increasing between atoms
+        return -np.sum(ws / (x[:, None] - ts), axis=1)
+
+    def neg_g_slope(x):
+        return np.sum(ws / (x[:, None] - ts) ** 2, axis=1)
+
+    roots = _secular_roots(neg_g, neg_g_slope, target, seeds.ravel(), lo, hi)
+    return roots[:len(ts)], roots[len(ts):]
+
+
+def _letac_roots(ts, ws, beta: float, targets):
+    """Roots of f = target, one per branch of R minus the atoms, for
+    f(x) = x + β + Σ w(1+xt)/(t−x) and each target in turn."""
+    n = len(ts)
+    u = np.sqrt(ws * (1.0 + ts * ts))
+    s = np.asarray(targets, dtype=float) - beta + float(np.sum(ws * ts))
+    arrow = np.zeros((len(s), n + 1, n + 1))
+    arrow[:, np.arange(n), np.arange(n)] = ts
+    arrow[:, :n, n] = u
+    arrow[:, n, :n] = u
+    arrow[:, n, n] = s
+    seeds = np.linalg.eigvalsh(arrow)
+    # by Weyl, the spectrum lies within ‖u‖ of the diagonal's range
+    reach = 2.0 * float(np.sqrt(np.sum(u * u))) + 1.0
+    lo = np.tile(np.concatenate(([0.0], ts)), len(s))
+    lo[::n + 1] = np.minimum(ts[0], s) - reach
+    hi = np.tile(np.concatenate((ts, [0.0])), len(s))
+    hi[n::n + 1] = np.maximum(ts[-1], s) + reach
+    target = np.repeat(np.asarray(targets, dtype=float), n + 1)
+
+    def f(x):
+        return x + beta + np.sum(ws * (1.0 + x[:, None] * ts) / (ts - x[:, None]),
+                                 axis=1)
+
+    def f_slope(x):
+        return 1.0 + np.sum(ws * (1.0 + ts * ts) / (ts - x[:, None]) ** 2, axis=1)
+
+    roots = _secular_roots(f, f_slope, target, seeds.ravel(), lo, hi)
+    return roots.reshape(len(s), n + 1)
+
+
+def _secular_roots(fn, slope, target, seeds, lo, hi):
+    """Certified roots of fn(x) = target[k], one in each branch (lo[k], hi[k])
+    on which fn increases; all arguments are aligned arrays.
+
+    The seeds are clipped into their branches and polished by two Newton
+    steps.  A root is accepted only on a sign bracket
+    fn(x − δ) ≤ target ≤ fn(x + δ) with δ = 4e-12·max(1, |x|) and x ± δ
+    inside the branch.  Roots that fail are bisected inside their branches
+    and checked again; a root that still fails raises RootBracketError.
+    """
+    with np.errstate(all="ignore"):
+        x = np.clip(seeds, np.nextafter(lo, hi), np.nextafter(hi, lo))
+        for _ in range(2):
+            step = x - (fn(x) - target) / slope(x)
+            x = np.where((lo < step) & (step < hi), step, x)
+        ok = _bracketed(fn, target, x, lo, hi)
+        if not ok.all():
+            bad = ~ok
+            x[bad] = _bisect_branches(fn, target[bad], lo[bad], hi[bad])
+            ok = _bracketed(fn, target, x, lo, hi)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise RootBracketError(f"no sign bracket for the root {x[k]!r} of "
+                               f"f = {target[k]!r} on ({lo[k]!r}, {hi[k]!r})")
+    return x
+
+
+def _bracketed(fn, target, x, lo, hi):
+    delta = _BRACKET * np.maximum(1.0, np.abs(x))
+    left, right = x - delta, x + delta
+    values = fn(np.concatenate((left, right))) - np.concatenate((target, target))
+    m = len(x)
+    return (lo < left) & (right < hi) & (values[:m] <= 0) & (values[m:] >= 0)
+
+
+def _bisect_branches(fn, target, lo, hi, maxit: int = 200):
+    # the branch ends are poles or outer bounds: their signs are known, so
+    # only midpoints are evaluated
+    for _ in range(maxit):
+        mid = 0.5 * (lo + hi)
+        if np.all(hi - lo <= _BRACKET * np.maximum(1.0, np.abs(mid))):
+            break
+        below = fn(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)

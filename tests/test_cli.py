@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+from halfplane import cli
 from halfplane.cli import main
 
 
@@ -252,6 +256,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "[0]" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("task", ["nevanlinna", "product"])
+    def test_malformed_interval_entry(self, tmp_path, capsys, task):
+        # an "ac" density piece or a "psi" piece whose interval is not a pair
+        body = ({"alpha": 1.0, "ac": [{"interval": [0], "density": 1.0}]}
+                if task == "nevanlinna" else
+                {"krein": {"arcs": [[0, 1]]},
+                 "exp": {"psi": [{"interval": [0], "value": 0.5}]}})
+        spec = write_spec(tmp_path, "bad.json", {task: body})
+        assert main(["eval", "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        field = "ac" if task == "nevanlinna" else "psi"
+        assert f"{field} entry 0" in err and "Traceback" not in err
+
     def test_unsupported_version(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "bad.json",
                           {"version": 99, "nevanlinna": {"alpha": 1.0}})
@@ -259,8 +276,50 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "version" in err and "Traceback" not in err
 
+    def test_unbracketable_root_is_certification_failure(self, tmp_path, capsys):
+        # the root of G = 1 right of the 1e-30 atom lies within roundoff of
+        # it, so no sign bracket can certify it: refused, with a message
+        spec = write_spec(tmp_path, "b.json", {"boole": {
+            "atoms": [[1000.0, 1e-30], [1001.0, 1.0]], "y": [1.0]}})
+        assert main(["solve", "--spec", spec]) == 1
+        err = capsys.readouterr().err
+        assert "certification failure" in err and "sign bracket" in err
+
     def test_interlacing_failure_is_certification_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "p.json", {
             "version": 1,
             "interp": {"zeros": [0.0, 1.0], "poles": [5.0], "singular": []}})
         assert main(["solve", "--spec", spec]) == 1
+
+
+class TestProcess:
+    def test_parser_shared_across_calls(self, tmp_path, capsys):
+        # one parser serves every subcommand; each report matches the one a
+        # freshly built parser gives
+        fn = write_spec(tmp_path, "f.json", {"nevanlinna": {
+            "alpha": 0.5, "beta": 0.2, "atoms": [[-1.0, 1.0], [2.0, 0.5]]}})
+        boole = write_spec(tmp_path, "b.json", {"boole": {
+            "atoms": [[-1.0, 1.0], [2.0, 0.5]], "y": [0.5, 2.0]}})
+        calls = [["eval", "--spec", fn, "--grid=-2:2:5"],
+                 ["solve", "--spec", boole],
+                 ["factor", "--spec", fn],
+                 ["eval", "--spec", fn, "--grid", "box:-1:1:0.5:1:2",
+                  "--format", "csv"],
+                 ["check", "--suite", "letac", "--seed", "3"],
+                 ["solve", "--spec", boole]]
+        shared = [run(capsys, argv) for argv in calls]
+        assert cli._parser() is cli._parser()
+        for argv, got in zip(calls, shared):
+            cli._parser.cache_clear()
+            assert run(capsys, argv) == got
+
+    def test_import_leaves_scipy_out(self):
+        code = ("import sys, halfplane, halfplane.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        # the child imports the same halfplane as this process
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == "False"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,40 @@ class TestDivideSingle:
             res = factorize(RepFunction(rep))
             assert isinstance(res.g, RepFunction)
             assert res.ok and res.constant_residual <= 1e-9
+
+    @staticmethod
+    def far_chain_rep(seed):
+        # six atoms in [−1000, 1000]: zeros of the quotients reach 1e4 and
+        # sit next to atoms only 2e-4 apart
+        rng = np.random.default_rng(seed)
+        ts = np.sort(rng.uniform(-1000.0, 1000.0, 6))
+        ws = rng.uniform(0.2, 2.0, 6)
+        alpha, beta = float(rng.uniform(0.1, 2.0)), float(rng.uniform(-3.0, 3.0))
+        return NevanlinnaRep(alpha, beta, Measure(atoms=tuple(
+            (float(t), float(w)) for t, w in zip(ts, ws))))
+
+    def test_chain_far_from_origin(self):
+        # the last zero, near 2.3e4, moves by 2.7e-9 under the chain: an
+        # absolute endpoint tolerance refused the 7th division
+        rep = self.far_chain_rep(170)
+        g = RepFunction(rep)
+        for arc in analyze_pick(g).gamma.arcs:
+            g = divide_single(g, arc)
+        assert not g.rep.rho.atoms and g.rep.alpha == 0.0
+        assert g.rep.beta == pytest.approx(abs(rep.eval(1j)), rel=1e-9)
+
+    def test_chain_zero_next_to_close_atoms(self):
+        # the 4th arc ends at a zero where f' ≈ 4e10: the roundoff of that
+        # end left a dust atom of weight 3.5e-13, and analysing the quotient
+        # then failed inside its root bracketing; the dust is dropped, and
+        # the division it perturbed is refused with the arc named
+        g = RepFunction(self.far_chain_rep(275))
+        arcs = analyze_pick(g).gamma.arcs
+        for arc in arcs[:4]:
+            g = divide_single(g, arc)
+        assert all(abs(t - float(arcs[3].a)) > 1e-6 for t, _ in g.rep.rho.atoms)
+        with pytest.raises(ValueError, match=re.escape(repr(arcs[4]))):
+            divide_single(g, arcs[4])
 
     @pytest.mark.parametrize("half", [2.0, 4.0, 8.0, 16.0])
     def test_many_equally_spaced_atoms(self, half):

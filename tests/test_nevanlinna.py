@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from halfplane.extreal import Arc, INF, is_regular, normalize
-from halfplane.nevanlinna import (Measure, NevanlinnaRep, analyze,
-                                  boole_superlevel_measure, cauchy_transform,
-                                  letac_pushforward_check, recover_alpha,
-                                  recover_atom, recover_beta, stieltjes_density,
-                                  stieltjes_density_limit)
-from halfplane.util import RecoveryError
+from halfplane.nevanlinna import (Measure, NevanlinnaRep, _BRACKET,
+                                  _boole_roots, _letac_roots, _secular_roots,
+                                  analyze, boole_superlevel_measure,
+                                  cauchy_transform, letac_pushforward_check,
+                                  recover_alpha, recover_atom, recover_beta,
+                                  stieltjes_density, stieltjes_density_limit)
+from halfplane.util import (RecoveryError, bisect_increasing, expand_to_sign,
+                            shrink_to_sign)
 
 from conftest import random_atomic_rep, random_upper_points, sep_points
 
@@ -318,6 +321,108 @@ class TestLetac:
         plus, minus = boole_superlevel_measure(rho, 2.0)
         assert plus == pytest.approx(0.5, abs=1e-8)
         assert minus == pytest.approx(0.5, abs=1e-8)
+
+
+@st.composite
+def atomic_supports(draw):
+    """Sorted atoms and weights: spread out, clustered (gaps down to 1e-6),
+    or near |t| = 1e3 on one or both sides of the origin."""
+    n = draw(st.integers(1, 80))
+    style = draw(st.sampled_from(("spread", "clustered", "far", "far-both")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if style == "spread":
+        gaps = rng.uniform(0.05, 2.0, n)
+        start = -float(np.sum(gaps)) / 2
+    else:
+        gaps = 10.0 ** rng.uniform(-6.0, 0.0 if style == "clustered" else 1.0, n)
+        start = float(rng.uniform(-5.0, 5.0))
+        if style.startswith("far"):
+            start += float(rng.choice((-1e3, 1e3)))
+    ts = start + np.cumsum(gaps)
+    if style == "far-both":
+        ts = np.where(np.arange(n) % 2 == 0, ts, -ts)
+    ts = np.sort(ts)
+    return ts, rng.uniform(0.1, 3.0, n)
+
+
+def scalar_root(h, left, right):
+    """bisect_increasing on one branch (left, right) of an increasing h that
+    runs from −∞ to +∞ across it; None marks an unbounded end."""
+    if left is None:
+        lo = expand_to_sign(h, right - 1.0, -1.0, negative=True)
+    else:
+        lo = shrink_to_sign(h, left, right if right is not None else left + 1.0,
+                            negative=True)
+    if right is None:
+        hi = expand_to_sign(h, left + 1.0, 1.0, negative=False)
+    else:
+        hi = shrink_to_sign(h, right, left if left is not None else right - 1.0,
+                            negative=False)
+    return bisect_increasing(h, lo, hi)
+
+
+def assert_certified_root(h, x, left, right):
+    # strictly inside the branch, sign-bracketed, and where bisection puts it
+    delta = _BRACKET * max(1.0, abs(x))
+    assert left is None or left < x - delta
+    assert right is None or x + delta < right
+    assert h(x - delta) <= 0.0 <= h(x + delta)
+    assert abs(x - scalar_root(h, left, right)) <= 1e-10 * max(1.0, abs(x))
+
+
+class TestSecularKernel:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(atomic_supports(), st.floats(0.1, 10.0))
+    def test_boole_roots(self, support, y):
+        ts, ws = support
+        mu = Measure(atoms=tuple(zip(ts.tolist(), ws.tolist())))
+        plus, minus = _boole_roots(ts, ws, y)
+        edges = [None] + ts.tolist() + [None]
+        for k, x in enumerate(plus.tolist()):
+            assert_certified_root(lambda v: y - cauchy_transform(mu, v), x,
+                                  edges[k + 1], edges[k + 2])
+        for k, x in enumerate(minus.tolist()):
+            assert_certified_root(lambda v: -y - cauchy_transform(mu, v), x,
+                                  edges[k], edges[k + 1])
+        p, m = boole_superlevel_measure(mu, y)
+        assert abs(p - mu.mass() / y) <= 1e-8
+        assert abs(m - mu.mass() / y) <= 1e-8
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(atomic_supports(), st.floats(-3.0, 3.0), st.floats(-5.0, 5.0),
+           st.floats(0.1, 5.0))
+    def test_letac_roots(self, support, beta, c, width):
+        ts, ws = support
+        rep = NevanlinnaRep(1.0, beta, Measure(atoms=tuple(zip(ts.tolist(),
+                                                               ws.tolist()))))
+        d = c + width
+        edges = [None] + ts.tolist() + [None]
+        for target, roots in zip((c, d), _letac_roots(ts, ws, beta, (c, d))):
+            for k, x in enumerate(roots.tolist()):
+                assert_certified_root(lambda v: rep.eval(v) - target, x,
+                                      edges[k], edges[k + 1])
+        assert abs(letac_pushforward_check(rep, (c, d)) - (d - c)) <= 1e-8
+
+    def test_bad_seeds_are_bisected(self):
+        # every seed at the right end of its branch: two Newton steps cannot
+        # repair that, so each root comes from the bisection fallback
+        ts, ws, y = np.array([-1.0, 0.5, 2.0]), np.array([1.0, 0.3, 2.0]), 0.7
+        mu = Measure(atoms=tuple(zip(ts.tolist(), ws.tolist())))
+        reach = 2.0 * ws.sum() / y
+        # (G = target, branch): G = y right of each atom, G = −y left of it
+        cases = [(y, -1.0, 0.5), (y, 0.5, 2.0), (y, 2.0, None),
+                 (-y, None, -1.0), (-y, -1.0, 0.5), (-y, 0.5, 2.0)]
+        target = np.array([-g for g, _, _ in cases])  # solves −G = −target
+        lo = np.array([-1.0 - reach if l is None else l for _, l, _ in cases])
+        hi = np.array([2.0 + reach if r is None else r for _, _, r in cases])
+        roots = _secular_roots(lambda x: -np.sum(ws / (x[:, None] - ts), axis=1),
+                               lambda x: np.sum(ws / (x[:, None] - ts) ** 2, axis=1),
+                               target, hi.copy(), lo, hi)
+        for (g, left, right), x in zip(cases, roots.tolist()):
+            assert_certified_root(lambda v: g - cauchy_transform(mu, v), x,
+                                  left, right)
 
 
 class TestMeasureType:
