@@ -11,11 +11,11 @@ from .extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
                       normalize, regularize)
 from .factor import (BlackBoxFunction, CompositeFunction, ExpRep, RepFunction,
                      analyze_pick, compose_in_class, constant_factor_check,
-                     divide_single, exp_eval, factorize, psi_recover)
+                     divide_single, factorize, psi_recover)
 from .interp import (InterpProblem, build_function, check_interlacing,
                      construct_O, disk_interpolate, realizable_pair)
 from .krein import (KreinProduct, cantor_complement_product,
-                    equivariance_transport, k_eval, k_integral_eval,
+                    equivariance_transport, k_integral_eval,
                     k_structure, log_p, p_eval)
 from .moebius import HalfPlaneAuto, cayley, disk_target_map, pullback_arcset
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep, analyze,

@@ -94,12 +94,15 @@ def build_function_spec(task, body, options):
     raise SpecError(f"not a function task: {task}")
 
 
-def parse_grid(text):
+def parse_grid(text, field):
     if text.startswith("box:"):
         parts = text.split(":")[1:]
         if len(parts) != 5:
             raise SpecError("box grid needs box:re1:re2:im1:im2:n")
         r1, r2, i1, i2 = map(float, parts[:4])
+        if not (i1 > 0 and i2 > 0):
+            raise SpecError(f"{field}: the box's Im range [{i1}, {i2}] must be "
+                            "strictly positive (the upper half-plane)")
         n = int(parts[4])
         xs = np.linspace(r1, r2, n)
         ys = np.linspace(i1, i2, n)
@@ -125,8 +128,15 @@ def cmd_eval(args):
     if task not in FUNCTION_TASKS:
         raise SpecError(f"eval needs a function spec, got '{task}'")
     fn = build_function_spec(task, body, merge_options(options, args))
-    grid = parse_grid(args.grid or options.get("grid", "-5:5:21"))
+    if args.grid:
+        grid = parse_grid(args.grid, "--grid")
+    else:
+        grid = parse_grid(options.get("grid", "-5:5:21"), "options.grid")
     eps = args.eps if args.eps is not None else options.get("eps")
+    if eps is not None and not float(eps) >= 0:
+        field = "--eps" if args.eps is not None else "options.eps"
+        raise SpecError(f"{field} must be >= 0 (rows at Im z = eps lie in the "
+                        f"upper half-plane), got {eps}")
     rows = []
     for z in grid:
         if isinstance(z, complex):

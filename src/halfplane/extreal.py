@@ -8,6 +8,19 @@ the line; when ``b > a`` the arc wraps through ∞, so that
 union of arcs, and ``CantorComplement`` generates the middle thirds removed
 from a base interval.
 
+This module is the one home of the circle's geometry; the other modules ask
+it rather than splitting on the kinds of arc themselves:
+
+* circle order: :func:`circle_key` sorts points along the circle from just
+  after a given start;
+* point complements: :func:`circle_minus_points`, and
+  :func:`complement_of_closed` for closed sets with intervals;
+* segment decomposition: :func:`arc_segments` writes an arc as open segments
+  of the line with exact endpoints;
+* arc containment: :func:`arc_contains_arc`, :func:`arcset_contains_arc`,
+  :func:`arcs_overlap`;
+* boundary sampling: :func:`boundary_samples` and :func:`sweep_points`.
+
 Endpoints may be ``int``, ``Fraction`` or ``float``.  Comparisons between
 two exact endpoints are exact; as soon as a float is involved they fall
 back to an absolute tolerance of ``POINT_TOL`` so that abutment detection
@@ -189,7 +202,7 @@ class ArcSet:
         if not points:
             return self
         if self.full:
-            return _circle_minus_points(points)
+            return circle_minus_points(points)
         out = []
         for arc in self.arcs:
             out.extend(_split_arc(arc, [p for p in points if arc.contains(p, tol)]))
@@ -225,17 +238,31 @@ EMPTY = ArcSet()
 FULL = ArcSet((), full=True)
 
 
-def _circular_key(x: Point):
-    # order along the circle starting just after ∞: finite ascending, then ∞
-    return (1, 0.0) if is_inf(x) else (0, float(x))
+def circle_key(start: Point = INF):
+    """Sort key for points in their order along the circle, running in the
+    increasing direction from just after ``start``; ``start`` itself sorts
+    last.  From ∞ that is the finite points ascending, then ∞."""
+    s = None if is_inf(start) else float(start)
+
+    def key(x: Point):
+        if is_inf(x):
+            return (1, 0.0)
+        xf = float(x)
+        return (0, xf) if s is None or xf > s else (2, xf)
+
+    return key
 
 
-def _circle_minus_points(points: Sequence[Point]) -> ArcSet:
+def circle_minus_points(points: Sequence[Point]) -> ArcSet:
+    """The open complement of finitely many points: the arcs between
+    neighbours in circle order, or a puncture arc for a single point."""
     pts = []
     for p in points:
         if not any(points_equal(p, q) for q in pts):
             pts.append(p)
-    pts.sort(key=_circular_key)
+    pts.sort(key=circle_key())
+    if not pts:
+        return FULL
     if len(pts) == 1:
         return ArcSet((Arc(pts[0], pts[0], puncture=True),))
     arcs = [Arc(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
@@ -247,21 +274,8 @@ def _split_arc(arc: Arc, interior: list) -> list:
         return [arc]
     if arc.puncture:
         # circle minus {arc.b} minus the interior points
-        return list(_circle_minus_points([arc.b] + interior).arcs)
-    # order the cut points along the arc
-    if arc.is_wrap:
-        bf = float(arc.b)
-
-        def key(p):
-            if is_inf(p):
-                return (1, 0.0)
-            pf = float(p)
-            return (0, pf) if pf > bf else (2, pf)
-
-        cuts = sorted(interior, key=key)
-    else:
-        cuts = sorted(interior, key=lambda p: float(p))
-    ends = [arc.b] + cuts + [arc.a]
+        return list(circle_minus_points([arc.b] + interior).arcs)
+    ends = [arc.b] + sorted(interior, key=circle_key(arc.b)) + [arc.a]
     return [Arc(ends[i], ends[i + 1]) for i in range(len(ends) - 1)]
 
 
@@ -293,17 +307,9 @@ def normalize(arcs: Iterable[Arc]) -> ArcSet:
     intervals = []
     contains_inf = False
     for c in arcs:
-        bi, ai = is_inf(c.b), is_inf(c.a)
-        if bi:
-            intervals.append((_LINE_NEG, c.a))
-        elif ai:
-            intervals.append((c.b, _LINE_POS))
-        elif c.is_wrap:
-            intervals.append((c.b, _LINE_POS))
-            intervals.append((_LINE_NEG, c.a))
-            contains_inf = True
-        else:
-            intervals.append((c.b, c.a))
+        segments, has_inf = arc_segments(c)
+        intervals.extend(segments)
+        contains_inf = contains_inf or has_inf
 
     intervals.sort(key=lambda iv: (float(iv[0]), float(iv[1])))
     comps = []
@@ -515,9 +521,6 @@ class CantorComplement:
     def arcs(self) -> list:
         return [g for level in self.levels() for g in level]
 
-    def explicit(self) -> ArcSet:
-        return normalize(self.arcs())
-
     def measure(self) -> Point:
         l, r = self.base
         if isinstance(l, Fraction):
@@ -590,31 +593,114 @@ def complement_of_closed(points: Sequence[Point], intervals: Sequence[tuple],
     return ArcSet(tuple(arcs))
 
 
-def _arc_segments(arc: Arc):
-    """Decompose an arc into open segments of the line, plus an ∞ flag."""
+def arc_segments(arc: Arc):
+    """The arc as open segments of the line, plus whether it contains ∞.
+
+    Unbounded ends are the float infinities; finite ends keep their exact
+    ``int``/``Fraction`` values.
+    """
     if arc.puncture:
         if is_inf(arc.b):
             return [(_LINE_NEG, _LINE_POS)], False
-        x = float(arc.b)
-        return [(_LINE_NEG, x), (x, _LINE_POS)], True
-    bi, ai = is_inf(arc.b), is_inf(arc.a)
-    if bi:
-        return [(_LINE_NEG, float(arc.a))], False
-    if ai:
-        return [(float(arc.b), _LINE_POS)], False
+        return [(_LINE_NEG, arc.b), (arc.b, _LINE_POS)], True
+    if is_inf(arc.b):
+        return [(_LINE_NEG, arc.a)], False
+    if is_inf(arc.a):
+        return [(arc.b, _LINE_POS)], False
     if arc.is_wrap:
-        return [(float(arc.b), _LINE_POS), (_LINE_NEG, float(arc.a))], True
-    return [(float(arc.b), float(arc.a))], False
+        return [(arc.b, _LINE_POS), (_LINE_NEG, arc.a)], True
+    return [(arc.b, arc.a)], False
 
 
 def arcs_overlap(x: Arc, y: Arc, tol: float = POINT_TOL) -> bool:
     """True when the two open arcs intersect in a set of positive length."""
-    segs_x, inf_x = _arc_segments(x)
-    segs_y, inf_y = _arc_segments(y)
+    segs_x, inf_x = arc_segments(x)
+    segs_y, inf_y = arc_segments(y)
     if inf_x and inf_y:
         return True
     for s1, e1 in segs_x:
         for s2, e2 in segs_y:
-            if min(e1, e2) - max(s1, s2) > tol:
+            if min(float(e1), float(e2)) - max(float(s1), float(s2)) > tol:
                 return True
     return False
+
+
+def _arc_midpoint(j: Arc) -> float:
+    if j.puncture:
+        return float(j.b) + 1.0 if not is_inf(j.b) else 0.0
+    bi, ai = is_inf(j.b), is_inf(j.a)
+    if bi and ai:
+        return 0.0
+    if bi:
+        return float(j.a) - 1.0
+    if ai:
+        return float(j.b) + 1.0
+    b, a = float(j.b), float(j.a)
+    if b < a:
+        return 0.5 * (b + a)
+    return INF  # wrap arc: ∞ is interior
+
+
+def arc_contains_arc(outer: Arc, inner: Arc, tol: float = 1e-9) -> bool:
+    """inner ⊆ outer, endpoints compared to within tol·max(1, |p|): zeros
+    far from the origin carry an absolute roundoff that grows with |p|."""
+    if not outer.contains(_arc_midpoint(inner), tol):
+        return False
+    for p in (inner.b, inner.a):
+        t = tol if is_inf(p) else tol * max(1.0, abs(float(p)))
+        if not (outer.contains(p, t)
+                or points_equal(p, outer.b, t) or points_equal(p, outer.a, t)):
+            return False
+    return True
+
+
+def arcset_contains_arc(o: ArcSet, j: Arc, tol: float = 1e-9) -> bool:
+    if o.full:
+        return True
+    return any(arc_contains_arc(arc, j, tol) for arc in o.arcs)
+
+
+def boundary_samples(o: ArcSet, per_comp: int = 24) -> list:
+    """Real sample points inside each component of O: geometric offsets from
+    the finite ends of unbounded components, an even grid across bounded
+    ones."""
+    samples = []
+    spread = [10.0 ** k for k in range(-3, 4)]
+    comps = [Arc(INF, INF, puncture=True)] if o.full else o.arcs
+    for comp in comps:
+        if comp.puncture and is_inf(comp.b):
+            samples.extend([-10.0 ** k for k in range(-2, 4)])
+            samples.extend([10.0 ** k for k in range(-2, 4)])
+        elif comp.puncture or comp.is_wrap:
+            samples.extend([float(comp.b) + s for s in spread])
+            samples.extend([float(comp.a) - s for s in spread])
+        elif is_inf(comp.b):
+            samples.extend([float(comp.a) - s for s in spread])
+        elif is_inf(comp.a):
+            samples.extend([float(comp.b) + s for s in spread])
+        else:
+            b, a = float(comp.b), float(comp.a)
+            samples.extend([b + (a - b) * i / (per_comp + 1)
+                            for i in range(1, per_comp + 1)])
+    return samples
+
+
+def sweep_points(arc: Arc) -> list:
+    """Real points of an arc in their order along it, crowding toward the
+    ends, where the sign change of a function increasing along the arc
+    hides: geometric offsets 1e-7 … 1e7 from each finite end of an unbounded
+    arc, and 33 even steps plus offsets 1e-7 … 1e-2 from each end across a
+    bounded one."""
+    geoms = [10.0 ** k for k in range(-7, 8)]
+    if arc.puncture or arc.is_wrap:
+        b, a = float(arc.b), float(arc.a)
+        return [b + g for g in geoms] + [a - g for g in reversed(geoms)]
+    if is_inf(arc.b):
+        return [float(arc.a) - g for g in reversed(geoms)]
+    if is_inf(arc.a):
+        return [float(arc.b) + g for g in geoms]
+    b, a = float(arc.b), float(arc.a)
+    ends = [10.0 ** (-7 + k) for k in range(6)]
+    steps = [i / 34 for i in range(1, 34)]
+    grid = sorted(set(ends + steps + [1.0 - u for u in ends]))
+    return [b + (a - b) * u for u in grid]

@@ -15,12 +15,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, arcs_overlap, is_inf,
-                      is_regular, normalize, points_equal, regularize)
+from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, angle_subtended,
+                      arc_contains_arc, arcs_overlap, arcset_contains_arc,
+                      boundary_samples, is_inf, is_regular, normalize,
+                      points_equal, regularize, sweep_points)
 from .krein import KreinProduct, log_p, log_p_real, p_eval
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
                          SigmaDescriptor, analyze, interval_entries)
-from .util import bisect_increasing, halton, halton_box, ladder_limit
+from .util import bisect_increasing, halton_box, ladder_limit
 
 
 class CertificationError(RuntimeError):
@@ -85,17 +87,10 @@ class ExpRep:
         return tuple(p for p in self.pieces if p[2] == 1.0)
 
     def piece_arcs(self) -> list:
-        arcs = []
-        for l, r, _ in self.pieces:
-            if math.isinf(l) and math.isinf(r):
-                arcs.append(Arc(INF, INF, puncture=True))
-            elif math.isinf(l):
-                arcs.append(Arc(INF, r))
-            elif math.isinf(r):
-                arcs.append(Arc(l, INF))
-            else:
-                arcs.append(Arc(l, r))
-        return arcs
+        # infinite ends become the circle point ∞; the whole line is the
+        # circle punctured there
+        return [Arc(l, r, puncture=math.isinf(l) and math.isinf(r))
+                for l, r, _ in self.pieces]
 
     def h(self, z):
         if isinstance(z, complex) and z.imag != 0:
@@ -166,13 +161,6 @@ class BlackBoxFunction:
 PickFunction = (RepFunction, CompositeFunction, BlackBoxFunction)
 
 
-def exp_eval(e: ExpRep, z):
-    """(h(z), e^{h(z)})."""
-    hv = e.h(z)
-    ev = cmath.exp(hv) if isinstance(hv, complex) else math.exp(hv)
-    return hv, ev
-
-
 # ---------------------------------------------------------------------------
 # analysis dispatch
 
@@ -210,14 +198,6 @@ def _analyze_composite(f: CompositeFunction) -> AnalysisResult:
     return AnalysisResult(sig, sig.omega(), o)
 
 
-def _interior_grid(n: int = 33):
-    # biased toward the endpoints, where sign changes hide
-    left = [10.0 ** (-7 + k) for k in range(6)]
-    mid = [i / (n + 1) for i in range(1, n + 1)]
-    right = [1.0 - u for u in left]
-    return sorted(set(left + mid + right))
-
-
 def _blackbox_real(fn, x: float) -> float:
     return complex(fn(complex(x, 0.0))).real
 
@@ -239,20 +219,7 @@ def _analyze_blackbox(fn, sig: SigmaDescriptor) -> AnalysisResult:
 
 
 def _blackbox_gamma_piece(fn, comp: Arc):
-    geoms = [10.0 ** k for k in range(-7, 8)]
-    if comp.puncture or comp.is_wrap:
-        u = float(comp.b)
-        v = float(comp.a)
-        xs = [u + g for g in geoms] + [v - g for g in reversed(geoms)]
-    elif is_inf(comp.b):
-        a = float(comp.a)
-        xs = [a - g for g in reversed(geoms)]
-    elif is_inf(comp.a):
-        b = float(comp.b)
-        xs = [b + g for g in geoms]
-    else:
-        b, a = float(comp.b), float(comp.a)
-        xs = [b + (a - b) * u for u in _interior_grid()]
+    xs = sweep_points(comp)
     vals = [_blackbox_real(fn, x) for x in xs]
     signs = [v < 0 for v in vals]
     if not any(signs):
@@ -348,59 +315,8 @@ def _quotient_blackbox(f, j: Arc, sigma: Optional[SigmaDescriptor]):
     return BlackBoxFunction(g, sigma=sigma, label="quotient")
 
 
-def _arc_midpoint(j: Arc) -> float:
-    if j.puncture:
-        return float(j.b) + 1.0 if not is_inf(j.b) else 0.0
-    bi, ai = is_inf(j.b), is_inf(j.a)
-    if bi and ai:
-        return 0.0
-    if bi:
-        return float(j.a) - 1.0
-    if ai:
-        return float(j.b) + 1.0
-    b, a = float(j.b), float(j.a)
-    if b < a:
-        return 0.5 * (b + a)
-    return INF  # wrap arc: ∞ is interior
-
-
-def _arc_contains_arc(outer: Arc, inner: Arc, tol: float = 1e-9) -> bool:
-    """inner ⊆ outer, endpoints compared to within tol·max(1, |p|): zeros
-    far from the origin carry an absolute roundoff that grows with |p|."""
-    mid = _arc_midpoint(inner)
-    if not (outer.contains(mid, tol) or (is_inf(mid) and outer.is_wrap)):
-        return False
-    for p in (inner.b, inner.a):
-        t = tol if is_inf(p) else tol * max(1.0, abs(float(p)))
-        if not (outer.contains(p, t)
-                or points_equal(p, outer.b, t) or points_equal(p, outer.a, t)):
-            return False
-    return True
-
-
-def arcset_contains_arc(o: ArcSet, j: Arc, tol: float = 1e-9) -> bool:
-    if o.full:
-        return True
-    return any(_arc_contains_arc(arc, j, tol) for arc in o.arcs)
-
-
 # ---------------------------------------------------------------------------
 # certification grids
-
-
-def certification_grid(sigma: Optional[SigmaDescriptor] = None, n_box: int = 1000,
-                       n_near: int = 100):
-    """Quasi-random points of the box [−10,10]×(0,10], plus a band at height
-    1e−4 across the finite singular points (violations concentrate there)."""
-    pts = halton_box(n_box, -10.0, 10.0, 1e-3, 10.0)
-    if sigma is not None:
-        anchors = sigma.finite_boundary()
-        if anchors:
-            for k in range(n_near):
-                s = anchors[k % len(anchors)]
-                off = (halton(k + 1, 2) - 0.5) * 0.02
-                pts.append(complex(s + off, 1e-4))
-    return pts
 
 
 def _im_nonneg_residual(fn, pts) -> float:
@@ -441,7 +357,7 @@ def divide_single(f, j: Arc):
     else:
         sigma = f.sigma if isinstance(f, BlackBoxFunction) else None
         g = _quotient_blackbox(f, j, sigma)
-    resid = _im_nonneg_residual(g, certification_grid(None, 200, 0))
+    resid = _im_nonneg_residual(g, halton_box(200, -10.0, 10.0, 1e-3, 10.0))
     if resid > 1e-9:
         raise CertificationError(
             f"quotient leaves the class: Im dips to -{resid:.2e}")
@@ -453,7 +369,7 @@ def _divide_composite(f: CompositeFunction, j: Arc) -> CompositeFunction:
         raise ValueError("cannot divide a generator-backed product exactly")
     host = None
     for arc in f.product.arcs.arcs:
-        if _arc_contains_arc(arc, j):
+        if arc_contains_arc(arc, j):
             host = arc
             break
     if host is None:
@@ -483,7 +399,7 @@ class FactorizationResult:
         return all(p.passed for p in self.posts)
 
 
-def factorize(f, *, grid_n: int = 400) -> FactorizationResult:
+def factorize(f) -> FactorizationResult:
     """f = k_Γ(f) · g, with the four posts verified on the result.
 
     (1) σ(g) ⊆ σ(f); (2) g > 0 on Ω(g); (3) Ω(g) Lebesgue regular;
@@ -516,7 +432,7 @@ def factorize(f, *, grid_n: int = 400) -> FactorizationResult:
             g = BlackBoxFunction(lambda z, _f=f, _k=k: _f(z) / _k(z),
                                  sigma=sigma, label="quotient")
 
-    posts = _verify_posts(f, ana, k, g, grid_n)
+    posts = _verify_posts(ana, g)
     res = FactorizationResult(gamma, k, g, posts)
     if ana.sigma.is_measure_zero():
         c, resid = _constant_certificate(f, k)
@@ -529,36 +445,14 @@ def factorize(f, *, grid_n: int = 400) -> FactorizationResult:
     return res
 
 
-def _effective_sigma(rep: NevanlinnaRep, wtol: float = 1e-9) -> SigmaDescriptor:
-    pts = tuple(t for t, w in rep.rho.atoms if w > wtol)
+def _effective_sigma(rep: NevanlinnaRep) -> SigmaDescriptor:
+    pts = tuple(t for t, w in rep.rho.atoms if w > 1e-9)
     return SigmaDescriptor(points=pts,
                            intervals=tuple((l, r) for l, r, _ in rep.rho.ac),
-                           has_inf=rep.alpha > wtol)
+                           has_inf=rep.alpha > 1e-9)
 
 
-def _omega_samples(omega: ArcSet, per_comp: int = 24):
-    samples = []
-    spread = [10.0 ** k for k in range(-3, 4)]
-    comps = [Arc(INF, INF, puncture=True)] if omega.full else omega.arcs
-    for comp in comps:
-        if comp.puncture and is_inf(comp.b):
-            samples.extend([-10.0 ** k for k in range(-2, 4)])
-            samples.extend([10.0 ** k for k in range(-2, 4)])
-        elif comp.puncture or comp.is_wrap:
-            samples.extend([float(comp.b) + s for s in spread])
-            samples.extend([float(comp.a) - s for s in spread])
-        elif is_inf(comp.b):
-            samples.extend([float(comp.a) - s for s in spread])
-        elif is_inf(comp.a):
-            samples.extend([float(comp.b) + s for s in spread])
-        else:
-            b, a = float(comp.b), float(comp.a)
-            samples.extend([b + (a - b) * i / (per_comp + 1)
-                            for i in range(1, per_comp + 1)])
-    return samples
-
-
-def _verify_posts(f, ana: AnalysisResult, k: KreinProduct, g, grid_n: int):
+def _verify_posts(ana: AnalysisResult, g):
     posts = []
     structured = isinstance(g, RepFunction)
 
@@ -574,7 +468,7 @@ def _verify_posts(f, ana: AnalysisResult, k: KreinProduct, g, grid_n: int):
             resid1 = max(resid1, g.rep.alpha)
         posts.append(Certification("sigma_subset", resid1, 1e-6, resid1 <= 1e-6))
     else:
-        pts = [complex(x, 1e-6) for x in _omega_samples(ana.omega)]
+        pts = [complex(x, 1e-6) for x in boundary_samples(ana.omega)]
         resid1 = 0.0
         for z in pts:
             v = g(z)
@@ -585,7 +479,7 @@ def _verify_posts(f, ana: AnalysisResult, k: KreinProduct, g, grid_n: int):
 
     omega_g = _effective_sigma(g.rep).omega() if structured else ana.omega
     vals = []
-    for x in _omega_samples(omega_g):
+    for x in boundary_samples(omega_g):
         try:
             v = g(complex(x, 0.0)) if not structured else g.rep.eval(x)
         except Exception:
@@ -618,10 +512,10 @@ def _verify_posts(f, ana: AnalysisResult, k: KreinProduct, g, grid_n: int):
     return posts
 
 
-def _constant_certificate(f, k: KreinProduct, n: int = 20):
+def _constant_certificate(f, k: KreinProduct):
     c = abs(complex(f(1j)))
     worst, worst_z = 0.0, None
-    for z in halton_box(n, -5.0, 5.0, 0.2, 5.0):
+    for z in halton_box(20, -5.0, 5.0, 0.2, 5.0):
         ratio = complex(f(z)) / (c * k(z))
         dev = abs(ratio - 1.0)
         if dev > worst:
@@ -646,8 +540,6 @@ def constant_factor_check(f) -> float:
 def compose_in_class(o: ArcSet, e: ExpRep) -> CompositeFunction:
     """k_O · e^v for ψ pieces disjoint from O; the argument bound
     arg(k_O e^v) ≤ π is certified on a sample grid."""
-    from .extreal import angle_subtended
-
     piece_arcs = e.piece_arcs()
     o_arcs = [] if (o.full or o.is_empty) else list(o.arcs)
     if o.full and piece_arcs:
@@ -665,12 +557,9 @@ def compose_in_class(o: ArcSet, e: ExpRep) -> CompositeFunction:
     return CompositeFunction(1.0, KreinProduct(o), e)
 
 
-def psi_recover(g, t: float, eps: Optional[float] = None, *,
-                consistency: float = 1e-4) -> float:
+def psi_recover(g, t: float) -> float:
     """Boundary density of the exponent: ψ(t) = lim arg g(t+iε)/π ∈ [0, 1]."""
-    if eps is not None:
-        return cmath.phase(complex(g(t + 1j * eps))) / math.pi
     ladder = [1e-1 * 0.5 ** k for k in range(10)]
     val = ladder_limit(lambda s: cmath.phase(complex(g(t + 1j * s))) / math.pi,
-                       ladder, ratio=2.0, consistency=consistency)
+                       ladder, ratio=2.0, consistency=1e-4)
     return min(1.0, max(0.0, val))

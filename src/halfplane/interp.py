@@ -16,12 +16,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .extreal import (Arc, ArcSet, EMPTY, INF, is_inf, is_regular,
-                      normalize, points_equal, regularize)
+from .extreal import (Arc, ArcSet, EMPTY, INF, arc_segments,
+                      arcset_contains_arc, boundary_samples, circle_key,
+                      circle_minus_points, is_inf, is_regular, normalize,
+                      point_to_json, points_equal, regularize)
 from .factor import (Certification, CertificationError, CompositeFunction,
                      ExpRep)
 from .krein import EvaluationDomainError, KreinProduct
-from .moebius import DiskMap, cayley, disk_target_map
+from .moebius import DiskMap, cayley, cayley_inverse_point, disk_target_map
 from .util import halton
 
 
@@ -56,7 +58,6 @@ class InterpProblem:
         object.__setattr__(self, "singular", y)
 
     def to_json(self):
-        from .extreal import point_to_json
         return {"zeros": [point_to_json(x) for x in self.zeros],
                 "poles": [point_to_json(x) for x in self.poles],
                 "singular": [point_to_json(x) for x in self.singular]}
@@ -69,7 +70,7 @@ def _clean_points(pts):
         if any(points_equal(x, q) for q in out):
             raise ValueError(f"duplicate point {x}")
         out.append(x)
-    return tuple(sorted(out, key=lambda p: (1, 0.0) if is_inf(p) else (0, float(p))))
+    return tuple(sorted(out, key=circle_key()))
 
 
 @dataclass(frozen=True)
@@ -82,49 +83,24 @@ class InterlacingReport:
 
 
 def _components_of_complement(y: tuple):
-    """Components of (R ∪ {∞}) ∖ Y as arcs; None stands for the full circle."""
+    """Components of (R ∪ {∞}) ∖ Y in the circle order of their pole ends b
+    (the first failing component names the witness); None stands for the
+    full circle."""
     if not y:
         return [None]
-    fin = [p for p in y if not is_inf(p)]
-    has_inf = len(fin) < len(y)
-    comps = []
-    for i in range(len(fin) - 1):
-        comps.append(Arc(fin[i], fin[i + 1]))
-    if has_inf:
-        if fin:
-            comps.append(Arc(fin[-1], INF))
-            comps.append(Arc(INF, fin[0]))
-        else:
-            comps.append(Arc(INF, INF, puncture=True))
-    elif len(fin) == 1:
-        comps.append(Arc(fin[0], fin[0], puncture=True))
-    else:
-        comps.append(Arc(fin[-1], fin[0]))
-    return comps
+    key = circle_key()
+    return sorted(circle_minus_points(y).arcs, key=lambda comp: key(comp.b))
 
 
 def _order_in_component(comp, points):
     """Sort points by their position along the component arc."""
-    if comp is None:
-        # full circle, cut just after ∞: finite ascending, ∞ last
-        return sorted(points, key=lambda p: (1, 0.0) if is_inf(p) else (0, float(p)))
-    if comp.puncture or comp.is_wrap:
-        u = float(comp.b)
-
-        def key(p):
-            if is_inf(p):
-                return (1, 0.0)
-            pf = float(p)
-            return (0, pf) if pf > u else (2, pf)
-
-        return sorted(points, key=key)
-    return sorted(points, key=lambda p: (1, 0.0) if is_inf(p) else (0, float(p)))
+    return sorted(points, key=circle_key(INF if comp is None else comp.b))
 
 
 def _component_members(comp, pts):
     if comp is None:
         return list(pts)
-    return [p for p in pts if comp.contains(p) or (is_inf(p) and comp.is_wrap)]
+    return [p for p in pts if comp.contains(p)]
 
 
 def check_interlacing(p: InterpProblem) -> InterlacingReport:
@@ -346,8 +322,6 @@ def realizable_pair(omega: ArcSet, o: ArcSet):
     endpoints of O.  On success returns the witness f = k_O e^v with ψ = 1/2
     on the complement of Ω₁."""
     failures = []
-    from .factor import arcset_contains_arc
-
     if not o.is_empty and not o.full:
         for arc in o.arcs:
             if not arcset_contains_arc(omega, arc):
@@ -394,23 +368,15 @@ def _closed_complement_intervals(omega1: ArcSet):
         hi, lo = arcs[i].a, arcs[(i + 1) % n].b
         if points_equal(hi, lo):
             continue  # single-point gap carries no density
-        if is_inf(hi) or is_inf(lo) or float(hi) > float(lo):
-            # gap through ∞ splits into two half-lines
-            if not is_inf(hi):
-                pieces.append((float(hi), INF))
-            if not is_inf(lo):
-                pieces.append((-INF, float(lo)))
-        else:
-            pieces.append((float(hi), float(lo)))
+        segments, _ = arc_segments(Arc(hi, lo))
+        pieces.extend((float(l), float(r)) for l, r in segments)
     return sorted(pieces)
 
 
 def _sign_certificate(f, omega: ArcSet, o: ArcSet) -> float:
     """max violation of: f < 0 on O, f > 0 on Ω off the closure of O."""
-    from .factor import _omega_samples
-
     worst = 0.0
-    for x in _omega_samples(o, 12):
+    for x in boundary_samples(o, 12):
         try:
             v = f(complex(x, 0.0))
         except EvaluationDomainError:
@@ -418,7 +384,7 @@ def _sign_certificate(f, omega: ArcSet, o: ArcSet) -> float:
         v = v.real if isinstance(v, complex) else v
         if isinstance(v, float) and not math.isinf(v):
             worst = max(worst, v)  # should be negative
-    for x in _omega_samples(omega, 12):
+    for x in boundary_samples(omega, 12):
         if o.contains(x, 1e-7) or any(
                 points_equal(x, e, 1e-7) for e in
                 (list(o.left_endpoints()) + list(o.right_endpoints())
@@ -473,10 +439,7 @@ def disk_interpolate(zeros, poles, singular, alpha, beta, zeta) -> DiskInterpola
         w = complex(w)
         if abs(abs(w) - 1.0) > 1e-9:
             raise ValueError(f"{w} is not on the unit circle")
-        z = base.inverse_apply(w)
-        if not isinstance(z, complex):
-            return INF
-        return z.real
+        return cayley_inverse_point(base, w)
 
     problem = InterpProblem(zeros=tuple(pull(w) for w in zeros),
                             poles=tuple(pull(w) for w in poles),

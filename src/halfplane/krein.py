@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import (Arc, ArcSet, BoundaryDescriptor, CantorComplement, EMPTY,
-                      FULL, INF, Point, boundary_left, is_inf, is_regular,
-                      normalize, points_equal)
+                      FULL, INF, Point, arc_segments, boundary_left, is_inf,
+                      is_regular, normalize, points_equal)
 from .moebius import HalfPlaneAuto, pullback_arcset
 
 REAL_GUARD = 1e-9
@@ -278,12 +278,6 @@ class KreinProduct:
                 return val, bound_v
             depth += 1
 
-    def structure(self) -> "KreinStructure":
-        if self.cantor is not None:
-            raise ValueError("structure of generator-backed products is resolved "
-                             "by regularization; call on an explicit set")
-        return k_structure(self.arcs)
-
     def support_json(self):
         out = {}
         if not self.arcs.is_empty:
@@ -361,13 +355,7 @@ def _eval_gaps(base, depth: int, z):
                  np.exp(np.sum(np.log(np.abs(ratios)))))
 
 
-def k_eval(k: KreinProduct, z):
-    """(value, tail_bound) of the Kreĭn product at z."""
-    return k.eval(z)
-
-
-def k_integral_eval(o: ArcSet, z: complex, *, epsabs: float = 1e-11,
-                    epsrel: float = 1e-11) -> complex:
+def k_integral_eval(o: ArcSet, z: complex) -> complex:
     """k_O(z) = e^{v(z)} with v(z) = ∫_O (1+tz)/(t−z) · dt/(1+t²) computed by
     adaptive quadrature, arc by arc.  Requires Im z > 0 and an explicit set.
 
@@ -378,24 +366,11 @@ def k_integral_eval(o: ArcSet, z: complex, *, epsabs: float = 1e-11,
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("k_integral_eval requires Im z > 0")
-    if o.full:
-        segments = [(-math.inf, math.inf)]
-    elif o.is_empty:
+    if o.is_empty:
         return 1.0 + 0.0j
-    else:
-        segments = []
-        for arc in o.arcs:
-            if arc.puncture:
-                segments.append((-math.inf, math.inf))
-            elif is_inf(arc.b):
-                segments.append((-math.inf, float(arc.a)))
-            elif is_inf(arc.a):
-                segments.append((float(arc.b), math.inf))
-            elif arc.is_wrap:
-                segments.append((float(arc.b), math.inf))
-                segments.append((-math.inf, float(arc.a)))
-            else:
-                segments.append((float(arc.b), float(arc.a)))
+    arcs = [Arc(INF, INF, puncture=True)] if o.full else o.arcs
+    segments = [(float(lo), float(hi)) for arc in arcs
+                for lo, hi in arc_segments(arc)[0]]
 
     def integrand_re(t):
         w = (1.0 + t * z) / ((t - z) * (1.0 + t * t))
@@ -407,8 +382,8 @@ def k_integral_eval(o: ArcSet, z: complex, *, epsabs: float = 1e-11,
 
     v = 0.0 + 0.0j
     for lo, hi in segments:
-        re, re_err = quad(integrand_re, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=300)
-        im, im_err = quad(integrand_im, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=300)
+        re, re_err = quad(integrand_re, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=300)
+        im, im_err = quad(integrand_im, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=300)
         if re_err > 1e-7 or im_err > 1e-7:
             raise QuadratureError(f"quadrature error {max(re_err, im_err):.2e} on "
                                   f"segment ({lo}, {hi})")

@@ -77,14 +77,6 @@ class HalfPlaneAuto:
                              self.c * other.a + self.d * other.c,
                              self.c * other.b + self.d * other.d)
 
-    def to_json(self):
-        return {"auto": [self.a, self.b, self.c, self.d]}
-
-    @staticmethod
-    def from_json(obj) -> "HalfPlaneAuto":
-        a, b, c, d = obj["auto"]
-        return HalfPlaneAuto(a, b, c, d)
-
 
 def pullback_arcset(phi: HalfPlaneAuto, o: ArcSet) -> ArcSet:
     """φ⁻¹(O) as a canonical ArcSet.
@@ -146,11 +138,6 @@ def cayley(zeta: complex) -> DiskMap:
     if zeta.imag <= 0:
         raise ValueError("cayley base point needs Im ζ > 0")
     return DiskMap(1.0 + 0j, -zeta, 1.0 + 0j, -zeta.conjugate())
-
-
-def cayley_from_json(obj) -> DiskMap:
-    x, y = obj["cayley"]["zeta"]
-    return cayley(complex(x, y))
 
 
 def cayley_inverse_point(m: DiskMap, w) -> Point:

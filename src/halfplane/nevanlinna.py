@@ -539,10 +539,10 @@ def _bracketed(fn, target, x, lo, hi):
     return (lo < left) & (right < hi) & (values[:m] <= 0) & (values[m:] >= 0)
 
 
-def _bisect_branches(fn, target, lo, hi, maxit: int = 200):
+def _bisect_branches(fn, target, lo, hi):
     # the branch ends are poles or outer bounds: their signs are known, so
     # only midpoints are evaluated
-    for _ in range(maxit):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if np.all(hi - lo <= _BRACKET * np.maximum(1.0, np.abs(mid))):
             break

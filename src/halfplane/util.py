@@ -12,8 +12,7 @@ class RecoveryError(RuntimeError):
     """A boundary-limit ladder failed to converge (oscillating estimates)."""
 
 
-def bisect_increasing(fn, lo: float, hi: float, *, xtol: float = 1e-12,
-                      maxit: int = 200) -> float:
+def bisect_increasing(fn, lo: float, hi: float) -> float:
     """Zero of an increasing function on [lo, hi], requiring fn(lo) < 0 < fn(hi)."""
     if lo > hi:
         raise RootBracketError(f"inverted bracket [{lo}, {hi}]")
@@ -25,7 +24,7 @@ def bisect_increasing(fn, lo: float, hi: float, *, xtol: float = 1e-12,
     if flo > 0 or fhi < 0:
         raise RootBracketError(f"no sign change on [{lo}, {hi}]: "
                                f"f(lo)={flo:.3g}, f(hi)={fhi:.3g}")
-    for _ in range(maxit):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
         if fm == 0.0:
@@ -34,17 +33,16 @@ def bisect_increasing(fn, lo: float, hi: float, *, xtol: float = 1e-12,
             lo = mid
         else:
             hi = mid
-        if hi - lo <= xtol * max(1.0, abs(lo), abs(hi)):
+        if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
             break
     return 0.5 * (lo + hi)
 
 
-def shrink_to_sign(fn, anchor: float, other: float, *, negative: bool,
-                   maxit: int = 120) -> float:
+def shrink_to_sign(fn, anchor: float, other: float, *, negative: bool) -> float:
     """Point between anchor and other, close to anchor, where fn has the
     requested sign.  Used to bracket roots against a pole-like endpoint."""
     step = (other - anchor) * 0.25
-    for _ in range(maxit):
+    for _ in range(120):
         x = anchor + step
         v = fn(x)
         if v != 0.0 and (v < 0) == negative:
@@ -54,11 +52,10 @@ def shrink_to_sign(fn, anchor: float, other: float, *, negative: bool,
                            f"of f approaching {anchor}")
 
 
-def expand_to_sign(fn, start: float, direction: float, *, negative: bool,
-                   maxit: int = 200) -> float:
+def expand_to_sign(fn, start: float, direction: float, *, negative: bool) -> float:
     """Point start + direction*2^k with the requested sign of fn."""
     step = 1.0
-    for _ in range(maxit):
+    for _ in range(200):
         x = start + direction * step
         v = fn(x)
         if v != 0.0 and (v < 0) == negative:
@@ -67,15 +64,15 @@ def expand_to_sign(fn, start: float, direction: float, *, negative: bool,
     raise RootBracketError("sign not reached while expanding toward infinity")
 
 
-def richardson(values, ratio: float, *, orders=(1, 2, 3, 4)) -> float:
+def richardson(values, ratio: float) -> float:
     """Extrapolate a ladder v(h), v(h/ratio), ... to h -> 0.
 
-    Successive sweeps eliminate the error terms h^orders[0], h^orders[1], ...
-    Eliminating an absent term is harmless, so a generic (1, 2, 3, 4) order
-    list covers both odd and even expansions.
+    Successive sweeps eliminate the error terms h, h², h³, h⁴.  Eliminating
+    an absent term is harmless, so these orders cover both odd and even
+    expansions.
     """
     table = list(values)
-    for p in orders:
+    for p in (1, 2, 3, 4):
         if len(table) < 2:
             break
         fac = ratio ** p
@@ -84,15 +81,15 @@ def richardson(values, ratio: float, *, orders=(1, 2, 3, 4)) -> float:
 
 
 def ladder_limit(sample, eps_values, *, ratio: float = 2.0,
-                 consistency: float = 1e-6, orders=(1, 2, 3, 4)) -> float:
+                 consistency: float = 1e-6) -> float:
     """Richardson limit of sample(eps) along a geometric eps ladder.
 
     The last two extrapolations must agree within ``consistency`` (absolute
     plus relative); otherwise the ladder is reported as non-convergent.
     """
     vals = [sample(e) for e in eps_values]
-    full = richardson(vals, ratio, orders=orders)
-    prev = richardson(vals[:-1], ratio, orders=orders)
+    full = richardson(vals, ratio)
+    prev = richardson(vals[:-1], ratio)
     if abs(full - prev) > consistency * max(1.0, abs(full)):
         raise RecoveryError(f"boundary ladder did not settle: {prev} vs {full}")
     return full

@@ -108,6 +108,25 @@ class TestEval:
         assert code == 0 and row[4] == "cont"
         assert row[2] > 0 and row[3] == 0
 
+    @pytest.mark.parametrize("flags, options, field", [
+        (["--eps", "-0.5"], {}, "--eps"),
+        ([], {"eps": -0.5}, "options.eps"),
+        (["--grid", "box:-1:1:-2:-1:2"], {}, "--grid"),
+        (["--grid", "box:-1:1:0:1:2"], {}, "--grid"),
+        ([], {"grid": "box:-1:1:-2:-1:2"}, "options.grid"),
+    ], ids=["eps-flag", "eps-option", "box-below", "box-touching-axis",
+            "box-option"])
+    def test_below_real_axis_refused(self, tmp_path, capsys, flags, options, field):
+        # the functions live on the closed upper half-plane: rows below the
+        # real axis are an input error naming the field, not values
+        spec = write_spec(tmp_path, "f.json", {
+            "version": 1, "nevanlinna": {"alpha": 1.0, "beta": 1.0},
+            "options": options})
+        assert main(["eval", "--spec", spec] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err and "Traceback" not in captured.err
+
 
 class TestFactor:
     def test_shift_report(self, tmp_path, capsys):

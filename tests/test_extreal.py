@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL,
                                INF, angle_subtended, arcs_overlap,
-                               boundary_left, complement_of_closed, measure,
-                               normalize, points_equal, regularize)
+                               boundary_left, circle_minus_points,
+                               complement_of_closed, measure, normalize,
+                               points_equal, regularize)
 from halfplane.moebius import pullback_arcset
 
 from conftest import random_arcset, random_auto, random_upper_points
@@ -264,3 +266,52 @@ class TestExactEndpoints:
     def test_float_tolerance(self):
         assert points_equal(0.1 + 0.2, 0.3)
         assert not points_equal(0.3, 0.3 + 1e-11)
+
+
+@st.composite
+def circle_points(draw, max_size=8):
+    """Distinct points of R ∪ {∞}: ints, quarter floats or thirds as
+    Fractions (one exact type per draw, so no two coincide), maybe ∞."""
+    ks = draw(st.sets(st.integers(-40, 40), max_size=max_size))
+    as_point = draw(st.sampled_from((int, lambda k: k / 4.0,
+                                     lambda k: Fraction(k, 3))))
+    pts = [as_point(k) for k in ks]
+    if draw(st.booleans()):
+        pts.insert(draw(st.integers(0, len(pts))), INF)
+    return pts
+
+
+@st.composite
+def raw_arcs(draw):
+    arcs = []
+    for _ in range(draw(st.integers(1, 5))):
+        b, a = draw(st.lists(st.one_of(st.integers(-12, 12), st.just(INF)),
+                             min_size=2, max_size=2, unique=True))
+        arcs.append(Arc(b, a))
+    return arcs
+
+
+class TestCircleGeometryProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(circle_points(), st.lists(st.floats(-15.0, 15.0), max_size=12))
+    def test_point_complement(self, ys, xs):
+        comp = circle_minus_points(ys)
+        assert comp == complement_of_closed(ys, (), False)
+        for i, u in enumerate(comp.arcs):
+            assert not any(u.contains(y) for y in ys)
+            for v in comp.arcs[i + 1:]:
+                assert not arcs_overlap(u, v)
+        # every point off Y lies in exactly one component
+        for x in xs + [INF]:
+            if any(points_equal(x, y, 1e-9) for y in ys):
+                continue
+            assert sum(u.contains(x) for u in comp.arcs) == (0 if comp.full else 1)
+            assert comp.contains(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_arcs())
+    def test_normalize_and_regularize_idempotent(self, arcs):
+        o = normalize(arcs)
+        assert o.full or normalize(o.arcs) == o
+        r = regularize(o)
+        assert regularize(r) == r

@@ -9,7 +9,7 @@ from halfplane.extreal import Arc, EMPTY, INF, normalize
 from halfplane.factor import (BlackBoxFunction,
                               CompositeFunction, ExpRep, RepFunction,
                               analyze_pick, compose_in_class,
-                              constant_factor_check, divide_single, exp_eval,
+                              constant_factor_check, divide_single,
                               factorize, psi_recover)
 from halfplane.krein import KreinProduct, p_eval
 from halfplane.nevanlinna import Measure, NevanlinnaRep, SigmaDescriptor
@@ -278,17 +278,16 @@ class TestConstantCheck:
 class TestExpRep:
     def test_trivial(self):
         e = ExpRep(0.0, ())
-        h, ev = exp_eval(e, 1j)
-        assert h == 0 and ev == 1
+        assert e.h(1j) == 0 and e(1j) == 1
 
     def test_half_density_angle(self):
         e = ExpRep(0.0, ((-1.0, 1.0, 0.5),))
-        h, _ = exp_eval(e, 1j)
+        h = e.h(1j)
         assert h.imag == pytest.approx(math.pi / 4, abs=1e-13)
 
     def test_full_line_saturates_pi(self):
         e = ExpRep(0.0, ((-INF, INF, 1.0),))
-        h, _ = exp_eval(e, 0.3 + 2j)
+        h = e.h(0.3 + 2j)
         assert h.imag == pytest.approx(math.pi, abs=1e-13)
         assert e.saturated_pieces()
 

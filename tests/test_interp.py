@@ -78,6 +78,12 @@ class TestInterlacing:
         # two zeros adjacent around the circle through ∞
         assert not check_interlacing(InterpProblem((-5.0, INF), (0.0,), ())).ok
 
+    def test_witness_from_first_component_in_circle_order(self):
+        # Y = {0, ∞} leaves (0, ∞) and (∞, 0); both hold two adjacent zeros,
+        # and the component whose pole end comes first after ∞ names the witness
+        rep = check_interlacing(InterpProblem((-2.0, -1.0, 1.0, 2.0), (), (0.0, INF)))
+        assert rep.witness[:3] == ("zeros_without_pole", 1.0, 2.0)
+
     def test_disjointness_enforced(self):
         with pytest.raises(ValueError):
             InterpProblem((0.0,), (0.0,), ())

@@ -142,15 +142,3 @@ class TestDiskTarget:
                 assert abs(m(z)) < 1.0
             for x in rng.uniform(-20, 20, size=10):
                 assert abs(abs(m(complex(x, 0))) - 1.0) < 1e-12
-
-
-class TestJson:
-    def test_auto_roundtrip(self):
-        phi = HalfPlaneAuto(2.0, 1.0, 1.0, 3.0)
-        back = HalfPlaneAuto.from_json(phi.to_json())
-        assert back == phi
-
-    def test_cayley_spec(self):
-        from halfplane.moebius import cayley_from_json
-        m = cayley_from_json({"cayley": {"zeta": [0.0, 1.0]}})
-        assert m(1j) == 0
