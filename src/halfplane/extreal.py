@@ -253,14 +253,19 @@ def circle_key(start: Point = INF):
     return key
 
 
+def _distinct(points) -> list:
+    """The points in their given order, each repeat (``points_equal``) dropped."""
+    out = []
+    for p in points:
+        if not any(points_equal(p, q) for q in out):
+            out.append(p)
+    return out
+
+
 def circle_minus_points(points: Sequence[Point]) -> ArcSet:
     """The open complement of finitely many points: the arcs between
     neighbours in circle order, or a puncture arc for a single point."""
-    pts = []
-    for p in points:
-        if not any(points_equal(p, q) for q in pts):
-            pts.append(p)
-    pts.sort(key=circle_key())
+    pts = sorted(_distinct(points), key=circle_key())
     if not pts:
         return FULL
     if len(pts) == 1:
@@ -275,7 +280,7 @@ def _split_arc(arc: Arc, interior: list) -> list:
     if arc.puncture:
         # circle minus {arc.b} minus the interior points
         return list(circle_minus_points([arc.b] + interior).arcs)
-    ends = [arc.b] + sorted(interior, key=circle_key(arc.b)) + [arc.a]
+    ends = [arc.b] + sorted(_distinct(interior), key=circle_key(arc.b)) + [arc.a]
     return [Arc(ends[i], ends[i + 1]) for i in range(len(ends) - 1)]
 
 
@@ -689,9 +694,12 @@ def sweep_points(arc: Arc) -> list:
     """Real points of an arc in their order along it, crowding toward the
     ends, where the sign change of a function increasing along the arc
     hides: geometric offsets 1e-7 … 1e7 from each finite end of an unbounded
-    arc, and 33 even steps plus offsets 1e-7 … 1e-2 from each end across a
-    bounded one."""
+    arc (from 0 both ways on the line punctured at ∞), and 33 even steps plus
+    offsets 1e-7 … 1e-2 from each end across a bounded one."""
     geoms = [10.0 ** k for k in range(-7, 8)]
+    if arc.puncture and is_inf(arc.b):
+        # the whole line, from −∞ to +∞
+        return [-g for g in reversed(geoms)] + [0.0] + geoms
     if arc.puncture or arc.is_wrap:
         b, a = float(arc.b), float(arc.a)
         return [b + g for g in geoms] + [a - g for g in reversed(geoms)]

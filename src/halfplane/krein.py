@@ -9,15 +9,22 @@ exactly on the arc J and satisfies |p_J(i)| = 1:
     p_∅ = 1,  p_full = −1.
 
 A product k_O multiplies the factors over the components of an open set O.
-Infinite products are evaluated as exp of a sum of principal logarithms:
-each summand has imaginary part equal to the angle subtended by its arc, and
-the partial sums stay ≤ π, so no branch tracking is needed.  Generator tails
-carry a certified bound derived from |v_J(z)| ≤ len(J)·sup_J |1/(t−z) − t/(1+t²)|.
+Over explicit arcs and Im z > 0 it is the exp of a sum of principal
+logarithms: each summand has imaginary part equal to the angle subtended by
+its arc, and the partial sums stay ≤ π, so no branch tracking is needed.
+
+A Cantor-complement generator contributes the factors of its middle thirds
+(b, a) down to a depth d.  Since every factor has |p_J(i)| = 1, their
+product is R_d(z)/|R_d(i)| with R_d(z) = ∏ (z−a)/(z−b); R_d is reduced
+pairwise, in blocks of a fixed size, from the factors' deviations from 1.
+Generator tails carry a certified bound derived from
+|v_J(z)| ≤ len(J)·sup_J |1/(t−z) − t/(1+t²)|.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,23 +127,6 @@ def log_p_real(j, x: float) -> float:
     if not isinstance(v, complex) and (v == INF or v <= 0):
         raise EvaluationDomainError(f"p_J({x}) is not positive")
     return math.log(v)
-
-
-def _gap_arrays(base, depth: int):
-    """Vectorized level-by-level middle-third endpoints for the generator."""
-    l, r = float(base[0]), float(base[1])
-    starts = np.array([l])
-    width = r - l
-    bs, as_ = [], []
-    for _ in range(depth):
-        third = width / 3.0
-        bs.append(starts + third)
-        as_.append(starts + 2.0 * third)
-        starts = np.concatenate([starts, starts + 2.0 * third])
-        width = third
-    if not bs:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(bs), np.concatenate(as_)
 
 
 def _locate_gap(base, cap_depth: int, x: float):
@@ -330,29 +320,121 @@ def _product_direct(o: ArcSet, z: complex) -> complex:
 
 
 def _eval_gaps(base, depth: int, z):
-    """Product of the p factors over the enumerated middle thirds (vectorized)."""
-    bs, as_ = _gap_arrays(base, depth)
-    if bs.size == 0:
-        return 1.0 + 0.0j if isinstance(z, complex) else 1.0
-    scale = 0.5 * (np.log1p(bs * bs) - np.log1p(as_ * as_))
-    if isinstance(z, complex) and z.imag != 0:
-        logs = scale + np.log((z - as_) / (z - bs))
-        return complex(cmath.exp(complex(np.sum(logs))))
-    # real evaluation off the enumerated closure
-    x = float(z.real) if isinstance(z, complex) else float(z)
+    """Product of the p factors over the middle thirds of levels 1..depth.
+
+    Each factor is |i−b|/|i−a| · (z−a)/(z−b) with |p(i)| = 1, so the product
+    is R_d(z)/|R_d(i)| for the ratio product R_d of :func:`_ratio_minus_one`;
+    |R_d(i)| is memoized per (base, depth).  Real points inside the base must
+    lie in an enumerated gap, off its guard band; the value there is real.
+    """
     l, r = float(base[0]), float(base[1])
-    if l <= x <= r:
-        inside = (bs < x) & (x < as_)
-        if not inside.any():
-            raise EvaluationDomainError(
-                f"{x} is not in an enumerated gap at depth {depth}")
-        i = int(np.argmax(inside))
-        if min(x - bs[i], as_[i] - x) < REAL_GUARD:
-            raise EvaluationDomainError(f"{x} is within the guard distance of "
-                                        "a gap endpoint")
-    ratios = (x - as_) / (x - bs)
-    return float(np.exp(np.sum(scale)) * np.prod(np.sign(ratios)) *
-                 np.exp(np.sum(np.log(np.abs(ratios)))))
+    if not (isinstance(z, complex) and z.imag != 0):
+        z = float(z.real) if isinstance(z, complex) else float(z)
+        if l <= z <= r:
+            gb, ga, _ = _locate_gap(base, depth, z)
+            if min(z - gb, ga - z) < REAL_GUARD:
+                raise EvaluationDomainError(f"{z} is within the guard distance of "
+                                            "a gap endpoint")
+    value = (1.0 + _ratio_minus_one(l, r - l, depth, z)) / _ratio_norm_at_i(l, r, depth)
+    return complex(value) if isinstance(z, complex) else float(value)
+
+
+# levels of the unit gap table.  A block of 2^_FINE_LEVELS factors is the
+# kernel's whole working set (a few arrays of that length, 0.6 MB at 13);
+# blocks of 2^12 factors pay numpy's per-call cost visibly, at about twice
+# the time per factor
+_FINE_LEVELS = 13
+
+
+def _cantor_starts(levels: int):
+    """Left ends of the 2^levels intervals of [0, 1] that survive ``levels``
+    steps of the construction."""
+    starts = np.zeros(1)
+    for k in range(1, levels + 1):
+        starts = np.concatenate([starts, starts + 2.0 * 3.0 ** -k])
+    return starts
+
+
+@functools.cache
+def _fine_gaps():
+    """Left ends and widths of the middle thirds removed from [0, 1] in the
+    first _FINE_LEVELS steps, level by level: the 2^f − 1 gaps of levels
+    1..f are the first 2^f − 1 entries."""
+    levels = range(1, _FINE_LEVELS + 1)
+    b = np.concatenate([_cantor_starts(k - 1) + 3.0 ** -k for k in levels])
+    g = np.concatenate([np.full(2 ** (k - 1), 3.0 ** -k) for k in levels])
+    b.flags.writeable = g.flags.writeable = False
+    return b, g
+
+
+def _product_minus_one(u):
+    """∏(1 + u) − 1 by pairwise halving, in place; len(u) a power of two.
+
+    Kept as (1 + a)(1 + b) − 1 = a + b + ab, factors near 1 keep their
+    relative precision where a running product would round each to 1 ± ε."""
+    n = u.size
+    tmp = np.empty(n // 2, dtype=u.dtype)
+    while n > 1:
+        h = n // 2
+        a, b, ab = u[:h], u[h:n], tmp[:h]
+        np.multiply(a, b, out=ab)
+        a += b
+        a += ab
+        n = h
+    return u[0]
+
+
+def _ratio_minus_one(l: float, w: float, depth: int, z):
+    """R_d(z) − 1, R_d(z) = ∏ (z−a)/(z−b) over the middle thirds (b, a) of
+    levels 1..d of [l, l + w]; complex z off the real line, or real float z
+    off the enumerated closure.
+
+    Level k has 2^(k−1) gaps of width g = w/3^k and each factor is
+    1 + g/(b − z).  With m = max(0, d − _FINE_LEVELS) and f = d − m, levels
+    m+1..d are the first f levels of the fine gap table scaled into each of
+    the 2^m intervals that survive m steps, one block of 2^f factors per
+    interval; levels 1..m are the same product on the base at depth m.  No
+    array longer than a block is built.
+    """
+    f = min(depth, _FINE_LEVELS)
+    m = depth - f
+    n = 2 ** f
+    fb, fg = _fine_gaps()
+    s = w * 3.0 ** -m
+    # the last factor of each block is 1 (a zero-width pad) so n is a power of 2
+    b = np.zeros(n)
+    np.multiply(fb[:n - 1], s, out=b[:n - 1])
+    g = np.zeros(n)
+    np.multiply(fg[:n - 1], s, out=g[:n - 1])
+    cplx = isinstance(z, complex)
+    x, y = (z.real, z.imag) if cplx else (z, 0.0)
+    dx, den = np.empty(n), np.empty(n)
+    u = np.empty(n, dtype=complex if cplx else float)
+    starts = l + w * _cantor_starts(m)
+    blocks = np.empty(starts.size, dtype=u.dtype)
+    for i, c in enumerate(starts):
+        np.add(b, c - x, out=dx)  # b − x
+        if cplx:
+            # g/(b − z) = g·(dx + iy)/(dx² + y²)
+            np.multiply(dx, dx, out=den)
+            den += y * y
+            np.divide(g, den, out=den)
+            np.multiply(den, dx, out=u.real)
+            np.multiply(den, y, out=u.imag)
+        else:
+            np.divide(g, dx, out=u)
+        blocks[i] = _product_minus_one(u)
+    out = _product_minus_one(blocks)
+    if m:
+        coarse = _ratio_minus_one(l, w, m, z)
+        out = out + coarse + out * coarse
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _ratio_norm_at_i(l: float, r: float, depth: int) -> float:
+    """|R_d(i)| = ∏|i−a|/|i−b| for the generator on [l, r]."""
+    return float(abs(1.0 + _ratio_minus_one(l, r - l, depth, 1j)))
 
 
 def k_integral_eval(o: ArcSet, z: complex) -> complex:

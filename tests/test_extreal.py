@@ -309,6 +309,16 @@ class TestCircleGeometryProperties:
             assert comp.contains(x)
 
     @settings(max_examples=200, deadline=None)
+    @given(raw_arcs(), st.booleans(), circle_points())
+    def test_remove_repeated_points(self, arcs, full, ys):
+        o = FULL if full else normalize(arcs)
+        assert o.remove_points(ys + ys) == o.remove_points(ys)
+
+    def test_remove_repeated_point_inside_arc(self):
+        assert arcset((0, 10)).remove_points([7, 7]) == arcset((0, 7), (7, 10))
+        assert FULL.remove_points([7, 7]) == circle_minus_points([7])
+
+    @settings(max_examples=200, deadline=None)
     @given(raw_arcs())
     def test_normalize_and_regularize_idempotent(self, arcs):
         o = normalize(arcs)

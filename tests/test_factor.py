@@ -367,3 +367,12 @@ class TestAnalyzeDispatch:
     def test_blackbox_gamma(self):
         ana = analyze_pick(SQRT_BB)
         assert ana.gamma.isclose(normalize([Arc(INF, -1.0)]), 1e-9)
+
+    @pytest.mark.parametrize("fn, zero", [(lambda z: z - 1.0, 1.0),
+                                          (lambda z: 2.0 * z + 5.0, -2.5),
+                                          (lambda z: z + 1e3, -1e3)],
+                             ids=["z-1", "2z+5", "z+1e3"])
+    def test_blackbox_gamma_sigma_at_infinity(self, fn, zero):
+        # σ = {∞}: Ω is the line punctured at ∞, sampled from −∞ to +∞
+        ana = analyze_pick(BlackBoxFunction(fn, SigmaDescriptor((), (), True)))
+        assert ana.gamma.isclose(normalize([Arc(INF, zero)]), 1e-9)

@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import tracemalloc
 
 import pytest
 
@@ -277,3 +279,66 @@ class TestCantorProduct:
         with pytest.raises(EvaluationDomainError):
             # a Cantor point is never inside any gap
             k.eval(0.25)
+
+
+@functools.cache
+def _mp_gaps(depth):
+    """The middle thirds (b, a) of levels 1..depth of [0, 1], built level by
+    level from 30-digit endpoints, and the scale sqrt(∏ (1+b²)/(1+a²))."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        starts, third, gaps = [mp.mpf(0)], mp.mpf(1), []
+        for _ in range(depth):
+            third /= 3
+            gaps += [(s0 + third, s0 + 2 * third) for s0 in starts]
+            starts = [t for s0 in starts for t in (s0, s0 + 2 * third)]
+        scale = mp.sqrt(mp.fprod(1 + b * b for b, _ in gaps)
+                        / mp.fprod(1 + a * a for _, a in gaps))
+    return gaps, scale
+
+
+def _mp_generator(depth, z):
+    """The depth-d generator product on [0, 1] in 30-digit arithmetic:
+    ∏ (z−a)/(z−b) over the middle thirds, times the scale."""
+    mp = pytest.importorskip("mpmath")
+    gaps, scale = _mp_gaps(depth)
+    with mp.workdps(30):
+        zz = mp.mpc(z) if isinstance(z, complex) else mp.mpf(z)
+        value = (mp.fprod(zz - a for _, a in gaps) / mp.fprod(zz - b for b, _ in gaps)
+                 * scale)
+    return complex(value) if isinstance(z, complex) else float(value)
+
+
+# complex points from Im z = 0.01 up to 2.5, over and off the base; real
+# points in level-1 gaps ((1/3, 2/3)) and level-2 gaps ((1/9, 2/9), (7/9, 8/9))
+NEAR = (0.3 + 0.01j, -0.4 + 0.02j, 0.2)
+POINTS = NEAR + (0.52 + 0.1j, 0.5 + 0.5j, 1.7 + 2.5j, 3.0 + 0.3j, 0.5, 0.41, 0.8)
+
+
+class TestGeneratorKernel:
+    @pytest.mark.parametrize("depth, z", [(d, z) for d in (8, 12) for z in POINTS]
+                             + [(14, z) for z in NEAR])
+    def test_matches_mpmath_reference(self, depth, z):
+        gen = KreinProduct(cantor=CantorComplement((0, 1), 26), tol=1.0)
+        val, _ = gen.eval_at_depth(z, depth)
+        assert isinstance(val, complex) == isinstance(z, complex)
+        assert abs(val - _mp_generator(depth, z)) <= 1e-12
+
+    def test_value_at_infinity(self):
+        # every factor is |i−b|/|i−a| at ∞; the gaps fill [0, 1], so the
+        # generator's limit there is |i−0|/|i−1| = 1/√2
+        gen = KreinProduct(cantor=CantorComplement((0, 1), 26), tol=1e-3)
+        val, tail = gen.eval(INF)
+        assert isinstance(val, float)
+        assert abs(val - 1.0 / math.sqrt(2.0)) <= tail <= 1e-3
+
+    def test_working_set_bounded(self):
+        # 2^19 − 1 factors; no array of that length may be built
+        k = cantor_complement_product((0, 1), depth=26, tol=1e-2)
+        tracemalloc.start()
+        try:
+            k.eval_at_depth(0.5 + 0.5j, 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
