@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, angle_subtended,
                       arc_contains_arc, arcs_overlap, arcset_contains_arc,
                       boundary_samples, is_inf, is_regular, normalize,
@@ -22,7 +24,7 @@ from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, angle_subtended,
 from .krein import KreinProduct, log_p, log_p_real, p_eval
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
                          SigmaDescriptor, analyze, interval_entries)
-from .util import bisect_increasing, halton_box, ladder_limit
+from .util import BRACKET, branch_roots, halton_box, ladder_limit
 
 
 class CertificationError(RuntimeError):
@@ -235,8 +237,27 @@ def _blackbox_gamma_piece(fn, comp: Arc):
             flip = i
         elif not signs[i] and signs[i + 1]:
             raise CertificationError("boundary values not increasing on component")
-    zero = bisect_increasing(lambda x: _blackbox_real(fn, x), xs[flip], xs[flip + 1])
-    return Arc(comp.b, zero)
+    lo, hi = xs[flip], xs[flip + 1]
+    if vals[flip + 1] == 0.0:
+        return Arc(comp.b, hi)
+    if lo > hi:
+        # the pair straddles ∞: solve in the chart s = −1/(x − c), increasing
+        # along the arc with ∞ at 0; c off the pair's middle keeps midpoints off 0
+        c = hi + (lo - hi) / 3.0
+        s_lo, s_hi = -1.0 / (lo - c), -1.0 / (hi - c)
+        s = _blackbox_zero(lambda s: fn(c - 1.0 / s), s_lo, s_hi)
+        d = BRACKET * max(1.0, abs(s))
+        if s - d <= 0.0 <= s + d:
+            return Arc(comp.b, INF)
+        # the bracket lies on one side of ∞: refine the zero there in x
+        lo, hi = c - 1.0 / max(s - d, s_lo), c - 1.0 / min(s + d, s_hi)
+    return Arc(comp.b, _blackbox_zero(fn, lo, hi))
+
+
+def _blackbox_zero(fn, lo: float, hi: float) -> float:
+    # the kernel's bisection and sign bracket; fn is negative at lo, positive at hi
+    column = lambda x: np.array([[_blackbox_real(fn, v)] for v in x.tolist()])
+    return float(branch_roots(column, [0.0], [0.5 * (lo + hi)], [lo], [hi])[0])
 
 
 # ---------------------------------------------------------------------------

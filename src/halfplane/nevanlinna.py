@@ -4,9 +4,9 @@ Measures are finite and positive, given as atoms plus piecewise-constant
 densities (optionally a depth-k atomic stand-in for the Cantor measure).
 Both the representation and its derivative have closed forms, so evaluation
 never needs quadrature.  Boundary recovery (α, β, atoms, densities) uses
-geometric ladders with Richardson extrapolation; the Boole and pushforward
-identities are verified from secular-matrix eigenvalues, each root polished
-and sign-bracketed on its own component.
+geometric ladders with Richardson extrapolation.  The zeros that bound Γ(f)
+and the roots of the Boole and pushforward identities come from secular-
+matrix seeds, each polished and sign-bracketed on its own component.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, complement_of_closed,
-                      is_inf, normalize, regularize)
-from .util import (RecoveryError, RootBracketError, bisect_increasing,
-                   expand_to_sign, ladder_limit, richardson, shrink_to_sign)
+from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL,
+                      complement_of_closed, is_inf, normalize, points_equal,
+                      regularize)
+from .util import (RecoveryError, RootBracketError, branch_roots, ladder_limit,
+                   richardson)
 
 __all__ = [
     "Measure", "NevanlinnaRep", "SigmaDescriptor", "AnalysisResult",
@@ -102,7 +103,8 @@ def _log_ratio(z, l: float, r: float):
     if l <= x <= r:
         raise ValueError(f"real evaluation at {x} inside the density "
                          f"support [{l}, {r}]")
-    return math.log((x - r) / (x - l))
+    # (x−r)/(x−l) = 1 + (l−r)/(x−l): log1p keeps the digits far from [l, r]
+    return math.log1p((l - r) / (x - l))
 
 
 def interval_entries(entries, value_key: str, field: str) -> tuple:
@@ -251,72 +253,14 @@ def analyze(rep: NevanlinnaRep) -> AnalysisResult:
             raise ValueError("analysis of the zero function is undefined")
         gamma = FULL if rep.beta < 0 else EMPTY
         return AnalysisResult(sig, omega, gamma)
+    lefts, roots = _component_roots(rep, (0.0,))
     pieces = []
-    for comp in ([] if omega.full else omega.arcs):
-        piece = _gamma_piece(rep, comp)
-        if piece is not None:
-            pieces.append(piece)
-    gamma = regularize(normalize(pieces)) if pieces else EMPTY
-    return AnalysisResult(sig, omega, gamma)
-
-
-def _polish_zero(rep: NevanlinnaRep, x: float, lo: float, hi: float) -> float:
-    # a few Newton steps push the bisected zero to machine accuracy,
-    # which keeps division residues at the zero below the dust threshold
-    for _ in range(3):
-        d = rep.derivative(x)
-        if not isinstance(d, float) or not math.isfinite(d) or d <= 0:
-            break
-        x2 = x - rep.eval(x) / d
-        if not (lo <= x2 <= hi) or not math.isfinite(x2):
-            break
-        x = x2
-    return x
-
-
-def _found_zero(rep, lo, hi) -> float:
-    x = bisect_increasing(rep.eval, lo, hi)
-    return _polish_zero(rep, x, lo, hi)
-
-
-def _gamma_piece(rep: NevanlinnaRep, comp: Arc):
-    fn = rep.eval
-    b_inf, a_inf = is_inf(comp.b), is_inf(comp.a)
-
-    if comp.puncture or comp.is_wrap or (b_inf and a_inf):
-        if rep.alpha > 0:
-            # puncture at ∞: the component is the whole line
-            lo = expand_to_sign(fn, 0.0, -1.0, negative=True)
-            hi = expand_to_sign(fn, 0.0, 1.0, negative=False)
-            return Arc(INF, _found_zero(rep, lo, hi))
-        u = float(comp.b)  # right end of the support
-        v = float(comp.a)  # left end of the support
-        f_inf = rep.value_at_inf()
-        if f_inf == 0.0:
-            return Arc(comp.b, INF)
-        if f_inf > 0:
-            lo = shrink_to_sign(fn, u, u + 1.0, negative=True)
-            hi = expand_to_sign(fn, u, 1.0, negative=False)
-            return Arc(comp.b, _found_zero(rep, lo, hi))
-        lo = expand_to_sign(fn, v, -1.0, negative=True)
-        hi = shrink_to_sign(fn, v, v - 1.0, negative=False)
-        return Arc(comp.b, _found_zero(rep, lo, hi))
-
-    if b_inf:  # component (-oo, a): α > 0, f runs from -∞ up to +∞ at a⁻
-        a = float(comp.a)
-        lo = expand_to_sign(fn, a - 1.0, -1.0, negative=True)
-        hi = shrink_to_sign(fn, a, a - 1.0, negative=False)
-        return Arc(INF, _found_zero(rep, lo, hi))
-    if a_inf:  # component (b, +oo)
-        b = float(comp.b)
-        lo = shrink_to_sign(fn, b, b + 1.0, negative=True)
-        hi = expand_to_sign(fn, b + 1.0, 1.0, negative=False)
-        return Arc(comp.b, _found_zero(rep, lo, hi))
-
-    b, a = float(comp.b), float(comp.a)
-    lo = shrink_to_sign(fn, b, a, negative=True)
-    hi = shrink_to_sign(fn, a, b, negative=False)
-    return Arc(comp.b, _found_zero(rep, lo, hi))
+    for b, a in zip(lefts, roots[0].tolist()):
+        if points_equal(b, a):
+            raise RootBracketError(f"the zero {a} of f lies within the point "
+                                   f"tolerance of its branch end {b}")
+        pieces.append(Arc(b, a))
+    return AnalysisResult(sig, omega, regularize(normalize(pieces)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +342,10 @@ def boole_superlevel_measure(mu: Measure, y: float):
     All roots come from one secular-matrix solve: the roots of G = y, one
     right of each atom, are the eigenvalues of diag(t) + zzᵀ with z = √(w/y),
     and those of G = −y, one left of each atom, the eigenvalues of
-    diag(t) − zzᵀ (the same problem on the reflected atoms t → −t).  The
-    eigenvalues only seed the roots: each is polished by Newton steps on
-    G itself and accepted after a sign bracket of width 4e-12·max(1, |x|)
-    inside its gap (see ``_secular_roots``).  The bracket is the certificate;
-    the lengths alone would match μ(R)/y by the trace identity whatever the
+    diag(t) − zzᵀ (the same problem on the reflected atoms t → −t).  They
+    only seed ``util.branch_roots``, which polishes each root on G itself and
+    certifies it by a sign bracket inside its gap.  The bracket is the
+    certificate: the lengths match μ(R)/y by the trace identity whatever the
     roots' quality.
     """
     if not mu.is_atomic():
@@ -420,15 +363,8 @@ def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
     """Length of f⁻¹((c, d)) for f = z + β + ∫(1+zt)/(t−z)dρ with atomic ρ.
 
     f increases from −∞ to +∞ on every component of R minus the atoms, so
-    each of the N+1 branches contributes f⁻¹(d) − f⁻¹(c); the total equals
-    d − c (f preserves Lebesgue measure).
-
-    With u = √(w(1+t²)) and s = target − β + Σ w t, the N+1 roots of
-    f = target are the eigenvalues of the arrowhead matrix
-    [[diag t, u], [uᵀ, s]]; both targets are solved in one call.  As for
-    Boole, the eigenvalues only seed the roots: Newton steps on the original
-    kernel w(1+xt)/(t−x) (the rewritten form loses digits for large |t|)
-    polish them, and each is accepted after a sign bracket inside its branch.
+    each of the N+1 branches contributes f⁻¹(d) − f⁻¹(c), both solved in
+    one call; the total equals d − c (f preserves Lebesgue measure).
     """
     c, d = float(interval[0]), float(interval[1])
     if not c < d:
@@ -437,17 +373,12 @@ def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
         raise ValueError("the pushforward identity requires alpha = 1")
     if not rep.rho.is_atomic():
         raise ValueError("the pushforward identity is verified for atomic rho")
-    if not rep.rho.atoms:
-        return d - c
-    ts, ws = (np.array(col) for col in zip(*rep.rho.atoms))
-    at_c, at_d = _letac_roots(ts, ws, rep.beta, (c, d))
+    _, (at_c, at_d) = _component_roots(rep, (c, d))
     return float(np.sum(at_d - at_c))
 
 
 # ---------------------------------------------------------------------------
-# the secular-equation kernel behind the Boole and Letac identities
-
-_BRACKET = 4e-12  # relative half-width of the sign bracket that accepts a root
+# roots on the branches of Ω, seeded from secular matrices
 
 
 def _boole_roots(ts, ws, y: float):
@@ -463,90 +394,109 @@ def _boole_roots(ts, ws, y: float):
     hi = np.concatenate((ts[1:], [ts[-1] + reach], ts))
     target = np.repeat((-y, y), len(ts))
 
-    def neg_g(x):  # −G_μ, increasing between atoms
-        return -np.sum(ws / (x[:, None] - ts), axis=1)
-
     def neg_g_slope(x):
         return np.sum(ws / (x[:, None] - ts) ** 2, axis=1)
 
-    roots = _secular_roots(neg_g, neg_g_slope, target, seeds.ravel(), lo, hi)
+    # the summands of −G_μ, which increases between atoms
+    roots = branch_roots(lambda x: ws / (ts - x[:, None]), target, seeds.ravel(), lo, hi,
+                         neg_g_slope)
     return roots[:len(ts)], roots[len(ts):]
 
 
-def _letac_roots(ts, ws, beta: float, targets):
-    """Roots of f = target, one per branch of R minus the atoms, for
-    f(x) = x + β + Σ w(1+xt)/(t−x) and each target in turn."""
-    n = len(ts)
-    u = np.sqrt(ws * (1.0 + ts * ts))
-    s = np.asarray(targets, dtype=float) - beta + float(np.sum(ws * ts))
-    arrow = np.zeros((len(s), n + 1, n + 1))
-    arrow[:, np.arange(n), np.arange(n)] = ts
-    arrow[:, :n, n] = u
-    arrow[:, n, :n] = u
-    arrow[:, n, n] = s
-    seeds = np.linalg.eigvalsh(arrow)
-    # by Weyl, the spectrum lies within ‖u‖ of the diagonal's range
-    reach = 2.0 * float(np.sqrt(np.sum(u * u))) + 1.0
-    lo = np.tile(np.concatenate(([0.0], ts)), len(s))
-    lo[::n + 1] = np.minimum(ts[0], s) - reach
-    hi = np.tile(np.concatenate((ts, [0.0])), len(s))
-    hi[n::n + 1] = np.maximum(ts[-1], s) + reach
-    target = np.repeat(np.asarray(targets, dtype=float), n + 1)
-
-    def f(x):
-        return x + beta + np.sum(ws * (1.0 + x[:, None] * ts) / (ts - x[:, None]),
-                                 axis=1)
-
-    def f_slope(x):
-        return 1.0 + np.sum(ws * (1.0 + ts * ts) / (ts - x[:, None]) ** 2, axis=1)
-
-    roots = _secular_roots(f, f_slope, target, seeds.ravel(), lo, hi)
-    return roots.reshape(len(s), n + 1)
+def _exact_offset(beta: float, ws, ts) -> float:
+    # β − Σ w·t correctly rounded: Dekker's split (by 2^27 + 1) writes each
+    # product as an exact sum p + e, and fsum adds the pieces exactly
+    p, wh, th = ws * ts, ws * 134217729.0, ts * 134217729.0
+    wh, th = wh - (wh - ws), th - (th - ts)
+    e = ((wh * th - p) + wh * (ts - th) + (ws - wh) * th) + (ws - wh) * (ts - th)
+    return math.fsum(np.concatenate(([beta], -p, -e)).tolist())
 
 
-def _secular_roots(fn, slope, target, seeds, lo, hi):
-    """Certified roots of fn(x) = target[k], one in each branch (lo[k], hi[k])
-    on which fn increases; all arguments are aligned arrays.
+def _component_roots(rep: NevanlinnaRep, targets):
+    """Roots of f = target, one on each component of Ω(f), for each target:
+    the components' left ends (∞ for (−∞, ·)) and the roots, shape
+    (len(targets), components), INF marking a zero at ∞.
 
-    The seeds are clipped into their branches and polished by two Newton
-    steps.  A root is accepted only on a sign bracket
-    fn(x − δ) ≤ target ≤ fn(x + δ) with δ = 4e-12·max(1, |x|) and x ± δ
-    inside the branch.  Roots that fail are bisected inside their branches
-    and checked again; a root that still fails raises RootBracketError.
+    Branches run between the ends of the merged support, the unbounded one
+    last, and close in closed form: f = αx + β′ + ∫(1+t²)/(t−x) dρ with
+    β′ = β − m₁, whose integral is at most K = ∫(1+t²)dρ over the distance.
+    With u = √(w(1+t²)), atomic ρ is seeded by the eigenvalues of the
+    arrowhead [[diag t, u/√α], [uᵀ/√α, (target − β′)/α]] (α > 0) or of
+    diag(t) + uuᵀ/(β′ − target) (α = 0), densities by midpoints.  f sums
+    its atoms as β − Σ w·t + Σ u²/(t−x) with the constant exact: the kernel
+    w(1+xt)/(t−x) rounds a −w·t into every term, which drowns the slope of
+    f near a far zero when α = 0.
     """
-    with np.errstate(all="ignore"):
-        x = np.clip(seeds, np.nextafter(lo, hi), np.nextafter(hi, lo))
-        for _ in range(2):
-            step = x - (fn(x) - target) / slope(x)
-            x = np.where((lo < step) & (step < hi), step, x)
-        ok = _bracketed(fn, target, x, lo, hi)
-        if not ok.all():
-            bad = ~ok
-            x[bad] = _bisect_branches(fn, target[bad], lo[bad], hi[bad])
-            ok = _bracketed(fn, target, x, lo, hi)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise RootBracketError(f"no sign bracket for the root {x[k]!r} of "
-                               f"f = {target[k]!r} on ({lo[k]!r}, {hi[k]!r})")
-    return x
+    alpha, beta = rep.alpha, rep.beta
+    targets = np.asarray(targets, dtype=float)
+    ts, ws = np.array(rep.rho.atoms, dtype=float).reshape(-1, 2).T
+    ls, rs, ds = np.array(rep.rho.ac, dtype=float).reshape(-1, 3).T
+    u2 = ws * (1.0 + ts * ts)
+    big_k = float(np.sum(u2)) + sum(d * (r - l + (r**3 - l**3) / 3) for l, r, d in rep.rho.ac)
+    shift = beta - rep.rho.moment1() - targets  # β′ − target
 
+    merged = []
+    for l, r in sorted([(t, t) for t in ts.tolist()] + list(zip(ls.tolist(), rs.tolist()))):
+        if merged and l - merged[-1][1] <= POINT_TOL:
+            merged[-1][1] = max(merged[-1][1], r)
+        else:
+            merged.append([l, r])
+    starts, ends = np.array(merged, dtype=float).reshape(-1, 2).T
+    k = len(merged)
+    lo, hi = np.empty((2, len(targets), k + 1 if alpha > 0 else k))
+    gaps = slice(1, k) if alpha > 0 else slice(0, k - 1)
+    lo[:, gaps], hi[:, gaps] = ends[:-1], starts[1:]
+    at_inf = np.zeros(lo.shape, dtype=bool)
+    if alpha > 0:  # far sign at s = max(1, 2(|αm + β′ − target| + K)/α) past an end m
+        first, last = (starts[0], ends[-1]) if merged else (0.0, 0.0)
+        lo[:, 0] = first - np.maximum(1.0, 2.0 * (np.abs(alpha * first + shift) + big_k) / alpha)
+        hi[:, -1] = last + np.maximum(1.0, 2.0 * (np.abs(alpha * last + shift) + big_k) / alpha)
+        if merged:
+            hi[:, 0], lo[:, -1] = first, last
+    else:  # f tends to β′ at ∞: |f − β′| < |β′ − target| at 2K/|β′ − target|
+        with np.errstate(divide="ignore"):
+            reach = 2.0 * big_k / np.abs(shift)
+        right = shift > 0
+        lo[:, -1] = np.where(right, ends[-1], starts[0] - reach)
+        hi[:, -1] = np.where(right, ends[-1] + reach, starts[0])
+        at_inf[:, -1] = shift == 0
+    lefts = [INF] * (alpha > 0) + ends.tolist()
 
-def _bracketed(fn, target, x, lo, hi):
-    delta = _BRACKET * np.maximum(1.0, np.abs(x))
-    left, right = x - delta, x + delta
-    values = fn(np.concatenate((left, right))) - np.concatenate((target, target))
-    m = len(x)
-    return (lo < left) & (right < hi) & (values[:m] <= 0) & (values[m:] >= 0)
+    if rep.rho.ac or k < len(ts):
+        seeds = 0.5 * (lo + hi)
+    elif alpha > 0:
+        n = len(ts)
+        arrow = np.zeros((len(targets), n + 1, n + 1))
+        arrow[:, np.arange(n), np.arange(n)] = ts
+        arrow[:, :n, n] = arrow[:, n, :n] = np.sqrt(u2 / alpha)
+        arrow[:, n, n] = -shift / alpha
+        seeds = np.linalg.eigvalsh(arrow)
+    else:
+        # the root past the support is the top eigenvalue when β′ > target
+        # and the bottom one otherwise, which goes last
+        scale = np.where(shift == 0, 1.0, shift)[:, None, None]
+        seeds = np.linalg.eigvalsh(np.diag(ts) + np.sqrt(np.outer(u2, u2)) / scale)
+        seeds = np.where(shift[:, None] < 0, np.roll(seeds, -1, axis=1), seeds)
 
+    beta_a = _exact_offset(beta, ws, ts)
 
-def _bisect_branches(fn, target, lo, hi):
-    # the branch ends are poles or outer bounds: their signs are known, so
-    # only midpoints are evaluated
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.all(hi - lo <= _BRACKET * np.maximum(1.0, np.abs(mid))):
-            break
-        below = fn(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    def terms(x):
+        xc = x[:, None]
+        cols = [alpha * xc, np.full_like(xc, beta_a), u2 / (ts - xc)]
+        if rep.rho.ac:
+            cols += [ds * xc * (rs - ls), ds * (1.0 + xc * xc) * np.log1p((ls - rs) / (xc - ls))]
+        return np.concatenate(cols, axis=1)
+
+    def slope(x):
+        xc = x[:, None]
+        val = alpha + np.sum(u2 / (ts - xc) ** 2, axis=1)
+        if rep.rho.ac:
+            val += np.sum(ds * ((rs - ls) * (1.0 + (1.0 + xc * xc) / ((xc - ls) * (xc - rs)))
+                                + 2.0 * xc * np.log1p((ls - rs) / (xc - ls))), axis=1)
+        return val
+
+    live = ~at_inf
+    roots = np.full(lo.shape, INF)
+    roots[live] = branch_roots(terms, np.broadcast_to(targets[:, None], lo.shape)[live],
+                               seeds[live], lo[live], hi[live], slope)
+    return lefts, roots

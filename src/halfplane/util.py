@@ -1,7 +1,10 @@
-"""Shared numeric helpers: monotone root bracketing, Richardson ladders,
-low-discrepancy grids."""
+"""Shared numeric helpers: ``branch_roots``, the one root kernel behind Γ(f),
+Boole, Letac and black-box Γ (certified roots of increasing functions, one
+per branch), Richardson ladders and low-discrepancy grids."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class RootBracketError(RuntimeError):
@@ -12,56 +15,81 @@ class RecoveryError(RuntimeError):
     """A boundary-limit ladder failed to converge (oscillating estimates)."""
 
 
-def bisect_increasing(fn, lo: float, hi: float) -> float:
-    """Zero of an increasing function on [lo, hi], requiring fn(lo) < 0 < fn(hi)."""
-    if lo > hi:
-        raise RootBracketError(f"inverted bracket [{lo}, {hi}]")
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo > 0 or fhi < 0:
-        raise RootBracketError(f"no sign change on [{lo}, {hi}]: "
-                               f"f(lo)={flo:.3g}, f(hi)={fhi:.3g}")
+BRACKET = 4e-12  # relative half-width of the sign bracket that accepts a root
+
+
+def branch_roots(terms, target, seeds, lo, hi, slope=None):
+    """Certified roots of f(x) = target[k], one on each branch (lo[k], hi[k])
+    where f increases from below target to above it.  terms maps an array
+    of points to the summands of f, one row per point; slope maps it to f′.
+    The other arguments are aligned arrays.
+
+    Seeds are clipped into their branches and, given the slope, polished by
+    Newton steps inside them.  A root x is accepted on a sign bracket
+    f(x − δ) ≤ target ≤ f(x + δ), δ = 4e-12·max(1, |x|), its ends clipped
+    into the open branch, where each sign must clear one ulp of the summands'
+    total size, so that roundoff cannot certify a root where f is flat.
+    Unsettled or unbracketed roots are bisected to the bracket's width,
+    polished and checked again; a root that still fails raises
+    RootBracketError.
+    """
+    target = np.asarray(target, dtype=float)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    with np.errstate(all="ignore"):
+        x = np.clip(seeds, np.nextafter(lo, hi), np.nextafter(hi, lo))
+        x, settled = _newton(terms, slope, target, x, lo, hi)
+        ok = settled & _bracketed(terms, target, x, lo, hi)
+        if not ok.all():
+            bad = ~ok
+            blo, bhi = _bisect(terms, target[bad], lo[bad], hi[bad])
+            x[bad] = _newton(terms, slope, target[bad], 0.5 * (blo + bhi), blo, bhi)[0]
+            ok = _bracketed(terms, target, x, lo, hi)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise RootBracketError(
+            f"no sign bracket for the root {float(x[k])} of f = {float(target[k])} "
+            f"on the branch ({float(lo[k])}, {float(hi[k])})")
+    return x + 0.0  # a root at −0.0 reads 0.0
+
+
+def _newton(terms, slope, target, x, lo, hi):
+    # at most eight steps, each kept only inside the branch; a root settles
+    # when its last step moves it by at most 1e-3 of the bracket
+    if slope is None:
+        return x, np.ones(len(x), dtype=bool)
+    for _ in range(8):
+        step = x - (terms(x).sum(axis=1) - target) / slope(x)
+        inside = (lo < step) & (step < hi)
+        settled = inside & (np.abs(step - x) <= 1e-3 * BRACKET * np.maximum(1.0, np.abs(x)))
+        x = np.where(inside, step, x)
+        if settled.all():
+            break
+    return x, settled
+
+
+def _bracketed(terms, target, x, lo, hi):
+    delta = BRACKET * np.maximum(1.0, np.abs(x))
+    ends = np.concatenate((np.maximum(x - delta, np.nextafter(lo, hi)),
+                           np.minimum(x + delta, np.nextafter(hi, lo))))
+    targets = np.concatenate((target, target))
+    summands = terms(ends)
+    values = summands.sum(axis=1) - targets
+    floor = np.finfo(float).eps * (np.abs(summands).sum(axis=1) + np.abs(targets))
+    m = len(x)
+    return ((lo < ends[:m]) & (ends[m:] < hi)
+            & (values <= -floor)[:m] & (values >= floor)[m:])
+
+
+def _bisect(terms, target, lo, hi):
+    # the branch ends' signs are known, so only midpoints are evaluated
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if fm < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+        if np.all(hi - lo <= BRACKET * np.maximum(1.0, np.abs(mid))):
             break
-    return 0.5 * (lo + hi)
-
-
-def shrink_to_sign(fn, anchor: float, other: float, *, negative: bool) -> float:
-    """Point between anchor and other, close to anchor, where fn has the
-    requested sign.  Used to bracket roots against a pole-like endpoint."""
-    step = (other - anchor) * 0.25
-    for _ in range(120):
-        x = anchor + step
-        v = fn(x)
-        if v != 0.0 and (v < 0) == negative:
-            return x
-        step *= 0.5
-    raise RootBracketError(f"no {'negative' if negative else 'positive'} value "
-                           f"of f approaching {anchor}")
-
-
-def expand_to_sign(fn, start: float, direction: float, *, negative: bool) -> float:
-    """Point start + direction*2^k with the requested sign of fn."""
-    step = 1.0
-    for _ in range(200):
-        x = start + direction * step
-        v = fn(x)
-        if v != 0.0 and (v < 0) == negative:
-            return x
-        step *= 2.0
-    raise RootBracketError("sign not reached while expanding toward infinity")
+        below = terms(mid).sum(axis=1) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return lo, hi
 
 
 def richardson(values, ratio: float) -> float:

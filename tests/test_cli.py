@@ -303,6 +303,23 @@ class TestErrors:
         assert main(["solve", "--spec", spec]) == 1
         err = capsys.readouterr().err
         assert "certification failure" in err and "sign bracket" in err
+        # plain floats name the target and the branch
+        assert "f = -1.0 on the branch (1000.0, 1001.0)" in err
+        assert "np.float64" not in err
+
+    def test_zero_at_density_end_is_certification_failure(self, tmp_path, capsys):
+        # a valid spec: Γ's zero left of the density lies within an ulp of
+        # the density's left end, where no bracket resolves it; refused as
+        # a certification failure naming the branch, not as bad input
+        spec = write_spec(tmp_path, "f.json", {"nevanlinna": {
+            "alpha": 0.7664586858766653, "beta": -2.674093864370919,
+            "atoms": [[1.553162, 2.339], [3.67942, 2.283], [4.603707, 2.792]],
+            "ac": [{"interval": [5.410310458959966, 5.706371881098608],
+                    "density": 0.052123485666960255}]}})
+        assert main(["factor", "--spec", spec]) == 1
+        err = capsys.readouterr().err
+        assert "certification failure" in err
+        assert "on the branch (4.603707, 5.410310458959966)" in err
 
     def test_interlacing_failure_is_certification_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "p.json", {

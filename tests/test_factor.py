@@ -376,3 +376,19 @@ class TestAnalyzeDispatch:
         # σ = {∞}: Ω is the line punctured at ∞, sampled from −∞ to +∞
         ana = analyze_pick(BlackBoxFunction(fn, SigmaDescriptor((), (), True)))
         assert ana.gamma.isclose(normalize([Arc(INF, zero)]), 1e-9)
+
+    @pytest.mark.parametrize("shift, zero", [(0.0, INF), (-1e-9, 1.0 - 1e9),
+                                             (1e-9, 1.0 + 1e9)],
+                             ids=["0", "-1e-9", "+1e-9"])
+    def test_blackbox_gamma_across_infinity(self, shift, zero):
+        # Ω is the line punctured at 1; the sweep's sign flip falls between
+        # its last samples on either side of ∞, and the zero lies at ∞ or
+        # beyond them
+        fn = lambda z: -1.0 / (z - 1.0) + shift
+        ana = analyze_pick(BlackBoxFunction(fn, SigmaDescriptor((1.0,), (), False)))
+        (arc,) = ana.gamma.arcs
+        assert arc.b == 1.0
+        if zero == INF:
+            assert arc.a == INF
+        else:
+            assert abs(arc.a - zero) <= 1e-11 * abs(zero)

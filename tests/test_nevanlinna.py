@@ -1,19 +1,20 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from halfplane.extreal import Arc, INF, is_regular, normalize
-from halfplane.nevanlinna import (Measure, NevanlinnaRep, _BRACKET,
-                                  _boole_roots, _letac_roots, _secular_roots,
-                                  analyze, boole_superlevel_measure,
-                                  cauchy_transform, letac_pushforward_check,
-                                  recover_alpha, recover_atom, recover_beta,
+from halfplane.extreal import Arc, INF, is_inf, is_regular, normalize
+from halfplane.nevanlinna import (Measure, NevanlinnaRep, _boole_roots,
+                                  _component_roots, analyze,
+                                  boole_superlevel_measure, cauchy_transform,
+                                  letac_pushforward_check, recover_alpha,
+                                  recover_atom, recover_beta,
                                   stieltjes_density, stieltjes_density_limit)
-from halfplane.util import (RecoveryError, bisect_increasing, expand_to_sign,
-                            shrink_to_sign)
+from halfplane.util import (BRACKET, RecoveryError, RootBracketError,
+                            branch_roots)
 
 from conftest import random_atomic_rep, random_upper_points, sep_points
 
@@ -64,6 +65,17 @@ class TestEval:
         rep = NevanlinnaRep(1.0, 0.0, Measure(ac=tuple(pieces)))
         for z in (1j, 0.5 + 2j, -1 + 1j):
             assert abs(rep.eval(z) - (z + 1j)) < 1e-2
+
+    @pytest.mark.parametrize("x", [-1e5, 2e5, -1.6e6])
+    def test_far_from_density_support(self, x):
+        # the density's log ratio is 1 + O(1/x) out here: log1p keeps its
+        # digits, where log of the ratio was off by up to 1.4e-4
+        rep = NevanlinnaRep(0.0, 0.3, Measure(
+            atoms=((-1.0, 1.0),),
+            ac=((4179.559412343756, 4180.144823511033, 0.4345293778156328),)))
+        with mpmath.workdps(50):
+            exact = mpmath.fsum(mp_rep(rep)(x))
+        assert abs(rep.eval(x) - exact) <= 1e-12 * abs(exact)
 
     def test_monotone_on_components(self, rng):
         for _ in range(10):
@@ -345,29 +357,49 @@ def atomic_supports(draw):
     return ts, rng.uniform(0.1, 3.0, n)
 
 
-def scalar_root(h, left, right):
-    """bisect_increasing on one branch (left, right) of an increasing h that
-    runs from −∞ to +∞ across it; None marks an unbounded end."""
-    if left is None:
-        lo = expand_to_sign(h, right - 1.0, -1.0, negative=True)
-    else:
-        lo = shrink_to_sign(h, left, right if right is not None else left + 1.0,
-                            negative=True)
-    if right is None:
-        hi = expand_to_sign(h, left + 1.0, 1.0, negative=False)
-    else:
-        hi = shrink_to_sign(h, right, left if left is not None else right - 1.0,
-                            negative=False)
-    return bisect_increasing(h, lo, hi)
+def mp_rep(rep, target=0.0):
+    """The summands of f − target for a rep, in mpmath arithmetic (use
+    inside workdps)."""
+    def terms(x):
+        x = mpmath.mpf(x)
+        out = [rep.alpha * x, mpmath.mpf(rep.beta) - target]
+        out += [w * (1 + x * t) / (t - x) for t, w in rep.rho.atoms]
+        out += [d * (x * (r - l) + (1 + x * x) * mpmath.log((x - r) / (x - l)))
+                for l, r, d in rep.rho.ac]
+        return out
+    return terms
 
 
-def assert_certified_root(h, x, left, right):
-    # strictly inside the branch, sign-bracketed, and where bisection puts it
-    delta = _BRACKET * max(1.0, abs(x))
-    assert left is None or left < x - delta
-    assert right is None or x + delta < right
-    assert h(x - delta) <= 0.0 <= h(x + delta)
-    assert abs(x - scalar_root(h, left, right)) <= 1e-10 * max(1.0, abs(x))
+def mp_cauchy(mu, y):
+    """The summands of y − G_μ, in mpmath arithmetic."""
+    return lambda x: [mpmath.mpf(y)] + [-w / (mpmath.mpf(x) - t) for t, w in mu.atoms]
+
+
+def assert_certified_root(h, h_terms, x, left, right):
+    """x is a root of the increasing h on its branch (left, right), with None
+    for an unbounded end: strictly inside the branch, sign-bracketed at
+    4e-12·max(1, |x|) (the bracket's ends clipped into the branch, as the
+    kernel accepts it), and within 1e-10·max(1, |x|) of the mpmath root.
+
+    h is a float evaluation other than the kernel's, so its bracket holds up
+    to the roundoff of the summands h_terms.  The mpmath root is located by
+    its sign change in 50-digit arithmetic: the sum of h_terms changes sign
+    across the window, an end past the branch end counting as the −∞/+∞ of
+    h there."""
+    delta = BRACKET * max(1.0, abs(x))
+    lo = x - delta if left is None else max(x - delta, math.nextafter(left, INF))
+    hi = x + delta if right is None else min(x + delta, math.nextafter(right, -INF))
+    assert (left is None or left < lo) and lo <= x <= hi
+    assert right is None or hi < right
+    tol = 1e-10 * max(1.0, abs(x))
+    with mpmath.workdps(50):
+        below = h_terms(mpmath.mpf(x) - tol) if left is None or x - tol > left else None
+        above = h_terms(mpmath.mpf(x) + tol) if right is None or x + tol < right else None
+        assert below is None or mpmath.fsum(below) <= 0
+        assert above is None or mpmath.fsum(above) >= 0
+        size = mpmath.fsum(abs(v) for v in below or above or h_terms(x))
+    roundoff = 1e-13 * float(size)
+    assert h(lo) <= roundoff and h(hi) >= -roundoff
 
 
 class TestSecularKernel:
@@ -380,11 +412,11 @@ class TestSecularKernel:
         plus, minus = _boole_roots(ts, ws, y)
         edges = [None] + ts.tolist() + [None]
         for k, x in enumerate(plus.tolist()):
-            assert_certified_root(lambda v: y - cauchy_transform(mu, v), x,
-                                  edges[k + 1], edges[k + 2])
+            assert_certified_root(lambda v: y - cauchy_transform(mu, v),
+                                  mp_cauchy(mu, y), x, edges[k + 1], edges[k + 2])
         for k, x in enumerate(minus.tolist()):
-            assert_certified_root(lambda v: -y - cauchy_transform(mu, v), x,
-                                  edges[k], edges[k + 1])
+            assert_certified_root(lambda v: -y - cauchy_transform(mu, v),
+                                  mp_cauchy(mu, -y), x, edges[k], edges[k + 1])
         p, m = boole_superlevel_measure(mu, y)
         assert abs(p - mu.mass() / y) <= 1e-8
         assert abs(m - mu.mass() / y) <= 1e-8
@@ -399,15 +431,17 @@ class TestSecularKernel:
                                                                ws.tolist()))))
         d = c + width
         edges = [None] + ts.tolist() + [None]
-        for target, roots in zip((c, d), _letac_roots(ts, ws, beta, (c, d))):
-            for k, x in enumerate(roots.tolist()):
-                assert_certified_root(lambda v: rep.eval(v) - target, x,
-                                      edges[k], edges[k + 1])
+        lefts, roots = _component_roots(rep, (c, d))
+        assert lefts == [INF] + ts.tolist()
+        for target, row in zip((c, d), roots):
+            for k, x in enumerate(row.tolist()):
+                assert_certified_root(lambda v: rep.eval(v) - target,
+                                      mp_rep(rep, target), x, edges[k], edges[k + 1])
         assert abs(letac_pushforward_check(rep, (c, d)) - (d - c)) <= 1e-8
 
     def test_bad_seeds_are_bisected(self):
-        # every seed at the right end of its branch: two Newton steps cannot
-        # repair that, so each root comes from the bisection fallback
+        # every seed at the right end of its branch: Newton steps from there
+        # leave the branch, so each root comes from the bisection fallback
         ts, ws, y = np.array([-1.0, 0.5, 2.0]), np.array([1.0, 0.3, 2.0]), 0.7
         mu = Measure(atoms=tuple(zip(ts.tolist(), ws.tolist())))
         reach = 2.0 * ws.sum() / y
@@ -417,12 +451,63 @@ class TestSecularKernel:
         target = np.array([-g for g, _, _ in cases])  # solves −G = −target
         lo = np.array([-1.0 - reach if l is None else l for _, l, _ in cases])
         hi = np.array([2.0 + reach if r is None else r for _, _, r in cases])
-        roots = _secular_roots(lambda x: -np.sum(ws / (x[:, None] - ts), axis=1),
-                               lambda x: np.sum(ws / (x[:, None] - ts) ** 2, axis=1),
-                               target, hi.copy(), lo, hi)
+        roots = branch_roots(lambda x: ws / (ts - x[:, None]), target, hi.copy(), lo, hi,
+                             lambda x: np.sum(ws / (x[:, None] - ts) ** 2, axis=1))
         for (g, left, right), x in zip(cases, roots.tolist()):
-            assert_certified_root(lambda v: g - cauchy_transform(mu, v), x,
-                                  left, right)
+            assert_certified_root(lambda v: g - cauchy_transform(mu, v),
+                                  mp_cauchy(mu, g), x, left, right)
+
+
+@st.composite
+def analysis_reps(draw):
+    """Reps for analyze: atomic with α = 0 and β′ = β − m₁ above, below or
+    at 0, atomic with α > 0, one atom or many (clustered, |t| ≈ 1e3), and
+    reps whose every other atom is spread into a density of the same mass."""
+    kind = draw(st.sampled_from(("beta>0", "beta<0", "beta=0", "alpha>0", "ac")))
+    ts, ws = draw(atomic_supports())
+    if draw(st.integers(0, 3)) == 0:
+        ts, ws = ts[:1], ws[:1]
+    atoms, ac = tuple(zip(ts.tolist(), ws.tolist())), ()
+    if kind == "ac":
+        gaps = np.diff(ts, prepend=-INF, append=INF)
+        half = np.minimum(np.minimum(gaps[:-1], gaps[1:]) / 3.0, 1.0)
+        widen = np.arange(len(ts)) % 2 == 0
+        ac = tuple((t - h, t + h, w / (2.0 * h)) for t, h, w in
+                   zip(ts[widen].tolist(), half[widen].tolist(), ws[widen].tolist()))
+        atoms = tuple(a for a, k in zip(atoms, widen) if not k)
+    rho = Measure(atoms=atoms, ac=ac)
+    if kind in ("alpha>0", "ac"):
+        alpha = draw(st.sampled_from((0.0, 0.1, 1.0))) if kind == "ac" else \
+            draw(st.floats(1e-3, 10.0))
+        return NevanlinnaRep(alpha, draw(st.floats(-5.0, 5.0)), rho)
+    offset = {"beta>0": draw(st.floats(1e-3, 5.0)), "beta<0": -draw(st.floats(1e-3, 5.0)),
+              "beta=0": 0.0}[kind]
+    return NevanlinnaRep(0.0, rho.moment1() + offset, rho)
+
+
+class TestAnalyzeRoots:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(analysis_reps())
+    def test_zero_ends_certified(self, rep):
+        # one Γ piece per component of Ω, each finite zero end sign-bracketed
+        # and at the mpmath root; a rep may instead be refused
+        try:
+            res = analyze(rep)
+        except RootBracketError:
+            return
+        assert len(res.gamma.arcs) == len(res.omega.arcs)
+        starts = [t for t, _ in rep.rho.atoms] + [l for l, _, _ in rep.rho.ac]
+        ends = [t for t, _ in rep.rho.atoms] + [r for _, r, _ in rep.rho.ac]
+        if rep.alpha == 0 and rep.beta - rep.rho.moment1() == 0:
+            assert any(is_inf(arc.a) for arc in res.gamma.arcs)
+        for arc in res.gamma.arcs:
+            if is_inf(arc.a):
+                continue
+            x = float(arc.a)
+            left = max((e for e in ends if e < x), default=None)
+            right = min((s for s in starts if s > x), default=None)
+            assert_certified_root(rep.eval, mp_rep(rep), x, left, right)
 
 
 class TestMeasureType:
