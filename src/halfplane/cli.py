@@ -23,7 +23,7 @@ import zlib
 import numpy as np
 
 from . import extreal, factor, interp, krein
-from .extreal import Arc, ArcSet, INF, is_inf, normalize
+from .extreal import Arc, ArcSet, INF, normalize
 from .factor import CompositeFunction, ExpRep, RepFunction, factorize
 from .krein import (EvaluationDomainError, KreinProduct, TailNotCertified,
                     cantor_complement_product, p_eval)
@@ -128,10 +128,8 @@ def cmd_eval(args):
     if task not in FUNCTION_TASKS:
         raise SpecError(f"eval needs a function spec, got '{task}'")
     fn = build_function_spec(task, body, merge_options(options, args))
-    if args.grid:
-        grid = parse_grid(args.grid, "--grid")
-    else:
-        grid = parse_grid(options.get("grid", "-5:5:21"), "options.grid")
+    grid = (parse_grid(args.grid, "--grid") if args.grid
+            else parse_grid(options.get("grid", "-5:5:21"), "options.grid"))
     eps = args.eps if args.eps is not None else options.get("eps")
     if eps is not None and not float(eps) >= 0:
         field = "--eps" if args.eps is not None else "options.eps"
@@ -139,33 +137,20 @@ def cmd_eval(args):
                         f"upper half-plane), got {eps}")
     rows = []
     for z in grid:
-        if isinstance(z, complex):
-            try:
-                v = fn(z)
-            except TailNotCertified:
-                rows.append((z.real, z.imag, math.inf, 0.0, "uncertified"))
-                continue
-            rows.append((z.real, z.imag, v.real, v.imag, "interior"))
-            continue
-        if eps:
-            try:
-                v = fn(complex(z, float(eps)))
-            except TailNotCertified:
-                rows.append((z, float(eps), math.inf, 0.0, "uncertified"))
-                continue
-            rows.append((z, float(eps), v.real, v.imag, "eps"))
-            continue
+        # a point off the line, a real point lifted to Im z = eps, or one on it
+        point, flag = ((z, "interior") if isinstance(z, complex) else
+                       (complex(z, float(eps)), "eps") if eps else (complex(z, 0.0), "cont"))
+        refused = (EvaluationDomainError, TailNotCertified) if flag == "cont" else TailNotCertified
         try:
-            v = fn(complex(z, 0.0))
-        except (EvaluationDomainError, TailNotCertified):
-            rows.append((z, 0.0, math.inf, 0.0, "near-sigma"))
+            v = fn(point)
+        except refused:
+            rows.append((point.real, point.imag, math.inf, 0.0,
+                         "near-sigma" if flag == "cont" else "uncertified"))
             continue
-        if not isinstance(v, complex) and (is_inf(v) if not isinstance(v, float)
-                                           else math.isinf(v)):
-            rows.append((z, 0.0, math.inf, 0.0, "pole"))
-        else:
-            v = complex(v)
-            rows.append((z, 0.0, v.real, v.imag, "cont"))
+        if flag == "cont" and not isinstance(v, complex) and math.isinf(v):
+            flag = "pole"
+        v = complex(v)
+        rows.append((point.real, point.imag, v.real, v.imag, flag))
     return {"task": task, "rows": rows}, 0
 
 
@@ -298,7 +283,6 @@ def _random_arcset(rng):
         arcs[0] = Arc(INF, float(pts[1]))
     elif kind == 3 and len(pts) >= 2:
         arcs = arcs[:-1] + [Arc(float(pts[-1]), float(pts[0]) - 0.5)]
-        return normalize(arcs)
     return normalize(arcs)
 
 

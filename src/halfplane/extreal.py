@@ -548,31 +548,31 @@ class CantorComplement:
         return CantorComplement((l, r), int(spec.get("depth", 1)))
 
 
+def merged_support(points: Sequence[Point], intervals: Sequence[tuple]) -> list:
+    """A closed set's finite points and intervals [l, r] as sorted pieces
+    (lo_f, hi_f, lo, hi), float and exact ends, merged where they overlap or
+    their ends are ``points_equal``: its complement's arcs run between them."""
+    pieces = sorted([(float(p), float(p), p, p) for p in points if not is_inf(p)]
+                    + [(float(l), float(r), l, r) for l, r in intervals], key=lambda t: t[:2])
+    merged = []
+    for lo_f, hi_f, lo, hi in pieces:
+        if merged and (lo_f < merged[-1][1] or (lo_f - merged[-1][1] <= POINT_TOL
+                                                and points_equal(lo, merged[-1][3]))):
+            if hi_f > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi_f, merged[-1][2], hi)
+        else:
+            merged.append((lo_f, hi_f, lo, hi))
+    return merged
+
+
 def complement_of_closed(points: Sequence[Point], intervals: Sequence[tuple],
                          has_inf: bool) -> ArcSet:
     """Open complement in R ∪ {∞} of a closed set given as finite points,
     closed intervals [l, r] (l = -oo or r = +oo allowed, in which case the
     closure contains ∞) and optionally the point ∞ itself."""
-    pieces = [(float(p), float(p), p, p) for p in points if not is_inf(p)]
-    has_inf = has_inf or any(is_inf(p) for p in points)
-    for l, r in intervals:
-        lf, rf = float(l), float(r)
-        if math.isinf(lf) or math.isinf(rf):
-            has_inf = True
-        pieces.append((lf, rf, l, r))
-    pieces.sort(key=lambda t: (t[0], t[1]))
-
-    merged = []
-    for lo_f, hi_f, lo, hi in pieces:
-        if merged and (lo_f < merged[-1][1]
-                       or (not math.isinf(lo_f) and not math.isinf(merged[-1][1])
-                           and points_equal(lo, merged[-1][3]))):
-            plo_f, phi_f, plo, phi = merged[-1]
-            if hi_f > phi_f:
-                merged[-1] = (plo_f, hi_f, plo, hi)
-        else:
-            merged.append((lo_f, hi_f, lo, hi))
-
+    has_inf = (has_inf or any(is_inf(p) for p in points)
+               or any(math.isinf(float(v)) for iv in intervals for v in iv))
+    merged = merged_support(points, intervals)
     if not merged:
         if not has_inf:
             return FULL

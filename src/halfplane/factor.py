@@ -246,18 +246,24 @@ def _blackbox_gamma_piece(fn, comp: Arc):
         c = hi + (lo - hi) / 3.0
         s_lo, s_hi = -1.0 / (lo - c), -1.0 / (hi - c)
         s = _blackbox_zero(lambda s: fn(c - 1.0 / s), s_lo, s_hi)
-        d = BRACKET * max(1.0, abs(s))
-        if s - d <= 0.0 <= s + d:
+        d, far = BRACKET * max(1.0, abs(s)), 1.0 / np.finfo(float).tiny
+        if s + d < 0.0 or s - d > 0.0:  # the bracket lies on one side of ∞: refine in x
+            lo, hi = c - 1.0 / max(s - d, s_lo), c - 1.0 / min(s + d, s_hi)
+        # the chart's bracket is absolute at s = 0, so the zero is at ∞ only
+        # if the sign change survives out to x = c ± far
+        elif _blackbox_real(fn, c + far) > 0.0:
+            lo, hi = c - 1.0 / min(s - d, -1.0 / far), c + far
+        elif _blackbox_real(fn, c - far) < 0.0:
+            lo, hi = c - far, c - 1.0 / max(s + d, 1.0 / far)
+        else:
             return Arc(comp.b, INF)
-        # the bracket lies on one side of ∞: refine the zero there in x
-        lo, hi = c - 1.0 / max(s - d, s_lo), c - 1.0 / min(s + d, s_hi)
     return Arc(comp.b, _blackbox_zero(fn, lo, hi))
 
 
 def _blackbox_zero(fn, lo: float, hi: float) -> float:
-    # the kernel's bisection and sign bracket; fn is negative at lo, positive at hi
+    # the kernel's bisection and sign bracket on fn, negative at lo and positive at hi
     column = lambda x: np.array([[_blackbox_real(fn, v)] for v in x.tolist()])
-    return float(branch_roots(column, [0.0], [0.5 * (lo + hi)], [lo], [hi])[0])
+    return float(branch_roots(column, [0.0], [0.0], [0.5 * (lo + hi)], [lo], [hi])[0])
 
 
 # ---------------------------------------------------------------------------

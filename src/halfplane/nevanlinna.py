@@ -14,14 +14,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL,
-                      complement_of_closed, is_inf, normalize, points_equal,
+from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, complement_of_closed,
+                      is_inf, merged_support, normalize, points_equal,
                       regularize)
-from .util import (RecoveryError, RootBracketError, branch_roots, ladder_limit,
-                   richardson)
+from .util import RecoveryError, RootBracketError, branch_roots, ladder_limit
 
 __all__ = [
     "Measure", "NevanlinnaRep", "SigmaDescriptor", "AnalysisResult",
@@ -103,8 +103,15 @@ def _log_ratio(z, l: float, r: float):
     if l <= x <= r:
         raise ValueError(f"real evaluation at {x} inside the density "
                          f"support [{l}, {r}]")
-    # (x−r)/(x−l) = 1 + (l−r)/(x−l): log1p keeps the digits far from [l, r]
-    return math.log1p((l - r) / (x - l))
+    # the ratio is 1 + (r−l)/(l−x) left of [l, r] and 1/(1 + (r−l)/(x−r))
+    # right of it: log1p of a positive argument keeps every digit
+    return math.log1p((r - l) / (l - x)) if x < l else -math.log1p((r - l) / (x - r))
+
+
+def _log_ratios(x, l, r):
+    # _log_ratio for arrays of real x off the intervals [l, r]
+    left = x < l
+    return np.where(left, 1.0, -1.0) * np.log1p((r - l) / np.where(left, l - x, x - r))
 
 
 def interval_entries(entries, value_key: str, field: str) -> tuple:
@@ -135,9 +142,6 @@ class SigmaDescriptor:
     def is_measure_zero(self) -> bool:
         return not self.intervals
 
-    def is_empty(self) -> bool:
-        return not self.points and not self.intervals and not self.has_inf
-
     def finite_boundary(self) -> list:
         pts = [float(p) for p in self.points if not is_inf(p)]
         for l, r in self.intervals:
@@ -148,9 +152,8 @@ class SigmaDescriptor:
         if is_inf(x):
             return self.has_inf
         xf = float(x)
-        if any(abs(xf - float(p)) <= tol for p in self.points if not is_inf(p)):
-            return True
-        return any(l - tol <= xf <= r + tol for l, r in self.intervals)
+        return (any(abs(xf - float(p)) <= tol for p in self.points if not is_inf(p))
+                or any(l - tol <= xf <= r + tol for l, r in self.intervals))
 
 
 @dataclass(frozen=True)
@@ -251,15 +254,13 @@ def analyze(rep: NevanlinnaRep) -> AnalysisResult:
     if rep.alpha == 0 and rep.rho.mass() == 0:
         if rep.beta == 0:
             raise ValueError("analysis of the zero function is undefined")
-        gamma = FULL if rep.beta < 0 else EMPTY
-        return AnalysisResult(sig, omega, gamma)
-    lefts, roots = _component_roots(rep, (0.0,))
+        return AnalysisResult(sig, omega, FULL if rep.beta < 0 else EMPTY)
     pieces = []
-    for b, a in zip(lefts, roots[0].tolist()):
-        if points_equal(b, a):
+    for arc, a in zip(omega.arcs, _component_roots(rep, (0.0,))[0].tolist()):
+        if points_equal(arc.b, a):
             raise RootBracketError(f"the zero {a} of f lies within the point "
-                                   f"tolerance of its branch end {b}")
-        pieces.append(Arc(b, a))
+                                   f"tolerance of its branch end {arc.b}")
+        pieces.append(Arc(arc.b, a))
     return AnalysisResult(sig, omega, regularize(normalize(pieces)))
 
 
@@ -271,12 +272,9 @@ def recover_alpha(f, *, k_min: int = 3, k_max: int = 14,
                   consistency: float = 1e-6) -> float:
     """α = lim_{y→∞} f(iy)/(iy), via a y = 2^k ladder with Richardson
     extrapolation.  Raises RecoveryError when the estimates oscillate."""
-    vals = [complex(f(1j * float(2 ** k))).imag / float(2 ** k)
-            for k in range(k_min, k_max + 1)]
-    est = richardson(vals, 2.0)
-    prev = richardson(vals[:-1], 2.0)
-    if abs(est - prev) > consistency * max(1.0, abs(est)):
-        raise RecoveryError(f"alpha ladder did not settle: {prev} vs {est}")
+    est = ladder_limit(lambda y: complex(f(1j * y)).imag / y,
+                       [float(2 ** k) for k in range(k_min, k_max + 1)],
+                       consistency=consistency)
     if est < -1e-8:
         raise RecoveryError(f"negative alpha estimate {est}")
     return max(est, 0.0)
@@ -327,7 +325,7 @@ def cauchy_transform(mu: Measure, z):
             return INF
         val += w / den
     for l, r, d in mu.ac:
-        val += d * _log_ratio(z, r, l)  # ∫_l^r d/(z−t) dt = d log((z−l)/(z−r))
+        val -= d * _log_ratio(z, l, r)  # ∫_l^r d/(z−t) dt = d log((z−l)/(z−r))
     return val
 
 
@@ -373,7 +371,7 @@ def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
         raise ValueError("the pushforward identity requires alpha = 1")
     if not rep.rho.is_atomic():
         raise ValueError("the pushforward identity is verified for atomic rho")
-    _, (at_c, at_d) = _component_roots(rep, (c, d))
+    at_c, at_d = _component_roots(rep, (c, d))
     return float(np.sum(at_d - at_c))
 
 
@@ -393,110 +391,110 @@ def _boole_roots(ts, ws, y: float):
     lo = np.concatenate((ts, [ts[0] - reach], ts[:-1]))
     hi = np.concatenate((ts[1:], [ts[-1] + reach], ts))
     target = np.repeat((-y, y), len(ts))
-
-    def neg_g_slope(x):
-        return np.sum(ws / (x[:, None] - ts) ** 2, axis=1)
-
-    # the summands of −G_μ, which increases between atoms
-    roots = branch_roots(lambda x: ws / (ts - x[:, None]), target, seeds.ravel(), lo, hi,
-                         neg_g_slope)
+    # the summands of −G_μ, which increases between atoms, and its slope
+    roots = branch_roots(lambda x: ws / (ts - x[:, None]), np.ones(len(ts)), target, seeds.ravel(),
+                         lo, hi, lambda x: np.sum(ws / (x[:, None] - ts) ** 2, axis=1))
     return roots[:len(ts)], roots[len(ts):]
 
 
-def _exact_offset(beta: float, ws, ts) -> float:
-    # β − Σ w·t correctly rounded: Dekker's split (by 2^27 + 1) writes each
-    # product as an exact sum p + e, and fsum adds the pieces exactly
+def _exact_offset(beta: float, ws, ts, ac) -> float:
+    # β − m₁ correctly rounded: Dekker's split (by 2^27 + 1) writes each w·t as an
+    # exact sum p + e, which fsum adds exactly; density moments join as fractions
     p, wh, th = ws * ts, ws * 134217729.0, ts * 134217729.0
     wh, th = wh - (wh - ws), th - (th - ts)
     e = ((wh * th - p) + wh * (ts - th) + (ws - wh) * th) + (ws - wh) * (ts - th)
-    return math.fsum(np.concatenate(([beta], -p, -e)).tolist())
+    pieces = np.concatenate(([beta], -p, -e)).tolist()
+    if not ac:
+        return math.fsum(pieces)
+    return float(sum(map(Fraction, pieces)) - sum(
+        Fraction(d) * (Fraction(r) ** 2 - Fraction(l) ** 2) / 2 for l, r, d in ac))
+
+
+def _density_terms(x, l, r, d):
+    """Three summands of d∫_l^r (1+t²)/(t−x) dt, x off [l, r].  With h = (r − l)/2,
+    m = l + h and u = h/(x − m), it is −2u(1 + m²) − 2u(1 + x²)·S(u²) with
+    S(v) = Σ_k≥1 v^k/(2k+1), terms of one sign, for |x − m| ≥ 2h; nearer it is
+    (1 + x²)·log((x−r)/(x−l)) + x(r − l) + (r² − l²)/2, which cancels by a
+    bounded factor there."""
+    h = 0.5 * (r - l)
+    u = h / ((x - l) - h)
+    v = u * u
+    far, xx = v <= 0.25, 1.0 + x * x
+    s = v * np.polyval(1.0 / np.arange(53.0, 2.0, -2.0), v)
+    return [d * np.where(far, -2.0 * u * (1.0 + (0.5 * (l + r)) ** 2), xx * _log_ratios(x, l, r)),
+            d * np.where(far, -2.0 * u * xx * s, x * (r - l)),
+            d * np.where(far, 0.0, h * (r + l))]
 
 
 def _component_roots(rep: NevanlinnaRep, targets):
-    """Roots of f = target, one on each component of Ω(f), for each target:
-    the components' left ends (∞ for (−∞, ·)) and the roots, shape
-    (len(targets), components), INF marking a zero at ∞.
-
-    Branches run between the ends of the merged support, the unbounded one
-    last, and close in closed form: f = αx + β′ + ∫(1+t²)/(t−x) dρ with
-    β′ = β − m₁, whose integral is at most K = ∫(1+t²)dρ over the distance.
-    With u = √(w(1+t²)), atomic ρ is seeded by the eigenvalues of the
-    arrowhead [[diag t, u/√α], [uᵀ/√α, (target − β′)/α]] (α > 0) or of
-    diag(t) + uuᵀ/(β′ − target) (α = 0), densities by midpoints.  f sums
-    its atoms as β − Σ w·t + Σ u²/(t−x) with the constant exact: the kernel
-    w(1+xt)/(t−x) rounds a −w·t into every term, which drowns the slope of
-    f near a far zero when α = 0.
-    """
-    alpha, beta = rep.alpha, rep.beta
-    targets = np.asarray(targets, dtype=float)
+    """Roots of f = target on the arcs of Ω(f), which run between the pieces
+    of ``extreal.merged_support`` in the order of ``SigmaDescriptor.omega``:
+    shape (len(targets), arcs), INF marking a zero at ∞.  Unbounded arcs close
+    in closed form: f = αx + β′ + ∫(1+t²)/(t−x) dρ with β′ = β − m₁ (exact:
+    the kernel w(1+xt)/(t−x) rounds a −w·t into every term, which drowns the
+    slope at a far zero), the integral at most K = ∫(1+t²)dρ over the
+    distance.  With u = √(w(1+t²)), atomic ρ is seeded by the eigenvalues of
+    [[diag t, u/√α], [uᵀ/√α, (target − β′)/α]] (α > 0) or of
+    diag(t) + uuᵀ/(β′ − target) (α = 0), densities by midpoints."""
+    alpha, ac = rep.alpha, rep.rho.ac
+    targets = np.asarray(targets, dtype=float)[:, None]
     ts, ws = np.array(rep.rho.atoms, dtype=float).reshape(-1, 2).T
-    ls, rs, ds = np.array(rep.rho.ac, dtype=float).reshape(-1, 3).T
+    ls, rs, ds = np.array(ac, dtype=float).reshape(-1, 3).T
     u2 = ws * (1.0 + ts * ts)
-    big_k = float(np.sum(u2)) + sum(d * (r - l + (r**3 - l**3) / 3) for l, r, d in rep.rho.ac)
-    shift = beta - rep.rho.moment1() - targets  # β′ − target
+    big_k = float(np.sum(u2)) + sum(d * (r - l + (r**3 - l**3) / 3) for l, r, d in ac)
+    shift = rep.beta - rep.rho.moment1() - targets  # β′ − target
 
-    merged = []
-    for l, r in sorted([(t, t) for t in ts.tolist()] + list(zip(ls.tolist(), rs.tolist()))):
-        if merged and l - merged[-1][1] <= POINT_TOL:
-            merged[-1][1] = max(merged[-1][1], r)
-        else:
-            merged.append([l, r])
-    starts, ends = np.array(merged, dtype=float).reshape(-1, 2).T
-    k = len(merged)
-    lo, hi = np.empty((2, len(targets), k + 1 if alpha > 0 else k))
-    gaps = slice(1, k) if alpha > 0 else slice(0, k - 1)
-    lo[:, gaps], hi[:, gaps] = ends[:-1], starts[1:]
-    at_inf = np.zeros(lo.shape, dtype=bool)
+    merged = merged_support(ts.tolist(), [(l, r) for l, r, _ in ac])
+    starts, ends = np.array([piece[:2] for piece in merged]).reshape(-1, 2).T
     if alpha > 0:  # far sign at s = max(1, 2(|αm + β′ − target| + K)/α) past an end m
-        first, last = (starts[0], ends[-1]) if merged else (0.0, 0.0)
-        lo[:, 0] = first - np.maximum(1.0, 2.0 * (np.abs(alpha * first + shift) + big_k) / alpha)
-        hi[:, -1] = last + np.maximum(1.0, 2.0 * (np.abs(alpha * last + shift) + big_k) / alpha)
-        if merged:
-            hi[:, 0], lo[:, -1] = first, last
-    else:  # f tends to β′ at ∞: |f − β′| < |β′ − target| at 2K/|β′ − target|
-        with np.errstate(divide="ignore"):
-            reach = 2.0 * big_k / np.abs(shift)
-        right = shift > 0
-        lo[:, -1] = np.where(right, ends[-1], starts[0] - reach)
-        hi[:, -1] = np.where(right, ends[-1] + reach, starts[0])
-        at_inf[:, -1] = shift == 0
-    lefts = [INF] * (alpha > 0) + ends.tolist()
+        m = np.array([starts[0], ends[-1]]) if merged else np.zeros(2)
+        far = np.maximum(1.0, 2.0 * (np.abs(alpha * m + shift) + big_k) / alpha)
+        lo = np.concatenate(([np.nan], ends))[None].repeat(len(targets), 0)
+        hi = np.concatenate((starts, [np.nan]))[None].repeat(len(targets), 0)
+        lo[:, 0], hi[:, -1] = m[0] - far[:, 0], m[1] + far[:, 1]
+    else:  # the last arc wraps through ∞; |f − β′| < |β′ − target| at 2K/|β′ − target| past it
+        lo = ends[None].repeat(len(targets), 0)
+        hi = np.concatenate((starts[1:], starts[:1]))[None].repeat(len(targets), 0)
+        reach, right = 2.0 * big_k / np.abs(np.where(shift == 0, 1.0, shift))[:, 0], shift[:, 0] > 0
+        lo[:, -1], hi[:, -1] = (np.where(right, lo[:, -1], hi[:, -1] - reach),
+                                np.where(right, lo[:, -1] + reach, hi[:, -1]))
+    # a zero at ∞ when α = 0 and β′ = target
+    live = (alpha > 0) | (shift != 0) | (np.arange(lo.shape[1]) < lo.shape[1] - 1)
 
-    if rep.rho.ac or k < len(ts):
+    if ac or len(merged) < len(ts):
         seeds = 0.5 * (lo + hi)
     elif alpha > 0:
         n = len(ts)
         arrow = np.zeros((len(targets), n + 1, n + 1))
         arrow[:, np.arange(n), np.arange(n)] = ts
         arrow[:, :n, n] = arrow[:, n, :n] = np.sqrt(u2 / alpha)
-        arrow[:, n, n] = -shift / alpha
+        arrow[:, n, n] = -shift[:, 0] / alpha
         seeds = np.linalg.eigvalsh(arrow)
     else:
         # the root past the support is the top eigenvalue when β′ > target
         # and the bottom one otherwise, which goes last
-        scale = np.where(shift == 0, 1.0, shift)[:, None, None]
+        scale = np.where(shift == 0, 1.0, shift)[:, :, None]
         seeds = np.linalg.eigvalsh(np.diag(ts) + np.sqrt(np.outer(u2, u2)) / scale)
-        seeds = np.where(shift[:, None] < 0, np.roll(seeds, -1, axis=1), seeds)
+        seeds = np.where(shift < 0, np.roll(seeds, -1, axis=1), seeds)
 
-    beta_a = _exact_offset(beta, ws, ts)
+    beta_a = _exact_offset(rep.beta, ws, ts, ac)
+    # rounding bounds in eps: αx and β′, the atoms, each density's three summands
+    ulps = np.repeat([1.0, 3.0, 6.0, 14.0, 2.0], [2, len(ts), len(ds), len(ds), len(ds)])
 
     def terms(x):
         xc = x[:, None]
-        cols = [alpha * xc, np.full_like(xc, beta_a), u2 / (ts - xc)]
-        if rep.rho.ac:
-            cols += [ds * xc * (rs - ls), ds * (1.0 + xc * xc) * np.log1p((ls - rs) / (xc - ls))]
-        return np.concatenate(cols, axis=1)
+        cols = [alpha * xc, 0.0 * xc + beta_a, u2 / (ts - xc)]
+        return np.concatenate(cols + (_density_terms(xc, ls, rs, ds) if ac else []), axis=1)
 
     def slope(x):
         xc = x[:, None]
         val = alpha + np.sum(u2 / (ts - xc) ** 2, axis=1)
-        if rep.rho.ac:
+        if ac:
             val += np.sum(ds * ((rs - ls) * (1.0 + (1.0 + xc * xc) / ((xc - ls) * (xc - rs)))
-                                + 2.0 * xc * np.log1p((ls - rs) / (xc - ls))), axis=1)
+                                + 2.0 * xc * _log_ratios(xc, ls, rs)), axis=1)
         return val
 
-    live = ~at_inf
-    roots = np.full(lo.shape, INF)
-    roots[live] = branch_roots(terms, np.broadcast_to(targets[:, None], lo.shape)[live],
+    roots = np.where(live, 0.0, INF)
+    roots[live] = branch_roots(terms, ulps, targets.repeat(lo.shape[1], 1)[live],
                                seeds[live], lo[live], hi[live], slope)
-    return lefts, roots
+    return roots

@@ -4,6 +4,8 @@ per branch), Richardson ladders and low-discrepancy grids."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -18,32 +20,32 @@ class RecoveryError(RuntimeError):
 BRACKET = 4e-12  # relative half-width of the sign bracket that accepts a root
 
 
-def branch_roots(terms, target, seeds, lo, hi, slope=None):
+def branch_roots(terms, ulps, target, seeds, lo, hi, slope=None):
     """Certified roots of f(x) = target[k], one on each branch (lo[k], hi[k])
     where f increases from below target to above it.  terms maps an array
-    of points to the summands of f, one row per point; slope maps it to f′.
-    The other arguments are aligned arrays.
+    of points to the summands of f, one row per point; ulps bounds each
+    summand's rounding error in eps (one bound per column); slope maps the
+    points to f′.  The other arguments are aligned arrays.
 
     Seeds are clipped into their branches and, given the slope, polished by
     Newton steps inside them.  A root x is accepted on a sign bracket
     f(x − δ) ≤ target ≤ f(x + δ), δ = 4e-12·max(1, |x|), its ends clipped
-    into the open branch, where each sign must clear one ulp of the summands'
-    total size, so that roundoff cannot certify a root where f is flat.
+    into the open branch, where each sign must clear a bound on the float
+    error of f: the summands' own rounding plus that of summing them.
     Unsettled or unbracketed roots are bisected to the bracket's width,
     polished and checked again; a root that still fails raises
-    RootBracketError.
-    """
+    RootBracketError."""
     target = np.asarray(target, dtype=float)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     with np.errstate(all="ignore"):
         x = np.clip(seeds, np.nextafter(lo, hi), np.nextafter(hi, lo))
         x, settled = _newton(terms, slope, target, x, lo, hi)
-        ok = settled & _bracketed(terms, target, x, lo, hi)
+        ok = settled & _bracketed(terms, ulps, target, x, lo, hi)
         if not ok.all():
             bad = ~ok
             blo, bhi = _bisect(terms, target[bad], lo[bad], hi[bad])
             x[bad] = _newton(terms, slope, target[bad], 0.5 * (blo + bhi), blo, bhi)[0]
-            ok = _bracketed(terms, target, x, lo, hi)
+            ok = _bracketed(terms, ulps, target, x, lo, hi)
     if not ok.all():
         k = int(np.argmin(ok))
         raise RootBracketError(
@@ -67,22 +69,30 @@ def _newton(terms, slope, target, x, lo, hi):
     return x, settled
 
 
-def _bracketed(terms, target, x, lo, hi):
+def _bracketed(terms, ulps, target, x, lo, hi):
     delta = BRACKET * np.maximum(1.0, np.abs(x))
     ends = np.concatenate((np.maximum(x - delta, np.nextafter(lo, hi)),
                            np.minimum(x + delta, np.nextafter(hi, lo))))
     targets = np.concatenate((target, target))
     summands = terms(ends)
+    eps, size = np.finfo(float).eps, np.abs(summands)
+    rounding = eps * np.einsum("ij,j->i", size, ulps)
+    # summed in any order, the n summands and the target are within
+    # (n + 1)·eps·(their total size) of their exact sum; where that slack
+    # could flip a sign, fsum sums them exactly
     values = summands.sum(axis=1) - targets
-    floor = np.finfo(float).eps * (np.abs(summands).sum(axis=1) + np.abs(targets))
+    slack = (summands.shape[1] + 1) * eps * (size.sum(axis=1) + np.abs(targets))
+    for k in np.nonzero(np.abs(values) <= rounding + slack)[0]:
+        values[k] = math.fsum([*summands[k].tolist(), -targets[k]])
     m = len(x)
     return ((lo < ends[:m]) & (ends[m:] < hi)
-            & (values <= -floor)[:m] & (values >= floor)[m:])
+            & (values <= -rounding)[:m] & (values >= rounding)[m:])
 
 
 def _bisect(terms, target, lo, hi):
-    # the branch ends' signs are known, so only midpoints are evaluated
-    for _ in range(200):
+    # the branch ends' signs are known, so only midpoints are evaluated;
+    # 1100 halvings take any float interval down to the bracket's width
+    for _ in range(1100):
         mid = 0.5 * (lo + hi)
         if np.all(hi - lo <= BRACKET * np.maximum(1.0, np.abs(mid))):
             break

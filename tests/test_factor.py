@@ -378,12 +378,14 @@ class TestAnalyzeDispatch:
         assert ana.gamma.isclose(normalize([Arc(INF, zero)]), 1e-9)
 
     @pytest.mark.parametrize("shift, zero", [(0.0, INF), (-1e-9, 1.0 - 1e9),
-                                             (1e-9, 1.0 + 1e9)],
-                             ids=["0", "-1e-9", "+1e-9"])
+                                             (1e-9, 1.0 + 1e9), (-1e-13, 1.0 - 1e13),
+                                             (1e-13, 1.0 + 1e13)],
+                             ids=["0", "-1e-9", "+1e-9", "-1e-13", "+1e-13"])
     def test_blackbox_gamma_across_infinity(self, shift, zero):
         # Ω is the line punctured at 1; the sweep's sign flip falls between
         # its last samples on either side of ∞, and the zero lies at ∞ or
-        # beyond them
+        # beyond them (at ±1e13 so far out that the chart s = −1/(x − c)
+        # brackets it together with ∞)
         fn = lambda z: -1.0 / (z - 1.0) + shift
         ana = analyze_pick(BlackBoxFunction(fn, SigmaDescriptor((1.0,), (), False)))
         (arc,) = ana.gamma.arcs
