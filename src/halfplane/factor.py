@@ -11,6 +11,7 @@ function whose Nevanlinna data have a closed partial-fraction form.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -21,7 +22,7 @@ from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, angle_subtended,
                       arc_contains_arc, arcs_overlap, arcset_contains_arc,
                       boundary_samples, is_inf, is_regular, normalize,
                       points_equal, regularize, sweep_points)
-from .krein import KreinProduct, log_p, log_p_real, p_eval
+from .krein import KreinProduct, log_p, p_eval
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
                          SigmaDescriptor, analyze, interval_entries)
 from .util import BRACKET, branch_roots, halton_box, ladder_limit
@@ -88,25 +89,22 @@ class ExpRep:
         """Pieces with ψ = 1 (flagged: they make the composite vanish-prone)."""
         return tuple(p for p in self.pieces if p[2] == 1.0)
 
-    def piece_arcs(self) -> list:
+    @functools.cached_property
+    def piece_arcs(self) -> tuple:
         # infinite ends become the circle point ∞; the whole line is the
         # circle punctured there
-        return [Arc(l, r, puncture=math.isinf(l) and math.isinf(r))
-                for l, r, _ in self.pieces]
+        return tuple(Arc(l, r, puncture=math.isinf(l) and math.isinf(r))
+                     for l, r, _ in self.pieces)
 
     def h(self, z):
-        if isinstance(z, complex) and z.imag != 0:
-            if z.imag < 0:
-                raise ValueError("the exponent is defined on the closed upper "
-                                 "half-plane")
-            total = complex(self.gamma)
-            for arc, (_, _, psi) in zip(self.piece_arcs(), self.pieces):
-                total += psi * log_p(arc, z)
-            return total
-        x = z.real if isinstance(z, complex) else z
-        total = self.gamma
-        for arc, (_, _, psi) in zip(self.piece_arcs(), self.pieces):
-            total += psi * log_p_real(arc, x)
+        """γ + Σ ψ_j · log p_{J_j}(z): complex above the real line, real at a
+        real point off the pieces."""
+        if isinstance(z, complex) and z.imag < 0:
+            raise ValueError("the exponent is defined on the closed upper "
+                             "half-plane")
+        total = complex(self.gamma) if isinstance(z, complex) and z.imag != 0 else self.gamma
+        for arc, (_, _, psi) in zip(self.piece_arcs, self.pieces):
+            total += psi * log_p(arc, z)
         return total
 
     def __call__(self, z):
@@ -186,7 +184,7 @@ def _analyze_composite(f: CompositeFunction) -> AnalysisResult:
                          "regularize to an explicit set first")
     o = regularize(f.product.arcs)
     if f.exp is not None and not o.full:
-        for pa in f.exp.piece_arcs():
+        for pa in f.exp.piece_arcs:
             for oa in o.arcs:
                 if arcs_overlap(pa, oa):
                     raise ValueError(f"exponent piece {pa!r} overlaps the "
@@ -567,7 +565,7 @@ def constant_factor_check(f) -> float:
 def compose_in_class(o: ArcSet, e: ExpRep) -> CompositeFunction:
     """k_O · e^v for ψ pieces disjoint from O; the argument bound
     arg(k_O e^v) ≤ π is certified on a sample grid."""
-    piece_arcs = e.piece_arcs()
+    piece_arcs = e.piece_arcs
     o_arcs = [] if (o.full or o.is_empty) else list(o.arcs)
     if o.full and piece_arcs:
         raise ValueError("psi pieces overlap the full-circle set")

@@ -9,16 +9,18 @@ exactly on the arc J and satisfies |p_J(i)| = 1:
     p_∅ = 1,  p_full = −1.
 
 A product k_O multiplies the factors over the components of an open set O.
-Over explicit arcs and Im z > 0 it is the exp of a sum of principal
-logarithms: each summand has imaginary part equal to the angle subtended by
-its arc, and the partial sums stay ≤ π, so no branch tracking is needed.
+Over explicit arcs it is the direct product of the closed-form factors, at
+every point alike: above or below the real line, on it, and at ∞.  Arcs
+that share an end (∞ included) are merged first, by p_(b,c)·p_(c,a) =
+p_(b,a), so a zero of one factor never meets the pole of the next.
 
 A Cantor-complement generator contributes the factors of its middle thirds
 (b, a) down to a depth d.  Since every factor has |p_J(i)| = 1, their
 product is R_d(z)/|R_d(i)| with R_d(z) = ∏ (z−a)/(z−b); R_d is reduced
 pairwise, in blocks of a fixed size, from the factors' deviations from 1.
 Generator tails carry a certified bound derived from
-|v_J(z)| ≤ len(J)·sup_J |1/(t−z) − t/(1+t²)|.
+|v_J(z)| ≤ len(J)·sup_J |1/(t−z) − t/(1+t²)|; the depth grows until the
+tail of the whole value, explicit factor included, is within tolerance.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import (Arc, ArcSet, BoundaryDescriptor, CantorComplement, EMPTY,
-                      FULL, INF, Point, arc_segments, boundary_left, is_inf,
+                      FULL, INF, Point, boundary_left, is_inf,
                       is_regular, normalize, points_equal)
 from .moebius import HalfPlaneAuto, pullback_arcset
 
@@ -44,10 +46,6 @@ class TailNotCertified(RuntimeError):
 
 class EvaluationDomainError(ValueError):
     """Evaluation point too close to the singular set for the continuation."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature of the exponent integral did not converge."""
 
 
 def _hyp(x: Point) -> float:
@@ -97,35 +95,23 @@ def p_eval(j, z):
     return sign * ratio * (z - float(a)) / den
 
 
-def log_p(j, z: complex) -> complex:
-    """Principal logarithm of p_J(z) for Im z > 0; imaginary part in [0, π].
+def log_p(j, z):
+    """Logarithm of p_J(z) on the closed upper half-plane.
 
-    Equals the integral v_J(z) = ∫_J (1+tz)/(t−z) · dt/(1+t²), which for a
-    finite arc is log((a−z)/(b−z)) − ½ log((1+a²)/(1+b²)).
+    For Im z > 0 it is the principal logarithm, with imaginary part in
+    [0, π]; it equals the integral v_J(z) = ∫_J (1+tz)/(t−z) · dt/(1+t²),
+    which for a finite arc is log((a−z)/(b−z)) − ½ log((1+a²)/(1+b²)).  At a
+    real point or ∞ where p_J is positive it is the real logarithm.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("log_p requires Im z > 0")
-    if isinstance(j, ArcSet):
-        if j.is_empty:
-            return 0.0 + 0.0j
-        if j.full:
-            return 1j * math.pi
-        if len(j.arcs) == 1:
-            j = j.arcs[0]
-        else:
-            raise TypeError("log_p expects a single arc")
-    if j.puncture:
-        return 1j * math.pi
-    # p_J maps C⁺ into C⁺, so the principal branch keeps Im in (0, π)
-    return cmath.log(p_eval(j, z))
-
-
-def log_p_real(j, x: float) -> float:
-    """log p_J(x) at a real point where p_J(x) > 0 (off the closure of J)."""
-    v = p_eval(j, float(x))
-    if not isinstance(v, complex) and (v == INF or v <= 0):
-        raise EvaluationDomainError(f"p_J({x}) is not positive")
+    z = _as_point(z)
+    if isinstance(z, complex):
+        if z.imag < 0:
+            raise ValueError("log_p requires Im z ≥ 0")
+        # p_J maps C⁺ into C⁺, so the principal branch keeps Im in (0, π)
+        return cmath.log(p_eval(j, z))
+    v = p_eval(j, z)
+    if not 0 < v < INF:
+        raise EvaluationDomainError(f"p_J({z}) is not positive")
     return math.log(v)
 
 
@@ -149,7 +135,7 @@ def _locate_gap(base, cap_depth: int, x: float):
         f"(no gap found down to depth {cap_depth})")
 
 
-def _cantor_majorant(base, z, *, gap=None) -> float:
+def _cantor_majorant(base, z, gap) -> float:
     """sup over t in the un-enumerated arcs of |1/(t−z) − t/(1+t²)|.
 
     The tail arcs sit inside the base interval; for a real point inside an
@@ -157,7 +143,7 @@ def _cantor_majorant(base, z, *, gap=None) -> float:
     to the gap's endpoints is the sound denominator there.
     """
     l, r = float(base[0]), float(base[1])
-    if isinstance(z, complex) and z.imag != 0:
+    if isinstance(z, complex):
         x, y = z.real, z.imag
         if x < l:
             dist = math.hypot(l - x, y)
@@ -165,17 +151,10 @@ def _cantor_majorant(base, z, *, gap=None) -> float:
             dist = math.hypot(x - r, y)
         else:
             dist = abs(y)
-    elif not isinstance(z, complex) and is_inf(z):
-        dist = INF
+    elif gap is not None:
+        dist = min(z - gap[0], gap[1] - z)
     else:
-        x = float(z.real) if isinstance(z, complex) else float(z)
-        if l <= x <= r:
-            if gap is None:
-                raise EvaluationDomainError(
-                    f"real evaluation at {x} inside the base needs its gap")
-            dist = min(x - gap[0], gap[1] - x)
-        else:
-            dist = l - x if x < l else x - r
+        dist = l - z if z < l else z - r
 
     def u(t):
         return abs(t) / (1.0 + t * t)
@@ -205,68 +184,56 @@ class KreinProduct:
     def __call__(self, z):
         return self.eval(z)[0]
 
+    @functools.cached_property
+    def _factors(self) -> tuple:
+        return _merged_arcs(self.arcs)
+
     def eval(self, z):
         """(value, tail_bound) with |true value − value| ≤ tail_bound."""
-        explicit = _eval_explicit(self.arcs, z)
-        if not isinstance(explicit, complex) and explicit == INF:
-            return INF, 0.0
-        if self.cantor is None:
-            return explicit, 0.0
-        gen_val, bound_v = self._eval_generator(z)
-        value = explicit * gen_val
-        tail = abs(value) * math.expm1(bound_v)
-        if tail > self.tol:
-            raise TailNotCertified(
-                f"tail bound {tail:.3e} exceeds tol {self.tol:.3e} at depth cap "
-                f"{self.cantor.depth} / max_factors {self.max_factors}")
-        return value, tail
-
-    def _real_inside_gap(self, z):
-        """The containing removed gap when z is a real point inside the base."""
-        base = self.cantor.base
-        l, r = float(base[0]), float(base[1])
-        if isinstance(z, complex) and z.imag != 0:
-            return None, 0
-        if not isinstance(z, complex) and is_inf(z):
-            return None, 0
-        x = float(z.real) if isinstance(z, complex) else float(z)
-        if not l <= x <= r:
-            return None, 0
-        gb, ga, level = _locate_gap(base, self.cantor.depth, x)
-        if min(x - gb, ga - x) < REAL_GUARD:
-            raise EvaluationDomainError(f"{x} is within the guard distance of "
-                                        "a gap endpoint")
-        return (gb, ga), level
+        return self._eval(z, None)
 
     def eval_at_depth(self, z, depth: int):
         """(value, tail_bound) for a fixed truncation depth of the generator."""
         if self.cantor is None:
             raise ValueError("no generator attached")
-        gap, level = self._real_inside_gap(z)
-        depth = min(max(depth, level), self.cantor.depth)
-        base = self.cantor.base
-        width = float(base[1]) - float(base[0])
-        explicit = _eval_explicit(self.arcs, z)
-        val = explicit * _eval_gaps(base, depth, z)
-        bound_v = width * (2.0 / 3.0) ** depth * _cantor_majorant(base, z, gap=gap)
-        return val, abs(val) * math.expm1(bound_v)
+        return self._eval(z, depth)
 
-    def _eval_generator(self, z):
-        gap, level = self._real_inside_gap(z)
-        m = _cantor_majorant(self.cantor.base, z, gap=gap)
-        width = float(self.cantor.base[1]) - float(self.cantor.base[0])
-        target = min(self.tol, 0.25)
+    def _eval(self, z, depth):
+        # the explicit factor first: an exact pole is the ∞ marker before any
+        # gap lookup
+        z = _as_point(z)
+        explicit = _eval_explicit(self._factors, z)
+        if self.cantor is None or (not isinstance(explicit, complex) and explicit == INF):
+            return explicit, 0.0
+        base, cap = self.cantor.base, self.cantor.depth
+        l, r = float(base[0]), float(base[1])
+        gap, level = _gap(base, cap, z)
+        m = _cantor_majorant(base, z, gap)
+
+        def truncation(d):
+            gen = (1.0 + _ratio_minus_one(l, r - l, d, z)) / _ratio_norm_at_i(l, r, d)
+            value = explicit * (complex(gen) if isinstance(z, complex) else float(gen))
+            return value, abs(value) * math.expm1((r - l) * (2.0 / 3.0) ** d * m)
+
+        if depth is not None:
+            return truncation(min(max(depth, level), cap))
+        # skip the depths whose bound alone exceeds half the tolerance
         depth = max(1, level)
-        while width * (2.0 / 3.0) ** depth * m > 0.5 * target and depth < self.cantor.depth:
+        while (r - l) * (2.0 / 3.0) ** depth * m > 0.5 * min(self.tol, 0.25) and depth < cap:
             depth += 1
-        while True:
-            if 2 ** depth - 1 > self.max_factors:
-                raise TailNotCertified("factor budget exhausted before certification")
-            bound_v = width * (2.0 / 3.0) ** depth * m
-            val = _eval_gaps(self.cantor.base, depth, z)
-            if abs(val) * math.expm1(bound_v) <= self.tol or depth >= self.cantor.depth:
-                return val, bound_v
+        reached = None
+        while 2 ** depth - 1 <= self.max_factors:
+            value, tail = truncation(depth)
+            if tail <= self.tol:
+                return value, tail
+            reached = f"; tail bound {tail:.3e} at depth {depth}"
+            if depth == cap:
+                raise TailNotCertified(f"tail bound {tail:.3e} exceeds tol {self.tol:.3e} "
+                                       f"at depth {depth}, the generator's depth cap")
             depth += 1
+        raise TailNotCertified(f"tail not certified to tol {self.tol:.3e}: depth {depth} "
+                               f"needs {2 ** depth - 1} factors, over max_factors "
+                               f"{self.max_factors}{reached or '; no depth evaluated'}")
 
     def support_json(self):
         out = {}
@@ -277,66 +244,72 @@ class KreinProduct:
         return out
 
 
-def _eval_explicit(o: ArcSet, z):
+def _as_point(z):
+    """Complex z off the real line, else the real point (or ∞) as a float."""
+    if isinstance(z, complex):
+        return z if z.imag != 0 else float(z.real)
+    return float(z)
+
+
+def _merged_arcs(o: ArcSet) -> tuple:
+    """The arcs of O with every chain of shared ends merged into one arc, by
+    p_(b,c)·p_(c,a) = p_(b,a); ∞ counts as a shared end, and a chain that
+    closes up the circle is the constant factor −1 of a puncture arc.  Only
+    exactly equal ends merge: the identity is exact for them alone."""
     if o.full:
-        return -1.0 + 0.0j if isinstance(z, complex) else -1.0
-    if o.is_empty:
-        return 1.0 + 0.0j if isinstance(z, complex) else 1.0
-    if isinstance(z, complex) and z.imag != 0:
-        if z.imag > 0:
-            return cmath.exp(sum(log_p(arc, z) for arc in o.arcs))
-        return _product_direct(o, z)
-    # real point or ∞: analytic continuation, real-valued
-    if not isinstance(z, complex) and is_inf(z):
+        return (Arc(INF, INF, puncture=True),)
+    chains = []
+    for arc in o.arcs:
+        if chains and points_equal(chains[-1][-1].a, arc.b, 0.0):
+            chains[-1].append(arc)
+        else:
+            chains.append([arc])
+    # the sorted arcs follow the circle from ∞, so only the last chain can run
+    # on into the first
+    if len(chains) > 1 and points_equal(chains[-1][-1].a, chains[0][0].b, 0.0):
+        chains[0] = chains.pop() + chains[0]
+    out = []
+    for chain in chains:
+        b, a = chain[0].b, chain[-1].a
+        if len(chain) == 1:
+            out.append(chain[0])
+        elif points_equal(b, a, 0.0):
+            out.append(Arc(b, b, puncture=True))
+        else:
+            out.append(Arc(b, a))
+    return tuple(out)
+
+
+def _eval_explicit(factors: tuple, z):
+    """∏ p_J(z) over the merged arcs, for z from :func:`_as_point`: complex
+    off the real line, float (real, the ∞ marker at an exact pole) on it."""
+    if isinstance(z, complex):
+        val = 1.0 + 0.0j
+    else:
         val = 1.0
-        for arc in o.arcs:
-            val *= p_eval(arc, INF)
-        return val
-    x = float(z.real) if isinstance(z, complex) else float(z)
-    guard_violation = None
-    for b in o.left_endpoints():
-        if is_inf(b):
-            continue
-        d = abs(x - float(b))
-        if d == 0:
+        poles = [arc.b for arc in factors if not (arc.puncture or is_inf(arc.b))]
+        if any(z == float(b) for b in poles):
             return INF
-        if d < REAL_GUARD:
-            guard_violation = (b, d)
-    if guard_violation is not None:
-        raise EvaluationDomainError(
-            f"real evaluation at {x} is within {guard_violation[1]:.2e} "
-            f"of the singular point {guard_violation[0]}")
-    val = 1.0
-    for arc in o.arcs:
-        val *= p_eval(arc, x)
-    return val
-
-
-def _product_direct(o: ArcSet, z: complex) -> complex:
-    val = 1.0 + 0.0j
-    for arc in o.arcs:
+        near = [b for b in poles if abs(z - float(b)) < REAL_GUARD]
+        if near:
+            raise EvaluationDomainError(
+                f"real evaluation at {z} is within {abs(z - float(near[-1])):.2e} "
+                f"of the singular point {near[-1]}")
+    for arc in factors:
         val *= p_eval(arc, z)
     return val
 
 
-def _eval_gaps(base, depth: int, z):
-    """Product of the p factors over the middle thirds of levels 1..depth.
-
-    Each factor is |i−b|/|i−a| · (z−a)/(z−b) with |p(i)| = 1, so the product
-    is R_d(z)/|R_d(i)| for the ratio product R_d of :func:`_ratio_minus_one`;
-    |R_d(i)| is memoized per (base, depth).  Real points inside the base must
-    lie in an enumerated gap, off its guard band; the value there is real.
-    """
-    l, r = float(base[0]), float(base[1])
-    if not (isinstance(z, complex) and z.imag != 0):
-        z = float(z.real) if isinstance(z, complex) else float(z)
-        if l <= z <= r:
-            gb, ga, _ = _locate_gap(base, depth, z)
-            if min(z - gb, ga - z) < REAL_GUARD:
-                raise EvaluationDomainError(f"{z} is within the guard distance of "
-                                            "a gap endpoint")
-    value = (1.0 + _ratio_minus_one(l, r - l, depth, z)) / _ratio_norm_at_i(l, r, depth)
-    return complex(value) if isinstance(z, complex) else float(value)
+def _gap(base, cap_depth: int, z):
+    """(gap, level) of the removed middle third holding a real z inside the
+    base, off its guard band; (None, 0) for any other point."""
+    if isinstance(z, complex) or not float(base[0]) <= z <= float(base[1]):
+        return None, 0
+    gb, ga, level = _locate_gap(base, cap_depth, z)
+    if min(z - gb, ga - z) < REAL_GUARD:
+        raise EvaluationDomainError(f"{z} is within the guard distance of "
+                                    "a gap endpoint")
+    return (gb, ga), level
 
 
 # levels of the unit gap table.  A block of 2^_FINE_LEVELS factors is the
@@ -435,42 +408,6 @@ def _ratio_minus_one(l: float, w: float, depth: int, z):
 def _ratio_norm_at_i(l: float, r: float, depth: int) -> float:
     """|R_d(i)| = ∏|i−a|/|i−b| for the generator on [l, r]."""
     return float(abs(1.0 + _ratio_minus_one(l, r - l, depth, 1j)))
-
-
-def k_integral_eval(o: ArcSet, z: complex) -> complex:
-    """k_O(z) = e^{v(z)} with v(z) = ∫_O (1+tz)/(t−z) · dt/(1+t²) computed by
-    adaptive quadrature, arc by arc.  Requires Im z > 0 and an explicit set.
-
-    A cross-check of the closed forms only, so scipy is imported here rather
-    than with the package."""
-    from scipy.integrate import quad
-
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("k_integral_eval requires Im z > 0")
-    if o.is_empty:
-        return 1.0 + 0.0j
-    arcs = [Arc(INF, INF, puncture=True)] if o.full else o.arcs
-    segments = [(float(lo), float(hi)) for arc in arcs
-                for lo, hi in arc_segments(arc)[0]]
-
-    def integrand_re(t):
-        w = (1.0 + t * z) / ((t - z) * (1.0 + t * t))
-        return w.real
-
-    def integrand_im(t):
-        w = (1.0 + t * z) / ((t - z) * (1.0 + t * t))
-        return w.imag
-
-    v = 0.0 + 0.0j
-    for lo, hi in segments:
-        re, re_err = quad(integrand_re, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=300)
-        im, im_err = quad(integrand_im, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=300)
-        if re_err > 1e-7 or im_err > 1e-7:
-            raise QuadratureError(f"quadrature error {max(re_err, im_err):.2e} on "
-                                  f"segment ({lo}, {hi})")
-        v += re + 1j * im
-    return cmath.exp(v)
 
 
 @dataclass(frozen=True)

@@ -196,8 +196,7 @@ class NevanlinnaRep:
                 return INF
             val += w * (1.0 + t * t) / (den * den)
         for l, r, d in self.rho.ac:
-            val += d * ((r - l) + 2.0 * zz * _log_ratio(zz, l, r)
-                        + (1.0 + zz * zz) * (1.0 / (l - zz) - 1.0 / (r - zz)))
+            val += d * _density_slope(zz, l, r, _log_ratio(zz, l, r))
         return val
 
     def value_at_inf(self) -> float:
@@ -426,6 +425,34 @@ def _density_terms(x, l, r, d):
             d * np.where(far, 0.0, h * (r + l))]
 
 
+# coefficients of T(v) = Σ_k≥1 (2k−1)/(2k+1)·v^k and Q(v) = Σ_k≥1 2k/(2k+1)·v^k
+# for np.polyval, highest power first; 26 terms reach one ulp at v ≤ 1/4
+_SLOPE_T = np.append(np.arange(51.0, 0.0, -2.0) / np.arange(53.0, 2.0, -2.0), 0.0)
+_SLOPE_Q = np.append(np.arange(52.0, 1.0, -2.0) / np.arange(53.0, 2.0, -2.0), 0.0)
+
+
+def _density_slope(x, l, r, log_ratio):
+    """∫_l^r (1+t²)/(t−x)² dt for x off [l, r], given log_ratio =
+    log((x−r)/(x−l)); real or complex scalars, or real arrays.  With h, m and
+    u = h/(x − m) as in :func:`_density_terms` and v = u², it is
+    2h·T(v) + 4um·Q(v) + 2h(1 + m²)/((x−l)(x−r)) for |x − m| ≥ 2h, the parts
+    of 1 + t² = s² + 2ms + (1 + m²), s = t − m, which cancel by at most a
+    bounded factor; nearer it is the closed form
+    (r − l)(1 + (1 + x²)/((x−l)(x−r))) + 2x·log((x−r)/(x−l)), whose terms
+    cancel like x² far out."""
+    h = 0.5 * (r - l)
+    dl, dr = x - l, x - r
+    u = h / (dl - h)
+    far = abs(u) <= 0.5
+    u = np.where(far, u, 0.0)
+    v = u * u
+    m = l + h
+    series = (2.0 * h * np.polyval(_SLOPE_T, v) + 4.0 * u * m * np.polyval(_SLOPE_Q, v)
+              + 2.0 * h * (1.0 + m * m) / (dl * dr))
+    closed = (r - l) * (1.0 + (1.0 + x * x) / (dl * dr)) + 2.0 * x * log_ratio
+    return np.where(far, series, closed)[()]
+
+
 def _component_roots(rep: NevanlinnaRep, targets):
     """Roots of f = target on the arcs of Ω(f), which run between the pieces
     of ``extreal.merged_support`` in the order of ``SigmaDescriptor.omega``:
@@ -490,8 +517,7 @@ def _component_roots(rep: NevanlinnaRep, targets):
         xc = x[:, None]
         val = alpha + np.sum(u2 / (ts - xc) ** 2, axis=1)
         if ac:
-            val += np.sum(ds * ((rs - ls) * (1.0 + (1.0 + xc * xc) / ((xc - ls) * (xc - rs)))
-                                + 2.0 * xc * _log_ratios(xc, ls, rs)), axis=1)
+            val += np.sum(ds * _density_slope(xc, ls, rs, _log_ratios(xc, ls, rs)), axis=1)
         return val
 
     roots = np.where(live, 0.0, INF)

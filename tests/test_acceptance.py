@@ -18,8 +18,7 @@ from halfplane.factor import (BlackBoxFunction, ExpRep, RepFunction,
 from halfplane.interp import (InterlacingError, InterpProblem, build_function,
                               check_interlacing, construct_O, disk_interpolate)
 from halfplane.krein import (KreinProduct, cantor_complement_product,
-                             equivariance_transport, k_integral_eval, log_p,
-                             p_eval)
+                             equivariance_transport, log_p, p_eval)
 from halfplane.nevanlinna import (Measure, SigmaDescriptor,
                                   boole_superlevel_measure,
                                   letac_pushforward_check, recover_alpha,
@@ -27,7 +26,7 @@ from halfplane.nevanlinna import (Measure, SigmaDescriptor,
                                   stieltjes_density_limit)
 from halfplane.util import halton
 
-from conftest import (random_arcset, random_atomic_rep, random_auto,
+from conftest import (k_integral, random_arcset, random_atomic_rep, random_auto,
                       random_bounded_arcset, random_upper_points, sep_points)
 
 RNG = np.random.default_rng(0xACCE97)
@@ -128,7 +127,7 @@ def test_criterion_05_integral_vs_product():
     for _ in range(100):
         o = random_bounded_arcset(rng, 3)
         z = complex(rng.uniform(-4, 4), rng.uniform(0.2, 4))
-        worst = max(worst, abs(k_integral_eval(o, z) - KreinProduct(o)(z)))
+        worst = max(worst, abs(k_integral(o, z) - KreinProduct(o)(z)))
     assert worst <= 1e-8
     report(5, "quadrature matches closed-form product", residual=worst)
 

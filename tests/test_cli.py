@@ -52,6 +52,15 @@ class TestEval:
         assert flags[1] == "cont"       # midpoint continues analytically
         assert flags[2] == "cont"       # x = 1 is the zero
 
+    def test_shared_end_is_no_pole(self, tmp_path, capsys):
+        # p_(0,1)·p_(1,2) = p_(0,2), finite at x = 1
+        spec = write_spec(tmp_path, "k.json",
+                          {"version": 1, "krein": {"arcs": [[0, 1], [1, 2]]}})
+        code, out = run(capsys, ["eval", "--spec", spec, "--grid", "1:1:1"])
+        row = json.loads(out)["rows"][0]
+        assert row[4] == "cont"
+        assert row[2] == pytest.approx(-1.0 / math.sqrt(5.0), rel=1e-15)
+
     def test_eps_rows(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "f.json",
                           {"version": 1,
@@ -349,13 +358,19 @@ class TestProcess:
             cli._parser.cache_clear()
             assert run(capsys, argv) == got
 
-    def test_import_leaves_scipy_out(self):
+    def test_import_leaves_scipy_out(self, tmp_path):
+        # the child also runs one eval and one factor spec
+        examples = os.path.join(os.path.dirname(os.path.dirname(__file__)), "cli_examples")
+        report = str(tmp_path / "report.json")
+        runs = [[cmd, "--spec", os.path.join(examples, name), "--out", report]
+                for cmd, name in (("eval", "eval_cantor.json"), ("factor", "factor_atoms.json"))]
         code = ("import sys, halfplane, halfplane.cli; "
-                "print('scipy.integrate' in sys.modules)")
+                f"assert [halfplane.cli.main(argv) for argv in {runs!r}] == [0, 0]; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         # the child imports the same halfplane as this process
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env=env).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "[]"

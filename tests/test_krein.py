@@ -4,16 +4,17 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
-                               angle_subtended, normalize, regularize)
+                               angle_subtended, is_inf, normalize, regularize)
 from halfplane.krein import (EvaluationDomainError, KreinProduct,
                              TailNotCertified, cantor_complement_product,
-                             equivariance_transport, k_integral_eval,
-                             k_structure, log_p, p_eval)
+                             equivariance_transport, k_structure, log_p,
+                             p_eval)
 
-from conftest import (random_arcset, random_auto, random_bounded_arcset,
-                      random_upper_points)
+from conftest import (k_integral, random_arcset, random_auto,
+                      random_bounded_arcset, random_upper_points)
 
 
 class TestFactor:
@@ -150,6 +151,85 @@ class TestProduct:
         k = KreinProduct(normalize([Arc(0, 1)]))
         assert k(INF) == pytest.approx(math.sqrt(1.0 / 2.0))
 
+    def test_shared_ends_cancel(self):
+        # the pole of (−∞, 0) and the zero of (1, ∞) meet at ∞, and the
+        # product is p_(1,0), finite there: −√2, the limit of k(±1e8)
+        k = KreinProduct(normalize([Arc(INF, 0), Arc(1, INF)]))
+        assert k(INF) == pytest.approx(-math.sqrt(2.0), rel=1e-15)
+        assert k(1e8) == pytest.approx(-math.sqrt(2.0), rel=1e-7)
+        # a finite shared end is no pole: p_(0,1)·p_(1,2) = p_(0,2)
+        k = KreinProduct(normalize([Arc(0, 1), Arc(1, 2)]))
+        assert k(1.0) == pytest.approx(-1.0 / math.sqrt(5.0), rel=1e-15)
+        assert k.support_json() == {"arcs": [[0.0, 1.0], [1.0, 2.0]]}
+
+
+@st.composite
+def chained_arcsets(draw):
+    """(O, kept, poles): O is made of the kept (b, a) among the arcs between
+    neighbours of up to 40 points in circle order, ∞ possibly among them, so
+    kept neighbours share an end; the poles are the kept arcs' finite left
+    ends that no kept arc ends at."""
+    xs = sorted(draw(st.lists(st.integers(-5000, 5000), min_size=1, max_size=40,
+                              unique=True)))
+    pts = ([INF] if draw(st.booleans()) else []) + [x / 100.0 for x in xs]
+    if len(pts) < 2:
+        pts.append(INF)
+    pairs = list(zip(pts, pts[1:] + pts[:1]))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    if not any(keep):
+        keep[0] = True
+    kept = [pair for pair, k in zip(pairs, keep) if k]
+    poles = [b for b, _ in kept if not is_inf(b) and all(a != b for _, a in kept)]
+    return normalize([Arc(b, a) for b, a in kept]), kept, poles
+
+
+def _mp_krein(pairs, z):
+    """∏ p_(b,a)(z) over the given (b, a) in 50-digit arithmetic, as
+    ±∏ N_a(z)/∏ N_b(z) with N_p(z) = (z − p)/|i − p| and N_∞ = 1.  A factor
+    z − p that vanishes at z, or grows at z = ∞, is counted, not evaluated:
+    the net count gives 0, the ∞ marker or a finite value."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        val, order = mp.mpf(1), 0
+        for b, a in pairs:
+            if is_inf(a) or (not is_inf(b) and b > a):
+                val = -val
+            for p, power in ((a, 1), (b, -1)):
+                if is_inf(p):
+                    continue
+                c = mp.sqrt(1 + mp.mpf(p) ** 2)
+                if is_inf(z) or z == p:
+                    order += power if z == p else -power
+                    val *= c ** -power
+                else:
+                    val *= ((mp.mpmathify(z) - p) / c) ** power
+        if order:
+            return 0.0 if order > 0 else INF
+        return complex(val) if isinstance(z, complex) else float(val)
+
+
+class TestExplicitProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(chained_arcsets(), st.lists(st.tuples(st.floats(-60, 60), st.floats(-5, 5)),
+                                       min_size=1, max_size=6))
+    def test_matches_mpmath_product(self, sample, points):
+        o, kept, poles = sample
+        k = KreinProduct(o)
+        zs = [INF] + [complex(x, y) if y else x for x, y in points]
+        for z in zs:
+            if not isinstance(z, complex) and any(abs(z - b) < 1e-9 for b in poles):
+                continue
+            val, exact = k(z), _mp_krein(kept, z)
+            assert isinstance(val, complex) == isinstance(z, complex)
+            if exact == INF:
+                assert val == INF
+            else:
+                assert abs(val - exact) <= 64 * 2.0 ** -52 * abs(exact)
+        for b in poles:
+            assert k(b) == INF
+            with pytest.raises(EvaluationDomainError):
+                k(b + 5e-10)
+
 
 class TestStructure:
     def test_single_arc(self):
@@ -180,19 +260,19 @@ class TestIntegral:
         for _ in range(15):
             o = random_bounded_arcset(rng, 3)
             z = random_upper_points(rng, 1)[0]
-            assert abs(k_integral_eval(o, z) - KreinProduct(o)(z)) < 1e-8
+            assert abs(k_integral(o, z) - KreinProduct(o)(z)) < 1e-8
 
     def test_empty(self):
-        assert k_integral_eval(EMPTY, 1j) == 1.0
+        assert k_integral(EMPTY, 1j) == 1.0
 
     def test_angle_identity(self):
-        val = k_integral_eval(normalize([Arc(-1, 1)]), 1j)
+        val = k_integral(normalize([Arc(-1, 1)]), 1j)
         assert cmath.phase(val) == pytest.approx(math.pi / 2, abs=1e-8)
 
     def test_unbounded_arcs(self, rng):
         o = normalize([Arc(INF, -2), Arc(1, 3)])
         z = 0.4 + 1.1j
-        assert abs(k_integral_eval(o, z) - KreinProduct(o)(z)) < 1e-8
+        assert abs(k_integral(o, z) - KreinProduct(o)(z)) < 1e-8
 
 
 class TestEquivariance:
@@ -230,8 +310,28 @@ class TestCantorProduct:
 
     def test_tail_not_certified(self):
         k = cantor_complement_product((0, 1), depth=4, tol=1e-12)
-        with pytest.raises(TailNotCertified):
+        with pytest.raises(TailNotCertified, match="at depth 4, the generator's depth cap"):
             k.eval(1j)
+
+    def test_tail_checked_with_explicit_factor(self):
+        # |explicit| ≈ 1.7 here, so the generator-only tail passed at depth 14
+        # while the reported one did not; depth 16 certifies the whole value
+        k = KreinProduct(arcs=normalize([Arc(2, 3)]), cantor=CantorComplement((0, 1), 26),
+                         tol=1e-2, max_factors=2 ** 18)
+        val, tail = k.eval(2.05 + 0.05j)
+        assert (val, tail) == k.eval_at_depth(2.05 + 0.05j, 16)
+        assert tail <= 1e-2
+        # the budget names the depth it could not afford and the last tail
+        k = KreinProduct(arcs=k.arcs, cantor=k.cantor, tol=1e-2, max_factors=2 ** 15 - 2)
+        with pytest.raises(TailNotCertified, match=r"depth 15 needs 32767 factors, over "
+                           r"max_factors 32766; tail bound 1\.724e-02 at depth 14"):
+            k.eval(2.05 + 0.05j)
+
+    def test_value_at_infinity(self):
+        # the exterior arcs (−∞, 0) and (1, ∞) meet at ∞, where the product
+        # tends to −1 like everywhere else
+        val, tail = cantor_complement_product((0, 1), depth=26, tol=1e-3).eval(INF)
+        assert abs(val + 1.0) <= tail <= 1e-3
 
     def test_certificate_bounds_distance_to_limit(self):
         # the infinite product is exactly -1; every truncation must sit
@@ -272,7 +372,8 @@ class TestCantorProduct:
 
     def test_real_point_refusals(self):
         k = cantor_complement_product((0, 1), depth=24, tol=1e-3)
-        with pytest.raises(TailNotCertified):
+        with pytest.raises(TailNotCertified, match="depth 24 needs 16777215 factors, over "
+                           "max_factors 2000000; no depth evaluated"):
             k.eval(0.5)  # budget cannot reach the interior certificate
         with pytest.raises(EvaluationDomainError):
             k.eval(1.0 / 3.0 + 1e-13)  # within the guard of a gap endpoint

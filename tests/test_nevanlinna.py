@@ -23,6 +23,12 @@ def delta(t, w=1.0):
     return Measure(atoms=((t, w),))
 
 
+# a narrow density far from its zeros; the closed forms cancel out here
+FAR_REP = NevanlinnaRep(0.0, 0.3, Measure(
+    atoms=((-1.0, 1.0),),
+    ac=((4179.559412343756, 4180.144823511033, 0.4345293778156328),)))
+
+
 class TestEval:
     def test_single_atom_is_reciprocal(self, rng):
         rep = NevanlinnaRep(0.0, 0.0, delta(0.0))
@@ -70,12 +76,9 @@ class TestEval:
     def test_far_from_density_support(self, x):
         # the density's log ratio is 1 + O(1/x) out here: log1p keeps its
         # digits, where log of the ratio was off by up to 1.4e-4
-        rep = NevanlinnaRep(0.0, 0.3, Measure(
-            atoms=((-1.0, 1.0),),
-            ac=((4179.559412343756, 4180.144823511033, 0.4345293778156328),)))
         with mpmath.workdps(50):
-            exact = mpmath.fsum(mp_rep(rep)(x))
-        assert abs(rep.eval(x) - exact) <= 1e-12 * abs(exact)
+            exact = mpmath.fsum(mp_rep(FAR_REP)(x))
+        assert abs(FAR_REP.eval(x) - exact) <= 1e-12 * abs(exact)
 
     def test_monotone_on_components(self, rng):
         for _ in range(10):
@@ -111,6 +114,16 @@ class TestDerivative:
             for x in sep_points(rng, 5, -9, 9, 0.5):
                 if all(abs(x - t) > 0.1 for t, _ in rep.rho.atoms):
                     assert rep.derivative(float(x)) > 0
+
+    @pytest.mark.parametrize("x", [-1e5, 2e5, -1.6e6])
+    def test_far_from_density_support(self, x):
+        # the closed form's terms cancel like x² out here (relative error up
+        # to 3.3e-5); the far-field series keeps every digit
+        (t, w), (l, r, d) = FAR_REP.rho.atoms[0], FAR_REP.rho.ac[0]
+        with mpmath.workdps(50):
+            exact = (w * (1 + t * t) / mpmath.mpf(t - x) ** 2
+                     + d * mpmath.quad(lambda s: (1 + s * s) / (s - x) ** 2, [l, r]))
+        assert abs(FAR_REP.derivative(x) - exact) <= 1e-12 * abs(exact)
 
     def test_density_piece_derivative(self):
         rep = NevanlinnaRep(0.0, 0.0, Measure(ac=((-1.0, 1.0, 0.7),)))
