@@ -6,6 +6,11 @@ when the singular set of f has measure zero, g collapses to the positive
 constant |f(i)|, which is how atomic representations are factored.  Dividing
 an atomic representation by a single Kreĭn factor p_J leaves a rational Pick
 function whose Nevanlinna data have a closed partial-fraction form.
+
+The function forms take a point or an ndarray of points, with the array
+contract of ``krein``; ``masked(z)`` returns (values, refused) for an array,
+refused marking the points a scalar call refuses.  The certification grids
+are fixed read-only arrays, each evaluated in one call.
 """
 
 from __future__ import annotations
@@ -18,14 +23,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, angle_subtended,
+from .extreal import (Arc, ArcSet, EMPTY, FULL, INF,
                       arc_contains_arc, arcs_overlap, arcset_contains_arc,
                       boundary_samples, is_inf, is_regular, normalize,
                       points_equal, regularize, sweep_points)
-from .krein import KreinProduct, log_p, p_eval
+from .krein import KreinProduct, log_factors, p_eval, scalar_or_array
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
                          SigmaDescriptor, analyze, interval_entries)
-from .util import BRACKET, branch_roots, halton_box, ladder_limit
+from .util import (BRACKET, branch_roots, cabs, cdiv, cmul, frozen, halton_box,
+                   ladder_limit)
 
 
 class CertificationError(RuntimeError):
@@ -60,6 +66,11 @@ class RepFunction:
     def __call__(self, z):
         return self.rep.eval(z)
 
+    def masked(self, z):
+        """(values, refused) at the points of an ndarray z; the closed form
+        refuses no point (a real point inside a density raises)."""
+        return self.rep.eval(z), np.zeros(np.shape(z), dtype=bool)
+
 
 @dataclass(frozen=True)
 class ExpRep:
@@ -68,6 +79,7 @@ class ExpRep:
     v_J is the Nevanlinna integral of the arc J = (l, r) (so Im h is the
     ψ-weighted angle sum, between 0 and π).  Pieces may be half-lines; the
     function itself is e^h, positive on the real complement of the pieces.
+    Both take a point or an ndarray of points (see :class:`KreinProduct`).
     """
 
     gamma: float = 0.0
@@ -98,18 +110,30 @@ class ExpRep:
 
     def h(self, z):
         """γ + Σ ψ_j · log p_{J_j}(z): complex above the real line, real at a
-        real point off the pieces."""
-        if isinstance(z, complex) and z.imag < 0:
-            raise ValueError("the exponent is defined on the closed upper "
-                             "half-plane")
-        total = complex(self.gamma) if isinstance(z, complex) and z.imag != 0 else self.gamma
-        for arc, (_, _, psi) in zip(self.piece_arcs, self.pieces):
-            total += psi * log_p(arc, z)
-        return total
+        real point off the pieces; EvaluationDomainError on a piece or at its
+        end."""
+        return scalar_or_array(self._h(z, True)[0], z)
 
     def __call__(self, z):
-        hv = self.h(z)
-        return cmath.exp(hv) if isinstance(hv, complex) else math.exp(hv)
+        return scalar_or_array(_exp(self._h(z, True)[0], z), z)
+
+    def masked(self, z):
+        """(e^h, refused) at the points of an ndarray z; ``refused`` marks
+        the points :meth:`h` refuses, whose values are placeholders."""
+        total, refused = self._h(z, False)
+        return _exp(total, z), refused
+
+    def _h(self, z, strict):
+        pts = np.ravel(z)
+        if np.any(pts.imag < 0):
+            raise ValueError("the exponent is defined on the closed upper "
+                             "half-plane")
+        logs, refused = log_factors(self.piece_arcs, pts, strict)
+        # complex(γ) off the real line, γ on it: the same real part
+        total = np.full(pts.shape, self.gamma, dtype=logs.dtype)
+        for k, (_, _, psi) in enumerate(self.pieces):
+            total = total + psi * logs[:, k]
+        return total.reshape(np.shape(z)), refused.reshape(np.shape(z))
 
     def sigma_intervals(self) -> tuple:
         return tuple((l, r) for l, r, _ in self.pieces)
@@ -125,9 +149,17 @@ class ExpRep:
                       interval_entries(obj.get("psi", []), "value", "psi"))
 
 
+def _exp(h, z):
+    # e^h, by the real exponential on the real line as a scalar call takes it
+    if h.dtype.kind != "c":
+        return np.exp(h)
+    return np.where(np.imag(z) != 0, np.exp(h), np.exp(h.real))
+
+
 @dataclass(frozen=True)
 class CompositeFunction:
-    """c · k_O · e^h with c > 0."""
+    """c · k_O · e^h with c > 0, at a point or at each point of an ndarray;
+    the ∞ marker where k_O has it, before e^h is looked at."""
 
     c: float
     product: KreinProduct
@@ -138,12 +170,30 @@ class CompositeFunction:
             raise ValueError("composite constant must be positive")
 
     def __call__(self, z):
-        val = self.product(z)
-        if not isinstance(val, complex) and val == INF:
-            return INF
+        values, refused = self.masked(np.asarray(z))
+        if refused.any():
+            # the first refused point, as its own call meets it: k_O, then e^h
+            point = np.ravel(z)[np.argmax(refused)].item()
+            self.product(point)
+            self.exp.h(point)
+        return scalar_or_array(values, z)
+
+    def masked(self, z):
+        """(values, refused) at the points of an ndarray z: ``refused`` marks
+        the points a scalar call refuses (EvaluationDomainError,
+        TailNotCertified), whose values are placeholders."""
+        pts = np.ravel(z)
+        values, tails = self.product.eval(pts, strict=False)
+        refused = np.isinf(tails)
+        pole = (values == INF) & (pts.imag == 0)
+        values[pole] = 1.0  # the ∞ marker goes back in last
         if self.exp is not None:
-            val = val * self.exp(z)
-        return self.c * val
+            e, off_pieces = self.exp.masked(pts)
+            refused |= off_pieces & ~pole
+            values = cmul(values, e) if values.dtype.kind == "c" else values * e
+        values = self.c * values
+        values[pole] = INF
+        return values.reshape(np.shape(z)), refused.reshape(np.shape(z))
 
 
 @dataclass(frozen=True)
@@ -155,7 +205,23 @@ class BlackBoxFunction:
     label: str = "blackbox"
 
     def __call__(self, z):
-        return self.fn(z)
+        """fn at z; at each point of an ndarray, one call of fn per point."""
+        if not isinstance(z, np.ndarray):
+            return self.fn(z)
+        return np.array([complex(self.fn(p)) for p in z.ravel().tolist()],
+                        dtype=complex).reshape(z.shape)
+
+    def masked(self, z):
+        """(values, refused) at the points of an ndarray z: a point where fn
+        raises is refused."""
+        values = np.zeros(z.size, dtype=complex)
+        refused = np.zeros(z.size, dtype=bool)
+        for k, p in enumerate(z.ravel().tolist()):
+            try:
+                values[k] = complex(self.fn(p))
+            except Exception:
+                refused[k] = True
+        return values.reshape(z.shape), refused.reshape(z.shape)
 
 
 PickFunction = (RepFunction, CompositeFunction, BlackBoxFunction)
@@ -345,13 +411,8 @@ def _quotient_blackbox(f, j: Arc, sigma: Optional[SigmaDescriptor]):
 
 
 def _im_nonneg_residual(fn, pts) -> float:
-    worst = 0.0
-    for z in pts:
-        v = fn(z)
-        if not isinstance(v, complex):
-            continue
-        worst = min(worst, v.imag)
-    return -worst  # ≥ 0; how far Im dips below zero
+    # ≥ 0: how far Im dips below zero (NaN if a value is NaN)
+    return -float(np.min(fn(pts).imag, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +444,7 @@ def divide_single(f, j: Arc):
         sigma = f.sigma if isinstance(f, BlackBoxFunction) else None
         g = _quotient_blackbox(f, j, sigma)
     resid = _im_nonneg_residual(g, halton_box(200, -10.0, 10.0, 1e-3, 10.0))
-    if resid > 1e-9:
+    if not resid <= 1e-9:
         raise CertificationError(
             f"quotient leaves the class: Im dips to -{resid:.2e}")
     return g
@@ -433,21 +494,21 @@ def factorize(f) -> FactorizationResult:
     """
     ana = analyze_pick(f)
     gamma = ana.gamma
+    k = KreinProduct(gamma)
+    # the corollary's constant |f(i)| and its residual
+    constant = _constant_certificate(f, k) if ana.sigma.is_measure_zero() else None
 
     if gamma.full:
-        k = KreinProduct(FULL)
         if isinstance(f, RepFunction):
             g = RepFunction(NevanlinnaRep(0.0, -f.rep.beta))
         else:
             g = BlackBoxFunction(lambda z, _f=f: -_f(z), sigma=ana.sigma)
     elif gamma.is_empty:
-        k = KreinProduct(EMPTY)
         g = f
     else:
-        k = KreinProduct(gamma)
         if isinstance(f, RepFunction) and f.rep.rho.is_atomic():
             # the corollary: σ(f) has measure zero, so g is the constant |f(i)|
-            g = RepFunction(NevanlinnaRep(0.0, abs(complex(f(1j)))))
+            g = RepFunction(NevanlinnaRep(0.0, constant[0]))
         elif isinstance(f, CompositeFunction) and f.product.cantor is None:
             # k_O / k_Γ is exactly 1 (the sets differ by measure zero)
             g = CompositeFunction(f.c, KreinProduct(EMPTY), f.exp) \
@@ -459,8 +520,8 @@ def factorize(f) -> FactorizationResult:
 
     posts = _verify_posts(ana, g)
     res = FactorizationResult(gamma, k, g, posts)
-    if ana.sigma.is_measure_zero():
-        c, resid = _constant_certificate(f, k)
+    if constant is not None:
+        c, resid = constant
         res.constant, res.constant_residual = c, resid
         posts.append(Certification("constant_factor", resid, 1e-9, resid <= 1e-9,
                                f"c = {c:.12g}"))
@@ -493,28 +554,21 @@ def _verify_posts(ana: AnalysisResult, g):
             resid1 = max(resid1, g.rep.alpha)
         posts.append(Certification("sigma_subset", resid1, 1e-6, resid1 <= 1e-6))
     else:
-        pts = [complex(x, 1e-6) for x in boundary_samples(ana.omega)]
-        resid1 = 0.0
-        for z in pts:
-            v = g(z)
-            if isinstance(v, complex):
-                resid1 = max(resid1, abs(v.imag) / (1.0 + abs(v)))
+        v = g(np.array(boundary_samples(ana.omega)) + 1e-6j)
+        # the ∞ marker adds 0
+        resid1 = float(np.max(np.abs(v.imag) / (1.0 + cabs(v)), initial=0.0))
         posts.append(Certification("sigma_subset", resid1, 1e-3, resid1 <= 1e-3,
                                "sampled real-extendability across Omega(f)"))
 
     omega_g = _effective_sigma(g.rep).omega() if structured else ana.omega
-    vals = []
-    for x in boundary_samples(omega_g):
-        try:
-            v = g(complex(x, 0.0)) if not structured else g.rep.eval(x)
-        except Exception:
-            continue
-        if isinstance(v, complex):
-            v = v.real
-        if not isinstance(v, float) or math.isinf(v) or math.isnan(v):
-            continue
-        vals.append(v)
-    resid2 = max(0.0, -min(vals)) if vals else 0.0
+    xs = np.array(boundary_samples(omega_g))
+    if structured:
+        v = g.rep.eval(xs)
+    else:
+        v, refused = g.masked(xs + 0j)
+        v = v.real[~refused]
+    v = v[np.isfinite(v)]  # the ∞ marker and NaN are skipped
+    resid2 = max(0.0, -float(np.min(v))) if v.size else 0.0
     posts.append(Certification("g_positive_on_omega", resid2, 1e-9, resid2 <= 1e-9))
 
     if structured:
@@ -538,14 +592,16 @@ def _verify_posts(ana: AnalysisResult, g):
 
 
 def _constant_certificate(f, k: KreinProduct):
-    c = abs(complex(f(1j)))
-    worst, worst_z = 0.0, None
-    for z in halton_box(20, -5.0, 5.0, 0.2, 5.0):
-        ratio = complex(f(z)) / (c * k(z))
-        dev = abs(ratio - 1.0)
-        if dev > worst:
-            worst, worst_z = dev, z
-    return c, worst
+    """(c, residual): c = |f(i)| and max |f/(c·k) − 1| over a 20-point grid."""
+    fv = f(_CONSTANT_GRID)
+    c = abs(fv[0].item())
+    zs = _CONSTANT_GRID[1:]
+    dev = cabs(cdiv(fv[1:], c * k(zs)) - 1.0)
+    return c, float(np.max(dev))
+
+
+# i, where the constant is read, then the certificate's grid
+_CONSTANT_GRID = frozen(np.concatenate(([1j], halton_box(20, -5.0, 5.0, 0.2, 5.0))))
 
 
 def constant_factor_check(f) -> float:
@@ -573,11 +629,13 @@ def compose_in_class(o: ArcSet, e: ExpRep) -> CompositeFunction:
         for oa in o_arcs:
             if arcs_overlap(pa, oa):
                 raise ValueError(f"psi piece {pa!r} overlaps the set {oa!r}")
-    worst = 0.0
-    for z in halton_box(1000, -10.0, 10.0, 1e-3, 10.0):
-        total = angle_subtended(o, z) + complex(e.h(z)).imag
-        worst = max(worst, total - math.pi)
-    if worst > 1e-12:
+    # arg(k_O e^v) = Σ Im log p_J + Im v: each term is the angle its arc
+    # subtends
+    zs = halton_box(1000, -10.0, 10.0, 1e-3, 10.0)
+    o_logs = log_factors(o.arcs if not o.full else (Arc(INF, INF, puncture=True),), zs)[0]
+    total = o_logs.imag.sum(axis=-1) + e.h(zs).imag
+    worst = float(np.max(total - math.pi, initial=0.0))
+    if not worst <= 1e-12:
         raise CertificationError(f"argument bound exceeded by {worst:.2e}")
     return CompositeFunction(1.0, KreinProduct(o), e)
 

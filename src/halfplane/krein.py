@@ -14,18 +14,27 @@ every point alike: above or below the real line, on it, and at ∞.  Arcs
 that share an end (∞ included) are merged first, by p_(b,c)·p_(c,a) =
 p_(b,a), so a zero of one factor never meets the pole of the next.
 
+Every evaluator takes one point or an ndarray of points.  An array is
+evaluated in one pass over points × arcs, with the same operations in the
+same order as on one point, so its values equal the scalar ones bit for bit
+(complex products and quotients go through ``util.cmul``/``util.cdiv``;
+logarithms are numpy's and may differ in the last bit).  A scalar call is
+the array pass on one point and returns a complex off the real line, else a
+float.  Three per-point conditions are masks of that pass: an exact real
+pole (the ∞ marker, math.inf), a real point within ``REAL_GUARD`` of a pole
+(refused: EvaluationDomainError), and the point ∞ (±inf in a real array).
+
 A Cantor-complement generator contributes the factors of its middle thirds
 (b, a) down to a depth d.  Since every factor has |p_J(i)| = 1, their
 product is R_d(z)/|R_d(i)| with R_d(z) = ∏ (z−a)/(z−b); R_d is reduced
-pairwise, in blocks of a fixed size, from the factors' deviations from 1.
-Generator tails carry a certified bound derived from
+pairwise, in blocks of a fixed size, from the factors' deviations from 1,
+one point at a time.  Generator tails carry a certified bound derived from
 |v_J(z)| ≤ len(J)·sup_J |1/(t−z) − t/(1+t²)|; the depth grows until the
 tail of the whole value, explicit factor included, is within tolerance.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -36,6 +45,7 @@ from .extreal import (Arc, ArcSet, BoundaryDescriptor, CantorComplement, EMPTY,
                       FULL, INF, Point, boundary_left, is_inf,
                       is_regular, normalize, points_equal)
 from .moebius import HalfPlaneAuto, pullback_arcset
+from .util import cdiv
 
 REAL_GUARD = 1e-9
 
@@ -53,66 +63,182 @@ def _hyp(x: Point) -> float:
     return math.hypot(1.0, float(x))
 
 
+class _Factors:
+    """Arcs as arrays, to evaluate their factors p_J = N/D at many points:
+    N = s·(z − a), D = z − b, s = ±|i−b|/|i−a|, on an arc with finite ends
+    (b > a wraps through ∞); N = z − a, D = |i − a| on (−∞, a); N = −|i − b|,
+    D = z − b on (b, +∞); N = −1, D = 1 on the punctured circle.  These are
+    the closed forms' operations on one point, in their order."""
+
+    def __init__(self, arcs):
+        kind = ["p" if arc.puncture else "l" if is_inf(arc.b) else "r" if is_inf(arc.a)
+                else "f" for arc in arcs]
+        self.n, self.cols = len(arcs), {k: [i for i, x in enumerate(kind) if x == k] for k in "lrp"}
+        self.special = any(self.cols.values())
+        self.a = np.array([float(arc.a) if k in "fl" else 0.0 for arc, k in zip(arcs, kind)])
+        self.b = np.array([float(arc.b) if k in "fr" else 0.0 for arc, k in zip(arcs, kind)])
+        self.s = np.array([(1.0 if float(arc.b) < float(arc.a) else -1.0)
+                           * (_hyp(arc.b) / _hyp(arc.a)) if k == "f" else 1.0
+                           for arc, k in zip(arcs, kind)])
+        self.h = np.array([_hyp(arc.a) if k == "l" else -_hyp(arc.b) if k == "r" else 1.0
+                           for arc, k in zip(arcs, kind)])
+        self.poles = self.b[[k in "fr" for k in kind]]
+        self.at_inf = np.array([{"f": s, "l": INF, "r": 0.0, "p": -1.0}[k]
+                                for s, k in zip(self.s, kind)])
+
+    def columns(self, pts, off_line=False):
+        """(values, poles), shape (points, arcs): p_J at each point of a flat
+        array, in complex arithmetic for a complex array, else in real
+        arithmetic with ±inf as ∞.  An exact pole holds the ∞ marker;
+        ``poles`` is None when there is none, as ``off_line``."""
+        inf = None if pts.dtype.kind == "c" or not np.isinf(pts).any() else np.isinf(pts)
+        z = (pts if inf is None else np.where(inf, 0.0, pts))[:, None]
+        za = z - self.a
+        num, den = self.s * za, z - self.b
+        if self.special:
+            left, right, punct = self.cols["l"], self.cols["r"], self.cols["p"]
+            num[:, left], den[:, left] = za[:, left], self.h[left]
+            num[:, right], num[:, punct], den[:, punct] = self.h[right], -1.0, 1.0
+        poles = None if off_line else den == 0
+        if poles is not None and poles.any():
+            den[poles] = 1.0
+            if inf is not None:
+                poles[inf] = False
+        else:
+            poles = None
+        vals = cdiv(num, den) if pts.dtype.kind == "c" else num / den
+        if poles is not None:
+            vals[poles] = INF
+        if inf is not None:
+            vals[inf] = self.at_inf
+        return vals, poles
+
+    def product(self, pts, n_off=None):
+        """(∏ p_J in order, pole, near) at the points of a flat array, those
+        off the real line in complex arithmetic, the others in real; ``pole``
+        marks the ∞ marker at an exact pole, ``near`` a real point within
+        REAL_GUARD of a pole, each None when empty.  ``n_off`` is the number
+        of points off the line, if known."""
+        if pts.dtype.kind != "c":
+            return self._on_line(pts)
+        n_off = np.count_nonzero(pts.imag) if n_off is None else n_off
+        if n_off == pts.size:
+            vals = self.columns(pts, off_line=True)[0]
+            return np.multiply.reduce(vals, axis=1, initial=1 + 0j), None, None
+        off = pts.imag != 0
+        out, pole, near = self._on_line(pts.real[~off])
+        if n_off == 0:
+            return out.astype(complex), pole, near
+        full = np.empty(pts.size, dtype=complex)
+        full[off], full[~off] = self.product(pts[off], n_off)[0], out
+        return full, _spread(pole, ~off), _spread(near, ~off)
+
+    def _on_line(self, x):
+        vals, poles = self.columns(x)
+        pole = None if poles is None else poles.any(axis=1)
+        if pole is not None:
+            vals[pole] = 1.0  # the ∞ marker goes in after the product
+        out = np.multiply.reduce(vals, axis=1, initial=1.0)
+        near = (np.abs(x[:, None] - self.poles) < REAL_GUARD).any(axis=1)
+        if pole is not None:
+            out[pole], near = INF, near & ~pole
+        return out, pole, near if np.count_nonzero(near) else None
+
+
+def _spread(mask, where):
+    # a mask over the points of ``where`` as one over all points
+    if mask is not None:
+        full = np.zeros(where.size, dtype=bool)
+        full[where] = mask
+        return full
+
+
+@functools.lru_cache(maxsize=64)
+def _factors(arcs: tuple) -> _Factors:
+    # one exponent's pieces are evaluated many times in a row; a table is a
+    # dozen small arrays, so only a few recent ones are kept
+    return _Factors(arcs)
+
+
+def scalar_or_array(values, z):
+    """The values of an evaluation at z: an ndarray for an ndarray z, else
+    the one value, complex off the real line and a float on it or at ∞."""
+    if isinstance(z, np.ndarray):
+        return values.reshape(z.shape)
+    v = values[0] if isinstance(values, list) else values.item(0)
+    return complex(v) if isinstance(z, complex) and z.imag != 0 else float(v.real)
+
+
+def _single_arc(j):
+    # an ArcSet as its one arc: the full circle as the circle punctured at ∞,
+    # the empty set as None (the factor 1)
+    if not isinstance(j, ArcSet):
+        return j
+    if len(j.arcs) > 1:
+        raise TypeError("expected a single arc")
+    return Arc(INF, INF, puncture=True) if j.full else (j.arcs[0] if j.arcs else None)
+
+
 def p_eval(j, z):
-    """Value of the Kreĭn factor p_J at z (complex, real, or the point ∞).
+    """Value of the Kreĭn factor p_J at z (complex, real, or the point ∞), or
+    at each point of an ndarray z.
 
     Real z must differ from the pole b; evaluation exactly at the pole
-    returns the ∞ marker (math.inf).
+    returns the ∞ marker (math.inf).  A complex z is evaluated in complex
+    arithmetic even on the real line; in a real array, ±inf is ∞.
     """
-    if isinstance(j, ArcSet):
-        if j.is_empty:
-            return 1.0
-        if j.full:
-            return -1.0
-        if len(j.arcs) == 1:
-            j = j.arcs[0]
-        else:
-            raise TypeError("p_eval expects a single arc")
-    if j.puncture:
-        # differs from the full circle by one point; the factor is the constant -1
-        return -1.0
-
-    zinf = not isinstance(z, complex) and is_inf(z)
-    b, a = j.b, j.a
-    if is_inf(b):  # (-oo, a): (z - a)/|i - a|
-        if zinf:
-            return INF
-        return (z - float(a)) / _hyp(a)
-    if is_inf(a):  # (b, +oo): -|i - b|/(z - b)
-        if zinf:
-            return 0.0
-        den = z - float(b)
-        if den == 0:
-            return INF
-        return -_hyp(b) / den
-    sign = 1.0 if float(b) < float(a) else -1.0
-    ratio = _hyp(b) / _hyp(a)
-    if zinf:
-        return sign * ratio
-    den = z - float(b)
-    if den == 0:
-        return INF
-    return sign * ratio * (z - float(a)) / den
+    j = _single_arc(j)
+    if j is None:
+        return np.ones(np.shape(z)) if isinstance(z, np.ndarray) else 1.0
+    pts = np.ravel(z)
+    vals, poles = _factors((j,)).columns(pts if pts.dtype.kind == "c" else pts.astype(float))
+    if isinstance(z, np.ndarray):
+        return vals[:, 0].reshape(z.shape)
+    marker = j.puncture or (poles is not None and poles[0, 0])
+    return complex(vals[0, 0]) if isinstance(z, complex) and not marker else float(vals[0, 0].real)
 
 
 def log_p(j, z):
-    """Logarithm of p_J(z) on the closed upper half-plane.
+    """Logarithm of p_J(z) on the closed upper half-plane, at a point or at
+    each point of an ndarray.
 
     For Im z > 0 it is the principal logarithm, with imaginary part in
     [0, π]; it equals the integral v_J(z) = ∫_J (1+tz)/(t−z) · dt/(1+t²),
     which for a finite arc is log((a−z)/(b−z)) − ½ log((1+a²)/(1+b²)).  At a
-    real point or ∞ where p_J is positive it is the real logarithm.
+    real point or ∞ where p_J is positive it is the real logarithm, and
+    where p_J is not, EvaluationDomainError.
     """
-    z = _as_point(z)
-    if isinstance(z, complex):
-        if z.imag < 0:
-            raise ValueError("log_p requires Im z ≥ 0")
-        # p_J maps C⁺ into C⁺, so the principal branch keeps Im in (0, π)
-        return cmath.log(p_eval(j, z))
-    v = p_eval(j, z)
-    if not 0 < v < INF:
-        raise EvaluationDomainError(f"p_J({z}) is not positive")
-    return math.log(v)
+    j = _single_arc(j)
+    if j is None:
+        return np.zeros(np.shape(z)) if isinstance(z, np.ndarray) else 0.0
+    return scalar_or_array(log_factors((j,), z)[0][..., 0], z)
+
+
+def log_factors(arcs, z, strict: bool = True):
+    """(logs, refused): log p_J(z) as :func:`log_p` takes it, for each arc J
+    at each point of z, shape z.shape + (len(arcs),).  ``refused`` marks the
+    points on the real line (or ∞) where some p_J is not positive: the first
+    raises EvaluationDomainError, or with ``strict=False`` their logs are
+    placeholders."""
+    pts = np.ravel(z)
+    pts = pts if pts.dtype.kind == "c" else pts.astype(float)
+    if np.count_nonzero(pts.imag < 0):
+        raise ValueError("log_p requires Im z ≥ 0")
+    table, off = _factors(tuple(arcs)), pts.imag != 0
+    # p_J maps C⁺ into C⁺, so the principal branch keeps Im in (0, π)
+    logs = np.log(table.columns(pts, off_line=True)[0]) if off.all() else np.zeros(
+        (pts.size, table.n), dtype=pts.dtype)
+    refused = np.zeros(pts.size, dtype=bool)
+    if not off.all():
+        if off.any():
+            logs[off] = np.log(table.columns(pts[off], off_line=True)[0])
+        v = table.columns(pts.real[~off])[0]
+        bad = ~((v > 0) & (v < INF))
+        logs[~off], refused[~off] = np.log(np.where(bad, 1.0, v)), bad.any(axis=1)
+    if strict and refused.any():
+        x = float(pts[np.argmax(refused)].real)
+        raise EvaluationDomainError(f"p_J({x}) is not positive")
+    return logs.reshape(np.shape(z) + (table.n,)), refused.reshape(np.shape(z))
 
 
 def _locate_gap(base, cap_depth: int, x: float):
@@ -120,7 +246,8 @@ def _locate_gap(base, cap_depth: int, x: float):
     walking the construction; fails when x is not in a gap within the cap."""
     lo, hi = float(base[0]), float(base[1])
     if not lo < x < hi:
-        raise EvaluationDomainError(f"{x} is outside the base interval")
+        raise EvaluationDomainError(f"{x} lies on the generator's Cantor set: "
+                                    f"it is an end of the base interval [{lo}, {hi}]")
     for level in range(1, cap_depth + 1):
         third = (hi - lo) / 3.0
         gb, ga = lo + third, hi - third
@@ -185,26 +312,79 @@ class KreinProduct:
         return self.eval(z)[0]
 
     @functools.cached_property
-    def _factors(self) -> tuple:
+    def _merged(self) -> tuple:
         return _merged_arcs(self.arcs)
 
-    def eval(self, z):
-        """(value, tail_bound) with |true value − value| ≤ tail_bound."""
-        return self._eval(z, None)
+    @functools.cached_property
+    def _table(self) -> _Factors:
+        return _Factors(self._merged)
+
+    def eval(self, z, strict: bool = True):
+        """(value, tail_bound) with |true value − value| ≤ tail_bound, at a
+        point or, as two arrays in its shape, at each point of an ndarray.
+
+        The first point in grid order that a scalar call refuses (within
+        REAL_GUARD of a pole, on the generator's set, tail not certified)
+        raises; with ``strict=False`` an array marks every such point by a
+        NaN value and an infinite tail bound instead."""
+        return self._eval(z, None, strict)
 
     def eval_at_depth(self, z, depth: int):
         """(value, tail_bound) for a fixed truncation depth of the generator."""
         if self.cantor is None:
             raise ValueError("no generator attached")
-        return self._eval(z, depth)
+        return self._eval(z, depth, True)
 
-    def _eval(self, z, depth):
-        # the explicit factor first: an exact pole is the ∞ marker before any
-        # gap lookup
-        z = _as_point(z)
-        explicit = _eval_explicit(self._factors, z)
-        if self.cantor is None or (not isinstance(explicit, complex) and explicit == INF):
-            return explicit, 0.0
+    def _eval(self, z, depth, strict):
+        pts = np.ravel(z)
+        pts = pts if pts.dtype.kind == "c" else pts.astype(float)
+        # a scalar tells by its type whether it lies off the real line
+        n_off = None if isinstance(z, np.ndarray) else int(isinstance(z, complex) and z.imag != 0)
+        values, pole, near = self._table.product(pts, n_off)
+        tails, refused = [0.0] * pts.size, near
+        if self.cantor is not None:
+            # one point at a time from the explicit factor's value: an exact
+            # pole keeps the ∞ marker before any gap lookup
+            values, refused = values.tolist(), ([False] * pts.size if near is None
+                                                else near.tolist())
+            skip = [False] * pts.size if pole is None else pole.tolist()
+            for k, point in enumerate(pts.tolist()):
+                if refused[k] and strict:
+                    break
+                if skip[k] or refused[k]:
+                    continue
+                value = values[k]
+                if isinstance(point, complex) and point.imag == 0:
+                    point, value = point.real, value.real
+                try:
+                    values[k], tails[k] = self._generator(value, point, depth)
+                except (EvaluationDomainError, TailNotCertified):
+                    if strict:
+                        raise
+                    refused[k] = True
+            refused = np.array(refused) if any(refused) else None
+            if refused is None and not isinstance(z, np.ndarray):
+                return scalar_or_array(values, z), tails[0]
+            values = np.array(values, dtype=pts.dtype)
+        tails = np.array(tails)
+        if refused is not None:
+            if strict:
+                raise self._near_pole(float(pts[np.argmax(refused)].real))
+            values[refused], tails[refused] = np.nan, INF
+        if isinstance(z, np.ndarray):
+            return values.reshape(z.shape), tails.reshape(z.shape)
+        return scalar_or_array(values, z), tails.item(0)
+
+    def _near_pole(self, x: float) -> EvaluationDomainError:
+        poles = [arc.b for arc in self._merged if not (arc.puncture or is_inf(arc.b))]
+        near = [b for b in poles if abs(x - float(b)) < REAL_GUARD]
+        return EvaluationDomainError(
+            f"real evaluation at {x} is within {abs(x - float(near[-1])):.2e} "
+            f"of the singular point {near[-1]}")
+
+    def _generator(self, explicit, z, depth):
+        """(value, tail) of the whole product at one point z (complex off the
+        real line, else float) from its explicit factor's value there."""
         base, cap = self.cantor.base, self.cantor.depth
         l, r = float(base[0]), float(base[1])
         gap, level = _gap(base, cap, z)
@@ -244,13 +424,6 @@ class KreinProduct:
         return out
 
 
-def _as_point(z):
-    """Complex z off the real line, else the real point (or ∞) as a float."""
-    if isinstance(z, complex):
-        return z if z.imag != 0 else float(z.real)
-    return float(z)
-
-
 def _merged_arcs(o: ArcSet) -> tuple:
     """The arcs of O with every chain of shared ends merged into one arc, by
     p_(b,c)·p_(c,a) = p_(b,a); ∞ counts as a shared end, and a chain that
@@ -278,26 +451,6 @@ def _merged_arcs(o: ArcSet) -> tuple:
         else:
             out.append(Arc(b, a))
     return tuple(out)
-
-
-def _eval_explicit(factors: tuple, z):
-    """∏ p_J(z) over the merged arcs, for z from :func:`_as_point`: complex
-    off the real line, float (real, the ∞ marker at an exact pole) on it."""
-    if isinstance(z, complex):
-        val = 1.0 + 0.0j
-    else:
-        val = 1.0
-        poles = [arc.b for arc in factors if not (arc.puncture or is_inf(arc.b))]
-        if any(z == float(b) for b in poles):
-            return INF
-        near = [b for b in poles if abs(z - float(b)) < REAL_GUARD]
-        if near:
-            raise EvaluationDomainError(
-                f"real evaluation at {z} is within {abs(z - float(near[-1])):.2e} "
-                f"of the singular point {near[-1]}")
-    for arc in factors:
-        val *= p_eval(arc, z)
-    return val
 
 
 def _gap(base, cap_depth: int, z):

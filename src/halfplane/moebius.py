@@ -6,7 +6,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .extreal import INF, Arc, ArcSet, Point, is_inf, normalize
+from .util import cdiv, cmul
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,10 @@ def pullback_arcset(phi: HalfPlaneAuto, o: ArcSet) -> ArcSet:
 
 @dataclass(frozen=True)
 class DiskMap:
-    """Complex Möbius map w ↦ (aw+b)/(cw+d), used for C⁺ → disk transports."""
+    """Complex Möbius map w ↦ (aw+b)/(cw+d), used for C⁺ → disk transports.
+
+    Both directions take a point or an ndarray of points, where ∞ is a
+    real inf; the pole goes to the ∞ marker."""
 
     a: complex
     b: complex
@@ -108,24 +114,33 @@ class DiskMap:
     d: complex
 
     def __call__(self, z):
-        if not isinstance(z, complex) and is_inf(z):
-            return INF if self.c == 0 else self.a / self.c
-        z = complex(z)
-        den = self.c * z + self.d
-        if den == 0:
-            return INF
-        return (self.a * z + self.b) / den
+        return _mobius(z, self.a, self.b, self.c, self.d,
+                       INF if self.c == 0 else self.a / self.c)
 
     def inverse_apply(self, w):
-        if not isinstance(w, complex) and is_inf(w):
-            if self.c == 0:
-                return INF
-            return -self.d / self.c
-        w = complex(w)
-        den = -self.c * w + self.a
-        if den == 0:
-            return INF
-        return (self.d * w - self.b) / den
+        return _mobius(w, self.d, -self.b, -self.c, self.a,
+                       INF if self.c == 0 else -self.d / self.c)
+
+
+def _mobius(z, a, b, c, d, at_inf):
+    """(az + b)/(cz + d) at z, or at each point of an ndarray z, rounded as
+    CPython rounds it on one point; ``at_inf`` is the image of ∞."""
+    w = np.array(np.ravel(z), dtype=complex)
+    inf = np.isinf(w.real) & (w.imag == 0)
+    if np.count_nonzero(inf):
+        w[inf] = 0.0
+    den = cmul(w, c) + d
+    pole = den == 0
+    if np.count_nonzero(pole):
+        den[pole] = 1.0
+    out = cdiv(cmul(w, a) + b, den)
+    out[pole] = INF
+    out[inf] = at_inf
+    if isinstance(z, np.ndarray):
+        return out.reshape(z.shape)
+    if pole[0] or (inf[0] and not isinstance(at_inf, complex)):
+        return INF
+    return complex(out[0])
 
 
 def cayley(zeta: complex) -> DiskMap:

@@ -3,15 +3,20 @@
 Measures are finite and positive, given as atoms plus piecewise-constant
 densities (optionally a depth-k atomic stand-in for the Cantor measure).
 Both the representation and its derivative have closed forms, so evaluation
-never needs quadrature.  Boundary recovery (α, β, atoms, densities) uses
-geometric ladders with Richardson extrapolation.  The zeros that bound Γ(f)
-and the roots of the Boole and pushforward identities come from secular-
-matrix seeds, each polished and sign-bracketed on its own component.
+never needs quadrature.  ``NevanlinnaRep.eval`` takes a point or an ndarray
+of points, broadcast over the atoms and summed term by term in order, with
+the array contract of ``krein``: a scalar call is the same pass on one point,
+the ∞ marker sits at an atom, ±inf in a real array is ∞.  Boundary recovery
+(α, β, atoms, densities) uses geometric ladders with Richardson
+extrapolation.  The zeros that bound Γ(f) and the roots of the Boole and
+pushforward identities come from secular-matrix seeds, each polished and
+sign-bracketed on its own component.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +26,8 @@ import numpy as np
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, complement_of_closed,
                       is_inf, merged_support, normalize, points_equal,
                       regularize)
-from .util import RecoveryError, RootBracketError, branch_roots, ladder_limit
+from .util import (RecoveryError, RootBracketError, branch_roots, cdiv, cmul,
+                   ladder_limit)
 
 __all__ = [
     "Measure", "NevanlinnaRep", "SigmaDescriptor", "AnalysisResult",
@@ -172,19 +178,65 @@ class NevanlinnaRep:
         return self.eval(z)
 
     def eval(self, z):
-        """Value at z; ∞-marker at atoms, β − m₁ at z = ∞ when α = 0."""
-        if not isinstance(z, complex) and is_inf(z):
-            return INF if self.alpha > 0 else self.value_at_inf()
-        zz = z
-        val = self.alpha * zz + self.beta
-        for t, w in self.rho.atoms:
-            den = t - zz
-            if den == 0:
-                return INF
-            val += w * (1.0 + zz * t) / den
+        """Value at z, or at each point of an ndarray z in its shape.
+
+        The ∞ marker at an atom; at ∞ (±inf in a real array), ∞ when α > 0
+        and β − m₁ otherwise.  A complex point is evaluated in complex
+        arithmetic even on the real line, a real one in real arithmetic; a
+        real point inside a density's support raises ValueError."""
+        z_ = np.ravel(z)
+        cplx = z_.dtype.kind == "c"
+        inf = None if cplx or not np.isinf(z_).any() else np.isinf(z_)
+        z_ = z_ if cplx else np.where(inf, 0.0, z_) if inf is not None else z_.astype(float)
+        ts, ws = self._atoms
+        val, pole = self.alpha * z_ + self.beta, None
+        if ts.size:
+            # αz + β, then the atoms' terms, summed in order
+            terms = np.empty((z_.size, ts.size + 1), dtype=z_.dtype)
+            terms[:, 0] = val
+            den = ts - z_[:, None]
+            hit = den == 0
+            if hit.any():
+                den[hit], pole = 1.0, hit.any(axis=1)
+            num = ws * (1.0 + z_[:, None] * ts)
+            terms[:, 1:] = cdiv(num, den) if cplx else num / den
+            val = np.add.accumulate(terms, axis=1)[:, -1]
+        if self.rho.ac:
+            val = self._densities(z_, val, cplx, [m for m in (pole, inf) if m is not None])
+        if pole is not None:
+            val[pole] = INF
+        if inf is not None:
+            val[inf] = INF if self.alpha > 0 else self.value_at_inf()
+        if isinstance(z, np.ndarray):
+            return val.reshape(z.shape)
+        marker = pole is not None and pole[0]
+        return complex(val[0]) if isinstance(z, complex) and not marker else float(val[0].real)
+
+    def _densities(self, z, val, cplx, skipped):
+        """val plus each density's d(z(r − l) + (1 + z²)·log((z−r)/(z−l))), in
+        order, leaving the points of the ``skipped`` masks aside."""
+        line = z.imag == 0
+        real = line & ~np.logical_or.reduce(skipped) if skipped else line
+        x, (ls, rs, _) = z.real[:, None], np.array(self.rho.ac).T
+        inside = real[:, None] & (ls <= x) & (x <= rs)
+        if inside.any():
+            k, i = np.unravel_index(np.argmax(inside), inside.shape)
+            raise ValueError(f"real evaluation at {float(z.real[k])} inside the density "
+                             f"support [{self.rho.ac[i][0]}, {self.rho.ac[i][1]}]")
         for l, r, d in self.rho.ac:
-            val += d * (zz * (r - l) + (1.0 + zz * zz) * _log_ratio(zz, l, r))
+            # on the real line, log1p keeps every digit
+            logs = _log_ratios(np.where(real, z.real, l - 1.0), l, r)
+            if cplx:
+                off = np.where(line, l - 1.0 + 1j, z)
+                logs = np.where(line, logs, np.log(cdiv(off - r, off - l)))
+                val = val + d * (z * (r - l) + cmul(1.0 + cmul(z, z), logs))
+            else:
+                val = val + d * (z * (r - l) + (1.0 + z * z) * logs)
         return val
+
+    @functools.cached_property
+    def _atoms(self):
+        return np.array(self.rho.atoms, dtype=float).reshape(-1, 2).T
 
     def derivative(self, z):
         """f'(z) = α + ∫ (1+t²)/(t−z)² dρ(t), in closed form."""

@@ -1,10 +1,14 @@
 """Shared numeric helpers: ``branch_roots``, the one root kernel behind Γ(f),
 Boole, Letac and black-box Γ (certified roots of increasing functions, one
-per branch), Richardson ladders and low-discrepancy grids."""
+per branch), Richardson ladders, low-discrepancy grids, and complex array
+products and quotients that round as CPython's scalar ones do."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -143,8 +147,10 @@ def halton(index: int, base: int) -> float:
     return r
 
 
+@functools.cache
 def halton_box(n: int, re_lo: float, re_hi: float, im_lo: float, im_hi: float):
-    """n quasi-random complex points in the open box (re, im) ranges."""
+    """n quasi-random complex points in the open box (re, im) ranges, as a
+    read-only array built once per box."""
     pts = []
     for k in range(1, n + 1):
         x = re_lo + (re_hi - re_lo) * halton(k, 2)
@@ -152,4 +158,58 @@ def halton_box(n: int, re_lo: float, re_hi: float, im_lo: float, im_hi: float):
         if y <= 0:
             y = im_lo + 0.5 * (im_hi - im_lo) * halton(k, 5)
         pts.append(complex(x, y))
-    return pts
+    return frozen(np.array(pts, dtype=complex))
+
+
+def frozen(a):
+    """a, made read-only: cached grids are shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
+# numpy's SIMD loops fuse the products of a complex product and divide by
+# scaling with a reciprocal, so their last bit differs from CPython's in a
+# third of the cases; these two keep an array value equal, bit for bit, to
+# the scalar one.  A real operand (float, or real array) multiplies exactly
+# under numpy's own ``*``, and np.multiply.reduce/np.add.accumulate along
+# the last axis take their terms one by one in order.  Up to _SMALL values,
+# CPython's own operator per value is cheaper than a dozen numpy calls.
+_SMALL = 256
+
+
+def cmul(x, y):
+    """x·y for a complex array x and a complex array of its shape or a
+    scalar y, by CPython's formula."""
+    if x.size <= _SMALL:
+        return _by_value(operator.mul, x, y)
+    out = np.empty(x.shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def cdiv(x, y):
+    """x/y for a complex array x and a complex array of its shape or a
+    scalar y, by CPython's scaled division (Smith's method); y must be
+    nonzero everywhere."""
+    if x.size <= _SMALL:
+        return _by_value(operator.truediv, x, y)
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    swap = abs(yr) < abs(yi)
+    p, q = np.where(swap, yi, yr), np.where(swap, yr, yi)
+    rat = q / p
+    den = p + q * rat
+    out = np.empty(x.shape, dtype=complex)
+    out.real = np.where(swap, xr * rat + xi, xr + xi * rat) / den
+    out.imag = np.where(swap, xi * rat - xr, xi - xr * rat) / den
+    return out
+
+
+def _by_value(op, x, y):
+    ys = y.ravel().tolist() if np.ndim(y) else itertools.repeat(complex(y))
+    return np.array(list(map(op, x.ravel().tolist(), ys)), dtype=complex).reshape(x.shape)
+
+
+def cabs(x):
+    """|x| for a complex array, as CPython's abs (the C library's hypot)."""
+    return np.hypot(x.real, x.imag)

@@ -327,6 +327,14 @@ class TestCantorProduct:
                            r"max_factors 32766; tail bound 1\.724e-02 at depth 14"):
             k.eval(2.05 + 0.05j)
 
+    def test_base_ends(self):
+        # 0 is a zero of the exterior factor and lies on the Cantor set: refused,
+        # naming why; 1 is the exterior factor's pole: the ∞ marker first
+        k = cantor_complement_product((0, 1), 26, 1e-2)
+        with pytest.raises(EvaluationDomainError, match="lies on the generator's Cantor set"):
+            k.eval(0.0)
+        assert k.eval(1.0) == (INF, 0.0)
+
     def test_value_at_infinity(self):
         # the exterior arcs (−∞, 0) and (1, ∞) meet at ∞, where the product
         # tends to −1 like everywhere else

@@ -1,0 +1,118 @@
+"""Reports stay stable for an identical spec and seed.
+
+Each case runs one CLI command in-process and compares its report with a
+golden copy in ``tests/golden/``: exit codes, flags, strings, booleans and
+list lengths exactly, numbers to 1e-13 relative plus 1e-15 absolute.  The
+cases are every ``cli_examples/`` spec under its corpus command and the six
+``check`` suites at seeds 0 and 7.
+
+Regenerate the goldens (only for a deliberate, documented report change):
+
+    PYTHONPATH=src python tests/test_report_stability.py --regen
+"""
+
+import json
+import math
+import pathlib
+import sys
+
+import pytest
+
+from halfplane.cli import SUITES, main
+
+HERE = pathlib.Path(__file__).parent
+GOLDEN = HERE / "golden"
+EXAMPLES = sorted((HERE.parent / "cli_examples").glob("*.json"))
+RTOL, ATOL = 1e-13, 1e-15
+
+
+def _command_for(path):
+    body = json.loads(path.read_text())
+    task = next(k for k in body if k not in ("version", "options"))
+    if task in ("nevanlinna", "krein", "product"):
+        return "factor" if path.name.startswith("factor") else "eval"
+    return "solve"
+
+
+def _cases():
+    cases = {}
+    for path in EXAMPLES:
+        cmd = _command_for(path)
+        cases[f"{cmd}_{path.stem}"] = [cmd, "--spec", f"cli_examples/{path.name}"]
+    for suite in SUITES:
+        for seed in (0, 7):
+            cases[f"check_{suite}_seed{seed}"] = ["check", "--suite", suite,
+                                                  "--seed", str(seed)]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv, tmp_dir):
+    out = pathlib.Path(tmp_dir) / "report.json"
+    args = [a if not a.startswith("cli_examples/") else str(HERE.parent / a)
+            for a in argv]
+    code = main(args + ["--out", str(out)])
+    report = json.loads(out.read_text()) if out.exists() else None
+    return {"argv": argv, "code": code, "report": report}
+
+
+def _compare(got, want, where="report"):
+    """Every mismatch between two parsed reports, as readable lines."""
+    if isinstance(want, bool) or isinstance(got, bool) or want is None or got is None:
+        return [] if got is want else [f"{where}: {got!r} != {want!r}"]
+    if isinstance(want, (int, float)) and isinstance(got, (int, float)):
+        if isinstance(want, int) and isinstance(got, int):
+            return [] if got == want else [f"{where}: {got} != {want}"]
+        if math.isinf(want) or math.isinf(got):
+            return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+        if abs(got - want) <= RTOL * abs(want) + ATOL:
+            return []
+        return [f"{where}: {got!r} != {want!r} (diff {abs(got - want):.3g})"]
+    if type(got) is not type(want):
+        return [f"{where}: type {type(got).__name__} != {type(want).__name__}"]
+    if isinstance(want, str):
+        return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{where}: length {len(got)} != {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in _compare(g, w, f"{where}[{i}]")]
+    if set(got) != set(want):
+        return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
+    return [m for k in sorted(want) for m in _compare(got[k], want[k], f"{where}.{k}")]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path):
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    got = _run(CASES[name], tmp_path)
+    assert got["argv"] == want["argv"]
+    assert got["code"] == want["code"]
+    mismatches = _compare(got["report"], want["report"])
+    assert not mismatches, "\n".join(mismatches[:20])
+
+
+def test_every_case_has_a_golden():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+def test_compare_tolerances():
+    assert not _compare({"a": [1.0, "x", True]}, {"a": [1.0 + 1e-14, "x", True]})
+    assert _compare({"a": 1.0 + 1e-12}, {"a": 1.0})
+    assert _compare({"a": 1e-14}, {"a": 0.0})
+    assert _compare([1.0], [1.0, 2.0])
+    assert _compare({"f": "pole"}, {"f": "cont"})
+    assert _compare(True, 1)
+    assert not _compare(math.inf, math.inf)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
+    import tempfile
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in sorted(CASES.items()):
+            text = json.dumps(_run(argv, tmp), indent=1, sort_keys=True)
+            (GOLDEN / f"{name}.json").write_text(text + "\n")
+            print(name)
