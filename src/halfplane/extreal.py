@@ -19,7 +19,8 @@ it rather than splitting on the kinds of arc themselves:
   of the line with exact endpoints;
 * arc containment: :func:`arc_contains_arc`, :func:`arcset_contains_arc`,
   :func:`arcs_overlap`;
-* boundary sampling: :func:`boundary_samples` and :func:`sweep_points`.
+* boundary sampling: :func:`boundary_samples` and :func:`sweep_points`;
+* arcs as lists of ends: :func:`arc_ends` and :func:`complement_ends`.
 
 Endpoints may be ``int``, ``Fraction`` or ``float``.  Comparisons between
 two exact endpoints are exact; as soon as a float is involved they fall
@@ -53,6 +54,8 @@ def points_equal(x: Point, y: Point, tol: float = POINT_TOL) -> bool:
     xi, yi = is_inf(x), is_inf(y)
     if xi or yi:
         return xi and yi
+    if isinstance(x, float) or isinstance(y, float):  # before Fraction's slow ABC check
+        return abs(float(x) - float(y)) <= tol
     if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
         return x == y
     return abs(float(x) - float(y)) <= tol
@@ -548,10 +551,10 @@ class CantorComplement:
         return CantorComplement((l, r), int(spec.get("depth", 1)))
 
 
-def merged_support(points: Sequence[Point], intervals: Sequence[tuple]) -> list:
-    """A closed set's finite points and intervals [l, r] as sorted pieces
-    (lo_f, hi_f, lo, hi), float and exact ends, merged where they overlap or
-    their ends are ``points_equal``: its complement's arcs run between them."""
+def merged_support(points: Sequence[Point], intervals: Sequence[tuple]) -> tuple:
+    """A closed set's finite points and intervals [l, r] as the lists
+    (lo_f, hi_f, lo, hi) of its sorted pieces' float and exact ends, merged
+    where they overlap or their ends are ``points_equal``."""
     pieces = sorted([(float(p), float(p), p, p) for p in points if not is_inf(p)]
                     + [(float(l), float(r), l, r) for l, r in intervals], key=lambda t: t[:2])
     merged = []
@@ -562,7 +565,7 @@ def merged_support(points: Sequence[Point], intervals: Sequence[tuple]) -> list:
                 merged[-1] = (merged[-1][0], hi_f, merged[-1][2], hi)
         else:
             merged.append((lo_f, hi_f, lo, hi))
-    return merged
+    return tuple(map(list, zip(*merged))) or ([], [], [], [])
 
 
 def complement_of_closed(points: Sequence[Point], intervals: Sequence[tuple],
@@ -572,30 +575,11 @@ def complement_of_closed(points: Sequence[Point], intervals: Sequence[tuple],
     closure contains ∞) and optionally the point ∞ itself."""
     has_inf = (has_inf or any(is_inf(p) for p in points)
                or any(math.isinf(float(v)) for iv in intervals for v in iv))
-    merged = merged_support(points, intervals)
-    if not merged:
-        if not has_inf:
-            return FULL
-        return ArcSet((Arc(INF, INF, puncture=True),))
-
-    arcs = []
-    for k in range(len(merged) - 1):
-        arcs.append(Arc(merged[k][3], merged[k + 1][2]))
-    first_lo_f, last_hi_f = merged[0][0], merged[-1][1]
-    first_lo, last_hi = merged[0][2], merged[-1][3]
-    if has_inf:
-        if not math.isinf(last_hi_f):
-            arcs.append(Arc(last_hi, INF))
-        if not math.isinf(first_lo_f):
-            arcs.append(Arc(INF, first_lo))
-    elif len(merged) == 1 and points_equal(first_lo, last_hi):
-        arcs.append(Arc(first_lo, first_lo, puncture=True))
-    else:
-        arcs.append(Arc(last_hi, first_lo))
-    if not arcs:
-        return EMPTY
-    arcs.sort(key=Arc._sort_key)
-    return ArcSet(tuple(arcs))
+    lo, hi = merged_support(points, intervals)[2:]
+    if not (lo or has_inf):
+        return FULL
+    b, a = complement_ends(lo, hi, has_inf)
+    return ArcSet(tuple(Arc(y, x, puncture=y == x) for y, x in zip(b, a)))
 
 
 def arc_segments(arc: Arc):
@@ -666,28 +650,53 @@ def arcset_contains_arc(o: ArcSet, j: Arc, tol: float = 1e-9) -> bool:
 
 
 def boundary_samples(o: ArcSet, per_comp: int = 24) -> list:
-    """Real sample points inside each component of O: geometric offsets from
-    the finite ends of unbounded components, an even grid across bounded
-    ones."""
+    """Real sample points inside each component of O (:func:`end_samples`)."""
+    return end_samples(*arc_ends((Arc(INF, INF, puncture=True),) if o.full else o.arcs),
+                       per_comp)
+
+
+def end_samples(b, a, per_comp: int = 24) -> list:
+    """Real points inside each arc (b, a) of :func:`arc_ends` lists: geometric
+    offsets from the finite ends of unbounded arcs, a grid across bounded ones."""
     samples = []
     spread = [10.0 ** k for k in range(-3, 4)]
-    comps = [Arc(INF, INF, puncture=True)] if o.full else o.arcs
-    for comp in comps:
-        if comp.puncture and is_inf(comp.b):
+    for y, x in zip(b, a):
+        if y == x == INF:
             samples.extend([-10.0 ** k for k in range(-2, 4)])
             samples.extend([10.0 ** k for k in range(-2, 4)])
-        elif comp.puncture or comp.is_wrap:
-            samples.extend([float(comp.b) + s for s in spread])
-            samples.extend([float(comp.a) - s for s in spread])
-        elif is_inf(comp.b):
-            samples.extend([float(comp.a) - s for s in spread])
-        elif is_inf(comp.a):
-            samples.extend([float(comp.b) + s for s in spread])
+        elif y == INF:
+            samples.extend([x - s for s in spread])
+        elif x == INF:
+            samples.extend([y + s for s in spread])
+        elif y >= x:  # through ∞, or the circle punctured at y
+            samples.extend([y + s for s in spread])
+            samples.extend([x - s for s in spread])
         else:
-            b, a = float(comp.b), float(comp.a)
-            samples.extend([b + (a - b) * i / (per_comp + 1)
+            samples.extend([y + (x - y) * i / (per_comp + 1)
                             for i in range(1, per_comp + 1)])
     return samples
+
+
+def arc_ends(arcs) -> tuple:
+    """(b, a): lists of the arcs' ends as floats, ∞ as inf; b = a marks the
+    puncture arcs, the only arcs whose ends coincide."""
+    return ([float(arc.b) for arc in arcs],
+            [float(arc.b if arc.puncture else arc.a) for arc in arcs])
+
+
+def complement_ends(lo, hi, has_inf: bool) -> tuple:
+    """(b, a) as :func:`arc_ends` gives them for the arcs, in circle order
+    from ∞, of the complement of the :func:`merged_support` pieces [lo, hi]
+    and of ∞ if ``has_inf``; nothing removed reads as the puncture at ∞."""
+    if has_inf:
+        # an unbounded piece leaves no arc through ∞ on its side
+        first, last = int(bool(lo) and lo[0] == -INF), int(bool(hi) and hi[-1] == INF)
+        return [INF, *hi][first:len(hi) + 1 - last], [*lo, INF][first:len(lo) + 1 - last]
+    if not lo:
+        return [INF], [INF]
+    if len(lo) == 1 and points_equal(lo[0], hi[0]):
+        return lo, lo  # the circle punctured at one point
+    return hi, lo[1:] + lo[:1]
 
 
 def sweep_points(arc: Arc) -> list:

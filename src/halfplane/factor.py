@@ -10,7 +10,8 @@ function whose Nevanlinna data have a closed partial-fraction form.
 The function forms take a point or an ndarray of points, with the array
 contract of ``krein``; ``masked(z)`` returns (values, refused) for an array,
 refused marking the points a scalar call refuses.  The certification grids
-are fixed read-only arrays, each evaluated in one call.
+are fixed read-only arrays, each evaluated in one call.  Ω(f), Γ(f) and the
+posts on a structured g share σ(f)'s merged support from the analysis.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, EMPTY, FULL, INF,
+from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL,
                       arc_contains_arc, arcs_overlap, arcset_contains_arc,
-                      boundary_samples, is_inf, is_regular, normalize,
-                      points_equal, regularize, sweep_points)
+                      boundary_samples, complement_ends, end_samples, is_inf,
+                      normalize, points_equal, regularize, sweep_points)
 from .krein import KreinProduct, log_factors, p_eval, scalar_or_array
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
                          SigmaDescriptor, analyze, interval_entries)
@@ -261,7 +262,7 @@ def _analyze_composite(f: CompositeFunction) -> AnalysisResult:
     has_inf = any(is_inf(p) for p in points)
     sig = SigmaDescriptor(points=tuple(p for p in points if not is_inf(p)),
                           intervals=intervals, has_inf=has_inf)
-    return AnalysisResult(sig, sig.omega(), o)
+    return AnalysisResult(sig, o)
 
 
 def _blackbox_real(fn, x: float) -> float:
@@ -281,7 +282,7 @@ def _analyze_blackbox(fn, sig: SigmaDescriptor) -> AnalysisResult:
         gamma = FULL if v < 0 else EMPTY
     else:
         gamma = regularize(normalize(pieces)) if pieces else EMPTY
-    return AnalysisResult(sig, omega, gamma)
+    return AnalysisResult(sig, gamma)
 
 
 def _blackbox_gamma_piece(fn, comp: Arc):
@@ -531,64 +532,61 @@ def factorize(f) -> FactorizationResult:
     return res
 
 
-def _effective_sigma(rep: NevanlinnaRep) -> SigmaDescriptor:
-    pts = tuple(t for t, w in rep.rho.atoms if w > 1e-9)
-    return SigmaDescriptor(points=pts,
-                           intervals=tuple((l, r) for l, r, _ in rep.rho.ac),
-                           has_inf=rep.alpha > 1e-9)
-
-
 def _verify_posts(ana: AnalysisResult, g):
-    posts = []
-    structured = isinstance(g, RepFunction)
+    """The four posts; for a structured g, statements about the merged
+    supports of σ(f) (shared with the analysis), σ(g) and σ(k_Γ) ∪ σ(g)."""
+    if not isinstance(g, RepFunction):
+        return _sampled_posts(ana, g)
+    rho = g.rep.rho  # σ(g) without negligible atoms or linear term
+    sig_f, sig_g = ana.sigma, SigmaDescriptor(tuple(t for t, w in rho.atoms if w > 1e-9),
+                                              tuple((l, r) for l, r, _ in rho.ac),
+                                              g.rep.alpha > 1e-9)
+    (lo_f, hi_f), (lo_g, hi_g) = sig_f.support, sig_g.support
+    # (1) how far a piece of σ(g) reaches out of the nearest piece of σ(f)
+    reach = (min((max(lf - l, r - rf, 0.0) for lf, rf in zip(lo_f, hi_f)), default=INF)
+             for l, r in zip(lo_g, hi_g))
+    resid1 = max((e for e in reach if e > 1e-6), default=0.0)
+    if sig_g.has_inf and not sig_f.has_inf:
+        resid1 = max(resid1, g.rep.alpha)
+    posts = [Certification("sigma_subset", resid1, 1e-6, resid1 <= 1e-6)]
 
-    if structured:
-        sig_g = _effective_sigma(g.rep)
-        resid1 = 0.0
-        for p in sig_g.points:
-            if not ana.sigma.contains(p, 1e-6):
-                d = min((abs(float(p) - q) for q in ana.sigma.finite_boundary()),
-                        default=INF)
-                resid1 = max(resid1, d)
-        if sig_g.has_inf and not ana.sigma.has_inf:
-            resid1 = max(resid1, g.rep.alpha)
-        posts.append(Certification("sigma_subset", resid1, 1e-6, resid1 <= 1e-6))
-    else:
-        v = g(np.array(boundary_samples(ana.omega)) + 1e-6j)
-        # the ∞ marker adds 0
-        resid1 = float(np.max(np.abs(v.imag) / (1.0 + cabs(v)), initial=0.0))
-        posts.append(Certification("sigma_subset", resid1, 1e-3, resid1 <= 1e-3,
-                               "sampled real-extendability across Omega(f)"))
-
-    omega_g = _effective_sigma(g.rep).omega() if structured else ana.omega
-    xs = np.array(boundary_samples(omega_g))
-    if structured:
-        v = g.rep.eval(xs)
-    else:
-        v, refused = g.masked(xs + 0j)
-        v = v.real[~refused]
+    v = g.rep.eval(np.array(end_samples(*complement_ends(lo_g, hi_g, sig_g.has_inf))))
     v = v[np.isfinite(v)]  # the ∞ marker and NaN are skipped
-    resid2 = max(0.0, -float(np.min(v))) if v.size else 0.0
+    resid2 = max(0.0, -float(v.min())) if v.size else 0.0
     posts.append(Certification("g_positive_on_omega", resid2, 1e-9, resid2 <= 1e-9))
 
-    if structured:
-        reg_ok = is_regular(_effective_sigma(g.rep).omega())
-        posts.append(Certification("omega_g_regular", 0.0 if reg_ok else 1.0, 0.0,
-                               reg_ok))
-        x_pts = tuple(ana.gamma.left_endpoints()) if not ana.gamma.full else ()
-        sig_g = _effective_sigma(g.rep)
-        combined = SigmaDescriptor(
-            points=tuple(p for p in x_pts if not is_inf(p)) + sig_g.points,
-            intervals=sig_g.intervals,
-            has_inf=any(is_inf(p) for p in x_pts) or sig_g.has_inf)
-        ok4 = combined.omega().isclose(ana.omega, 1e-7)
-        posts.append(Certification("omega_intersection", 0.0 if ok4 else 1.0, 0.0, ok4))
-    else:
-        posts.append(Certification("omega_g_regular", 0.0, 0.0, True,
-                               "not structurally checkable for quotient forms"))
-        posts.append(Certification("omega_intersection", 0.0, 0.0, True,
-                               "not structurally checkable for quotient forms"))
+    # (3) Ω(g) is regular unless σ(g) has an isolated point
+    reg_ok = all(r - l > POINT_TOL for l, r in zip(lo_g, hi_g))
+    posts.append(Certification("omega_g_regular", 0.0 if reg_ok else 1.0, 0.0, reg_ok))
+
+    # (4) σ(f) = X ∪ σ(g), X = σ(k_Γ) the closure of Γ's left ends
+    x_pts = () if ana.gamma.full else ana.gamma.left_endpoints()
+    sig_c = SigmaDescriptor(tuple(p for p in x_pts if not is_inf(p)) + sig_g.points,
+                            sig_g.intervals, any(map(is_inf, x_pts)) or sig_g.has_inf)
+    lo_c, hi_c = sig_c.support
+    ok4 = (sig_c.has_inf == sig_f.has_inf and len(lo_c) == len(lo_f)
+           and (lo_c == lo_f and hi_c == hi_f
+                or all(abs(x - y) <= 1e-7 for x, y in zip(lo_c + hi_c, lo_f + hi_f))))
+    posts.append(Certification("omega_intersection", 0.0 if ok4 else 1.0, 0.0, ok4))
     return posts
+
+
+def _sampled_posts(ana: AnalysisResult, g):
+    # a quotient form: σ(g) and g's sign are sampled across Ω(f)
+    xs = np.array(boundary_samples(ana.omega))
+    v = g(xs + 1e-6j)
+    # the ∞ marker adds 0
+    resid1 = float(np.max(np.abs(v.imag) / (1.0 + cabs(v)), initial=0.0))
+    v, refused = g.masked(xs + 0j)
+    v = v.real[~refused]
+    v = v[np.isfinite(v)]  # the ∞ marker and NaN are skipped
+    resid2 = max(0.0, -float(v.min())) if v.size else 0.0
+    note = "not structurally checkable for quotient forms"
+    return [Certification("sigma_subset", resid1, 1e-3, resid1 <= 1e-3,
+                          "sampled real-extendability across Omega(f)"),
+            Certification("g_positive_on_omega", resid2, 1e-9, resid2 <= 1e-9),
+            Certification("omega_g_regular", 0.0, 0.0, True, note),
+            Certification("omega_intersection", 0.0, 0.0, True, note)]
 
 
 def _constant_certificate(f, k: KreinProduct):

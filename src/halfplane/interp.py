@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, EMPTY, INF, arc_segments,
+from .extreal import (Arc, ArcSet, EMPTY, INF, arc_ends, arc_segments,
                       arcset_contains_arc, boundary_samples, circle_key,
                       circle_minus_points, is_inf, is_regular, normalize,
                       point_to_json, points_equal, regularize)
@@ -226,7 +226,7 @@ def build_function(p: InterpProblem) -> BuildResult:
     certs.append(Certification("poles", 0.0 if pole_ok else 1.0, 0.0, pole_ok,
                                f"min |f| near poles {pole_mag:.3e}"))
 
-    resid_real = _certify_real_off_singular(k, p)
+    resid_real = _certify_real_off_singular(o, p)
     certs.append(Certification("real_off_singular", resid_real, 1e-12,
                                resid_real <= 1e-12))
 
@@ -283,22 +283,22 @@ def _certify_poles(k: KreinProduct, poles) -> tuple:
 _POLE_PROBES = frozen(np.array([-1e-6, 1e-6, -1e-7, 1e-7, -1e-8, 1e-8]))
 
 
-@functools.cache
-def _real_sweep():
-    """The real points −9.7 + 0.331·j, j = 1..60, summed step by step."""
-    xs, x = [], -9.7
-    while x < 10:
-        x += 0.331
-        xs.append(x)
-    return frozen(np.array(xs))
-
-
-def _certify_real_off_singular(k: KreinProduct, p: InterpProblem) -> float:
-    avoid = np.array([float(x) for x in list(p.poles) + list(p.singular) if not is_inf(x)])
-    xs = _real_sweep()
-    xs = xs[~(np.abs(xs[:, None] - avoid) < 1e-3).any(axis=1)]
-    vals, tails = k.eval(xs, strict=False)
-    return float(np.max(np.abs(np.imag(vals[~np.isinf(tails)])), initial=0.0))
+def _certify_real_off_singular(o: ArcSet, p: InterpProblem) -> float:
+    """k_O is real analytic on the line off B ∪ Y when each of its finite
+    poles, the finite left ends of O, is a prescribed pole or a point of Y:
+    the largest distance from such a pole to the nearest point of B ∪ Y."""
+    allowed = np.sort([float(x) for x in p.poles + p.singular if not is_inf(x)])
+    b, a = arc_ends(o.arcs)
+    poles = np.sort([y for y, x in zip(b, a) if y != INF and y != x])
+    if not poles.size:
+        return 0.0
+    if not allowed.size:
+        return INF
+    # the neighbours of each pole among the sorted points of B ∪ Y
+    k = np.searchsorted(allowed, poles)
+    below = np.abs(poles - allowed[np.maximum(k - 1, 0)])
+    above = np.abs(poles - allowed[np.minimum(k, allowed.size - 1)])
+    return float(np.max(np.minimum(below, above)))
 
 
 def realizable_pair(omega: ArcSet, o: ArcSet):

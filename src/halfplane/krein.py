@@ -42,10 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import (Arc, ArcSet, BoundaryDescriptor, CantorComplement, EMPTY,
-                      FULL, INF, Point, boundary_left, is_inf,
-                      is_regular, normalize, points_equal)
+                      FULL, INF, arc_ends, boundary_left, is_regular, normalize,
+                      points_equal)
 from .moebius import HalfPlaneAuto, pullback_arcset
-from .util import cdiv
+from .util import cdiv, cmul
 
 REAL_GUARD = 1e-9
 
@@ -58,33 +58,30 @@ class EvaluationDomainError(ValueError):
     """Evaluation point too close to the singular set for the continuation."""
 
 
-def _hyp(x: Point) -> float:
-    # |i - x| = sqrt(1 + x^2)
-    return math.hypot(1.0, float(x))
-
-
 class _Factors:
     """Arcs as arrays, to evaluate their factors p_J = N/D at many points:
     N = s·(z − a), D = z − b, s = ±|i−b|/|i−a|, on an arc with finite ends
     (b > a wraps through ∞); N = z − a, D = |i − a| on (−∞, a); N = −|i − b|,
     D = z − b on (b, +∞); N = −1, D = 1 on the punctured circle.  These are
-    the closed forms' operations on one point, in their order."""
+    the closed forms' operations on one point, in their order.  The table
+    is built from the arcs' lists of ends (``extreal.arc_ends``)."""
 
-    def __init__(self, arcs):
-        kind = ["p" if arc.puncture else "l" if is_inf(arc.b) else "r" if is_inf(arc.a)
-                else "f" for arc in arcs]
-        self.n, self.cols = len(arcs), {k: [i for i, x in enumerate(kind) if x == k] for k in "lrp"}
-        self.special = any(self.cols.values())
-        self.a = np.array([float(arc.a) if k in "fl" else 0.0 for arc, k in zip(arcs, kind)])
-        self.b = np.array([float(arc.b) if k in "fr" else 0.0 for arc, k in zip(arcs, kind)])
-        self.s = np.array([(1.0 if float(arc.b) < float(arc.a) else -1.0)
-                           * (_hyp(arc.b) / _hyp(arc.a)) if k == "f" else 1.0
-                           for arc, k in zip(arcs, kind)])
-        self.h = np.array([_hyp(arc.a) if k == "l" else -_hyp(arc.b) if k == "r" else 1.0
-                           for arc, k in zip(arcs, kind)])
+    def __init__(self, b, a):
+        kind = ["p" if y == x else "l" if y == INF else "r" if x == INF else "f"
+                for y, x in zip(b, a)]
+        self.n, self.special = len(kind), kind.count("f") < len(kind)
+        self.cols = {k: np.array([i for i, x in enumerate(kind) if x == k], dtype=int)
+                     for k in "lrp"}
+        rows = []
+        for y, x, k in zip(b, a, kind):
+            x, y = x if k in "fl" else 0.0, y if k in "fr" else 0.0
+            # |i − x| by math.hypot, as the scalar closed forms take it
+            hx, hy = math.hypot(1.0, x), math.hypot(1.0, y)
+            s = (1.0 if y < x else -1.0) * (hy / hx) if k == "f" else 1.0
+            rows.append((x, y, s, hx if k == "l" else -hy if k == "r" else 1.0,
+                         {"f": s, "l": INF, "r": 0.0, "p": -1.0}[k]))
+        self.a, self.b, self.s, self.h, self.at_inf = np.array(rows).reshape(-1, 5).T.copy()
         self.poles = self.b[[k in "fr" for k in kind]]
-        self.at_inf = np.array([{"f": s, "l": INF, "r": 0.0, "p": -1.0}[k]
-                                for s, k in zip(self.s, kind)])
 
     def columns(self, pts, off_line=False):
         """(values, poles), shape (points, arcs): p_J at each point of a flat
@@ -92,13 +89,7 @@ class _Factors:
         arithmetic with ±inf as ∞.  An exact pole holds the ∞ marker;
         ``poles`` is None when there is none, as ``off_line``."""
         inf = None if pts.dtype.kind == "c" or not np.isinf(pts).any() else np.isinf(pts)
-        z = (pts if inf is None else np.where(inf, 0.0, pts))[:, None]
-        za = z - self.a
-        num, den = self.s * za, z - self.b
-        if self.special:
-            left, right, punct = self.cols["l"], self.cols["r"], self.cols["p"]
-            num[:, left], den[:, left] = za[:, left], self.h[left]
-            num[:, right], num[:, punct], den[:, punct] = self.h[right], -1.0, 1.0
+        num, den = self._num_den((pts if inf is None else np.where(inf, 0.0, pts))[:, None])
         poles = None if off_line else den == 0
         if poles is not None and poles.any():
             den[poles] = 1.0
@@ -113,6 +104,35 @@ class _Factors:
             vals[inf] = self.at_inf
         return vals, poles
 
+    def _num_den(self, z):
+        # N and D at a column of points
+        za = z - self.a
+        num, den = self.s * za, z - self.b
+        if self.special:
+            left, right, punct = self.cols["l"], self.cols["r"], self.cols["p"]
+            num[:, left], den[:, left] = za[:, left], self.h[left]
+            num[:, right], num[:, punct], den[:, punct] = self.h[right], -1.0, 1.0
+        return num, den
+
+    def _scaled_product(self, pts):
+        """∏ p_J at points off the real line where the plain product is not
+        finite.  Each factor is (N/(D·2^−e))·2^−e with |D·2^−e| near 1, and
+        the running product is kept near 1 by powers of two, so a part of the
+        value is ±inf only where it exceeds the float range, and a part that
+        is exactly 0 stays 0."""
+        num, den = self._num_den(pts[:, None])
+        e = np.frexp(np.maximum(np.abs(den.real), np.abs(den.imag)))[1]
+        scaled = np.empty(den.shape, dtype=complex)
+        scaled.real, scaled.imag = np.ldexp(den.real, -e), np.ldexp(den.imag, -e)
+        vals, out, power = cdiv(num, scaled), np.ones(len(pts), dtype=complex), -e.sum(axis=1)
+        for k in range(self.n):
+            out = cmul(out, vals[:, k])
+            e = np.frexp(np.maximum(np.abs(out.real), np.abs(out.imag)))[1]
+            out.real, out.imag, power = np.ldexp(out.real, -e), np.ldexp(out.imag, -e), power + e
+        with np.errstate(over="ignore"):
+            out.real, out.imag = np.ldexp(out.real, power), np.ldexp(out.imag, power)
+        return out
+
     def product(self, pts, n_off=None):
         """(∏ p_J in order, pole, near) at the points of a flat array, those
         off the real line in complex arithmetic, the others in real; ``pole``
@@ -124,7 +144,13 @@ class _Factors:
         n_off = np.count_nonzero(pts.imag) if n_off is None else n_off
         if n_off == pts.size:
             vals = self.columns(pts, off_line=True)[0]
-            return np.multiply.reduce(vals, axis=1, initial=1 + 0j), None, None
+            out = np.multiply.reduce(vals, axis=1, initial=1 + 0j)
+            # a factor or a partial product past the float range turns into
+            # inf or NaN parts; only those points are multiplied out again
+            big = ~np.isfinite(out)
+            if big.any():
+                out[big] = self._scaled_product(pts[big])
+            return out, None, None
         off = pts.imag != 0
         out, pole, near = self._on_line(pts.real[~off])
         if n_off == 0:
@@ -157,7 +183,7 @@ def _spread(mask, where):
 def _factors(arcs: tuple) -> _Factors:
     # one exponent's pieces are evaluated many times in a row; a table is a
     # dozen small arrays, so only a few recent ones are kept
-    return _Factors(arcs)
+    return _Factors(*arc_ends(arcs))
 
 
 def scalar_or_array(values, z):
@@ -312,12 +338,8 @@ class KreinProduct:
         return self.eval(z)[0]
 
     @functools.cached_property
-    def _merged(self) -> tuple:
-        return _merged_arcs(self.arcs)
-
-    @functools.cached_property
     def _table(self) -> _Factors:
-        return _Factors(self._merged)
+        return _Factors(*_merged_ends(self.arcs))
 
     def eval(self, z, strict: bool = True):
         """(value, tail_bound) with |true value − value| ≤ tail_bound, at a
@@ -376,10 +398,9 @@ class KreinProduct:
         return scalar_or_array(values, z), tails.item(0)
 
     def _near_pole(self, x: float) -> EvaluationDomainError:
-        poles = [arc.b for arc in self._merged if not (arc.puncture or is_inf(arc.b))]
-        near = [b for b in poles if abs(x - float(b)) < REAL_GUARD]
+        near = [b for b in self._table.poles.tolist() if abs(x - b) < REAL_GUARD]
         return EvaluationDomainError(
-            f"real evaluation at {x} is within {abs(x - float(near[-1])):.2e} "
+            f"real evaluation at {x} is within {abs(x - near[-1]):.2e} "
             f"of the singular point {near[-1]}")
 
     def _generator(self, explicit, z, depth):
@@ -393,7 +414,10 @@ class KreinProduct:
         def truncation(d):
             gen = (1.0 + _ratio_minus_one(l, r - l, d, z)) / _ratio_norm_at_i(l, r, d)
             value = explicit * (complex(gen) if isinstance(z, complex) else float(gen))
-            return value, abs(value) * math.expm1((r - l) * (2.0 / 3.0) ** d * m)
+            try:
+                return value, abs(value) * math.expm1((r - l) * (2.0 / 3.0) ** d * m)
+            except OverflowError:  # e^x − 1 past the float range bounds nothing
+                return value, INF
 
         if depth is not None:
             return truncation(min(max(depth, level), cap))
@@ -424,33 +448,25 @@ class KreinProduct:
         return out
 
 
-def _merged_arcs(o: ArcSet) -> tuple:
-    """The arcs of O with every chain of shared ends merged into one arc, by
-    p_(b,c)·p_(c,a) = p_(b,a); ∞ counts as a shared end, and a chain that
-    closes up the circle is the constant factor −1 of a puncture arc.  Only
-    exactly equal ends merge: the identity is exact for them alone."""
-    if o.full:
-        return (Arc(INF, INF, puncture=True),)
-    chains = []
-    for arc in o.arcs:
-        if chains and points_equal(chains[-1][-1].a, arc.b, 0.0):
-            chains[-1].append(arc)
+def _merged_ends(o: ArcSet) -> tuple:
+    """(b, a): O's arcs as ``extreal.arc_ends`` lists, every chain of shared
+    ends merged into one arc by p_(b,c)·p_(c,a) = p_(b,a); ∞ counts as a shared
+    end, and a chain closing up the circle is the factor −1 of a puncture arc
+    (b = a).  Only exactly equal ends merge: the identity is exact for them alone."""
+    ends = arc_ends((Arc(INF, INF, puncture=True),) if o.full else o.arcs)
+    b, a = [], []
+    for y, x in zip(*ends):
+        if a and a[-1] == y:
+            a[-1] = x
         else:
-            chains.append([arc])
+            b.append(y)
+            a.append(x)
     # the sorted arcs follow the circle from ∞, so only the last chain can run
     # on into the first
-    if len(chains) > 1 and points_equal(chains[-1][-1].a, chains[0][0].b, 0.0):
-        chains[0] = chains.pop() + chains[0]
-    out = []
-    for chain in chains:
-        b, a = chain[0].b, chain[-1].a
-        if len(chain) == 1:
-            out.append(chain[0])
-        elif points_equal(b, a, 0.0):
-            out.append(Arc(b, b, puncture=True))
-        else:
-            out.append(Arc(b, a))
-    return tuple(out)
+    if len(b) > 1 and a[-1] == b[0]:
+        b[0] = b.pop()
+        a.pop()
+    return b, a
 
 
 def _gap(base, cap_depth: int, z):

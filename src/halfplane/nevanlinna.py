@@ -10,7 +10,9 @@ the ∞ marker sits at an atom, ±inf in a real array is ∞.  Boundary recovery
 (α, β, atoms, densities) uses geometric ladders with Richardson
 extrapolation.  The zeros that bound Γ(f) and the roots of the Boole and
 pushforward identities come from secular-matrix seeds, each polished and
-sign-bracketed on its own component.
+sign-bracketed on its own component.  σ's merged support is derived once
+per descriptor: Ω's arcs, the branches of the root kernel and the pieces
+of Γ all run between its pieces.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, complement_of_closed,
-                      is_inf, merged_support, normalize, points_equal,
-                      regularize)
+from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL,
+                      complement_ends, complement_of_closed, is_inf,
+                      merged_support, regularize)
 from .util import (RecoveryError, RootBracketError, branch_roots, cdiv, cmul,
                    ladder_limit)
 
@@ -136,7 +138,8 @@ def interval_entries(entries, value_key: str, field: str) -> tuple:
 @dataclass(frozen=True)
 class SigmaDescriptor:
     """Closed support of ρ plus ∞ when α > 0: finite points, closed
-    intervals, and an ∞ flag."""
+    intervals, and an ∞ flag.  Its merged support is derived once and
+    shared by the analysis, the root kernel and the factorization's posts."""
 
     points: tuple = ()
     intervals: tuple = ()
@@ -145,14 +148,13 @@ class SigmaDescriptor:
     def omega(self) -> ArcSet:
         return complement_of_closed(self.points, self.intervals, self.has_inf)
 
+    @functools.cached_property
+    def support(self) -> tuple:
+        """(lo, hi): the float ends of ``extreal.merged_support``'s pieces."""
+        return merged_support(self.points, self.intervals)[:2]
+
     def is_measure_zero(self) -> bool:
         return not self.intervals
-
-    def finite_boundary(self) -> list:
-        pts = [float(p) for p in self.points if not is_inf(p)]
-        for l, r in self.intervals:
-            pts.extend([float(l), float(r)])
-        return sorted(set(pts))
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         if is_inf(x):
@@ -289,8 +291,11 @@ class NevanlinnaRep:
 @dataclass(frozen=True)
 class AnalysisResult:
     sigma: SigmaDescriptor
-    omega: ArcSet
     gamma: ArcSet
+
+    @property
+    def omega(self) -> ArcSet:
+        return self.sigma.omega()
 
 
 def analyze(rep: NevanlinnaRep) -> AnalysisResult:
@@ -298,21 +303,25 @@ def analyze(rep: NevanlinnaRep) -> AnalysisResult:
 
     On each component of Ω the function is strictly increasing, so it has at
     most one zero there; each component contributes the piece from its left
-    endpoint to that zero.  The assembled set is Lebesgue regular.
+    endpoint to that zero, read off σ's merged support.  The assembled set is
+    Lebesgue regular; Ω itself is built only when asked for.
     """
     sig = rep.sigma()
-    omega = sig.omega()
     if rep.alpha == 0 and rep.rho.mass() == 0:
         if rep.beta == 0:
             raise ValueError("analysis of the zero function is undefined")
-        return AnalysisResult(sig, omega, FULL if rep.beta < 0 else EMPTY)
-    pieces = []
-    for arc, a in zip(omega.arcs, _component_roots(rep, (0.0,))[0].tolist()):
-        if points_equal(arc.b, a):
-            raise RootBracketError(f"the zero {a} of f lies within the point "
-                                   f"tolerance of its branch end {arc.b}")
-        pieces.append(Arc(arc.b, a))
-    return AnalysisResult(sig, omega, regularize(normalize(pieces)))
+        return AnalysisResult(sig, FULL if rep.beta < 0 else EMPTY)
+    b = complement_ends(*sig.support, sig.has_inf)[0]
+    a = _component_roots(rep, (0.0,), sig.support)[0].tolist()
+    for end, zero in zip(b, a):
+        if abs(end - zero) <= POINT_TOL:
+            raise RootBracketError(f"the zero {zero} of f lies within the point "
+                                   f"tolerance of its branch end {end}")
+    gamma = ArcSet(tuple(map(Arc, b, a)))
+    # regularize joins a piece to the next when its zero meets the next start
+    if any(zero != INF and abs(zero - end) <= POINT_TOL for zero, end in zip(a, b[1:] + b[:1])):
+        gamma = regularize(gamma)
+    return AnalysisResult(sig, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +431,7 @@ def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
         raise ValueError("the pushforward identity requires alpha = 1")
     if not rep.rho.is_atomic():
         raise ValueError("the pushforward identity is verified for atomic rho")
-    at_c, at_d = _component_roots(rep, (c, d))
+    at_c, at_d = _component_roots(rep, (c, d), rep.sigma().support)
     return float(np.sum(at_d - at_c))
 
 
@@ -451,10 +460,11 @@ def _boole_roots(ts, ws, y: float):
 def _exact_offset(beta: float, ws, ts, ac) -> float:
     # β − m₁ correctly rounded: Dekker's split (by 2^27 + 1) writes each w·t as an
     # exact sum p + e, which fsum adds exactly; density moments join as fractions
-    p, wh, th = ws * ts, ws * 134217729.0, ts * 134217729.0
-    wh, th = wh - (wh - ws), th - (th - ts)
-    e = ((wh * th - p) + wh * (ts - th) + (ws - wh) * th) + (ws - wh) * (ts - th)
-    pieces = np.concatenate(([beta], -p, -e)).tolist()
+    pieces = [beta]
+    for w, t in zip(ws.tolist(), ts.tolist()):
+        p, wh, th = w * t, w * 134217729.0, t * 134217729.0
+        wh, th = wh - (wh - w), th - (th - t)
+        pieces += (-p, -(((wh * th - p) + wh * (t - th) + (w - wh) * th) + (w - wh) * (t - th)))
     if not ac:
         return math.fsum(pieces)
     return float(sum(map(Fraction, pieces)) - sum(
@@ -505,9 +515,9 @@ def _density_slope(x, l, r, log_ratio):
     return np.where(far, series, closed)[()]
 
 
-def _component_roots(rep: NevanlinnaRep, targets):
+def _component_roots(rep: NevanlinnaRep, targets, support):
     """Roots of f = target on the arcs of Ω(f), which run between the pieces
-    of ``extreal.merged_support`` in the order of ``SigmaDescriptor.omega``:
+    (lo, hi) of σ's ``support`` in the order of ``SigmaDescriptor.omega``:
     shape (len(targets), arcs), INF marking a zero at ∞.  Unbounded arcs close
     in closed form: f = αx + β′ + ∫(1+t²)/(t−x) dρ with β′ = β − m₁ (exact:
     the kernel w(1+xt)/(t−x) rounds a −w·t into every term, which drowns the
@@ -517,35 +527,33 @@ def _component_roots(rep: NevanlinnaRep, targets):
     diag(t) + uuᵀ/(β′ − target) (α = 0), densities by midpoints."""
     alpha, ac = rep.alpha, rep.rho.ac
     targets = np.asarray(targets, dtype=float)[:, None]
-    ts, ws = np.array(rep.rho.atoms, dtype=float).reshape(-1, 2).T
-    ls, rs, ds = np.array(ac, dtype=float).reshape(-1, 3).T
+    ts, ws = rep._atoms
     u2 = ws * (1.0 + ts * ts)
-    big_k = float(np.sum(u2)) + sum(d * (r - l + (r**3 - l**3) / 3) for l, r, d in ac)
+    big_k = float(u2.sum()) + sum(d * (r - l + (r**3 - l**3) / 3) for l, r, d in ac)
     shift = rep.beta - rep.rho.moment1() - targets  # β′ − target
 
-    merged = merged_support(ts.tolist(), [(l, r) for l, r, _ in ac])
-    starts, ends = np.array([piece[:2] for piece in merged]).reshape(-1, 2).T
+    starts, ends = support
+    n_arcs = len(starts) + (alpha > 0)
+    lo, hi = np.empty((2, len(targets), n_arcs))
     if alpha > 0:  # far sign at s = max(1, 2(|αm + β′ − target| + K)/α) past an end m
-        m = np.array([starts[0], ends[-1]]) if merged else np.zeros(2)
+        m = np.array([starts[0], ends[-1]] if starts else [0.0, 0.0])
         far = np.maximum(1.0, 2.0 * (np.abs(alpha * m + shift) + big_k) / alpha)
-        lo = np.concatenate(([np.nan], ends))[None].repeat(len(targets), 0)
-        hi = np.concatenate((starts, [np.nan]))[None].repeat(len(targets), 0)
+        lo[:, 1:], hi[:, :-1] = ends, starts
         lo[:, 0], hi[:, -1] = m[0] - far[:, 0], m[1] + far[:, 1]
     else:  # the last arc wraps through ∞; |f − β′| < |β′ − target| at 2K/|β′ − target| past it
-        lo = ends[None].repeat(len(targets), 0)
-        hi = np.concatenate((starts[1:], starts[:1]))[None].repeat(len(targets), 0)
         reach, right = 2.0 * big_k / np.abs(np.where(shift == 0, 1.0, shift))[:, 0], shift[:, 0] > 0
-        lo[:, -1], hi[:, -1] = (np.where(right, lo[:, -1], hi[:, -1] - reach),
-                                np.where(right, lo[:, -1] + reach, hi[:, -1]))
+        lo[:], hi[:, :-1] = ends, starts[1:]
+        lo[:, -1] = np.where(right, ends[-1], starts[0] - reach)
+        hi[:, -1] = np.where(right, ends[-1] + reach, starts[0])
     # a zero at ∞ when α = 0 and β′ = target
-    live = (alpha > 0) | (shift != 0) | (np.arange(lo.shape[1]) < lo.shape[1] - 1)
+    live = (alpha > 0) | (shift != 0) | (np.arange(n_arcs) < n_arcs - 1)
 
-    if ac or len(merged) < len(ts):
+    if ac or len(starts) < len(ts):
         seeds = 0.5 * (lo + hi)
     elif alpha > 0:
         n = len(ts)
         arrow = np.zeros((len(targets), n + 1, n + 1))
-        arrow[:, np.arange(n), np.arange(n)] = ts
+        arrow[:, :n, :n] = np.diag(ts)
         arrow[:, :n, n] = arrow[:, n, :n] = np.sqrt(u2 / alpha)
         arrow[:, n, n] = -shift[:, 0] / alpha
         seeds = np.linalg.eigvalsh(arrow)
@@ -558,7 +566,8 @@ def _component_roots(rep: NevanlinnaRep, targets):
 
     beta_a = _exact_offset(rep.beta, ws, ts, ac)
     # rounding bounds in eps: αx and β′, the atoms, each density's three summands
-    ulps = np.repeat([1.0, 3.0, 6.0, 14.0, 2.0], [2, len(ts), len(ds), len(ds), len(ds)])
+    ulps = np.repeat([1.0, 3.0, 6.0, 14.0, 2.0], [2, len(ts)] + [len(ac)] * 3)
+    ls, rs, ds = np.array(ac, dtype=float).T if ac else (None,) * 3
 
     def terms(x):
         xc = x[:, None]
@@ -567,12 +576,12 @@ def _component_roots(rep: NevanlinnaRep, targets):
 
     def slope(x):
         xc = x[:, None]
-        val = alpha + np.sum(u2 / (ts - xc) ** 2, axis=1)
+        val = alpha + (u2 / (ts - xc) ** 2).sum(axis=1)
         if ac:
-            val += np.sum(ds * _density_slope(xc, ls, rs, _log_ratios(xc, ls, rs)), axis=1)
+            val += (ds * _density_slope(xc, ls, rs, _log_ratios(xc, ls, rs))).sum(axis=1)
         return val
 
-    roots = np.where(live, 0.0, INF)
-    roots[live] = branch_roots(terms, ulps, targets.repeat(lo.shape[1], 1)[live],
+    roots = np.full(lo.shape, INF)
+    roots[live] = branch_roots(terms, ulps, targets.repeat(n_arcs, 1)[live],
                                seeds[live], lo[live], hi[live], slope)
     return roots

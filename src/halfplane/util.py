@@ -41,15 +41,16 @@ def branch_roots(terms, ulps, target, seeds, lo, hi, slope=None):
     RootBracketError."""
     target = np.asarray(target, dtype=float)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    inner = np.nextafter(lo, hi), np.nextafter(hi, lo)  # the open branches' float ends
     with np.errstate(all="ignore"):
-        x = np.clip(seeds, np.nextafter(lo, hi), np.nextafter(hi, lo))
+        x = np.minimum(np.maximum(seeds, inner[0]), inner[1])
         x, settled = _newton(terms, slope, target, x, lo, hi)
-        ok = settled & _bracketed(terms, ulps, target, x, lo, hi)
+        ok = settled & _bracketed(terms, ulps, target, x, lo, hi, inner)
         if not ok.all():
             bad = ~ok
             blo, bhi = _bisect(terms, target[bad], lo[bad], hi[bad])
             x[bad] = _newton(terms, slope, target[bad], 0.5 * (blo + bhi), blo, bhi)[0]
-            ok = _bracketed(terms, ulps, target, x, lo, hi)
+            ok = _bracketed(terms, ulps, target, x, lo, hi, inner)
     if not ok.all():
         k = int(np.argmin(ok))
         raise RootBracketError(
@@ -73,10 +74,9 @@ def _newton(terms, slope, target, x, lo, hi):
     return x, settled
 
 
-def _bracketed(terms, ulps, target, x, lo, hi):
+def _bracketed(terms, ulps, target, x, lo, hi, inner):
     delta = BRACKET * np.maximum(1.0, np.abs(x))
-    ends = np.concatenate((np.maximum(x - delta, np.nextafter(lo, hi)),
-                           np.minimum(x + delta, np.nextafter(hi, lo))))
+    ends = np.concatenate((np.maximum(x - delta, inner[0]), np.minimum(x + delta, inner[1])))
     targets = np.concatenate((target, target))
     summands = terms(ends)
     eps, size = np.finfo(float).eps, np.abs(summands)
@@ -86,7 +86,7 @@ def _bracketed(terms, ulps, target, x, lo, hi):
     # could flip a sign, fsum sums them exactly
     values = summands.sum(axis=1) - targets
     slack = (summands.shape[1] + 1) * eps * (size.sum(axis=1) + np.abs(targets))
-    for k in np.nonzero(np.abs(values) <= rounding + slack)[0]:
+    for k in (np.abs(values) <= rounding + slack).nonzero()[0]:
         values[k] = math.fsum([*summands[k].tolist(), -targets[k]])
     m = len(x)
     return ((lo < ends[:m]) & (ends[m:] < hi)

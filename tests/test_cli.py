@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -82,6 +83,18 @@ class TestEval:
         assert code == 0
         flags = [r[4] for r in json.loads(out)["rows"]]
         assert "uncertified" in flags
+
+    def test_box_grid_close_above_cantor_set(self, capsys):
+        # at Im z = 1e-9 over the base the generator's tail bound is past the
+        # float range: those rows are uncertified, the others still report
+        spec = str(pathlib.Path(__file__).parent.parent / "cli_examples" / "eval_cantor.json")
+        code, out = run(capsys, ["eval", "--spec", spec, "--grid=box:-4:4:1e-9:2:9"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        flags = {(r[0], r[1]): r[4] for r in rows}
+        assert flags[(0.0, 1e-9)] == flags[(1.0, 1e-9)] == "uncertified"
+        assert all(flags[(x, 1e-9)] == "interior" for x in (-4.0, -3.0, 2.0, 4.0))
+        assert all(math.isfinite(r[2]) for r in rows if r[4] == "interior")
 
     def test_product_cantor_honours_tol(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "p.json", {

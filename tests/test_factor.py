@@ -4,17 +4,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from halfplane.extreal import Arc, EMPTY, INF, normalize
+from halfplane.extreal import Arc, ArcSet, EMPTY, INF, is_inf, normalize
 from halfplane.factor import (BlackBoxFunction,
                               CompositeFunction, ExpRep, RepFunction,
-                              analyze_pick, compose_in_class,
+                              _verify_posts, analyze_pick, compose_in_class,
                               constant_factor_check, divide_single,
                               factorize, psi_recover)
 from halfplane.krein import KreinProduct, p_eval
-from halfplane.nevanlinna import Measure, NevanlinnaRep, SigmaDescriptor
+from halfplane.nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
+                                  SigmaDescriptor, analyze)
 
 from conftest import random_atomic_rep, random_upper_points
+from test_krein import _mp_krein
 
 
 def sqrt_branch(z):
@@ -253,6 +256,64 @@ class TestFactorize:
                                  ExpRep(0.0, ((1.0, 3.0, 0.5),)))
         with pytest.raises(ValueError):
             analyze_pick(comp)
+
+
+@st.composite
+def corollary_reps(draw):
+    """Atomic reps with 1 to 16 atoms at least 0.005 apart, α = 0 or α > 0."""
+    n = draw(st.integers(1, 16))
+    xs = draw(st.lists(st.integers(-4000, 4000), min_size=n, max_size=n, unique=True))
+    ws = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+    alpha = draw(st.one_of(st.just(0.0), st.floats(0.01, 5.0)))
+    atoms = tuple(zip((x / 200.0 for x in sorted(xs)), ws))
+    return NevanlinnaRep(alpha, draw(st.floats(-5.0, 5.0)), Measure(atoms=atoms))
+
+
+def mp_atomic(rep, z):
+    """f(z) = αz + β + Σ w(1 + zt)/(t − z) in 50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        z = mp.mpmathify(z)
+        return complex(rep.alpha * z + rep.beta
+                       + mp.fsum(w * (1 + z * t) / (t - z) for t, w in rep.rho.atoms))
+
+
+class TestCorollary:
+    """f = |f(i)|·k_Γ when σ(f) has measure zero (atomic f)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(corollary_reps(), st.lists(st.tuples(st.floats(-25.0, 25.0), st.floats(0.5, 5.0)),
+                                      min_size=1, max_size=5))
+    def test_reconstruction(self, rep, points):
+        res = factorize(RepFunction(rep))
+        arcs = [(arc.b, arc.a) for arc in res.gamma.arcs]
+        for x, y in points:
+            f = mp_atomic(rep, complex(x, y))
+            assert abs(res.constant * _mp_krein(arcs, complex(x, y)) - f) <= 1e-12 * abs(f)
+        # σ(k_Γ) = σ(f): the finite left ends are the atoms, ∞ one iff α > 0
+        lefts = [arc.b for arc in res.gamma.arcs]
+        assert [b for b in lefts if not is_inf(b)] == [t for t, _ in rep.rho.atoms]
+        assert any(is_inf(b) for b in lefts) == (rep.alpha > 0)
+
+    @staticmethod
+    def _posts(ana, g):
+        return {p.name: p.passed for p in _verify_posts(ana, RepFunction(g))}
+
+    def test_posts_are_not_vacuous(self):
+        rep = NevanlinnaRep(0.5, 0.3, Measure(atoms=((-1.0, 1.0), (0.5, 0.4), (2.0, 1.5))))
+        ana = analyze(rep)
+        c = abs(rep.eval(1j))
+        assert all(self._posts(ana, NevanlinnaRep(0.0, c)).values())
+        # a Γ missing one arc leaves a point of σ(f) out of σ(k_Γ) ∪ σ(g)
+        for k in range(len(ana.gamma.arcs)):
+            short = ArcSet(ana.gamma.arcs[:k] + ana.gamma.arcs[k + 1:])
+            assert not self._posts(AnalysisResult(ana.sigma, short),
+                                   NevanlinnaRep(0.0, c))["omega_intersection"]
+        # a g that is not positive on Ω(g)
+        assert not self._posts(ana, NevanlinnaRep(0.0, -c))["g_positive_on_omega"]
+        # a g with an atom off σ(f)
+        stray = NevanlinnaRep(0.0, c, Measure(atoms=((1.0, 0.2),)))
+        assert not self._posts(ana, stray)["sigma_subset"]
 
 
 class TestConstantCheck:

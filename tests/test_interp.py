@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from halfplane.extreal import Arc, FULL, INF, is_regular, normalize, points_equal
-from halfplane.interp import (InterlacingError, InterpProblem, build_function,
+from halfplane.interp import (InterlacingError, InterpProblem,
+                              _certify_real_off_singular, build_function,
                               check_interlacing, construct_O, disk_interpolate,
                               realizable_pair)
 from halfplane.nevanlinna import SigmaDescriptor
@@ -161,6 +162,15 @@ class TestBuild:
             for a in p.zeros:
                 v = b(a)
                 assert isinstance(v, float) and abs(v) < 1e-10
+
+    def test_real_off_singular_flags_a_stray_pole(self):
+        # a product with a pole at 2, neither prescribed nor singular, is not
+        # real analytic there: the residual is that pole's distance to B ∪ Y
+        p = InterpProblem(zeros=(1.0,), poles=(0.0,), singular=(5.0,))
+        o = construct_O(p)
+        assert _certify_real_off_singular(o, p) == 0.0
+        assert _certify_real_off_singular(normalize(list(o.arcs) + [Arc(2.0, 3.0)]), p) == 2.0
+        assert _certify_real_off_singular(normalize([Arc(2.0, 3.0)]), InterpProblem()) == INF
 
     def test_equivalence_on_random_instances(self, rng):
         agree = 0

@@ -1,10 +1,11 @@
 import cmath
 import functools
 import math
+import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
                                angle_subtended, is_inf, normalize, regularize)
@@ -205,6 +206,8 @@ def _mp_krein(pairs, z):
                     val *= ((mp.mpmathify(z) - p) / c) ** power
         if order:
             return 0.0 if order > 0 else INF
+        if abs(val) > sys.float_info.max:
+            return complex(INF, INF)  # beyond the largest double
         return complex(val) if isinstance(z, complex) else float(val)
 
 
@@ -212,6 +215,8 @@ class TestExplicitProduct:
     @settings(max_examples=150, deadline=None)
     @given(chained_arcsets(), st.lists(st.tuples(st.floats(-60, 60), st.floats(-5, 5)),
                                        min_size=1, max_size=6))
+    # at a subnormal Im z the value −1/z of p_(0,∞) lies beyond the largest double
+    @example((normalize([Arc(0.0, INF)]), [(0.0, INF)], []), [(0.0, 2.225073858507203e-309)])
     def test_matches_mpmath_product(self, sample, points):
         o, kept, poles = sample
         k = KreinProduct(o)
@@ -223,6 +228,8 @@ class TestExplicitProduct:
             assert isinstance(val, complex) == isinstance(z, complex)
             if exact == INF:
                 assert val == INF
+            elif abs(exact) == INF:
+                assert abs(val) == INF and not cmath.isnan(val)
             else:
                 assert abs(val - exact) <= 64 * 2.0 ** -52 * abs(exact)
         for b in poles:
@@ -312,6 +319,16 @@ class TestCantorProduct:
         k = cantor_complement_product((0, 1), depth=4, tol=1e-12)
         with pytest.raises(TailNotCertified, match="at depth 4, the generator's depth cap"):
             k.eval(1j)
+
+    def test_tail_beyond_float_range(self):
+        # close above the base the tail's exponent reaches about 3e5, and
+        # e^x − 1 past the float range bounds nothing: the tail is infinite
+        k = cantor_complement_product((0, 1), 20, 1e-3)
+        with pytest.raises(TailNotCertified, match="tail bound inf exceeds tol 1.000e-03 "
+                                                   "at depth 20, the generator's depth cap"):
+            k.eval(0.5 + 1e-9j)
+        val, tail = k.eval_at_depth(0.5 + 1e-9j, 20)
+        assert tail == INF and cmath.isfinite(val)
 
     def test_tail_checked_with_explicit_factor(self):
         # |explicit| ≈ 1.7 here, so the generator-only tail passed at depth 14

@@ -437,7 +437,7 @@ class TestSecularKernel:
         edges = [None] + ts.tolist() + [None]
         omega = rep.sigma().omega()
         assert [arc.b for arc in omega.arcs] == [INF] + ts.tolist()
-        for target, row in zip((c, d), _component_roots(rep, (c, d))):
+        for target, row in zip((c, d), _component_roots(rep, (c, d), rep.sigma().support)):
             for k, x in enumerate(row.tolist()):
                 assert_certified_root(mp_rep(rep, target), x, edges[k], edges[k + 1])
         assert abs(letac_pushforward_check(rep, (c, d)) - (d - c)) <= 1e-8
