@@ -11,6 +11,7 @@ Exit codes: 0 all certifications pass, 1 certification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -60,6 +61,9 @@ def load_spec(path):
     if obj.get("version", 1) != 1:
         raise SpecError(f"unsupported spec version {obj['version']!r}; "
                         "this program reads version 1")
+    for field in (tasks[0], "options"):
+        if not isinstance(obj.get(field, {}), dict):
+            raise SpecError(f"{field} must be a JSON object, got {obj[field]!r}")
     return tasks[0], obj[tasks[0]], obj.get("options", {}), obj
 
 
@@ -74,6 +78,8 @@ def _krein_product(kspec, options):
     if "cantor" not in kspec:
         return KreinProduct(ArcSet.from_json(kspec))
     cc = kspec["cantor"]
+    if not isinstance(cc, dict):
+        raise SpecError(f"cantor must be a JSON object, got {cc!r}")
     return cantor_complement_product(
         tuple(cc.get("interval", [0, 1])),
         int(cc.get("depth", options.get("depth", 26))),
@@ -95,6 +101,8 @@ def build_function_spec(task, body, options):
 
 
 def parse_grid(text, field):
+    if not isinstance(text, str):
+        raise SpecError(f"{field} must be a string, got {text!r}")
     if text.startswith("box:"):
         parts = text.split(":")[1:]
         if len(parts) != 5:
@@ -312,7 +320,6 @@ def suite_krein_props(rng, report):
         val = k(z)
         worst_norm = max(worst_norm, abs(abs(k(1j)) - 1.0))
         ang = extreal.angle_subtended(o, z)
-        import cmath
         worst_angle = max(worst_angle, abs(cmath.phase(val) - ang)
                           if ang <= math.pi - 1e-9 else 0.0)
         for arc in o.arcs:

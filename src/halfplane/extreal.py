@@ -13,8 +13,11 @@ it rather than splitting on the kinds of arc themselves:
 
 * circle order: :func:`circle_key` sorts points along the circle from just
   after a given start;
-* point complements: :func:`circle_minus_points`, and
-  :func:`complement_of_closed` for closed sets with intervals;
+* complements: :func:`closed_complement` reads an arc set's gaps as a
+  closed set and :func:`complement_of_closed` turns a closed set (points,
+  intervals, ∞) back into arcs through :func:`merged_support`; the
+  regularization, :meth:`ArcSet.remove_points` and
+  :func:`circle_minus_points` are this one round trip;
 * segment decomposition: :func:`arc_segments` writes an arc as open segments
   of the line with exact endpoints;
 * arc containment: :func:`arc_contains_arc`, :func:`arcset_contains_arc`,
@@ -62,8 +65,10 @@ def points_equal(x: Point, y: Point, tol: float = POINT_TOL) -> bool:
 
 
 def _canon_point(x: Point) -> Point:
-    # -inf and +inf are the same point of the circle
-    if isinstance(x, float) and math.isinf(x):
+    # -inf and +inf are the same point of the circle; NaN is no point of it
+    if isinstance(x, float) and not math.isfinite(x):
+        if math.isnan(x):
+            raise ValueError("an arc end is NaN")
         return INF
     return x
 
@@ -199,17 +204,13 @@ class ArcSet:
             return FULL
         return normalize(list(self.arcs) + list(other.arcs))
 
-    def remove_points(self, points: Sequence[Point], tol: float = POINT_TOL) -> "ArcSet":
-        """Open set obtained by deleting finitely many points."""
-        points = list(points)
-        if not points:
+    def remove_points(self, points: Sequence[Point]) -> "ArcSet":
+        """Open set obtained by deleting finitely many points: the complement
+        of its gaps and of the points inside it."""
+        inside = [p for p in points if self.contains(p)]
+        if not inside:
             return self
-        if self.full:
-            return circle_minus_points(points)
-        out = []
-        for arc in self.arcs:
-            out.extend(_split_arc(arc, [p for p in points if arc.contains(p, tol)]))
-        return ArcSet(tuple(sorted(out, key=Arc._sort_key)))
+        return complement_of_closed(inside, *closed_complement(self))
 
     def to_json(self):
         if self.full:
@@ -218,6 +219,8 @@ class ArcSet:
 
     @staticmethod
     def from_json(obj) -> "ArcSet":
+        if not isinstance(obj, dict):
+            raise ValueError(f"arc set {obj!r} is not a JSON object")
         if obj.get("full"):
             return FULL
         arcs = []
@@ -256,35 +259,10 @@ def circle_key(start: Point = INF):
     return key
 
 
-def _distinct(points) -> list:
-    """The points in their given order, each repeat (``points_equal``) dropped."""
-    out = []
-    for p in points:
-        if not any(points_equal(p, q) for q in out):
-            out.append(p)
-    return out
-
-
 def circle_minus_points(points: Sequence[Point]) -> ArcSet:
     """The open complement of finitely many points: the arcs between
     neighbours in circle order, or a puncture arc for a single point."""
-    pts = sorted(_distinct(points), key=circle_key())
-    if not pts:
-        return FULL
-    if len(pts) == 1:
-        return ArcSet((Arc(pts[0], pts[0], puncture=True),))
-    arcs = [Arc(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
-    return ArcSet(tuple(sorted(arcs, key=Arc._sort_key)))
-
-
-def _split_arc(arc: Arc, interior: list) -> list:
-    if not interior:
-        return [arc]
-    if arc.puncture:
-        # circle minus {arc.b} minus the interior points
-        return list(circle_minus_points([arc.b] + interior).arcs)
-    ends = [arc.b] + sorted(_distinct(interior), key=circle_key(arc.b)) + [arc.a]
-    return [Arc(ends[i], ends[i + 1]) for i in range(len(ends) - 1)]
+    return complement_of_closed(points, (), False)
 
 
 def normalize(arcs: Iterable[Arc]) -> ArcSet:
@@ -371,8 +349,9 @@ def _line_equal(x, y) -> bool:
 def regularize(o) -> ArcSet:
     """Lebesgue regularization of an open set.
 
-    For explicit arc sets this merges arcs that share a finite endpoint and
-    chains thereof, and fills a puncture at a finite point.  The point ∞ is
+    For explicit arc sets this is the complement of the gaps that are more
+    than a single finite point: arcs that share a finite endpoint, and chains
+    thereof, merge, and a puncture at a finite point fills.  The point ∞ is
     never adjoined: the regularization is defined by a condition at finite
     points only, so the circle minus ∞ (the whole line) is left unchanged.
     Generators regularize symbolically: a Cantor complement becomes its base
@@ -380,43 +359,17 @@ def regularize(o) -> ArcSet:
     """
     if isinstance(o, CantorComplement):
         return o.regularized()
-    if o.full or o.is_empty:
+    gaps, has_inf = closed_complement(o)
+    kept = [(l, r) for l, r in gaps if is_inf(l) or is_inf(r) or not points_equal(l, r)]
+    if len(kept) == len(gaps):
         return o
-    arcs = list(o.arcs)
-    if len(arcs) == 1 and arcs[0].puncture:
-        return o if is_inf(arcs[0].b) else FULL
-
-    changed = True
-    while changed and len(arcs) > 1:
-        changed = False
-        n = len(arcs)
-        for i in range(n):
-            j = (i + 1) % n
-            if i == j:
-                break
-            ai, aj = arcs[i], arcs[j]
-            if is_inf(ai.a) or not points_equal(ai.a, aj.b):
-                continue
-            if points_equal(ai.b, aj.a):
-                # the two arcs close up the circle around their junctions
-                x = ai.b
-                if is_inf(x):
-                    return ArcSet((Arc(INF, INF, puncture=True),))
-                return FULL
-            merged = Arc(ai.b, aj.a)
-            arcs = [arcs[k] for k in range(n) if k not in (i, j)] + [merged]
-            arcs.sort(key=Arc._sort_key)
-            changed = True
-            break
-    if len(arcs) == 1 and arcs[0].puncture and not is_inf(arcs[0].b):
-        return FULL
-    return ArcSet(tuple(arcs))
+    return complement_of_closed((), kept, has_inf)
 
 
-def is_regular(o, tol: float = POINT_TOL) -> bool:
+def is_regular(o) -> bool:
     if isinstance(o, CantorComplement):
         return False
-    return regularize(o).isclose(o, tol)
+    return regularize(o).isclose(o)
 
 
 def measure(o) -> Point:
@@ -580,6 +533,34 @@ def complement_of_closed(points: Sequence[Point], intervals: Sequence[tuple],
         return FULL
     b, a = complement_ends(lo, hi, has_inf)
     return ArcSet(tuple(Arc(y, x, puncture=y == x) for y, x in zip(b, a)))
+
+
+def closed_complement(o: ArcSet) -> tuple:
+    """(gaps, has_inf): the closed complement of an explicit arc set as the
+    inputs of :func:`complement_of_closed`.  The gaps are the closed
+    intervals [l, r] between consecutive arcs, with the arcs' exact ends;
+    a gap through ∞ is cut there into [l, +oo] and [-oo, r], and a gap that
+    is one finite point has ``points_equal`` ends.  ``has_inf`` tells whether
+    ∞ lies outside the set."""
+    if o.full:
+        return [], False
+    if not o.arcs:
+        return [(-INF, INF)], True
+    if o.arcs[0].puncture:
+        x = o.arcs[0].b
+        return ([], True) if is_inf(x) else ([(x, x)], False)
+    gaps, has_inf = [], False
+    for arc, nxt in zip(o.arcs, o.arcs[1:] + o.arcs[:1]):
+        l, r = arc.a, nxt.b
+        if not (is_inf(l) or is_inf(r)) and (float(l) <= float(r) or points_equal(l, r)):
+            gaps.append((l, r))
+            continue
+        has_inf = True
+        if not is_inf(l):
+            gaps.append((l, INF))
+        if not is_inf(r):
+            gaps.append((-INF, r))
+    return gaps, has_inf
 
 
 def arc_segments(arc: Arc):

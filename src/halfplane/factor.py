@@ -87,10 +87,14 @@ class ExpRep:
     pieces: tuple = ()  # (l, r, psi); l may be -inf, r may be +inf
 
     def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         pieces = []
         for l, r, psi in self.pieces:
             if not 0.0 <= psi <= 1.0:
                 raise ValueError(f"psi must lie in [0, 1], got {psi}")
+            if math.isnan(float(l)) or math.isnan(float(r)):
+                raise ValueError(f"psi piece ({l}, {r}) has a NaN end")
             pieces.append((float(l), float(r), float(psi)))
         pieces.sort(key=lambda p: (p[0], p[1]))
         for i in range(len(pieces) - 1):
@@ -146,6 +150,8 @@ class ExpRep:
 
     @staticmethod
     def from_json(obj) -> "ExpRep":
+        if not isinstance(obj, dict):
+            raise ValueError(f"exp {obj!r} is not a JSON object")
         return ExpRep(float(obj.get("gamma", 0.0)),
                       interval_entries(obj.get("psi", []), "value", "psi"))
 
@@ -167,8 +173,8 @@ class CompositeFunction:
     exp: Optional[ExpRep] = None
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("composite constant must be positive")
+        if not 0 < self.c < INF:
+            raise ValueError(f"composite constant must be positive and finite, got {self.c}")
 
     def __call__(self, z):
         values, refused = self.masked(np.asarray(z))
@@ -223,9 +229,6 @@ class BlackBoxFunction:
             except Exception:
                 refused[k] = True
         return values.reshape(z.shape), refused.reshape(z.shape)
-
-
-PickFunction = (RepFunction, CompositeFunction, BlackBoxFunction)
 
 
 # ---------------------------------------------------------------------------

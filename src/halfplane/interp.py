@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, EMPTY, INF, arc_ends, arc_segments,
-                      arcset_contains_arc, boundary_samples, circle_key,
-                      circle_minus_points, is_inf, is_regular, normalize,
+from .extreal import (Arc, ArcSet, EMPTY, INF, arc_ends, arcset_contains_arc,
+                      boundary_samples, circle_key, circle_minus_points,
+                      closed_complement, is_inf, is_regular, normalize,
                       point_to_json, points_equal, regularize)
 from .factor import (Certification, CertificationError, CompositeFunction,
                      ExpRep)
@@ -69,6 +69,8 @@ class InterpProblem:
 def _clean_points(pts):
     out = []
     for x in pts:
+        if isinstance(x, float) and math.isnan(x):
+            raise ValueError("a prescribed point is NaN")
         x = INF if (isinstance(x, float) and math.isinf(x)) else x
         if any(points_equal(x, q) for q in out):
             raise ValueError(f"duplicate point {x}")
@@ -85,25 +87,31 @@ class InterlacingReport:
         return self.ok
 
 
-def _components_of_complement(y: tuple):
-    """Components of (R ∪ {∞}) ∖ Y in the circle order of their pole ends b
-    (the first failing component names the witness); None stands for the
-    full circle."""
-    if not y:
-        return [None]
+def _components(p: InterpProblem) -> list:
+    """(component, points, tags) for each component of (R ∪ {∞}) ∖ Y in the
+    circle order of its pole end (the first failing component names the
+    witness): the prescribed points in their order along it, tagged "A"
+    (zero) or "B" (pole).  Without Y the one component is the full circle,
+    None."""
     key = circle_key()
-    return sorted(circle_minus_points(y).arcs, key=lambda comp: key(comp.b))
-
-
-def _order_in_component(comp, points):
-    """Sort points by their position along the component arc."""
-    return sorted(points, key=circle_key(INF if comp is None else comp.b))
-
-
-def _component_members(comp, pts):
-    if comp is None:
-        return list(pts)
-    return [p for p in pts if comp.contains(p)]
+    marked = sorted([(x, "A") for x in p.zeros] + [(x, "B") for x in p.poles]
+                    + [(y, "Y") for y in p.singular], key=lambda m: key(m[0]))
+    if not p.singular:
+        return [(None, [x for x, _ in marked], [t for _, t in marked])]
+    comps = list(circle_minus_points(p.singular).arcs)
+    if is_inf(comps[0].b) and len(comps) > 1:
+        comps = comps[1:] + comps[:1]  # the component from ∞ comes last
+    # the points after the first point of Y, then those before it, are in
+    # circle order along the components from each point of Y to the next
+    start = next(i for i, (_, tag) in enumerate(marked) if tag == "Y")
+    walk = []
+    for x, tag in marked[start:] + marked[:start]:
+        if tag == "Y":
+            walk.append((comps[len(walk)], [], []))
+        else:
+            walk[-1][1].append(x)
+            walk[-1][2].append(tag)
+    return walk
 
 
 def check_interlacing(p: InterpProblem) -> InterlacingReport:
@@ -114,11 +122,11 @@ def check_interlacing(p: InterpProblem) -> InterlacingReport:
     adjacency is exempt) unless ∞ itself is prescribed, in which case the
     alternation is checked cyclically.
     """
-    for comp in _components_of_complement(p.singular):
-        a_in = _component_members(comp, p.zeros)
-        b_in = _component_members(comp, p.poles)
-        seq = _order_in_component(comp, a_in + b_in)
-        tags = [("A" if any(points_equal(x, q) for q in a_in) else "B") for x in seq]
+    return _interlacing(_components(p))
+
+
+def _interlacing(components) -> InterlacingReport:
+    for comp, seq, tags in components:
         pairs = list(zip(range(len(seq) - 1), range(1, len(seq))))
         cyclic = (comp is None
                   and any(is_inf(x) for x in seq)
@@ -137,18 +145,14 @@ def construct_O(p: InterpProblem) -> ArcSet:
     the prescription: poles pair with the nearest following zero; loners
     pair with the component endpoint (or wrap through ∞ when both a leading
     zero and a trailing pole remain on the cut circle)."""
-    rep = check_interlacing(p)
+    components = _components(p)
+    rep = _interlacing(components)
     if not rep.ok:
         raise InterlacingError(f"interlacing violated: {rep.witness}")
     arcs = []
-    for comp in _components_of_complement(p.singular):
-        a_in = _component_members(comp, p.zeros)
-        b_in = _component_members(comp, p.poles)
-        if not a_in and not b_in:
-            continue
-        seq = _order_in_component(comp, a_in + b_in)
-        tags = ["A" if any(points_equal(x, q) for q in a_in) else "B" for x in seq]
-        arcs.extend(_sweep_component(comp, seq, tags))
+    for comp, seq, tags in components:
+        if seq:
+            arcs.extend(_sweep_component(comp, seq, tags))
     if not arcs:
         return EMPTY
     return regularize(normalize(arcs))
@@ -230,12 +234,14 @@ def build_function(p: InterpProblem) -> BuildResult:
     certs.append(Certification("real_off_singular", resid_real, 1e-12,
                                resid_real <= 1e-12))
 
+    # a point of Y that is both a left and a right end of O (∞ between two
+    # half-lines) carries neither a pole nor a zero
     lefts = o.left_endpoints() if not o.full else ()
     rights = o.right_endpoints() if not o.full else ()
-    extra_poles = tuple(y for y in p.singular
-                        if any(points_equal(y, b) for b in lefts))
-    extra_zeros = tuple(y for y in p.singular
-                        if any(points_equal(y, a) for a in rights))
+    ends = [(any(points_equal(y, b) for b in lefts), any(points_equal(y, a) for a in rights))
+            for y in p.singular]
+    extra_poles = tuple(y for y, (left, right) in zip(p.singular, ends) if left and not right)
+    extra_zeros = tuple(y for y, (left, right) in zip(p.singular, ends) if right and not left)
 
     result = BuildResult(p, o, k, certs, extra_poles, extra_zeros)
     if not result.ok:
@@ -318,44 +324,23 @@ def realizable_pair(omega: ArcSet, o: ArcSet):
         failures.append(("b", "O is not Lebesgue regular"))
     omega1 = regularize(omega)
     x_pts = () if (o.full or o.is_empty) else o.left_endpoints()
-    expected = omega1.remove_points([p for p in x_pts])
+    expected = omega1.remove_points(x_pts)
     if not expected.isclose(omega, 1e-9):
         failures.append(("c", "Omega differs from its regularization minus X"))
     if failures:
         return False, failures, None
 
-    # density 1/2 on the closed complement of Ω₁ keeps the exponent's
-    # boundary phase strictly inside (0, π)
-    comp_pieces = _closed_complement_intervals(omega1)
-    exp = ExpRep(0.0, tuple((l, r, 0.5) for l, r in comp_pieces)) if comp_pieces else None
+    # density 1/2 on the gaps of Ω₁ keeps the exponent's boundary phase
+    # strictly inside (0, π); Ω₁ is regular, so no gap is a single finite
+    # point, and a gap that is only ∞ carries no interval
+    gaps = closed_complement(omega1)[0]
+    exp = ExpRep(0.0, tuple((l, r, 0.5) for l, r in gaps)) if gaps else None
     f = CompositeFunction(1.0, KreinProduct(o), exp)
 
     sign_resid = _sign_certificate(f, omega, o)
     if not sign_resid <= 1e-9:
         return False, [("sign", f"residual {sign_resid:.2e}")], f
     return True, [], f
-
-
-def _closed_complement_intervals(omega1: ArcSet):
-    """R ∖ Ω₁ as closed intervals (possibly half-lines)."""
-    if omega1.full:
-        return []
-    if omega1.is_empty:
-        return [(-INF, INF)]
-    pieces = []
-    arcs = omega1.arcs
-    if len(arcs) == 1 and arcs[0].puncture:
-        return []  # complement is a single point: zero length, no density
-    # walk the gaps between consecutive arcs in circular order; the gap
-    # through ∞ need not be the last one, as a wrap arc of Ω₁ may carry ∞
-    n = len(arcs)
-    for i in range(n):
-        hi, lo = arcs[i].a, arcs[(i + 1) % n].b
-        if points_equal(hi, lo):
-            continue  # single-point gap carries no density
-        segments, _ = arc_segments(Arc(hi, lo))
-        pieces.extend((float(l), float(r)) for l, r in segments)
-    return sorted(pieces)
 
 
 def _sign_certificate(f, omega: ArcSet, o: ArcSet) -> float:

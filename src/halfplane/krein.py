@@ -144,9 +144,10 @@ class _Factors:
         n_off = np.count_nonzero(pts.imag) if n_off is None else n_off
         if n_off == pts.size:
             vals = self.columns(pts, off_line=True)[0]
-            out = np.multiply.reduce(vals, axis=1, initial=1 + 0j)
             # a factor or a partial product past the float range turns into
             # inf or NaN parts; only those points are multiplied out again
+            with np.errstate(invalid="ignore", over="ignore"):
+                out = np.multiply.reduce(vals, axis=1, initial=1 + 0j)
             big = ~np.isfinite(out)
             if big.any():
                 out[big] = self._scaled_product(pts[big])
@@ -333,6 +334,10 @@ class KreinProduct:
     cantor: CantorComplement | None = None
     tol: float = 1e-9
     max_factors: int = 2_000_000
+
+    def __post_init__(self):
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
     def __call__(self, z):
         return self.eval(z)[0]

@@ -171,7 +171,7 @@ def disk_target_map(alpha: complex, beta: complex) -> DiskMap:
     """
     alpha, beta = complex(alpha), complex(beta)
     for v, name in ((alpha, "alpha"), (beta, "beta")):
-        if abs(abs(v) - 1.0) > 1e-9:
+        if not abs(abs(v) - 1.0) <= 1e-9:
             raise ValueError(f"{name} must be unimodular")
     if abs(alpha - beta) < 1e-12:
         raise ValueError("alpha and beta must differ")

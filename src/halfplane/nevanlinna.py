@@ -50,6 +50,8 @@ class Measure:
     def __post_init__(self):
         atoms = tuple(sorted(((float(t), float(w)) for t, w in self.atoms)))
         for t, w in atoms:
+            if not (math.isfinite(t) and math.isfinite(w)):
+                raise ValueError(f"atom ({t}, {w}) is not finite")
             if w <= 0:
                 raise ValueError(f"atom weight must be positive, got {w} at {t}")
         for i in range(len(atoms) - 1):
@@ -57,6 +59,8 @@ class Measure:
                 raise ValueError("atoms must sit at distinct points")
         ac = tuple(sorted(((float(l), float(r), float(d)) for l, r, d in self.ac)))
         for l, r, d in ac:
+            if not (math.isfinite(l) and math.isfinite(r) and math.isfinite(d)):
+                raise ValueError(f"density piece ({l}, {r}, {d}) is not finite")
             if not l < r:
                 raise ValueError(f"density interval ({l}, {r}) is empty")
             if d < 0:
@@ -173,6 +177,8 @@ class NevanlinnaRep:
     rho: Measure = Measure()
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"alpha {self.alpha} and beta {self.beta} must be finite")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
 
@@ -408,8 +414,8 @@ def boole_superlevel_measure(mu: Measure, y: float):
     """
     if not mu.is_atomic():
         raise ValueError("the superlevel identity is computed for atomic measures")
-    if y <= 0:
-        raise ValueError("y must be positive")
+    if not y > 0:
+        raise ValueError(f"y must be positive, got {y}")
     if not mu.atoms:
         return 0.0, 0.0
     ts, ws = (np.array(col) for col in zip(*mu.atoms))

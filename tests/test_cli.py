@@ -349,6 +349,37 @@ class TestErrors:
             "interp": {"zeros": [0.0, 1.0], "poles": [5.0], "singular": []}})
         assert main(["solve", "--spec", spec]) == 1
 
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("command, spec, named", [
+        ("eval", {"krein": "abc"}, "krein must be a JSON object"),
+        ("eval", {"nevanlinna": [1, 2]}, "nevanlinna must be a JSON object"),
+        ("solve", {"realizable": {"omega": "x", "o": {}}}, "arc set 'x'"),
+        ("eval", {"nevanlinna": {"alpha": 1.0}, "options": {"grid": 5}},
+         "options.grid must be a string"),
+        ("factor", {"nevanlinna": {"ac": [{"interval": [0, INF], "density": 1}]}},
+         "density piece (0.0, inf, 1.0) is not finite"),
+        ("factor", {"nevanlinna": {"alpha": NAN}}, "alpha nan"),
+        ("eval", {"nevanlinna": {"atoms": [[NAN, 1.0]]}}, "atom (nan, 1.0)"),
+        ("eval", {"nevanlinna": {"alpha": NAN}}, "alpha nan"),
+        ("eval", {"krein": {"arcs": [[0, NAN]]}}, "arc end is NaN"),
+        ("eval", {"product": {"krein": {"arcs": [[0, 1]]},
+                              "exp": {"psi": [{"interval": [2, NAN], "value": 0.5}]}}},
+         "psi piece (2, nan)"),
+        ("eval", {"krein": {"cantor": {"interval": [0, 1], "depth": 3}, "tol": NAN}},
+         "tol must be >= 0"),
+        ("solve", {"boole": {"atoms": [[0.0, 1.0]], "y": [NAN]}}, "y must be positive"),
+        ("solve", {"interp": {"zeros": [[1, 0]], "poles": [[-1, 0]], "alpha": [NAN, 0],
+                              "beta": [1, 0], "zeta": [0, 1]}}, "alpha must be unimodular"),
+    ])
+    def test_malformed_value_is_input_error(self, tmp_path, capsys, command, spec, named):
+        # bodies that are not objects and values that are not finite (∞
+        # stays the circle point in arcs and ψ pieces) exit 2 with a message
+        path = write_spec(tmp_path, "bad.json", spec)
+        assert main([command, "--spec", path]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
 
 class TestProcess:
     def test_parser_shared_across_calls(self, tmp_path, capsys):

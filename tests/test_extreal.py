@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL,
                                INF, angle_subtended, arcs_overlap,
                                boundary_left, circle_minus_points,
-                               complement_of_closed, measure, normalize,
+                               closed_complement, complement_of_closed,
+                               measure, normalize,
                                points_equal, regularize)
 from halfplane.moebius import pullback_arcset
 
@@ -325,3 +326,47 @@ class TestCircleGeometryProperties:
         assert o.full or normalize(o.arcs) == o
         r = regularize(o)
         assert regularize(r) == r
+
+
+# exact points on a 1/12 grid over [-15, 15]: every int, quarter and third
+# end of the strategies above, the midpoints between them, and ∞
+GRID = [Fraction(k, 12) for k in range(-180, 181)] + [INF]
+
+
+def in_closed(x, gaps, has_inf):
+    """x lies in the closed set of :func:`closed_complement`'s gaps."""
+    if x == INF:
+        return has_inf
+    return any(points_equal(x, l) or points_equal(x, r)
+               or float(l) <= float(x) <= float(r) for l, r in gaps)
+
+
+class TestComplementOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_arcs(), st.booleans())
+    def test_closed_complement_partitions_circle(self, arcs, full):
+        o = FULL if full else normalize(arcs)
+        gaps, has_inf = closed_complement(o)
+        for x in GRID:
+            assert o.contains(x) != in_closed(x, gaps, has_inf), (o, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_arcs())
+    def test_regularize_fills_isolated_points(self, arcs):
+        # the arcs' ends are integers, so a finite point off O is isolated in
+        # the complement when O holds the points a quarter to either side
+        o = normalize(arcs)
+        r = regularize(o)
+        for x in GRID:
+            isolated = (x != INF and not o.contains(x)
+                        and o.contains(x - Fraction(1, 4)) and o.contains(x + Fraction(1, 4)))
+            assert r.contains(x) == (o.contains(x) or isolated), (o, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_arcs(), st.booleans(), circle_points())
+    def test_remove_points_membership(self, arcs, full, ys):
+        o = FULL if full else normalize(arcs)
+        got = o.remove_points(ys)
+        for x in GRID:
+            want = o.contains(x) and not any(points_equal(x, y) for y in ys)
+            assert got.contains(x) == want, (o, ys, x)

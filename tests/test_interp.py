@@ -154,6 +154,17 @@ class TestBuild:
         assert b.extra_poles == (0.0,)
         assert abs(b(0.0 + 1e-7)) > 1e6
 
+    def test_infinity_between_half_lines_is_neither_pole_nor_zero(self):
+        # O = (∞, 0) ∪ (1, ∞): ∞ ends one arc and starts the other, and
+        # k(∞) = −√2 is finite and nonzero
+        b = build_function(InterpProblem((0.0,), (1.0,), (INF,)))
+        assert b.region == normalize([Arc(INF, 0.0), Arc(1.0, INF)])
+        assert b(INF) == pytest.approx(-math.sqrt(2), rel=1e-14)
+        assert b.extra_poles == () and b.extra_zeros == ()
+        # one half-line alone leaves a pole at ∞
+        lone = build_function(InterpProblem((0.0,), (), (INF,)))
+        assert lone.extra_poles == (INF,) and lone.extra_zeros == ()
+
     def test_certifications(self, rng):
         for _ in range(20):
             p = random_interlaced(rng)

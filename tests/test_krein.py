@@ -238,6 +238,14 @@ class TestExplicitProduct:
                 k(b + 5e-10)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_value_past_float_range_warns_nothing(self):
+        # the plain product overflows into NaN parts before the scaled
+        # product replaces them; numpy must not warn about it
+        k = KreinProduct(normalize([Arc(0.0, INF)]))
+        assert k(complex(0.0, 2.225073858507203e-309)) == complex(0.0, INF)
+
+
 class TestStructure:
     def test_single_arc(self):
         s = k_structure(normalize([Arc(0, 1)]))
