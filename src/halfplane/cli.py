@@ -391,11 +391,10 @@ def suite_interp_equivalence(rng, report):
         try:
             o = interp.construct_O(problem)
             built = True
-            lefts = o.left_endpoints() if not (o.full or o.is_empty) else ()
-            rights = o.right_endpoints() if not (o.full or o.is_empty) else ()
-            inc = all(any(extreal.points_equal(a, r) for r in rights)
+            s = krein.merged_structure(o)
+            inc = all(any(extreal.points_equal(a, r) for r in s.zeros)
                       for a in problem.zeros)
-            inc = inc and all(any(extreal.points_equal(b, l) for l in lefts)
+            inc = inc and all(any(extreal.points_equal(b, l) for l in s.poles)
                               for b in problem.poles)
         except interp.InterlacingError:
             built, inc = False, False

@@ -28,7 +28,8 @@ from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL,
                       arc_contains_arc, arcs_overlap, arcset_contains_arc,
                       boundary_samples, complement_ends, end_samples, is_inf,
                       normalize, points_equal, regularize, sweep_points)
-from .krein import KreinProduct, log_factors, p_eval, scalar_or_array
+from .krein import (KreinProduct, log_factors, merged_structure, p_eval,
+                    scalar_or_array)
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
                          SigmaDescriptor, analyze, interval_entries)
 from .util import (BRACKET, branch_roots, cabs, cdiv, cmul, frozen, halton_box,
@@ -260,12 +261,13 @@ def _analyze_composite(f: CompositeFunction) -> AnalysisResult:
                     raise ValueError(f"exponent piece {pa!r} overlaps the "
                                      f"product set {oa!r}; the negativity set "
                                      "is no longer the product set")
-    points = list(o.left_endpoints())
+    # σ(k_O) and Γ(k_O) as the evaluator reads O: a shared end, ∞ included,
+    # is no pole
+    s = merged_structure(o)
     intervals = tuple(f.exp.sigma_intervals()) if f.exp is not None else ()
-    has_inf = any(is_inf(p) for p in points)
-    sig = SigmaDescriptor(points=tuple(p for p in points if not is_inf(p)),
-                          intervals=intervals, has_inf=has_inf)
-    return AnalysisResult(sig, o)
+    sig = SigmaDescriptor(points=tuple(p for p in s.poles if not is_inf(p)),
+                          intervals=intervals, has_inf=any(map(is_inf, s.poles)))
+    return AnalysisResult(sig, s.gamma)
 
 
 def _blackbox_real(fn, x: float) -> float:
@@ -562,8 +564,8 @@ def _verify_posts(ana: AnalysisResult, g):
     reg_ok = all(r - l > POINT_TOL for l, r in zip(lo_g, hi_g))
     posts.append(Certification("omega_g_regular", 0.0 if reg_ok else 1.0, 0.0, reg_ok))
 
-    # (4) σ(f) = X ∪ σ(g), X = σ(k_Γ) the closure of Γ's left ends
-    x_pts = () if ana.gamma.full else ana.gamma.left_endpoints()
+    # (4) σ(f) = X ∪ σ(g), X = σ(k_Γ)
+    x_pts = merged_structure(ana.gamma).poles
     sig_c = SigmaDescriptor(tuple(p for p in x_pts if not is_inf(p)) + sig_g.points,
                             sig_g.intervals, any(map(is_inf, x_pts)) or sig_g.has_inf)
     lo_c, hi_c = sig_c.support

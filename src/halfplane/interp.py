@@ -19,13 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, EMPTY, INF, arc_ends, arcset_contains_arc,
+from .extreal import (Arc, ArcSet, EMPTY, INF, arcset_contains_arc,
                       boundary_samples, circle_key, circle_minus_points,
                       closed_complement, is_inf, is_regular, normalize,
                       point_to_json, points_equal, regularize)
 from .factor import (Certification, CertificationError, CompositeFunction,
                      ExpRep)
-from .krein import KreinProduct
+from .krein import KreinProduct, merged_structure
 from .moebius import DiskMap, cayley, cayley_inverse_point, disk_target_map
 from .util import cabs, frozen, halton
 
@@ -219,31 +219,8 @@ def build_function(p: InterpProblem) -> BuildResult:
     and real analyticity off B ∪ Y.  Poles or zeros forced at points of Y by
     loner pairing are reported in extra_poles / extra_zeros."""
     o = construct_O(p)
-    k = KreinProduct(o)
-    certs = []
-
-    # real values: the ∞ marker reads as an infinite residual
-    worst_zero = float(np.max(np.abs(k(np.array(p.zeros, dtype=float))), initial=0.0))
-    certs.append(Certification("zeros", worst_zero, 1e-10, worst_zero <= 1e-10))
-
-    pole_ok, pole_mag = _certify_poles(k, p.poles)
-    certs.append(Certification("poles", 0.0 if pole_ok else 1.0, 0.0, pole_ok,
-                               f"min |f| near poles {pole_mag:.3e}"))
-
-    resid_real = _certify_real_off_singular(o, p)
-    certs.append(Certification("real_off_singular", resid_real, 1e-12,
-                               resid_real <= 1e-12))
-
-    # a point of Y that is both a left and a right end of O (∞ between two
-    # half-lines) carries neither a pole nor a zero
-    lefts = o.left_endpoints() if not o.full else ()
-    rights = o.right_endpoints() if not o.full else ()
-    ends = [(any(points_equal(y, b) for b in lefts), any(points_equal(y, a) for a in rights))
-            for y in p.singular]
-    extra_poles = tuple(y for y, (left, right) in zip(p.singular, ends) if left and not right)
-    extra_zeros = tuple(y for y, (left, right) in zip(p.singular, ends) if right and not left)
-
-    result = BuildResult(p, o, k, certs, extra_poles, extra_zeros)
+    certs, extra_poles, extra_zeros = certify_region(o, p)
+    result = BuildResult(p, o, KreinProduct(o), certs, extra_poles, extra_zeros)
     if not result.ok:
         raise CertificationError(
             f"build certification failed: {[c.name for c in certs if not c.passed]}",
@@ -251,60 +228,42 @@ def build_function(p: InterpProblem) -> BuildResult:
     return result
 
 
-def _certify_poles(k: KreinProduct, poles) -> tuple:
-    """(every pole certified, min |f| near the poles): a certified simple
-    pole at b is a sign change of f across b with blow-up consistent with
-    f ≈ res/(x−b).
+def certify_region(o: ArcSet, p: InterpProblem) -> tuple:
+    """(certifications, extra_poles, extra_zeros) of k_O for the prescription
+    p, read from the zeros and poles of k_O (``krein.merged_structure``), which
+    are exact: k_O is 0.0 at each zero and the ∞ marker at each pole.
 
-    The fast path is |f(b±1e−6)| > 1e6 with a sign flip.  Short arcs carry
-    small residues that never reach 1e6 at that offset, so the fallback
-    certifies the residue instead: δ·f(b±δ) must stabilize across a δ ladder
-    and the magnitudes must scale like 1/δ.  A probe refused by the guard
-    band fails its pole.  All probes are one evaluation.
-    """
-    pole_ok, pole_mag = True, INF
-    if any(is_inf(b) for b in poles):
-        # a pole at ∞ is linear growth
-        mag = abs(k(complex(0.0, 1e8)))
-        pole_ok, pole_mag = mag > 1e6, mag
-    finite = [float(b) for b in poles if not is_inf(b)]
-    vals, tails = k.eval(np.add.outer(finite, _POLE_PROBES), strict=False)
-    for (l6, r6, l7, r7, l8, r8), refused in zip(vals.tolist(), np.isinf(tails).tolist()):
-        ok, mag = False, 0.0
-        if not (refused[0] or refused[1]):
-            flip = (l6 < 0) != (r6 < 0)
-            ok, mag = flip and min(abs(l6), abs(r6)) > 1e6, min(abs(l6), abs(r6))
-            if not ok and not any(refused[2:]):
-                estimates = (1e-7 * r7, 1e-8 * r8, -1e-7 * l7, -1e-8 * l8)
-                res = sum(estimates) / 4.0
-                if res != 0.0:
-                    dev = max(abs(x - res) for x in estimates) / abs(res)
-                    mag = min(abs(l8), abs(r8))
-                    ok = flip and dev < 0.02 and mag > 1e6 * min(1.0, abs(res))
-        pole_ok, pole_mag = pole_ok and ok, min(pole_mag, mag)
-    return pole_ok, pole_mag
+    ``zeros`` and ``poles``: the largest distance from a prescribed zero
+    (pole) to the nearest zero (pole) of k_O, ∞ being at distance 0 from
+    itself and inf from the rest.  ``real_off_singular``: k_O is real
+    analytic on the line off B ∪ Y when each finite pole is a point of B ∪ Y,
+    so the largest distance from such a pole to the nearest point of B ∪ Y.
+    The points of Y that are poles (zeros) of k_O are the extra poles
+    (zeros); ∞ between two half-lines of O is neither."""
+    s = merged_structure(o)
+    certs = [_farthest("zeros", p.zeros, s.zeros, 1e-10),
+             _farthest("poles", p.poles, s.poles, 0.0),
+             _farthest("real_off_singular", [b for b in s.poles if not is_inf(b)],
+                       p.poles + p.singular, 1e-12)]
+    extra_poles = tuple(y for y in p.singular if any(points_equal(y, b) for b in s.poles))
+    extra_zeros = tuple(y for y in p.singular if any(points_equal(y, a) for a in s.zeros))
+    return certs, extra_poles, extra_zeros
 
 
-# b − δ, b + δ for the δ ladder of _certify_poles
-_POLE_PROBES = frozen(np.array([-1e-6, 1e-6, -1e-7, 1e-7, -1e-8, 1e-8]))
-
-
-def _certify_real_off_singular(o: ArcSet, p: InterpProblem) -> float:
-    """k_O is real analytic on the line off B ∪ Y when each of its finite
-    poles, the finite left ends of O, is a prescribed pole or a point of Y:
-    the largest distance from such a pole to the nearest point of B ∪ Y."""
-    allowed = np.sort([float(x) for x in p.poles + p.singular if not is_inf(x)])
-    b, a = arc_ends(o.arcs)
-    poles = np.sort([y for y, x in zip(b, a) if y != INF and y != x])
-    if not poles.size:
-        return 0.0
-    if not allowed.size:
-        return INF
-    # the neighbours of each pole among the sorted points of B ∪ Y
-    k = np.searchsorted(allowed, poles)
-    below = np.abs(poles - allowed[np.maximum(k - 1, 0)])
-    above = np.abs(poles - allowed[np.minimum(k, allowed.size - 1)])
-    return float(np.max(np.minimum(below, above)))
+def _farthest(name, points, ends, tol) -> Certification:
+    # the largest distance from one of the points to the nearest of the ends,
+    # against tol; a failure names the farthest point
+    worst, at = 0.0, None
+    finite = [float(e) for e in ends if not is_inf(e)]
+    for x in points:
+        if is_inf(x):
+            d = 0.0 if len(finite) < len(ends) else INF
+        else:
+            d = min((abs(e - float(x)) for e in finite), default=INF)
+        if d > worst:
+            worst, at = d, x
+    passed = worst <= tol
+    return Certification(name, worst, tol, passed, "" if passed else f"farthest at {at}")
 
 
 def realizable_pair(omega: ArcSet, o: ArcSet):

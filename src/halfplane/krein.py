@@ -12,7 +12,8 @@ A product k_O multiplies the factors over the components of an open set O.
 Over explicit arcs it is the direct product of the closed-form factors, at
 every point alike: above or below the real line, on it, and at ∞.  Arcs
 that share an end (∞ included) are merged first, by p_(b,c)·p_(c,a) =
-p_(b,a), so a zero of one factor never meets the pole of the next.
+p_(b,a), so a zero of one factor never meets the pole of the next; the
+zeros, poles, σ and Γ of k_O are read from the same merged arcs.
 
 Every evaluator takes one point or an ndarray of points.  An array is
 evaluated in one pass over points × arcs, with the same operations in the
@@ -42,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import (Arc, ArcSet, BoundaryDescriptor, CantorComplement, EMPTY,
-                      FULL, INF, arc_ends, boundary_left, is_regular, normalize,
-                      points_equal)
+                      FULL, INF, arc_ends, is_regular, normalize)
 from .moebius import HalfPlaneAuto, pullback_arcset
 from .util import cdiv, cmul
 
@@ -592,26 +592,31 @@ class KreinStructure:
     poles: tuple
 
 
-def k_structure(o: ArcSet) -> KreinStructure:
-    """σ, Γ, zeros and poles of k_O for a Lebesgue-regular explicit set.
+def merged_structure(o: ArcSet) -> KreinStructure:
+    """σ, Γ, zeros and poles of k_O for an explicit set, read from the arcs
+    the evaluator multiplies (:func:`_merged_ends`): the poles are their
+    pole ends and the zeros their zero ends, ∞ included, in the order of
+    the arcs; σ(k_O) is the poles and Γ(k_O) the merged arcs, O itself when
+    no ends were shared.  A shared end, ∞ included, is neither pole nor
+    zero, and a chain closing up the circle is the constant −1, negative on
+    the full circle."""
+    b, a = _merged_ends(o)
+    if b == a:  # no arc, or the one puncture arc of a closed chain
+        return KreinStructure(BoundaryDescriptor((), False), FULL if b else EMPTY, (), ())
+    gamma = o if len(b) == len(o.arcs) else normalize([Arc(y, x) for y, x in zip(b, a)])
+    return KreinStructure(BoundaryDescriptor(tuple(b), False), gamma, tuple(a), tuple(b))
 
-    σ(k_O) is the closure X of the left endpoints, Γ(k_O) = O, the right
-    endpoints off X are simple zeros and the isolated points of X are simple
-    poles.  A pole or zero at ∞ means linear growth / decay there.
-    """
-    if o.full:
-        return KreinStructure(BoundaryDescriptor((), False), FULL, (), ())
-    if o.is_empty:
-        return KreinStructure(BoundaryDescriptor((), False), EMPTY, (), ())
+
+def k_structure(o: ArcSet) -> KreinStructure:
+    """σ, Γ, zeros and poles of k_O (:func:`merged_structure`) for a
+    Lebesgue-regular explicit set.  A pole or zero at ∞ means linear growth
+    / decay there."""
     if any(arc.puncture for arc in o.arcs):
         raise ValueError("punctured-circle sets behave as constants; "
                          "regularize before asking for structure")
     if not is_regular(o):
         raise ValueError("set is not Lebesgue regular; call regularize first")
-    x = boundary_left(o)
-    zeros = tuple(a for a in o.right_endpoints()
-                  if not any(points_equal(a, b) for b in x.points))
-    return KreinStructure(x, o, zeros, tuple(x.points))
+    return merged_structure(o)
 
 
 def equivariance_transport(k: KreinProduct, phi: HalfPlaneAuto):

@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 
+# the largest depth of a spec's ``cantor_depth`` stand-in: 2^16 atoms, which
+# a process builds and evaluates in under 100 MB (2^18 took 225 MB)
+MAX_CANTOR_DEPTH = 16
+
+
 @dataclass(frozen=True)
 class Measure:
     """Finite positive Borel measure: atoms (t, w) and constant densities
@@ -288,7 +293,11 @@ class NevanlinnaRep:
         ac = interval_entries(obj.get("ac", []), "density", "ac")
         rho = Measure(atoms=atoms, ac=ac)
         if "cantor_depth" in obj:
-            extra = Measure.cantor_atoms(int(obj["cantor_depth"]))
+            depth = obj["cantor_depth"]
+            if type(depth) is not int or not 0 <= depth <= MAX_CANTOR_DEPTH:
+                raise ValueError(f"cantor_depth must be an integer from 0 to "
+                                 f"{MAX_CANTOR_DEPTH}, got {depth!r}")
+            extra = Measure.cantor_atoms(depth)
             rho = Measure(atoms=rho.atoms + extra.atoms, ac=rho.ac)
         return NevanlinnaRep(float(obj.get("alpha", 0.0)),
                              float(obj.get("beta", 0.0)), rho)
@@ -547,7 +556,9 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
         lo[:, 1:], hi[:, :-1] = ends, starts
         lo[:, 0], hi[:, -1] = m[0] - far[:, 0], m[1] + far[:, 1]
     else:  # the last arc wraps through ∞; |f − β′| < |β′ − target| at 2K/|β′ − target| past it
-        reach, right = 2.0 * big_k / np.abs(np.where(shift == 0, 1.0, shift))[:, 0], shift[:, 0] > 0
+        with np.errstate(over="ignore"):  # a reach past the float range leaves no bracket
+            reach = 2.0 * big_k / np.abs(np.where(shift == 0, 1.0, shift))[:, 0]
+        right = shift[:, 0] > 0
         lo[:], hi[:, :-1] = ends, starts[1:]
         lo[:, -1] = np.where(right, ends[-1], starts[0] - reach)
         hi[:, -1] = np.where(right, ends[-1] + reach, starts[0])
@@ -567,7 +578,8 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
         # the root past the support is the top eigenvalue when β′ > target
         # and the bottom one otherwise, which goes last
         scale = np.where(shift == 0, 1.0, shift)[:, :, None]
-        seeds = np.linalg.eigvalsh(np.diag(ts) + np.sqrt(np.outer(u2, u2)) / scale)
+        with np.errstate(over="ignore"):  # as the reach above
+            seeds = np.linalg.eigvalsh(np.diag(ts) + np.sqrt(np.outer(u2, u2)) / scale)
         seeds = np.where(shift < 0, np.roll(seeds, -1, axis=1), seeds)
 
     beta_a = _exact_offset(rep.beta, ws, ts, ac)

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -170,6 +171,22 @@ class TestFactor:
         rep = json.loads(out)
         assert code == 0
         assert rep["constant_residual"] <= 1e-9
+
+    def test_wrap_product_reads_as_its_representation(self, tmp_path, capsys):
+        # k over (−∞, 0) ∪ (1, ∞) is p_(1,0) = √2/2·(1+z)/(1−z) − √2/2, finite
+        # and negative at ∞: both forms report σ = {1} and Γ = (1, 0) through ∞
+        product = write_spec(tmp_path, "k.json", {"krein": {"arcs": [["inf", 0], [1, "inf"]]}})
+        rep = write_spec(tmp_path, "f.json", {"nevanlinna": {
+            "beta": -math.sqrt(0.5), "atoms": [[1.0, math.sqrt(0.5)]]}})
+        reports = []
+        for path in (product, rep):
+            code, out = run(capsys, ["factor", "--spec", path])
+            assert code == 0
+            reports.append(json.loads(out))
+        for r in reports:
+            assert r["gamma"] == {"arcs": [[1.0, 0.0]]}
+            assert r["gamma_contains_infinity"] is True
+            assert r["k"] == {"arcs": [[1.0, 0.0]]}
 
 
 class TestSolve:
@@ -379,6 +396,18 @@ class TestErrors:
         assert main([command, "--spec", path]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("depth", [40, -1, 2.7])
+    def test_cantor_depth_out_of_range_is_input_error(self, tmp_path, capsys, depth):
+        # refused before any atom is built: 2^40 atoms would not fit in memory
+        path = write_spec(tmp_path, "bad.json", {"nevanlinna": {"alpha": 1.0,
+                                                                "cantor_depth": depth}})
+        start = time.perf_counter()
+        assert main(["eval", "--spec", path]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert f"cantor_depth must be an integer from 0 to 16, got {depth}" in err
+        assert "Traceback" not in err
 
 
 class TestProcess:

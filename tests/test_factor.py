@@ -257,6 +257,19 @@ class TestFactorize:
         with pytest.raises(ValueError):
             analyze_pick(comp)
 
+    def test_wrap_product_and_its_representation_agree(self):
+        # k over (−∞, 0) ∪ (1, ∞) is p_(1,0), finite at ∞; as a product and as
+        # its Nevanlinna data it has σ = {1} and Γ = (1, 0) through ∞
+        w = math.sqrt(0.5)
+        forms = (CompositeFunction(1.0, KreinProduct(normalize([Arc(INF, 0), Arc(1, INF)]))),
+                 RepFunction(NevanlinnaRep(0.0, -w, Measure(atoms=((1.0, w),)))))
+        for f in forms:
+            ana = analyze_pick(f)
+            assert ana.sigma == SigmaDescriptor(points=(1.0,))
+            res = factorize(f)
+            assert res.gamma == normalize([Arc(1.0, 0.0)]) and res.gamma.contains(INF)
+            assert res.ok and res.constant == pytest.approx(1.0, rel=1e-15)
+
 
 @st.composite
 def corollary_reps(draw):

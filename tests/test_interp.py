@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from halfplane.extreal import Arc, FULL, INF, is_regular, normalize, points_equal
-from halfplane.interp import (InterlacingError, InterpProblem,
-                              _certify_real_off_singular, build_function,
-                              check_interlacing, construct_O, disk_interpolate,
-                              realizable_pair)
+from halfplane.interp import (InterlacingError, InterpProblem, build_function,
+                              certify_region, check_interlacing, construct_O,
+                              disk_interpolate, realizable_pair)
 from halfplane.nevanlinna import SigmaDescriptor
 
 from conftest import sep_points
@@ -46,6 +45,11 @@ def random_interlaced(rng, max_y=3, max_pts=14):
         for i, p in enumerate(members):
             (zeros if (i % 2 == 0) == start else poles).append(p)
     return InterpProblem(tuple(zeros), tuple(poles), tuple(ys))
+
+
+def residuals(o, p):
+    """The structural certificates of k_O for p, by name."""
+    return {c.name: c.residual for c in certify_region(o, p)[0]}
 
 
 class TestInterlacing:
@@ -179,9 +183,36 @@ class TestBuild:
         # real analytic there: the residual is that pole's distance to B ∪ Y
         p = InterpProblem(zeros=(1.0,), poles=(0.0,), singular=(5.0,))
         o = construct_O(p)
-        assert _certify_real_off_singular(o, p) == 0.0
-        assert _certify_real_off_singular(normalize(list(o.arcs) + [Arc(2.0, 3.0)]), p) == 2.0
-        assert _certify_real_off_singular(normalize([Arc(2.0, 3.0)]), InterpProblem()) == INF
+        assert residuals(o, p)["real_off_singular"] == 0.0
+        assert residuals(normalize(list(o.arcs) + [Arc(2.0, 3.0)]), p)["real_off_singular"] == 2.0
+        assert residuals(normalize([Arc(2.0, 3.0)]), InterpProblem())["real_off_singular"] == INF
+
+    @pytest.mark.parametrize("zero, pole", [(1e-6, 0.0), (1e-7, 0.0), (1e-9, 0.0),
+                                            (1e8 + 0.5, 1e8), (100.0, INF)])
+    def test_short_far_and_infinite_arcs_certify(self, zero, pole):
+        # the residue of a short arc is tiny, and so is a pole's blow-up at a
+        # fixed offset from it; the structure of k_O needs no probe
+        b = build_function(InterpProblem((zero,), (pole,), ()))
+        assert b.ok and [c.residual for c in b.certifications] == [0.0, 0.0, 0.0]
+        assert b(zero) == 0.0
+        assert b(pole) == INF
+
+    def test_structural_certificates_fail_on_a_tampered_region(self):
+        p = InterpProblem(zeros=(1.0, 3.0, INF), poles=(0.0, 2.0, 4.0), singular=())
+        o = construct_O(p)
+        assert o == normalize([Arc(0.0, 1.0), Arc(2.0, 3.0), Arc(4.0, INF)])
+        assert residuals(o, p) == {"zeros": 0.0, "poles": 0.0, "real_off_singular": 0.0}
+        # dropping an arc loses a prescribed zero and a prescribed pole
+        lost = residuals(normalize([Arc(0.0, 1.0), Arc(4.0, INF)]), p)
+        assert lost == {"zeros": 2.0, "poles": 2.0, "real_off_singular": 0.0}
+        lost = residuals(normalize([Arc(0.0, 1.0), Arc(2.0, 3.0)]), p)
+        assert lost == {"zeros": INF, "poles": 2.0, "real_off_singular": 0.0}
+        # an extra arc leaves a stray pole, 3 from the nearest prescribed one
+        stray = residuals(normalize(list(o.arcs) + [Arc(-3.0, -2.0)]), p)
+        assert stray == {"zeros": 0.0, "poles": 0.0, "real_off_singular": 3.0}
+        certs = certify_region(normalize([Arc(0.0, 1.0), Arc(4.0, INF)]), p)[0]
+        assert [(c.passed, c.note) for c in certs] == [
+            (False, "farthest at 3.0"), (False, "farthest at 2.0"), (True, "")]
 
     def test_equivalence_on_random_instances(self, rng):
         agree = 0

@@ -12,7 +12,7 @@ from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
 from halfplane.krein import (EvaluationDomainError, KreinProduct,
                              TailNotCertified, cantor_complement_product,
                              equivariance_transport, k_structure, log_p,
-                             p_eval)
+                             merged_structure, p_eval)
 
 from conftest import (k_integral, random_arcset, random_auto,
                       random_bounded_arcset, random_upper_points)
@@ -262,6 +262,37 @@ class TestStructure:
         assert s.zeros == (1, 3)
         assert s.poles == (0, 2)
         assert s.gamma.isclose(normalize([Arc(0, 1), Arc(2, 3)]))
+
+    def test_shared_infinity_is_neither_pole_nor_zero(self):
+        # O = (−∞, 0) ∪ (1, ∞) is p_(1,0), finite at ∞: one pole, one zero,
+        # and Γ the wrap arc through ∞, where k is −√2
+        s = k_structure(normalize([Arc(INF, 0), Arc(1, INF)]))
+        assert s.poles == (1.0,) and s.zeros == (0.0,)
+        assert s.sigma.points == (1.0,)
+        assert s.gamma == normalize([Arc(1, 0)])
+        # a lone half-line keeps its pole at ∞
+        assert k_structure(normalize([Arc(INF, 0)])).poles == (INF,)
+
+    def test_closed_chain_is_the_constant_minus_one(self):
+        for o in (normalize([Arc(0, 1), Arc(1, 0)]), FULL, ArcSet((Arc(INF, INF, True),))):
+            s = merged_structure(o)
+            assert s.gamma == FULL and s.poles == s.zeros == () and not s.sigma.points
+        assert merged_structure(EMPTY).gamma == EMPTY
+
+    @settings(max_examples=150, deadline=None)
+    @given(chained_arcsets())
+    def test_structure_matches_the_evaluator(self, sample):
+        o, kept, poles = sample
+        s = merged_structure(o)
+        assert sorted(b for b in s.poles if not is_inf(b)) == sorted(poles)
+        zeros = [a for _, a in kept if not is_inf(a) and all(b != a for b, _ in kept)]
+        assert sorted(a for a in s.zeros if not is_inf(a)) == sorted(zeros)
+        k = KreinProduct(o)
+        assert all(k(b) == INF for b in s.poles if not is_inf(b))
+        assert all(k(a) == 0.0 for a in s.zeros if not is_inf(a))
+        at_inf = _mp_krein(kept, INF)
+        assert (INF in s.poles, INF in s.zeros) == (at_inf == INF, at_inf == 0.0)
+        assert s.sigma.points == s.poles
 
     def test_zero_and_pole_locations_numerically(self):
         k = KreinProduct(normalize([Arc(0, 1), Arc(2, 3)]))
