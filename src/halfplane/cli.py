@@ -31,7 +31,7 @@ from .krein import (KreinProduct, TailNotCertified,
 from .nevanlinna import (Measure, NevanlinnaRep, boole_superlevel_measure,
                          letac_pushforward_check, recover_alpha,
                          recover_atom, recover_beta)
-from .util import RootBracketError, cabs
+from .util import RootBracketError
 
 FUNCTION_TASKS = ("nevanlinna", "krein", "product")
 PROBLEM_TASKS = ("interp", "realizable", "boole", "letac")
@@ -331,7 +331,7 @@ def suite_krein_props(rng, report):
     merged = KreinProduct(normalize([Arc(1, 2), Arc(2, 3)]))
     x = np.linspace(0.1, 0.9, 10)
     zs = (-2 + 6 * x) + 1j * (0.3 + 2 * x)
-    worst = float(np.max(cabs(merged(zs) - p_eval(Arc(1, 3), zs))))
+    worst = float(np.max(np.abs(merged(zs) - p_eval(Arc(1, 3), zs))))
     report.append(("merge_identity", worst, 1e-12))
 
 

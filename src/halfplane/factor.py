@@ -32,8 +32,7 @@ from .krein import (KreinProduct, log_factors, merged_structure, p_eval,
                     scalar_or_array)
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
                          SigmaDescriptor, analyze, interval_entries)
-from .util import (BRACKET, branch_roots, cabs, cdiv, cmul, frozen, halton_box,
-                   ladder_limit)
+from .util import BRACKET, branch_roots, frozen, halton_box, ladder_limit
 
 
 class CertificationError(RuntimeError):
@@ -198,7 +197,7 @@ class CompositeFunction:
         if self.exp is not None:
             e, off_pieces = self.exp.masked(pts)
             refused |= off_pieces & ~pole
-            values = cmul(values, e) if values.dtype.kind == "c" else values * e
+            values = values * e
         values = self.c * values
         values[pole] = INF
         return values.reshape(np.shape(z)), refused.reshape(np.shape(z))
@@ -581,7 +580,7 @@ def _sampled_posts(ana: AnalysisResult, g):
     xs = np.array(boundary_samples(ana.omega))
     v = g(xs + 1e-6j)
     # the ∞ marker adds 0
-    resid1 = float(np.max(np.abs(v.imag) / (1.0 + cabs(v)), initial=0.0))
+    resid1 = float(np.max(np.abs(v.imag) / (1.0 + np.abs(v)), initial=0.0))
     v, refused = g.masked(xs + 0j)
     v = v.real[~refused]
     v = v[np.isfinite(v)]  # the ∞ marker and NaN are skipped
@@ -599,7 +598,7 @@ def _constant_certificate(f, k: KreinProduct):
     fv = f(_CONSTANT_GRID)
     c = abs(fv[0].item())
     zs = _CONSTANT_GRID[1:]
-    dev = cabs(cdiv(fv[1:], c * k(zs)) - 1.0)
+    dev = np.abs(fv[1:] / (c * k(zs)) - 1.0)
     return c, float(np.max(dev))
 
 

@@ -27,7 +27,7 @@ from .factor import (Certification, CertificationError, CompositeFunction,
                      ExpRep)
 from .krein import KreinProduct, merged_structure
 from .moebius import DiskMap, cayley, cayley_inverse_point, disk_target_map
-from .util import cabs, frozen, halton
+from .util import frozen, halton
 
 
 class InterlacingError(ValueError):
@@ -268,9 +268,9 @@ def _farthest(name, points, ends, tol) -> Certification:
 
 def realizable_pair(omega: ArcSet, o: ArcSet):
     """Can (Ω, O) occur as (Ω(f), Γ(f))?  Checks (a) O ⊆ Ω, (b) O Lebesgue
-    regular, (c) Ω = Ω₁ ∖ X with Ω₁ the regularization of Ω and X the left
-    endpoints of O.  On success returns the witness f = k_O e^v with ψ = 1/2
-    on the complement of Ω₁."""
+    regular, (c) Ω = Ω₁ ∖ X with Ω₁ the regularization of Ω and X the poles
+    of k_O (``krein.merged_structure``).  On success returns the witness
+    f = k_O e^v with ψ = 1/2 on the complement of Ω₁."""
     failures = []
     if not o.is_empty and not o.full:
         for arc in o.arcs:
@@ -282,7 +282,7 @@ def realizable_pair(omega: ArcSet, o: ArcSet):
     if not is_regular(o):
         failures.append(("b", "O is not Lebesgue regular"))
     omega1 = regularize(omega)
-    x_pts = () if (o.full or o.is_empty) else o.left_endpoints()
+    x_pts = merged_structure(o).poles
     expected = omega1.remove_points(x_pts)
     if not expected.isclose(omega, 1e-9):
         failures.append(("c", "Omega differs from its regularization minus X"))
@@ -372,7 +372,7 @@ def disk_interpolate(zeros, poles, singular, alpha, beta, zeta) -> DiskInterpola
     certs = theta.certifications
 
     inner, circle = _disk_grids()
-    worst_in = float(np.max(cabs(theta(inner))))
+    worst_in = float(np.max(np.abs(theta(inner))))
     # a trivial prescription gives a unimodular constant, which maps the disk
     # to its boundary rather than strictly inside
     constant = build.region.is_empty or build.region.full
@@ -381,14 +381,14 @@ def disk_interpolate(zeros, poles, singular, alpha, beta, zeta) -> DiskInterpola
                                worst_in <= in_tol))
 
     avoid = np.array([complex(w) for w in list(singular) + list(poles)])
-    ws = circle[~(cabs(circle[:, None] - avoid) < 1e-2).any(axis=1)]
+    ws = circle[~(np.abs(circle[:, None] - avoid) < 1e-2).any(axis=1)]
     values, refused = theta.masked(ws)
-    worst_bnd = float(np.max(np.abs(cabs(values[~refused]) - 1.0), initial=0.0))
+    worst_bnd = float(np.max(np.abs(np.abs(values[~refused]) - 1.0), initial=0.0))
     certs.append(Certification("boundary_unimodular", worst_bnd, 1e-8,
                                worst_bnd <= 1e-8))
 
     worst_level = float(np.max(np.concatenate(
-        [cabs(theta(np.array(pts, dtype=complex)) - complex(v))
+        [np.abs(theta(np.array(pts, dtype=complex)) - complex(v))
          for pts, v in ((zeros, alpha), (poles, beta))]), initial=0.0))
     certs.append(Certification("level_sets", worst_level, 1e-8, worst_level <= 1e-8))
     if not theta.ok:

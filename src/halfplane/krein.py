@@ -16,12 +16,10 @@ p_(b,a), so a zero of one factor never meets the pole of the next; the
 zeros, poles, σ and Γ of k_O are read from the same merged arcs.
 
 Every evaluator takes one point or an ndarray of points.  An array is
-evaluated in one pass over points × arcs, with the same operations in the
-same order as on one point, so its values equal the scalar ones bit for bit
-(complex products and quotients go through ``util.cmul``/``util.cdiv``;
-logarithms are numpy's and may differ in the last bit).  A scalar call is
-the array pass on one point and returns a complex off the real line, else a
-float.  Three per-point conditions are masks of that pass: an exact real
+evaluated in one pass over points × arcs in numpy's own arithmetic.  A
+scalar call is that pass on one point, so an array value equals the scalar
+call at its point bit for bit; it returns a complex off the real line, else
+a float.  Three per-point conditions are masks of that pass: an exact real
 pole (the ∞ marker, math.inf), a real point within ``REAL_GUARD`` of a pole
 (refused: EvaluationDomainError), and the point ∞ (±inf in a real array).
 
@@ -45,7 +43,7 @@ import numpy as np
 from .extreal import (Arc, ArcSet, BoundaryDescriptor, CantorComplement, EMPTY,
                       FULL, INF, arc_ends, is_regular, normalize)
 from .moebius import HalfPlaneAuto, pullback_arcset
-from .util import cdiv, cmul
+from .util import quotient
 
 REAL_GUARD = 1e-9
 
@@ -75,7 +73,6 @@ class _Factors:
         rows = []
         for y, x, k in zip(b, a, kind):
             x, y = x if k in "fl" else 0.0, y if k in "fr" else 0.0
-            # |i − x| by math.hypot, as the scalar closed forms take it
             hx, hy = math.hypot(1.0, x), math.hypot(1.0, y)
             s = (1.0 if y < x else -1.0) * (hy / hx) if k == "f" else 1.0
             rows.append((x, y, s, hx if k == "l" else -hy if k == "r" else 1.0,
@@ -97,7 +94,7 @@ class _Factors:
                 poles[inf] = False
         else:
             poles = None
-        vals = cdiv(num, den) if pts.dtype.kind == "c" else num / den
+        vals = quotient(num, den)
         if poles is not None:
             vals[poles] = INF
         if inf is not None:
@@ -124,12 +121,12 @@ class _Factors:
         e = np.frexp(np.maximum(np.abs(den.real), np.abs(den.imag)))[1]
         scaled = np.empty(den.shape, dtype=complex)
         scaled.real, scaled.imag = np.ldexp(den.real, -e), np.ldexp(den.imag, -e)
-        vals, out, power = cdiv(num, scaled), np.ones(len(pts), dtype=complex), -e.sum(axis=1)
-        for k in range(self.n):
-            out = cmul(out, vals[:, k])
-            e = np.frexp(np.maximum(np.abs(out.real), np.abs(out.imag)))[1]
-            out.real, out.imag, power = np.ldexp(out.real, -e), np.ldexp(out.imag, -e), power + e
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, out, power = num / scaled, np.ones(len(pts), dtype=complex), -e.sum(axis=1)
+            for k in range(self.n):
+                out = out * vals[:, k]
+                e = np.frexp(np.maximum(np.abs(out.real), np.abs(out.imag)))[1]
+                out.real, out.imag, power = np.ldexp(out.real, -e), np.ldexp(out.imag, -e), power + e
             out.real, out.imag = np.ldexp(out.real, power), np.ldexp(out.imag, power)
         return out
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import INF, Arc, ArcSet, Point, is_inf, normalize
-from .util import cdiv, cmul
+from .util import quotient
 
 
 @dataclass(frozen=True)
@@ -123,17 +123,18 @@ class DiskMap:
 
 
 def _mobius(z, a, b, c, d, at_inf):
-    """(az + b)/(cz + d) at z, or at each point of an ndarray z, rounded as
-    CPython rounds it on one point; ``at_inf`` is the image of ∞."""
+    """(az + b)/(cz + d) at z, or at each point of an ndarray z in one pass
+    (a scalar z is the pass on one point, so the two agree bit for bit);
+    ``at_inf`` is the image of ∞."""
     w = np.array(np.ravel(z), dtype=complex)
     inf = np.isinf(w.real) & (w.imag == 0)
     if np.count_nonzero(inf):
         w[inf] = 0.0
-    den = cmul(w, c) + d
+    den = w * c + d
     pole = den == 0
     if np.count_nonzero(pole):
         den[pole] = 1.0
-    out = cdiv(cmul(w, a) + b, den)
+    out = quotient(w * a + b, den)
     out[pole] = INF
     out[inf] = at_inf
     if isinstance(z, np.ndarray):

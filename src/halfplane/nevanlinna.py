@@ -28,8 +28,8 @@ import numpy as np
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL,
                       complement_ends, complement_of_closed, is_inf,
                       merged_support, regularize)
-from .util import (RecoveryError, RootBracketError, branch_roots, cdiv, cmul,
-                   ladder_limit)
+from .util import (RecoveryError, RootBracketError, branch_roots, excess,
+                   ladder_limit, quotient)
 
 __all__ = [
     "Measure", "NevanlinnaRep", "SigmaDescriptor", "AnalysisResult",
@@ -212,7 +212,7 @@ class NevanlinnaRep:
             if hit.any():
                 den[hit], pole = 1.0, hit.any(axis=1)
             num = ws * (1.0 + z_[:, None] * ts)
-            terms[:, 1:] = cdiv(num, den) if cplx else num / den
+            terms[:, 1:] = quotient(num, den)
             val = np.add.accumulate(terms, axis=1)[:, -1]
         if self.rho.ac:
             val = self._densities(z_, val, cplx, [m for m in (pole, inf) if m is not None])
@@ -227,7 +227,10 @@ class NevanlinnaRep:
 
     def _densities(self, z, val, cplx, skipped):
         """val plus each density's d(z(r − l) + (1 + z²)·log((z−r)/(z−l))), in
-        order, leaving the points of the ``skipped`` masks aside."""
+        order, leaving the points of the ``skipped`` masks aside.  With h, m
+        and u = h/(z − m) as in :func:`_density_terms`, the bracket is
+        −2u(1 + zm) − 2u(1 + z²)·S(u²) where |u| ≤ 1/2: the closed form
+        cancels like |z|² far from the support, the series not at all."""
         line = z.imag == 0
         real = line & ~np.logical_or.reduce(skipped) if skipped else line
         x, (ls, rs, _) = z.real[:, None], np.array(self.rho.ac).T
@@ -237,14 +240,19 @@ class NevanlinnaRep:
             raise ValueError(f"real evaluation at {float(z.real[k])} inside the density "
                              f"support [{self.rho.ac[i][0]}, {self.rho.ac[i][1]}]")
         for l, r, d in self.rho.ac:
-            # on the real line, log1p keeps every digit
-            logs = _log_ratios(np.where(real, z.real, l - 1.0), l, r)
-            if cplx:
-                off = np.where(line, l - 1.0 + 1j, z)
-                logs = np.where(line, logs, np.log(cdiv(off - r, off - l)))
-                val = val + d * (z * (r - l) + cmul(1.0 + cmul(z, z), logs))
-            else:
-                val = val + d * (z * (r - l) + (1.0 + z * z) * logs)
+            h = 0.5 * (r - l)
+            w = z - (l + h)
+            far = np.abs(w) >= 2.0 * h
+            u = h / np.where(far, w, 2.0 * h)
+            with np.errstate(over="ignore", invalid="ignore"):  # both overflow past |z| ~ 1e154
+                zz, v = 1.0 + z * z, u * u
+                series = -2.0 * u * (1.0 + z * (l + h)) - 2.0 * u * zz * v * np.polyval(_ARTANH, v)
+                # on the real line, log1p keeps every digit
+                logs = _log_ratios(np.where(real, z.real, l - 1.0), l, r)
+                if cplx:
+                    off = np.where(line, l - 1.0 + 1j, z)
+                    logs = np.where(line, logs, np.log(quotient(off - r, off - l)))
+                val = val + d * np.where(far, series, z * (r - l) + zz * logs)
         return val
 
     @functools.cached_property
@@ -496,11 +504,15 @@ def _density_terms(x, l, r, d):
     u = h / ((x - l) - h)
     v = u * u
     far, xx = v <= 0.25, 1.0 + x * x
-    s = v * np.polyval(1.0 / np.arange(53.0, 2.0, -2.0), v)
     return [d * np.where(far, -2.0 * u * (1.0 + (0.5 * (l + r)) ** 2), xx * _log_ratios(x, l, r)),
-            d * np.where(far, -2.0 * u * xx * s, x * (r - l)),
+            d * np.where(far, -2.0 * u * xx * v * np.polyval(_ARTANH, v), x * (r - l)),
             d * np.where(far, 0.0, h * (r + l))]
 
+
+# S(v) = Σ_k≥1 v^k/(2k+1) = v·polyval(_ARTANH, v), so that artanh(u) = u + u·S(u²);
+# 26 terms reach one ulp at |v| ≤ 1/4
+_ARTANH = 1.0 / np.arange(53.0, 2.0, -2.0)
+_FMAX = np.finfo(float).max
 
 # coefficients of T(v) = Σ_k≥1 (2k−1)/(2k+1)·v^k and Q(v) = Σ_k≥1 2k/(2k+1)·v^k
 # for np.polyval, highest power first; 26 terms reach one ulp at v ≤ 1/4
@@ -555,13 +567,14 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
         far = np.maximum(1.0, 2.0 * (np.abs(alpha * m + shift) + big_k) / alpha)
         lo[:, 1:], hi[:, :-1] = ends, starts
         lo[:, 0], hi[:, -1] = m[0] - far[:, 0], m[1] + far[:, 1]
-    else:  # the last arc wraps through ∞; |f − β′| < |β′ − target| at 2K/|β′ − target| past it
-        with np.errstate(over="ignore"):  # a reach past the float range leaves no bracket
+    else:  # the last arc wraps through ∞; |f − β′| < |β′ − target| at 2K/|β′ − target| past it,
+        # or at the largest double, where a zero not yet reached is the one at ∞
+        with np.errstate(over="ignore"):
             reach = 2.0 * big_k / np.abs(np.where(shift == 0, 1.0, shift))[:, 0]
-        right = shift[:, 0] > 0
-        lo[:], hi[:, :-1] = ends, starts[1:]
-        lo[:, -1] = np.where(right, ends[-1], starts[0] - reach)
-        hi[:, -1] = np.where(right, ends[-1] + reach, starts[0])
+            right = shift[:, 0] > 0
+            lo[:], hi[:, :-1] = ends, starts[1:]
+            lo[:, -1] = np.where(right, ends[-1], np.maximum(starts[0] - reach, -_FMAX))
+            hi[:, -1] = np.where(right, np.minimum(ends[-1] + reach, _FMAX), starts[0])
     # a zero at ∞ when α = 0 and β′ = target
     live = (alpha > 0) | (shift != 0) | (np.arange(n_arcs) < n_arcs - 1)
 
@@ -599,6 +612,16 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
             val += (ds * _density_slope(xc, ls, rs, _log_ratios(xc, ls, rs))).sum(axis=1)
         return val
 
+    if alpha == 0:
+        edge = np.where(right, hi[:, -1], lo[:, -1])
+        capped = (np.abs(edge) == _FMAX) & live[:, -1]
+        if capped.any():
+            # f still on the target's side there: the zero lies past the float
+            # range, and k_Γ with the zero at ∞ differs by under 1e-300 relative;
+            # an uncertain sign (density summands overflow there) keeps the branch
+            with np.errstate(all="ignore"):
+                values, rounding = excess(terms, ulps, targets[capped, 0], edge[capped])
+            live[capped, -1] = ~np.where(right[capped], values <= -rounding, values >= rounding)
     roots = np.full(lo.shape, INF)
     roots[live] = branch_roots(terms, ulps, targets.repeat(n_arcs, 1)[live],
                                seeds[live], lo[live], hi[live], slope)

@@ -1,14 +1,16 @@
 """Shared numeric helpers: ``branch_roots``, the one root kernel behind Γ(f),
 Boole, Letac and black-box Γ (certified roots of increasing functions, one
-per branch), Richardson ladders, low-discrepancy grids, and complex array
-products and quotients that round as CPython's scalar ones do."""
+per branch), Richardson ladders, low-discrepancy grids, and the complex
+quotient of the evaluators.
+
+Complex arithmetic is numpy's own: a scalar call of an evaluator is its
+array pass on one point, so an array value equals the scalar one bit for
+bit by construction, whatever numpy's last bit is."""
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -49,7 +51,7 @@ def branch_roots(terms, ulps, target, seeds, lo, hi, slope=None):
         if not ok.all():
             bad = ~ok
             blo, bhi = _bisect(terms, target[bad], lo[bad], hi[bad])
-            x[bad] = _newton(terms, slope, target[bad], 0.5 * (blo + bhi), blo, bhi)[0]
+            x[bad] = _newton(terms, slope, target[bad], 0.5 * blo + 0.5 * bhi, blo, bhi)[0]
             ok = _bracketed(terms, ulps, target, x, lo, hi, inner)
     if not ok.all():
         k = int(np.argmin(ok))
@@ -77,27 +79,36 @@ def _newton(terms, slope, target, x, lo, hi):
 def _bracketed(terms, ulps, target, x, lo, hi, inner):
     delta = BRACKET * np.maximum(1.0, np.abs(x))
     ends = np.concatenate((np.maximum(x - delta, inner[0]), np.minimum(x + delta, inner[1])))
-    targets = np.concatenate((target, target))
-    summands = terms(ends)
-    eps, size = np.finfo(float).eps, np.abs(summands)
-    rounding = eps * np.einsum("ij,j->i", size, ulps)
-    # summed in any order, the n summands and the target are within
-    # (n + 1)·eps·(their total size) of their exact sum; where that slack
-    # could flip a sign, fsum sums them exactly
-    values = summands.sum(axis=1) - targets
-    slack = (summands.shape[1] + 1) * eps * (size.sum(axis=1) + np.abs(targets))
-    for k in (np.abs(values) <= rounding + slack).nonzero()[0]:
-        values[k] = math.fsum([*summands[k].tolist(), -targets[k]])
+    values, rounding = excess(terms, ulps, np.concatenate((target, target)), ends)
     m = len(x)
     return ((lo < ends[:m]) & (ends[m:] < hi)
             & (values <= -rounding)[:m] & (values >= rounding)[m:])
 
 
+def excess(terms, ulps, target, x):
+    """(f(x) − target, bound) at the points of x, with terms and ulps as in
+    :func:`branch_roots`: the sign of the difference is certain where it
+    clears the bound on the summands' own rounding."""
+    summands = terms(x)
+    eps, size = np.finfo(float).eps, np.abs(summands)
+    rounding = eps * np.einsum("ij,j->i", size, ulps)
+    # summed in any order, the n summands and the target are within
+    # (n + 1)·eps·(their total size) of their exact sum; where that slack
+    # could flip a sign, fsum sums them exactly
+    values = summands.sum(axis=1) - target
+    slack = (summands.shape[1] + 1) * eps * (size.sum(axis=1) + np.abs(target))
+    for k in (np.abs(values) <= rounding + slack).nonzero()[0]:
+        values[k] = math.fsum([*summands[k].tolist(), -target[k]])
+    return values, rounding
+
+
 def _bisect(terms, target, lo, hi):
     # the branch ends' signs are known, so only midpoints are evaluated;
-    # 1100 halvings take any float interval down to the bracket's width
+    # 1100 halvings take any float interval down to the bracket's width;
+    # the ends are halved before they are added, so that ends past half the
+    # largest double do not overflow
     for _ in range(1100):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if np.all(hi - lo <= BRACKET * np.maximum(1.0, np.abs(mid))):
             break
         below = terms(mid).sum(axis=1) < target
@@ -167,49 +178,14 @@ def frozen(a):
     return a
 
 
-# numpy's SIMD loops fuse the products of a complex product and divide by
-# scaling with a reciprocal, so their last bit differs from CPython's in a
-# third of the cases; these two keep an array value equal, bit for bit, to
-# the scalar one.  A real operand (float, or real array) multiplies exactly
-# under numpy's own ``*``, and np.multiply.reduce/np.add.accumulate along
-# the last axis take their terms one by one in order.  Up to _SMALL values,
-# CPython's own operator per value is cheaper than a dozen numpy calls.
-_SMALL = 256
-
-
-def cmul(x, y):
-    """x·y for a complex array x and a complex array of its shape or a
-    scalar y, by CPython's formula."""
-    if x.size <= _SMALL:
-        return _by_value(operator.mul, x, y)
-    out = np.empty(x.shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
+def quotient(num, den):
+    """num/den for arrays, den nonzero everywhere, by numpy's division; where
+    its scaled reciprocal of a tiny den leaves the float range, the quotients
+    it leaves non-finite are divided again by CPython's Smith division."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = num / den
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out)
+        nums, dens = np.broadcast_to(num, out.shape)[bad], np.broadcast_to(den, out.shape)[bad]
+        out[bad] = [x / y for x, y in zip(nums.tolist(), dens.tolist())]
     return out
-
-
-def cdiv(x, y):
-    """x/y for a complex array x and a complex array of its shape or a
-    scalar y, by CPython's scaled division (Smith's method); y must be
-    nonzero everywhere."""
-    if x.size <= _SMALL:
-        return _by_value(operator.truediv, x, y)
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    swap = abs(yr) < abs(yi)
-    p, q = np.where(swap, yi, yr), np.where(swap, yr, yi)
-    rat = q / p
-    den = p + q * rat
-    out = np.empty(x.shape, dtype=complex)
-    out.real = np.where(swap, xr * rat + xi, xr + xi * rat) / den
-    out.imag = np.where(swap, xi * rat - xr, xi - xr * rat) / den
-    return out
-
-
-def _by_value(op, x, y):
-    ys = y.ravel().tolist() if np.ndim(y) else itertools.repeat(complex(y))
-    return np.array(list(map(op, x.ravel().tolist(), ys)), dtype=complex).reshape(x.shape)
-
-
-def cabs(x):
-    """|x| for a complex array, as CPython's abs (the C library's hypot)."""
-    return np.hypot(x.real, x.imag)

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from halfplane.extreal import Arc, ArcSet, EMPTY, INF, is_inf, normalize
 from halfplane.factor import (BlackBoxFunction,
@@ -297,6 +297,12 @@ class TestCorollary:
     @settings(max_examples=60, deadline=None)
     @given(corollary_reps(), st.lists(st.tuples(st.floats(-25.0, 25.0), st.floats(0.5, 5.0)),
                                       min_size=1, max_size=5))
+    # β this small puts the zero 1/β near or past the largest double
+    @example(NevanlinnaRep(0.0, 5e-324, Measure(atoms=((0.0, 1.0),))), [(1.0, 1.0)])
+    @example(NevanlinnaRep(0.0, 1e-310, Measure(atoms=((0.0, 1.0),))), [(1.0, 1.0)])
+    @example(NevanlinnaRep(0.0, -1e-310, Measure(atoms=((0.0, 1.0),))), [(-3.0, 0.5)])
+    @example(NevanlinnaRep(0.0, 1e-308, Measure(atoms=((0.0, 1.0),))), [(2.0, 4.0)])
+    @example(NevanlinnaRep(0.0, -1e-308, Measure(atoms=((0.0, 1.0),))), [(-20.0, 1.0)])
     def test_reconstruction(self, rep, points):
         res = factorize(RepFunction(rep))
         arcs = [(arc.b, arc.a) for arc in res.gamma.arcs]

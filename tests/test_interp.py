@@ -3,14 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from halfplane.extreal import Arc, FULL, INF, is_regular, normalize, points_equal
+from halfplane.extreal import (Arc, FULL, INF, is_regular, normalize, points_equal,
+                               regularize)
+from halfplane.factor import CompositeFunction, analyze_pick
 from halfplane.interp import (InterlacingError, InterpProblem, build_function,
                               certify_region, check_interlacing, construct_O,
                               disk_interpolate, realizable_pair)
+from halfplane.krein import KreinProduct
 from halfplane.nevanlinna import SigmaDescriptor
 
 from conftest import sep_points
+from test_krein import chained_arcsets
 
 
 def random_interlaced(rng, max_y=3, max_pts=14):
@@ -285,6 +290,24 @@ class TestRealizable:
         region = normalize([Arc(0.0, 1.0)])
         ok, failures, _ = realizable_pair(omega, region)
         assert not ok and any(code == "c" for code, _ in failures)
+
+    def test_infinity_between_half_lines_is_no_pole(self):
+        # O = (−∞, 0) ∪ (1, ∞): k_O(∞) = −√2, so Ω(k_O) is the circle minus {1}
+        region = normalize([Arc(INF, 0.0), Arc(1.0, INF)])
+        omega = analyze_pick(CompositeFunction(1.0, KreinProduct(region))).omega
+        assert omega.isclose(FULL.remove_points([1.0]))
+        ok, failures, _ = realizable_pair(omega, region)
+        assert ok, failures
+
+    @settings(max_examples=60, deadline=None)
+    @given(chained_arcsets())
+    def test_product_pair_is_realizable(self, case):
+        # (Ω(k_O), O) is realizable for every regular explicit O, shared ends
+        # and ∞ between half-lines included; k_O itself is a witness
+        region = regularize(case[0])
+        omega = analyze_pick(CompositeFunction(1.0, KreinProduct(region))).omega
+        ok, failures, _ = realizable_pair(omega, region)
+        assert ok, failures
 
     def test_with_exponent_part(self):
         # Omega leaves out a fat closed set, so the witness needs e^v

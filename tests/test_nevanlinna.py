@@ -28,6 +28,9 @@ FAR_REP = NevanlinnaRep(0.0, 0.3, Measure(
     atoms=((-1.0, 1.0),),
     ac=((4179.559412343756, 4180.144823511033, 0.4345293778156328),)))
 
+# a unit density on [0, 1], evaluated far from it
+UNIT_DENSITY = NevanlinnaRep(0.0, 0.3, Measure(ac=((0.0, 1.0, 1.0),)))
+
 
 class TestEval:
     def test_single_atom_is_reciprocal(self, rng):
@@ -79,6 +82,33 @@ class TestEval:
         with mpmath.workdps(50):
             exact = mpmath.fsum(mp_rep(FAR_REP)(x))
         assert abs(FAR_REP.eval(x) - exact) <= 1e-12 * abs(exact)
+
+    @pytest.mark.parametrize("z", [1e5 + 1j, -3e4 + 5j, 1e7j, -1.6e6, 1j])
+    def test_far_from_wide_density(self, z):
+        # log((z−r)/(z−l)) times 1 + z² cancels against z(r − l) like |z|²
+        # out here; the closed form was off by up to 2.2e-6 relative
+        with mpmath.workdps(50):
+            exact = mp_value(UNIT_DENSITY, z)
+        got = UNIT_DENSITY.eval(z)
+        assert type(got) is type(z)
+        assert abs(got - exact) <= 1e-15 * abs(exact)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-500, 500), st.integers(1, 400), st.floats(0.05, 3.0),
+           st.floats(2.0, 8.0), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    def test_far_from_density_against_50_digits(self, l, width, d, exponent, turn):
+        # z = m + R·e^{iπ·turn}: real at turns 0 and 1, R from 100 to 1e8.  The
+        # error is measured against the size of the integrand,
+        # d·(r − l)·(1 + |z|·max(|l|, |r|))/dist(z, [l, r])
+        l, r = l / 100.0, (l + width) / 100.0
+        rep = NevanlinnaRep(0.0, 0.0, Measure(ac=((l, r, d),)))
+        m, big = 0.5 * (l + r), 10.0 ** exponent
+        z = m + big * cmath.exp(1j * math.pi * turn)
+        z = z.real if turn in (0.0, 1.0) else z
+        with mpmath.workdps(50):
+            exact = mp_value(rep, z)
+        scale = d * (r - l) * (1.0 + abs(z) * max(abs(l), abs(r))) / (big - (r - l))
+        assert abs(rep.eval(z) - exact) <= 64 * 2.0 ** -52 * scale
 
     def test_monotone_on_components(self, rng):
         for _ in range(10):
@@ -384,6 +414,16 @@ def mp_rep(rep, target=0.0):
                 for l, r, d in rep.rho.ac]
         return out
     return terms
+
+
+def mp_value(rep, z):
+    """f(z) for a rep in mpmath arithmetic, z real or complex (use inside
+    workdps)."""
+    z, mpf = mpmath.mpmathify(z), mpmath.mpf
+    return mpmath.fsum([rep.alpha * z, rep.beta]
+                       + [w * (1 + z * t) / (t - z) for t, w in rep.rho.atoms]
+                       + [d * (z * (mpf(r) - l) + (1 + z * z) * mpmath.log((z - r) / (z - l)))
+                          for l, r, d in rep.rho.ac])
 
 
 def mp_cauchy(mu, y):
