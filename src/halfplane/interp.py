@@ -8,6 +8,12 @@ an unpaired leading zero or trailing pole (a "loner") is paired with the
 component endpoint, which may introduce a pole or zero at a point of Y —
 reported, never suppressed.  A Cayley transport turns the result into a
 disk interpolant with prescribed level sets.
+
+Certificates are array passes.  The realizability sign certificate picks
+the samples of Ω off the closure of O in one pass over samples × arcs of O
+and evaluates the witness once on those and the samples of O; a disk
+prescription is pulled back in one Cayley pass per point set, and its
+level sets are checked in one pass over the zeros and poles.
 """
 
 from __future__ import annotations
@@ -19,14 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, EMPTY, INF, arcset_contains_arc,
+from .extreal import (Arc, ArcSet, EMPTY, INF, arc_ends, arcset_contains_arc,
                       boundary_samples, circle_key, circle_minus_points,
                       closed_complement, is_inf, is_regular, normalize,
                       point_to_json, points_equal, regularize)
 from .factor import (Certification, CertificationError, CompositeFunction,
                      ExpRep)
 from .krein import KreinProduct, merged_structure
-from .moebius import DiskMap, cayley, cayley_inverse_point, disk_target_map
+from .moebius import DiskMap, cayley, disk_target_map
 from .util import frozen, halton
 
 
@@ -304,16 +310,33 @@ def realizable_pair(omega: ArcSet, o: ArcSet):
 
 def _sign_certificate(f, omega: ArcSet, o: ArcSet) -> float:
     """max violation of: f < 0 on O, f > 0 on Ω off the closure of O;
-    refused points and the ∞ marker are skipped."""
-    ends = ([] if o.full or o.is_empty
-            else list(o.left_endpoints()) + list(o.right_endpoints()))
-    outside = [x for x in boundary_samples(omega, 12)
-               if not (o.contains(x, 1e-7) or any(points_equal(x, e, 1e-7) for e in ends))]
-    parts = []
-    for xs, sign in ((boundary_samples(o, 12), 1.0), (outside, -1.0)):
-        v, refused = f.masked(np.array(xs, dtype=complex))
-        parts.append(sign * v.real[~refused & ~np.isinf(v.real)])
-    return float(np.max(np.concatenate(parts), initial=0.0))
+    refused points and the ∞ marker are skipped.  f is evaluated once, on
+    the samples of O followed by those of Ω off O (:func:`_samples_off`)."""
+    inside, outside = np.array(boundary_samples(o, 12)), _samples_off(o, omega)
+    sign = np.repeat((1.0, -1.0), (len(inside), len(outside)))
+    v, refused = f.masked(np.concatenate((inside, outside)).astype(complex))
+    keep = ~refused & ~np.isinf(v.real)
+    return float(np.max(sign[keep] * v.real[keep], initial=0.0))
+
+
+def _samples_off(o: ArcSet, omega: ArcSet):
+    """The samples of Ω that are neither in O nor within 1e-7 of an end of
+    O, as ``o.contains(x, 1e-7)`` and ``points_equal(x, e, 1e-7)`` tell it,
+    in one pass over samples × arcs of O.  A sample near no end is inside an
+    arc (b, a) when b < x < a for b < a, else when x > b or x < a: an end at
+    ∞ or a puncture's coinciding ends fall in place.  ±inf is ∞, near an end
+    at ∞."""
+    xs = np.array(boundary_samples(omega, 12))
+    if o.full:
+        return xs[:0]
+    b, a = (np.array(ends) for ends in arc_ends(o.arcs))
+    x, ends = xs[:, None], np.concatenate((b, a))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf − inf, and past the float range
+        near = np.abs(x - ends) <= 1e-7
+    near |= np.isinf(x) & np.isinf(ends)
+    after, before = x > b, x < a
+    inside = np.where(b < a, after & before, after | before)
+    return xs[~(near.any(axis=1) | inside.any(axis=1))]
 
 
 @dataclass
@@ -358,15 +381,14 @@ def disk_interpolate(zeros, poles, singular, alpha, beta, zeta) -> DiskInterpola
     base = cayley(zeta)
     m = disk_target_map(alpha, beta)
 
-    def pull(w):
-        w = complex(w)
-        if abs(abs(w) - 1.0) > 1e-9:
-            raise ValueError(f"{w} is not on the unit circle")
-        return cayley_inverse_point(base, w)
+    def pull(points):
+        w = np.array(points, dtype=complex)
+        off = np.abs(np.abs(w) - 1.0) > 1e-9
+        if off.any():
+            raise ValueError(f"{complex(w[off.argmax()])} is not on the unit circle")
+        return tuple(base.inverse_apply(w).real.tolist())  # the pole, w = 1, is inf
 
-    problem = InterpProblem(zeros=tuple(pull(w) for w in zeros),
-                            poles=tuple(pull(w) for w in poles),
-                            singular=tuple(pull(w) for w in singular))
+    problem = InterpProblem(zeros=pull(zeros), poles=pull(poles), singular=pull(singular))
     build = build_function(problem)
     theta = DiskInterpolation(problem, build.region, m, base, build.k)
     certs = theta.certifications
@@ -387,9 +409,9 @@ def disk_interpolate(zeros, poles, singular, alpha, beta, zeta) -> DiskInterpola
     certs.append(Certification("boundary_unimodular", worst_bnd, 1e-8,
                                worst_bnd <= 1e-8))
 
-    worst_level = float(np.max(np.concatenate(
-        [np.abs(theta(np.array(pts, dtype=complex)) - complex(v))
-         for pts, v in ((zeros, alpha), (poles, beta))]), initial=0.0))
+    levels = np.array(list(zeros) + list(poles), dtype=complex)
+    targets = np.repeat((complex(alpha), complex(beta)), (len(zeros), len(poles)))
+    worst_level = float(np.max(np.abs(theta(levels) - targets), initial=0.0))
     certs.append(Certification("level_sets", worst_level, 1e-8, worst_level <= 1e-8))
     if not theta.ok:
         raise CertificationError(

@@ -156,14 +156,6 @@ def cayley(zeta: complex) -> DiskMap:
     return DiskMap(1.0 + 0j, -zeta, 1.0 + 0j, -zeta.conjugate())
 
 
-def cayley_inverse_point(m: DiskMap, w) -> Point:
-    """Pull a unit-circle point back to R ∪ {∞} through a Cayley map."""
-    z = m.inverse_apply(w)
-    if not isinstance(z, complex):
-        return z
-    return z.real
-
-
 def disk_target_map(alpha: complex, beta: complex) -> DiskMap:
     """Möbius m with m(C⁺) = disk, m(0) = α and m(∞) = β (α, β unimodular).
 

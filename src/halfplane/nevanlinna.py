@@ -230,7 +230,8 @@ class NevanlinnaRep:
         order, leaving the points of the ``skipped`` masks aside.  With h, m
         and u = h/(z − m) as in :func:`_density_terms`, the bracket is
         −2u(1 + zm) − 2u(1 + z²)·S(u²) where |u| ≤ 1/2: the closed form
-        cancels like |z|² far from the support, the series not at all."""
+        cancels like |z|² far from the support, the series not at all; past
+        |z| = 1e150 its brackets come from :func:`_huge_brackets`."""
         line = z.imag == 0
         real = line & ~np.logical_or.reduce(skipped) if skipped else line
         x, (ls, rs, _) = z.real[:, None], np.array(self.rho.ac).T
@@ -239,14 +240,19 @@ class NevanlinnaRep:
             k, i = np.unravel_index(np.argmax(inside), inside.shape)
             raise ValueError(f"real evaluation at {float(z.real[k])} inside the density "
                              f"support [{self.rho.ac[i][0]}, {self.rho.ac[i][1]}]")
+        huge = np.abs(z) > _HUGE
         for l, r, d in self.rho.ac:
             h = 0.5 * (r - l)
-            w = z - (l + h)
+            w = (z - l) - h  # near a support far from 0, z − m is off by m's rounding
             far = np.abs(w) >= 2.0 * h
             u = h / np.where(far, w, 2.0 * h)
             with np.errstate(over="ignore", invalid="ignore"):  # both overflow past |z| ~ 1e154
                 zz, v = 1.0 + z * z, u * u
-                series = -2.0 * u * (1.0 + z * (l + h)) - 2.0 * u * zz * v * np.polyval(_ARTANH, v)
+                s = np.polyval(_ARTANH, v)
+                series = -2.0 * u * (1.0 + z * (l + h)) - 2.0 * u * zz * v * s
+                if huge.any():
+                    c, b = _huge_brackets(z, h, l + h, w)
+                    series = np.where(huge, -2.0 * c - 2.0 * b * u * u * s, series)
                 # on the real line, log1p keeps every digit
                 logs = _log_ratios(np.where(real, z.real, l - 1.0), l, r)
                 if cplx:
@@ -497,22 +503,39 @@ def _exact_offset(beta: float, ws, ts, ac) -> float:
 def _density_terms(x, l, r, d):
     """Three summands of d∫_l^r (1+t²)/(t−x) dt, x off [l, r].  With h = (r − l)/2,
     m = l + h and u = h/(x − m), it is −2u(1 + m²) − 2u(1 + x²)·S(u²) with
-    S(v) = Σ_k≥1 v^k/(2k+1), terms of one sign, for |x − m| ≥ 2h; nearer it is
+    S(v) = Σ_k≥1 v^k/(2k+1), terms of one sign, for |x − m| ≥ 2h (past
+    |x| = 1e150, u(1 + x²) from :func:`_huge_brackets`); nearer it is
     (1 + x²)·log((x−r)/(x−l)) + x(r − l) + (r² − l²)/2, which cancels by a
     bounded factor there."""
-    h = 0.5 * (r - l)
-    u = h / ((x - l) - h)
+    h, m = 0.5 * (r - l), 0.5 * (l + r)
+    w = (x - l) - h
+    u = h / w
     v = u * u
-    far, xx = v <= 0.25, 1.0 + x * x
-    return [d * np.where(far, -2.0 * u * (1.0 + (0.5 * (l + r)) ** 2), xx * _log_ratios(x, l, r)),
-            d * np.where(far, -2.0 * u * xx * v * np.polyval(_ARTANH, v), x * (r - l)),
+    far, xx, s = v <= 0.25, 1.0 + x * x, np.polyval(_ARTANH, v)
+    series = -2.0 * u * xx * v * s
+    huge = np.abs(x) > _HUGE
+    if huge.any():
+        series = np.where(huge, -2.0 * _huge_brackets(x, h, m, w)[1] * u * u * s, series)
+    return [d * np.where(far, -2.0 * u * (1.0 + m ** 2), xx * _log_ratios(x, l, r)),
+            d * np.where(far, series, x * (r - l)),
             d * np.where(far, 0.0, h * (r + l))]
+
+
+def _huge_brackets(z, h, m, w):
+    """(u(1 + zm), u(1 + z²)) for u = h/w, w = z − m, where |z| > 1e150: z·m
+    and z² overflow from |z| ~ 1e154 on, so they are h(m + (1 + m²)/w) and
+    hz plus that.  The sums keep every digit while |z| ≥ |m|; nearer the
+    origin they cancel, which is why smaller |z| keep the plain products.
+    Callers multiply the second by u twice, not by u², which underflows."""
+    c = h * (m + (1.0 + m * m) / w)
+    return c, h * z + c
 
 
 # S(v) = Σ_k≥1 v^k/(2k+1) = v·polyval(_ARTANH, v), so that artanh(u) = u + u·S(u²);
 # 26 terms reach one ulp at |v| ≤ 1/4
 _ARTANH = 1.0 / np.arange(53.0, 2.0, -2.0)
 _FMAX = np.finfo(float).max
+_HUGE = 1e150  # past it, the density brackets avoid z² (see _huge_brackets)
 
 # coefficients of T(v) = Σ_k≥1 (2k−1)/(2k+1)·v^k and Q(v) = Σ_k≥1 2k/(2k+1)·v^k
 # for np.polyval, highest power first; 26 terms reach one ulp at v ≤ 1/4

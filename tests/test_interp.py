@@ -1,16 +1,18 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
-from halfplane.extreal import (Arc, FULL, INF, is_regular, normalize, points_equal,
-                               regularize)
+from halfplane.extreal import (EMPTY, Arc, FULL, INF, boundary_samples, is_regular,
+                               normalize, points_equal, regularize)
 from halfplane.factor import CompositeFunction, analyze_pick
-from halfplane.interp import (InterlacingError, InterpProblem, build_function,
-                              certify_region, check_interlacing, construct_O,
-                              disk_interpolate, realizable_pair)
+from halfplane.interp import (InterlacingError, InterpProblem, _samples_off,
+                              _sign_certificate, build_function, certify_region,
+                              check_interlacing, construct_O, disk_interpolate,
+                              realizable_pair)
 from halfplane.krein import KreinProduct
 from halfplane.nevanlinna import SigmaDescriptor
 
@@ -320,6 +322,71 @@ class TestRealizable:
         inside = f(0.5)
         outside = f(1.5)
         assert float(inside) < 0 < float(outside)
+
+
+@st.composite
+def arc_sets(draw, pool):
+    """FULL, EMPTY, or the union of up to four arcs (b, a) between points of
+    the pool and ∞: intervals, arcs through ∞, half-lines and punctures."""
+    kind = draw(st.sampled_from(["full", "empty", "arcs", "arcs", "arcs"]))
+    if kind != "arcs":
+        return FULL if kind == "full" else EMPTY
+    ends = st.sampled_from(pool + [INF])
+    arcs = []
+    for _ in range(draw(st.integers(1, 4))):
+        b, a = draw(ends), draw(ends)
+        arcs.append(Arc(b, a, puncture=True) if b == a else Arc(b, a))
+    return normalize(arcs)
+
+
+@st.composite
+def sign_filter_pairs(draw):
+    """(Ω, O) on shared ends: hundredths, ends within about 1e-7 of another,
+    an int and a Fraction end, and at times ends near the largest double,
+    whose arcs give samples at inf."""
+    base = draw(st.lists(st.integers(-900, 900), min_size=2, max_size=6, unique=True))
+    pool = [b / 100.0 for b in base]
+    jitter = st.sampled_from([-1.1e-7, -1e-7, -5e-8, 5e-8, 1e-7, 1.1e-7, 3e-7])
+    pool += [x + draw(jitter) for x in pool[:2]]
+    pool += [base[0] // 100, Fraction(base[1], 100)]
+    if draw(st.booleans()):
+        pool += [-1e308, 1.5e308]
+    pool = list({float(x): x for x in pool}.values())
+    return draw(arc_sets(pool)), draw(arc_sets(pool))
+
+
+class TestSignCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(sign_filter_pairs())
+    # a sample exactly 1e-7 from an end (0.0 against 1e-7), and samples at
+    # inf, from an arc longer than the float range, against ∞ as the end of
+    # a half-line and as a puncture
+    @example((normalize([Arc(-0.001, INF)]), normalize([Arc(1e-7, 5.0)])))
+    @example((normalize([Arc(-1e308, 1.5e308)]), normalize([Arc(INF, 0.0)])))
+    @example((normalize([Arc(-1e308, 1.5e308)]), normalize([Arc(INF, INF, puncture=True)])))
+    def test_samples_off_o_match_the_pointwise_filter(self, pair):
+        # the one-pass filter keeps exactly the samples of Ω that the
+        # pointwise tests keep, in their order
+        omega, o = pair
+        ends = [] if o.full else [*o.left_endpoints(), *o.right_endpoints()]
+        want = [x for x in boundary_samples(omega, 12)
+                if not (o.contains(x, 1e-7) or any(points_equal(x, e, 1e-7) for e in ends))]
+        assert _samples_off(o, omega).tolist() == want
+
+    @pytest.mark.parametrize("omega, region", [
+        (FULL.remove_points([0.0]), normalize([Arc(0.0, INF)])),
+        (SigmaDescriptor(points=(0.0,), intervals=((2.0, 3.0),), has_inf=True).omega(),
+         normalize([Arc(0.0, 1.0)])),
+        (FULL.remove_points([-2.0, 6.0]), normalize([Arc(-2.0, 1.0), Arc(6.0, -5.0)]))])
+    def test_fails_on_a_composite_built_on_a_wrong_set(self, omega, region):
+        # the witness for a realizable pair passes; the same composite built
+        # on O shifted by 0.5 changes sign at the wrong points and fails
+        ok, failures, f = realizable_pair(omega, region)
+        assert ok, failures
+        assert _sign_certificate(f, omega, region) == 0.0
+        shifted = normalize([Arc(arc.b + 0.5, arc.a + 0.5) for arc in region.arcs])
+        wrong = CompositeFunction(1.0, KreinProduct(shifted), f.exp)
+        assert _sign_certificate(wrong, omega, region) > 1e-9
 
 
 class TestDisk:

@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from halfplane.extreal import Arc, INF, normalize
-from halfplane.moebius import (HalfPlaneAuto, cayley, cayley_inverse_point,
-                               disk_target_map, pullback_arcset)
+from halfplane.moebius import (HalfPlaneAuto, cayley, disk_target_map,
+                               pullback_arcset)
 
 from conftest import random_arcset, random_auto, random_upper_points
 
@@ -109,7 +110,8 @@ class TestCayley:
 
     def test_inverse_point_of_one_is_infinity(self):
         m = cayley(2j)
-        assert cayley_inverse_point(m, 1.0 + 0j) == INF
+        assert m.inverse_apply(1.0 + 0j) == INF
+        assert m.inverse_apply(np.array([1.0 + 0j, -1.0 + 0j])).real.tolist() == [INF, 0.0]
 
     def test_requires_upper_base(self):
         with pytest.raises(ValueError):

@@ -93,19 +93,35 @@ class TestEval:
         assert type(got) is type(z)
         assert abs(got - exact) <= 1e-15 * abs(exact)
 
+    @pytest.mark.parametrize("z", [1e160, 1e200, -1e200, 1e200 + 1j, 1e160j, 1e300,
+                                   -1e300 + 5j, 1e154, 1e150j])
+    def test_past_the_square_of_the_float_range(self, z):
+        # 1 + z² overflows from |z| ~ 1.3e154 on: the value read −inf at 1e160
+        # and NaN at ±1e200, 1e200 + 1j and 1e160j; it tends to β − m₁ = −0.2
+        with mpmath.workdps(700):
+            exact = mp_value(UNIT_DENSITY, z)
+        got = UNIT_DENSITY.eval(z)
+        assert type(got) is type(z)
+        assert abs(got - exact) <= 1e-15 * abs(exact)
+        assert UNIT_DENSITY.eval(np.array([z])).tolist() == [got]
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(-500, 500), st.integers(1, 400), st.floats(0.05, 3.0),
-           st.floats(2.0, 8.0), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
-    def test_far_from_density_against_50_digits(self, l, width, d, exponent, turn):
-        # z = m + R·e^{iπ·turn}: real at turns 0 and 1, R from 100 to 1e8.  The
-        # error is measured against the size of the integrand,
-        # d·(r − l)·(1 + |z|·max(|l|, |r|))/dist(z, [l, r])
-        l, r = l / 100.0, (l + width) / 100.0
+           st.floats(2.0, 300.0), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+           st.sampled_from([0.0, 1e3, -1e6, 1e12, -1e12]))
+    def test_far_from_density_against_50_digits(self, l, width, d, exponent, turn, shift):
+        # z = m + R·e^{iπ·turn}: real at turns 0 and 1, R from 100 to 1e300,
+        # past |z| ~ 1.3e154 where 1 + z² overflows, for supports near 0 and
+        # far from it (then z passes near 0 at R = |m|).  The error is
+        # measured against the size of the integrand,
+        # d·(r − l)·(1 + |z|·max(|l|, |r|))/dist(z, [l, r]); the closed form
+        # cancels like |z|², so the digits carried grow with R
+        l, r = shift + l / 100.0, shift + (l + width) / 100.0
         rep = NevanlinnaRep(0.0, 0.0, Measure(ac=((l, r, d),)))
         m, big = 0.5 * (l + r), 10.0 ** exponent
         z = m + big * cmath.exp(1j * math.pi * turn)
         z = z.real if turn in (0.0, 1.0) else z
-        with mpmath.workdps(50):
+        with mpmath.workdps(50 + 2 * int(exponent)):
             exact = mp_value(rep, z)
         scale = d * (r - l) * (1.0 + abs(z) * max(abs(l), abs(r))) / (big - (r - l))
         assert abs(rep.eval(z) - exact) <= 64 * 2.0 ** -52 * scale
@@ -431,12 +447,13 @@ def mp_cauchy(mu, y):
     return lambda x: [mpmath.mpf(y)] + [-w / (mpmath.mpf(x) - t) for t, w in mu.atoms]
 
 
-def assert_certified_root(h_terms, x, left, right):
+def assert_certified_root(h_terms, x, left, right, dps=50):
     """x is a root of an increasing function on its branch (left, right),
     with None for an unbounded end: strictly inside the branch and
     sign-bracketed at 4e-12·max(1, |x|), the bracket's ends clipped into the
     branch as the kernel accepts them.  The signs are those of the exact
-    function, the sum of its summands h_terms in 50-digit arithmetic, with
+    function, the sum of its summands h_terms in dps-digit arithmetic
+    (summands that cancel like x² need more than 50 digits far out), with
     no allowance for roundoff: the exact root lies in the bracket, well
     within 1e-10·max(1, |x|) of x."""
     delta = BRACKET * max(1.0, abs(x))
@@ -444,7 +461,7 @@ def assert_certified_root(h_terms, x, left, right):
     hi = x + delta if right is None else min(x + delta, math.nextafter(right, -INF))
     assert (left is None or left < lo) and lo <= x <= hi
     assert right is None or hi < right
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         assert mpmath.fsum(h_terms(lo)) <= 0 <= mpmath.fsum(h_terms(hi))
 
 
@@ -562,6 +579,24 @@ class TestAnalyzeRoots:
         x = float(arc.a)
         assert_certified_root(mp_rep(rep), x, 1.0 if x > 1.0 else None,
                               None if x > 1.0 else 0.0)
+
+    @pytest.mark.parametrize("beta", [1e-200, -1e-200, 1e-300])
+    def test_zero_past_the_square_of_the_float_range(self, beta):
+        # f = β + ∫_−1^1 (1+xt)/(t−x) dt has its zero at about ±(8/3)/|β|,
+        # where the density's summands overflowed: β = 1e-200 was refused
+        # with "no sign bracket for the root 6.4e161"
+        rep = NevanlinnaRep(0.0, beta, Measure(ac=((-1.0, 1.0, 1.0),)))
+        (arc,) = analyze(rep).gamma.arcs
+        assert arc.b == 1.0
+        x = float(arc.a)
+        assert abs(x * beta / (8.0 / 3.0) - 1.0) <= 1e-10
+        assert_certified_root(mp_rep(rep), x, 1.0 if x > 1.0 else None,
+                              None if x > 1.0 else -1.0, dps=1000)
+
+    def test_zero_past_the_float_range_is_infinity(self):
+        # the zero at (8/3)·1e310 is past the largest double, so Γ ends at ∞
+        rep = NevanlinnaRep(0.0, 1e-310, Measure(ac=((-1.0, 1.0, 1.0),)))
+        assert analyze(rep).gamma.arcs == (Arc(1.0, INF),)
 
 
 class TestMeasureType:
