@@ -3,7 +3,8 @@
 Spec files are JSON with exactly one task key among
   nevanlinna | krein | product          (function specs)
   interp | realizable | boole | letac   (problem specs)
-plus an optional "options" object.  Unknown top-level fields are rejected.
+plus an optional "options" object.  Unknown fields are rejected: at the top
+level, in a task body, in "options" and in a nested "cantor" or "exp".
 
 Exit codes: 0 all certifications pass, 1 certification failure, 2 input error.
 """
@@ -37,6 +38,20 @@ FUNCTION_TASKS = ("nevanlinna", "krein", "product")
 PROBLEM_TASKS = ("interp", "realizable", "boole", "letac")
 SUITES = ("krein-props", "nevanlinna-roundtrip", "boole", "letac",
           "factor-posts", "interp-equivalence")
+# the fields each spec object reads: a misspelt field would otherwise be
+# ignored without a word
+FIELDS = {
+    "nevanlinna": ("alpha", "beta", "atoms", "ac", "cantor_depth"),
+    "krein": ("arcs", "full", "cantor", "tol", "max_factors"),
+    "product": ("c", "krein", "exp"),
+    "interp": ("zeros", "poles", "singular", "alpha", "beta", "zeta"),
+    "realizable": ("omega", "o"),
+    "boole": ("atoms", "y"),
+    "letac": ("atoms", "beta", "interval"),
+    "options": ("depth", "tol", "eps", "grid"),
+    "cantor": ("interval", "depth"),
+    "exp": ("gamma", "psi"),
+}
 
 
 class SpecError(ValueError):
@@ -61,10 +76,27 @@ def load_spec(path):
     if obj.get("version", 1) != 1:
         raise SpecError(f"unsupported spec version {obj['version']!r}; "
                         "this program reads version 1")
-    for field in (tasks[0], "options"):
-        if not isinstance(obj.get(field, {}), dict):
-            raise SpecError(f"{field} must be a JSON object, got {obj[field]!r}")
-    return tasks[0], obj[tasks[0]], obj.get("options", {}), obj
+    options = _fields(obj.get("options", {}), "options")
+    if "depth" in options:
+        _depth(options["depth"], "options.depth")
+    return tasks[0], _fields(obj[tasks[0]], tasks[0]), options, obj
+
+
+def _fields(obj, name):
+    """obj, a JSON object with no field outside ``FIELDS[name]``."""
+    if not isinstance(obj, dict):
+        raise SpecError(f"{name} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - set(FIELDS[name])
+    if unknown:
+        raise SpecError(f"unknown {name} fields: {sorted(unknown)}")
+    return obj
+
+
+def _depth(value, field):
+    # a generator depth is a JSON integer >= 0, as a cantor_depth is
+    if type(value) is not int or value < 0:
+        raise SpecError(f"{field} must be an integer >= 0, got {value!r}")
+    return value
 
 
 def spec_seed(obj, seed):
@@ -77,12 +109,12 @@ def _krein_product(kspec, options):
     complement with the body's (else the options') depth and tolerance."""
     if "cantor" not in kspec:
         return KreinProduct(ArcSet.from_json(kspec))
-    cc = kspec["cantor"]
-    if not isinstance(cc, dict):
-        raise SpecError(f"cantor must be a JSON object, got {cc!r}")
+    if "arcs" in kspec or "full" in kspec:
+        raise SpecError("krein takes arcs or a cantor generator, not both")
+    cc = _fields(kspec["cantor"], "cantor")
     return cantor_complement_product(
         tuple(cc.get("interval", [0, 1])),
-        int(cc.get("depth", options.get("depth", 26))),
+        _depth(cc["depth"], "cantor.depth") if "depth" in cc else options.get("depth", 26),
         tol=float(kspec.get("tol", options.get("tol", 1e-6))),
         max_factors=int(kspec.get("max_factors", 2_000_000)))
 
@@ -94,8 +126,8 @@ def build_function_spec(task, body, options):
         return CompositeFunction(1.0, _krein_product(body, options))
     if task == "product":
         c = float(body.get("c", 1.0))
-        prod = _krein_product(body.get("krein", {}), options)
-        exp = ExpRep.from_json(body["exp"]) if "exp" in body else None
+        prod = _krein_product(_fields(body.get("krein", {}), "krein"), options)
+        exp = ExpRep.from_json(_fields(body["exp"], "exp")) if "exp" in body else None
         return CompositeFunction(c, prod, exp)
     raise SpecError(f"not a function task: {task}")
 
@@ -246,17 +278,19 @@ def cmd_solve(args):
     raise SpecError(task)
 
 
+def _complex(p, field):
+    # a point of the disk problem is a [re, im] pair of numbers
+    if not (isinstance(p, list) and len(p) == 2):
+        raise SpecError(f"{field}: {p!r} is not a [re, im] pair")
+    return complex(*p)
+
+
 def _solve_interp(body):
     if "alpha" in body or "beta" in body or "zeta" in body:
-        alpha = complex(*body["alpha"])
-        beta = complex(*body["beta"])
-        zeta = complex(*body["zeta"])
-        to_c = lambda p: complex(p[0], p[1])
-        theta = interp.disk_interpolate(
-            [to_c(p) for p in body.get("zeros", [])],
-            [to_c(p) for p in body.get("poles", [])],
-            [to_c(p) for p in body.get("singular", [])],
-            alpha, beta, zeta)
+        points = [[_complex(p, field) for p in body.get(field, [])]
+                  for field in ("zeros", "poles", "singular")]
+        alpha, beta, zeta = (_complex(body[field], field) for field in ("alpha", "beta", "zeta"))
+        theta = interp.disk_interpolate(*points, alpha, beta, zeta)
         return {"task": "interp-disk",
                 "region": theta.region.to_json(),
                 "problem": theta.problem.to_json(),
@@ -283,14 +317,13 @@ def _random_arcset(rng):
     pts = np.sort(rng.uniform(-8, 8, size=2 * int(rng.integers(1, 4))))
     while np.min(np.diff(pts)) < 0.05 if len(pts) > 1 else False:
         pts = np.sort(rng.uniform(-8, 8, size=len(pts)))
-    arcs = [Arc(float(pts[2 * i]), float(pts[2 * i + 1]))
-            for i in range(len(pts) // 2)]
+    arcs = [Arc(pts[2 * i], pts[2 * i + 1]) for i in range(len(pts) // 2)]
     if kind == 1 and len(pts) >= 2:
-        arcs[-1] = Arc(float(pts[-2]), INF)
+        arcs[-1] = Arc(pts[-2], INF)
     elif kind == 2 and len(pts) >= 2:
-        arcs[0] = Arc(INF, float(pts[1]))
+        arcs[0] = Arc(INF, pts[1])
     elif kind == 3 and len(pts) >= 2:
-        arcs = arcs[:-1] + [Arc(float(pts[-1]), float(pts[0]) - 0.5)]
+        arcs = arcs[:-1] + [Arc(pts[-1], pts[0] - 0.5)]
     return normalize(arcs)
 
 
@@ -419,8 +452,7 @@ def _random_interp_problem(rng, interlaced=None):
         for i, t in enumerate(pts):
             (zeros if (i % 2 == 0) == start else poles).append(t)
     try:
-        return interp.InterpProblem(tuple(zeros), tuple(poles),
-                                    tuple(float(y) for y in ys))
+        return interp.InterpProblem(tuple(zeros), tuple(poles), tuple(ys))
     except ValueError:
         return interp.InterpProblem((0.0,), (1.0,), ())
 

@@ -11,66 +11,70 @@ from a base interval.
 This module is the one home of the circle's geometry; the other modules ask
 it rather than splitting on the kinds of arc themselves:
 
-* circle order: :func:`circle_key` sorts points along the circle from just
-  after a given start;
 * complements: :func:`closed_complement` reads an arc set's gaps as a
   closed set and :func:`complement_of_closed` turns a closed set (points,
   intervals, ∞) back into arcs through :func:`merged_support`; the
   regularization, :meth:`ArcSet.remove_points` and
   :func:`circle_minus_points` are this one round trip;
 * segment decomposition: :func:`arc_segments` writes an arc as open segments
-  of the line with exact endpoints;
+  of the line;
 * arc containment: :func:`arc_contains_arc`, :func:`arcset_contains_arc`,
   :func:`arcs_overlap`;
 * boundary sampling: :func:`boundary_samples` and :func:`sweep_points`;
-* arcs as lists of ends: :func:`arc_ends` and :func:`complement_ends`.
+* arcs as lists of ends: :func:`arc_ends` and :func:`complement_ends`;
+* arc membership: :meth:`Arc.contains`, and :func:`in_closure` for arrays.
 
-Endpoints may be ``int``, ``Fraction`` or ``float``.  Comparisons between
-two exact endpoints are exact; as soon as a float is involved they fall
-back to an absolute tolerance of ``POINT_TOL`` so that abutment detection
-stays reliable.
+A point of the circle is one float, with ∞ = ``INF`` (+inf).  It is made
+once, where an arc, a generator or a prescribed point is made, by
+:func:`as_point`: ints, Fractions and numpy scalars become the nearest
+float, −inf becomes ``INF``, and anything else is refused.  Two points are
+equal when they are within the absolute tolerance ``POINT_TOL``, so that
+abutment detection stays reliable.  With ∞ the largest float, the circle's
+order from ∞ is the floats' order, and one rule decides membership in every
+kind of arc (see :meth:`Arc.contains`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
+
+import numpy as np
 
 INF = math.inf
 POINT_TOL = 1e-12
-
-Point = Union[int, float, Fraction]
 
 _LINE_NEG = float("-inf")  # sweep-line sentinel, distinct from the circle point ∞
 _LINE_POS = float("inf")
 
 
-def is_inf(x: Point) -> bool:
+def is_inf(x) -> bool:
     """True when ``x`` denotes the point at infinity of the circle."""
     return isinstance(x, float) and math.isinf(x)
 
 
-def points_equal(x: Point, y: Point, tol: float = POINT_TOL) -> bool:
-    """Endpoint equality: exact for int/Fraction pairs, ``|x-y| <= tol`` otherwise."""
-    xi, yi = is_inf(x), is_inf(y)
-    if xi or yi:
-        return xi and yi
-    if isinstance(x, float) or isinstance(y, float):  # before Fraction's slow ABC check
-        return abs(float(x) - float(y)) <= tol
-    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
-        return x == y
-    return abs(float(x) - float(y)) <= tol
+def as_point(x, what: str = "a point") -> float:
+    """The point of R ∪ {∞} that the real number ``x`` names (an int, float,
+    Fraction or numpy scalar): the nearest float, with ±inf as ``INF``.
+    Booleans, strings, None, NaN, numbers past the float range and all
+    other values raise ValueError; ``what`` names the point in the message."""
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{what} {x!r} is not a real number")
+        try:
+            x = float(x)
+        except OverflowError:
+            raise ValueError(f"{what} {x!r} is past the float range") from None
+    if x != x:
+        raise ValueError(f"{what} is NaN")
+    return INF if x == -INF else x
 
 
-def _canon_point(x: Point) -> Point:
-    # -inf and +inf are the same point of the circle; NaN is no point of it
-    if isinstance(x, float) and not math.isfinite(x):
-        if math.isnan(x):
-            raise ValueError("an arc end is NaN")
-        return INF
-    return x
+def points_equal(x: float, y: float, tol: float = POINT_TOL) -> bool:
+    """Point equality: ``x == y`` or ``|x - y| <= tol``, so ∞ equals only ∞."""
+    return x == y or abs(x - y) <= tol
 
 
 @dataclass(frozen=True)
@@ -84,60 +88,51 @@ class Arc:
       ``b``.  Puncture arcs arise from set algebra (e.g. unions that close up
       the circle except for one point); they are not accepted as raw input
       arcs by :func:`normalize`.
+
+    The ends are made points by :func:`as_point`; a puncture's ``a`` is its ``b``.
     """
 
-    b: Point
-    a: Point
+    b: float
+    a: float
     puncture: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _canon_point(self.b))
-        object.__setattr__(self, "a", _canon_point(self.a))
+        b, a = as_point(self.b, "an arc end"), as_point(self.a, "an arc end")
         if self.puncture:
-            if not points_equal(self.b, self.a):
+            if not points_equal(b, a):
                 raise ValueError("puncture arc requires b == a")
-        elif points_equal(self.b, self.a):
-            raise ValueError(f"degenerate arc ({self.b}, {self.a})")
+            a = b
+        elif points_equal(b, a):
+            raise ValueError(f"degenerate arc ({b}, {a})")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", a)
 
     @property
     def is_wrap(self) -> bool:
         """True when ∞ lies in the interior of the arc."""
-        if self.puncture:
-            return not is_inf(self.b)
-        if is_inf(self.b) or is_inf(self.a):
-            return False
-        return float(self.b) > float(self.a)
+        return self.contains(INF)
 
     @property
     def bounded(self) -> bool:
-        if self.puncture or self.is_wrap or is_inf(self.b) or is_inf(self.a):
-            return False
-        return True
+        return self.b < self.a < INF
 
-    def length(self) -> Point:
+    def length(self) -> float:
         return self.a - self.b if self.bounded else INF
 
-    def contains(self, x: Point, tol: float = POINT_TOL) -> bool:
-        if self.puncture:
-            return not points_equal(x, self.b, tol)
-        if is_inf(x):
-            return self.is_wrap
-        xf = float(x)
-        if is_inf(self.b):
-            return xf < float(self.a) and not points_equal(x, self.a, tol)
-        if is_inf(self.a):
-            return xf > float(self.b) and not points_equal(x, self.b, tol)
-        if points_equal(x, self.b, tol) or points_equal(x, self.a, tol):
+    def contains(self, x: float, tol: float = POINT_TOL) -> bool:
+        """x lies in the arc: farther than tol from its ends, and b < x < a
+        when b < a, else x > b or x < a.  With ∞ = ``INF`` this one rule
+        covers bounded arcs, arcs through ∞, both half-lines, punctures and
+        the point ∞; :func:`in_closure` is its array form."""
+        b, a = self.b, self.a
+        if points_equal(x, b, tol) or points_equal(x, a, tol):
             return False
-        b, a = float(self.b), float(self.a)
-        if b < a:
-            return b < xf < a
-        return xf > b or xf < a
+        return b < x < a if b < a else (x > b or x < a)
 
     def _sort_key(self) -> float:
         if self.puncture:
             return _LINE_NEG
-        return _LINE_NEG if is_inf(self.b) else float(self.b)
+        return _LINE_NEG if is_inf(self.b) else self.b
 
     def isclose(self, other: "Arc", tol: float = POINT_TOL) -> bool:
         return (self.puncture == other.puncture
@@ -155,16 +150,14 @@ class Arc:
         return f"Arc({self.b}, {self.a})"
 
 
-def point_to_json(x: Point):
-    if is_inf(x):
-        return "inf"
-    return float(x)
+def point_to_json(x: float):
+    return "inf" if is_inf(x) else x
 
 
-def point_from_json(obj) -> Point:
-    if obj in ("inf", "-inf", "oo"):
-        return INF
-    return obj
+def point_from_json(obj, what: str = "a point") -> float:
+    """The point a JSON value names: a number, or "inf", "-inf" or "oo" for
+    ∞ (:func:`as_point`)."""
+    return INF if obj in ("inf", "-inf", "oo") else as_point(obj, what)
 
 
 @dataclass(frozen=True)
@@ -183,7 +176,7 @@ class ArcSet:
     def is_empty(self) -> bool:
         return not self.full and not self.arcs
 
-    def contains(self, x: Point, tol: float = POINT_TOL) -> bool:
+    def contains(self, x: float, tol: float = POINT_TOL) -> bool:
         if self.full:
             return True
         return any(arc.contains(x, tol) for arc in self.arcs)
@@ -204,7 +197,7 @@ class ArcSet:
             return FULL
         return normalize(list(self.arcs) + list(other.arcs))
 
-    def remove_points(self, points: Sequence[Point]) -> "ArcSet":
+    def remove_points(self, points: Sequence[float]) -> "ArcSet":
         """Open set obtained by deleting finitely many points: the complement
         of its gaps and of the points inside it."""
         inside = [p for p in points if self.contains(p)]
@@ -226,10 +219,10 @@ class ArcSet:
         arcs = []
         for item in obj.get("arcs", []):
             if isinstance(item, dict) and "puncture" in item:
-                x = point_from_json(item["puncture"])
+                x = point_from_json(item["puncture"], "an arc end")
                 arcs.append(Arc(x, x, puncture=True))
             elif isinstance(item, (list, tuple)) and len(item) == 2:
-                arcs.append(Arc(point_from_json(item[0]), point_from_json(item[1])))
+                arcs.append(Arc(*(point_from_json(x, "an arc end") for x in item)))
             else:
                 raise ValueError(f"arc {item!r} is not a [b, a] pair of points")
         return normalize(arcs)
@@ -244,22 +237,7 @@ EMPTY = ArcSet()
 FULL = ArcSet((), full=True)
 
 
-def circle_key(start: Point = INF):
-    """Sort key for points in their order along the circle, running in the
-    increasing direction from just after ``start``; ``start`` itself sorts
-    last.  From ∞ that is the finite points ascending, then ∞."""
-    s = None if is_inf(start) else float(start)
-
-    def key(x: Point):
-        if is_inf(x):
-            return (1, 0.0)
-        xf = float(x)
-        return (0, xf) if s is None or xf > s else (2, xf)
-
-    return key
-
-
-def circle_minus_points(points: Sequence[Point]) -> ArcSet:
+def circle_minus_points(points: Sequence[float]) -> ArcSet:
     """The open complement of finitely many points: the arcs between
     neighbours in circle order, or a puncture arc for a single point."""
     return complement_of_closed(points, (), False)
@@ -297,24 +275,18 @@ def normalize(arcs: Iterable[Arc]) -> ArcSet:
         intervals.extend(segments)
         contains_inf = contains_inf or has_inf
 
-    intervals.sort(key=lambda iv: (float(iv[0]), float(iv[1])))
+    intervals.sort()
     comps = []
     cur_s, cur_e = intervals[0]
     for s, e in intervals[1:]:
-        if _line_equal(s, cur_e) or float(s) > float(cur_e):
+        if points_equal(s, cur_e) or s > cur_e:
             comps.append((cur_s, cur_e))
             cur_s, cur_e = s, e
-        elif float(e) > float(cur_e):
+        elif e > cur_e:
             cur_e = e
     comps.append((cur_s, cur_e))
 
-    def _lneg(x):
-        return isinstance(x, float) and x == _LINE_NEG
-
-    def _lpos(x):
-        return isinstance(x, float) and x == _LINE_POS
-
-    if len(comps) == 1 and _lneg(comps[0][0]) and _lpos(comps[0][1]):
+    if len(comps) == 1 and comps[0] == (_LINE_NEG, _LINE_POS):
         # the whole line; with ∞ covered that is the full circle
         if contains_inf:
             return FULL
@@ -323,7 +295,7 @@ def normalize(arcs: Iterable[Arc]) -> ArcSet:
     out = []
     if contains_inf:
         # a wrap arc always contributes both unbounded pieces
-        assert _lneg(comps[0][0]) and _lpos(comps[-1][1])
+        assert comps[0][0] == _LINE_NEG and comps[-1][1] == _LINE_POS
         wrap_b, wrap_a = comps[-1][0], comps[0][1]
         for s, e in comps[1:-1]:
             out.append(Arc(s, e))
@@ -333,17 +305,10 @@ def normalize(arcs: Iterable[Arc]) -> ArcSet:
         out.append(Arc(wrap_b, wrap_a))
     else:
         for s, e in comps:
-            out.append(Arc(INF if _lneg(s) else s, INF if _lpos(e) else e))
+            out.append(Arc(s, e))
 
     out.sort(key=Arc._sort_key)
     return ArcSet(tuple(out))
-
-
-def _line_equal(x, y) -> bool:
-    xf, yf = float(x), float(y)
-    if math.isinf(xf) or math.isinf(yf):
-        return xf == yf
-    return points_equal(x, y)
 
 
 def regularize(o) -> ArcSet:
@@ -360,7 +325,7 @@ def regularize(o) -> ArcSet:
     if isinstance(o, CantorComplement):
         return o.regularized()
     gaps, has_inf = closed_complement(o)
-    kept = [(l, r) for l, r in gaps if is_inf(l) or is_inf(r) or not points_equal(l, r)]
+    kept = [(l, r) for l, r in gaps if not points_equal(l, r)]
     if len(kept) == len(gaps):
         return o
     return complement_of_closed((), kept, has_inf)
@@ -372,7 +337,7 @@ def is_regular(o) -> bool:
     return regularize(o).isclose(o)
 
 
-def measure(o) -> Point:
+def measure(o) -> float:
     """Total length: sum of finite arc lengths, ∞ if any arc is unbounded."""
     if isinstance(o, CantorComplement):
         return o.measure()
@@ -407,9 +372,9 @@ def arc_angle(arc: Arc, z: complex) -> float:
     """Angle at z (Im z > 0) subtended by a single arc, in [0, π]."""
     x, y = z.real, z.imag
 
-    def phi(t: Point) -> float:
+    def phi(t: float) -> float:
         # arg(t - z), in (-π, 0) for Im z > 0
-        return math.atan2(-y, float(t) - x)
+        return math.atan2(-y, t - x)
 
     if arc.puncture:
         return math.pi
@@ -447,7 +412,7 @@ class CantorComplement:
 
     Level m (1 ≤ m ≤ depth) contributes ``2^(m-1)`` open arcs of length
     ``(r-l)·3^(-m)``; enumeration is level by level, i.e. in decreasing arc
-    length.  Integer or Fraction bases are propagated exactly.  Explicit
+    length.  The base's ends are points (:func:`as_point`).  Explicit
     enumeration is intended for moderate depth; the Kreĭn-product evaluator
     uses its own vectorized enumeration instead.
     """
@@ -456,13 +421,12 @@ class CantorComplement:
     depth: int
 
     def __post_init__(self):
-        l, r = self.base
-        if is_inf(l) or is_inf(r) or not float(l) < float(r):
+        l, r = (as_point(x, "a Cantor base end") for x in self.base)
+        if not l < r < INF:
             raise ValueError("base must be a finite interval (l, r) with l < r")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
-        if isinstance(l, (int, Fraction)) and isinstance(r, (int, Fraction)):
-            object.__setattr__(self, "base", (Fraction(l), Fraction(r)))
+        object.__setattr__(self, "base", (l, r))
 
     def levels(self) -> list:
         """Removed arcs grouped by level: levels()[m-1] has 2^(m-1) arcs."""
@@ -482,10 +446,8 @@ class CantorComplement:
     def arcs(self) -> list:
         return [g for level in self.levels() for g in level]
 
-    def measure(self) -> Point:
+    def measure(self) -> float:
         l, r = self.base
-        if isinstance(l, Fraction):
-            return (r - l) * (1 - Fraction(2, 3) ** self.depth)
         return (r - l) * (1.0 - (2.0 / 3.0) ** self.depth)
 
     def regularized(self) -> ArcSet:
@@ -495,7 +457,7 @@ class CantorComplement:
 
     def to_json(self):
         l, r = self.base
-        return {"cantor": {"interval": [float(l), float(r)], "depth": self.depth}}
+        return {"cantor": {"interval": [l, r], "depth": self.depth}}
 
     @staticmethod
     def from_json(obj) -> "CantorComplement":
@@ -504,31 +466,28 @@ class CantorComplement:
         return CantorComplement((l, r), int(spec.get("depth", 1)))
 
 
-def merged_support(points: Sequence[Point], intervals: Sequence[tuple]) -> tuple:
+def merged_support(points: Sequence[float], intervals: Sequence[tuple]) -> tuple:
     """A closed set's finite points and intervals [l, r] as the lists
-    (lo_f, hi_f, lo, hi) of its sorted pieces' float and exact ends, merged
-    where they overlap or their ends are ``points_equal``."""
-    pieces = sorted([(float(p), float(p), p, p) for p in points if not is_inf(p)]
-                    + [(float(l), float(r), l, r) for l, r in intervals], key=lambda t: t[:2])
-    merged = []
-    for lo_f, hi_f, lo, hi in pieces:
-        if merged and (lo_f < merged[-1][1] or (lo_f - merged[-1][1] <= POINT_TOL
-                                                and points_equal(lo, merged[-1][3]))):
-            if hi_f > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi_f, merged[-1][2], hi)
+    (lo, hi) of its sorted pieces' ends, merged where they overlap or their
+    ends are within ``POINT_TOL``."""
+    lo, hi = [], []
+    for l, r in sorted([(p, p) for p in points if not is_inf(p)] + list(intervals)):
+        if lo and l - hi[-1] <= POINT_TOL:
+            hi[-1] = max(hi[-1], r)
         else:
-            merged.append((lo_f, hi_f, lo, hi))
-    return tuple(map(list, zip(*merged))) or ([], [], [], [])
+            lo.append(l)
+            hi.append(r)
+    return lo, hi
 
 
-def complement_of_closed(points: Sequence[Point], intervals: Sequence[tuple],
+def complement_of_closed(points: Sequence[float], intervals: Sequence[tuple],
                          has_inf: bool) -> ArcSet:
     """Open complement in R ∪ {∞} of a closed set given as finite points,
     closed intervals [l, r] (l = -oo or r = +oo allowed, in which case the
     closure contains ∞) and optionally the point ∞ itself."""
     has_inf = (has_inf or any(is_inf(p) for p in points)
-               or any(math.isinf(float(v)) for iv in intervals for v in iv))
-    lo, hi = merged_support(points, intervals)[2:]
+               or any(is_inf(v) for iv in intervals for v in iv))
+    lo, hi = merged_support(points, intervals)
     if not (lo or has_inf):
         return FULL
     b, a = complement_ends(lo, hi, has_inf)
@@ -538,7 +497,7 @@ def complement_of_closed(points: Sequence[Point], intervals: Sequence[tuple],
 def closed_complement(o: ArcSet) -> tuple:
     """(gaps, has_inf): the closed complement of an explicit arc set as the
     inputs of :func:`complement_of_closed`.  The gaps are the closed
-    intervals [l, r] between consecutive arcs, with the arcs' exact ends;
+    intervals [l, r] between consecutive arcs, with the arcs' ends;
     a gap through ∞ is cut there into [l, +oo] and [-oo, r], and a gap that
     is one finite point has ``points_equal`` ends.  ``has_inf`` tells whether
     ∞ lies outside the set."""
@@ -552,7 +511,7 @@ def closed_complement(o: ArcSet) -> tuple:
     gaps, has_inf = [], False
     for arc, nxt in zip(o.arcs, o.arcs[1:] + o.arcs[:1]):
         l, r = arc.a, nxt.b
-        if not (is_inf(l) or is_inf(r)) and (float(l) <= float(r) or points_equal(l, r)):
+        if r < INF and (l <= r or points_equal(l, r)):
             gaps.append((l, r))
             continue
         has_inf = True
@@ -564,11 +523,8 @@ def closed_complement(o: ArcSet) -> tuple:
 
 
 def arc_segments(arc: Arc):
-    """The arc as open segments of the line, plus whether it contains ∞.
-
-    Unbounded ends are the float infinities; finite ends keep their exact
-    ``int``/``Fraction`` values.
-    """
+    """The arc as open segments of the line, plus whether it contains ∞;
+    unbounded ends are the float infinities."""
     if arc.puncture:
         if is_inf(arc.b):
             return [(_LINE_NEG, _LINE_POS)], False
@@ -590,22 +546,22 @@ def arcs_overlap(x: Arc, y: Arc, tol: float = POINT_TOL) -> bool:
         return True
     for s1, e1 in segs_x:
         for s2, e2 in segs_y:
-            if min(float(e1), float(e2)) - max(float(s1), float(s2)) > tol:
+            if min(e1, e2) - max(s1, s2) > tol:
                 return True
     return False
 
 
 def _arc_midpoint(j: Arc) -> float:
     if j.puncture:
-        return float(j.b) + 1.0 if not is_inf(j.b) else 0.0
+        return j.b + 1.0 if not is_inf(j.b) else 0.0
     bi, ai = is_inf(j.b), is_inf(j.a)
     if bi and ai:
         return 0.0
     if bi:
-        return float(j.a) - 1.0
+        return j.a - 1.0
     if ai:
-        return float(j.b) + 1.0
-    b, a = float(j.b), float(j.a)
+        return j.b + 1.0
+    b, a = j.b, j.a
     if b < a:
         return 0.5 * (b + a)
     return INF  # wrap arc: ∞ is interior
@@ -617,7 +573,7 @@ def arc_contains_arc(outer: Arc, inner: Arc, tol: float = 1e-9) -> bool:
     if not outer.contains(_arc_midpoint(inner), tol):
         return False
     for p in (inner.b, inner.a):
-        t = tol if is_inf(p) else tol * max(1.0, abs(float(p)))
+        t = tol if is_inf(p) else tol * max(1.0, abs(p))
         if not (outer.contains(p, t)
                 or points_equal(p, outer.b, t) or points_equal(p, outer.a, t)):
             return False
@@ -659,10 +615,23 @@ def end_samples(b, a, per_comp: int = 24) -> list:
 
 
 def arc_ends(arcs) -> tuple:
-    """(b, a): lists of the arcs' ends as floats, ∞ as inf; b = a marks the
-    puncture arcs, the only arcs whose ends coincide."""
-    return ([float(arc.b) for arc in arcs],
-            [float(arc.b if arc.puncture else arc.a) for arc in arcs])
+    """(b, a): lists of the arcs' ends; b = a marks the puncture arcs, the
+    only arcs whose ends coincide."""
+    return [arc.b for arc in arcs], [arc.a for arc in arcs]
+
+
+def in_closure(x, b, a, tol: float):
+    """Mask of the points of a float array x that lie in an arc (b, a) of
+    :func:`arc_ends` lists or within tol of one of its ends, in one pass
+    over points × arcs: the rule of :meth:`Arc.contains`, with ±inf as ∞."""
+    x, b, a = np.asarray(x)[:, None], np.asarray(b), np.asarray(a)
+    ends = np.concatenate((b, a))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf − inf, and past the float range
+        near = np.abs(x - ends) <= tol
+    near |= np.isinf(x) & np.isinf(ends)
+    after, before = x > b, x < a
+    inside = np.where(b < a, after & before, after | before)
+    return near.any(axis=1) | inside.any(axis=1)
 
 
 def complement_ends(lo, hi, has_inf: bool) -> tuple:
@@ -691,13 +660,13 @@ def sweep_points(arc: Arc) -> list:
         # the whole line, from −∞ to +∞
         return [-g for g in reversed(geoms)] + [0.0] + geoms
     if arc.puncture or arc.is_wrap:
-        b, a = float(arc.b), float(arc.a)
+        b, a = arc.b, arc.a
         return [b + g for g in geoms] + [a - g for g in reversed(geoms)]
     if is_inf(arc.b):
-        return [float(arc.a) - g for g in reversed(geoms)]
+        return [arc.a - g for g in reversed(geoms)]
     if is_inf(arc.a):
-        return [float(arc.b) + g for g in geoms]
-    b, a = float(arc.b), float(arc.a)
+        return [arc.b + g for g in geoms]
+    b, a = arc.b, arc.a
     ends = [10.0 ** (-7 + k) for k in range(6)]
     steps = [i / 34 for i in range(1, 34)]
     grid = sorted(set(ends + steps + [1.0 - u for u in ends]))

@@ -370,7 +370,7 @@ def _divide_rep(rep: NevanlinnaRep, j: Arc) -> NevanlinnaRep:
     atoms = []
     for t, w in rep.rho.atoms:
         # an atom within relative roundoff of b sits on the pole
-        if not is_inf(b) and abs(t - float(b)) <= 1e-11 * max(1.0, abs(float(b))):
+        if not is_inf(b) and abs(t - b) <= 1e-11 * max(1.0, abs(b)):
             continue
         atoms.append((t, w / p_eval(j, t)))
     if is_inf(a):
@@ -379,14 +379,14 @@ def _divide_rep(rep: NevanlinnaRep, j: Arc) -> NevanlinnaRep:
             raise ValueError(f"f grows at ∞, so {j!r} is not inside the "
                              "negativity set")
         terms = [rep.beta] + [-w * t for t, w in rep.rho.atoms]
-        alpha = _zero_end_weight(terms, 1.0 / math.hypot(1.0, float(b)), j)
+        alpha = _zero_end_weight(terms, 1.0 / math.hypot(1.0, b), j)
     else:
         alpha = rep.alpha / p_eval(j, INF)
-        x = float(a)
+        x = a
         terms = [rep.alpha * x, rep.beta] + [w * (1.0 + x * t) / (t - x)
                                              for t, w in rep.rho.atoms]
         # Res_a(q)/(1 + a²) is |a − b|/(|i − a|·|i − b|), or 1/|i − a| for b = ∞
-        res = 1.0 if is_inf(b) else abs(x - float(b)) / math.hypot(1.0, float(b))
+        res = 1.0 if is_inf(b) else abs(x - b) / math.hypot(1.0, b)
         w_a = _zero_end_weight(terms, res / math.hypot(1.0, x), j,
                                4.0 * rep.derivative(x) * math.ulp(x))
         if w_a > 0:

@@ -26,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .extreal import (Arc, ArcSet, EMPTY, INF, arc_ends, arcset_contains_arc,
-                      boundary_samples, circle_key, circle_minus_points,
-                      closed_complement, is_inf, is_regular, normalize,
-                      point_to_json, points_equal, regularize)
+                      as_point, boundary_samples, circle_minus_points,
+                      closed_complement, in_closure, is_inf, is_regular,
+                      normalize, point_to_json, points_equal, regularize)
 from .factor import (Certification, CertificationError, CompositeFunction,
                      ExpRep)
 from .krein import KreinProduct, merged_structure
@@ -40,13 +40,18 @@ class InterlacingError(ValueError):
     """The prescribed zeros and poles do not interlace."""
 
 
+_SETS = ("zeros", "poles", "singular")
+
+
 @dataclass(frozen=True)
 class InterpProblem:
     """Prescribed zeros A, poles B and allowed singular points Y.
 
-    Points live on R ∪ {∞}; ∞ may appear in A or B (it does after pulling a
-    disk problem back through a Cayley map) and in Y.  All three sets must
-    be pairwise disjoint.
+    Points live on R ∪ {∞} (:func:`extreal.as_point`); ∞ may appear in A or
+    B (it does after pulling a disk problem back through a Cayley map) and
+    in Y.  Each set is kept in circle order from ∞, which is ascending order.
+    No two points, in one set or in two, may be ``points_equal``: with the
+    three sets sorted together, neighbours are compared.
     """
 
     zeros: tuple = ()
@@ -54,34 +59,21 @@ class InterpProblem:
     singular: tuple = ()
 
     def __post_init__(self):
-        z = _clean_points(self.zeros)
-        p = _clean_points(self.poles)
-        y = _clean_points(self.singular)
-        for left, right, names in ((z, p, "zeros/poles"), (z, y, "zeros/singular"),
-                                   (p, y, "poles/singular")):
-            for u in left:
-                if any(points_equal(u, v) for v in right):
-                    raise ValueError(f"{names} sets are not disjoint at {u}")
-        object.__setattr__(self, "zeros", z)
-        object.__setattr__(self, "poles", p)
-        object.__setattr__(self, "singular", y)
+        sets = [tuple(sorted(as_point(x, "a prescribed point") for x in getattr(self, name)))
+                for name in _SETS]
+        tagged = sorted((x, k) for k, pts in enumerate(sets) for x in pts)
+        for (u, j), (v, k) in zip(tagged, tagged[1:]):
+            if points_equal(u, v):
+                raise ValueError(f"duplicate point {v}" if j == k else
+                                 f"{_SETS[min(j, k)]}/{_SETS[max(j, k)]} sets are not "
+                                 f"disjoint at {u}")
+        for name, pts in zip(_SETS, sets):
+            object.__setattr__(self, name, pts)
 
     def to_json(self):
         return {"zeros": [point_to_json(x) for x in self.zeros],
                 "poles": [point_to_json(x) for x in self.poles],
                 "singular": [point_to_json(x) for x in self.singular]}
-
-
-def _clean_points(pts):
-    out = []
-    for x in pts:
-        if isinstance(x, float) and math.isnan(x):
-            raise ValueError("a prescribed point is NaN")
-        x = INF if (isinstance(x, float) and math.isinf(x)) else x
-        if any(points_equal(x, q) for q in out):
-            raise ValueError(f"duplicate point {x}")
-        out.append(x)
-    return tuple(sorted(out, key=circle_key()))
 
 
 @dataclass(frozen=True)
@@ -99,9 +91,8 @@ def _components(p: InterpProblem) -> list:
     witness): the prescribed points in their order along it, tagged "A"
     (zero) or "B" (pole).  Without Y the one component is the full circle,
     None."""
-    key = circle_key()
     marked = sorted([(x, "A") for x in p.zeros] + [(x, "B") for x in p.poles]
-                    + [(y, "Y") for y in p.singular], key=lambda m: key(m[0]))
+                    + [(y, "Y") for y in p.singular])
     if not p.singular:
         return [(None, [x for x, _ in marked], [t for _, t in marked])]
     comps = list(circle_minus_points(p.singular).arcs)
@@ -258,18 +249,15 @@ def certify_region(o: ArcSet, p: InterpProblem) -> tuple:
 
 def _farthest(name, points, ends, tol) -> Certification:
     # the largest distance from one of the points to the nearest of the ends,
-    # against tol; a failure names the farthest point
-    worst, at = 0.0, None
-    finite = [float(e) for e in ends if not is_inf(e)]
-    for x in points:
-        if is_inf(x):
-            d = 0.0 if len(finite) < len(ends) else INF
-        else:
-            d = min((abs(e - float(x)) for e in finite), default=INF)
-        if d > worst:
-            worst, at = d, x
+    # ∞ being at distance 0 from itself, against tol; a failure names the
+    # first farthest point
+    x, e = np.array(points, dtype=float)[:, None], np.array(ends, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf − inf
+        d = np.where(x == e, 0.0, np.abs(x - e)).min(axis=1, initial=INF)
+    worst = float(d.max(initial=0.0))
     passed = worst <= tol
-    return Certification(name, worst, tol, passed, "" if passed else f"farthest at {at}")
+    return Certification(name, worst, tol, passed,
+                         "" if passed else f"farthest at {points[d.argmax()]}")
 
 
 def realizable_pair(omega: ArcSet, o: ArcSet):
@@ -321,22 +309,10 @@ def _sign_certificate(f, omega: ArcSet, o: ArcSet) -> float:
 
 def _samples_off(o: ArcSet, omega: ArcSet):
     """The samples of Ω that are neither in O nor within 1e-7 of an end of
-    O, as ``o.contains(x, 1e-7)`` and ``points_equal(x, e, 1e-7)`` tell it,
-    in one pass over samples × arcs of O.  A sample near no end is inside an
-    arc (b, a) when b < x < a for b < a, else when x > b or x < a: an end at
-    ∞ or a puncture's coinciding ends fall in place.  ±inf is ∞, near an end
-    at ∞."""
+    O, as ``o.contains(x, 1e-7)`` and ``points_equal(x, e, 1e-7)`` tell it
+    (:func:`extreal.in_closure`)."""
     xs = np.array(boundary_samples(omega, 12))
-    if o.full:
-        return xs[:0]
-    b, a = (np.array(ends) for ends in arc_ends(o.arcs))
-    x, ends = xs[:, None], np.concatenate((b, a))
-    with np.errstate(invalid="ignore", over="ignore"):  # inf − inf, and past the float range
-        near = np.abs(x - ends) <= 1e-7
-    near |= np.isinf(x) & np.isinf(ends)
-    after, before = x > b, x < a
-    inside = np.where(b < a, after & before, after | before)
-    return xs[~(near.any(axis=1) | inside.any(axis=1))]
+    return xs[:0] if o.full else xs[~in_closure(xs, *arc_ends(o.arcs), 1e-7)]
 
 
 @dataclass

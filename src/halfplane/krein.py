@@ -268,7 +268,7 @@ def log_factors(arcs, z, strict: bool = True):
 def _locate_gap(base, cap_depth: int, x: float):
     """(gb, ga, level) of the removed middle third containing x, found by
     walking the construction; fails when x is not in a gap within the cap."""
-    lo, hi = float(base[0]), float(base[1])
+    lo, hi = base
     if not lo < x < hi:
         raise EvaluationDomainError(f"{x} lies on the generator's Cantor set: "
                                     f"it is an end of the base interval [{lo}, {hi}]")
@@ -293,7 +293,7 @@ def _cantor_majorant(base, z, gap) -> float:
     enumerated gap they additionally stay outside that gap, so the distance
     to the gap's endpoints is the sound denominator there.
     """
-    l, r = float(base[0]), float(base[1])
+    l, r = base
     if isinstance(z, complex):
         x, y = z.real, z.imag
         if x < l:
@@ -409,7 +409,7 @@ class KreinProduct:
         """(value, tail) of the whole product at one point z (complex off the
         real line, else float) from its explicit factor's value there."""
         base, cap = self.cantor.base, self.cantor.depth
-        l, r = float(base[0]), float(base[1])
+        l, r = base
         gap, level = _gap(base, cap, z)
         m = _cantor_majorant(base, z, gap)
 
@@ -474,7 +474,7 @@ def _merged_ends(o: ArcSet) -> tuple:
 def _gap(base, cap_depth: int, z):
     """(gap, level) of the removed middle third holding a real z inside the
     base, off its guard band; (None, 0) for any other point."""
-    if isinstance(z, complex) or not float(base[0]) <= z <= float(base[1]):
+    if isinstance(z, complex) or not base[0] <= z <= base[1]:
         return None, 0
     gb, ga, level = _locate_gap(base, cap_depth, z)
     if min(z - gb, ga - z) < REAL_GUARD:

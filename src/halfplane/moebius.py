@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import INF, Arc, ArcSet, Point, is_inf, normalize
+from .extreal import INF, Arc, ArcSet, is_inf, normalize
 from .util import quotient
 
 
@@ -61,14 +61,13 @@ class HalfPlaneAuto:
             return INF
         return (self.a * z + self.b) / den
 
-    def apply_point(self, x: Point):
+    def apply_point(self, x: float):
         if is_inf(x):
             return INF if self.c == 0 else self.a / self.c
-        xf = float(x)
-        den = self.c * xf + self.d
+        den = self.c * x + self.d
         if den == 0 or abs(den) < 1e-300:
             return INF
-        return (self.a * xf + self.b) / den
+        return (self.a * x + self.b) / den
 
     def inverse(self) -> "HalfPlaneAuto":
         return HalfPlaneAuto(self.d, -self.b, -self.c, self.a)

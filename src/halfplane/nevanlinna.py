@@ -159,8 +159,8 @@ class SigmaDescriptor:
 
     @functools.cached_property
     def support(self) -> tuple:
-        """(lo, hi): the float ends of ``extreal.merged_support``'s pieces."""
-        return merged_support(self.points, self.intervals)[:2]
+        """(lo, hi): the ends of ``extreal.merged_support``'s pieces."""
+        return merged_support(self.points, self.intervals)
 
     def is_measure_zero(self) -> bool:
         return not self.intervals
@@ -168,9 +168,8 @@ class SigmaDescriptor:
     def contains(self, x, tol: float = 1e-12) -> bool:
         if is_inf(x):
             return self.has_inf
-        xf = float(x)
-        return (any(abs(xf - float(p)) <= tol for p in self.points if not is_inf(p))
-                or any(l - tol <= xf <= r + tol for l, r in self.intervals))
+        return (any(abs(x - p) <= tol for p in self.points)
+                or any(l - tol <= x <= r + tol for l, r in self.intervals))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from halfplane import cli
 from halfplane.cli import main
@@ -257,6 +261,18 @@ class TestSolve:
         code, out = run(capsys, ["solve", "--spec", spec])
         assert code == 1  # O not inside Omega
 
+    def test_realizable_int_ends_report(self, tmp_path, capsys):
+        # int ends are made floats where the arc is made, so the failure
+        # text names them as floats; the whole report is pinned
+        spec = write_spec(tmp_path, "p.json", {
+            "version": 1,
+            "realizable": {"omega": {"arcs": [[0, 1]]}, "o": {"arcs": [[0, 2]]}}})
+        code, out = run(capsys, ["solve", "--spec", spec])
+        assert code == 1
+        assert out == json.dumps({
+            "failures": [["a", "component Arc(0.0, 2.0) of O is not inside Omega"]],
+            "ok": False, "task": "realizable"}, indent=2, sort_keys=True) + "\n"
+
 
 class TestCheck:
     @pytest.mark.parametrize("suite", ["krein-props", "boole", "letac"])
@@ -397,6 +413,54 @@ class TestErrors:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, named", [
+        ({"krein": {"arcs": [["1", 2]]}}, "an arc end '1' is not a real number"),
+        ({"krein": {"arcs": [[True, 2]]}}, "an arc end True is not a real number"),
+        ({"krein": {"cantor": {"interval": [0, "1"], "depth": 2}, "tol": 1e-2}},
+         "an arc end '1' is not a real number"),
+    ], ids=["string-end", "bool-end", "string-cantor-end"])
+    def test_non_numeric_point_is_input_error(self, tmp_path, capsys, spec, named):
+        # only JSON numbers and "inf", "-inf", "oo" are points
+        path = write_spec(tmp_path, "bad.json", spec)
+        assert main(["eval", "--spec", path]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, spec, named", [
+        ("eval", {"krein": {"arcz": [[1, 2]]}}, "unknown krein fields: ['arcz']"),
+        ("eval", {"nevanlinna": {"alpha": 1, "atom": [[0, 1]]}},
+         "unknown nevanlinna fields: ['atom']"),
+        ("solve", {"interp": {"zeros": [1], "pole": [2]}}, "unknown interp fields: ['pole']"),
+        ("eval", {"krein": {"cantor": {"interval": [0, 1], "depth": 3.5}, "tol": 1e-2}},
+         "cantor.depth must be an integer >= 0, got 3.5"),
+        ("eval", {"krein": {"cantor": {"interval": [0, 1], "dpth": 3}}},
+         "unknown cantor fields: ['dpth']"),
+        ("eval", {"product": {"krein": {"arcs": [[0, 1]]}, "exp": {"gama": 1.0}}},
+         "unknown exp fields: ['gama']"),
+        ("eval", {"product": {"krein": {"arc": [[0, 1]]}}}, "unknown krein fields: ['arc']"),
+        ("eval", {"krein": {"arcs": [[0, 1]]}, "options": {"grd": "0:1:2"}},
+         "unknown options fields: ['grd']"),
+        ("eval", {"krein": {"arcs": [[0, 1]]}, "options": {"depth": -1}},
+         "options.depth must be an integer >= 0, got -1"),
+        ("eval", {"krein": {"arcs": [[0, 1]], "cantor": {"interval": [2, 3]}}},
+         "krein takes arcs or a cantor generator, not both"),
+    ], ids=["krein", "nevanlinna", "interp", "cantor-depth", "cantor", "exp",
+            "product-krein", "options", "options-depth", "arcs-and-cantor"])
+    def test_unread_field_is_input_error(self, tmp_path, capsys, command, spec, named):
+        # a field that no code reads is refused, not ignored
+        path = write_spec(tmp_path, "bad.json", spec)
+        assert main([command, "--spec", path]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_disk_point_not_a_pair_is_input_error(self, tmp_path, capsys):
+        # found by the fuzz below: a disk point that is no [re, im] pair
+        path = write_spec(tmp_path, "bad.json", {"interp": {
+            "zeros": [""], "alpha": [-1, 0], "beta": [1, 0], "zeta": [0, 1]}})
+        assert main(["solve", "--spec", path]) == 2
+        err = capsys.readouterr().err
+        assert "zeros: '' is not a [re, im] pair" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("depth", [40, -1, 2.7])
     def test_cantor_depth_out_of_range_is_input_error(self, tmp_path, capsys, depth):
         # refused before any atom is built: 2^40 atoms would not fit in memory
@@ -447,3 +511,92 @@ class TestProcess:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env=env).stdout
         assert out.strip() == "[]"
+
+
+# -- fuzz ---------------------------------------------------------------------
+
+# mostly values a spec may hold, sometimes values no field takes
+_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.lists(st.integers(-3, 3), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+                  st.integers(-10 ** 30, 10 ** 30))
+_number = st.one_of(st.integers(-5, 5), st.floats(-5.0, 5.0), st.sampled_from(["inf", "-inf", "oo"]))
+_value = st.one_of(_number, _number, _number, _junk)
+_pair = st.one_of(st.lists(_value, min_size=2, max_size=2),
+                  st.lists(_number, min_size=2, max_size=2), _junk)
+_pairs = st.lists(_pair, max_size=4)
+_depth = st.one_of(st.integers(-2, 5), st.sampled_from([3.5, "2", True, None]))
+_tol = st.one_of(st.sampled_from([1e-2, 1e-3]), st.sampled_from([-1.0, "x", None]))
+_typo = st.dictionaries(st.sampled_from(["arcz", "atom", "pole", "x"]), _value, max_size=1)
+
+
+def _body(required, optional):
+    return st.builds(lambda body, extra: {**body, **extra},
+                     st.fixed_dictionaries(required, optional=optional),
+                     st.one_of(st.just({}), st.just({}), _typo))
+
+
+_arcset = st.one_of(_body({}, {"arcs": _pairs, "full": st.booleans()}), _junk)
+_krein = st.one_of(
+    _body({}, {"arcs": _pairs, "full": st.booleans()}),
+    _body({"cantor": st.one_of(_body({}, {"interval": _pair, "depth": _depth}), _junk)},
+          {"tol": _tol}))
+_psi = st.lists(st.one_of(_body({}, {"interval": _pair, "value": _value}), _junk), max_size=2)
+_function = st.one_of(
+    st.tuples(st.just("nevanlinna"), _body({}, {
+        "alpha": _value, "beta": _value, "atoms": _pairs,
+        "ac": st.lists(st.one_of(_body({}, {"interval": _pair, "density": _value}), _junk),
+                       max_size=2),
+        "cantor_depth": _depth})),
+    st.tuples(st.just("krein"), _krein),
+    st.tuples(st.just("product"), _body({}, {
+        "c": _value, "krein": st.one_of(_krein, _junk),
+        "exp": st.one_of(_body({}, {"gamma": _value, "psi": _psi}), _junk)})))
+_problem = st.one_of(
+    st.tuples(st.just("interp"), _body({}, {
+        "zeros": st.lists(_value, max_size=4), "poles": st.lists(_value, max_size=4),
+        "singular": st.lists(_value, max_size=3)})),
+    st.tuples(st.just("interp"), _body({"alpha": _pair, "beta": _pair, "zeta": _pair}, {
+        "zeros": _pairs, "poles": _pairs, "singular": _pairs})),
+    st.tuples(st.just("realizable"), _body({"omega": _arcset, "o": _arcset}, {})),
+    st.tuples(st.just("boole"), _body({"atoms": _pairs}, {
+        "y": st.one_of(_value, st.lists(_value, max_size=3))})),
+    st.tuples(st.just("letac"), _body({"atoms": _pairs, "interval": _pair}, {"beta": _value})))
+_options = st.one_of(st.just({}), _body({}, {
+    "grid": st.sampled_from(["-2:2:5", "box:-1:1:0.5:1:2", "0:1", 5]),
+    "depth": _depth, "tol": _tol, "eps": st.sampled_from([0, 1e-3, -1.0, "x"])}))
+
+
+@st.composite
+def _specs(draw):
+    """(command, spec): a function spec under eval or factor, or a problem
+    spec under solve."""
+    task, body = draw(st.one_of(_function, _problem))
+    command = ("solve" if task in cli.PROBLEM_TASKS
+               else draw(st.sampled_from(["eval", "factor"])))
+    spec = {task: body}
+    options = draw(_options)
+    if options or command == "eval":
+        spec["options"] = options or {"grid": "-2:2:5"}
+    return command, spec
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_specs())
+    def test_every_spec_exits_0_1_or_2(self, case):
+        # malformed input exits 2 with a message and certification failures
+        # exit 1; no spec ends in a traceback
+        command, spec = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w") as fh:
+                json.dump(spec, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--spec", path])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("input error: "), err.getvalue()

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL,
-                               INF, angle_subtended, arcs_overlap,
-                               boundary_left, circle_minus_points,
+                               INF, angle_subtended, arc_ends, arcs_overlap,
+                               as_point, boundary_left, circle_minus_points,
                                closed_complement, complement_of_closed,
-                               measure, normalize,
+                               in_closure, measure, normalize,
                                points_equal, regularize)
 from halfplane.moebius import pullback_arcset
 
@@ -18,6 +18,11 @@ from conftest import random_arcset, random_auto, random_upper_points
 
 def arcset(*pairs):
     return normalize([Arc(b, a) for b, a in pairs])
+
+
+def within_ulps(x, exact, n=4):
+    """The float x lies within n ulps of the exact Fraction."""
+    return abs(Fraction(x) - exact) <= n * Fraction(math.ulp(float(exact)))
 
 
 class TestNormalize:
@@ -127,9 +132,12 @@ class TestBoundaryLeft:
         assert boundary_left(arcset((1, 0))).points == (1,)
 
     def test_cantor_depth2(self):
+        # the gap ends are floats within 4 ulps of the exact thirds
         d = boundary_left(CantorComplement((0, 1), 2))
         assert d.accumulates
-        assert sorted(d.points) == [Fraction(1, 9), Fraction(1, 3), Fraction(7, 9)]
+        exact = [Fraction(1, 9), Fraction(1, 3), Fraction(7, 9)]
+        assert len(d.points) == 3
+        assert all(within_ulps(x, e) for x, e in zip(sorted(d.points), exact))
 
 
 class TestMeasure:
@@ -142,15 +150,24 @@ class TestMeasure:
     def test_cantor_depth(self):
         for k in (1, 3, 6):
             cc = CantorComplement((0, 1), k)
-            assert measure(cc) == 1 - Fraction(2, 3) ** k
+            assert type(measure(cc)) is float
+            assert within_ulps(measure(cc), 1 - Fraction(2, 3) ** k)
 
     def test_cantor_enumeration_counts(self):
+        # each level's gaps are the exact middle thirds, their float ends
+        # within 4 ulps, in the order of the construction
         cc = CantorComplement((0, 1), 4)
         levels = cc.levels()
         assert [len(lv) for lv in levels] == [1, 2, 4, 8]
-        for m, lv in enumerate(levels, start=1):
-            for g in lv:
-                assert g.length() == Fraction(1, 3 ** m)
+        kept = [(Fraction(0), Fraction(1))]
+        for lv in levels:
+            thirds = [(u, (v - u) / 3, v) for u, v in kept]
+            exact = [(u + t, v - t) for u, t, v in thirds]
+            kept = [iv for u, t, v in thirds for iv in ((u, u + t), (v - t, v))]
+            assert len(lv) == len(exact)
+            for g, (b, a) in zip(lv, exact):
+                assert within_ulps(g.b, b) and within_ulps(g.a, a)
+                assert g.length() == g.a - g.b
 
 
 class TestAngle:
@@ -370,3 +387,70 @@ class TestComplementOracles:
         for x in GRID:
             want = o.contains(x) and not any(points_equal(x, y) for y in ys)
             assert got.contains(x) == want, (o, ys, x)
+
+
+# ends of every numeric kind: ints, Fractions, floats and ±inf
+any_end = st.one_of(st.integers(-40, 40), st.fractions(-40, 40, max_denominator=7),
+                    st.floats(-40.0, 40.0), st.sampled_from([INF, -INF]))
+
+
+@st.composite
+def any_arcs(draw):
+    """Raw arcs of every kind: bounded, through ∞, both half-lines, and
+    punctures at a finite point or at ∞."""
+    arcs = []
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(any_end)
+        if draw(st.integers(0, 4)) == 0:
+            arcs.append(Arc(b, b, puncture=True))
+        else:
+            a = draw(any_end.filter(lambda a: not points_equal(as_point(a), as_point(b))))
+            arcs.append(Arc(b, a))
+    return arcs
+
+
+def angle(x):
+    """The point's angle on the circle: θ = 2·atan(x), with ∞ at π."""
+    return math.pi if x == INF else 2.0 * math.atan(x)
+
+
+def reference_contains(arc, x):
+    # x lies in (b, a) when it comes after b and before a going once round
+    # the circle in the increasing direction from b; a puncture goes all round
+    turn = 2.0 * math.pi
+    span = (angle(arc.a) - angle(arc.b)) % turn or turn
+    return 0.0 < (angle(x) - angle(arc.b)) % turn < span
+
+
+class TestPointModel:
+    def test_as_point(self):
+        assert as_point(3) == 3.0 and type(as_point(3)) is float
+        assert as_point(Fraction(1, 3)) == 1 / 3 and type(as_point(np.float64(2.5))) is float
+        assert as_point(-INF) is INF and as_point(INF) is INF
+        for bad in (True, "1", None, math.nan, [1], 10 ** 400):
+            with pytest.raises(ValueError):
+                as_point(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_arcs(), st.lists(st.floats(-100.0, 100.0), max_size=20))
+    def test_membership_matches_the_angle_reference(self, arcs, xs):
+        # away from the ends, Arc.contains, ArcSet.contains and the array
+        # mask all agree with the membership read off the angles
+        tol = 1e-9
+        o = normalize(arcs)
+        ends = [e for arc in arcs for e in (arc.b, arc.a)]
+        assert all(type(e) is float and e != -INF for e in ends)
+        xs = [x for x in xs + [INF] if not any(points_equal(x, e, 1e-6) for e in ends)]
+        want = [any(reference_contains(arc, x) for arc in arcs) for x in xs]
+        for arc in arcs:
+            assert [arc.contains(x, tol) for x in xs] == [reference_contains(arc, x) for x in xs]
+        assert [o.contains(x, tol) for x in xs] == want
+        assert in_closure(np.array(xs, dtype=float), *arc_ends(arcs), tol).tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_end, any_end)
+    def test_points_equal_is_symmetric_and_infinity_equals_only_itself(self, x, y):
+        x, y = as_point(x), as_point(y)
+        assert points_equal(x, y) == points_equal(y, x)
+        assert points_equal(x, INF) == (x == INF)
+        assert points_equal(x, x)
