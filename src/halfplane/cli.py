@@ -4,7 +4,10 @@ Spec files are JSON with exactly one task key among
   nevanlinna | krein | product          (function specs)
   interp | realizable | boole | letac   (problem specs)
 plus an optional "options" object.  Unknown fields are rejected: at the top
-level, in a task body, in "options" and in a nested "cantor" or "exp".
+level, in a task body, in "options", in a nested "cantor" or "exp" and in
+a realizable pair's "omega" and "o".  A field holding a number takes a JSON
+number only (``extreal.number_from_json``), a point also "inf", "-inf" or
+"oo" (``extreal.point_from_json``).
 
 Exit codes: 0 all certifications pass, 1 certification failure, 2 input error.
 """
@@ -25,13 +28,13 @@ import zlib
 import numpy as np
 
 from . import extreal, factor, interp, krein
-from .extreal import Arc, ArcSet, INF, normalize
+from .extreal import Arc, ArcSet, INF, normalize, number_from_json
 from .factor import CompositeFunction, ExpRep, RepFunction, factorize
 from .krein import (KreinProduct, TailNotCertified,
                     cantor_complement_product, p_eval)
-from .nevanlinna import (Measure, NevanlinnaRep, boole_superlevel_measure,
-                         letac_pushforward_check, recover_alpha,
-                         recover_atom, recover_beta)
+from .nevanlinna import (Measure, NevanlinnaRep, atoms_from_json,
+                         boole_superlevel_measure, letac_pushforward_check,
+                         recover_alpha, recover_atom, recover_beta)
 from .util import RootBracketError
 
 FUNCTION_TASKS = ("nevanlinna", "krein", "product")
@@ -46,6 +49,8 @@ FIELDS = {
     "product": ("c", "krein", "exp"),
     "interp": ("zeros", "poles", "singular", "alpha", "beta", "zeta"),
     "realizable": ("omega", "o"),
+    "omega": ("arcs", "full"),
+    "o": ("arcs", "full"),
     "boole": ("atoms", "y"),
     "letac": ("atoms", "beta", "interval"),
     "options": ("depth", "tol", "eps", "grid"),
@@ -78,7 +83,10 @@ def load_spec(path):
                         "this program reads version 1")
     options = _fields(obj.get("options", {}), "options")
     if "depth" in options:
-        _depth(options["depth"], "options.depth")
+        _integer(options["depth"], "options.depth")
+    for key in ("tol", "eps"):
+        if key in options:
+            number_from_json(options[key], f"options.{key}")
     return tasks[0], _fields(obj[tasks[0]], tasks[0]), options, obj
 
 
@@ -92,8 +100,9 @@ def _fields(obj, name):
     return obj
 
 
-def _depth(value, field):
-    # a generator depth is a JSON integer >= 0, as a cantor_depth is
+def _integer(value, field):
+    # a generator depth or a factor budget is a JSON integer >= 0, as a
+    # cantor_depth is
     if type(value) is not int or value < 0:
         raise SpecError(f"{field} must be an integer >= 0, got {value!r}")
     return value
@@ -114,9 +123,11 @@ def _krein_product(kspec, options):
     cc = _fields(kspec["cantor"], "cantor")
     return cantor_complement_product(
         tuple(cc.get("interval", [0, 1])),
-        _depth(cc["depth"], "cantor.depth") if "depth" in cc else options.get("depth", 26),
-        tol=float(kspec.get("tol", options.get("tol", 1e-6))),
-        max_factors=int(kspec.get("max_factors", 2_000_000)))
+        _integer(cc["depth"], "cantor.depth") if "depth" in cc else options.get("depth", 26),
+        tol=(number_from_json(kspec["tol"], "krein.tol") if "tol" in kspec
+             else float(options.get("tol", 1e-6))),
+        max_factors=(_integer(kspec["max_factors"], "krein.max_factors")
+                     if "max_factors" in kspec else 2_000_000))
 
 
 def build_function_spec(task, body, options):
@@ -125,7 +136,7 @@ def build_function_spec(task, body, options):
     if task == "krein":
         return CompositeFunction(1.0, _krein_product(body, options))
     if task == "product":
-        c = float(body.get("c", 1.0))
+        c = number_from_json(body.get("c", 1.0), "product.c")
         prod = _krein_product(_fields(body.get("krein", {}), "krein"), options)
         exp = ExpRep.from_json(_fields(body["exp"], "exp")) if "exp" in body else None
         return CompositeFunction(c, prod, exp)
@@ -171,10 +182,10 @@ def cmd_eval(args):
     grid = (parse_grid(args.grid, "--grid") if args.grid
             else parse_grid(options.get("grid", "-5:5:21"), "options.grid"))
     eps = args.eps if args.eps is not None else options.get("eps")
-    if eps is not None and not float(eps) >= 0:
+    if eps is not None and not 0 <= float(eps) < INF:
         field = "--eps" if args.eps is not None else "options.eps"
-        raise SpecError(f"{field} must be >= 0 (rows at Im z = eps lie in the "
-                        f"upper half-plane), got {eps}")
+        raise SpecError(f"{field} must be finite and >= 0 (rows at Im z = eps lie "
+                        f"in the upper half-plane), got {eps}")
     # a point off the line, a real point lifted to Im z = eps, or one on it
     points, flags = zip(*[(z, "interior") if isinstance(z, complex) else
                           (complex(z, float(eps)), "eps") if eps else (complex(z, 0.0), "cont")
@@ -246,19 +257,19 @@ def cmd_solve(args):
     if task == "interp":
         return _solve_interp(body), 0
     if task == "realizable":
-        omega = ArcSet.from_json(body["omega"])
-        region = ArcSet.from_json(body["o"])
-        ok, failures, fcert = interp.realizable_pair(omega, region)
+        ok, failures, fcert = interp.realizable_pair(_arc_set(body, "omega"),
+                                                     _arc_set(body, "o"))
         return {"task": "realizable", "ok": ok,
                 "failures": [list(f) for f in failures]}, (0 if ok else 1)
     if task == "boole":
-        mu = Measure(atoms=tuple((t, w) for t, w in body["atoms"]))
+        mu = Measure(atoms=atoms_from_json(body["atoms"], "boole.atoms"))
         ys = body.get("y", [1.0])
         ys = ys if isinstance(ys, list) else [ys]
         certs = []
         for y in ys:
-            plus, minus = boole_superlevel_measure(mu, float(y))
-            target = mu.mass() / float(y)
+            value = number_from_json(y, "boole.y")
+            plus, minus = boole_superlevel_measure(mu, value)
+            target = mu.mass() / value
             resid = max(abs(plus - target), abs(minus - target))
             certs.append({"name": f"boole_y={y}", "residual": resid,
                           "tolerance": 1e-8, "pass": resid <= 1e-8,
@@ -266,9 +277,14 @@ def cmd_solve(args):
         ok = all(c["pass"] for c in certs)
         return {"task": "boole", "certifications": certs}, (0 if ok else 1)
     if task == "letac":
-        rep = NevanlinnaRep(1.0, float(body.get("beta", 0.0)),
-                            Measure(atoms=tuple((t, w) for t, w in body["atoms"])))
-        c, d = body["interval"]
+        rep = NevanlinnaRep(1.0, number_from_json(body.get("beta", 0.0), "letac.beta"),
+                            Measure(atoms=atoms_from_json(body["atoms"], "letac.atoms")))
+        interval = body["interval"]
+        if not (isinstance(interval, list) and len(interval) == 2):
+            raise SpecError(f"letac.interval {interval!r} is not a [c, d] pair")
+        for x in interval:
+            number_from_json(x, "letac.interval")
+        c, d = interval  # as given: an int interval's target d − c stays an int
         length = letac_pushforward_check(rep, (c, d))
         resid = abs(length - (d - c))
         cert = {"name": "letac_preimage_length", "residual": resid,
@@ -278,11 +294,19 @@ def cmd_solve(args):
     raise SpecError(task)
 
 
+def _arc_set(body, key):
+    # ArcSet.from_json refuses a value that is no JSON object, _fields one
+    # holding a field it does not read
+    arcs = ArcSet.from_json(body[key])
+    _fields(body[key], key)
+    return arcs
+
+
 def _complex(p, field):
     # a point of the disk problem is a [re, im] pair of numbers
     if not (isinstance(p, list) and len(p) == 2):
         raise SpecError(f"{field}: {p!r} is not a [re, im] pair")
-    return complex(*p)
+    return complex(*(number_from_json(x, field) for x in p))
 
 
 def _solve_interp(body):

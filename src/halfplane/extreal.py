@@ -27,7 +27,9 @@ it rather than splitting on the kinds of arc themselves:
 A point of the circle is one float, with ∞ = ``INF`` (+inf).  It is made
 once, where an arc, a generator or a prescribed point is made, by
 :func:`as_point`: ints, Fractions and numpy scalars become the nearest
-float, −inf becomes ``INF``, and anything else is refused.  Two points are
+float, −inf becomes ``INF``, and anything else is refused.  A spec's other
+numbers (weights, constants, tolerances, ψ ends) are read by
+:func:`number_from_json`, which takes JSON numbers only.  Two points are
 equal when they are within the absolute tolerance ``POINT_TOL``, so that
 abutment detection stays reliable.  With ∞ the largest float, the circle's
 order from ∞ is the floats' order, and one rule decides membership in every
@@ -70,6 +72,27 @@ def as_point(x, what: str = "a point") -> float:
     if x != x:
         raise ValueError(f"{what} is NaN")
     return INF if x == -INF else x
+
+
+def number_from_json(obj, what: str, *, half_line: bool = False) -> float:
+    """The float that a spec field holding a number rather than a point
+    names: a JSON number (an int or a float, not a bool or a string).  With
+    ``half_line``, for the ends of a ψ piece, which may be a half-line, the
+    strings "inf" and "-inf" name ±inf, sign kept.  Any other value, and an
+    int past the float range, raises ValueError naming the field ``what``.
+    NaN and ±inf, which JSON writes only as non-standard tokens, go on to
+    the range check of the object the field builds."""
+    if type(obj) is float:
+        return obj
+    if half_line and obj in ("inf", "-inf"):
+        return float(obj)
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ValueError(f"{what} {obj!r} is not a number")
+    try:
+        return float(obj)
+    except OverflowError:
+        raise ValueError(f"{what}: a {len(str(abs(obj)))}-digit integer is past "
+                         "the float range") from None
 
 
 def points_equal(x: float, y: float, tol: float = POINT_TOL) -> bool:

@@ -27,7 +27,8 @@ import numpy as np
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL,
                       arc_contains_arc, arcs_overlap, arcset_contains_arc,
                       boundary_samples, complement_ends, end_samples, is_inf,
-                      normalize, points_equal, regularize, sweep_points)
+                      normalize, number_from_json, points_equal, regularize,
+                      sweep_points)
 from .krein import (KreinProduct, log_factors, merged_structure, p_eval,
                     scalar_or_array)
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
@@ -152,8 +153,8 @@ class ExpRep:
     def from_json(obj) -> "ExpRep":
         if not isinstance(obj, dict):
             raise ValueError(f"exp {obj!r} is not a JSON object")
-        return ExpRep(float(obj.get("gamma", 0.0)),
-                      interval_entries(obj.get("psi", []), "value", "psi"))
+        return ExpRep(number_from_json(obj.get("gamma", 0.0), "gamma"),
+                      interval_entries(obj.get("psi", []), "value", "psi", half_line=True))
 
 
 def _exp(h, z):
@@ -554,9 +555,12 @@ def _verify_posts(ana: AnalysisResult, g):
         resid1 = max(resid1, g.rep.alpha)
     posts = [Certification("sigma_subset", resid1, 1e-6, resid1 <= 1e-6)]
 
-    v = g.rep.eval(np.array(end_samples(*complement_ends(lo_g, hi_g, sig_g.has_inf))))
-    v = v[np.isfinite(v)]  # the ∞ marker and NaN are skipped
-    resid2 = max(0.0, -float(v.min())) if v.size else 0.0
+    if g.rep.alpha == 0 and not (rho.atoms or rho.ac):
+        resid2 = max(0.0, -float(g.rep.beta))  # g is the constant β: what sampling it reads
+    else:
+        v = g.rep.eval(np.array(end_samples(*complement_ends(lo_g, hi_g, sig_g.has_inf))))
+        v = v[np.isfinite(v)]  # the ∞ marker and NaN are skipped
+        resid2 = max(0.0, -float(v.min())) if v.size else 0.0
     posts.append(Certification("g_positive_on_omega", resid2, 1e-9, resid2 <= 1e-9))
 
     # (3) Ω(g) is regular unless σ(g) has an isolated point

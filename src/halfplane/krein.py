@@ -76,7 +76,7 @@ class _Factors:
             hx, hy = math.hypot(1.0, x), math.hypot(1.0, y)
             s = (1.0 if y < x else -1.0) * (hy / hx) if k == "f" else 1.0
             rows.append((x, y, s, hx if k == "l" else -hy if k == "r" else 1.0,
-                         {"f": s, "l": INF, "r": 0.0, "p": -1.0}[k]))
+                         s if k == "f" else INF if k == "l" else 0.0 if k == "r" else -1.0))
         self.a, self.b, self.s, self.h, self.at_inf = np.array(rows).reshape(-1, 5).T.copy()
         self.poles = self.b[[k in "fr" for k in kind]]
 
@@ -333,8 +333,8 @@ class KreinProduct:
     max_factors: int = 2_000_000
 
     def __post_init__(self):
-        if not self.tol >= 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if not 0 <= self.tol < INF:
+            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 
     def __call__(self, z):
         return self.eval(z)[0]
@@ -365,10 +365,13 @@ class KreinProduct:
         # a scalar tells by its type whether it lies off the real line
         n_off = None if isinstance(z, np.ndarray) else int(isinstance(z, complex) and z.imag != 0)
         values, pole, near = self._table.product(pts, n_off)
-        tails, refused = [0.0] * pts.size, near
-        if self.cantor is not None:
+        refused = near
+        if self.cantor is None:
+            tails = np.zeros(pts.size)
+        else:
             # one point at a time from the explicit factor's value: an exact
             # pole keeps the ∞ marker before any gap lookup
+            tails = [0.0] * pts.size
             values, refused = values.tolist(), ([False] * pts.size if near is None
                                                 else near.tolist())
             skip = [False] * pts.size if pole is None else pole.tolist()
@@ -389,8 +392,7 @@ class KreinProduct:
             refused = np.array(refused) if any(refused) else None
             if refused is None and not isinstance(z, np.ndarray):
                 return scalar_or_array(values, z), tails[0]
-            values = np.array(values, dtype=pts.dtype)
-        tails = np.array(tails)
+            values, tails = np.array(values, dtype=pts.dtype), np.array(tails)
         if refused is not None:
             if strict:
                 raise self._near_pole(float(pts[np.argmax(refused)].real))

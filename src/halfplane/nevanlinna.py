@@ -27,7 +27,7 @@ import numpy as np
 
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL,
                       complement_ends, complement_of_closed, is_inf,
-                      merged_support, regularize)
+                      merged_support, number_from_json, regularize)
 from .util import (RecoveryError, RootBracketError, branch_roots, excess,
                    ladder_limit, quotient)
 
@@ -131,16 +131,40 @@ def _log_ratios(x, l, r):
     return np.where(left, 1.0, -1.0) * np.log1p((r - l) / np.where(left, l - x, x - r))
 
 
-def interval_entries(entries, value_key: str, field: str) -> tuple:
-    """(l, r, value) triples of JSON entries {"interval": [l, r], value_key: v};
-    a malformed entry raises ValueError naming the field and the entry."""
+def interval_entries(entries, value_key: str, field: str, half_line: bool = False) -> tuple:
+    """(l, r, value) triples of JSON entries {"interval": [l, r], value_key: v},
+    as given, for the object they build to convert; a malformed entry, one
+    holding a value that ``extreal.number_from_json`` refuses included (with
+    ``half_line``, the ends may be "inf" and "-inf"), raises ValueError
+    naming the field and the entry."""
     out = []
     for k, p in enumerate(entries):
         iv = p.get("interval") if isinstance(p, dict) else None
         if not (isinstance(iv, (list, tuple)) and len(iv) == 2 and value_key in p):
             raise ValueError(f"{field} entry {k} {p!r} is not of the form "
                              f'{{"interval": [l, r], "{value_key}": v}}')
+        for x in iv:
+            number_from_json(x, f"{field} entry {k}", half_line=half_line)
+        number_from_json(p[value_key], f"{field} entry {k}")
         out.append((iv[0], iv[1], p[value_key]))
+    return tuple(out)
+
+
+def atoms_from_json(entries, field: str = "atoms") -> tuple:
+    """(t, w) pairs of a JSON list of [t, w] pairs of numbers
+    (``extreal.number_from_json``); a malformed entry raises ValueError
+    naming the field and the entry."""
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{field} {entries!r} is not a list of [t, w] pairs")
+    out = []
+    for k, pair in enumerate(entries):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ValueError(f"{field} entry {k} {pair!r} is not a [t, w] pair")
+        t, w = pair
+        if type(t) is not float or type(w) is not float:  # a pair of floats is read as it is
+            what = f"{field} entry {k}"
+            t, w = number_from_json(t, what), number_from_json(w, what)
+        out.append((t, w))
     return tuple(out)
 
 
@@ -302,7 +326,7 @@ class NevanlinnaRep:
 
     @staticmethod
     def from_json(obj) -> "NevanlinnaRep":
-        atoms = tuple((t, w) for t, w in obj.get("atoms", []))
+        atoms = atoms_from_json(obj.get("atoms", []))
         ac = interval_entries(obj.get("ac", []), "density", "ac")
         rho = Measure(atoms=atoms, ac=ac)
         if "cantor_depth" in obj:
@@ -312,8 +336,8 @@ class NevanlinnaRep:
                                  f"{MAX_CANTOR_DEPTH}, got {depth!r}")
             extra = Measure.cantor_atoms(depth)
             rho = Measure(atoms=rho.atoms + extra.atoms, ac=rho.ac)
-        return NevanlinnaRep(float(obj.get("alpha", 0.0)),
-                             float(obj.get("beta", 0.0)), rho)
+        return NevanlinnaRep(number_from_json(obj.get("alpha", 0.0), "alpha"),
+                             number_from_json(obj.get("beta", 0.0), "beta"), rho)
 
 
 @dataclass(frozen=True)
@@ -436,8 +460,8 @@ def boole_superlevel_measure(mu: Measure, y: float):
     """
     if not mu.is_atomic():
         raise ValueError("the superlevel identity is computed for atomic measures")
-    if not y > 0:
-        raise ValueError(f"y must be positive, got {y}")
+    if not 0 < y < INF:
+        raise ValueError(f"y must be positive and finite, got {y}")
     if not mu.atoms:
         return 0.0, 0.0
     ts, ws = (np.array(col) for col in zip(*mu.atoms))
@@ -455,6 +479,8 @@ def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
     c, d = float(interval[0]), float(interval[1])
     if not c < d:
         raise ValueError("need c < d")
+    if not (math.isfinite(c) and math.isfinite(d)):
+        raise ValueError(f"the interval ({c}, {d}) must be finite")
     if abs(rep.alpha - 1.0) > 1e-12:
         raise ValueError("the pushforward identity requires alpha = 1")
     if not rep.rho.is_atomic():
@@ -575,30 +601,35 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
     [[diag t, u/√α], [uᵀ/√α, (target − β′)/α]] (α > 0) or of
     diag(t) + uuᵀ/(β′ − target) (α = 0), densities by midpoints."""
     alpha, ac = rep.alpha, rep.rho.ac
-    targets = np.asarray(targets, dtype=float)[:, None]
+    targets = [float(t) for t in targets]
     ts, ws = rep._atoms
     u2 = ws * (1.0 + ts * ts)
     big_k = float(u2.sum()) + sum(d * (r - l + (r**3 - l**3) / 3) for l, r, d in ac)
-    shift = rep.beta - rep.rho.moment1() - targets  # β′ − target
+    offset = rep.beta - rep.rho.moment1()
+    shifts = [offset - t for t in targets]  # β′ − target
 
+    # each target's branch ends, in Python floats (IEEE, so numpy's bits);
+    # max and min take the possibly-NaN bound first, as numpy keeps a NaN
     starts, ends = support
     n_arcs = len(starts) + (alpha > 0)
-    lo, hi = np.empty((2, len(targets), n_arcs))
-    if alpha > 0:  # far sign at s = max(1, 2(|αm + β′ − target| + K)/α) past an end m
-        m = np.array([starts[0], ends[-1]] if starts else [0.0, 0.0])
-        far = np.maximum(1.0, 2.0 * (np.abs(alpha * m + shift) + big_k) / alpha)
-        lo[:, 1:], hi[:, :-1] = ends, starts
-        lo[:, 0], hi[:, -1] = m[0] - far[:, 0], m[1] + far[:, 1]
-    else:  # the last arc wraps through ∞; |f − β′| < |β′ − target| at 2K/|β′ − target| past it,
-        # or at the largest double, where a zero not yet reached is the one at ∞
-        with np.errstate(over="ignore"):
-            reach = 2.0 * big_k / np.abs(np.where(shift == 0, 1.0, shift))[:, 0]
-            right = shift[:, 0] > 0
-            lo[:], hi[:, :-1] = ends, starts[1:]
-            lo[:, -1] = np.where(right, ends[-1], np.maximum(starts[0] - reach, -_FMAX))
-            hi[:, -1] = np.where(right, np.minimum(ends[-1] + reach, _FMAX), starts[0])
-    # a zero at ∞ when α = 0 and β′ = target
-    live = (alpha > 0) | (shift != 0) | (np.arange(n_arcs) < n_arcs - 1)
+    lo, hi, live = [], [], []
+    for s in shifts:
+        if alpha > 0:  # far sign at max(1, 2(|αm + β′ − target| + K)/α) past an end m
+            m0, m1 = (starts[0], ends[-1]) if starts else (0.0, 0.0)
+            lo += [m0 - max(2.0 * (abs(alpha * m0 + s) + big_k) / alpha, 1.0), *ends]
+            hi += [*starts, m1 + max(2.0 * (abs(alpha * m1 + s) + big_k) / alpha, 1.0)]
+        else:  # the last arc wraps through ∞; |f − β′| < |β′ − target| at 2K/|β′ − target| past it,
+            # or at the largest double, where a zero not yet reached is the one at ∞
+            reach = 2.0 * big_k / abs(s if s != 0 else 1.0)
+            lo += ends
+            hi += [*starts[1:], starts[0]]
+            if s > 0:
+                hi[-1] = min(ends[-1] + reach, _FMAX)
+            else:
+                lo[-1] = max(starts[0] - reach, -_FMAX)
+        # a zero at ∞ when α = 0 and β′ = target
+        live += [True] * (n_arcs - 1) + [alpha > 0 or s != 0]
+    lo, hi = np.array(lo), np.array(hi)
 
     if ac or len(starts) < len(ts):
         seeds = 0.5 * (lo + hi)
@@ -607,25 +638,36 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
         arrow = np.zeros((len(targets), n + 1, n + 1))
         arrow[:, :n, :n] = np.diag(ts)
         arrow[:, :n, n] = arrow[:, n, :n] = np.sqrt(u2 / alpha)
-        arrow[:, n, n] = -shift[:, 0] / alpha
-        seeds = np.linalg.eigvalsh(arrow)
+        arrow[:, n, n] = [-s / alpha for s in shifts]
+        seeds = np.linalg.eigvalsh(arrow).ravel()
     else:
         # the root past the support is the top eigenvalue when β′ > target
         # and the bottom one otherwise, which goes last
-        scale = np.where(shift == 0, 1.0, shift)[:, :, None]
+        scale = np.array([s if s != 0 else 1.0 for s in shifts])[:, None, None]
         with np.errstate(over="ignore"):  # as the reach above
             seeds = np.linalg.eigvalsh(np.diag(ts) + np.sqrt(np.outer(u2, u2)) / scale)
-        seeds = np.where(shift < 0, np.roll(seeds, -1, axis=1), seeds)
+        seeds = np.concatenate([np.roll(row, -1) if s < 0 else row
+                                for row, s in zip(seeds, shifts)])
 
     beta_a = _exact_offset(rep.beta, ws, ts, ac)
     # rounding bounds in eps: αx and β′, the atoms, each density's three summands
-    ulps = np.repeat([1.0, 3.0, 6.0, 14.0, 2.0], [2, len(ts)] + [len(ac)] * 3)
+    n, k = len(ts), len(ac)
+    ulps = np.array([1.0, 1.0] + [3.0] * n + [6.0] * k + [14.0] * k + [2.0] * k)
     ls, rs, ds = np.array(ac, dtype=float).T if ac else (None,) * 3
 
     def terms(x):
+        # one table: αx, β′, the atoms' block, the densities' three blocks
+        out = np.empty((len(x), 2 + n + 3 * k))
         xc = x[:, None]
-        cols = [alpha * xc, 0.0 * xc + beta_a, u2 / (ts - xc)]
-        return np.concatenate(cols + (_density_terms(xc, ls, rs, ds) if ac else []), axis=1)
+        np.multiply(alpha, x, out=out[:, 0])
+        np.multiply(0.0, x, out=out[:, 1])
+        out[:, 1] += beta_a
+        atoms = out[:, 2:2 + n]
+        np.subtract(ts, xc, out=atoms)
+        np.divide(u2, atoms, out=atoms)
+        if ac:
+            out[:, 2 + n:] = np.concatenate(_density_terms(xc, ls, rs, ds), axis=1)
+        return out
 
     def slope(x):
         xc = x[:, None]
@@ -635,16 +677,22 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
         return val
 
     if alpha == 0:
-        edge = np.where(right, hi[:, -1], lo[:, -1])
-        capped = (np.abs(edge) == _FMAX) & live[:, -1]
-        if capped.any():
-            # f still on the target's side there: the zero lies past the float
-            # range, and k_Γ with the zero at ∞ differs by under 1e-300 relative;
-            # an uncertain sign (density summands overflow there) keeps the branch
-            with np.errstate(all="ignore"):
-                values, rounding = excess(terms, ulps, targets[capped, 0], edge[capped])
-            live[capped, -1] = ~np.where(right[capped], values <= -rounding, values >= rounding)
-    roots = np.full(lo.shape, INF)
-    roots[live] = branch_roots(terms, ulps, targets.repeat(n_arcs, 1)[live],
-                               seeds[live], lo[live], hi[live], slope)
-    return roots
+        for j, (target, s) in enumerate(zip(targets, shifts)):
+            last = (j + 1) * n_arcs - 1
+            edge = float(hi[last] if s > 0 else lo[last])
+            if abs(edge) == _FMAX and live[last]:
+                # f still on the target's side there: the zero lies past the float
+                # range, and k_Γ with the zero at ∞ differs by under 1e-300 relative;
+                # an uncertain sign (density summands overflow there) keeps the branch
+                with np.errstate(all="ignore"):
+                    values, rounding = excess(terms, ulps, np.array([target]), np.array([edge]))
+                live[last] = not (values[0] <= -rounding[0] if s > 0 else values[0] >= rounding[0])
+    target = np.array(targets).repeat(n_arcs)
+    if all(live):
+        roots = branch_roots(terms, ulps, target, seeds, lo, hi, slope)
+    else:
+        live = np.array(live)
+        roots = np.full(len(live), INF)
+        roots[live] = branch_roots(terms, ulps, target[live], seeds[live], lo[live], hi[live],
+                                   slope)
+    return roots.reshape(len(targets), n_arcs)

@@ -24,6 +24,7 @@ class RecoveryError(RuntimeError):
 
 
 BRACKET = 4e-12  # relative half-width of the sign bracket that accepts a root
+_EPS = float(np.finfo(float).eps)
 
 
 def branch_roots(terms, ulps, target, seeds, lo, hi, slope=None):
@@ -70,18 +71,22 @@ def _newton(terms, slope, target, x, lo, hi):
         step = x - (terms(x).sum(axis=1) - target) / slope(x)
         inside = (lo < step) & (step < hi)
         settled = inside & (np.abs(step - x) <= 1e-3 * BRACKET * np.maximum(1.0, np.abs(x)))
+        if settled.all():  # every step inside: no need to pick
+            return step, settled
         x = np.where(inside, step, x)
-        if settled.all():
-            break
     return x, settled
 
 
 def _bracketed(terms, ulps, target, x, lo, hi, inner):
-    delta = BRACKET * np.maximum(1.0, np.abs(x))
-    ends = np.concatenate((np.maximum(x - delta, inner[0]), np.minimum(x + delta, inner[1])))
-    values, rounding = excess(terms, ulps, np.concatenate((target, target)), ends)
+    # the 2m ends in one array: the lower ends, then the upper ones
     m = len(x)
-    return ((lo < ends[:m]) & (ends[m:] < hi)
+    delta = BRACKET * np.maximum(1.0, np.abs(x))
+    ends = np.empty(2 * m)
+    lower, upper = ends[:m], ends[m:]
+    np.maximum(np.subtract(x, delta, out=lower), inner[0], out=lower)
+    np.minimum(np.add(x, delta, out=upper), inner[1], out=upper)
+    values, rounding = excess(terms, ulps, np.concatenate((target, target)), ends)
+    return ((lo < lower) & (upper < hi)
             & (values <= -rounding)[:m] & (values >= rounding)[m:])
 
 
@@ -90,15 +95,18 @@ def excess(terms, ulps, target, x):
     :func:`branch_roots`: the sign of the difference is certain where it
     clears the bound on the summands' own rounding."""
     summands = terms(x)
-    eps, size = np.finfo(float).eps, np.abs(summands)
-    rounding = eps * np.einsum("ij,j->i", size, ulps)
+    size = np.abs(summands)
+    rounding = _EPS * np.einsum("ij,j->i", size, ulps)
     # summed in any order, the n summands and the target are within
     # (n + 1)·eps·(their total size) of their exact sum; where that slack
     # could flip a sign, fsum sums them exactly
     values = summands.sum(axis=1) - target
-    slack = (summands.shape[1] + 1) * eps * (size.sum(axis=1) + np.abs(target))
-    for k in (np.abs(values) <= rounding + slack).nonzero()[0]:
-        values[k] = math.fsum([*summands[k].tolist(), -target[k]])
+    slack = (summands.shape[1] + 1) * _EPS * (size.sum(axis=1) + np.abs(target))
+    close = (np.abs(values) <= rounding + slack).nonzero()[0].tolist()
+    if close:  # as lists: one conversion, not one per row
+        rows, targets = summands.tolist(), target.tolist()
+        for k in close:
+            values[k] = math.fsum([*rows[k], -targets[k]])
     return values, rounding
 
 

@@ -453,6 +453,55 @@ class TestErrors:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, spec, named", [
+        ("eval", {"nevanlinna": {"atoms": [["3", "1"]]}}, "atoms entry 0 '3' is not a number"),
+        ("eval", {"nevanlinna": {"alpha": 1.0, "beta": "2"}}, "beta '2' is not a number"),
+        ("solve", {"boole": {"atoms": [[0.0, 1.0]], "y": ["2"]}},
+         "boole.y '2' is not a number"),
+        ("eval", {"product": {"c": "2", "krein": {"arcs": [[0, 1]]}}},
+         "product.c '2' is not a number"),
+        ("eval", {"product": {"krein": {"arcs": [[0, 1]]},
+                              "exp": {"psi": [{"interval": ["2", 3], "value": 0.5}]}}},
+         "psi entry 0 '2' is not a number"),
+        ("eval", {"krein": {"cantor": {"interval": [0, 1], "depth": 3}, "tol": "0.1"}},
+         "krein.tol '0.1' is not a number"),
+        ("eval", {"nevanlinna": {"atoms": [[10 ** 400, 1]]}},
+         "atoms entry 0: a 401-digit integer is past the float range"),
+        ("solve", {"boole": {"atoms": [[0.0, 1.0]], "y": [10 ** 400]}},
+         "boole.y: a 401-digit integer is past the float range"),
+        ("solve", {"letac": {"atoms": [[0.0, 1.0]], "interval": ["0", 1]}},
+         "letac.interval '0' is not a number"),
+    ], ids=["atom-strings", "beta-string", "boole-y-string", "product-c-string",
+            "psi-end-string", "krein-tol-string", "atom-past-float-range",
+            "boole-y-past-float-range", "letac-interval-string"])
+    def test_non_numeric_number_is_input_error(self, tmp_path, capsys, command, spec, named):
+        # a field holding a number takes a JSON number within the float
+        # range: numeric strings were read as numbers, and a huge integer
+        # raised OverflowError out of main
+        path = write_spec(tmp_path, "bad.json", spec)
+        assert main([command, "--spec", path]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_half_line_psi_end_read(self, tmp_path, capsys):
+        # a ψ end also takes "inf" or "-inf", its sign kept: (−∞, −3)
+        spec = {"exp": {"psi": [{"interval": ["-inf", -3], "value": 0.5}]}}
+        path = write_spec(tmp_path, "f.json", {"product": {"krein": {"arcs": [[0, 1]]}, **spec}})
+        code, out = run(capsys, ["factor", "--spec", path])
+        assert code == 0
+        piece = cli.build_function_spec(
+            "product", {"krein": {"arcs": [[0, 1]]}, **spec}, {}).exp.pieces[0]
+        assert piece == (-math.inf, -3.0, 0.5)
+
+    def test_unread_arc_set_field_is_input_error(self, tmp_path, capsys):
+        # a realizable pair's arc sets read only "arcs" and "full": a typo
+        # was read as the empty set
+        path = write_spec(tmp_path, "bad.json",
+                          {"realizable": {"omega": {"arc": [[0, 1]]}, "o": {}}})
+        assert main(["solve", "--spec", path]) == 2
+        err = capsys.readouterr().err
+        assert "unknown omega fields: ['arc']" in err and "Traceback" not in err
+
     def test_disk_point_not_a_pair_is_input_error(self, tmp_path, capsys):
         # found by the fuzz below: a disk point that is no [re, im] pair
         path = write_spec(tmp_path, "bad.json", {"interp": {
@@ -520,7 +569,9 @@ _junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                   st.floats(allow_nan=True, allow_infinity=True),
                   st.lists(st.integers(-3, 3), max_size=3),
                   st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
-                  st.integers(-10 ** 30, 10 ** 30))
+                  st.integers(-10 ** 30, 10 ** 30),
+                  # past the float range, where float() raises OverflowError
+                  st.integers(10 ** 309, 10 ** 400), st.integers(-10 ** 400, -10 ** 309))
 _number = st.one_of(st.integers(-5, 5), st.floats(-5.0, 5.0), st.sampled_from(["inf", "-inf", "oo"]))
 _value = st.one_of(_number, _number, _number, _junk)
 _pair = st.one_of(st.lists(_value, min_size=2, max_size=2),

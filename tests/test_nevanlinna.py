@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from halfplane.extreal import Arc, INF, is_inf, is_regular, normalize
+from halfplane.extreal import Arc, INF, POINT_TOL, is_inf, is_regular, normalize
 from halfplane.nevanlinna import (Measure, NevanlinnaRep, _boole_roots,
                                   _component_roots, analyze,
                                   boole_superlevel_measure, cauchy_transform,
@@ -520,12 +520,19 @@ class TestSecularKernel:
 @st.composite
 def analysis_reps(draw):
     """Reps for analyze: atomic with α = 0 and β′ = β − m₁ above, below or
-    at 0, atomic with α > 0, one atom or many (clustered, |t| ≈ 1e3), and
-    reps whose every other atom is spread into a density of the same mass."""
-    kind = draw(st.sampled_from(("beta>0", "beta<0", "beta=0", "alpha>0", "ac")))
+    at 0, atomic with α > 0, one atom or many (clustered, |t| ≈ 1e3), reps
+    whose every other atom is spread into a density of the same mass, and
+    atomic reps with two atoms closer than POINT_TOL, which merge into one
+    piece of σ's support (midpoint seeds in place of the secular ones)."""
+    kind = draw(st.sampled_from(("beta>0", "beta<0", "beta=0", "alpha>0", "ac", "close")))
     ts, ws = draw(atomic_supports())
     if draw(st.integers(0, 3)) == 0:
         ts, ws = ts[:1], ws[:1]
+    if kind == "close":
+        k = draw(st.integers(0, len(ts) - 1))
+        twin = max(ts[k] + draw(st.floats(1e-15, 8e-13)), math.nextafter(ts[k], INF))
+        assert 0 < twin - ts[k] <= POINT_TOL
+        ts, ws = np.insert(ts, k + 1, twin), np.insert(ws, k + 1, draw(st.floats(0.1, 3.0)))
     atoms, ac = tuple(zip(ts.tolist(), ws.tolist())), ()
     if kind == "ac":
         gaps = np.diff(ts, prepend=-INF, append=INF)
@@ -535,8 +542,8 @@ def analysis_reps(draw):
                    zip(ts[widen].tolist(), half[widen].tolist(), ws[widen].tolist()))
         atoms = tuple(a for a, k in zip(atoms, widen) if not k)
     rho = Measure(atoms=atoms, ac=ac)
-    if kind in ("alpha>0", "ac"):
-        alpha = draw(st.sampled_from((0.0, 0.1, 1.0))) if kind == "ac" else \
+    if kind in ("alpha>0", "ac", "close"):
+        alpha = draw(st.sampled_from((0.0, 0.1, 1.0))) if kind != "alpha>0" else \
             draw(st.floats(1e-3, 10.0))
         return NevanlinnaRep(alpha, draw(st.floats(-5.0, 5.0)), rho)
     offset = {"beta>0": draw(st.floats(1e-3, 5.0)), "beta<0": -draw(st.floats(1e-3, 5.0)),
