@@ -117,6 +117,9 @@ def _krein_product(kspec, options):
     """The Kreĭn product of a "krein" body: explicit arcs, or the Cantor
     complement with the body's (else the options') depth and tolerance."""
     if "cantor" not in kspec:
+        if "tol" in kspec or "max_factors" in kspec:
+            raise SpecError("krein tol and max_factors go with a cantor generator, "
+                            "not with explicit arcs")
         return KreinProduct(ArcSet.from_json(kspec))
     if "arcs" in kspec or "full" in kspec:
         raise SpecError("krein takes arcs or a cantor generator, not both")

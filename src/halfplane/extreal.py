@@ -82,8 +82,6 @@ def number_from_json(obj, what: str, *, half_line: bool = False) -> float:
     int past the float range, raises ValueError naming the field ``what``.
     NaN and ±inf, which JSON writes only as non-standard tokens, go on to
     the range check of the object the field builds."""
-    if type(obj) is float:
-        return obj
     if half_line and obj in ("inf", "-inf"):
         return float(obj)
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):

@@ -160,11 +160,8 @@ def atoms_from_json(entries, field: str = "atoms") -> tuple:
     for k, pair in enumerate(entries):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValueError(f"{field} entry {k} {pair!r} is not a [t, w] pair")
-        t, w = pair
-        if type(t) is not float or type(w) is not float:  # a pair of floats is read as it is
-            what = f"{field} entry {k}"
-            t, w = number_from_json(t, what), number_from_json(w, what)
-        out.append((t, w))
+        what = f"{field} entry {k}"
+        out.append((number_from_json(pair[0], what), number_from_json(pair[1], what)))
     return tuple(out)
 
 

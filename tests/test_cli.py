@@ -444,8 +444,16 @@ class TestErrors:
          "options.depth must be an integer >= 0, got -1"),
         ("eval", {"krein": {"arcs": [[0, 1]], "cantor": {"interval": [2, 3]}}},
          "krein takes arcs or a cantor generator, not both"),
+        ("eval", {"krein": {"arcs": [[0, 1]], "tol": "0.1"}},
+         "krein tol and max_factors go with a cantor generator, not with explicit arcs"),
+        ("eval", {"krein": {"arcs": [[0, 1]], "tol": 10 ** 400}},
+         "krein tol and max_factors go with a cantor generator, not with explicit arcs"),
+        ("factor", {"product": {"krein": {"arcs": [[0, 1]], "max_factors": "x"}}},
+         "krein tol and max_factors go with a cantor generator, not with explicit arcs"),
     ], ids=["krein", "nevanlinna", "interp", "cantor-depth", "cantor", "exp",
-            "product-krein", "options", "options-depth", "arcs-and-cantor"])
+            "product-krein", "options", "options-depth", "arcs-and-cantor",
+            "arcs-and-tol-string", "arcs-and-tol-past-float-range",
+            "arcs-and-max-factors"])
     def test_unread_field_is_input_error(self, tmp_path, capsys, command, spec, named):
         # a field that no code reads is refused, not ignored
         path = write_spec(tmp_path, "bad.json", spec)
