@@ -22,7 +22,7 @@ it rather than splitting on the kinds of arc themselves:
   :func:`arcs_overlap`;
 * boundary sampling: :func:`boundary_samples` and :func:`sweep_points`;
 * arcs as lists of ends: :func:`arc_ends` and :func:`complement_ends`;
-* arc membership: :meth:`Arc.contains`, and :func:`in_closure` for arrays.
+* arc membership: :meth:`Arc.contains`.
 
 A point of the circle is one float, with ∞ = ``INF`` (+inf).  It is made
 once, where an arc, a generator or a prescribed point is made, by
@@ -42,8 +42,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 INF = math.inf
 POINT_TOL = 1e-12
@@ -144,7 +142,7 @@ class Arc:
         """x lies in the arc: farther than tol from its ends, and b < x < a
         when b < a, else x > b or x < a.  With ∞ = ``INF`` this one rule
         covers bounded arcs, arcs through ∞, both half-lines, punctures and
-        the point ∞; :func:`in_closure` is its array form."""
+        the point ∞."""
         b, a = self.b, self.a
         if points_equal(x, b, tol) or points_equal(x, a, tol):
             return False
@@ -235,7 +233,10 @@ class ArcSet:
     def from_json(obj) -> "ArcSet":
         if not isinstance(obj, dict):
             raise ValueError(f"arc set {obj!r} is not a JSON object")
-        if obj.get("full"):
+        full = obj.get("full", False)
+        if not isinstance(full, bool):
+            raise ValueError(f"full {full!r} is not a JSON boolean")
+        if full:
             return FULL
         arcs = []
         for item in obj.get("arcs", []):
@@ -607,15 +608,15 @@ def arcset_contains_arc(o: ArcSet, j: Arc, tol: float = 1e-9) -> bool:
     return any(arc_contains_arc(arc, j, tol) for arc in o.arcs)
 
 
-def boundary_samples(o: ArcSet, per_comp: int = 24) -> list:
+def boundary_samples(o: ArcSet) -> list:
     """Real sample points inside each component of O (:func:`end_samples`)."""
-    return end_samples(*arc_ends((Arc(INF, INF, puncture=True),) if o.full else o.arcs),
-                       per_comp)
+    return end_samples(*arc_ends((Arc(INF, INF, puncture=True),) if o.full else o.arcs))
 
 
-def end_samples(b, a, per_comp: int = 24) -> list:
+def end_samples(b, a) -> list:
     """Real points inside each arc (b, a) of :func:`arc_ends` lists: geometric
-    offsets from the finite ends of unbounded arcs, a grid across bounded ones."""
+    offsets from the finite ends of unbounded arcs, 24 even steps across
+    bounded ones."""
     samples = []
     spread = [10.0 ** k for k in range(-3, 4)]
     for y, x in zip(b, a):
@@ -630,8 +631,7 @@ def end_samples(b, a, per_comp: int = 24) -> list:
             samples.extend([y + s for s in spread])
             samples.extend([x - s for s in spread])
         else:
-            samples.extend([y + (x - y) * i / (per_comp + 1)
-                            for i in range(1, per_comp + 1)])
+            samples.extend([y + (x - y) * i / 25 for i in range(1, 25)])
     return samples
 
 
@@ -639,20 +639,6 @@ def arc_ends(arcs) -> tuple:
     """(b, a): lists of the arcs' ends; b = a marks the puncture arcs, the
     only arcs whose ends coincide."""
     return [arc.b for arc in arcs], [arc.a for arc in arcs]
-
-
-def in_closure(x, b, a, tol: float):
-    """Mask of the points of a float array x that lie in an arc (b, a) of
-    :func:`arc_ends` lists or within tol of one of its ends, in one pass
-    over points × arcs: the rule of :meth:`Arc.contains`, with ±inf as ∞."""
-    x, b, a = np.asarray(x)[:, None], np.asarray(b), np.asarray(a)
-    ends = np.concatenate((b, a))
-    with np.errstate(invalid="ignore", over="ignore"):  # inf − inf, and past the float range
-        near = np.abs(x - ends) <= tol
-    near |= np.isinf(x) & np.isinf(ends)
-    after, before = x > b, x < a
-    inside = np.where(b < a, after & before, after | before)
-    return near.any(axis=1) | inside.any(axis=1)
 
 
 def complement_ends(lo, hi, has_inf: bool) -> tuple:

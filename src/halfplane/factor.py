@@ -9,9 +9,14 @@ function whose Nevanlinna data have a closed partial-fraction form.
 
 The function forms take a point or an ndarray of points, with the array
 contract of ``krein``; ``masked(z)`` returns (values, refused) for an array,
-refused marking the points a scalar call refuses.  The certification grids
-are fixed read-only arrays, each evaluated in one call.  Ω(f), Γ(f) and the
-posts on a structured g share σ(f)'s merged support from the analysis.
+refused marking the points a scalar call refuses.  A composite c·k_O·e^h
+is canonical once built: a ψ = 1 piece of h is an arc of O and a ψ = 0 piece
+is gone, so σ, Γ and the posts read 0 < ψ < 1 pieces only.  The posts on a
+structured g (a representation, or c·e^h) compare supports, sharing σ(f)'s
+merged support with the analysis; of them only g > 0 for a representation
+that is no constant samples g, on Ω(g).  A black-box g is sampled across
+Ω(f).  Certification grids are fixed read-only arrays, each evaluated in one
+call.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,7 +42,7 @@ from .util import BRACKET, branch_roots, frozen, halton_box, ladder_limit
 
 
 class CertificationError(RuntimeError):
-    """A sampled certificate (sign grid, residual bound) failed."""
+    """A certificate (a post, a residual bound, a sample grid) failed."""
 
     def __init__(self, message, worst=None):
         super().__init__(message)
@@ -78,10 +83,11 @@ class RepFunction:
 class ExpRep:
     """h(z) = γ + Σ ψ_j · v_{J_j}(z) with constant ψ_j ∈ [0, 1] per piece.
 
-    v_J is the Nevanlinna integral of the arc J = (l, r) (so Im h is the
-    ψ-weighted angle sum, between 0 and π).  Pieces may be half-lines; the
-    function itself is e^h, positive on the real complement of the pieces.
-    Both take a point or an ndarray of points (see :class:`KreinProduct`).
+    v_J = log p_J is the Nevanlinna integral of the arc J = (l, r) (so Im h
+    is the ψ-weighted angle sum, between 0 and π).  Pieces may be half-lines;
+    the function itself is e^h, positive on the real complement of the
+    pieces.  Both take a point or an ndarray of points (see
+    :class:`KreinProduct`).
     """
 
     gamma: float = 0.0
@@ -102,10 +108,6 @@ class ExpRep:
             if pieces[i + 1][0] < pieces[i][1]:
                 raise ValueError("psi pieces must not overlap")
         object.__setattr__(self, "pieces", tuple(pieces))
-
-    def saturated_pieces(self) -> tuple:
-        """Pieces with ψ = 1 (flagged: they make the composite vanish-prone)."""
-        return tuple(p for p in self.pieces if p[2] == 1.0)
 
     @functools.cached_property
     def piece_arcs(self) -> tuple:
@@ -167,7 +169,12 @@ def _exp(h, z):
 @dataclass(frozen=True)
 class CompositeFunction:
     """c · k_O · e^h with c > 0, at a point or at each point of an ndarray;
-    the ∞ marker where k_O has it, before e^h is looked at."""
+    the ∞ marker where k_O has it, before e^h is looked at.
+
+    Built canonical: e^{ψ·log p_J} is p_J for ψ = 1 and 1 for ψ = 0, so a
+    ψ = 1 piece becomes an arc of O, merged by the product with an arc of O
+    that shares an end, and a ψ = 0 piece is dropped.  A ψ = 1 piece that
+    overlaps O is refused."""
 
     c: float
     product: KreinProduct
@@ -176,6 +183,16 @@ class CompositeFunction:
     def __post_init__(self):
         if not 0 < self.c < INF:
             raise ValueError(f"composite constant must be positive and finite, got {self.c}")
+        if self.exp is None or all(0.0 < psi < 1.0 for _, _, psi in self.exp.pieces):
+            return
+        pieces, o = self.exp.pieces, self.product.arcs
+        saturated = [arc for arc, (_, _, psi) in zip(self.exp.piece_arcs, pieces) if psi == 1.0]
+        if saturated:
+            _refuse_overlap(saturated, o)
+            object.__setattr__(self, "product", replace(
+                self.product, arcs=normalize(list(o.arcs) + saturated)))
+        object.__setattr__(self, "exp", ExpRep(
+            self.exp.gamma, tuple(p for p in pieces if 0.0 < p[2] < 1.0)))
 
     def __call__(self, z):
         values, refused = self.masked(np.asarray(z))
@@ -249,18 +266,23 @@ def analyze_pick(f) -> AnalysisResult:
     raise TypeError(f"unsupported function form {type(f).__name__}")
 
 
+def _refuse_overlap(pieces, o: ArcSet):
+    # ψ pieces may meet the product set in its ends only
+    for pa in pieces:
+        if any(arcs_overlap(pa, oa) for oa in
+               ((Arc(INF, INF, puncture=True),) if o.full else o.arcs)):
+            raise ValueError(f"exponent piece {pa!r} overlaps the product set {o!r}")
+
+
 def _analyze_composite(f: CompositeFunction) -> AnalysisResult:
+    """σ and Γ of c·k_O·e^h over explicit arcs: Γ is Γ(k_O), and σ is σ(k_O)
+    with the pieces of h, each with 0 < ψ < 1 in a canonical composite."""
     if f.product.cantor is not None:
         raise ValueError("analysis of generator-backed products is out of scope; "
                          "regularize to an explicit set first")
     o = regularize(f.product.arcs)
-    if f.exp is not None and not o.full:
-        for pa in f.exp.piece_arcs:
-            for oa in o.arcs:
-                if arcs_overlap(pa, oa):
-                    raise ValueError(f"exponent piece {pa!r} overlaps the "
-                                     f"product set {oa!r}; the negativity set "
-                                     "is no longer the product set")
+    if f.exp is not None:
+        _refuse_overlap(f.exp.piece_arcs, o)
     # σ(k_O) and Γ(k_O) as the evaluator reads O: a shared end, ∞ included,
     # is no pole
     s = merged_structure(o)
@@ -413,15 +435,6 @@ def _quotient_blackbox(f, j: Arc, sigma: Optional[SigmaDescriptor]):
 
 
 # ---------------------------------------------------------------------------
-# certification grids
-
-
-def _im_nonneg_residual(fn, pts) -> float:
-    # ≥ 0: how far Im dips below zero (NaN if a value is NaN)
-    return -float(np.min(fn(pts).imag, initial=0.0))
-
-
-# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -429,8 +442,9 @@ def divide_single(f, j: Arc):
     """g with f = p_J · g, for an arc J inside the negativity set of f.
 
     Structured atomic representations are divided exactly; composite forms
-    drop (or split) the arc inside their Kreĭn set; anything else returns a
-    verified quotient evaluator.
+    drop (or split) the arc inside their Kreĭn set, which leaves a composite
+    in the class by construction; anything else returns a quotient evaluator
+    whose Im ≥ 0 is certified on a grid.
     """
     if isinstance(j, ArcSet):
         if j.full:
@@ -445,36 +459,28 @@ def divide_single(f, j: Arc):
     if isinstance(f, RepFunction) and f.rep.rho.is_atomic():
         return RepFunction(_divide_rep(f.rep, j))
     if isinstance(f, CompositeFunction):
-        g = _divide_composite(f, j)
-    else:
-        sigma = f.sigma if isinstance(f, BlackBoxFunction) else None
-        g = _quotient_blackbox(f, j, sigma)
-    resid = _im_nonneg_residual(g, halton_box(200, -10.0, 10.0, 1e-3, 10.0))
+        return _divide_composite(f, ana.gamma, j)
+    g = _quotient_blackbox(f, j, f.sigma if isinstance(f, BlackBoxFunction) else None)
+    # how far Im g dips below zero (NaN if a value is NaN)
+    resid = -float(np.min(g(halton_box(200, -10.0, 10.0, 1e-3, 10.0)).imag, initial=0.0))
     if not resid <= 1e-9:
         raise CertificationError(
             f"quotient leaves the class: Im dips to -{resid:.2e}")
     return g
 
 
-def _divide_composite(f: CompositeFunction, j: Arc) -> CompositeFunction:
-    if f.product.cantor is not None:
-        raise ValueError("cannot divide a generator-backed product exactly")
-    host = None
-    for arc in f.product.arcs.arcs:
-        if arc_contains_arc(arc, j):
-            host = arc
-            break
-    if host is None:
+def _divide_composite(f: CompositeFunction, gamma: ArcSet, j: Arc) -> CompositeFunction:
+    # k_O is k_Γ, Γ = Γ(f) being O's merged arcs: J's host arc of Γ loses J
+    host = next((arc for arc in gamma.arcs if arc_contains_arc(arc, j)), None)
+    if host is None:  # Γ is the full circle
         raise ValueError("arc does not sit inside a single component of the product")
-    rest = [arc for arc in f.product.arcs.arcs if arc is not host]
+    rest = [arc for arc in gamma.arcs if arc is not host]
     if not points_equal(host.b, j.b):
         rest.append(Arc(host.b, j.b))
     if not points_equal(j.a, host.a):
         rest.append(Arc(j.a, host.a))
     new_set = ArcSet(tuple(sorted(rest, key=Arc._sort_key)))
-    product = KreinProduct(new_set, tol=f.product.tol,
-                           max_factors=f.product.max_factors)
-    return CompositeFunction(f.c, product, f.exp)
+    return CompositeFunction(f.c, KreinProduct(new_set), f.exp)
 
 
 @dataclass
@@ -504,25 +510,23 @@ def factorize(f) -> FactorizationResult:
     # the corollary's constant |f(i)| and its residual
     constant = _constant_certificate(f, k) if ana.sigma.is_measure_zero() else None
 
-    if gamma.full:
+    if gamma.is_empty:
+        g = f
+    elif isinstance(f, CompositeFunction):
+        # k_O / k_Γ is exactly 1 (the sets differ by measure zero)
+        g = CompositeFunction(f.c, KreinProduct(EMPTY), f.exp) \
+            if f.exp is not None else RepFunction(NevanlinnaRep(0.0, f.c))
+    elif gamma.full:
         if isinstance(f, RepFunction):
             g = RepFunction(NevanlinnaRep(0.0, -f.rep.beta))
         else:
             g = BlackBoxFunction(lambda z, _f=f: -_f(z), sigma=ana.sigma)
-    elif gamma.is_empty:
-        g = f
+    elif isinstance(f, RepFunction) and f.rep.rho.is_atomic():
+        # the corollary: σ(f) has measure zero, so g is the constant |f(i)|
+        g = RepFunction(NevanlinnaRep(0.0, constant[0]))
     else:
-        if isinstance(f, RepFunction) and f.rep.rho.is_atomic():
-            # the corollary: σ(f) has measure zero, so g is the constant |f(i)|
-            g = RepFunction(NevanlinnaRep(0.0, constant[0]))
-        elif isinstance(f, CompositeFunction) and f.product.cantor is None:
-            # k_O / k_Γ is exactly 1 (the sets differ by measure zero)
-            g = CompositeFunction(f.c, KreinProduct(EMPTY), f.exp) \
-                if f.exp is not None else RepFunction(NevanlinnaRep(0.0, f.c))
-        else:
-            sigma = ana.sigma
-            g = BlackBoxFunction(lambda z, _f=f, _k=k: _f(z) / _k(z),
-                                 sigma=sigma, label="quotient")
+        g = BlackBoxFunction(lambda z, _f=f, _k=k: _f(z) / _k(z),
+                             sigma=ana.sigma, label="quotient")
 
     posts = _verify_posts(ana, g)
     res = FactorizationResult(gamma, k, g, posts)
@@ -537,31 +541,46 @@ def factorize(f) -> FactorizationResult:
     return res
 
 
-def _verify_posts(ana: AnalysisResult, g):
-    """The four posts; for a structured g, statements about the merged
-    supports of σ(f) (shared with the analysis), σ(g) and σ(k_Γ) ∪ σ(g)."""
+def _structure(g):
+    """(σ(g), the weight of ∞ in it, how far g dips below 0 on Ω(g)) for a
+    structured g, else None.  A representation's σ(g) leaves out negligible
+    atoms and linear term.  c·k_O·e^h has c > 0 and e^h > 0 off its pieces,
+    so it is positive on Ω exactly when Γ(k_O) is empty."""
+    if isinstance(g, CompositeFunction) and g.product.cantor is None:
+        ana = _analyze_composite(g)
+        return ana.sigma, 1.0, 0.0 if ana.gamma.is_empty else 1.0
     if not isinstance(g, RepFunction):
+        return None
+    rep, rho = g.rep, g.rep.rho
+    sig = SigmaDescriptor(tuple(t for t, w in rho.atoms if w > 1e-9),
+                          tuple((l, r) for l, r, _ in rho.ac), rep.alpha > 1e-9)
+    if rep.alpha == 0 and not (rho.atoms or rho.ac):
+        return sig, 0.0, max(0.0, -float(rep.beta))  # the constant β: what sampling it reads
+    v = rep.eval(np.array(end_samples(*complement_ends(*sig.support, sig.has_inf))))
+    v = v[np.isfinite(v)]  # the ∞ marker and NaN are skipped
+    return sig, rep.alpha, max(0.0, -float(v.min())) if v.size else 0.0
+
+
+def _verify_posts(ana: AnalysisResult, g):
+    """The four posts; for a structured g (:func:`_structure`), statements
+    about the merged supports of σ(f) (shared with the analysis), σ(g) and
+    σ(k_Γ) ∪ σ(g)."""
+    structure = _structure(g)
+    if structure is None:
         return _sampled_posts(ana, g)
-    rho = g.rep.rho  # σ(g) without negligible atoms or linear term
-    sig_f, sig_g = ana.sigma, SigmaDescriptor(tuple(t for t, w in rho.atoms if w > 1e-9),
-                                              tuple((l, r) for l, r, _ in rho.ac),
-                                              g.rep.alpha > 1e-9)
+    sig_g, inf_weight, resid2 = structure
+    sig_f = ana.sigma
     (lo_f, hi_f), (lo_g, hi_g) = sig_f.support, sig_g.support
-    # (1) how far a piece of σ(g) reaches out of the nearest piece of σ(f)
-    reach = (min((max(lf - l, r - rf, 0.0) for lf, rf in zip(lo_f, hi_f)), default=INF)
+    # (1) how far a piece of σ(g) reaches out of the nearest piece of σ(f),
+    # half-lines included
+    reach = (min((max(lf - l if l < lf else 0.0, r - rf if r > rf else 0.0)
+                  for lf, rf in zip(lo_f, hi_f)), default=INF)
              for l, r in zip(lo_g, hi_g))
     resid1 = max((e for e in reach if e > 1e-6), default=0.0)
     if sig_g.has_inf and not sig_f.has_inf:
-        resid1 = max(resid1, g.rep.alpha)
-    posts = [Certification("sigma_subset", resid1, 1e-6, resid1 <= 1e-6)]
-
-    if g.rep.alpha == 0 and not (rho.atoms or rho.ac):
-        resid2 = max(0.0, -float(g.rep.beta))  # g is the constant β: what sampling it reads
-    else:
-        v = g.rep.eval(np.array(end_samples(*complement_ends(lo_g, hi_g, sig_g.has_inf))))
-        v = v[np.isfinite(v)]  # the ∞ marker and NaN are skipped
-        resid2 = max(0.0, -float(v.min())) if v.size else 0.0
-    posts.append(Certification("g_positive_on_omega", resid2, 1e-9, resid2 <= 1e-9))
+        resid1 = max(resid1, inf_weight)
+    posts = [Certification("sigma_subset", resid1, 1e-6, resid1 <= 1e-6),
+             Certification("g_positive_on_omega", resid2, 1e-9, resid2 <= 1e-9)]
 
     # (3) Ω(g) is regular unless σ(g) has an isolated point
     reg_ok = all(r - l > POINT_TOL for l, r in zip(lo_g, hi_g))
@@ -573,8 +592,7 @@ def _verify_posts(ana: AnalysisResult, g):
                             sig_g.intervals, any(map(is_inf, x_pts)) or sig_g.has_inf)
     lo_c, hi_c = sig_c.support
     ok4 = (sig_c.has_inf == sig_f.has_inf and len(lo_c) == len(lo_f)
-           and (lo_c == lo_f and hi_c == hi_f
-                or all(abs(x - y) <= 1e-7 for x, y in zip(lo_c + hi_c, lo_f + hi_f))))
+           and all(x == y or abs(x - y) <= 1e-7 for x, y in zip(lo_c + hi_c, lo_f + hi_f)))
     posts.append(Certification("omega_intersection", 0.0 if ok4 else 1.0, 0.0, ok4))
     return posts
 
@@ -625,24 +643,10 @@ def constant_factor_check(f) -> float:
 
 
 def compose_in_class(o: ArcSet, e: ExpRep) -> CompositeFunction:
-    """k_O · e^v for ψ pieces disjoint from O; the argument bound
-    arg(k_O e^v) ≤ π is certified on a sample grid."""
-    piece_arcs = e.piece_arcs
-    o_arcs = [] if (o.full or o.is_empty) else list(o.arcs)
-    if o.full and piece_arcs:
-        raise ValueError("psi pieces overlap the full-circle set")
-    for pa in piece_arcs:
-        for oa in o_arcs:
-            if arcs_overlap(pa, oa):
-                raise ValueError(f"psi piece {pa!r} overlaps the set {oa!r}")
-    # arg(k_O e^v) = Σ Im log p_J + Im v: each term is the angle its arc
-    # subtends
-    zs = halton_box(1000, -10.0, 10.0, 1e-3, 10.0)
-    o_logs = log_factors(o.arcs if not o.full else (Arc(INF, INF, puncture=True),), zs)[0]
-    total = o_logs.imag.sum(axis=-1) + e.h(zs).imag
-    worst = float(np.max(total - math.pi, initial=0.0))
-    if not worst <= 1e-12:
-        raise CertificationError(f"argument bound exceeded by {worst:.2e}")
+    """k_O · e^v for ψ pieces that meet O in its ends at most.  It is in the
+    class: arg(k_O e^v) is the sum of ψ times the angle each arc subtends,
+    and disjoint arcs subtend at most π in all."""
+    _refuse_overlap(e.piece_arcs, o)
     return CompositeFunction(1.0, KreinProduct(o), e)
 
 

@@ -9,11 +9,13 @@ component endpoint, which may introduce a pole or zero at a point of Y —
 reported, never suppressed.  A Cayley transport turns the result into a
 disk interpolant with prescribed level sets.
 
-Certificates are array passes.  The realizability sign certificate picks
-the samples of Ω off the closure of O in one pass over samples × arcs of O
-and evaluates the witness once on those and the samples of O; a disk
-prescription is pulled back in one Cayley pass per point set, and its
-level sets are checked in one pass over the zeros and poles.
+Certificates are read from structure where the form decides them.  A
+built interpolant's zeros and poles are those of its merged arcs, and a
+realizable pair's witness f = k_O·e^v has the sign pattern that checks (a)
+to (c) imply: k_O is negative on O and positive off its closure, and e^v is
+positive on Ω.  A disk prescription is pulled back in one Cayley pass per
+point set, and its level sets are checked in one pass over the zeros and
+poles.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, EMPTY, INF, arc_ends, arcset_contains_arc,
-                      as_point, boundary_samples, circle_minus_points,
-                      closed_complement, in_closure, is_inf, is_regular,
+from .extreal import (Arc, ArcSet, EMPTY, INF, arcset_contains_arc, as_point,
+                      circle_minus_points, closed_complement, is_inf, is_regular,
                       normalize, point_to_json, points_equal, regularize)
 from .factor import (Certification, CertificationError, CompositeFunction,
                      ExpRep)
@@ -117,7 +118,7 @@ def check_interlacing(p: InterpProblem) -> InterlacingReport:
 
     In the absence of singular points the circle is cut at ∞ (so wrap
     adjacency is exempt) unless ∞ itself is prescribed, in which case the
-    alternation is checked cyclically.
+    alternation is checked cyclically: a lone ∞ is its own neighbour.
     """
     return _interlacing(_components(p))
 
@@ -125,10 +126,7 @@ def check_interlacing(p: InterpProblem) -> InterlacingReport:
 def _interlacing(components) -> InterlacingReport:
     for comp, seq, tags in components:
         pairs = list(zip(range(len(seq) - 1), range(1, len(seq))))
-        cyclic = (comp is None
-                  and any(is_inf(x) for x in seq)
-                  and len(seq) > 2)
-        if cyclic:
+        if comp is None and any(is_inf(x) for x in seq):
             pairs.append((len(seq) - 1, 0))
         for i, j in pairs:
             if tags[i] == tags[j]:
@@ -171,10 +169,8 @@ def _sweep_component(comp, seq, tags):
 
     if comp is None:
         if any(is_inf(x) for x in seq):
-            # cyclic pairing: a trailing pole wraps onto the leading zero
-            if (leading_zero is None) != (trailing_pole is None):
-                raise InterlacingError(
-                    "a zero or pole at ∞ leaves an unmatchable loner")
+            # cyclic pairing: a trailing pole wraps onto the leading zero, and
+            # cyclic alternation leaves both or neither
             if leading_zero is not None:
                 arcs.append(Arc(trailing_pole, leading_zero))
             return arcs
@@ -264,7 +260,9 @@ def realizable_pair(omega: ArcSet, o: ArcSet):
     """Can (Ω, O) occur as (Ω(f), Γ(f))?  Checks (a) O ⊆ Ω, (b) O Lebesgue
     regular, (c) Ω = Ω₁ ∖ X with Ω₁ the regularization of Ω and X the poles
     of k_O (``krein.merged_structure``).  On success returns the witness
-    f = k_O e^v with ψ = 1/2 on the complement of Ω₁."""
+    f = k_O e^v with ψ = 1/2 on the complement of Ω₁.  Its signs follow:
+    k_O is negative on O and positive off its closure, and e^v is positive
+    on Ω₁ ⊇ Ω."""
     failures = []
     if not o.is_empty and not o.full:
         for arc in o.arcs:
@@ -288,31 +286,7 @@ def realizable_pair(omega: ArcSet, o: ArcSet):
     # point, and a gap that is only ∞ carries no interval
     gaps = closed_complement(omega1)[0]
     exp = ExpRep(0.0, tuple((l, r, 0.5) for l, r in gaps)) if gaps else None
-    f = CompositeFunction(1.0, KreinProduct(o), exp)
-
-    sign_resid = _sign_certificate(f, omega, o)
-    if not sign_resid <= 1e-9:
-        return False, [("sign", f"residual {sign_resid:.2e}")], f
-    return True, [], f
-
-
-def _sign_certificate(f, omega: ArcSet, o: ArcSet) -> float:
-    """max violation of: f < 0 on O, f > 0 on Ω off the closure of O;
-    refused points and the ∞ marker are skipped.  f is evaluated once, on
-    the samples of O followed by those of Ω off O (:func:`_samples_off`)."""
-    inside, outside = np.array(boundary_samples(o, 12)), _samples_off(o, omega)
-    sign = np.repeat((1.0, -1.0), (len(inside), len(outside)))
-    v, refused = f.masked(np.concatenate((inside, outside)).astype(complex))
-    keep = ~refused & ~np.isinf(v.real)
-    return float(np.max(sign[keep] * v.real[keep], initial=0.0))
-
-
-def _samples_off(o: ArcSet, omega: ArcSet):
-    """The samples of Ω that are neither in O nor within 1e-7 of an end of
-    O, as ``o.contains(x, 1e-7)`` and ``points_equal(x, e, 1e-7)`` tell it
-    (:func:`extreal.in_closure`)."""
-    xs = np.array(boundary_samples(omega, 12))
-    return xs[:0] if o.full else xs[~in_closure(xs, *arc_ends(o.arcs), 1e-7)]
+    return True, [], CompositeFunction(1.0, KreinProduct(o), exp)
 
 
 @dataclass

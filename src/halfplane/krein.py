@@ -624,9 +624,7 @@ def equivariance_transport(k: KreinProduct, phi: HalfPlaneAuto):
         raise ValueError("equivariance transport requires a finite explicit set")
     value = k(phi(1j))
     c = 1.0 / abs(value)
-    pulled = KreinProduct(pullback_arcset(phi, k.arcs), tol=k.tol,
-                          max_factors=k.max_factors)
-    return pulled, c
+    return KreinProduct(pullback_arcset(phi, k.arcs)), c
 
 
 def cantor_complement_product(base=(0, 1), depth: int = 30, tol: float = 1e-9,

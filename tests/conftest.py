@@ -1,4 +1,7 @@
-"""Shared random-instance generators (seeded; no global state)."""
+"""Shared random-instance generators (seeded; no global state), and the
+command each example spec runs under."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +9,17 @@ import pytest
 from halfplane.extreal import Arc, INF, arc_segments, normalize
 from halfplane.moebius import HalfPlaneAuto
 from halfplane.nevanlinna import Measure, NevanlinnaRep
+
+
+def command_for(path):
+    """The CLI command an example spec runs under: a function spec whose file
+    name starts with "factor" under factor, any other function spec under
+    eval, a problem spec under solve."""
+    body = json.loads(path.read_text())
+    task = next(k for k in body if k not in ("version", "options"))
+    if task in ("nevanlinna", "krein", "product"):
+        return "factor" if path.name.startswith("factor") else "eval"
+    return "solve"
 
 
 def sep_points(rng, n, lo, hi, gap):

@@ -491,6 +491,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, spec", [
+        ("eval", {"krein": {"full": "no"}}),
+        ("eval", {"krein": {"full": 0, "arcs": [[0, 1]]}}),
+        ("eval", {"product": {"krein": {"full": None}}}),
+        ("solve", {"realizable": {"omega": {"full": 1}, "o": {}}}),
+    ], ids=["string", "zero-beside-arcs", "null", "realizable-one"])
+    def test_full_that_is_no_boolean_is_input_error(self, tmp_path, capsys, command, spec):
+        # "full" was read by truthiness: "no" was the full circle and 0 let
+        # the arcs beside it be read
+        path = write_spec(tmp_path, "bad.json", spec)
+        assert main([command, "--spec", path]) == 2
+        err = capsys.readouterr().err
+        assert "is not a JSON boolean" in err and "Traceback" not in err
+
     def test_half_line_psi_end_read(self, tmp_path, capsys):
         # a ψ end also takes "inf" or "-inf", its sign kept: (−∞, −3)
         spec = {"exp": {"psi": [{"interval": ["-inf", -3], "value": 0.5}]}}
@@ -596,9 +610,11 @@ def _body(required, optional):
                      st.one_of(st.just({}), st.just({}), _typo))
 
 
-_arcset = st.one_of(_body({}, {"arcs": _pairs, "full": st.booleans()}), _junk)
+# "full" takes a JSON boolean only
+_full = st.one_of(st.booleans(), st.booleans(), _junk)
+_arcset = st.one_of(_body({}, {"arcs": _pairs, "full": _full}), _junk)
 _krein = st.one_of(
-    _body({}, {"arcs": _pairs, "full": st.booleans()}),
+    _body({}, {"arcs": _pairs, "full": _full}),
     _body({"cantor": st.one_of(_body({}, {"interval": _pair, "depth": _depth}), _junk)},
           {"tol": _tol}))
 _psi = st.lists(st.one_of(_body({}, {"interval": _pair, "value": _value}), _junk), max_size=2)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL,
-                               INF, angle_subtended, arc_ends, arcs_overlap,
+                               INF, angle_subtended, arcs_overlap,
                                as_point, boundary_left, circle_minus_points,
                                closed_complement, complement_of_closed,
-                               in_closure, measure, normalize,
+                               measure, normalize,
                                points_equal, regularize)
 from halfplane.moebius import pullback_arcset
 
@@ -434,8 +434,8 @@ class TestPointModel:
     @settings(max_examples=300, deadline=None)
     @given(any_arcs(), st.lists(st.floats(-100.0, 100.0), max_size=20))
     def test_membership_matches_the_angle_reference(self, arcs, xs):
-        # away from the ends, Arc.contains, ArcSet.contains and the array
-        # mask all agree with the membership read off the angles
+        # away from the ends, Arc.contains and ArcSet.contains agree with
+        # the membership read off the angles
         tol = 1e-9
         o = normalize(arcs)
         ends = [e for arc in arcs for e in (arc.b, arc.a)]
@@ -445,7 +445,6 @@ class TestPointModel:
         for arc in arcs:
             assert [arc.contains(x, tol) for x in xs] == [reference_contains(arc, x) for x in xs]
         assert [o.contains(x, tol) for x in xs] == want
-        assert in_closure(np.array(xs, dtype=float), *arc_ends(arcs), tol).tolist() == want
 
     @settings(max_examples=300, deadline=None)
     @given(any_end, any_end)

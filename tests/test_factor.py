@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from halfplane.extreal import Arc, ArcSet, EMPTY, INF, is_inf, normalize
+from halfplane.extreal import (Arc, ArcSet, EMPTY, INF, arcset_contains_arc, is_inf,
+                               normalize)
 from halfplane.factor import (BlackBoxFunction,
                               CompositeFunction, ExpRep, RepFunction,
                               _verify_posts, analyze_pick, compose_in_class,
                               constant_factor_check, divide_single,
                               factorize, psi_recover)
-from halfplane.krein import KreinProduct, p_eval
+from halfplane.krein import KreinProduct, log_factors, p_eval
 from halfplane.nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
                                   SigmaDescriptor, analyze)
+from halfplane.util import halton_box
 
 from conftest import random_atomic_rep, random_upper_points
 from test_krein import _mp_krein
@@ -369,7 +371,10 @@ class TestExpRep:
         e = ExpRep(0.0, ((-INF, INF, 1.0),))
         h = e.h(0.3 + 2j)
         assert h.imag == pytest.approx(math.pi, abs=1e-13)
-        assert e.saturated_pieces()
+        # e^h = p_J = −1: a composite keeps it as the product's arc
+        comp = CompositeFunction(1.0, KreinProduct(EMPTY), e)
+        assert comp.product.arcs == normalize([Arc(INF, INF, puncture=True)])
+        assert comp.exp.pieces == () and comp(0.3 + 2j) == -1.0
 
     def test_imag_in_open_interval(self, rng):
         for _ in range(20):
@@ -474,3 +479,160 @@ class TestAnalyzeDispatch:
             assert arc.a == INF
         else:
             assert abs(arc.a - zero) <= 1e-11 * abs(zero)
+
+
+@st.composite
+def mixed_composites(draw):
+    """(c, O, γ, pieces): the arcs of O and ψ pieces between neighbours of up
+    to 12 points a tenth apart or more, each pair an arc of O, a piece with
+    ψ = 0, ψ = 1 or 0 < ψ < 1, or a gap; so ψ = 1 pieces share ends with arcs
+    of O.  The first pair may start at −∞ and the last may end at +∞."""
+    xs = sorted(draw(st.lists(st.integers(-80, 80), min_size=2, max_size=12, unique=True)))
+    pts = [x / 10.0 for x in xs]
+    if draw(st.booleans()):
+        pts.insert(0, -INF)
+    if draw(st.booleans()):
+        pts.append(INF)
+    arcs, pieces = [], []
+    for l, r in zip(pts, pts[1:]):
+        kind = draw(st.sampled_from(["arc", "zero", "one", "between", "gap"]))
+        if kind == "arc":
+            arcs.append(Arc(l, r))
+        elif kind != "gap":
+            psi = {"zero": 0.0, "one": 1.0}.get(kind) or draw(st.floats(0.05, 0.95))
+            pieces.append((l, r, psi))
+    return (draw(st.floats(0.2, 5.0)), normalize(arcs), draw(st.floats(-1.0, 1.0)),
+            tuple(pieces))
+
+
+upper_points = st.lists(st.tuples(st.floats(-9.0, 9.0), st.floats(0.05, 5.0)),
+                        min_size=1, max_size=5)
+
+
+class TestCanonicalComposite:
+    """c·k_O·e^h with ψ = 1 pieces read into O and ψ = 0 pieces dropped."""
+
+    def test_saturated_piece_joins_gamma(self):
+        # e^{log p_J} = p_J: f < 0 on J = (1.5, 2.5), whose pole end is in σ
+        f = CompositeFunction(2.0, KreinProduct(normalize([Arc(0, 1)])),
+                              ExpRep(0.1, ((1.5, 2.5, 1.0),)))
+        assert f(2 + 1e-12j).real < 0
+        res = factorize(f)
+        assert res.gamma == normalize([Arc(0, 1), Arc(1.5, 2.5)])
+        assert analyze_pick(f).sigma == SigmaDescriptor(points=(0.0, 1.5))
+        assert res.constant == pytest.approx(2.0 * math.exp(0.1), rel=1e-15)
+        assert res.constant_residual <= 1e-9
+        assert all(p.passed and p.note == "" for p in res.posts if p.name != "constant_factor")
+
+    def test_saturated_piece_merges_with_an_arc_at_a_shared_end(self):
+        f = CompositeFunction(1.0, KreinProduct(normalize([Arc(0, 1)])),
+                              ExpRep(0.0, ((1.0, 1.5, 1.0), (3.0, INF, 1.0))))
+        ana = analyze_pick(f)
+        assert ana.gamma == normalize([Arc(0, 1.5), Arc(3.0, INF)])
+        assert ana.sigma == SigmaDescriptor(points=(0.0, 3.0))
+        assert f(1.0) < 0  # the shared end is neither pole nor zero
+        assert factorize(f).ok
+
+    def test_zero_piece_is_dropped(self):
+        f = CompositeFunction(1.0, KreinProduct(normalize([Arc(0, 1)])),
+                              ExpRep(0.2, ((2.0, 3.0, 0.0),)))
+        assert f.exp.pieces == () and f(2.5) > 0
+        ana = analyze_pick(f)
+        assert ana.gamma == normalize([Arc(0, 1)])
+        assert ana.sigma == SigmaDescriptor(points=(0.0,))
+        assert factorize(f).constant == pytest.approx(math.exp(0.2), rel=1e-15)
+
+    def test_saturated_piece_overlapping_the_set_is_refused(self):
+        with pytest.raises(ValueError, match="overlaps the product set"):
+            CompositeFunction(1.0, KreinProduct(normalize([Arc(0, 2)])),
+                              ExpRep(0.0, ((1.0, 3.0, 1.0),)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_composites(), upper_points)
+    def test_reconstruction(self, case, points):
+        # f = k_Γ·g against c·k_O·e^h with the pieces as drawn
+        c, o, gamma, pieces = case
+        f = CompositeFunction(c, KreinProduct(o), ExpRep(gamma, pieces))
+        res = factorize(f)
+        assert all(p.passed and "not structurally" not in p.note for p in res.posts)
+        for l, r, psi in pieces:
+            arc = Arc(l, r, puncture=math.isinf(l) and math.isinf(r))
+            assert arcset_contains_arc(res.gamma, arc) == (psi == 1.0)
+        assert res.constant is None or res.constant_residual <= 1e-9
+        raw = ExpRep(gamma, pieces)
+        for x, y in points:
+            z = complex(x, y)
+            want = c * KreinProduct(o)(z) * raw(z)
+            assert abs(res.k(z) * res.g(z) - want) <= 1e-12 * abs(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_composites())
+    def test_argument_bound(self, case):
+        # the grid that certified compose_in_class: arg(k_O·e^v) ≤ π, as the
+        # angles of disjoint arcs sum to at most π
+        _, o, gamma, pieces = case
+        comp = compose_in_class(o, ExpRep(gamma, pieces))
+        zs = halton_box(1000, -10.0, 10.0, 1e-3, 10.0)
+        arcs = comp.product.arcs
+        logs = log_factors((Arc(INF, INF, puncture=True),) if arcs.full else arcs.arcs, zs)[0]
+        assert np.max(logs.imag.sum(axis=-1) + comp.exp.h(zs).imag) <= math.pi + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_composites(), st.integers(0, 11), st.booleans())
+    def test_quotient_stays_in_the_class(self, case, pick, inner):
+        # the grid that certified a composite quotient: Im g ≥ 0
+        c, o, gamma, pieces = case
+        f = CompositeFunction(c, KreinProduct(o), ExpRep(gamma, pieces))
+        arcs = analyze_pick(f).gamma.arcs
+        if not arcs:
+            return
+        j = arcs[pick % len(arcs)]
+        if inner and j.bounded:
+            j = Arc(j.b + j.length() / 3, j.a - j.length() / 3)
+        g = divide_single(f, j)
+        zs = halton_box(200, -10.0, 10.0, 1e-3, 10.0)
+        assert np.min(g(zs).imag) >= -1e-9
+        assert np.max(np.abs(g(zs) * p_eval(j, zs) - f(zs)) / np.abs(f(zs))) <= 1e-12
+
+
+class TestCompositePosts:
+    """Each structural post fails on a g that breaks it."""
+
+    F = CompositeFunction(2.0, KreinProduct(normalize([Arc(0, 1)])),
+                          ExpRep(0.1, ((1.5, 2.5, 0.5),)))
+
+    def posts(self, g, ana=None):
+        ana = ana or analyze_pick(self.F)
+        return {p.name: p for p in _verify_posts(ana, g)}
+
+    def test_cofactor_passes_structurally(self):
+        res = factorize(self.F)
+        assert isinstance(res.g, CompositeFunction)
+        assert all(p.passed and p.residual == 0.0 and p.note == "" for p in res.posts)
+
+    def test_piece_outside_sigma(self):
+        g = CompositeFunction(2.0, KreinProduct(EMPTY), ExpRep(0.1, ((1.5, 2.5, 0.5),
+                                                                     (5.0, 6.0, 0.5))))
+        post = self.posts(g)["sigma_subset"]
+        assert not post.passed and post.residual == pytest.approx(6.0 - 2.5)
+
+    def test_half_line_piece_reaching_out_of_sigma(self):
+        f = CompositeFunction(1.0, KreinProduct(normalize([Arc(0, 1)])),
+                              ExpRep(0.0, ((-INF, -3.0, 0.5),)))
+        g = CompositeFunction(1.0, KreinProduct(EMPTY), ExpRep(0.0, ((-INF, -2.0, 0.5),)))
+        assert not self.posts(g, analyze_pick(f))["sigma_subset"].passed
+        assert self.posts(factorize(f).g, analyze_pick(f))["sigma_subset"].passed
+
+    def test_g_with_a_negativity_set(self):
+        g = CompositeFunction(2.0, KreinProduct(normalize([Arc(0, 1)])), self.F.exp)
+        assert not self.posts(g)["g_positive_on_omega"].passed
+
+    def test_g_with_an_isolated_singular_point(self):
+        # the pole at 0 of a product left in g is an isolated point of σ(g)
+        g = CompositeFunction(2.0, KreinProduct(normalize([Arc(0, 1)])), self.F.exp)
+        assert not self.posts(g)["omega_g_regular"].passed
+
+    def test_gamma_missing_an_arc(self):
+        ana = analyze_pick(self.F)
+        posts = self.posts(factorize(self.F).g, AnalysisResult(ana.sigma, EMPTY))
+        assert not posts["omega_intersection"].passed and posts["sigma_subset"].passed

@@ -20,24 +20,18 @@ import pytest
 
 from halfplane.cli import SUITES, main
 
+from conftest import command_for
+
 HERE = pathlib.Path(__file__).parent
 GOLDEN = HERE / "golden"
 EXAMPLES = sorted((HERE.parent / "cli_examples").glob("*.json"))
 RTOL, ATOL = 1e-13, 1e-15
 
 
-def _command_for(path):
-    body = json.loads(path.read_text())
-    task = next(k for k in body if k not in ("version", "options"))
-    if task in ("nevanlinna", "krein", "product"):
-        return "factor" if path.name.startswith("factor") else "eval"
-    return "solve"
-
-
 def _cases():
     cases = {}
     for path in EXAMPLES:
-        cmd = _command_for(path)
+        cmd = command_for(path)
         cases[f"{cmd}_{path.stem}"] = [cmd, "--spec", f"cli_examples/{path.name}"]
     for suite in SUITES:
         for seed in (0, 7):
