@@ -15,8 +15,7 @@ from .factor import (BlackBoxFunction, CompositeFunction, ExpRep, RepFunction,
 from .interp import (InterpProblem, build_function, check_interlacing,
                      construct_O, disk_interpolate, realizable_pair)
 from .krein import (KreinProduct, cantor_complement_product,
-                    equivariance_transport, k_structure, log_p, merged_structure,
-                    p_eval)
+                    equivariance_transport, k_structure, log_p, p_eval)
 from .moebius import HalfPlaneAuto, cayley, disk_target_map, pullback_arcset
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep, analyze,
                          boole_superlevel_measure, cauchy_transform,

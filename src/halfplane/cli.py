@@ -451,7 +451,7 @@ def suite_interp_equivalence(rng, report):
         try:
             o = interp.construct_O(problem)
             built = True
-            s = krein.merged_structure(o)
+            s = krein.KreinProduct(o).structure
             inc = all(any(extreal.points_equal(a, r) for r in s.zeros)
                       for a in problem.zeros)
             inc = inc and all(any(extreal.points_equal(b, l) for l in s.poles)

@@ -116,7 +116,11 @@ class Arc:
     puncture: bool = False
 
     def __post_init__(self):
-        b, a = as_point(self.b, "an arc end"), as_point(self.a, "an arc end")
+        b, a = self.b, self.a
+        if (not self.puncture and type(b) is float is type(a)
+                and abs(b - a) > POINT_TOL and b > -INF < a):
+            return  # two floats, no NaN or −inf, and no degenerate pair: as they are
+        b, a = as_point(b, "an arc end"), as_point(a, "an arc end")
         if self.puncture:
             if not points_equal(b, a):
                 raise ValueError("puncture arc requires b == a")
@@ -204,12 +208,6 @@ class ArcSet:
         if self.full != other.full or len(self.arcs) != len(other.arcs):
             return False
         return all(u.isclose(v, tol) for u, v in zip(self.arcs, other.arcs))
-
-    def left_endpoints(self) -> tuple:
-        return tuple(arc.b for arc in self.arcs)
-
-    def right_endpoints(self) -> tuple:
-        return tuple(arc.a for arc in self.arcs)
 
     def union(self, other: "ArcSet") -> "ArcSet":
         if self.full or other.full:

@@ -34,8 +34,7 @@ from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL,
                       boundary_samples, complement_ends, end_samples, is_inf,
                       normalize, number_from_json, points_equal, regularize,
                       sweep_points)
-from .krein import (KreinProduct, log_factors, merged_structure, p_eval,
-                    scalar_or_array)
+from .krein import KreinProduct, log_factors, p_eval, scalar_or_array
 from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
                          SigmaDescriptor, analyze, interval_entries)
 from .util import BRACKET, branch_roots, frozen, halton_box, ladder_limit
@@ -100,8 +99,8 @@ class ExpRep:
         for l, r, psi in self.pieces:
             if not 0.0 <= psi <= 1.0:
                 raise ValueError(f"psi must lie in [0, 1], got {psi}")
-            if math.isnan(float(l)) or math.isnan(float(r)):
-                raise ValueError(f"psi piece ({l}, {r}) has a NaN end")
+            if not float(l) < float(r):  # a NaN end fails too
+                raise ValueError(f"psi piece ({l}, {r}) is no interval l < r")
             pieces.append((float(l), float(r), float(psi)))
         pieces.sort(key=lambda p: (p[0], p[1]))
         for i in range(len(pieces) - 1):
@@ -285,7 +284,7 @@ def _analyze_composite(f: CompositeFunction) -> AnalysisResult:
         _refuse_overlap(f.exp.piece_arcs, o)
     # σ(k_O) and Γ(k_O) as the evaluator reads O: a shared end, ∞ included,
     # is no pole
-    s = merged_structure(o)
+    s = KreinProduct(o).structure
     intervals = tuple(f.exp.sigma_intervals()) if f.exp is not None else ()
     sig = SigmaDescriptor(points=tuple(p for p in s.poles if not is_inf(p)),
                           intervals=intervals, has_inf=any(map(is_inf, s.poles)))
@@ -470,10 +469,11 @@ def divide_single(f, j: Arc):
 
 
 def _divide_composite(f: CompositeFunction, gamma: ArcSet, j: Arc) -> CompositeFunction:
-    # k_O is k_Γ, Γ = Γ(f) being O's merged arcs: J's host arc of Γ loses J
-    host = next((arc for arc in gamma.arcs if arc_contains_arc(arc, j)), None)
-    if host is None:  # Γ is the full circle
-        raise ValueError("arc does not sit inside a single component of the product")
+    # k_O is k_Γ, Γ = Γ(f) being O's merged arcs: J's host arc of Γ loses J.
+    # On the full circle k_O = −1 = p_J·p_(a,b): J's host is the circle
+    # punctured at J's zero end a
+    host = Arc(j.a, j.a, puncture=True) if gamma.full else next(
+        arc for arc in gamma.arcs if arc_contains_arc(arc, j))
     rest = [arc for arc in gamma.arcs if arc is not host]
     if not points_equal(host.b, j.b):
         rest.append(Arc(host.b, j.b))
@@ -528,7 +528,7 @@ def factorize(f) -> FactorizationResult:
         g = BlackBoxFunction(lambda z, _f=f, _k=k: _f(z) / _k(z),
                              sigma=ana.sigma, label="quotient")
 
-    posts = _verify_posts(ana, g)
+    posts = _verify_posts(ana, g, k)
     res = FactorizationResult(gamma, k, g, posts)
     if constant is not None:
         c, resid = constant
@@ -561,10 +561,10 @@ def _structure(g):
     return sig, rep.alpha, max(0.0, -float(v.min())) if v.size else 0.0
 
 
-def _verify_posts(ana: AnalysisResult, g):
-    """The four posts; for a structured g (:func:`_structure`), statements
-    about the merged supports of σ(f) (shared with the analysis), σ(g) and
-    σ(k_Γ) ∪ σ(g)."""
+def _verify_posts(ana: AnalysisResult, g, k: KreinProduct):
+    """The four posts on g with f = k·g, k = k_Γ(f); for a structured g
+    (:func:`_structure`), statements about the merged supports of σ(f)
+    (shared with the analysis), σ(g) and σ(k) ∪ σ(g)."""
     structure = _structure(g)
     if structure is None:
         return _sampled_posts(ana, g)
@@ -587,7 +587,7 @@ def _verify_posts(ana: AnalysisResult, g):
     posts.append(Certification("omega_g_regular", 0.0 if reg_ok else 1.0, 0.0, reg_ok))
 
     # (4) σ(f) = X ∪ σ(g), X = σ(k_Γ)
-    x_pts = merged_structure(ana.gamma).poles
+    x_pts = k.structure.poles
     sig_c = SigmaDescriptor(tuple(p for p in x_pts if not is_inf(p)) + sig_g.points,
                             sig_g.intervals, any(map(is_inf, x_pts)) or sig_g.has_inf)
     lo_c, hi_c = sig_c.support

@@ -32,7 +32,7 @@ from .extreal import (Arc, ArcSet, EMPTY, INF, arcset_contains_arc, as_point,
                       normalize, point_to_json, points_equal, regularize)
 from .factor import (Certification, CertificationError, CompositeFunction,
                      ExpRep)
-from .krein import KreinProduct, merged_structure
+from .krein import KreinProduct
 from .moebius import DiskMap, cayley, disk_target_map
 from .util import frozen, halton
 
@@ -223,7 +223,7 @@ def build_function(p: InterpProblem) -> BuildResult:
 
 def certify_region(o: ArcSet, p: InterpProblem) -> tuple:
     """(certifications, extra_poles, extra_zeros) of k_O for the prescription
-    p, read from the zeros and poles of k_O (``krein.merged_structure``), which
+    p, read from the zeros and poles of k_O (``KreinProduct.structure``), which
     are exact: k_O is 0.0 at each zero and the ∞ marker at each pole.
 
     ``zeros`` and ``poles``: the largest distance from a prescribed zero
@@ -233,7 +233,7 @@ def certify_region(o: ArcSet, p: InterpProblem) -> tuple:
     so the largest distance from such a pole to the nearest point of B ∪ Y.
     The points of Y that are poles (zeros) of k_O are the extra poles
     (zeros); ∞ between two half-lines of O is neither."""
-    s = merged_structure(o)
+    s = KreinProduct(o).structure
     certs = [_farthest("zeros", p.zeros, s.zeros, 1e-10),
              _farthest("poles", p.poles, s.poles, 0.0),
              _farthest("real_off_singular", [b for b in s.poles if not is_inf(b)],
@@ -259,7 +259,7 @@ def _farthest(name, points, ends, tol) -> Certification:
 def realizable_pair(omega: ArcSet, o: ArcSet):
     """Can (Ω, O) occur as (Ω(f), Γ(f))?  Checks (a) O ⊆ Ω, (b) O Lebesgue
     regular, (c) Ω = Ω₁ ∖ X with Ω₁ the regularization of Ω and X the poles
-    of k_O (``krein.merged_structure``).  On success returns the witness
+    of k_O (``KreinProduct.structure``).  On success returns the witness
     f = k_O e^v with ψ = 1/2 on the complement of Ω₁.  Its signs follow:
     k_O is negative on O and positive off its closure, and e^v is positive
     on Ω₁ ⊇ Ω."""
@@ -273,9 +273,8 @@ def realizable_pair(omega: ArcSet, o: ArcSet):
         failures.append(("a", "O is the full circle but Omega is not"))
     if not is_regular(o):
         failures.append(("b", "O is not Lebesgue regular"))
-    omega1 = regularize(omega)
-    x_pts = merged_structure(o).poles
-    expected = omega1.remove_points(x_pts)
+    omega1, k = regularize(omega), KreinProduct(o)
+    expected = omega1.remove_points(k.structure.poles)
     if not expected.isclose(omega, 1e-9):
         failures.append(("c", "Omega differs from its regularization minus X"))
     if failures:
@@ -286,7 +285,7 @@ def realizable_pair(omega: ArcSet, o: ArcSet):
     # point, and a gap that is only ∞ carries no interval
     gaps = closed_complement(omega1)[0]
     exp = ExpRep(0.0, tuple((l, r, 0.5) for l, r in gaps)) if gaps else None
-    return True, [], CompositeFunction(1.0, KreinProduct(o), exp)
+    return True, [], CompositeFunction(1.0, k, exp)
 
 
 @dataclass

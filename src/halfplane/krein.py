@@ -57,28 +57,33 @@ class EvaluationDomainError(ValueError):
 
 
 class _Factors:
-    """Arcs as arrays, to evaluate their factors p_J = N/D at many points:
-    N = s·(z − a), D = z − b, s = ±|i−b|/|i−a|, on an arc with finite ends
-    (b > a wraps through ∞); N = z − a, D = |i − a| on (−∞, a); N = −|i − b|,
-    D = z − b on (b, +∞); N = −1, D = 1 on the punctured circle.  These are
-    the closed forms' operations on one point, in their order.  The table
-    is built from the arcs' lists of ends (``extreal.arc_ends``)."""
+    """Arcs as arrays, to evaluate their factors p_J = N/D at many points, all
+    kinds in one form: N = P·(z − A) + Q, D = (z − B)·R + S, side by side in
+    three operations on the rows (A|B), (P|R), (Q|S).  Finite ends (b > a
+    wraps through ∞): P = ±|i−b|/|i−a|, A = a, B = b, R = 1; (−∞, a): P = 1,
+    A = a, R = 0, S = |i − a|; (b, +∞): P = 0, Q = −|i − b|, B = b, R = 1;
+    the punctured circle: P = R = 0, Q = −1, S = 1.  An unused Q or S is
+    −0.0, as x + (−0.0) is x, signed zeros included.  The table is built
+    from the arcs' lists of ends (``extreal.arc_ends``)."""
 
     def __init__(self, b, a):
-        kind = ["p" if y == x else "l" if y == INF else "r" if x == INF else "f"
-                for y, x in zip(b, a)]
-        self.n, self.special = len(kind), kind.count("f") < len(kind)
-        self.cols = {k: np.array([i for i, x in enumerate(kind) if x == k], dtype=int)
-                     for k in "lrp"}
-        rows = []
-        for y, x, k in zip(b, a, kind):
-            x, y = x if k in "fl" else 0.0, y if k in "fr" else 0.0
-            hx, hy = math.hypot(1.0, x), math.hypot(1.0, y)
-            s = (1.0 if y < x else -1.0) * (hy / hx) if k == "f" else 1.0
-            rows.append((x, y, s, hx if k == "l" else -hy if k == "r" else 1.0,
-                         s if k == "f" else INF if k == "l" else 0.0 if k == "r" else -1.0))
-        self.a, self.b, self.s, self.h, self.at_inf = np.array(rows).reshape(-1, 5).T.copy()
-        self.poles = self.b[[k in "fr" for k in kind]]
+        rows = []  # A, B, P, R, Q, S and the value at ∞ of each arc in turn
+        for y, x in zip(b, a):
+            hy, hx = math.hypot(1.0, y), math.hypot(1.0, x)
+            s = hy / hx if y < x else -hy / hx
+            rows += ((0.0, 0.0, 0.0, 0.0, -1.0, 1.0, -1.0) if y == x else
+                     (x, 0.0, 1.0, 0.0, -0.0, hx, INF) if y == INF else
+                     (0.0, y, 0.0, 1.0, -hy, -0.0, 0.0) if x == INF else
+                     (x, y, s, 1.0, -0.0, -0.0, s))
+        self.n = len(b)
+        table = np.array(rows).reshape(-1, 7).T
+        self.rows, self.at_inf = table[:6].reshape(3, 2 * self.n), table[6]
+        # cast once, where numpy would cast in every complex operation
+        self.complex_rows = self.rows.astype(complex)
+
+    @functools.cached_property
+    def poles(self):  # the finite poles: B where R = 1
+        return self.rows[0, self.n:][self.rows[1, self.n:] != 0]
 
     def columns(self, pts, off_line=False):
         """(values, poles), shape (points, arcs): p_J at each point of a flat
@@ -103,13 +108,9 @@ class _Factors:
 
     def _num_den(self, z):
         # N and D at a column of points
-        za = z - self.a
-        num, den = self.s * za, z - self.b
-        if self.special:
-            left, right, punct = self.cols["l"], self.cols["r"], self.cols["p"]
-            num[:, left], den[:, left] = za[:, left], self.h[left]
-            num[:, right], num[:, punct], den[:, punct] = self.h[right], -1.0, 1.0
-        return num, den
+        shift, scale, offset = self.complex_rows if z.dtype.kind == "c" else self.rows
+        nd = (z - shift) * scale + offset
+        return nd[:, :self.n], nd[:, self.n:]
 
     def _scaled_product(self, pts):
         """∏ p_J at points off the real line where the plain product is not
@@ -318,6 +319,14 @@ def _cantor_majorant(base, z, gap) -> float:
 
 
 @dataclass(frozen=True)
+class KreinStructure:
+    sigma: BoundaryDescriptor
+    gamma: ArcSet
+    zeros: tuple
+    poles: tuple
+
+
+@dataclass(frozen=True)
 class KreinProduct:
     """k_O for O = explicit arcs plus an optional Cantor-complement generator.
 
@@ -340,8 +349,26 @@ class KreinProduct:
         return self.eval(z)[0]
 
     @functools.cached_property
+    def _ends(self) -> tuple:
+        return _merged_ends(self.arcs)
+
+    @functools.cached_property
     def _table(self) -> _Factors:
-        return _Factors(*_merged_ends(self.arcs))
+        return _Factors(*self._ends)
+
+    @functools.cached_property
+    def structure(self) -> KreinStructure:
+        """σ, Γ, zeros and poles of the explicit arcs' product, read from the
+        merged arcs it multiplies (:func:`_merged_ends`): the poles (σ) are
+        their pole ends and the zeros their zero ends, ∞ included, and Γ is
+        the merged arcs (O when none merged).  A shared end, ∞ included, is
+        no pole or zero; a closed chain is the constant −1."""
+        b, a = self._ends
+        if b == a:  # no arc, or the one puncture arc of a closed chain
+            return KreinStructure(BoundaryDescriptor((), False), FULL if b else EMPTY, (), ())
+        o = self.arcs
+        gamma = o if len(b) == len(o.arcs) else normalize([Arc(y, x) for y, x in zip(b, a)])
+        return KreinStructure(BoundaryDescriptor(tuple(b), False), gamma, tuple(a), tuple(b))
 
     def eval(self, z, strict: bool = True):
         """(value, tail_bound) with |true value − value| ≤ tail_bound, at a
@@ -583,31 +610,8 @@ def _ratio_norm_at_i(l: float, r: float, depth: int) -> float:
     return float(abs(1.0 + _ratio_minus_one(l, r - l, depth, 1j)))
 
 
-@dataclass(frozen=True)
-class KreinStructure:
-    sigma: BoundaryDescriptor
-    gamma: ArcSet
-    zeros: tuple
-    poles: tuple
-
-
-def merged_structure(o: ArcSet) -> KreinStructure:
-    """σ, Γ, zeros and poles of k_O for an explicit set, read from the arcs
-    the evaluator multiplies (:func:`_merged_ends`): the poles are their
-    pole ends and the zeros their zero ends, ∞ included, in the order of
-    the arcs; σ(k_O) is the poles and Γ(k_O) the merged arcs, O itself when
-    no ends were shared.  A shared end, ∞ included, is neither pole nor
-    zero, and a chain closing up the circle is the constant −1, negative on
-    the full circle."""
-    b, a = _merged_ends(o)
-    if b == a:  # no arc, or the one puncture arc of a closed chain
-        return KreinStructure(BoundaryDescriptor((), False), FULL if b else EMPTY, (), ())
-    gamma = o if len(b) == len(o.arcs) else normalize([Arc(y, x) for y, x in zip(b, a)])
-    return KreinStructure(BoundaryDescriptor(tuple(b), False), gamma, tuple(a), tuple(b))
-
-
 def k_structure(o: ArcSet) -> KreinStructure:
-    """σ, Γ, zeros and poles of k_O (:func:`merged_structure`) for a
+    """σ, Γ, zeros and poles of k_O (:attr:`KreinProduct.structure`) for a
     Lebesgue-regular explicit set.  A pole or zero at ∞ means linear growth
     / decay there."""
     if any(arc.puncture for arc in o.arcs):
@@ -615,7 +619,7 @@ def k_structure(o: ArcSet) -> KreinStructure:
                          "regularize before asking for structure")
     if not is_regular(o):
         raise ValueError("set is not Lebesgue regular; call regularize first")
-    return merged_structure(o)
+    return KreinProduct(o).structure
 
 
 def equivariance_transport(k: KreinProduct, phi: HalfPlaneAuto):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from halfplane.extreal import (Arc, INF, angle_subtended, normalize,
+from halfplane.extreal import (Arc, INF, angle_subtended, arc_ends, normalize,
                                points_equal)
 from halfplane.factor import (BlackBoxFunction, ExpRep, RepFunction,
                               analyze_pick, compose_in_class, factorize,
@@ -313,7 +313,7 @@ def test_criterion_13_interpolation():
         try:
             o = construct_O(p)
             built = True
-            lefts, rights = o.left_endpoints(), o.right_endpoints()
+            lefts, rights = arc_ends(o.arcs)
             inc = all(any(points_equal(a, r) for r in rights) for a in p.zeros)
             inc = inc and all(any(points_equal(x, l) for l in lefts)
                               for x in p.poles)

@@ -10,7 +10,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from halfplane import cli
 from halfplane.cli import main
@@ -404,6 +404,9 @@ class TestErrors:
         ("solve", {"boole": {"atoms": [[0.0, 1.0]], "y": [NAN]}}, "y must be positive"),
         ("solve", {"interp": {"zeros": [[1, 0]], "poles": [[-1, 0]], "alpha": [NAN, 0],
                               "beta": [1, 0], "zeta": [0, 1]}}, "alpha must be unimodular"),
+        ("factor", {"product": {"krein": {"arcs": [[0, 1]]},
+                                "exp": {"psi": [{"interval": [2, 1], "value": 0.5}]}}},
+         "psi piece (2, 1) is no interval l < r"),
     ])
     def test_malformed_value_is_input_error(self, tmp_path, capsys, command, spec, named):
         # bodies that are not objects and values that are not finite (∞
@@ -661,6 +664,9 @@ class TestFuzz:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_specs())
+    # a ψ piece with l > r, once read as an arc through ∞, exited 1
+    @example(("factor", {"product": {"krein": {"arcs": [[0, 1]]},
+                                     "exp": {"psi": [{"interval": [2.0, 1.0], "value": 0.5}]}}}))
     def test_every_spec_exits_0_1_or_2(self, case):
         # malformed input exits 2 with a message and certification failures
         # exit 1; no spec ends in a traceback

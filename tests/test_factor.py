@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from halfplane.extreal import (Arc, ArcSet, EMPTY, INF, arcset_contains_arc, is_inf,
-                               normalize)
+from halfplane.extreal import (Arc, ArcSet, EMPTY, FULL, INF, arcset_contains_arc,
+                               is_inf, normalize)
 from halfplane.factor import (BlackBoxFunction,
                               CompositeFunction, ExpRep, RepFunction,
                               _verify_posts, analyze_pick, compose_in_class,
                               constant_factor_check, divide_single,
                               factorize, psi_recover)
+from halfplane import krein
 from halfplane.krein import KreinProduct, log_factors, p_eval
 from halfplane.nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
                                   SigmaDescriptor, analyze)
@@ -318,7 +319,8 @@ class TestCorollary:
 
     @staticmethod
     def _posts(ana, g):
-        return {p.name: p.passed for p in _verify_posts(ana, RepFunction(g))}
+        return {p.name: p.passed for p in _verify_posts(ana, RepFunction(g),
+                                                            KreinProduct(ana.gamma))}
 
     def test_posts_are_not_vacuous(self):
         rep = NevanlinnaRep(0.5, 0.3, Measure(atoms=((-1.0, 1.0), (0.5, 0.4), (2.0, 1.5))))
@@ -335,6 +337,15 @@ class TestCorollary:
         # a g with an atom off σ(f)
         stray = NevanlinnaRep(0.0, c, Measure(atoms=((1.0, 0.2),)))
         assert not self._posts(ana, stray)["sigma_subset"]
+
+    def test_merged_ends_built_once(self, monkeypatch):
+        # k_Γ's table and post 4's σ(k_Γ) read one merge of Γ's ends
+        calls = []
+        merge = krein._merged_ends
+        monkeypatch.setattr(krein, "_merged_ends", lambda o: calls.append(o) or merge(o))
+        rep = NevanlinnaRep(0.5, 0.3, Measure(atoms=((-1.0, 1.0), (0.5, 0.4), (2.0, 1.5))))
+        res = factorize(RepFunction(rep))
+        assert res.ok and calls == [res.gamma]
 
 
 class TestConstantCheck:
@@ -397,6 +408,14 @@ class TestExpRep:
             ExpRep(0.0, ((0.0, 1.0, 1.5),))
         with pytest.raises(ValueError):
             ExpRep(0.0, ((0.0, 1.0, 0.5), (0.5, 2.0, 0.5)))
+
+    @pytest.mark.parametrize("l, r", [(2.0, 1.0), (1.0, 1.0), (INF, 2.0), (3.0, -INF),
+                                      (-INF, -INF)])
+    def test_piece_that_is_no_interval_is_refused(self, l, r):
+        # (2, 1) was read as an arc through ∞ while σ reported [2, 1]: the
+        # composite failed omega_g_regular in place of refusing the input
+        with pytest.raises(ValueError, match="is no interval l < r"):
+            ExpRep(0.0, ((l, r, 0.5),))
 
 
 class TestCompose:
@@ -594,6 +613,19 @@ class TestCanonicalComposite:
         assert np.min(g(zs).imag) >= -1e-9
         assert np.max(np.abs(g(zs) * p_eval(j, zs) - f(zs)) / np.abs(f(zs))) <= 1e-12
 
+    @pytest.mark.parametrize("j", [Arc(0, 1), Arc(1, 0), Arc(INF, -2.0), Arc(3.0, INF)])
+    def test_quotient_of_the_full_circle(self, j):
+        # k_FULL = −1 = p_J·p_J′, J′ the complement of J's closure, so f/p_J
+        # is the composite c·p_J′ (c·e^h·p_J′ with an exponent)
+        f = CompositeFunction(1.5, KreinProduct(FULL))
+        g = divide_single(f, j)
+        assert isinstance(g, CompositeFunction) and g.c == 1.5
+        assert g.product.arcs == normalize([Arc(j.a, j.b)])
+        zs = halton_box(50, -10.0, 10.0, 1e-3, 10.0)
+        assert np.max(np.abs(g(zs) * p_eval(j, zs) - f(zs))) <= 1e-12 * 1.5
+        assert np.min(g(zs).imag) >= 0.0
+        assert factorize(g).ok
+
 
 class TestCompositePosts:
     """Each structural post fails on a g that breaks it."""
@@ -603,7 +635,7 @@ class TestCompositePosts:
 
     def posts(self, g, ana=None):
         ana = ana or analyze_pick(self.F)
-        return {p.name: p for p in _verify_posts(ana, g)}
+        return {p.name: p for p in _verify_posts(ana, g, KreinProduct(ana.gamma))}
 
     def test_cofactor_passes_structurally(self):
         res = factorize(self.F)

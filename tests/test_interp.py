@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfplane.extreal import (Arc, FULL, INF, boundary_samples, closed_complement,
-                               is_regular, normalize, points_equal, regularize)
+from halfplane.extreal import (Arc, FULL, INF, arc_ends, boundary_samples,
+                               closed_complement, is_regular, normalize, points_equal,
+                               regularize)
 from halfplane.factor import CompositeFunction, analyze_pick
 from halfplane.interp import (InterlacingError, InterpProblem, build_function,
                               certify_region, check_interlacing, construct_O,
@@ -142,8 +143,7 @@ class TestConstruct:
             p = random_interlaced(rng)
             o = construct_O(p)
             assert is_regular(o)
-            lefts = o.left_endpoints() if not (o.full or o.is_empty) else ()
-            rights = o.right_endpoints() if not (o.full or o.is_empty) else ()
+            lefts, rights = arc_ends(o.arcs)
             allowed_b = list(p.poles) + list(p.singular) + [INF]
             allowed_a = list(p.zeros) + list(p.singular) + [INF]
             for a in p.zeros:
@@ -277,7 +277,7 @@ class TestBuild:
             k = KreinProduct(o)
             assert abs(k(3.0)) < 1e-12                       # prescribed zero
             assert abs(k(2.0 + 1e-7)) > 1e6                  # prescribed pole
-            lefts, rights = o.left_endpoints(), o.right_endpoints()
+            lefts, rights = arc_ends(o.arcs)
             allowed = list(p.singular) + list(p.poles)
             assert all(any(points_equal(l, y) for y in allowed) for l in lefts)
             allowed = list(p.singular) + list(p.zeros)
@@ -348,7 +348,8 @@ def sign_violation(f, omega, o):
     """The largest violation of f < 0 on O and f > 0 on Ω off the closure of
     O, at the boundary samples of O and at those of Ω neither in O nor within
     1e-7 of an end of O; points f refuses and the ∞ marker are skipped."""
-    ends = [] if o.full else [*o.left_endpoints(), *o.right_endpoints()]
+    lefts, rights = arc_ends(o.arcs)
+    ends = lefts + rights
     inside = boundary_samples(o)
     outside = [x for x in boundary_samples(omega)
                if not (o.contains(x, 1e-7) or any(points_equal(x, e, 1e-7) for e in ends))]

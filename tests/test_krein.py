@@ -4,15 +4,16 @@ import math
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
-                               angle_subtended, is_inf, normalize, regularize)
-from halfplane.krein import (EvaluationDomainError, KreinProduct,
+                               angle_subtended, arc_ends, is_inf, normalize,
+                               regularize)
+from halfplane.krein import (REAL_GUARD, EvaluationDomainError, KreinProduct,
                              TailNotCertified, cantor_complement_product,
-                             equivariance_transport, k_structure, log_p,
-                             merged_structure, p_eval)
+                             equivariance_transport, k_structure, log_p, p_eval)
 
 from conftest import (k_integral, random_arcset, random_auto,
                       random_bounded_arcset, random_upper_points)
@@ -130,8 +131,8 @@ class TestProduct:
         for _ in range(30):
             o = random_arcset(rng)
             k = KreinProduct(o)
-            lefts = [float(b) for b in o.left_endpoints() if not math.isinf(float(b))]
-            rights = [float(a) for a in o.right_endpoints() if not math.isinf(float(a))]
+            lefts = [float(b) for b in arc_ends(o.arcs)[0] if not math.isinf(float(b))]
+            rights = [float(a) for a in arc_ends(o.arcs)[1] if not math.isinf(float(a))]
             for x in [-9.4, -4.1, -1.3, 0.2, 2.7, 6.9]:
                 if any(abs(x - p) < 1e-6 for p in lefts + rights):
                     continue
@@ -246,6 +247,61 @@ class TestExplicitProduct:
         assert k(complex(0.0, 2.225073858507203e-309)) == complex(0.0, INF)
 
 
+@st.composite
+def separate_arcsets(draw):
+    """O as :func:`chained_arcsets` draws it with every other arc dropped, so
+    that no two arcs share an end, ∞ included."""
+    arcs = draw(chained_arcsets())[0].arcs
+    return ArcSet(arcs if len(arcs) == 1 else arcs[:len(arcs) // 2 * 2:2])
+
+
+upper_or_lower = st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(0.01, 5.0),
+                                    st.booleans()), min_size=1, max_size=6)
+
+
+class TestProductProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(chained_arcsets())
+    def test_norm_one_at_i(self, sample):
+        assert abs(abs(KreinProduct(sample[0])(1j)) - 1.0) <= 1e-13
+
+    @settings(max_examples=150, deadline=None)
+    @given(chained_arcsets(), upper_or_lower)
+    def test_argument_is_the_angle(self, sample, points):
+        # arg k_O(z) is the angle O subtends at z, in [0, π]
+        o = sample[0]
+        k = KreinProduct(o)
+        for x, y, _ in points:
+            z = complex(x, y)
+            val = k(z)
+            assert abs(val / abs(val) - cmath.exp(1j * angle_subtended(o, z))) <= 1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(separate_arcsets(), upper_or_lower, st.lists(st.floats(-60.0, 60.0), max_size=6))
+    def test_table_is_the_in_order_product_of_its_factors(self, o, points, xs):
+        # with no end shared, the table's rows are the single-arc factors':
+        # its product is theirs in order, bit for bit, above and below the
+        # line, on it, at ±inf, within REAL_GUARD of a pole and at one, where
+        # the ∞ marker stands for the product's ±inf
+        table = KreinProduct(o)._table
+        poles = [arc.b for arc in o.arcs if not is_inf(arc.b)]
+        zs = np.array([complex(x, y if up else -y) for x, y, up in points])
+        reals = np.array(xs + [INF, -INF] + poles + [b + 5e-10 for b in poles])
+        for pts in (zs, reals):
+            out, pole, near = table.product(pts)
+            # numpy's reduction multiplies in order, one point at a time
+            want = np.multiply.reduce(np.stack([p_eval(arc, pts) for arc in o.arcs], axis=1),
+                                      axis=1, initial=pts.dtype.type(1))
+            at_pole = np.isin(pts, poles) if pts.dtype.kind == "f" else np.zeros(pts.size, bool)
+            assert np.array_equal((pole if pole is not None else np.zeros(pts.size, bool)), at_pole)
+            assert np.all(out[at_pole] == INF) and np.all(np.abs(want[at_pole]) == INF)
+            assert np.array_equal(out[~at_pole].view(np.int64), want[~at_pole].view(np.int64))
+            if pts.dtype.kind == "f":
+                close = (np.abs(pts[:, None] - np.array(poles + [np.nan])) < REAL_GUARD).any(axis=1)
+                got = near if near is not None else np.zeros(pts.size, bool)
+                assert np.array_equal(got, close & ~at_pole)
+
+
 class TestStructure:
     def test_single_arc(self):
         s = k_structure(normalize([Arc(0, 1)]))
@@ -275,15 +331,15 @@ class TestStructure:
 
     def test_closed_chain_is_the_constant_minus_one(self):
         for o in (normalize([Arc(0, 1), Arc(1, 0)]), FULL, ArcSet((Arc(INF, INF, True),))):
-            s = merged_structure(o)
+            s = KreinProduct(o).structure
             assert s.gamma == FULL and s.poles == s.zeros == () and not s.sigma.points
-        assert merged_structure(EMPTY).gamma == EMPTY
+        assert KreinProduct(EMPTY).structure.gamma == EMPTY
 
     @settings(max_examples=150, deadline=None)
     @given(chained_arcsets())
     def test_structure_matches_the_evaluator(self, sample):
         o, kept, poles = sample
-        s = merged_structure(o)
+        s = KreinProduct(o).structure
         assert sorted(b for b in s.poles if not is_inf(b)) == sorted(poles)
         zeros = [a for _, a in kept if not is_inf(a) and all(b != a for b, _ in kept)]
         assert sorted(a for a in s.zeros if not is_inf(a)) == sorted(zeros)

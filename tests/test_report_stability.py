@@ -9,6 +9,13 @@ cases are every ``cli_examples/`` spec under its corpus command and the six
 Regenerate the goldens (only for a deliberate, documented report change):
 
     PYTHONPATH=src python tests/test_report_stability.py --regen
+
+Write each report's text to DIR, one file per case, for a byte-level
+``diff -r`` of two trees' dumps, which the tolerance above would hide.  The
+dump also runs each ``eval`` spec with ``--eps 0.01`` and the suites at seed
+123:
+
+    PYTHONPATH=src python tests/test_report_stability.py --dump DIR
 """
 
 import json
@@ -41,6 +48,16 @@ def _cases():
 
 
 CASES = _cases()
+
+
+def _dump_cases():
+    cases = dict(CASES)
+    for name, argv in CASES.items():
+        if argv[0] == "eval":
+            cases[f"{name}_eps0.01"] = argv + ["--eps", "0.01"]
+    for suite in SUITES:
+        cases[f"check_{suite}_seed123"] = ["check", "--suite", suite, "--seed", "123"]
+    return cases
 
 
 def _run(argv, tmp_dir):
@@ -102,11 +119,21 @@ def test_compare_tolerances():
     assert not _compare(math.inf, math.inf)
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
+if __name__ == "__main__" and (sys.argv[1:] == ["--regen"] or sys.argv[1:2] == ["--dump"]):
     import tempfile
-    GOLDEN.mkdir(exist_ok=True)
+    regen = sys.argv[1] == "--regen"
+    if not regen and len(sys.argv) != 3:
+        sys.exit("usage: test_report_stability.py --regen | --dump DIR")
+    target = GOLDEN if regen else pathlib.Path(sys.argv[2])
+    target.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in sorted(CASES.items()):
-            text = json.dumps(_run(argv, tmp), indent=1, sort_keys=True)
-            (GOLDEN / f"{name}.json").write_text(text + "\n")
+        out = pathlib.Path(tmp) / "report.json"
+        for name, argv in sorted((CASES if regen else _dump_cases()).items()):
+            out.unlink(missing_ok=True)  # a case that writes none reads none
+            got = _run(argv, tmp)
+            if regen:
+                text = json.dumps(got, indent=1, sort_keys=True) + "\n"
+            else:
+                text = f"exit {got['code']}\n" + (out.read_text() if out.exists() else "")
+            (target / f"{name}.json").write_text(text)
             print(name)
