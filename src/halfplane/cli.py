@@ -142,7 +142,11 @@ def build_function_spec(task, body, options):
         c = number_from_json(body.get("c", 1.0), "product.c")
         prod = _krein_product(_fields(body.get("krein", {}), "krein"), options)
         exp = ExpRep.from_json(_fields(body["exp"], "exp")) if "exp" in body else None
-        return CompositeFunction(c, prod, exp)
+        f = CompositeFunction(c, prod, exp)
+        if f.exp is not None:  # as in compose_in_class; O is dense in a generator's base
+            factor._refuse_overlap(f.exp.piece_arcs, prod.arcs if prod.cantor is None
+                                   else prod.arcs.union(prod.cantor.regularized()))
+        return f
     raise SpecError(f"not a function task: {task}")
 
 
@@ -153,7 +157,7 @@ def parse_grid(text, field):
         parts = text.split(":")[1:]
         if len(parts) != 5:
             raise SpecError("box grid needs box:re1:re2:im1:im2:n")
-        r1, r2, i1, i2 = map(float, parts[:4])
+        r1, r2, i1, i2 = _grid_ends(parts[:4], field)
         if not (i1 > 0 and i2 > 0):
             raise SpecError(f"{field}: the box's Im range [{i1}, {i2}] must be "
                             "strictly positive (the upper half-plane)")
@@ -164,8 +168,16 @@ def parse_grid(text, field):
     parts = text.split(":")
     if len(parts) != 3:
         raise SpecError("grid needs a:b:n or box:re1:re2:im1:im2:n")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    return [float(x) for x in np.linspace(a, b, n)]
+    a, b = _grid_ends(parts[:2], field)
+    return [float(x) for x in np.linspace(a, b, int(parts[2]))]
+
+
+def _grid_ends(parts, field):
+    # a grid's ends as pairs (lo, hi), each span finite, and so each end
+    ends = [float(t) for t in parts]
+    if not all(math.isfinite(hi - lo) for lo, hi in zip(ends[::2], ends[1::2])):
+        raise SpecError(f"{field}: a grid end or span in {':'.join(parts)} is not finite")
+    return ends
 
 
 def merge_options(options, args):

@@ -279,12 +279,9 @@ def _analyze_composite(f: CompositeFunction) -> AnalysisResult:
     if f.product.cantor is not None:
         raise ValueError("analysis of generator-backed products is out of scope; "
                          "regularize to an explicit set first")
-    o = regularize(f.product.arcs)
     if f.exp is not None:
-        _refuse_overlap(f.exp.piece_arcs, o)
-    # σ(k_O) and Γ(k_O) as the evaluator reads O: a shared end, ∞ included,
-    # is no pole
-    s = KreinProduct(o).structure
+        _refuse_overlap(f.exp.piece_arcs, f.product.arcs)
+    s = f.product.structure  # as it evaluates: a shared end, ∞ included, is no pole
     intervals = tuple(f.exp.sigma_intervals()) if f.exp is not None else ()
     sig = SigmaDescriptor(points=tuple(p for p in s.poles if not is_inf(p)),
                           intervals=intervals, has_inf=any(map(is_inf, s.poles)))

@@ -13,15 +13,15 @@ Certificates are read from structure where the form decides them.  A
 built interpolant's zeros and poles are those of its merged arcs, and a
 realizable pair's witness f = k_O·e^v has the sign pattern that checks (a)
 to (c) imply: k_O is negative on O and positive off its closure, and e^v is
-positive on Ω.  A disk prescription is pulled back in one Cayley pass per
-point set, and its level sets are checked in one pass over the zeros and
-poles.
+positive on Ω.  A disk prescription is pulled back in one Cayley pass, and
+its interpolant θ = m ∘ k_O ∘ C⁻¹ is certified from the zeros and poles of
+k_O and the form of the target map m, without a value of θ: k_O maps C⁺
+into C⁺ and the line into the line, and θ is m(0) and m(∞) on the
+prescribed zeros and poles.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,7 +34,6 @@ from .factor import (Certification, CertificationError, CompositeFunction,
                      ExpRep)
 from .krein import KreinProduct
 from .moebius import DiskMap, cayley, disk_target_map
-from .util import frozen, halton
 
 
 class InterlacingError(ValueError):
@@ -212,8 +211,9 @@ def build_function(p: InterpProblem) -> BuildResult:
     and real analyticity off B ∪ Y.  Poles or zeros forced at points of Y by
     loner pairing are reported in extra_poles / extra_zeros."""
     o = construct_O(p)
-    certs, extra_poles, extra_zeros = certify_region(o, p)
-    result = BuildResult(p, o, KreinProduct(o), certs, extra_poles, extra_zeros)
+    k = KreinProduct(o)
+    certs, extra_poles, extra_zeros = certify_region(k, p)
+    result = BuildResult(p, o, k, certs, extra_poles, extra_zeros)
     if not result.ok:
         raise CertificationError(
             f"build certification failed: {[c.name for c in certs if not c.passed]}",
@@ -221,10 +221,10 @@ def build_function(p: InterpProblem) -> BuildResult:
     return result
 
 
-def certify_region(o: ArcSet, p: InterpProblem) -> tuple:
-    """(certifications, extra_poles, extra_zeros) of k_O for the prescription
-    p, read from the zeros and poles of k_O (``KreinProduct.structure``), which
-    are exact: k_O is 0.0 at each zero and the ∞ marker at each pole.
+def certify_region(k: KreinProduct, p: InterpProblem) -> tuple:
+    """(certifications, extra_poles, extra_zeros) of k = k_O for the
+    prescription p, read from the zeros and poles of k_O (``k.structure``),
+    which are exact: k_O is 0.0 at each zero and the ∞ marker at each pole.
 
     ``zeros`` and ``poles``: the largest distance from a prescribed zero
     (pole) to the nearest zero (pole) of k_O, ∞ being at distance 0 from
@@ -233,7 +233,7 @@ def certify_region(o: ArcSet, p: InterpProblem) -> tuple:
     so the largest distance from such a pole to the nearest point of B ∪ Y.
     The points of Y that are poles (zeros) of k_O are the extra poles
     (zeros); ∞ between two half-lines of O is neither."""
-    s = KreinProduct(o).structure
+    s = k.structure
     certs = [_farthest("zeros", p.zeros, s.zeros, 1e-10),
              _farthest("poles", p.poles, s.poles, 0.0),
              _farthest("real_off_singular", [b for b in s.poles if not is_inf(b)],
@@ -309,9 +309,10 @@ class DiskInterpolation:
         return self.target(values), np.isinf(tails)
 
     def _pull(self, w):
-        # C⁺ points within 1e-13 of the real line are evaluated on it
+        # C⁺ points within 1e-13 of the real line are evaluated on it, and so
+        # are those below it: a circle point rounded out of the disk near w = 1
         z = self.base.inverse_apply(np.ravel(np.asarray(w, dtype=complex)))
-        z.imag[np.abs(z.imag) < 1e-13] = 0.0
+        z.imag[z.imag < 1e-13] = 0.0
         return z.reshape(np.shape(w))
 
     @property
@@ -321,47 +322,19 @@ class DiskInterpolation:
 
 def disk_interpolate(zeros, poles, singular, alpha, beta, zeta) -> DiskInterpolation:
     """Disk-boundary interpolant θ with θ = α exactly on the prescribed zeros
-    set, θ = β on the prescribed poles set, |θ| = 1 off the singular set.
-
-    The circle data is pulled back to R ∪ {∞} through the Cayley map based at
-    ζ, the Kreĭn product is built there, and the result is pushed forward by
-    the target Möbius map sending 0 ↦ α and ∞ ↦ β.
-    """
-    base = cayley(zeta)
-    m = disk_target_map(alpha, beta)
-
-    def pull(points):
-        w = np.array(points, dtype=complex)
-        off = np.abs(np.abs(w) - 1.0) > 1e-9
-        if off.any():
-            raise ValueError(f"{complex(w[off.argmax()])} is not on the unit circle")
-        return tuple(base.inverse_apply(w).real.tolist())  # the pole, w = 1, is inf
-
-    problem = InterpProblem(zeros=pull(zeros), poles=pull(poles), singular=pull(singular))
-    build = build_function(problem)
-    theta = DiskInterpolation(problem, build.region, m, base, build.k)
-    certs = theta.certifications
-
-    inner, circle = _disk_grids()
-    worst_in = float(np.max(np.abs(theta(inner))))
-    # a trivial prescription gives a unimodular constant, which maps the disk
-    # to its boundary rather than strictly inside
-    constant = build.region.is_empty or build.region.full
-    in_tol = 1.0 + 1e-12 if constant else 1.0 - 1e-12
-    certs.append(Certification("interior_contraction", worst_in, in_tol,
-                               worst_in <= in_tol))
-
-    avoid = np.array([complex(w) for w in list(singular) + list(poles)])
-    ws = circle[~(np.abs(circle[:, None] - avoid) < 1e-2).any(axis=1)]
-    values, refused = theta.masked(ws)
-    worst_bnd = float(np.max(np.abs(np.abs(values[~refused]) - 1.0), initial=0.0))
-    certs.append(Certification("boundary_unimodular", worst_bnd, 1e-8,
-                               worst_bnd <= 1e-8))
-
-    levels = np.array(list(zeros) + list(poles), dtype=complex)
-    targets = np.repeat((complex(alpha), complex(beta)), (len(zeros), len(poles)))
-    worst_level = float(np.max(np.abs(theta(levels) - targets), initial=0.0))
-    certs.append(Certification("level_sets", worst_level, 1e-8, worst_level <= 1e-8))
+    set, θ = β on the prescribed poles set, |θ| = 1 off the singular set: the
+    circle data is pulled back to R ∪ {∞} by the Cayley map based at ζ in one
+    pass, and k_O built there is pushed forward by m, m(0) = α and m(∞) = β."""
+    base, m = cayley(zeta), disk_target_map(alpha, beta)
+    w = np.array(list(zeros) + list(poles) + list(singular), dtype=complex)
+    off = np.abs(np.abs(w) - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"{complex(w[off.argmax()])} is not on the unit circle")
+    x = base.inverse_apply(w).real.tolist()  # the pole, w = 1, is inf
+    i, j = len(zeros), len(zeros) + len(poles)
+    build = build_function(InterpProblem(tuple(x[:i]), tuple(x[i:j]), tuple(x[j:])))
+    certs = certify_disk(build, m, alpha, beta)
+    theta = DiskInterpolation(build.problem, build.region, m, base, build.k, certs)
     if not theta.ok:
         raise CertificationError(
             f"disk certification failed: {[c.name for c in certs if not c.passed]}",
@@ -369,15 +342,26 @@ def disk_interpolate(zeros, poles, singular, alpha, beta, zeta) -> DiskInterpola
     return theta
 
 
-@functools.cache
-def _disk_grids():
-    """The 100 Halton points of the disk of radius 0.92 and the 72 points of
-    the unit circle that certify a disk interpolant."""
-    inner = []
-    for j in range(1, 101):
-        r = 0.92 * math.sqrt(halton(j, 2))
-        ang = 2.0 * math.pi * halton(j, 3)
-        inner.append(r * complex(math.cos(ang), math.sin(ang)))
-    circle = [complex(math.cos(ang), math.sin(ang))
-              for ang in (2.0 * math.pi * (j + 0.37) / 72.0 for j in range(72))]
-    return frozen(np.array(inner)), frozen(np.array(circle))
+def certify_disk(build: BuildResult, m: DiskMap, alpha, beta) -> list:
+    """θ = m ∘ k_O ∘ C⁻¹'s certificates from the zeros and poles of the built
+    k_O and the form of m, with no value of θ.  ``interior_contraction``: a
+    k_O with zeros and poles is over disjoint arcs, neither none nor all,
+    which subtend less than π in all, so it maps C⁺ into C⁺, and m maps C⁺
+    onto the disk: 0; else k_O is ±1, and the residual is |m(±1)|.
+    ``boundary_unimodular``: k_O is real on the line off its poles, and m
+    maps R ∪ {∞} onto the circle of radius |β| = |m(∞)|: ||β| − 1|.
+    ``level_sets``: θ is m(0) (m(∞)) at each prescribed zero (pole) when
+    ``certify_region`` finds it exactly: max(|m(0) − α|, |m(∞) − β|), else inf."""
+    s, (at_0, at_inf) = build.k.structure, m(np.array([0.0, INF])).tolist()
+    region = {c.name: c.residual for c in build.certifications}
+    constant, exact = not (s.zeros or s.poles), region["zeros"] == region["poles"] == 0.0
+    inner = abs(m(-1.0 if s.gamma.full else 1.0)) if constant else 0.0
+    level = max(abs(at_0 - complex(alpha)), abs(at_inf - complex(beta))) if exact else INF
+    rows = [("interior_contraction", inner, 1.0 + 1e-12 if constant else 1.0 - 1e-12,
+             "structure: a constant" if constant else
+             "structure: k_O maps C+ into C+, m maps C+ onto the disk"),
+            ("boundary_unimodular", abs(abs(at_inf) - 1.0), 1e-8, "structure: k_O is real "
+             "on the line off its poles, m maps it onto the circle of radius |beta|"),
+            ("level_sets", level, 1e-8, "structure: theta is m(0) on the zeros and m(inf) "
+             "on the poles" if exact else "a prescribed zero or pole is no zero or pole of k_O")]
+    return [Certification(name, r, tol, r <= tol, note) for name, r, tol, note in rows]

@@ -107,9 +107,14 @@ class _Factors:
         return vals, poles
 
     def _num_den(self, z):
-        # N and D at a column of points
+        # N and D at a column of points; a point so far out that one leaves
+        # the float range has its row divided through by z, keeping each N/D
         shift, scale, offset = self.complex_rows if z.dtype.kind == "c" else self.rows
-        nd = (z - shift) * scale + offset
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            nd = (z - shift) * scale + offset
+            if not np.isfinite(nd).all():
+                far = ~np.isfinite(nd).all(axis=1)
+                nd[far] = (1.0 - shift / z[far]) * scale + offset / z[far]
         return nd[:, :self.n], nd[:, self.n:]
 
     def _scaled_product(self, pts):

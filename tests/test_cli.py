@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -214,6 +215,21 @@ class TestSolve:
         rep = json.loads(out)
         assert code == 0
         assert all(c["pass"] for c in rep["certifications"])
+
+    def test_disk_zero_close_to_a_pole_certifies(self, tmp_path, capsys):
+        # the pulled zero lies 2.2e-10 from the pole, inside the pole's guard
+        # band; a level-set grid that evaluated θ there exited 2
+        zero, pole = cmath.exp(1j), cmath.exp(1j * (1 + 1e-10))
+        spec = write_spec(tmp_path, "p.json", {"interp": {
+            "zeros": [[zero.real, zero.imag]], "poles": [[pole.real, pole.imag]],
+            "alpha": [0, 1], "beta": [0, -1], "zeta": [0.2, 1]}})
+        code, out = run(capsys, ["solve", "--spec", spec])
+        rep = json.loads(out)
+        assert code == 0
+        assert [c["name"] for c in rep["certifications"] if c["pass"]] == [
+            "interior_contraction", "boundary_unimodular", "level_sets"]
+        assert rep["problem"]["zeros"] == [-1.6304877217124518]
+        assert rep["problem"]["poles"] == [-1.6304877214949178]
 
     def test_boole(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "p.json", {
@@ -527,6 +543,56 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "unknown omega fields: ['arc']" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, options, field, ends", [
+        (["--grid=0:inf:3"], {}, "--grid", "0:inf"),
+        (["--grid=nan:1:3"], {}, "--grid", "nan:1"),
+        (["--grid=0:1e309:3"], {}, "--grid", "0:1e309"),
+        (["--grid=-1e308:1e308:3"], {}, "--grid", "-1e308:1e308"),
+        (["--grid=box:-1e309:1:0.5:1:2"], {}, "--grid", "-1e309:1:0.5:1"),
+        (["--grid=box:-1:1:0.5:inf:2"], {}, "--grid", "-1:1:0.5:inf"),
+        (["--grid=box:nan:1:0.5:1:2"], {}, "--grid", "nan:1:0.5:1"),
+        ([], {"grid": "0:inf:3"}, "options.grid", "0:inf"),
+        ([], {"grid": "box:-1:1e309:0.5:1:2"}, "options.grid", "-1:1e309:0.5:1"),
+    ])
+    def test_grid_end_not_finite_is_input_error(self, tmp_path, capsys, flags,
+                                                options, field, ends):
+        # a grid end past the float range, inf or nan, or a span past it,
+        # wrote NaN rows with numpy warnings and exited 0
+        path = write_spec(tmp_path, "k.json", {"krein": {"arcs": [[0, 1]]},
+                                               "options": options})
+        assert main(["eval", "--spec", path] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"{field}: a grid end or span in {ends} is not finite" in captured.err
+
+    @pytest.mark.parametrize("command", ["eval", "factor"])
+    @pytest.mark.parametrize("krein, piece", [
+        ({"arcs": [[0, 2]]}, [1, 3]),
+        ({"arcs": [[0, 2]]}, [-1, 0.5]),
+        ({"arcs": [["inf", 0]]}, ["-inf", -3]),
+        ({"cantor": {"interval": [0, 1], "depth": 3}, "tol": 1e-2}, [0.5, 0.6]),
+    ], ids=["over-right-end", "over-left-end", "inside-half-line", "over-cantor-base"])
+    def test_product_piece_over_the_arcs_is_input_error(self, tmp_path, capsys,
+                                                        command, krein, piece):
+        # c·k_O·e^h with a 0 < ψ < 1 piece over O is not in the class: at
+        # 1.5 + 1e-3i the first evaluated to 0.184 − 0.061i and exited 0
+        path = write_spec(tmp_path, "f.json", {"product": {
+            "krein": krein, "exp": {"psi": [{"interval": piece, "value": 0.9}]}}})
+        assert main([command, "--spec", path]) == 2
+        err = capsys.readouterr().err
+        assert "exponent piece" in err and "overlaps the product set" in err
+        assert "Traceback" not in err
+
+    def test_product_piece_meeting_the_arcs_in_an_end_is_read(self, tmp_path, capsys):
+        # a piece that shares an end with O, and a ψ = 0 piece over O, which
+        # is the factor 1, stay in the class
+        path = write_spec(tmp_path, "f.json", {"product": {
+            "krein": {"arcs": [[0, 2]]},
+            "exp": {"psi": [{"interval": [2, 3], "value": 0.9},
+                            {"interval": [-1, 1], "value": 0.0}]}}})
+        assert main(["eval", "--spec", path]) == 0
+        assert main(["factor", "--spec", path]) == 0
+
     def test_disk_point_not_a_pair_is_input_error(self, tmp_path, capsys):
         # found by the fuzz below: a disk point that is no [re, im] pair
         path = write_spec(tmp_path, "bad.json", {"interp": {
@@ -642,7 +708,9 @@ _problem = st.one_of(
         "y": st.one_of(_value, st.lists(_value, max_size=3))})),
     st.tuples(st.just("letac"), _body({"atoms": _pairs, "interval": _pair}, {"beta": _value})))
 _options = st.one_of(st.just({}), _body({}, {
-    "grid": st.sampled_from(["-2:2:5", "box:-1:1:0.5:1:2", "0:1", 5]),
+    "grid": st.sampled_from(["-2:2:5", "box:-1:1:0.5:1:2", "0:1", 5, "0:inf:3",
+                             "nan:1:2", "-1e308:1e308:3", "box:-1e309:1:0.5:1:2",
+                             "box:-1:1:0.5:inf:2"]),
     "depth": _depth, "tol": _tol, "eps": st.sampled_from([0, 1e-3, -1.0, "x"])}))
 
 

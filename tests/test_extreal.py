@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -11,9 +12,18 @@ from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL,
                                closed_complement, complement_of_closed,
                                measure, normalize,
                                points_equal, regularize)
-from halfplane.moebius import pullback_arcset
+from halfplane.moebius import HalfPlaneAuto, pullback_arcset
 
-from conftest import random_arcset, random_auto, random_upper_points
+from conftest import random_arcset, random_upper_points
+from test_krein import chained_arcsets
+
+
+# compositions of up to three translations, scalings and the inversion z ↦ −1/z
+half_plane_autos = st.lists(st.one_of(
+    st.floats(-3.0, 3.0).map(HalfPlaneAuto.translation),
+    st.floats(0.3, 3.0).map(HalfPlaneAuto.scaling),
+    st.just(HalfPlaneAuto.inversion())), min_size=1, max_size=3).map(
+        lambda maps: functools.reduce(HalfPlaneAuto.compose, maps))
 
 
 def arcset(*pairs):
@@ -195,14 +205,14 @@ class TestAngle:
             big = arcset((-1, 2))
             assert angle_subtended(small, z) <= angle_subtended(big, z) + 1e-14
 
-    def test_moebius_equivariance(self, rng):
-        for _ in range(25):
-            o = random_arcset(rng)
-            phi = random_auto(rng)
-            z = random_upper_points(rng, 1)[0]
-            lhs = angle_subtended(pullback_arcset(phi, o), z)
-            rhs = angle_subtended(o, phi(z))
-            assert lhs == pytest.approx(rhs, abs=1e-9)
+    @settings(max_examples=200, deadline=None)
+    @given(chained_arcsets(), half_plane_autos, st.floats(-6.0, 6.0), st.floats(0.1, 5.0))
+    def test_moebius_equivariance(self, sample, phi, x, y):
+        # the angle φ⁻¹(O) subtends at z is the angle O subtends at φ(z)
+        o, z = sample[0], complex(x, y)
+        lhs = angle_subtended(pullback_arcset(phi, o), z)
+        rhs = angle_subtended(o, phi(z))
+        assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 class TestSetOps:

@@ -3,16 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from halfplane.extreal import (Arc, FULL, INF, arc_ends, boundary_samples,
                                closed_complement, is_regular, normalize, points_equal,
                                regularize)
 from halfplane.factor import CompositeFunction, analyze_pick
-from halfplane.interp import (InterlacingError, InterpProblem, build_function,
-                              certify_region, check_interlacing, construct_O,
-                              disk_interpolate, realizable_pair)
+from halfplane.interp import (BuildResult, InterlacingError, InterpProblem,
+                              build_function, certify_disk, certify_region,
+                              check_interlacing, construct_O, disk_interpolate,
+                              realizable_pair)
 from halfplane.krein import KreinProduct
+from halfplane.moebius import disk_target_map
 from halfplane.nevanlinna import SigmaDescriptor
 
 from conftest import sep_points
@@ -55,7 +57,7 @@ def random_interlaced(rng, max_y=3, max_pts=14):
 
 def residuals(o, p):
     """The structural certificates of k_O for p, by name."""
-    return {c.name: c.residual for c in certify_region(o, p)[0]}
+    return {c.name: c.residual for c in certify_region(KreinProduct(o), p)[0]}
 
 
 @st.composite
@@ -226,7 +228,7 @@ class TestBuild:
         # an extra arc leaves a stray pole, 3 from the nearest prescribed one
         stray = residuals(normalize(list(o.arcs) + [Arc(-3.0, -2.0)]), p)
         assert stray == {"zeros": 0.0, "poles": 0.0, "real_off_singular": 3.0}
-        certs = certify_region(normalize([Arc(0.0, 1.0), Arc(4.0, INF)]), p)[0]
+        certs = certify_region(KreinProduct(normalize([Arc(0.0, 1.0), Arc(4.0, INF)])), p)[0]
         assert [(c.passed, c.note) for c in certs] == [
             (False, "farthest at 3.0"), (False, "farthest at 2.0"), (True, "")]
 
@@ -471,3 +473,111 @@ class TestDisk:
         assert theta.ok
         assert abs(theta(cmath.exp(0.5j)) - (-1.0)) < 1e-8
         assert abs(theta(cmath.exp(-0.9j)) - 1.0) < 1e-8
+
+
+@st.composite
+def disk_prescriptions(draw):
+    """(zeros, poles, singular, α, β, ζ): up to 8 points of the circle at
+    angles 2πj/1000, each a zero, a pole or a singular point, w = 1 among
+    them at times; α and β at least 0.01 apart, ζ in the upper half-plane.
+    Each set's pullback interlaces or not: the draws that do not build are
+    skipped."""
+    js = draw(st.lists(st.integers(0, 999), min_size=1, max_size=8, unique=True))
+    roles = draw(st.lists(st.sampled_from("ABY"), min_size=len(js), max_size=len(js)))
+    ws = [cmath.exp(2j * math.pi * j / 1000) for j in js]
+    zeros, poles, singular = ([w for w, t in zip(ws, roles) if t == role] for role in "ABY")
+    a = draw(st.floats(0.0, 2 * math.pi))
+    b = a + draw(st.floats(0.01, 2 * math.pi - 0.01))
+    zeta = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.1, 3.0)))
+    return zeros, poles, singular, cmath.exp(1j * a), cmath.exp(1j * b), zeta
+
+
+def disk_or_skip(case):
+    try:
+        return disk_interpolate(*case)
+    except InterlacingError:
+        assume(False)
+
+
+class TestDiskStructure:
+    """θ = m ∘ k_O ∘ C⁻¹ is certified from its structure; the three grids
+    that sampled θ are kept here as properties."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(disk_prescriptions(), st.floats(0.0, 0.99), st.floats(0.0, 2 * math.pi))
+    def test_interior_points_map_inside(self, case, r, t):
+        theta = disk_or_skip(case)
+        assert theta.ok
+        value = abs(theta(r * cmath.exp(1j * t)))
+        if theta.region.is_empty or theta.region.full:
+            assert abs(value - 1.0) <= 1e-12
+        else:
+            assert value < 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(disk_prescriptions(), st.floats(0.0, 2 * math.pi))
+    def test_circle_points_map_to_the_circle(self, case, t):
+        theta = disk_or_skip(case)
+        w = cmath.exp(1j * t)
+        zeros, poles, singular = case[:3]
+        assume(all(abs(w - s) >= 1e-2 for s in poles + singular))
+        value, refused = theta.masked(np.array([w]))
+        assume(not refused[0])
+        assert abs(abs(value[0]) - 1.0) <= 1e-8
+
+    @settings(max_examples=150, deadline=None)
+    @given(disk_prescriptions())
+    def test_prescribed_points_take_their_levels(self, case):
+        theta = disk_or_skip(case)
+        zeros, poles, _, alpha, beta, _ = case
+        level = next(c for c in theta.certifications if c.name == "level_sets")
+        assert level.passed
+        ws = np.array(zeros + poles, dtype=complex)
+        values, refused = theta.masked(ws)
+        targets = np.repeat((alpha, beta), (len(zeros), len(poles)))
+        # a point within the guard band of a pole is refused, not evaluated
+        err = np.abs(values - targets)[~refused]
+        assert float(err.max(initial=0.0)) <= level.residual + 1e-12
+
+    def test_no_value_of_theta_is_computed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Kreĭn product was evaluated")
+
+        monkeypatch.setattr(KreinProduct, "eval", refuse)
+        theta = disk_interpolate([cmath.exp(0.4j)], [cmath.exp(1j * math.pi)],
+                                 [cmath.exp(2.2j)], 1j, -1j, 0.5 + 1.5j)
+        assert theta.ok and [c.residual for c in theta.certifications][:2] == [0.0, 0.0]
+        assert [c.note.startswith("structure: ") for c in theta.certifications] == [True] * 3
+
+    @pytest.mark.parametrize("region", [normalize([Arc(0.0, 1.0)]),
+                                        normalize([Arc(0.0, 1.0), Arc(2.0, 3.5)])])
+    def test_a_region_missing_a_prescribed_zero_fails_level_sets(self, region):
+        p = InterpProblem(zeros=(1.0, 3.0), poles=(0.0, 2.0))
+        k = KreinProduct(region)
+        build = BuildResult(p, region, k, certify_region(k, p)[0])
+        certs = certify_disk(build, disk_target_map(-1.0, 1.0), -1.0, 1.0)
+        assert [(c.name, c.passed) for c in certs] == [
+            ("interior_contraction", True), ("boundary_unimodular", True),
+            ("level_sets", False)]
+        assert certs[2].residual == INF
+        # the built region passes
+        o = construct_O(p)
+        build = BuildResult(p, o, KreinProduct(o), certify_region(KreinProduct(o), p)[0])
+        assert all(c.passed for c in certify_disk(build, disk_target_map(-1.0, 1.0), -1.0, 1.0))
+
+    @pytest.mark.parametrize("zeros, poles, singular, value", [
+        ([], [], [], 1.0), ([], [], [1.0 + 0j, -1.0 + 0j], 1.0)])
+    def test_constant_interpolant_reports_its_modulus(self, zeros, poles, singular, value):
+        theta = disk_interpolate(zeros, poles, singular, -1.0, 1.0, 1j)
+        interior = theta.certifications[0]
+        assert interior.tolerance == 1.0 + 1e-12 and interior.passed
+        assert interior.residual == abs(theta.target(value))
+        assert abs(interior.residual - 1.0) <= 1e-15
+
+    def test_zero_close_to_a_pole_certifies(self):
+        # the pulled zero is 2.2e-10 from the pole, inside its guard band
+        theta = disk_interpolate([cmath.exp(1j)], [cmath.exp(1j * (1 + 1e-10))], [],
+                                 1j, -1j, 0.2 + 1j)
+        assert theta.ok
+        assert theta.problem.zeros[0] - theta.problem.poles[0] == pytest.approx(
+            -2.18e-10, rel=1e-2)

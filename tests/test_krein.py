@@ -246,6 +246,17 @@ class TestExplicitProduct:
         k = KreinProduct(normalize([Arc(0.0, INF)]))
         assert k(complex(0.0, 2.225073858507203e-309)) == complex(0.0, INF)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [-8.98e307, 1e308, -1e300, complex(-8.98e307, 1e-3),
+                                   complex(1e308, 1.0), complex(0.0, 1e308)])
+    def test_far_point_keeps_its_value(self, z):
+        # far out an N or a D leaves the float range while its factor does
+        # not: the product gave inf at −8.98e307 and NaN at −8.98e307 + 1e-3i
+        pairs = [(-80.0, -60.5), (-53.0, -24.4), (-22.7, INF)]
+        k = KreinProduct(normalize([Arc(b, a) for b, a in pairs]))
+        exact = _mp_krein(pairs, z)
+        assert abs(k(z) - exact) <= 64 * 2.0 ** -52 * abs(exact)
+
 
 @st.composite
 def separate_arcsets(draw):
