@@ -7,7 +7,7 @@ poles (with a Cayley transport to the unit disk).
 """
 
 from .extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
-                      angle_subtended, boundary_left, is_regular, measure,
+                      SigmaDescriptor, angle_subtended, is_regular, measure,
                       normalize, regularize)
 from .factor import (BlackBoxFunction, CompositeFunction, ExpRep, RepFunction,
                      analyze_pick, compose_in_class, constant_factor_check,

@@ -142,11 +142,7 @@ def build_function_spec(task, body, options):
         c = number_from_json(body.get("c", 1.0), "product.c")
         prod = _krein_product(_fields(body.get("krein", {}), "krein"), options)
         exp = ExpRep.from_json(_fields(body["exp"], "exp")) if "exp" in body else None
-        f = CompositeFunction(c, prod, exp)
-        if f.exp is not None:  # as in compose_in_class; O is dense in a generator's base
-            factor._refuse_overlap(f.exp.piece_arcs, prod.arcs if prod.cantor is None
-                                   else prod.arcs.union(prod.cantor.regularized()))
-        return f
+        return CompositeFunction(c, prod, exp)
     raise SpecError(f"not a function task: {task}")
 
 
@@ -157,27 +153,30 @@ def parse_grid(text, field):
         parts = text.split(":")[1:]
         if len(parts) != 5:
             raise SpecError("box grid needs box:re1:re2:im1:im2:n")
-        r1, r2, i1, i2 = _grid_ends(parts[:4], field)
+        r1, r2, i1, i2, n = _grid_numbers(parts, field)
         if not (i1 > 0 and i2 > 0):
             raise SpecError(f"{field}: the box's Im range [{i1}, {i2}] must be "
                             "strictly positive (the upper half-plane)")
-        n = int(parts[4])
         xs = np.linspace(r1, r2, n)
         ys = np.linspace(i1, i2, n)
         return [complex(x, y) for y in ys for x in xs]
     parts = text.split(":")
     if len(parts) != 3:
         raise SpecError("grid needs a:b:n or box:re1:re2:im1:im2:n")
-    a, b = _grid_ends(parts[:2], field)
-    return [float(x) for x in np.linspace(a, b, int(parts[2]))]
+    a, b, n = _grid_numbers(parts, field)
+    return [float(x) for x in np.linspace(a, b, n)]
 
 
-def _grid_ends(parts, field):
-    # a grid's ends as pairs (lo, hi), each span finite, and so each end
-    ends = [float(t) for t in parts]
+def _grid_numbers(parts, field):
+    # a grid's ends as pairs (lo, hi), each span finite, and so each end, then
+    # its point count, a decimal integer >= 0
+    *spans, count = parts
+    ends = [float(t) for t in spans]
     if not all(math.isfinite(hi - lo) for lo, hi in zip(ends[::2], ends[1::2])):
-        raise SpecError(f"{field}: a grid end or span in {':'.join(parts)} is not finite")
-    return ends
+        raise SpecError(f"{field}: a grid end or span in {':'.join(spans)} is not finite")
+    if not count.isdecimal():
+        raise SpecError(f"{field}: the point count {count!r} is not an integer >= 0")
+    return ends + [int(count)]
 
 
 def merge_options(options, args):
@@ -280,10 +279,15 @@ def cmd_solve(args):
         mu = Measure(atoms=atoms_from_json(body["atoms"], "boole.atoms"))
         ys = body.get("y", [1.0])
         ys = ys if isinstance(ys, list) else [ys]
+        if not ys:
+            raise SpecError("boole.y is an empty list: it names no level to check")
         certs = []
         for y in ys:
             value = number_from_json(y, "boole.y")
-            plus, minus = boole_superlevel_measure(mu, value)
+            try:
+                plus, minus = boole_superlevel_measure(mu, value)
+            except ValueError as exc:  # a level out of range
+                raise SpecError(f"boole.y: {exc}") from None
             target = mu.mass() / value
             resid = max(abs(plus - target), abs(minus - target))
             certs.append({"name": f"boole_y={y}", "residual": resid,

@@ -6,11 +6,12 @@ of points strictly between ``b`` and ``a`` in the increasing direction of
 the line; when ``b > a`` the arc wraps through ∞, so that
 ``(b, a) = (b, +oo) ∪ {∞} ∪ (-oo, a)``.  ``ArcSet`` is a canonical disjoint
 union of arcs, and ``CantorComplement`` generates the middle thirds removed
-from a base interval.
+from a base interval, which :func:`cantor_levels` walks level by level.
 
 This module is the one home of the circle's geometry; the other modules ask
 it rather than splitting on the kinds of arc themselves:
 
+* closed sets such as σ(f): :class:`SigmaDescriptor`, their one type;
 * complements: :func:`closed_complement` reads an arc set's gaps as a
   closed set and :func:`complement_of_closed` turns a closed set (points,
   intervals, ∞) back into arcs through :func:`merged_support`; the
@@ -38,6 +39,7 @@ kind of arc (see :meth:`Arc.contains`).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -371,23 +373,6 @@ def measure(o) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class BoundaryDescriptor:
-    """Left-endpoint set {b_n}: a finite enumerated part, plus a flag telling
-    whether the closure accumulates on a residual set (generator case)."""
-
-    points: tuple
-    accumulates: bool = False
-
-
-def boundary_left(o) -> BoundaryDescriptor:
-    if isinstance(o, CantorComplement):
-        return BoundaryDescriptor(tuple(g.b for g in o.arcs()), True)
-    if o.full or o.is_empty:
-        return BoundaryDescriptor((), False)
-    return BoundaryDescriptor(tuple(arc.b for arc in o.arcs), False)
-
-
 def arc_angle(arc: Arc, z: complex) -> float:
     """Angle at z (Im z > 0) subtended by a single arc, in [0, π]."""
     x, y = z.real, z.imag
@@ -450,18 +435,8 @@ class CantorComplement:
 
     def levels(self) -> list:
         """Removed arcs grouped by level: levels()[m-1] has 2^(m-1) arcs."""
-        l, r = self.base
-        out, cur = [], [(l, r)]
-        for _ in range(self.depth):
-            gaps, nxt = [], []
-            for u, v in cur:
-                t = (v - u) / 3
-                gaps.append(Arc(u + t, v - t))
-                nxt.append((u, u + t))
-                nxt.append((v - t, v))
-            out.append(gaps)
-            cur = nxt
-        return out
+        return [[Arc(kept[k][1], kept[k + 1][0]) for k in range(0, len(kept), 2)]
+                for kept in list(cantor_levels(self.base, self.depth))[1:]]
 
     def arcs(self) -> list:
         return [g for level in self.levels() for g in level]
@@ -479,11 +454,19 @@ class CantorComplement:
         l, r = self.base
         return {"cantor": {"interval": [l, r], "depth": self.depth}}
 
-    @staticmethod
-    def from_json(obj) -> "CantorComplement":
-        spec = obj["cantor"] if "cantor" in obj else obj
-        l, r = spec.get("interval", [0, 1])
-        return CantorComplement((l, r), int(spec.get("depth", 1)))
+
+def cantor_levels(base, depth: int):
+    """The middle-thirds construction on base = [l, r]: the float pairs (u, v)
+    that each level 0, 1, …, depth keeps, in order."""
+    kept = [(float(base[0]), float(base[1]))]
+    yield kept
+    for _ in range(depth):
+        nxt = []
+        for u, v in kept:
+            t = (v - u) / 3.0
+            nxt += ((u, u + t), (v - t, v))
+        kept = nxt
+        yield kept
 
 
 def merged_support(points: Sequence[float], intervals: Sequence[tuple]) -> tuple:
@@ -512,6 +495,34 @@ def complement_of_closed(points: Sequence[float], intervals: Sequence[tuple],
         return FULL
     b, a = complement_ends(lo, hi, has_inf)
     return ArcSet(tuple(Arc(y, x, puncture=y == x) for y, x in zip(b, a)))
+
+
+@dataclass(frozen=True)
+class SigmaDescriptor:
+    """The one type of a closed set of the circle, such as σ(f): points,
+    closed intervals and an ∞ flag.  Its merged support is derived once and
+    shared by the analysis, the root kernel and the factorization's posts."""
+
+    points: tuple = ()
+    intervals: tuple = ()
+    has_inf: bool = False
+
+    def omega(self) -> ArcSet:
+        return complement_of_closed(self.points, self.intervals, self.has_inf)
+
+    @functools.cached_property
+    def support(self) -> tuple:
+        """(lo, hi): the ends of :func:`merged_support`'s pieces."""
+        return merged_support(self.points, self.intervals)
+
+    def is_measure_zero(self) -> bool:
+        return not self.intervals
+
+    def contains(self, x, tol: float = 1e-12) -> bool:
+        if is_inf(x):
+            return self.has_inf
+        return (any(abs(x - p) <= tol for p in self.points)
+                or any(l - tol <= x <= r + tol for l, r in self.intervals))
 
 
 def closed_complement(o: ArcSet) -> tuple:

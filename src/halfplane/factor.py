@@ -29,14 +29,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL,
+from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL, SigmaDescriptor,
                       arc_contains_arc, arcs_overlap, arcset_contains_arc,
                       boundary_samples, complement_ends, end_samples, is_inf,
                       normalize, number_from_json, points_equal, regularize,
                       sweep_points)
 from .krein import KreinProduct, log_factors, p_eval, scalar_or_array
-from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
-                         SigmaDescriptor, analyze, interval_entries)
+from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep, analyze,
+                         interval_entries)
 from .util import BRACKET, branch_roots, frozen, halton_box, ladder_limit
 
 
@@ -142,9 +142,6 @@ class ExpRep:
             total = total + psi * logs[:, k]
         return total.reshape(np.shape(z)), refused.reshape(np.shape(z))
 
-    def sigma_intervals(self) -> tuple:
-        return tuple((l, r) for l, r, _ in self.pieces)
-
     def to_json(self):
         return {"gamma": self.gamma,
                 "psi": [{"interval": [l, r], "value": psi}
@@ -172,8 +169,9 @@ class CompositeFunction:
 
     Built canonical: e^{ψ·log p_J} is p_J for ψ = 1 and 1 for ψ = 0, so a
     ψ = 1 piece becomes an arc of O, merged by the product with an arc of O
-    that shares an end, and a ψ = 0 piece is dropped.  A ψ = 1 piece that
-    overlaps O is refused."""
+    that shares an end, and a ψ = 0 piece is dropped.  It is the one place
+    that refuses a piece with ψ > 0 overlapping O or the base of O's
+    generator, where O is dense: such a piece meets them in its ends only."""
 
     c: float
     product: KreinProduct
@@ -182,12 +180,18 @@ class CompositeFunction:
     def __post_init__(self):
         if not 0 < self.c < INF:
             raise ValueError(f"composite constant must be positive and finite, got {self.c}")
-        if self.exp is None or all(0.0 < psi < 1.0 for _, _, psi in self.exp.pieces):
+        if self.exp is None:
             return
-        pieces, o = self.exp.pieces, self.product.arcs
+        pieces, o, cantor = self.exp.pieces, self.product.arcs, self.product.cantor
+        dense = o if cantor is None else o.union(cantor.regularized())
+        for arc, (_, _, psi) in zip(self.exp.piece_arcs, pieces):
+            if psi > 0.0 and any(arcs_overlap(arc, oa) for oa in
+                                 ((Arc(INF, INF, puncture=True),) if dense.full else dense.arcs)):
+                raise ValueError(f"exponent piece {arc!r} overlaps the product set {dense!r}")
+        if all(0.0 < psi < 1.0 for _, _, psi in pieces):
+            return
         saturated = [arc for arc, (_, _, psi) in zip(self.exp.piece_arcs, pieces) if psi == 1.0]
         if saturated:
-            _refuse_overlap(saturated, o)
             object.__setattr__(self, "product", replace(
                 self.product, arcs=normalize(list(o.arcs) + saturated)))
         object.__setattr__(self, "exp", ExpRep(
@@ -265,27 +269,15 @@ def analyze_pick(f) -> AnalysisResult:
     raise TypeError(f"unsupported function form {type(f).__name__}")
 
 
-def _refuse_overlap(pieces, o: ArcSet):
-    # ψ pieces may meet the product set in its ends only
-    for pa in pieces:
-        if any(arcs_overlap(pa, oa) for oa in
-               ((Arc(INF, INF, puncture=True),) if o.full else o.arcs)):
-            raise ValueError(f"exponent piece {pa!r} overlaps the product set {o!r}")
-
-
 def _analyze_composite(f: CompositeFunction) -> AnalysisResult:
     """σ and Γ of c·k_O·e^h over explicit arcs: Γ is Γ(k_O), and σ is σ(k_O)
     with the pieces of h, each with 0 < ψ < 1 in a canonical composite."""
     if f.product.cantor is not None:
         raise ValueError("analysis of generator-backed products is out of scope; "
                          "regularize to an explicit set first")
-    if f.exp is not None:
-        _refuse_overlap(f.exp.piece_arcs, f.product.arcs)
     s = f.product.structure  # as it evaluates: a shared end, ∞ included, is no pole
-    intervals = tuple(f.exp.sigma_intervals()) if f.exp is not None else ()
-    sig = SigmaDescriptor(points=tuple(p for p in s.poles if not is_inf(p)),
-                          intervals=intervals, has_inf=any(map(is_inf, s.poles)))
-    return AnalysisResult(sig, s.gamma)
+    intervals = tuple((l, r) for l, r, _ in f.exp.pieces) if f.exp is not None else ()
+    return AnalysisResult(replace(s.sigma, intervals=intervals), s.gamma)
 
 
 def _blackbox_real(fn, x: float) -> float:
@@ -584,9 +576,8 @@ def _verify_posts(ana: AnalysisResult, g, k: KreinProduct):
     posts.append(Certification("omega_g_regular", 0.0 if reg_ok else 1.0, 0.0, reg_ok))
 
     # (4) σ(f) = X ∪ σ(g), X = σ(k_Γ)
-    x_pts = k.structure.poles
-    sig_c = SigmaDescriptor(tuple(p for p in x_pts if not is_inf(p)) + sig_g.points,
-                            sig_g.intervals, any(map(is_inf, x_pts)) or sig_g.has_inf)
+    x = k.structure.sigma
+    sig_c = SigmaDescriptor(x.points + sig_g.points, sig_g.intervals, x.has_inf or sig_g.has_inf)
     lo_c, hi_c = sig_c.support
     ok4 = (sig_c.has_inf == sig_f.has_inf and len(lo_c) == len(lo_f)
            and all(x == y or abs(x - y) <= 1e-7 for x, y in zip(lo_c + hi_c, lo_f + hi_f)))
@@ -604,10 +595,12 @@ def _sampled_posts(ana: AnalysisResult, g):
     v = v.real[~refused]
     v = v[np.isfinite(v)]  # the ∞ marker and NaN are skipped
     resid2 = max(0.0, -float(v.min())) if v.size else 0.0
+    n = int(np.count_nonzero(refused))
     note = "not structurally checkable for quotient forms"
     return [Certification("sigma_subset", resid1, 1e-3, resid1 <= 1e-3,
                           "sampled real-extendability across Omega(f)"),
-            Certification("g_positive_on_omega", resid2, 1e-9, resid2 <= 1e-9),
+            Certification("g_positive_on_omega", resid2, 1e-9, resid2 <= 1e-9,
+                          f"{n} of {refused.size} sample points refused" if n else ""),
             Certification("omega_g_regular", 0.0, 0.0, True, note),
             Certification("omega_intersection", 0.0, 0.0, True, note)]
 
@@ -640,10 +633,9 @@ def constant_factor_check(f) -> float:
 
 
 def compose_in_class(o: ArcSet, e: ExpRep) -> CompositeFunction:
-    """k_O · e^v for ψ pieces that meet O in its ends at most.  It is in the
-    class: arg(k_O e^v) is the sum of ψ times the angle each arc subtends,
-    and disjoint arcs subtend at most π in all."""
-    _refuse_overlap(e.piece_arcs, o)
+    """k_O · e^v for ψ pieces that meet O in its ends at most (the composite
+    refuses others).  It is in the class: arg(k_O e^v) is the sum of ψ times
+    the angle each arc subtends, and disjoint arcs subtend at most π in all."""
     return CompositeFunction(1.0, KreinProduct(o), e)
 
 

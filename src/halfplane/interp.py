@@ -236,8 +236,7 @@ def certify_region(k: KreinProduct, p: InterpProblem) -> tuple:
     s = k.structure
     certs = [_farthest("zeros", p.zeros, s.zeros, 1e-10),
              _farthest("poles", p.poles, s.poles, 0.0),
-             _farthest("real_off_singular", [b for b in s.poles if not is_inf(b)],
-                       p.poles + p.singular, 1e-12)]
+             _farthest("real_off_singular", s.sigma.points, p.poles + p.singular, 1e-12)]
     extra_poles = tuple(y for y in p.singular if any(points_equal(y, b) for b in s.poles))
     extra_zeros = tuple(y for y in p.singular if any(points_equal(y, a) for a in s.zeros))
     return certs, extra_poles, extra_zeros

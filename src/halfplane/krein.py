@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, BoundaryDescriptor, CantorComplement, EMPTY,
-                      FULL, INF, arc_ends, is_regular, normalize)
+from .extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
+                      SigmaDescriptor, arc_ends, is_regular, normalize)
 from .moebius import HalfPlaneAuto, pullback_arcset
 from .util import quotient
 
@@ -325,7 +325,7 @@ def _cantor_majorant(base, z, gap) -> float:
 
 @dataclass(frozen=True)
 class KreinStructure:
-    sigma: BoundaryDescriptor
+    sigma: SigmaDescriptor  # the poles, ∞ as the flag
     gamma: ArcSet
     zeros: tuple
     poles: tuple
@@ -370,10 +370,11 @@ class KreinProduct:
         no pole or zero; a closed chain is the constant −1."""
         b, a = self._ends
         if b == a:  # no arc, or the one puncture arc of a closed chain
-            return KreinStructure(BoundaryDescriptor((), False), FULL if b else EMPTY, (), ())
+            return KreinStructure(SigmaDescriptor(), FULL if b else EMPTY, (), ())
         o = self.arcs
         gamma = o if len(b) == len(o.arcs) else normalize([Arc(y, x) for y, x in zip(b, a)])
-        return KreinStructure(BoundaryDescriptor(tuple(b), False), gamma, tuple(a), tuple(b))
+        sigma = SigmaDescriptor(tuple(p for p in b if p != INF), (), INF in b)
+        return KreinStructure(sigma, gamma, tuple(a), tuple(b))
 
     def eval(self, z, strict: bool = True):
         """(value, tail_bound) with |true value − value| ≤ tail_bound, at a

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import INF, Arc, ArcSet, is_inf, normalize
+from .extreal import INF, Arc, ArcSet, arc_ends, normalize
 from .util import quotient
 
 
@@ -53,21 +53,13 @@ class HalfPlaneAuto:
         return HalfPlaneAuto(0.0, -1.0, 1.0, 0.0)
 
     def __call__(self, z):
-        """Apply to a point of C⁺ or of the boundary circle; poles map to ∞."""
-        if not isinstance(z, complex):
-            return self.apply_point(z)
-        den = self.c * z + self.d
-        if den == 0:
-            return INF
-        return (self.a * z + self.b) / den
-
-    def apply_point(self, x: float):
-        if is_inf(x):
-            return INF if self.c == 0 else self.a / self.c
-        den = self.c * x + self.d
-        if den == 0 or abs(den) < 1e-300:
-            return INF
-        return (self.a * x + self.b) / den
+        """At a point, or each point of an ndarray, by :class:`DiskMap`'s pass:
+        complex at a complex z, real at a real one (∞ = ``INF``); the pole → ∞."""
+        w = _mobius(z, self.a, self.b, self.c, self.d,
+                    INF if self.c == 0 else complex(self.a / self.c))
+        if np.iscomplexobj(z):
+            return w
+        return w.real if isinstance(z, np.ndarray) else float(w.real)
 
     def inverse(self) -> "HalfPlaneAuto":
         return HalfPlaneAuto(self.d, -self.b, -self.c, self.a)
@@ -89,15 +81,8 @@ def pullback_arcset(phi: HalfPlaneAuto, o: ArcSet) -> ArcSet:
     """
     if o.full or o.is_empty:
         return o
-    inv = phi.inverse()
-    arcs = []
-    for arc in o.arcs:
-        if arc.puncture:
-            x = inv.apply_point(arc.b)
-            arcs.append(Arc(x, x, puncture=True))
-        else:
-            arcs.append(Arc(inv.apply_point(arc.b), inv.apply_point(arc.a)))
-    return normalize(arcs)
+    b, a = phi.inverse()(np.array(arc_ends(o.arcs))).tolist()
+    return normalize([Arc(y, x, arc.puncture) for y, x, arc in zip(b, a, o.arcs)])
 
 
 @dataclass(frozen=True)
@@ -133,6 +118,7 @@ def _mobius(z, a, b, c, d, at_inf):
     pole = den == 0
     if np.count_nonzero(pole):
         den[pole] = 1.0
+        pole &= ~inf  # ∞ goes to at_inf, even where d = 0
     out = quotient(w * a + b, den)
     out[pole] = INF
     out[inf] = at_inf

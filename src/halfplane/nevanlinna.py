@@ -17,7 +17,6 @@ of Γ all run between its pieces.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -25,9 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL,
-                      complement_ends, complement_of_closed, is_inf,
-                      merged_support, number_from_json, regularize)
+from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL, SigmaDescriptor,
+                      cantor_levels, complement_ends, number_from_json, regularize)
 from .util import (RecoveryError, RootBracketError, branch_roots, excess,
                    ladder_limit, quotient)
 
@@ -80,17 +78,9 @@ class Measure:
     def cantor_atoms(depth: int, base=(0.0, 1.0), mass: float = 1.0) -> "Measure":
         """Depth-k atomic stand-in for the Cantor measure: 2^k atoms of weight
         mass·2^(−k) at the midpoints of the surviving level-k intervals."""
-        l, r = float(base[0]), float(base[1])
-        cur = [(l, r)]
-        for _ in range(depth):
-            nxt = []
-            for u, v in cur:
-                t = (v - u) / 3.0
-                nxt.append((u, u + t))
-                nxt.append((v - t, v))
-            cur = nxt
-        w = mass / len(cur)
-        return Measure(atoms=tuple((0.5 * (u + v), w) for u, v in cur))
+        *_, kept = cantor_levels(base, depth)
+        w = mass / len(kept)
+        return Measure(atoms=tuple((0.5 * (u + v), w) for u, v in kept))
 
     def mass(self) -> float:
         return (sum(w for _, w in self.atoms)
@@ -112,23 +102,63 @@ class Measure:
         return out
 
 
-def _log_ratio(z, l: float, r: float):
-    """log((z−r)/(z−l)); for Im z ≠ 0 the ratio stays off (−∞, 0]."""
-    if isinstance(z, complex) and z.imag != 0:
-        return cmath.log((z - r) / (z - l))
-    x = float(z.real) if isinstance(z, complex) else float(z)
-    if l <= x <= r:
-        raise ValueError(f"real evaluation at {x} inside the density "
-                         f"support [{l}, {r}]")
-    # the ratio is 1 + (r−l)/(l−x) left of [l, r] and 1/(1 + (r−l)/(x−r))
-    # right of it: log1p of a positive argument keeps every digit
-    return math.log1p((r - l) / (l - x)) if x < l else -math.log1p((r - l) / (x - r))
+def _log_ratios(z, l, r):
+    """log((z−r)/(z−l)) at real or complex points z off [l, r], broadcast.  On
+    the line the ratio is 1 + (r−l)/(l−x) left of [l, r], 1/(1 + (r−l)/(x−r))
+    right of it: log1p of a positive argument keeps every digit."""
+    if z.dtype.kind != "c":
+        left = z < l
+        return np.where(left, 1.0, -1.0) * np.log1p((r - l) / np.where(left, l - z, z - r))
+    line = z.imag == 0
+    off = np.where(line, l - 1.0 + 1j, z)
+    return np.where(line, _log_ratios(np.where(line, z.real, l - 1.0), l, r),
+                    np.log(quotient(off - r, off - l)))
 
 
-def _log_ratios(x, l, r):
-    # _log_ratio for arrays of real x off the intervals [l, r]
-    left = x < l
-    return np.where(left, 1.0, -1.0) * np.log1p((r - l) / np.where(left, l - x, x - r))
+def _poles(den):
+    # the rows of den (points × atoms) with a zero, which is set to 1 (their values are set apart)
+    hit = den == 0
+    if np.count_nonzero(hit):
+        den[hit] = 1.0
+        return hit.any(axis=1)
+
+
+def _off_supports(z, skip, ls, rs):
+    """The array z as a column against the supports [l, r], the points of ``skip``
+    moved off each to l − 1; ValueError at the first other real point inside one."""
+    real = z.imag == 0 if skip is None else (z.imag == 0) & ~skip
+    x = z[:, None]
+    inside = real[:, None] & (ls <= x.real) & (x.real <= rs)
+    if inside.any():
+        k, i = np.unravel_index(np.argmax(inside), inside.shape)
+        raise ValueError(f"real evaluation at {float(z.real[k])} inside the density "
+                         f"support [{float(ls[i])}, {float(rs[i])}]")
+    return x if skip is None else np.where(skip[:, None], ls - 1.0, x)
+
+
+def _closed_form(z, ts, atom, ac, density, start=0.0):
+    """start + Σ atom(t − z) + Σ d·density(z, l, r) over atoms ts and densities ac =
+    (ls, rs, ds) or None, in one pass (a scalar z is the pass on one point); ∞ at an atom."""
+    x = np.ravel(z)
+    den = ts - x[:, None]
+    pole = _poles(den)
+    val = start + atom(den).sum(axis=1)
+    if ac is not None:
+        ls, rs, ds = ac
+        x = _off_supports(x, pole, ls, rs)
+        val += (ds * density(x, ls, rs)).sum(axis=1)
+    if pole is not None:
+        val[pole] = INF
+    return _point_or_array(val, pole, z)
+
+
+def _point_or_array(val, pole, z):
+    # an evaluator's result: the array in z's shape, or the value at the one
+    # point z, a complex for a complex z and a float at a real z or the ∞ marker
+    if isinstance(z, np.ndarray):
+        return val.reshape(z.shape)
+    marker = pole is not None and pole[0]
+    return complex(val[0]) if isinstance(z, complex) and not marker else float(val[0].real)
 
 
 def interval_entries(entries, value_key: str, field: str, half_line: bool = False) -> tuple:
@@ -166,34 +196,6 @@ def atoms_from_json(entries, field: str = "atoms") -> tuple:
 
 
 @dataclass(frozen=True)
-class SigmaDescriptor:
-    """Closed support of ρ plus ∞ when α > 0: finite points, closed
-    intervals, and an ∞ flag.  Its merged support is derived once and
-    shared by the analysis, the root kernel and the factorization's posts."""
-
-    points: tuple = ()
-    intervals: tuple = ()
-    has_inf: bool = False
-
-    def omega(self) -> ArcSet:
-        return complement_of_closed(self.points, self.intervals, self.has_inf)
-
-    @functools.cached_property
-    def support(self) -> tuple:
-        """(lo, hi): the ends of ``extreal.merged_support``'s pieces."""
-        return merged_support(self.points, self.intervals)
-
-    def is_measure_zero(self) -> bool:
-        return not self.intervals
-
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        if is_inf(x):
-            return self.has_inf
-        return (any(abs(x - p) <= tol for p in self.points)
-                or any(l - tol <= x <= r + tol for l, r in self.intervals))
-
-
-@dataclass(frozen=True)
 class NevanlinnaRep:
     """f(z) = αz + β + Σ w (1+zt)/(t−z) + Σ d ∫_l^r (1+zt)/(t−z) dt."""
 
@@ -221,82 +223,63 @@ class NevanlinnaRep:
         cplx = z_.dtype.kind == "c"
         inf = None if cplx or not np.isinf(z_).any() else np.isinf(z_)
         z_ = z_ if cplx else np.where(inf, 0.0, z_) if inf is not None else z_.astype(float)
-        ts, ws = self._atoms
+        ts, ws, _ = self._atoms
         val, pole = self.alpha * z_ + self.beta, None
         if ts.size:
             # αz + β, then the atoms' terms, summed in order
             terms = np.empty((z_.size, ts.size + 1), dtype=z_.dtype)
             terms[:, 0] = val
             den = ts - z_[:, None]
-            hit = den == 0
-            if hit.any():
-                den[hit], pole = 1.0, hit.any(axis=1)
+            pole = _poles(den)
             num = ws * (1.0 + z_[:, None] * ts)
             terms[:, 1:] = quotient(num, den)
             val = np.add.accumulate(terms, axis=1)[:, -1]
         if self.rho.ac:
-            val = self._densities(z_, val, cplx, [m for m in (pole, inf) if m is not None])
+            val = self._densities(z_, val, [m for m in (pole, inf) if m is not None])
         if pole is not None:
             val[pole] = INF
         if inf is not None:
             val[inf] = INF if self.alpha > 0 else self.value_at_inf()
-        if isinstance(z, np.ndarray):
-            return val.reshape(z.shape)
-        marker = pole is not None and pole[0]
-        return complex(val[0]) if isinstance(z, complex) and not marker else float(val[0].real)
+        return _point_or_array(val, pole, z)
 
-    def _densities(self, z, val, cplx, skipped):
+    def _densities(self, z, val, skipped):
         """val plus each density's d(z(r − l) + (1 + z²)·log((z−r)/(z−l))), in
-        order, leaving the points of the ``skipped`` masks aside.  With h, m
-        and u = h/(z − m) as in :func:`_density_terms`, the bracket is
+        one pass, summed in order, leaving the ``skipped`` masks aside.  With
+        h, m and u = h/(z − m) as in :func:`_density_terms`, the bracket is
         −2u(1 + zm) − 2u(1 + z²)·S(u²) where |u| ≤ 1/2: the closed form
         cancels like |z|² far from the support, the series not at all; past
         |z| = 1e150 its brackets come from :func:`_huge_brackets`."""
-        line = z.imag == 0
-        real = line & ~np.logical_or.reduce(skipped) if skipped else line
-        x, (ls, rs, _) = z.real[:, None], np.array(self.rho.ac).T
-        inside = real[:, None] & (ls <= x) & (x <= rs)
-        if inside.any():
-            k, i = np.unravel_index(np.argmax(inside), inside.shape)
-            raise ValueError(f"real evaluation at {float(z.real[k])} inside the density "
-                             f"support [{self.rho.ac[i][0]}, {self.rho.ac[i][1]}]")
-        huge = np.abs(z) > _HUGE
-        for l, r, d in self.rho.ac:
-            h = 0.5 * (r - l)
-            w = (z - l) - h  # near a support far from 0, z − m is off by m's rounding
-            far = np.abs(w) >= 2.0 * h
-            u = h / np.where(far, w, 2.0 * h)
-            with np.errstate(over="ignore", invalid="ignore"):  # both overflow past |z| ~ 1e154
-                zz, v = 1.0 + z * z, u * u
-                s = np.polyval(_ARTANH, v)
-                series = -2.0 * u * (1.0 + z * (l + h)) - 2.0 * u * zz * v * s
-                if huge.any():
-                    c, b = _huge_brackets(z, h, l + h, w)
-                    series = np.where(huge, -2.0 * c - 2.0 * b * u * u * s, series)
-                # on the real line, log1p keeps every digit
-                logs = _log_ratios(np.where(real, z.real, l - 1.0), l, r)
-                if cplx:
-                    off = np.where(line, l - 1.0 + 1j, z)
-                    logs = np.where(line, logs, np.log(quotient(off - r, off - l)))
-                val = val + d * np.where(far, series, z * (r - l) + zz * logs)
-        return val
+        ls, rs, ds = self._ac
+        z = _off_supports(z, np.logical_or.reduce(skipped) if skipped else None, ls, rs)
+        h = 0.5 * (rs - ls)
+        w = (z - ls) - h  # near a support far from 0, z − m is off by m's rounding
+        far = np.abs(w) >= 2.0 * h
+        u = h / np.where(far, w, 2.0 * h)
+        with np.errstate(over="ignore", invalid="ignore"):  # both overflow past |z| ~ 1e154
+            zz, v = 1.0 + z * z, u * u
+            s = np.polyval(_ARTANH, v)
+            series = -2.0 * u * (1.0 + z * (ls + h)) - 2.0 * u * zz * v * s
+            huge = np.abs(z) > _HUGE
+            if huge.any():
+                c, b = _huge_brackets(z, h, ls + h, w)
+                series = np.where(huge, -2.0 * c - 2.0 * b * u * u * s, series)
+            terms = ds * np.where(far, series, z * (rs - ls) + zz * _log_ratios(z, ls, rs))
+        return np.add.accumulate(np.column_stack((val, terms)), axis=1)[:, -1]
 
     @functools.cached_property
     def _atoms(self):
-        return np.array(self.rho.atoms, dtype=float).reshape(-1, 2).T
+        # t, w and u² = w(1 + t²), an atom's weight in f' and in the root kernel
+        ts, ws = np.array(self.rho.atoms, dtype=float).reshape(-1, 2).T
+        return ts, ws, ws * (1.0 + ts * ts)
+
+    @functools.cached_property
+    def _ac(self):
+        return np.array(self.rho.ac, dtype=float).T
 
     def derivative(self, z):
-        """f'(z) = α + ∫ (1+t²)/(t−z)² dρ(t), in closed form."""
-        zz = z
-        val = self.alpha + 0.0 * zz
-        for t, w in self.rho.atoms:
-            den = t - zz
-            if den == 0:
-                return INF
-            val += w * (1.0 + t * t) / (den * den)
-        for l, r, d in self.rho.ac:
-            val += d * _density_slope(zz, l, r, _log_ratio(zz, l, r))
-        return val
+        """f'(z) = α + ∫ (1+t²)/(t−z)² dρ(t), the root kernel's slope: a _closed_form pass."""
+        return _closed_form(z, self._atoms[0], lambda den: self._atoms[2] / den ** 2,
+                            self._ac if self.rho.ac else None, _density_slope, self.alpha)
 
     def value_at_inf(self) -> float:
         """Common limit of f along both ends of R (finite only when α = 0)."""
@@ -308,13 +291,6 @@ class NevanlinnaRep:
         return SigmaDescriptor(points=tuple(t for t, _ in self.rho.atoms),
                                intervals=tuple((l, r) for l, r, _ in self.rho.ac),
                                has_inf=self.alpha > 0)
-
-    def scale(self, s: float) -> "NevanlinnaRep":
-        if s <= 0:
-            raise ValueError("scale factor must be positive")
-        return NevanlinnaRep(s * self.alpha, s * self.beta,
-                             Measure(tuple((t, s * w) for t, w in self.rho.atoms),
-                                     tuple((l, r, s * d) for l, r, d in self.rho.ac)))
 
     def to_json(self):
         out = {"alpha": self.alpha, "beta": self.beta}
@@ -426,16 +402,11 @@ def recover_atom(f, t0: float, *, eps0: float = 1e-2, n: int = 9,
 
 
 def cauchy_transform(mu: Measure, z):
-    """G_μ(z) = ∫ dμ(t)/(z−t), closed form for atoms and constant densities."""
-    val = 0.0 * z if isinstance(z, complex) else 0.0
-    for t, w in mu.atoms:
-        den = z - t
-        if den == 0:
-            return INF
-        val += w / den
-    for l, r, d in mu.ac:
-        val -= d * _log_ratio(z, l, r)  # ∫_l^r d/(z−t) dt = d log((z−l)/(z−r))
-    return val
+    """G_μ(z) = ∫ dμ(t)/(z−t), atoms and constant densities: a :func:`_closed_form` pass."""
+    ts, ws = np.array(mu.atoms, dtype=float).reshape(-1, 2).T
+    # ∫_l^r d/(z−t) dt = d log((z−l)/(z−r))
+    return _closed_form(z, ts, lambda den: -ws / den, np.array(mu.ac).T if mu.ac else None,
+                        lambda x, l, r: -_log_ratios(x, l, r))
 
 
 def boole_superlevel_measure(mu: Measure, y: float):
@@ -493,12 +464,15 @@ def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
 def _boole_roots(ts, ws, y: float):
     """Roots of G = y (one right of each atom) and of G = −y (one left of
     each), for sorted atoms ts with weights ws."""
+    # by Weyl, every eigenvalue lies within ‖z‖² = μ(R)/y of an atom
+    reach = 2.0 * float(np.sum(ws)) / y
+    if not (math.isfinite(ts[0] - reach) and math.isfinite(ts[-1] + reach)):
+        raise ValueError(f"y = {y} is too small: the outer roots' brackets reach "
+                         f"2μ(R)/y = {reach:.3g} past the atoms, out of the float range")
     z = np.sqrt(ws / y)
     rank_one = np.outer(z, z)
     diag = np.diag(ts)
     seeds = np.linalg.eigvalsh(np.stack((diag + rank_one, diag - rank_one)))
-    # by Weyl, every eigenvalue lies within ‖z‖² = μ(R)/y of an atom
-    reach = 2.0 * float(np.sum(ws)) / y
     lo = np.concatenate((ts, [ts[0] - reach], ts[:-1]))
     hi = np.concatenate((ts[1:], [ts[-1] + reach], ts))
     target = np.repeat((-y, y), len(ts))
@@ -565,9 +539,9 @@ _SLOPE_T = np.append(np.arange(51.0, 0.0, -2.0) / np.arange(53.0, 2.0, -2.0), 0.
 _SLOPE_Q = np.append(np.arange(52.0, 1.0, -2.0) / np.arange(53.0, 2.0, -2.0), 0.0)
 
 
-def _density_slope(x, l, r, log_ratio):
-    """∫_l^r (1+t²)/(t−x)² dt for x off [l, r], given log_ratio =
-    log((x−r)/(x−l)); real or complex scalars, or real arrays.  With h, m and
+def _density_slope(x, l, r):
+    """∫_l^r (1+t²)/(t−x)² dt for x off [l, r], at arrays of real or complex
+    points, broadcast against l and r.  With h, m and
     u = h/(x − m) as in :func:`_density_terms` and v = u², it is
     2h·T(v) + 4um·Q(v) + 2h(1 + m²)/((x−l)(x−r)) for |x − m| ≥ 2h, the parts
     of 1 + t² = s² + 2ms + (1 + m²), s = t − m, which cancel by at most a
@@ -583,8 +557,8 @@ def _density_slope(x, l, r, log_ratio):
     m = l + h
     series = (2.0 * h * np.polyval(_SLOPE_T, v) + 4.0 * u * m * np.polyval(_SLOPE_Q, v)
               + 2.0 * h * (1.0 + m * m) / (dl * dr))
-    closed = (r - l) * (1.0 + (1.0 + x * x) / (dl * dr)) + 2.0 * x * log_ratio
-    return np.where(far, series, closed)[()]
+    closed = (r - l) * (1.0 + (1.0 + x * x) / (dl * dr)) + 2.0 * x * _log_ratios(x, l, r)
+    return np.where(far, series, closed)
 
 
 def _component_roots(rep: NevanlinnaRep, targets, support):
@@ -599,8 +573,7 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
     diag(t) + uuᵀ/(β′ − target) (α = 0), densities by midpoints."""
     alpha, ac = rep.alpha, rep.rho.ac
     targets = [float(t) for t in targets]
-    ts, ws = rep._atoms
-    u2 = ws * (1.0 + ts * ts)
+    ts, ws, u2 = rep._atoms
     big_k = float(u2.sum()) + sum(d * (r - l + (r**3 - l**3) / 3) for l, r, d in ac)
     offset = rep.beta - rep.rho.moment1()
     shifts = [offset - t for t in targets]  # β′ − target
@@ -650,7 +623,6 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
     # rounding bounds in eps: αx and β′, the atoms, each density's three summands
     n, k = len(ts), len(ac)
     ulps = np.array([1.0, 1.0] + [3.0] * n + [6.0] * k + [14.0] * k + [2.0] * k)
-    ls, rs, ds = np.array(ac, dtype=float).T if ac else (None,) * 3
 
     def terms(x):
         # one table: αx, β′, the atoms' block, the densities' three blocks
@@ -663,15 +635,8 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
         np.subtract(ts, xc, out=atoms)
         np.divide(u2, atoms, out=atoms)
         if ac:
-            out[:, 2 + n:] = np.concatenate(_density_terms(xc, ls, rs, ds), axis=1)
+            out[:, 2 + n:] = np.concatenate(_density_terms(xc, *rep._ac), axis=1)
         return out
-
-    def slope(x):
-        xc = x[:, None]
-        val = alpha + (u2 / (ts - xc) ** 2).sum(axis=1)
-        if ac:
-            val += (ds * _density_slope(xc, ls, rs, _log_ratios(xc, ls, rs))).sum(axis=1)
-        return val
 
     if alpha == 0:
         for j, (target, s) in enumerate(zip(targets, shifts)):
@@ -686,10 +651,10 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
                 live[last] = not (values[0] <= -rounding[0] if s > 0 else values[0] >= rounding[0])
     target = np.array(targets).repeat(n_arcs)
     if all(live):
-        roots = branch_roots(terms, ulps, target, seeds, lo, hi, slope)
+        roots = branch_roots(terms, ulps, target, seeds, lo, hi, rep.derivative)
     else:
         live = np.array(live)
         roots = np.full(len(live), INF)
         roots[live] = branch_roots(terms, ulps, target[live], seeds[live], lo[live], hi[live],
-                                   slope)
+                                   rep.derivative)
     return roots.reshape(len(targets), n_arcs)

@@ -52,7 +52,9 @@ def branch_roots(terms, ulps, target, seeds, lo, hi, slope=None):
         if not ok.all():
             bad = ~ok
             blo, bhi = _bisect(terms, target[bad], lo[bad], hi[bad])
-            x[bad] = _newton(terms, slope, target[bad], 0.5 * blo + 0.5 * bhi, blo, bhi)[0]
+            # in the open branch, as the seeds: adjacent floats' midpoint may round onto an end
+            mid = np.minimum(np.maximum(0.5 * blo + 0.5 * bhi, inner[0][bad]), inner[1][bad])
+            x[bad] = _newton(terms, slope, target[bad], mid, blo, bhi)[0]
             ok = _bracketed(terms, ulps, target, x, lo, hi, inner)
     if not ok.all():
         k = int(np.argmin(ok))

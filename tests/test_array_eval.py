@@ -221,9 +221,10 @@ class TestMasks:
             k(np.array(zs))
 
     def test_composite_refuses_on_pieces_not_at_poles(self):
+        # the piece (−1, 0) meets O = (0, 1) at O's pole end
         f = CompositeFunction(2.0, KreinProduct(normalize([Arc(0.0, 1.0)])),
-                              ExpRep(0.3, ((-3.0, -1.0, 0.4), (0.0, 2.0, 0.5))))
-        zs = [0.0, 0.5, 1.5, -2.0, -1.0, -3.0, 3.0, 2.0 + 1e-3, -0.5 + 1j]
+                              ExpRep(0.3, ((-3.0, -1.0, 0.4), (-1.0, 0.0, 0.5))))
+        zs = [0.0, -0.5, 0.5, 1.5, -2.0, -1.0, -3.0, 3.0, 1e-3, -0.5 + 1j]
         values, refused = f.masked(np.array(zs, dtype=complex))
         for z, v, no in zip(zs, values.tolist(), refused.tolist()):
             kind, scalar = outcome(f, z)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -366,6 +367,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "version" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("atoms, y, named", [
+        ([[0, 1]], [], "boole.y is an empty list"),
+        ([[0, 1], [1, 2]], [1e-308], "boole.y: y = 1e-308 is too small"),
+    ], ids=["no-level", "level-past-float-range"])
+    def test_boole_level_out_of_range_is_input_error(self, tmp_path, capsys, atoms, y, named):
+        # the first exited 0 with "certifications": [], a report that checks
+        # nothing; the second printed numpy's "overflow encountered in
+        # divide" and exited 1 with "no sign bracket for the root inf"
+        path = write_spec(tmp_path, "b.json", {"boole": {"atoms": atoms, "y": y}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--spec", path]) == 2
+        captured = capsys.readouterr()
+        assert not caught and captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("input error: ") and named in captured.err
+
     def test_unbracketable_root_is_certification_failure(self, tmp_path, capsys):
         # the root of G = 1 right of the 1e-30 atom lies within roundoff of
         # it, so no sign bracket can certify it: refused, with a message
@@ -565,6 +582,24 @@ class TestErrors:
         assert captured.out == "" and "Traceback" not in captured.err
         assert f"{field}: a grid end or span in {ends} is not finite" in captured.err
 
+    @pytest.mark.parametrize("flags, options, field, count", [
+        (["--grid=0:1:2.5"], {}, "--grid", "'2.5'"),
+        (["--grid=box:0:1:1:2:x"], {}, "--grid", "'x'"),
+        (["--grid=0:1:-1"], {}, "--grid", "'-1'"),
+        (["--grid=0:1:"], {}, "--grid", "''"),
+        ([], {"grid": "box:0:1:1:2:1e3"}, "options.grid", "'1e3'"),
+    ])
+    def test_grid_count_not_an_integer_is_input_error(self, tmp_path, capsys, flags,
+                                                      options, field, count):
+        # int() said "invalid literal for int() with base 10" and numpy
+        # "Number of samples, -1, must be non-negative", neither naming the field
+        path = write_spec(tmp_path, "k.json", {"krein": {"arcs": [[0, 1]]},
+                                               "options": options})
+        assert main(["eval", "--spec", path] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"{field}: the point count {count} is not an integer >= 0" in captured.err
+
     @pytest.mark.parametrize("command", ["eval", "factor"])
     @pytest.mark.parametrize("krein, piece", [
         ({"arcs": [[0, 2]]}, [1, 3]),
@@ -582,6 +617,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "exponent piece" in err and "overlaps the product set" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("psi", [1.0, 0.5])
+    def test_piece_over_a_cantor_base_is_input_error(self, tmp_path, capsys, psi):
+        # O is dense in the generator's base (0, 1): a ψ = 1 piece over it
+        # joined O before the base was looked at, and exited 0 with the
+        # interior row f(0.45 + i) = −0.849 − 0.256i, below the real axis
+        path = write_spec(tmp_path, "f.json", {"product": {
+            "krein": {"cantor": {"interval": [0, 1], "depth": 16}, "tol": 0.01},
+            "exp": {"psi": [{"interval": [0.2, 0.5], "value": psi}]}}})
+        assert main(["eval", "--spec", path, "--grid=box:0.45:0.45:1:1:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "exponent piece Arc(0.2, 0.5) overlaps the product set" in captured.err
 
     def test_product_piece_meeting_the_arcs_in_an_end_is_read(self, tmp_path, capsys):
         # a piece that shares an end with O, and a ψ = 0 piece over O, which
@@ -710,7 +758,8 @@ _problem = st.one_of(
 _options = st.one_of(st.just({}), _body({}, {
     "grid": st.sampled_from(["-2:2:5", "box:-1:1:0.5:1:2", "0:1", 5, "0:inf:3",
                              "nan:1:2", "-1e308:1e308:3", "box:-1e309:1:0.5:1:2",
-                             "box:-1:1:0.5:inf:2"]),
+                             "box:-1:1:0.5:inf:2", "0:1:2.5", "box:0:1:1:2:x",
+                             "0:1:-1", "0:1:0"]),
     "depth": _depth, "tol": _tol, "eps": st.sampled_from([0, 1e-3, -1.0, "x"])}))
 
 

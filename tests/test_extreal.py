@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from halfplane.cli import _krein_product
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL,
                                INF, angle_subtended, arcs_overlap,
-                               as_point, boundary_left, circle_minus_points,
+                               as_point, circle_minus_points,
                                closed_complement, complement_of_closed,
                                measure, normalize,
                                points_equal, regularize)
@@ -133,23 +134,6 @@ class TestRegularize:
         assert got.isclose(arcset((3, 2)))
 
 
-class TestBoundaryLeft:
-    def test_explicit(self):
-        d = boundary_left(arcset((1, 2), (3, 4)))
-        assert d.points == (1, 3) and not d.accumulates
-
-    def test_wrap(self):
-        assert boundary_left(arcset((1, 0))).points == (1,)
-
-    def test_cantor_depth2(self):
-        # the gap ends are floats within 4 ulps of the exact thirds
-        d = boundary_left(CantorComplement((0, 1), 2))
-        assert d.accumulates
-        exact = [Fraction(1, 9), Fraction(1, 3), Fraction(7, 9)]
-        assert len(d.points) == 3
-        assert all(within_ulps(x, e) for x, e in zip(sorted(d.points), exact))
-
-
 class TestMeasure:
     def test_finite(self):
         assert measure(arcset((1, 2), (2, 3))) == 2
@@ -245,9 +229,9 @@ class TestSetOps:
         assert ArcSet.from_json({"arcs": [["inf", 0]]}).arcs[0].b == INF
 
     def test_generator_json_roundtrip(self):
+        # to_json writes a krein body, which the CLI's one reader reads back
         cc = CantorComplement((0, 1), 5)
-        back = CantorComplement.from_json(cc.to_json())
-        assert back.depth == 5 and float(back.base[1]) == 1.0
+        assert _krein_product(cc.to_json(), {}).cantor == cc
 
     def test_puncture_json_roundtrip(self):
         o = normalize([Arc(0, 2), Arc(1, 0)])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from halfplane.extreal import (Arc, ArcSet, EMPTY, FULL, INF, arcset_contains_arc,
-                               is_inf, normalize)
+from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
+                               arcset_contains_arc, is_inf, normalize)
 from halfplane.factor import (BlackBoxFunction,
                               CompositeFunction, ExpRep, RepFunction,
                               _verify_posts, analyze_pick, compose_in_class,
@@ -255,10 +255,10 @@ class TestFactorize:
             assert abs(res.g(z) * res.k(z) - comp(z)) < 1e-12
 
     def test_composite_overlap_rejected_in_analysis(self):
-        comp = CompositeFunction(1.0, KreinProduct(normalize([Arc(0, 2)])),
-                                 ExpRep(0.0, ((1.0, 3.0, 0.5),)))
-        with pytest.raises(ValueError):
-            analyze_pick(comp)
+        # refused when built, so no analysis ever sees such a composite
+        with pytest.raises(ValueError, match="overlaps the product set"):
+            CompositeFunction(1.0, KreinProduct(normalize([Arc(0, 2)])),
+                              ExpRep(0.0, ((1.0, 3.0, 0.5),)))
 
     def test_wrap_product_and_its_representation_agree(self):
         # k over (−∞, 0) ∪ (1, ∞) is p_(1,0), finite at ∞; as a product and as
@@ -418,6 +418,32 @@ class TestExpRep:
             ExpRep(0.0, ((l, r, 0.5),))
 
 
+@st.composite
+def composite_layouts(draw):
+    """(O, generator, free, taken): the pairs of neighbours among up to 10
+    points a tenth apart or more (the first may be −∞, the last +∞) split
+    into arcs of O, at most one finite generator base, and free pairs; taken
+    are the pairs of O and of the base."""
+    xs = sorted(draw(st.lists(st.integers(-80, 80), min_size=3, max_size=10, unique=True)))
+    pts = [x / 10.0 for x in xs]
+    if draw(st.booleans()):
+        pts.insert(0, -INF)
+    if draw(st.booleans()):
+        pts.append(INF)
+    pairs = list(zip(pts, pts[1:]))
+    kinds = draw(st.lists(st.sampled_from(["arc", "free"]), min_size=len(pairs),
+                          max_size=len(pairs)))
+    finite = [k for k, (l, r) in enumerate(pairs) if -INF < l and r < INF]
+    base = draw(st.one_of(st.none(), st.sampled_from(finite)))
+    if base is None and "arc" not in kinds:
+        kinds[0] = "arc"
+    cantor = None if base is None else CantorComplement(pairs[base], 3)
+    o = normalize([Arc(l, r) for k, (l, r) in enumerate(pairs) if kinds[k] == "arc" and k != base])
+    taken = [pair for k, pair in enumerate(pairs) if kinds[k] == "arc" or k == base]
+    free = [pair for k, pair in enumerate(pairs) if kinds[k] == "free" and k != base]
+    return o, cantor, free, taken
+
+
 class TestCompose:
     def test_basic(self, rng):
         comp = compose_in_class(normalize([Arc(0, 1)]),
@@ -433,6 +459,25 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose_in_class(normalize([Arc(0, 1)]),
                              ExpRep(0.0, ((0.5, 0.7, 0.5),)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(composite_layouts(), st.sampled_from([0.3, 0.9, 1.0]), st.data())
+    def test_overlap_rule(self, layout, psi, data):
+        # the composite refuses a ψ > 0 piece that overlaps O or the base of
+        # O's generator, where O is dense, and takes pieces that meet them in
+        # their ends; a ψ = 0 piece over either is the factor 1
+        o, cantor, free, taken = layout
+        product = KreinProduct(o, cantor, tol=1e-2)
+        pieces = tuple((l, r, psi) for l, r in free)
+        f = CompositeFunction(1.0, product, ExpRep(0.0, pieces))
+        assert len(f.exp.pieces) == (0 if psi == 1.0 else len(free))
+        l, r = data.draw(st.sampled_from(taken))
+        u = 0.5 * (l + r) if -INF < l < r < INF else (r - 1.0 if l == -INF else l + 1.0)
+        over = (u - 0.01, u + 0.01)
+        assert CompositeFunction(1.0, product, ExpRep(0.0, ((*over, 0.0),))).exp.pieces == ()
+        with pytest.raises(ValueError, match=re.escape(
+                f"exponent piece {Arc(*over)!r} overlaps the product set")):
+            CompositeFunction(1.0, product, ExpRep(0.0, ((*over, psi),)))
 
 
 class TestPsiRecover:
@@ -463,6 +508,19 @@ class TestAnalyzeDispatch:
         assert ana.gamma.isclose(normalize([Arc(0, 1)]))
         assert ana.sigma.contains(0.0) and ana.sigma.contains(2.5)
         assert not ana.sigma.contains(5.0)
+
+    def test_refused_sample_points_are_counted(self):
+        # f = 1/(0 − z) + 1/(1 − z) refuses the real points k/25 of (0, 1),
+        # which the g > 0 samples of a quotient hit and the Γ sweep does not
+        def fn(z):
+            if z.imag == 0 and 0 < z.real < 1 and abs(25 * z.real - round(25 * z.real)) < 1e-9:
+                raise ValueError("refused")
+            return 1 / (0 - z) + 1 / (1 - z)
+
+        res = factorize(BlackBoxFunction(fn, SigmaDescriptor(points=(0.0, 1.0))))
+        post = next(p for p in res.posts if p.name == "g_positive_on_omega")
+        assert post.passed and post.note == "24 of 38 sample points refused"
+        assert res.gamma.isclose(normalize([Arc(0.0, 0.5), Arc(1.0, INF)]), 1e-9)
 
     def test_blackbox_requires_sigma(self):
         with pytest.raises(ValueError):

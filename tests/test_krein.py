@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
-                               angle_subtended, arc_ends, is_inf, normalize,
-                               regularize)
+                               SigmaDescriptor, angle_subtended, arc_ends, is_inf,
+                               normalize, regularize)
 from halfplane.krein import (REAL_GUARD, EvaluationDomainError, KreinProduct,
                              TailNotCertified, cantor_complement_product,
                              equivariance_transport, k_structure, log_p, p_eval)
@@ -359,7 +359,9 @@ class TestStructure:
         assert all(k(a) == 0.0 for a in s.zeros if not is_inf(a))
         at_inf = _mp_krein(kept, INF)
         assert (INF in s.poles, INF in s.zeros) == (at_inf == INF, at_inf == 0.0)
-        assert s.sigma.points == s.poles
+        # σ is the closed set of the poles, ∞ as its flag
+        assert s.sigma == SigmaDescriptor(tuple(b for b in s.poles if not is_inf(b)), (),
+                                          INF in s.poles)
 
     def test_zero_and_pole_locations_numerically(self):
         k = KreinProduct(normalize([Arc(0, 1), Arc(2, 3)]))

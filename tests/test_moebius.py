@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfplane.extreal import Arc, INF, normalize
 from halfplane.moebius import (HalfPlaneAuto, cayley, disk_target_map,
                                pullback_arcset)
 
 from conftest import random_arcset, random_auto, random_upper_points
+from test_extreal import half_plane_autos
 
 
 class TestApply:
@@ -23,8 +25,8 @@ class TestApply:
 
     def test_pole_maps_to_infinity(self):
         phi = HalfPlaneAuto(0, -1, 1, 0)  # -1/z
-        assert phi.apply_point(0.0) == INF
-        assert phi.apply_point(INF) == 0.0
+        assert phi(0.0) == INF
+        assert phi(INF) == 0.0
 
     def test_determinant_validation(self):
         with pytest.raises(ValueError):
@@ -44,6 +46,23 @@ class TestApply:
                 assert phi(z).imag > 0
 
 
+class TestArrayPass:
+    @settings(max_examples=100, deadline=None)
+    @given(half_plane_autos, st.lists(st.floats(-1e3, 1e3), max_size=6),
+           st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3)), max_size=6))
+    def test_array_call_is_the_scalar_call(self, phi, xs, zs):
+        # real points, ∞ and the pole among them, in a real array; points of
+        # C⁺ in a complex one: each value is its scalar call's, bit for bit
+        xs = xs + [INF] + ([-phi.d / phi.c] if phi.c != 0 else [])
+        for points, kind in ((xs, float), ([complex(x, y) for x, y in zs], complex)):
+            values = phi(np.array(points, dtype=kind))
+            assert values.dtype.kind == np.dtype(kind).kind
+            for z, v in zip(points, values.tolist()):
+                got = phi(z)
+                assert type(got) is kind and got == v
+        assert phi(INF) == (INF if phi.c == 0 else phi.a / phi.c)
+
+
 class TestPullback:
     def test_translation(self):
         o = normalize([Arc(0, 1)])
@@ -56,7 +75,7 @@ class TestPullback:
         assert got.isclose(normalize([Arc(-1.0, -0.5)]))
         # an interior sample maps into the original set
         phi = HalfPlaneAuto.inversion()
-        assert o.contains(phi.apply_point(-0.8))
+        assert o.contains(phi(-0.8))
 
     def test_wrap_preserved(self):
         o = normalize([Arc(1, 0)])
@@ -78,7 +97,7 @@ class TestPullback:
             phi = random_auto(rng)
             got = pullback_arcset(phi, o)
             for x in [-7.3, -2.1, -0.4, 0.9, 3.3, 8.2]:
-                img = phi.apply_point(x)
+                img = phi(x)
                 assert got.contains(x, 1e-9) == o.contains(img, 1e-9)
 
 

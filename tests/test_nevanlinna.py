@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from halfplane.extreal import Arc, INF, POINT_TOL, is_inf, is_regular, normalize
 from halfplane.nevanlinna import (Measure, NevanlinnaRep, _boole_roots,
@@ -317,6 +317,93 @@ class TestAnalyze:
         assert any(a.is_wrap for a in gamma.arcs)
 
 
+@st.composite
+def measures_and_points(draw):
+    """(μ, points): up to 4 atoms and up to 2 densities on a grid of points
+    a quarter apart in [−5, 5], and up to 6 points, each real and at least
+    1e-3 from the support, or complex with Im z from 1e-3 to 5."""
+    cells = sorted(draw(st.lists(st.integers(-20, 20), min_size=1, max_size=8, unique=True)))
+    atoms, ac = [], []
+    for k, c in enumerate(cells):
+        if draw(st.booleans()) or len(ac) == 2 or k + 1 == len(cells):
+            atoms.append((c / 4.0, draw(st.floats(0.1, 3.0))))
+        elif cells[k + 1] - c > 1 and not (ac and ac[-1][1] >= c / 4.0):
+            ac.append((c / 4.0, cells[k + 1] / 4.0 - 0.25, draw(st.floats(0.1, 3.0))))
+    mu = Measure(atoms=tuple(atoms[:4]), ac=tuple(ac))
+    points = []
+    for x, y in draw(st.lists(st.tuples(st.floats(-6.0, 6.0), st.sampled_from(
+            [0.0, 1e-3, 0.1, 1.0, 5.0])), min_size=1, max_size=6)):
+        if y > 0:
+            points.append(complex(x, y))
+        elif (all(abs(x - t) >= 1e-3 for t, _ in mu.atoms)
+              and all(x < l - 1e-3 or x > r + 1e-3 for l, r, _ in mu.ac)):
+            points.append(x)
+    return mu, points or [1j]
+
+
+def _mp_size_and_value(mu, z, kernel, density, size_density):
+    # (Σ |terms|, Σ terms) in 50 digits for the atom kernel and a density's
+    # closed form, the size of a density's term by quadrature
+    with mpmath.workdps(50):
+        z = mpmath.mpmathify(z)
+        terms = [w * kernel(t, z) for t, w in mu.atoms]
+        terms += [d * density(mpmath.mpf(l), mpmath.mpf(r), z) for l, r, d in mu.ac]
+        size = mpmath.fsum(abs(u) for u in terms[:len(mu.atoms)])
+        size += mpmath.fsum(d * mpmath.quad(lambda t: size_density(t, z), [l, r])
+                            for l, r, d in mu.ac)
+        return size, mpmath.fsum(terms)
+
+
+def _scalar_and_array(f, points):
+    # each point with its value in one array call on the points of its type:
+    # real points in real arithmetic, complex ones in complex arithmetic
+    for kind in (float, complex):
+        zs = [z for z in points if type(z) is kind]
+        yield from zip(zs, f(np.array(zs, dtype=kind)).tolist())
+
+
+class TestClosedFormPasses:
+    """derivative and cauchy_transform: one array pass, its scalar call the
+    pass on one point, within 64 eps of 50 digits relative to their terms."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(measures_and_points(), st.floats(0.0, 2.0))
+    def test_derivative(self, case, alpha):
+        mu, points = case
+        rep = NevanlinnaRep(alpha, 0.3, mu)
+        for z, v in _scalar_and_array(rep.derivative, points):
+            got = rep.derivative(z)
+            assert got == v and type(got) is type(z)
+            # ∫(1+t²)/(t−z)² dt = (r − l) + 2z·log((r−z)/(l−z)) − (1+z²)(1/(r−z) − 1/(l−z))
+            size, exact = _mp_size_and_value(
+                mu, z, lambda t, z: (1 + t * t) / (t - z) ** 2,
+                lambda l, r, z: (r - l) + 2 * z * mpmath.log((r - z) / (l - z))
+                - (1 + z * z) * (1 / (r - z) - 1 / (l - z)),
+                lambda t, z: (1 + t * t) / abs(t - z) ** 2)
+            assert abs(got - (alpha + exact)) <= 64 * 2.0 ** -52 * (alpha + size)
+
+    @settings(max_examples=80, deadline=None)
+    @given(measures_and_points())
+    def test_cauchy_transform(self, case):
+        mu, points = case
+        for z, v in _scalar_and_array(lambda z: cauchy_transform(mu, z), points):
+            got = cauchy_transform(mu, z)
+            assert got == v and type(got) is type(z)
+            size, exact = _mp_size_and_value(
+                mu, z, lambda t, z: 1 / (z - t),
+                lambda l, r, z: mpmath.log((z - l) / (z - r)),
+                lambda t, z: 1 / abs(t - z))
+            assert abs(got - exact) <= 64 * 2.0 ** -52 * size
+
+    def test_pole_and_density_refusal(self):
+        mu = Measure(atoms=((3.0, 1.0),), ac=((0.0, 1.0, 1.0),))
+        rep = NevanlinnaRep(0.0, 0.0, mu)
+        for f in (rep.derivative, lambda z: cauchy_transform(mu, z)):
+            assert f(3.0) == INF and f(np.array([3.0, 2.0]))[0] == INF
+            with pytest.raises(ValueError, match="real evaluation at 0.5 inside"):
+                f(np.array([2.0, 0.5]))
+
+
 class TestCauchy:
     def test_single_atom(self):
         mu = delta(0.0)
@@ -555,6 +642,16 @@ class TestAnalyzeRoots:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(analysis_reps())
+    # a zero within an ulp of a density's end: the bisected bracket shrank to
+    # two adjacent floats, and its midpoint rounded onto the end, where the
+    # slope refuses a real point
+    @example(NevanlinnaRep(0.0, 1.0, Measure(
+        atoms=((998.9248146475176, 2.649602985999599), (998.9254462545206, 1.1053067184050849),
+               (1000.1315322744058, 1.8653994405438425)),
+        ac=((998.9144441007993, 998.9196293741584, 27.120237087275992),
+            (998.9248356485023, 998.9248566494869, 130713.6740346713),
+            (998.925646259589, 998.9258462646574, 2899.8057595315668),
+            (1000.1315347593758, 1000.1315372443459, 144542.024427313)))))
     def test_zero_ends_certified(self, rep):
         # one Γ piece per component of Ω, each finite zero end sign-bracketed
         # and at the mpmath root; a rep may instead be refused
