@@ -533,7 +533,8 @@ def cmd_check(args):
 def write_output(report, code, args, t0):
     if args.timing:
         report["timing_s"] = round(time.perf_counter() - t0, 6)
-    if args.format == "csv" and "rows" in report:
+    # only eval reports rows, and only eval takes --format
+    if "rows" in report and args.format == "csv":
         text = rows_to_csv(report["rows"])
     else:
         if "rows" in report:
@@ -559,21 +560,22 @@ def _parser():
     def common(p):
         p.add_argument("--spec", help="JSON spec file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--eps", type=float, default=None,
-                       help="boundary ladder height for real-axis rows")
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the report")
 
     p_eval_cmd = sub.add_parser("eval", help="evaluate a function spec on a grid")
     common(p_eval_cmd)
     p_eval_cmd.add_argument("--grid", help="a:b:n or box:re1:re2:im1:im2:n")
+    p_eval_cmd.add_argument("--eps", type=float, default=None,
+                            help="boundary ladder height for real-axis rows")
+    p_eval_cmd.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_factor = sub.add_parser("factor", help="factorize a function spec")
     common(p_factor)
+    # a function spec's Cantor generator: its depth and tail tolerance
+    for p in (p_eval_cmd, p_factor):
+        p.add_argument("--depth", type=int, default=None)
+        p.add_argument("--tol", type=float, default=None)
 
     p_solve = sub.add_parser("solve", help="run a problem spec "
                                            "(interp | realizable | boole | letac)")
@@ -582,6 +584,7 @@ def _parser():
     p_check = sub.add_parser("check", help="run a verification suite")
     common(p_check)
     p_check.add_argument("--suite", required=True)
+    p_check.add_argument("--seed", type=int, default=0)
     return parser
 
 

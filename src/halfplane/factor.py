@@ -3,9 +3,9 @@
 Every nonzero f in the class factors as f = k_Γ · g where Γ is the set of
 boundary negativity of f and g is positive on its own regular boundary set;
 when the singular set of f has measure zero, g collapses to the positive
-constant |f(i)|, which is how atomic representations are factored.  Dividing
-an atomic representation by a single Kreĭn factor p_J leaves a rational Pick
-function whose Nevanlinna data have a closed partial-fraction form.
+constant |f(i)|, which is how atomic representations are factored and
+divided: f/p_J is c·k_Γ with J cut out of Γ, once c is certified.  Every
+other quotient is one black-box form, f/k one point at a time.
 
 The function forms take a point or an ndarray of points, with the array
 contract of ``krein``; ``masked(z)`` returns (values, refused) for an array,
@@ -31,12 +31,11 @@ import numpy as np
 
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL, SigmaDescriptor,
                       arc_contains_arc, arcs_overlap, arcset_contains_arc,
-                      boundary_samples, complement_ends, end_samples, is_inf,
-                      normalize, number_from_json, points_equal, regularize,
-                      sweep_points)
-from .krein import KreinProduct, log_factors, p_eval, scalar_or_array
-from .nevanlinna import (AnalysisResult, Measure, NevanlinnaRep, analyze,
-                         interval_entries)
+                      boundary_samples, complement_ends, end_samples, normalize,
+                      number_from_json, points_equal, regularize, sweep_points)
+from .krein import (EvaluationDomainError, KreinProduct, TailNotCertified, log_factors,
+                    scalar_or_array)
+from .nevanlinna import AnalysisResult, NevanlinnaRep, analyze, interval_entries
 from .util import BRACKET, branch_roots, frozen, halton_box, ladder_limit
 
 
@@ -241,13 +240,14 @@ class BlackBoxFunction:
 
     def masked(self, z):
         """(values, refused) at the points of an ndarray z: a point where fn
-        raises is refused."""
+        refuses (ArithmeticError, ValueError such as EvaluationDomainError,
+        TailNotCertified) is refused; any other exception propagates."""
         values = np.zeros(z.size, dtype=complex)
         refused = np.zeros(z.size, dtype=bool)
         for k, p in enumerate(z.ravel().tolist()):
             try:
                 values[k] = complex(self.fn(p))
-            except Exception:
+            except (ArithmeticError, ValueError, TailNotCertified):
                 refused[k] = True
         return values.reshape(z.shape), refused.reshape(z.shape)
 
@@ -347,77 +347,26 @@ def _blackbox_zero(fn, lo: float, hi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact division for atomic representations
+# quotients
 
 
-def _zero_end_weight(terms, factor: float, j: Arc,
-                     position_roundoff: float = 0.0) -> float:
-    """Weight −f·factor that the zero end of p_J carries in f/p_J, from the
-    summands of f there.  Zero when f vanishes to within the roundoff of its
-    summands or of the end's position (f'·a few ulps: the arc ends at a
-    polished zero of f, and a steep f leaves dust there otherwise); f above
-    that roundoff means the arc leaves the negativity set."""
-    value = math.fsum(terms)
-    if abs(value) <= max(1e-11 * math.fsum(abs(u) for u in terms),
-                         position_roundoff):
-        return 0.0
-    if value > 0:
-        raise ValueError(f"f = {value:.3e} > 0 at the zero end of {j!r}: the "
-                         "arc is not inside the negativity set")
-    return -value * factor
+def _quotient(f, k: KreinProduct, sigma: Optional[SigmaDescriptor]) -> BlackBoxFunction:
+    """f/k one point at a time: 0 where only k has a pole, the ∞ marker where
+    only f has one, and EvaluationDomainError where both have one, as a black
+    box cannot read the limit there.  A real point within REAL_GUARD of a
+    pole of k is refused by k."""
 
-
-def _divide_rep(rep: NevanlinnaRep, j: Arc) -> NevanlinnaRep:
-    """Exact Nevanlinna data of g = f/p_J for atomic f with J ⊆ Γ(f).
-
-    g = f·q with q = 1/p_J is rational, so its data follow from its poles:
-    an atom (t, w) of f has residue −w(1+t²) and becomes (t, w·q(t)); an
-    atom on the pole b of p_J cancels; the finite zero a of p_J becomes an
-    atom of weight −f(a)·Res_a(q)/(1+a²), and a zero at ∞ becomes the linear
-    term −f(∞)/|i − b|.  Every kernel (1+it)/(t−i) equals i, so
-    β_g = Re g(i).  Positive weights certify that g is in the class.
-    """
-    b, a = j.b, j.a
-    atoms = []
-    for t, w in rep.rho.atoms:
-        # an atom within relative roundoff of b sits on the pole
-        if not is_inf(b) and abs(t - b) <= 1e-11 * max(1.0, abs(b)):
-            continue
-        atoms.append((t, w / p_eval(j, t)))
-    if is_inf(a):
-        # q(z) = −(z − b)/|i − b| grows at ∞, where f tends to f(∞) when α = 0
-        if rep.alpha > 0:
-            raise ValueError(f"f grows at ∞, so {j!r} is not inside the "
-                             "negativity set")
-        terms = [rep.beta] + [-w * t for t, w in rep.rho.atoms]
-        alpha = _zero_end_weight(terms, 1.0 / math.hypot(1.0, b), j)
-    else:
-        alpha = rep.alpha / p_eval(j, INF)
-        x = a
-        terms = [rep.alpha * x, rep.beta] + [w * (1.0 + x * t) / (t - x)
-                                             for t, w in rep.rho.atoms]
-        # Res_a(q)/(1 + a²) is |a − b|/(|i − a|·|i − b|), or 1/|i − a| for b = ∞
-        res = 1.0 if is_inf(b) else abs(x - b) / math.hypot(1.0, b)
-        w_a = _zero_end_weight(terms, res / math.hypot(1.0, x), j,
-                               4.0 * rep.derivative(x) * math.ulp(x))
-        if w_a > 0:
-            atoms.append((x, w_a))
-    if alpha < 0 or any(w <= 0 for _, w in atoms):
-        raise ValueError(f"dividing by {j!r} leaves negative weights: the arc "
-                         "is not inside the negativity set")
-    beta = (rep.eval(1j) / p_eval(j, 1j)).real
-    return NevanlinnaRep(alpha, beta, Measure(atoms=tuple(atoms)))
-
-
-def _quotient_blackbox(f, j: Arc, sigma: Optional[SigmaDescriptor]):
     def g(z):
-        pv = p_eval(j, z)
-        fv = f(z)
-        if not isinstance(pv, complex) and pv == INF:
+        kv, fv = k(z), f(z)
+        # the ∞ marker is a float: a scalar call returns a complex off the line
+        k_pole, f_pole = (not isinstance(v, complex) and v == INF for v in (kv, fv))
+        if k_pole and f_pole:
+            raise EvaluationDomainError(f"f and its divisor both have a pole at {z}")
+        if k_pole:
             return 0.0
-        if not isinstance(fv, complex) and fv == INF:
+        if f_pole:
             return INF
-        return fv / pv
+        return fv / kv
 
     return BlackBoxFunction(g, sigma=sigma, label="quotient")
 
@@ -429,10 +378,12 @@ def _quotient_blackbox(f, j: Arc, sigma: Optional[SigmaDescriptor]):
 def divide_single(f, j: Arc):
     """g with f = p_J · g, for an arc J inside the negativity set of f.
 
-    Structured atomic representations are divided exactly; composite forms
-    drop (or split) the arc inside their Kreĭn set, which leaves a composite
-    in the class by construction; anything else returns a quotient evaluator
-    whose Im ≥ 0 is certified on a grid.
+    An atomic representation divides through the corollary f = c·k_Γ: its
+    constant c = |f(i)| is certified to 1e−9 on the 20-point grid
+    (CertificationError above it), and c·k_Γ is divided as a composite.  A
+    composite drops (or splits) the arc inside its Kreĭn set, which leaves a
+    composite in the class by construction.  Anything else returns a
+    quotient evaluator whose Im ≥ 0 is certified on a grid.
     """
     if isinstance(j, ArcSet):
         if j.full:
@@ -445,10 +396,12 @@ def divide_single(f, j: Arc):
         raise ValueError(f"{j!r} is not contained in the negativity set")
 
     if isinstance(f, RepFunction) and f.rep.rho.is_atomic():
-        return RepFunction(_divide_rep(f.rep, j))
+        k = KreinProduct(ana.gamma)
+        f = CompositeFunction(_certified_constant(f, k), k)
     if isinstance(f, CompositeFunction):
         return _divide_composite(f, ana.gamma, j)
-    g = _quotient_blackbox(f, j, f.sigma if isinstance(f, BlackBoxFunction) else None)
+    g = _quotient(f, KreinProduct(ArcSet((j,))),
+                  f.sigma if isinstance(f, BlackBoxFunction) else None)
     # how far Im g dips below zero (NaN if a value is NaN)
     resid = -float(np.min(g(halton_box(200, -10.0, 10.0, 1e-3, 10.0)).imag, initial=0.0))
     if not resid <= 1e-9:
@@ -505,17 +458,12 @@ def factorize(f) -> FactorizationResult:
         # k_O / k_Γ is exactly 1 (the sets differ by measure zero)
         g = CompositeFunction(f.c, KreinProduct(EMPTY), f.exp) \
             if f.exp is not None else RepFunction(NevanlinnaRep(0.0, f.c))
-    elif gamma.full:
-        if isinstance(f, RepFunction):
-            g = RepFunction(NevanlinnaRep(0.0, -f.rep.beta))
-        else:
-            g = BlackBoxFunction(lambda z, _f=f: -_f(z), sigma=ana.sigma)
     elif isinstance(f, RepFunction) and f.rep.rho.is_atomic():
         # the corollary: σ(f) has measure zero, so g is the constant |f(i)|
+        # (−β bit for bit for a constant β < 0, whose Γ is the full circle)
         g = RepFunction(NevanlinnaRep(0.0, constant[0]))
     else:
-        g = BlackBoxFunction(lambda z, _f=f, _k=k: _f(z) / _k(z),
-                             sigma=ana.sigma, label="quotient")
+        g = _quotient(f, k, ana.sigma)
 
     posts = _verify_posts(ana, g, k)
     res = FactorizationResult(gamma, k, g, posts)
@@ -624,9 +572,13 @@ def constant_factor_check(f) -> float:
     ana = analyze_pick(f)
     if not ana.sigma.is_measure_zero():
         raise ValueError("constant factorization requires a measure-zero singular set")
-    k = KreinProduct(ana.gamma)
+    return _certified_constant(f, KreinProduct(ana.gamma))
+
+
+def _certified_constant(f, k: KreinProduct) -> float:
+    # c of the corollary f = c·k, or CertificationError past the 1e−9 post
     c, resid = _constant_certificate(f, k)
-    if resid > 1e-9:
+    if not resid <= 1e-9:  # a NaN residual fails too
         raise CertificationError(
             f"constant-factor residual {resid:.3e} exceeds 1e-9", worst=resid)
     return c

@@ -321,7 +321,32 @@ class TestCheck:
         assert main(["check", "--suite", "nope"]) == 2
 
 
+# each flag a command never reads, with a value it would take
+_INERT_FLAGS = [("eval", "--seed", "3"),
+                ("factor", "--format", "csv"), ("factor", "--eps", "0.01"),
+                ("factor", "--seed", "3"),
+                ("solve", "--format", "csv"), ("solve", "--eps", "0.01"),
+                ("solve", "--depth", "4"), ("solve", "--tol", "0.01"),
+                ("solve", "--seed", "3"),
+                ("check", "--format", "csv"), ("check", "--eps", "0.01"),
+                ("check", "--depth", "4"), ("check", "--tol", "0.01")]
+_EXAMPLES = pathlib.Path(__file__).parent.parent / "cli_examples"
+
+
 class TestErrors:
+    @pytest.mark.parametrize("command, flag, value", _INERT_FLAGS,
+                             ids=[f"{c}{f}" for c, f, _ in _INERT_FLAGS])
+    def test_flag_the_command_does_not_read_is_refused(self, command, flag, value, capsys):
+        # `factor --format csv` printed JSON without a word: argparse exits 2
+        argv = {"eval": ["eval", "--spec", str(_EXAMPLES / "eval_shift.json")],
+                "factor": ["factor", "--spec", str(_EXAMPLES / "factor_atoms.json")],
+                "solve": ["solve", "--spec", str(_EXAMPLES / "boole_two_atoms.json")],
+                "check": ["check", "--suite", "boole"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
     def test_unknown_field(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "bad.json",
                           {"version": 1, "nevanlinna": {"alpha": 1.0}, "x": 1})

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import re
 
 import numpy as np
@@ -8,13 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
                                arcset_contains_arc, is_inf, normalize)
-from halfplane.factor import (BlackBoxFunction,
+from halfplane.factor import (BlackBoxFunction, CertificationError,
                               CompositeFunction, ExpRep, RepFunction,
                               _verify_posts, analyze_pick, compose_in_class,
                               constant_factor_check, divide_single,
                               factorize, psi_recover)
 from halfplane import krein
-from halfplane.krein import KreinProduct, log_factors, p_eval
+from halfplane.krein import EvaluationDomainError, KreinProduct, log_factors, p_eval
 from halfplane.nevanlinna import (AnalysisResult, Measure, NevanlinnaRep,
                                   SigmaDescriptor, analyze)
 from halfplane.util import halton_box
@@ -35,11 +36,13 @@ SQRT_BB = BlackBoxFunction(sqrt_branch,
 
 class TestDivideSingle:
     def test_identity_map(self):
+        # z = p_(∞,0): dividing it off leaves the composite 1·k_∅
         f = RepFunction(NevanlinnaRep(1.0, 0.0))
         g = divide_single(f, Arc(INF, 0.0))
-        assert isinstance(g, RepFunction)
-        for z in (1j, 2 + 3j):
-            assert abs(g(z) - 1.0) < 1e-12
+        assert isinstance(g, CompositeFunction) and g.c == 1.0
+        assert g.product.arcs.is_empty and g.exp is None
+        for z in (1j, 2 + 3j, 0.5, -4.0):
+            assert g(z) == 1.0
 
     def test_reciprocal(self):
         f = RepFunction(NevanlinnaRep(0.0, 0.0, Measure(atoms=((0.0, 1.0),))))
@@ -92,6 +95,19 @@ class TestDivideSingle:
         for z in random_upper_points(rng, 10):
             assert complex(g(z)).imag > -1e-12
 
+    def test_quotient_refuses_a_shared_pole(self):
+        # f = −1/z is p_(0,∞): the quotient is 1, also at 0, where f and p_J
+        # both have their pole and a black box cannot read the limit
+        rep = NevanlinnaRep(0.0, 0.0, Measure(atoms=((0.0, 1.0),)))
+        g = divide_single(BlackBoxFunction(rep.eval, rep.sigma()), Arc(0.0, INF))
+        assert g.label == "quotient"
+        for x in (0.0, 1e-12):  # the pole, and a point within REAL_GUARD of it
+            with pytest.raises(EvaluationDomainError):
+                g(x)
+        values, refused = g.masked(np.array([0j, 1e-12 + 0j, 2 + 0j, 1j]))
+        assert refused.tolist() == [True, True, False, False]
+        assert np.allclose(values[2:], 1.0, rtol=1e-15, atol=0.0)
+
     def test_wrap_component_division(self):
         rep = NevanlinnaRep(0.0, -2.0, Measure(atoms=((-1.0, 1.0), (1.0, 1.0))))
         f = RepFunction(rep)
@@ -139,27 +155,34 @@ class TestDivideSingle:
             (float(t), float(w)) for t, w in zip(ts, ws))))
 
     def test_chain_far_from_origin(self):
-        # the last zero, near 2.3e4, moves by 2.7e-9 under the chain: an
-        # absolute endpoint tolerance refused the 7th division
+        # the last zero sits near 2.3e4: dividing every arc of Γ leaves the
+        # corollary's constant alone
         rep = self.far_chain_rep(170)
         g = RepFunction(rep)
         for arc in analyze_pick(g).gamma.arcs:
             g = divide_single(g, arc)
-        assert not g.rep.rho.atoms and g.rep.alpha == 0.0
-        assert g.rep.beta == pytest.approx(abs(rep.eval(1j)), rel=1e-9)
+        assert isinstance(g, CompositeFunction)
+        assert g.product.arcs.is_empty and g.exp is None
+        assert g.c == pytest.approx(abs(rep.eval(1j)), rel=1e-9)
 
     def test_chain_zero_next_to_close_atoms(self):
-        # the 4th arc ends at a zero where f' ≈ 4e10: the roundoff of that
-        # end left a dust atom of weight 3.5e-13, and analysing the quotient
-        # then failed inside its root bracketing; the dust is dropped, and
-        # the division it perturbed is refused with the arc named
-        g = RepFunction(self.far_chain_rep(275))
+        # the 4th arc ends at a zero where f' ≈ 4e10, next to atoms 2e-4
+        # apart: re-deriving the quotient's data left dust there and then
+        # refused the 5th arc; the corollary divides every arc of Γ
+        rep = self.far_chain_rep(275)
+        g = RepFunction(rep)
         arcs = analyze_pick(g).gamma.arcs
-        for arc in arcs[:4]:
+        for arc in arcs:
             g = divide_single(g, arc)
-        assert all(abs(t - float(arcs[3].a)) > 1e-6 for t, _ in g.rep.rho.atoms)
-        with pytest.raises(ValueError, match=re.escape(repr(arcs[4]))):
-            divide_single(g, arcs[4])
+        assert g.product.arcs.is_empty
+        # f = c·k_Γ, over a box and one above each atom and each zero
+        zs = np.concatenate((halton_box(40, -1500.0, 1500.0, 0.1, 100.0),
+                             [t + 1j for t, _ in rep.rho.atoms],
+                             [arc.a + 1j for arc in arcs if not is_inf(arc.a)]))
+        product = g(zs) * np.prod([p_eval(arc, zs) for arc in arcs], axis=0)
+        for z, v in zip(zs.tolist(), product.tolist()):
+            f = mp_atomic(rep, z)
+            assert abs(v - f) <= 1e-12 * abs(f)
 
     @pytest.mark.parametrize("half", [2.0, 4.0, 8.0, 16.0])
     def test_many_equally_spaced_atoms(self, half):
@@ -242,6 +265,17 @@ class TestFactorize:
         for x in xs:
             assert complex(res.g(complex(x, 0.0))).real > 0
 
+    def test_quotient_refuses_a_shared_pole(self):
+        # the atom at 0 is a pole of f and of k_Γ: g = f/k_Γ is refused there,
+        # where it read INF/INF = NaN
+        rep = NevanlinnaRep(0.0, 0.0, Measure(atoms=((0.0, 1.0),), ac=((2.0, 3.0, 0.5),)))
+        res = factorize(RepFunction(rep))
+        assert res.ok and res.g.label == "quotient"
+        with pytest.raises(EvaluationDomainError, match="both have a pole"):
+            res.g(0.0)
+        values, refused = res.g.masked(np.array([0j, 1.5 + 0j]))
+        assert refused.tolist() == [True, False] and np.isfinite(values[1])
+
     def test_composite_idempotence(self):
         o = normalize([Arc(0, 1), Arc(3, 4)])
         e = ExpRep(0.0, ((1.5, 2.5, 0.5),))
@@ -285,6 +319,19 @@ def corollary_reps(draw):
     return NevanlinnaRep(alpha, draw(st.floats(-5.0, 5.0)), Measure(atoms=atoms))
 
 
+def _sub_arc(arc, kind):
+    """J inside an arc (b, a) of Γ: the arc itself, an inner sub-arc, or one
+    at or through ∞ where the arc reaches ∞ (else an inner one)."""
+    b, a = arc.b, arc.a
+    if kind == "whole":
+        return arc
+    if kind == "infinity" and (arc.is_wrap or is_inf(b) or is_inf(a)):
+        return Arc(b if is_inf(b) else b + 1.0, a if is_inf(a) else a - 1.0)
+    if arc.bounded:
+        return Arc(b + (a - b) / 3, a - (a - b) / 3)
+    return Arc(a - 2.0, a - 1.0) if is_inf(b) else Arc(b + 1.0, b + 2.0)
+
+
 def mp_atomic(rep, z):
     """f(z) = αz + β + Σ w(1 + zt)/(t − z) in 50-digit arithmetic."""
     mp = pytest.importorskip("mpmath")
@@ -316,6 +363,32 @@ class TestCorollary:
         lefts = [arc.b for arc in res.gamma.arcs]
         assert [b for b in lefts if not is_inf(b)] == [t for t, _ in rep.rho.atoms]
         assert any(is_inf(b) for b in lefts) == (rep.alpha > 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(corollary_reps(), st.integers(0, 15), st.sampled_from(["whole", "inner", "infinity"]),
+           st.randoms(use_true_random=False),
+           st.lists(st.tuples(st.floats(-25.0, 25.0), st.floats(0.5, 5.0)), min_size=1, max_size=5))
+    # Γ = (0, −1) through ∞
+    @example(NevanlinnaRep(0.0, -1.0, Measure(atoms=((0.0, 1.0),))), 0, "infinity",
+             random.Random(0), [(3.0, 1.0)])
+    def test_division(self, rep, pick, kind, order, points):
+        # f/p_J is c·k_Γ with J cut out of Γ; dividing every arc leaves c
+        f = RepFunction(rep)
+        arcs = list(analyze_pick(f).gamma.arcs)
+        at_inf = [arc for arc in arcs if arc.is_wrap or is_inf(arc.b) or is_inf(arc.a)]
+        j = _sub_arc(at_inf[0] if kind == "infinity" and at_inf else arcs[pick % len(arcs)],
+                     kind)
+        g = divide_single(f, j)
+        assert isinstance(g, CompositeFunction) and g.c == abs(f(1j))
+        for x, y in points:
+            z = complex(x, y)
+            want = mp_atomic(rep, z)
+            assert abs(g(z) * p_eval(j, z) - want) <= 1e-12 * abs(want)
+        order.shuffle(arcs)
+        g = f
+        for arc in arcs:
+            g = divide_single(g, arc)
+        assert g.product.arcs.is_empty and g.exp is None and g.c == abs(f(1j))
 
     @staticmethod
     def _posts(ana, g):
@@ -360,6 +433,14 @@ class TestConstantCheck:
         rep = NevanlinnaRep(0.0, 0.0, Measure(ac=((0.0, 1.0, 1.0),)))
         with pytest.raises(ValueError):
             constant_factor_check(RepFunction(rep))
+
+    def test_nan_residual_is_refused(self):
+        # −1/z, but NaN above the line right of 4: the grid's residual is NaN,
+        # which `resid > 1e-9` let through with c = 1
+        f = BlackBoxFunction(lambda z: complex(math.nan, math.nan) if z.imag > 0 and z.real > 4
+                             else -1 / z, SigmaDescriptor(points=(0.0,)))
+        with pytest.raises(CertificationError, match="residual nan"):
+            constant_factor_check(f)
 
     def test_random(self, rng):
         for _ in range(10):
@@ -521,6 +602,17 @@ class TestAnalyzeDispatch:
         post = next(p for p in res.posts if p.name == "g_positive_on_omega")
         assert post.passed and post.note == "24 of 38 sample points refused"
         assert res.gamma.isclose(normalize([Arc(0.0, 0.5), Arc(1.0, INF)]), 1e-9)
+
+    def test_other_exceptions_propagate(self):
+        # a TypeError is a fault of the evaluator, not a refused point: the
+        # points of test_refused_sample_points_are_counted raise it here
+        def fn(z):
+            if z.imag == 0 and 0 < z.real < 1 and abs(25 * z.real - round(25 * z.real)) < 1e-9:
+                raise TypeError("a fault")
+            return 1 / (0 - z) + 1 / (1 - z)
+
+        with pytest.raises(TypeError, match="a fault"):
+            factorize(BlackBoxFunction(fn, SigmaDescriptor(points=(0.0, 1.0))))
 
     def test_blackbox_requires_sigma(self):
         with pytest.raises(ValueError):
