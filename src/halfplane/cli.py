@@ -33,8 +33,9 @@ from .factor import CompositeFunction, ExpRep, RepFunction, factorize
 from .krein import (KreinProduct, TailNotCertified,
                     cantor_complement_product, p_eval)
 from .nevanlinna import (Measure, NevanlinnaRep, atoms_from_json,
-                         boole_superlevel_measure, letac_pushforward_check,
-                         recover_alpha, recover_atom, recover_beta)
+                         boole_superlevel_measure, boole_tolerance,
+                         letac_pushforward_check, recover_alpha, recover_atom,
+                         recover_beta)
 from .util import RootBracketError
 
 FUNCTION_TASKS = ("nevanlinna", "krein", "product")
@@ -290,8 +291,9 @@ def cmd_solve(args):
                 raise SpecError(f"boole.y: {exc}") from None
             target = mu.mass() / value
             resid = max(abs(plus - target), abs(minus - target))
+            tol = boole_tolerance(mu, target, plus, minus)
             certs.append({"name": f"boole_y={y}", "residual": resid,
-                          "tolerance": 1e-8, "pass": resid <= 1e-8,
+                          "tolerance": tol, "pass": resid <= tol,
                           "plus": plus, "minus": minus, "target": target})
         ok = all(c["pass"] for c in certs)
         return {"task": "boole", "certifications": certs}, (0 if ok else 1)

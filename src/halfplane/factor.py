@@ -4,8 +4,12 @@ Every nonzero f in the class factors as f = k_Γ · g where Γ is the set of
 boundary negativity of f and g is positive on its own regular boundary set;
 when the singular set of f has measure zero, g collapses to the positive
 constant |f(i)|, which is how atomic representations are factored and
-divided: f/p_J is c·k_Γ with J cut out of Γ, once c is certified.  Every
-other quotient is one black-box form, f/k one point at a time.
+divided: f/p_J is c·k_Γ with J cut out of Γ, once c is certified.  For an
+atomic representation that certificate evaluates nothing: c is the closed
+form |β + i(α + ρ(R))|, and f/(c·k_Γ) − 1 is bounded from the radii that
+the analysis certifies around Γ's zero ends.  Composites and black boxes
+are evaluated on the 20-point grid.  Every other quotient is one black-box
+form, f/k one point at a time.
 
 The function forms take a point or an ndarray of points, with the array
 contract of ``krein``; ``masked(z)`` returns (values, refused) for an array,
@@ -36,7 +40,7 @@ from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL, SigmaDescriptor,
 from .krein import (EvaluationDomainError, KreinProduct, TailNotCertified, log_factors,
                     scalar_or_array)
 from .nevanlinna import AnalysisResult, NevanlinnaRep, analyze, interval_entries
-from .util import BRACKET, branch_roots, frozen, halton_box, ladder_limit
+from .util import BRACKET, branch_roots, frozen, halton_box, ladder_limit, quotient
 
 
 class CertificationError(RuntimeError):
@@ -379,8 +383,9 @@ def divide_single(f, j: Arc):
     """g with f = p_J · g, for an arc J inside the negativity set of f.
 
     An atomic representation divides through the corollary f = c·k_Γ: its
-    constant c = |f(i)| is certified to 1e−9 on the 20-point grid
-    (CertificationError above it), and c·k_Γ is divided as a composite.  A
+    constant c = |f(i)| is certified to 1e−9 by the bound of
+    :func:`_constant_certificate` (CertificationError above it), and c·k_Γ
+    is divided as a composite.  A
     composite drops (or splits) the arc inside its Kreĭn set, which leaves a
     composite in the class by construction.  Anything else returns a
     quotient evaluator whose Im ≥ 0 is certified on a grid.
@@ -397,7 +402,7 @@ def divide_single(f, j: Arc):
 
     if isinstance(f, RepFunction) and f.rep.rho.is_atomic():
         k = KreinProduct(ana.gamma)
-        f = CompositeFunction(_certified_constant(f, k), k)
+        f = CompositeFunction(_certified_constant(f, ana, k), k)
     if isinstance(f, CompositeFunction):
         return _divide_composite(f, ana.gamma, j)
     g = _quotient(f, KreinProduct(ArcSet((j,))),
@@ -444,13 +449,14 @@ def factorize(f) -> FactorizationResult:
 
     (1) σ(g) ⊆ σ(f); (2) g > 0 on Ω(g); (3) Ω(g) Lebesgue regular;
     (4) Ω(f) = Ω(k) ∩ Ω(g).  When σ(f) has measure zero the positive
-    constant of the corollary is certified as well.
+    constant of the corollary is certified as well: the ``constant_factor``
+    post, 1e−9, on the residual of :func:`_constant_certificate`.
     """
     ana = analyze_pick(f)
     gamma = ana.gamma
     k = KreinProduct(gamma)
     # the corollary's constant |f(i)| and its residual
-    constant = _constant_certificate(f, k) if ana.sigma.is_measure_zero() else None
+    constant = _constant_certificate(f, ana, k) if ana.sigma.is_measure_zero() else None
 
     if gamma.is_empty:
         g = f
@@ -553,31 +559,75 @@ def _sampled_posts(ana: AnalysisResult, g):
             Certification("omega_intersection", 0.0, 0.0, True, note)]
 
 
-def _constant_certificate(f, k: KreinProduct):
-    """(c, residual): c = |f(i)| and max |f/(c·k) − 1| over a 20-point grid."""
+def _constant_certificate(f, ana: AnalysisResult, k: KreinProduct):
+    """(c, residual) of the corollary f = c·k for k = k_Γ(f): c = |f(i)| and
+    a residual at least max |f/(c·k) − 1| over a 20-point grid (Im z from
+    0.2 to 5).  An atomic representation evaluates neither: c is its closed
+    form and the residual a bound from the analysis's zero radii
+    (:func:`_zeros_bound`), narrowed where the accepted brackets leave it
+    above 1e−9.  Other forms are evaluated on the grid."""
+    if ana.zeros is not None:
+        rep = f.rep
+        # the kernel (1 + it)/(t − i) is i, so f(i) = β + i(α + ρ(R))
+        c = math.hypot(rep.beta, math.fsum([rep.alpha, *(w for _, w in rep.rho.atoms)]))
+        resid = _zeros_bound(ana.zeros)
+        if not resid <= 1e-9:
+            resid = min(resid, _zeros_bound(analyze(rep, narrow=True).zeros))
+        return c, resid
     fv = f(_CONSTANT_GRID)
     c = abs(fv[0].item())
-    zs = _CONSTANT_GRID[1:]
-    dev = np.abs(fv[1:] / (c * k(zs)) - 1.0)
+    # |f/k − c|/c: f/k through util.quotient, and c divides only a real, as
+    # numpy divides a complex by a reciprocal that a subnormal c overflows
+    dev = np.abs(quotient(fv[1:], k(_CONSTANT_GRID[1:])) - c) / c
     return c, float(np.max(dev))
 
 
 # i, where the constant is read, then the certificate's grid
 _CONSTANT_GRID = frozen(np.concatenate(([1j], halton_box(20, -5.0, 5.0, 0.2, 5.0))))
+_EPS = float(np.finfo(float).eps)
+
+
+def _zeros_bound(zeros) -> float:
+    """A bound on max |f/(c·k_Γ) − 1| over the grid, for c = |f(i)| within
+    2 eps (a correctly rounded sum, and hypot within an ulp) and the (e, r)
+    pairs of ``AnalysisResult.zeros``: (1 + 2eps)·∏ (1 + r/(d − r))·(1 +
+    r/(|i − e| − r)) − 1 with d ≤ |z − e|, at most e^{2eps + Σ} − 1 over
+    the terms Σ.  d = 0.2 first, which holds at every z with Im z ≥ 0.2;
+    past 1e-9, or with a zero at ∞, whose term is (|z| + 1)·r, d = |z − e|
+    at each point of the grid."""
+    far = [r for e, r in zeros if e == INF]
+    if not far:
+        # r/(d − r) bounds |N_z/N_e − 1| at distance d from e, if d > r
+        total = math.fsum(r / (d - r) if d > r else INF
+                          for e, r in zeros for d in (0.2, math.hypot(1.0, e)))
+        bound = _exp_bound(total, len(zeros))
+        if bound <= 1e-9:
+            return bound
+    e, r = np.array([z for z in zeros if z[0] != INF]).reshape(-1, 2).T
+    with np.errstate(all="ignore"):
+        d = np.abs(_CONSTANT_GRID[:, None] - e)  # at i, then at the grid's points
+        terms = np.where(d > r, r / (d - r), INF).sum(axis=1)
+    total = terms[1:] + terms[0] + (np.abs(_CONSTANT_GRID[1:]) + 1.0) * math.fsum(far)
+    return _exp_bound(total.max(), len(zeros))
+
+
+def _exp_bound(total, n: int) -> float:
+    # e^{2eps + total} − 1 for n terms summed in floats, rounded up
+    return math.expm1(2.0 * _EPS + float(total) * (1.0 + 2.0 * (n + 4) * _EPS)) * (1.0 + 2.0 * _EPS)
 
 
 def constant_factor_check(f) -> float:
     """The corollary constant: c = |f(i)| with f = c·k_Γ(f) certified to 1e−9
-    on a 20-point grid.  Requires σ(f) of measure zero."""
+    by :func:`_constant_certificate`.  Requires σ(f) of measure zero."""
     ana = analyze_pick(f)
     if not ana.sigma.is_measure_zero():
         raise ValueError("constant factorization requires a measure-zero singular set")
-    return _certified_constant(f, KreinProduct(ana.gamma))
+    return _certified_constant(f, ana, KreinProduct(ana.gamma))
 
 
-def _certified_constant(f, k: KreinProduct) -> float:
+def _certified_constant(f, ana: AnalysisResult, k: KreinProduct) -> float:
     # c of the corollary f = c·k, or CertificationError past the 1e−9 post
-    c, resid = _constant_certificate(f, k)
+    c, resid = _constant_certificate(f, ana, k)
     if not resid <= 1e-9:  # a NaN residual fails too
         raise CertificationError(
             f"constant-factor residual {resid:.3e} exceeds 1e-9", worst=resid)

@@ -21,19 +21,21 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL, SigmaDescriptor,
                       cantor_levels, complement_ends, number_from_json, regularize)
-from .util import (RecoveryError, RootBracketError, branch_roots, excess,
-                   ladder_limit, quotient)
+from .util import (BRACKET, RecoveryError, RootBracketError, branch_roots, excess,
+                   ladder_limit, quotient, root_radii)
 
 __all__ = [
     "Measure", "NevanlinnaRep", "SigmaDescriptor", "AnalysisResult",
     "analyze", "recover_alpha", "recover_beta", "stieltjes_density",
     "stieltjes_density_limit", "recover_atom", "cauchy_transform",
-    "boole_superlevel_measure", "letac_pushforward_check", "RecoveryError",
+    "boole_superlevel_measure", "boole_tolerance", "letac_pushforward_check",
+    "RecoveryError",
 ]
 
 
@@ -315,38 +317,85 @@ class NevanlinnaRep:
 
 @dataclass(frozen=True)
 class AnalysisResult:
+    """σ(f) and Γ(f); for an atomic representation also ``zeros``, the
+    pairs (e, r) that bound f/(|f(i)|·k_Γ), which is ∏ N_z/N_e over them
+    with N_p(z) = (z − p)/|i − p| and N_∞ = 1: a zero z of f lies within r
+    of the end e of Γ that stands for it (a zero end, the pole it merged
+    with, or the atom whose pole it cancels within POINT_TOL), and for
+    e = ∞, r bounds 1/|z|."""
+
     sigma: SigmaDescriptor
     gamma: ArcSet
+    zeros: Optional[tuple] = None
 
     @property
     def omega(self) -> ArcSet:
         return self.sigma.omega()
 
 
-def analyze(rep: NevanlinnaRep) -> AnalysisResult:
+def analyze(rep: NevanlinnaRep, narrow: bool = False) -> AnalysisResult:
     """σ(f), Ω(f) and Γ(f) = {x ∈ Ω(f): f(x) < 0} for a structured rep.
 
     On each component of Ω the function is strictly increasing, so it has at
     most one zero there; each component contributes the piece from its left
     endpoint to that zero, read off σ's merged support.  The assembled set is
-    Lebesgue regular; Ω itself is built only when asked for.
+    Lebesgue regular; Ω itself is built only when asked for.  For an atomic
+    rep the result also carries ``zeros``, each zero's certified radius: the
+    accepted 4e-12·max(1, |x|), or with ``narrow`` the narrower bracket of
+    ``util.root_radii``, at the cost of one more evaluation.
     """
     sig = rep.sigma()
     if rep.alpha == 0 and rep.rho.mass() == 0:
         if rep.beta == 0:
             raise ValueError("analysis of the zero function is undefined")
-        return AnalysisResult(sig, FULL if rep.beta < 0 else EMPTY)
-    b = complement_ends(*sig.support, sig.has_inf)[0]
-    a = _component_roots(rep, (0.0,), sig.support)[0].tolist()
+        return AnalysisResult(sig, FULL if rep.beta < 0 else EMPTY, ())
+    lo, hi = sig.support
+    b = complement_ends(lo, hi, sig.has_inf)[0]
+    atomic = rep.rho.is_atomic()
+    roots = _component_roots(rep, (0.0,), sig.support, radii=atomic and narrow)
+    a = (roots[0] if atomic and narrow else roots)[0].tolist()
     for end, zero in zip(b, a):
         if abs(end - zero) <= POINT_TOL:
             raise RootBracketError(f"the zero {zero} of f lies within the point "
                                    f"tolerance of its branch end {end}")
     gamma = ArcSet(tuple(map(Arc, b, a)))
     # regularize joins a piece to the next when its zero meets the next start
-    if any(zero != INF and abs(zero - end) <= POINT_TOL for zero, end in zip(a, b[1:] + b[:1])):
+    nxt = b[1:] + b[:1]
+    merged = [zero != INF and abs(zero - end) <= POINT_TOL for zero, end in zip(a, nxt)]
+    if any(merged):
         gamma = regularize(gamma)
-    return AnalysisResult(sig, gamma)
+    if not atomic:
+        return AnalysisResult(sig, gamma)
+    radii = roots[1][0].tolist() if narrow else [BRACKET * max(1.0, abs(x)) for x in a]
+    # a zero at ∞ has a bound on 1/|zero|; a zero merged with the next pole
+    # stands at that pole; atoms within POINT_TOL of the next share one piece
+    # of σ's support, of which k_Γ keeps one pole (the last, or the first
+    # where the piece is all of σ and Ω the circle punctured there): each zero
+    # between two of them stands at the first of the two, and in the
+    # punctured case the first pole at the last
+    zeros = [(INF, _far_radius(rep, lo, hi)) if zero == INF
+             else (end, float(np.nextafter(r + abs(zero - end), INF))) if join else (zero, r)
+             for zero, r, end, join in zip(a, radii, nxt, merged)]
+    ts = sig.points
+    zeros += [(t, u - t) for t, u in zip(ts, ts[1:]) if u - t <= POINT_TOL]
+    if lo and b[0] == lo[0] < hi[0]:
+        zeros.append((hi[0], hi[0] - lo[0]))
+    return AnalysisResult(sig, gamma, tuple(zeros))
+
+
+def _far_radius(rep: NevanlinnaRep, lo, hi) -> float:
+    """A bound on 1/|zero| for an atomic rep's zero at ∞ (α = 0): past the
+    float range where β′ = β − m₁ is not 0 in floats (the root kernel saw
+    f keep its sign there), else past K/|β′| − t for the exact β′, with
+    K = Σ w(1 + t²) and t the support's reach, as f − β′ lies between
+    −K/(x − t) and −K/(x + t) past it."""
+    if rep.beta - rep.rho.moment1() != 0.0:
+        return 1.0 / _FMAX
+    ts, ws, u2 = rep._atoms
+    # twice the correctly rounded β′, and the smallest subnormal for one that underflows
+    gap = 2.0 * abs(_exact_offset(rep.beta, ws, ts, ())) + 5e-324
+    reach = 0.5 * float(u2.sum()) / gap - max(abs(lo[0]), abs(hi[-1]))
+    return 1.0 / reach if reach > 1.0 else INF
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +484,19 @@ def boole_superlevel_measure(mu: Measure, y: float):
     ts, ws = (np.array(col) for col in zip(*mu.atoms))
     plus, minus = _boole_roots(ts, ws, float(y))
     return float(np.sum(plus - ts)), float(np.sum(ts - minus))
+
+
+def boole_tolerance(mu: Measure, target: float, plus: float, minus: float) -> float:
+    """A bound on |length − μ(R)/y| for the two lengths that
+    :func:`boole_superlevel_measure` returns at level y, with target the
+    float μ(R)/y: each root x lies within 4e-12·max(1, |x|) of the true one,
+    and |x| ≤ |t| + |x − t| for its atom t, so the brackets sum to at most
+    4e-12·(n·max(1, |t|) + the length) over n atoms; the length, μ(R) and
+    μ(R)/y add their rounding."""
+    n = len(mu.atoms)
+    reach = n * max(1.0, abs(mu.atoms[0][0]), abs(mu.atoms[-1][0])) if n else 0.0
+    length = max(plus, minus)
+    return BRACKET * (reach + length) + (n + 2) * _EPS * (length + target)
 
 
 def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
@@ -531,6 +593,7 @@ def _huge_brackets(z, h, m, w):
 # 26 terms reach one ulp at |v| ≤ 1/4
 _ARTANH = 1.0 / np.arange(53.0, 2.0, -2.0)
 _FMAX = np.finfo(float).max
+_EPS = float(np.finfo(float).eps)
 _HUGE = 1e150  # past it, the density brackets avoid z² (see _huge_brackets)
 
 # coefficients of T(v) = Σ_k≥1 (2k−1)/(2k+1)·v^k and Q(v) = Σ_k≥1 2k/(2k+1)·v^k
@@ -561,10 +624,11 @@ def _density_slope(x, l, r):
     return np.where(far, series, closed)
 
 
-def _component_roots(rep: NevanlinnaRep, targets, support):
+def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
     """Roots of f = target on the arcs of Ω(f), which run between the pieces
     (lo, hi) of σ's ``support`` in the order of ``SigmaDescriptor.omega``:
-    shape (len(targets), arcs), INF marking a zero at ∞.  Unbounded arcs close
+    shape (len(targets), arcs), INF marking a zero at ∞; with ``radii``, also
+    each finite root's ``util.root_radii`` in that shape.  Unbounded arcs close
     in closed form: f = αx + β′ + ∫(1+t²)/(t−x) dρ with β′ = β − m₁ (exact:
     the kernel w(1+xt)/(t−x) rounds a −w·t into every term, which drowns the
     slope at a far zero), the integral at most K = ∫(1+t²)dρ over the
@@ -647,7 +711,8 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
                 # range, and k_Γ with the zero at ∞ differs by under 1e-300 relative;
                 # an uncertain sign (density summands overflow there) keeps the branch
                 with np.errstate(all="ignore"):
-                    values, rounding = excess(terms, ulps, np.array([target]), np.array([edge]))
+                    values, rounding, _ = excess(terms, ulps, np.array([target]),
+                                                 np.array([edge]))
                 live[last] = not (values[0] <= -rounding[0] if s > 0 else values[0] >= rounding[0])
     target = np.array(targets).repeat(n_arcs)
     if all(live):
@@ -657,4 +722,10 @@ def _component_roots(rep: NevanlinnaRep, targets, support):
         roots = np.full(len(live), INF)
         roots[live] = branch_roots(terms, ulps, target[live], seeds[live], lo[live], hi[live],
                                    rep.derivative)
-    return roots.reshape(len(targets), n_arcs)
+    shape = len(targets), n_arcs
+    if not radii:
+        return roots.reshape(shape)
+    finite = roots != INF
+    r = np.full(len(roots), INF)
+    r[finite] = root_radii(terms, ulps, target[finite], roots[finite], lo[finite], hi[finite])
+    return roots.reshape(shape), r.reshape(shape)

@@ -1,7 +1,7 @@
 """Shared numeric helpers: ``branch_roots``, the one root kernel behind Γ(f),
 Boole, Letac and black-box Γ (certified roots of increasing functions, one
-per branch), Richardson ladders, low-discrepancy grids, and the complex
-quotient of the evaluators.
+per branch, and a narrower certified radius on request), Richardson
+ladders, low-discrepancy grids, and the complex quotient of the evaluators.
 
 Complex arithmetic is numpy's own: a scalar call of an evaluator is its
 array pass on one point, so an array value equals the scalar one bit for
@@ -48,20 +48,45 @@ def branch_roots(terms, ulps, target, seeds, lo, hi, slope=None):
     with np.errstate(all="ignore"):
         x = np.minimum(np.maximum(seeds, inner[0]), inner[1])
         x, settled = _newton(terms, slope, target, x, lo, hi)
-        ok = settled & _bracketed(terms, ulps, target, x, lo, hi, inner)
+        ok = settled & _bracketed(terms, ulps, target, x, lo, hi, inner)[0]
         if not ok.all():
             bad = ~ok
             blo, bhi = _bisect(terms, target[bad], lo[bad], hi[bad])
             # in the open branch, as the seeds: adjacent floats' midpoint may round onto an end
             mid = np.minimum(np.maximum(0.5 * blo + 0.5 * bhi, inner[0][bad]), inner[1][bad])
             x[bad] = _newton(terms, slope, target[bad], mid, blo, bhi)[0]
-            ok = _bracketed(terms, ulps, target, x, lo, hi, inner)
+            ok = _bracketed(terms, ulps, target, x, lo, hi, inner)[0]
     if not ok.all():
         k = int(np.argmin(ok))
         raise RootBracketError(
             f"no sign bracket for the root {float(x[k])} of f = {float(target[k])} "
             f"on the branch ({float(lo[k])}, {float(hi[k])})")
     return x + 0.0  # a root at −0.0 reads 0.0
+
+
+def root_radii(terms, ulps, target, x, lo, hi):
+    """Radii r, the root of f = target on (lo[k], hi[k]) within r[k] of each
+    root x[k] that :func:`branch_roots` accepted there, with the arguments
+    as there: the half-width w of a narrower sign bracket where its signs
+    clear f's whole float error (its summands' rounding and the summation's
+    slack), else the accepted 4e-12·max(1, |x|).  w is four times that
+    error at the accepted bracket over f′, read off that bracket's secant,
+    so that the narrow signs clear it without exact sums."""
+    target = np.asarray(target, dtype=float)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    m = len(x)
+    with np.errstate(all="ignore"):
+        _, (delta, ends, values, rounding, slack) = _bracketed(
+            terms, ulps, target, x, lo, hi, (np.nextafter(lo, hi), np.nextafter(hi, lo)))
+        error = rounding + slack
+        w = 4.0 * np.maximum(error[:m], error[m:]) * (ends[m:] - ends[:m]) / (values[m:] - values[:m])
+        narrow = np.concatenate((x - w, x + w))
+        v, rounding, slack = _sum_error(terms(narrow), ulps, np.concatenate((target, target)))
+        v /= rounding + slack
+    lower, upper = narrow[:m], narrow[m:]
+    ok = (w < delta) & (lo < lower) & (upper < hi) & (v[:m] <= -1.0) & (v[m:] >= 1.0)
+    # the distance to the bracket's own ends, x ∓ w rounded, rounded up
+    return np.where(ok, np.nextafter(np.maximum(x - lower, upper - x), np.inf), delta)
 
 
 def _newton(terms, slope, target, x, lo, hi):
@@ -80,36 +105,44 @@ def _newton(terms, slope, target, x, lo, hi):
 
 
 def _bracketed(terms, ulps, target, x, lo, hi, inner):
-    # the 2m ends in one array: the lower ends, then the upper ones
+    # (accepted, the bracket): its 2m ends in one array, the lower ends, then
+    # the upper ones, with δ, f there less the target and its error bounds
     m = len(x)
     delta = BRACKET * np.maximum(1.0, np.abs(x))
     ends = np.empty(2 * m)
     lower, upper = ends[:m], ends[m:]
     np.maximum(np.subtract(x, delta, out=lower), inner[0], out=lower)
     np.minimum(np.add(x, delta, out=upper), inner[1], out=upper)
-    values, rounding = excess(terms, ulps, np.concatenate((target, target)), ends)
-    return ((lo < lower) & (upper < hi)
-            & (values <= -rounding)[:m] & (values >= rounding)[m:])
+    values, rounding, slack = excess(terms, ulps, np.concatenate((target, target)), ends)
+    ok = ((lo < lower) & (upper < hi)
+          & (values <= -rounding)[:m] & (values >= rounding)[m:])
+    return ok, (delta, ends, values, rounding, slack)
+
+
+def _sum_error(summands, ulps, target):
+    # (the sum less target, the summands' own rounding, the summation's slack):
+    # summed in any order, the n summands and the target are within
+    # (n + 1)·eps·(their total size) of their exact sum
+    size = np.abs(summands)
+    rounding = _EPS * np.einsum("ij,j->i", size, ulps)
+    slack = (summands.shape[1] + 1) * _EPS * (size.sum(axis=1) + np.abs(target))
+    return summands.sum(axis=1) - target, rounding, slack
 
 
 def excess(terms, ulps, target, x):
-    """(f(x) − target, bound) at the points of x, with terms and ulps as in
-    :func:`branch_roots`: the sign of the difference is certain where it
-    clears the bound on the summands' own rounding."""
+    """(f(x) − target, bound, slack) at the points of x, with terms and ulps
+    as in :func:`branch_roots`: the sign of the difference is certain where
+    it clears the bound on the summands' own rounding.  The slack bounds the
+    error of summing them; where it could flip a sign, the values are exact
+    sums instead."""
     summands = terms(x)
-    size = np.abs(summands)
-    rounding = _EPS * np.einsum("ij,j->i", size, ulps)
-    # summed in any order, the n summands and the target are within
-    # (n + 1)·eps·(their total size) of their exact sum; where that slack
-    # could flip a sign, fsum sums them exactly
-    values = summands.sum(axis=1) - target
-    slack = (summands.shape[1] + 1) * _EPS * (size.sum(axis=1) + np.abs(target))
+    values, rounding, slack = _sum_error(summands, ulps, target)
     close = (np.abs(values) <= rounding + slack).nonzero()[0].tolist()
     if close:  # as lists: one conversion, not one per row
         rows, targets = summands.tolist(), target.tolist()
         for k in close:
             values[k] = math.fsum([*rows[k], -targets[k]])
-    return values, rounding
+    return values, rounding, slack
 
 
 def _bisect(terms, target, lo, hi):

@@ -241,6 +241,18 @@ class TestSolve:
         assert code == 0
         assert rep["certifications"][0]["plus"] == pytest.approx(2.0, abs=1e-8)
 
+    @pytest.mark.parametrize("y", [1e-7, 1e-9, 1e-200])
+    def test_boole_small_level_is_certified(self, tmp_path, capsys, y):
+        # the lengths are μ(R)/y = 3/y: against an absolute 1e-8, rounding
+        # alone failed y = 1e-9 (residual 4.8e-7) and 1e-200 (5.5e188); the
+        # tolerance bounds the roots' brackets and the sums' rounding
+        spec = write_spec(tmp_path, "b.json", {"boole": {"atoms": [[0.0, 1.0], [1.0, 2.0]],
+                                                         "y": [y]}})
+        code, out = run(capsys, ["solve", "--spec", spec])
+        (cert,) = json.loads(out)["certifications"]
+        assert code == 0 and cert["pass"] and cert["residual"] <= cert["tolerance"]
+        assert cert["tolerance"] <= 5e-12 * cert["target"]
+
     def test_letac(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "p.json", {
             "version": 1,

@@ -11,6 +11,7 @@ from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
                                arcset_contains_arc, is_inf, normalize)
 from halfplane.factor import (BlackBoxFunction, CertificationError,
                               CompositeFunction, ExpRep, RepFunction,
+                              _CONSTANT_GRID, _constant_certificate,
                               _verify_posts, analyze_pick, compose_in_class,
                               constant_factor_check, divide_single,
                               factorize, psi_recover)
@@ -22,6 +23,8 @@ from halfplane.util import halton_box
 
 from conftest import random_atomic_rep, random_upper_points
 from test_krein import _mp_krein
+
+EPS = float(np.finfo(float).eps)
 
 
 def sqrt_branch(z):
@@ -332,13 +335,32 @@ def _sub_arc(arc, kind):
     return Arc(a - 2.0, a - 1.0) if is_inf(b) else Arc(b + 1.0, b + 2.0)
 
 
-def mp_atomic(rep, z):
-    """f(z) = αz + β + Σ w(1 + zt)/(t − z) in 50-digit arithmetic."""
+def mp_atomic(rep, z, exact=False):
+    """f(z) = αz + β + Σ w(1 + zt)/(t − z) in 50-digit arithmetic; with
+    ``exact``, as an mpmath number."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         z = mp.mpmathify(z)
-        return complex(rep.alpha * z + rep.beta
-                       + mp.fsum(w * (1 + z * t) / (t - z) for t, w in rep.rho.atoms))
+        val = rep.alpha * z + rep.beta + mp.fsum(w * (1 + z * t) / (t - z) for t, w in rep.rho.atoms)
+        return val if exact else complex(val)
+
+
+def mp_deviation(rep, gamma, c, z) -> float:
+    """|f/(c·k_Γ) − 1| at z in 50-digit arithmetic, for an atomic rep."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        ratio = mp_atomic(rep, z, True) / (c * _mp_krein([(a.b, a.a) for a in gamma.arcs], z, True))
+        return float(abs(ratio - 1))
+
+
+def spread_rep(rng, n, half, alpha_min=0.0):
+    """n atoms, one in each of n random slots of 2n across (−half, half),
+    with weights in [0.2, 2), α in [alpha_min, 2) and β in [−3, 3)."""
+    slots = np.sort(rng.choice(2 * n, size=n, replace=False))
+    ts = -half + (2.0 * half / (2 * n)) * (slots + 0.5 + rng.uniform(-0.3, 0.3, n))
+    atoms = tuple(zip(ts.tolist(), rng.uniform(0.2, 2.0, n).tolist()))
+    return NevanlinnaRep(float(rng.uniform(alpha_min, 2.0)), float(rng.uniform(-3.0, 3.0)),
+                         Measure(atoms=atoms))
 
 
 class TestCorollary:
@@ -379,7 +401,8 @@ class TestCorollary:
         j = _sub_arc(at_inf[0] if kind == "infinity" and at_inf else arcs[pick % len(arcs)],
                      kind)
         g = divide_single(f, j)
-        assert isinstance(g, CompositeFunction) and g.c == abs(f(1j))
+        c = factorize(f).constant
+        assert isinstance(g, CompositeFunction) and g.c == c
         for x, y in points:
             z = complex(x, y)
             want = mp_atomic(rep, z)
@@ -388,7 +411,7 @@ class TestCorollary:
         g = f
         for arc in arcs:
             g = divide_single(g, arc)
-        assert g.product.arcs.is_empty and g.exp is None and g.c == abs(f(1j))
+        assert g.product.arcs.is_empty and g.exp is None and g.c == c
 
     @staticmethod
     def _posts(ana, g):
@@ -419,6 +442,93 @@ class TestCorollary:
         rep = NevanlinnaRep(0.5, 0.3, Measure(atoms=((-1.0, 1.0), (0.5, 0.4), (2.0, 1.5))))
         res = factorize(RepFunction(rep))
         assert res.ok and calls == [res.gamma]
+
+
+class TestConstantBound:
+    """The corollary's constant for an atomic f: c = |f(i)| in closed form and
+    a residual bounded from the zeros' radii; neither f nor k_Γ is evaluated."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(corollary_reps(), st.lists(st.tuples(st.floats(-25.0, 25.0), st.floats(0.2, 5.0)),
+                                      min_size=1, max_size=5))
+    # a zero past the float range; a zero at ∞ where β′ = 0 in floats (it lies near 1.1e17)
+    @example(NevanlinnaRep(0.0, 5e-324, Measure(atoms=((0.0, 1.0),))), [(1.0, 0.2)])
+    @example(NevanlinnaRep(0.0, 0.1 * 3.0, Measure(atoms=((0.1, 3.0),))), [(1.0, 0.2)])
+    def test_residual_bounds_the_deviation(self, rep, points):
+        res = factorize(RepFunction(rep))
+        grid = _CONSTANT_GRID[1:].tolist()
+        assert max(mp_deviation(rep, res.gamma, res.constant, z) for z in grid) \
+            <= res.constant_residual <= 1e-9
+        # read at distance 0.2 from each zero, the bound holds wherever Im z ≥ 0.2
+        zeros = analyze(rep).zeros
+        if all(not is_inf(e) and r < 0.1 for e, r in zeros):
+            near = math.expm1(2.0 * EPS + math.fsum(r / (0.2 - r) + r / (math.hypot(1.0, e) - r)
+                                                    for e, r in zeros)) * (1.0 + 4.0 * EPS)
+            for x, y in points:
+                assert mp_deviation(rep, res.gamma, res.constant, complex(x, y)) <= near
+
+    @settings(max_examples=100, deadline=None)
+    @given(corollary_reps())
+    @example(NevanlinnaRep(0.0, -1e-310))
+    def test_constant_is_f_at_i_within_two_eps(self, rep):
+        c = factorize(RepFunction(rep)).constant
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            want = abs(mp_atomic(rep, 1j, True))
+            assert abs(c - want) <= 2.0 * EPS * want
+
+    def test_atomic_paths_evaluate_neither_f_nor_k(self, monkeypatch):
+        calls = []
+        for cls in (NevanlinnaRep, KreinProduct):
+            monkeypatch.setattr(cls, "eval", lambda self, *args, _cls=cls, _eval=cls.eval, **kw:
+                                calls.append(_cls.__name__) or _eval(self, *args, **kw))
+        f = RepFunction(NevanlinnaRep(0.4, -1.2, Measure(atoms=((-3.0, 0.8), (0.5, 1.1),
+                                                                 (4.0, 0.6)))))
+        res = factorize(f)
+        divide_single(f, res.gamma.arcs[1])
+        constant_factor_check(f)
+        assert res.ok and calls == []
+
+    def test_many_atoms_certify(self):
+        # 64 and 128 atoms across (−16, 16), α from 0; 256 and 1024 across
+        # (−1, 1); 512 across (−50, 50): none refused, each within its bound
+        reps = [spread_rep(np.random.default_rng(seed), n, 16.0)
+                for seed in range(40) for n in (64, 128, 128)]
+        reps += [spread_rep(np.random.default_rng(n), n, half)
+                 for n, half in ((256, 1.0), (1024, 1.0), (512, 50.0))]
+        for rep in reps:
+            res = factorize(RepFunction(rep))
+            assert res.ok and res.constant_residual <= 1e-9
+
+    def test_merged_ends_are_bounded(self):
+        # a zero merged with the next pole, atoms within POINT_TOL, a piece
+        # that is all of σ: the residual still bounds the deviation
+        for rep in (NevanlinnaRep(0.0, 0.0, Measure(atoms=((0.0, 1.0), (1.0, 5e-14)))),
+                    NevanlinnaRep(0.5, 0.0, Measure(atoms=((0.0, 1.0), (5e-13, 1.0),
+                                                           (9e-13, 2.0), (2.0, 1.0)))),
+                    NevanlinnaRep(0.0, 0.3, Measure(atoms=((0.0, 1.0), (5e-13, 1.0))))):
+            f = RepFunction(rep)
+            ana = analyze(rep)
+            c, resid = _constant_certificate(f, ana, KreinProduct(ana.gamma))
+            assert max(mp_deviation(rep, ana.gamma, c, z) for z in _CONSTANT_GRID[1:].tolist()) \
+                <= resid <= 1e-9
+
+    @pytest.mark.parametrize("beta", [-1e-310, -5e-324])
+    def test_subnormal_constant(self, beta):
+        # the grid's fv/(c·k) overflowed for a subnormal c: refused with residual inf
+        res = factorize(RepFunction(NevanlinnaRep(0.0, beta)))
+        assert res.ok and res.gamma.full and res.constant == -beta
+
+    def test_subnormal_composite_constant(self):
+        # the grid divides by k, then by c: fv/k keeps about 13 digits at c = 1e-310
+        res = factorize(CompositeFunction(1e-310, KreinProduct(ArcSet((Arc(0.0, 1.0),)))))
+        assert res.ok and res.constant == pytest.approx(1e-310, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-320, 5e-324])
+    def test_composite_constant_with_too_few_bits_is_refused(self, c):
+        # the composite's values carry a few bits at most: the grid sees it
+        with pytest.raises(CertificationError, match="constant_factor"):
+            factorize(CompositeFunction(c, KreinProduct(ArcSet((Arc(0.0, 1.0),)))))
 
 
 class TestConstantCheck:

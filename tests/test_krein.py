@@ -185,11 +185,13 @@ def chained_arcsets(draw):
     return normalize([Arc(b, a) for b, a in kept]), kept, poles
 
 
-def _mp_krein(pairs, z):
+def _mp_krein(pairs, z, exact=False):
     """∏ p_(b,a)(z) over the given (b, a) in 50-digit arithmetic, as
     ±∏ N_a(z)/∏ N_b(z) with N_p(z) = (z − p)/|i − p| and N_∞ = 1.  A factor
     z − p that vanishes at z, or grows at z = ∞, is counted, not evaluated:
-    the net count gives 0, the ∞ marker or a finite value."""
+    the net count gives 0, the ∞ marker or a finite value.  With ``exact``,
+    a finite nonzero value stays an mpmath number, for a caller that works
+    on at 50 digits."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         val, order = mp.mpf(1), 0
@@ -207,6 +209,8 @@ def _mp_krein(pairs, z):
                     val *= ((mp.mpmathify(z) - p) / c) ** power
         if order:
             return 0.0 if order > 0 else INF
+        if exact:
+            return val
         if abs(val) > sys.float_info.max:
             return complex(INF, INF)  # beyond the largest double
         return complex(val) if isinstance(z, complex) else float(val)

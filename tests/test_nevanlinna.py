@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from halfplane.extreal import Arc, INF, POINT_TOL, is_inf, is_regular, normalize
 from halfplane.nevanlinna import (Measure, NevanlinnaRep, _boole_roots,
                                   _component_roots, analyze,
-                                  boole_superlevel_measure, cauchy_transform,
+                                  boole_superlevel_measure, boole_tolerance,
+                                  cauchy_transform,
                                   letac_pushforward_check, recover_alpha,
                                   recover_atom, recover_beta,
                                   stieltjes_density, stieltjes_density_limit)
@@ -569,6 +571,18 @@ class TestSecularKernel:
         assert abs(p - mu.mass() / y) <= 1e-8
         assert abs(m - mu.mass() / y) <= 1e-8
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(atomic_supports(), st.floats(1e-12, 1e3))
+    def test_tolerance_bounds_the_lengths(self, support, y):
+        # each length is μ(R)/y exactly, so the error is what the tolerance bounds
+        ts, ws = support
+        mu = Measure(atoms=tuple(zip(ts.tolist(), ws.tolist())))
+        plus, minus = boole_superlevel_measure(mu, y)
+        tol = boole_tolerance(mu, mu.mass() / y, plus, minus)
+        exact = sum(map(Fraction, ws.tolist())) / Fraction(y)
+        assert max(abs(Fraction(plus) - exact), abs(Fraction(minus) - exact)) <= tol
+
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(atomic_supports(), st.floats(-3.0, 3.0), st.floats(-5.0, 5.0),
@@ -671,6 +685,53 @@ class TestAnalyzeRoots:
             left = max((e for e in ends if e < x), default=None)
             right = min((s for s in starts if s > x), default=None)
             assert_certified_root(mp_rep(rep), x, left, right)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(analysis_reps())
+    # β′ = β − m₁ is 0 in floats but 2.8e-17 exactly: the zero at ∞ lies near 1.1e17
+    @example(NevanlinnaRep(0.0, 0.1 * 3.0, Measure(atoms=((0.1, 3.0),))))
+    # the zero past the float range, at 2e323
+    @example(NevanlinnaRep(0.0, 5e-324, Measure(atoms=((0.0, 1.0),))))
+    # a zero 1e-13 left of the next atom, merged with it; a piece of three
+    # atoms within POINT_TOL; one that is all of σ
+    @example(NevanlinnaRep(0.0, 0.0, Measure(atoms=((0.0, 1.0), (1.0, 5e-14)))))
+    @example(NevanlinnaRep(0.5, 0.0, Measure(atoms=((0.0, 1.0), (5e-13, 1.0), (9e-13, 2.0),
+                                                    (2.0, 1.0)))))
+    @example(NevanlinnaRep(0.0, 0.3, Measure(atoms=((0.0, 1.0), (5e-13, 1.0)))))
+    def test_zero_radii_hold_the_zeros(self, rep):
+        # each (e, r) of an atomic rep's zeros, accepted or narrowed: f
+        # changes sign within r of a zero end (clipped into its branch), left
+        # of e within r where a zero merged with the pole e, past |x| = 1/r
+        # where e = ∞; an entry between two atoms within POINT_TOL holds by
+        # monotonicity alone
+        try:
+            res = analyze(rep)
+        except RootBracketError:
+            return
+        if not rep.rho.is_atomic():
+            assert res.zeros is None
+            return
+        narrow = analyze(rep, narrow=True)
+        assert narrow.gamma == res.gamma
+        assert all(e == n and r <= w for (e, w), (n, r) in zip(res.zeros, narrow.zeros))
+        ts = [t for t, _ in rep.rho.atoms]
+        atoms = set(ts)
+        h = mp_rep(rep)
+        with mpmath.workdps(60):
+            f = lambda x: mpmath.fsum(h(x))
+            for e, r in res.zeros + narrow.zeros:
+                assert r >= 0
+                if is_inf(e):
+                    assert r == 0 or f(1 / mpmath.mpf(r)) <= 0 <= f(-1 / mpmath.mpf(r))
+                elif e in atoms:
+                    assert e + r in atoms or e - r in atoms or f(e - r) <= 0
+                else:
+                    left = max((t for t in ts if t < e), default=None)
+                    right = min((t for t in ts if t > e), default=None)
+                    lo = e - r if left is None else max(e - r, math.nextafter(left, INF))
+                    hi = e + r if right is None else min(e + r, math.nextafter(right, -INF))
+                    assert f(lo) <= 0 <= f(hi)
 
     @pytest.mark.parametrize("beta", [0.51, 0.5001, 0.500001, 0.49, 0.3])
     def test_far_zero_of_density(self, beta):
