@@ -385,10 +385,10 @@ def divide_single(f, j: Arc):
     An atomic representation divides through the corollary f = c·k_Γ: its
     constant c = |f(i)| is certified to 1e−9 by the bound of
     :func:`_constant_certificate` (CertificationError above it), and c·k_Γ
-    is divided as a composite.  A
-    composite drops (or splits) the arc inside its Kreĭn set, which leaves a
-    composite in the class by construction.  Anything else returns a
-    quotient evaluator whose Im ≥ 0 is certified on a grid.
+    is divided as a composite.  A composite drops (or splits) the arc inside
+    its Kreĭn set, which leaves a composite in the class by construction.
+    Anything else returns a quotient evaluator whose Im ≥ 0 is certified on
+    a grid.
     """
     if isinstance(j, ArcSet):
         if j.full:
