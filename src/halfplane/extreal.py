@@ -14,16 +14,18 @@ it rather than splitting on the kinds of arc themselves:
 * closed sets such as σ(f): :class:`SigmaDescriptor`, their one type;
 * complements: :func:`closed_complement` reads an arc set's gaps as a
   closed set and :func:`complement_of_closed` turns a closed set (points,
-  intervals, ∞) back into arcs through :func:`merged_support`; the
+  intervals, ∞) back into arcs through :func:`merged_support`; the union
+  (:func:`normalize`, from the gaps between the arcs' line segments), the
   regularization, :meth:`ArcSet.remove_points` and
   :func:`circle_minus_points` are this one round trip;
 * segment decomposition: :func:`arc_segments` writes an arc as open segments
   of the line;
-* arc containment: :func:`arc_contains_arc`, :func:`arcset_contains_arc`,
-  :func:`arcs_overlap`;
+* arc membership: :meth:`Arc.contains`, one rule for every kind of arc, on
+  which overlap (:func:`arcs_overlap`) and containment
+  (:func:`arc_contains_arc`, :func:`arcset_contains_arc`) rest, each read
+  off the arcs' ends, as the angle an arc subtends (:func:`arc_angle`) is;
 * boundary sampling: :func:`boundary_samples` and :func:`sweep_points`;
-* arcs as lists of ends: :func:`arc_ends` and :func:`complement_ends`;
-* arc membership: :meth:`Arc.contains`.
+* arcs as lists of ends: :func:`arc_ends` and :func:`complement_ends`.
 
 A point of the circle is one float, with ∞ = ``INF`` (+inf).  It is made
 once, where an arc, a generator or a prescribed point is made, by
@@ -150,9 +152,8 @@ class Arc:
         covers bounded arcs, arcs through ∞, both half-lines, punctures and
         the point ∞."""
         b, a = self.b, self.a
-        if points_equal(x, b, tol) or points_equal(x, a, tol):
-            return False
-        return b < x < a if b < a else (x > b or x < a)
+        return ((b < x < a if b < a else (x > b or x < a))
+                and not (points_equal(x, b, tol) or points_equal(x, a, tol)))
 
     def _sort_key(self) -> float:
         if self.puncture:
@@ -266,7 +267,9 @@ def circle_minus_points(points: Sequence[float]) -> ArcSet:
 
 
 def normalize(arcs: Iterable[Arc]) -> ArcSet:
-    """Canonical disjoint union with the same point set as the given arcs.
+    """Canonical disjoint union with the same point set as the given arcs:
+    the complement of its closed complement, the gaps that the arcs' line
+    segments (:func:`arc_segments`) leave, with ∞ unless an arc covers it.
 
     Overlapping arcs are merged.  Open arcs that merely share an endpoint are
     kept separate (the shared point is not in the union); they only merge
@@ -274,63 +277,24 @@ def normalize(arcs: Iterable[Arc]) -> ArcSet:
     puncture arcs produced by this module are accepted, so the operation is
     idempotent.
     """
-    arcs = list(arcs)
-    for arc in arcs:
-        if not isinstance(arc, Arc):
-            raise TypeError(f"expected Arc, got {type(arc).__name__}")
-    if not arcs:
-        return EMPTY
-
-    punctures = [c for c in arcs if c.puncture]
-    if punctures:
-        x = punctures[0].b
-        if any(not points_equal(c.b, x) for c in punctures[1:]):
-            return FULL
-        if any(c.contains(x) for c in arcs if not c.puncture):
-            return FULL
-        return ArcSet((punctures[0],))
-
-    intervals = []
-    contains_inf = False
+    segments, covers_inf = [], False
     for c in arcs:
-        segments, has_inf = arc_segments(c)
-        intervals.extend(segments)
-        contains_inf = contains_inf or has_inf
-
-    intervals.sort()
-    comps = []
-    cur_s, cur_e = intervals[0]
-    for s, e in intervals[1:]:
-        if points_equal(s, cur_e) or s > cur_e:
-            comps.append((cur_s, cur_e))
-            cur_s, cur_e = s, e
-        elif e > cur_e:
-            cur_e = e
-    comps.append((cur_s, cur_e))
-
-    if len(comps) == 1 and comps[0] == (_LINE_NEG, _LINE_POS):
-        # the whole line; with ∞ covered that is the full circle
-        if contains_inf:
-            return FULL
-        return ArcSet((Arc(INF, INF, puncture=True),))
-
-    out = []
-    if contains_inf:
-        # a wrap arc always contributes both unbounded pieces
-        assert comps[0][0] == _LINE_NEG and comps[-1][1] == _LINE_POS
-        wrap_b, wrap_a = comps[-1][0], comps[0][1]
-        for s, e in comps[1:-1]:
-            out.append(Arc(s, e))
-        if points_equal(wrap_b, wrap_a):
-            assert not out
-            return ArcSet((Arc(wrap_b, wrap_b, puncture=True),))
-        out.append(Arc(wrap_b, wrap_a))
-    else:
-        for s, e in comps:
-            out.append(Arc(s, e))
-
-    out.sort(key=Arc._sort_key)
-    return ArcSet(tuple(out))
+        if not isinstance(c, Arc):
+            raise TypeError(f"expected Arc, got {type(c).__name__}")
+        segs, has_inf = arc_segments(c)
+        segments.extend(segs)
+        covers_inf = covers_inf or has_inf
+    # the gaps between the merged segments, from −∞ to +∞; segments that
+    # share an end (within POINT_TOL) leave it as a one-point gap, and one
+    # from −∞ leaves none before it (−∞ − −∞ is NaN)
+    gaps, reach = [], _LINE_NEG
+    for s, e in sorted(segments):
+        if s - reach >= -POINT_TOL:
+            gaps.append((reach, s))
+        reach = max(reach, e)
+    if reach < _LINE_POS:
+        gaps.append((reach, _LINE_POS))
+    return complement_of_closed((), gaps, not covers_inf)
 
 
 def regularize(o) -> ArcSet:
@@ -374,23 +338,14 @@ def measure(o) -> float:
 
 
 def arc_angle(arc: Arc, z: complex) -> float:
-    """Angle at z (Im z > 0) subtended by a single arc, in [0, π]."""
-    x, y = z.real, z.imag
-
-    def phi(t: float) -> float:
-        # arg(t - z), in (-π, 0) for Im z > 0
-        return math.atan2(-y, t - x)
-
+    """Angle at z (Im z > 0) subtended by a single arc, in [0, π]:
+    arg(a − z) − arg(b − z), plus π where the arc runs through or from ∞
+    (b ≥ a), with arg(∞ − z) = −0.0; a puncture subtends π."""
     if arc.puncture:
         return math.pi
-    bi, ai = is_inf(arc.b), is_inf(arc.a)
-    if bi and not ai:
-        return phi(arc.a) + math.pi
-    if ai and not bi:
-        return -phi(arc.b)
-    if arc.is_wrap:
-        return (-phi(arc.b)) + (phi(arc.a) + math.pi)
-    return phi(arc.a) - phi(arc.b)
+    x, y = z.real, z.imag
+    return (math.atan2(-y, arc.a - x) + (math.pi if arc.b >= arc.a else 0.0)
+            - math.atan2(-y, arc.b - x))
 
 
 def angle_subtended(o, z: complex) -> float:
@@ -532,13 +487,8 @@ def closed_complement(o: ArcSet) -> tuple:
     a gap through ∞ is cut there into [l, +oo] and [-oo, r], and a gap that
     is one finite point has ``points_equal`` ends.  ``has_inf`` tells whether
     ∞ lies outside the set."""
-    if o.full:
-        return [], False
     if not o.arcs:
-        return [(-INF, INF)], True
-    if o.arcs[0].puncture:
-        x = o.arcs[0].b
-        return ([], True) if is_inf(x) else ([(x, x)], False)
+        return ([], False) if o.full else ([(-INF, INF)], True)
     gaps, has_inf = [], False
     for arc, nxt in zip(o.arcs, o.arcs[1:] + o.arcs[:1]):
         l, r = arc.a, nxt.b
@@ -570,45 +520,28 @@ def arc_segments(arc: Arc):
 
 
 def arcs_overlap(x: Arc, y: Arc, tol: float = POINT_TOL) -> bool:
-    """True when the two open arcs intersect in a set of positive length."""
-    segs_x, inf_x = arc_segments(x)
-    segs_y, inf_y = arc_segments(y)
-    if inf_x and inf_y:
-        return True
-    for s1, e1 in segs_x:
-        for s2, e2 in segs_y:
-            if min(e1, e2) - max(s1, s2) > tol:
-                return True
-    return False
-
-
-def _arc_midpoint(j: Arc) -> float:
-    if j.puncture:
-        return j.b + 1.0 if not is_inf(j.b) else 0.0
-    bi, ai = is_inf(j.b), is_inf(j.a)
-    if bi and ai:
-        return 0.0
-    if bi:
-        return j.a - 1.0
-    if ai:
-        return j.b + 1.0
-    b, a = j.b, j.a
-    if b < a:
-        return 0.5 * (b + a)
-    return INF  # wrap arc: ∞ is interior
+    """True when the two open arcs intersect in a set of positive length:
+    one holds an end of the other, or both run between the same ends in the
+    same direction."""
+    return (any(x.contains(p, tol) for p in (y.b, y.a))
+            or any(y.contains(p, tol) for p in (x.b, x.a))
+            or (points_equal(x.b, y.b, tol) and points_equal(x.a, y.a, tol)))
 
 
 def arc_contains_arc(outer: Arc, inner: Arc, tol: float = 1e-9) -> bool:
-    """inner ⊆ outer, endpoints compared to within tol·max(1, |p|): zeros
-    far from the origin carry an absolute roundoff that grows with |p|."""
-    if not outer.contains(_arc_midpoint(inner), tol):
+    """inner ⊆ outer: each end of inner lies in outer's closure, inner holds
+    neither end of outer, and inner is not outer's complement (outer's ends
+    in reverse order, unless outer is a puncture).  A point p is compared to
+    within tol·max(1, |p|): zeros far from the origin carry an absolute
+    roundoff that grows with |p|."""
+    b, a, ib, ia = outer.b, outer.a, inner.b, inner.a
+    tb, ta, tib, tia = (tol if p == INF else tol * max(1.0, abs(p)) for p in (b, a, ib, ia))
+    if inner.contains(b, tb) or inner.contains(a, ta):
         return False
-    for p in (inner.b, inner.a):
-        t = tol if is_inf(p) else tol * max(1.0, abs(p))
-        if not (outer.contains(p, t)
-                or points_equal(p, outer.b, t) or points_equal(p, outer.a, t)):
+    for p, t in ((ib, tib), (ia, tia)):
+        if not (outer.contains(p, t) or points_equal(p, b, t) or points_equal(p, a, t)):
             return False
-    return True
+    return outer.puncture or not (points_equal(ib, a, tib) and points_equal(ia, b, tia))
 
 
 def arcset_contains_arc(o: ArcSet, j: Arc, tol: float = 1e-9) -> bool:
@@ -661,7 +594,7 @@ def complement_ends(lo, hi, has_inf: bool) -> tuple:
     if not lo:
         return [INF], [INF]
     if len(lo) == 1 and points_equal(lo[0], hi[0]):
-        return lo, lo  # the circle punctured at one point
+        return hi, hi  # the circle punctured at one point, named by its right end
     return hi, lo[1:] + lo[:1]
 
 

@@ -356,9 +356,9 @@ def _blackbox_zero(fn, lo: float, hi: float) -> float:
 
 def _quotient(f, k: KreinProduct, sigma: Optional[SigmaDescriptor]) -> BlackBoxFunction:
     """f/k one point at a time: 0 where only k has a pole, the ∞ marker where
-    only f has one, and EvaluationDomainError where both have one, as a black
-    box cannot read the limit there.  A real point within REAL_GUARD of a
-    pole of k is refused by k."""
+    only f has one or only k vanishes, and EvaluationDomainError where both
+    have a pole or both vanish, as a black box cannot read the limit there.
+    A real point within REAL_GUARD of a pole of k is refused by k."""
 
     def g(z):
         kv, fv = k(z), f(z)
@@ -366,9 +366,11 @@ def _quotient(f, k: KreinProduct, sigma: Optional[SigmaDescriptor]) -> BlackBoxF
         k_pole, f_pole = (not isinstance(v, complex) and v == INF for v in (kv, fv))
         if k_pole and f_pole:
             raise EvaluationDomainError(f"f and its divisor both have a pole at {z}")
+        if kv == 0 and fv == 0:
+            raise EvaluationDomainError(f"f and its divisor both vanish at {z}")
         if k_pole:
             return 0.0
-        if f_pole:
+        if f_pole or kv == 0:
             return INF
         return fv / kv
 
@@ -405,8 +407,12 @@ def divide_single(f, j: Arc):
         f = CompositeFunction(_certified_constant(f, ana, k), k)
     if isinstance(f, CompositeFunction):
         return _divide_composite(f, ana.gamma, j)
-    g = _quotient(f, KreinProduct(ArcSet((j,))),
-                  f.sigma if isinstance(f, BlackBoxFunction) else None)
+    sigma = None
+    if isinstance(f, BlackBoxFunction):
+        # f/p_J has a pole at J's zero end, where f ≠ 0 inside Γ(f)
+        sigma = (replace(f.sigma, has_inf=True) if j.a == INF
+                 else replace(f.sigma, points=f.sigma.points + (j.a,)))
+    g = _quotient(f, KreinProduct(ArcSet((j,))), sigma)
     # how far Im g dips below zero (NaN if a value is NaN)
     resid = -float(np.min(g(halton_box(200, -10.0, 10.0, 1e-3, 10.0)).imag, initial=0.0))
     if not resid <= 1e-9:
@@ -529,9 +535,12 @@ def _verify_posts(ana: AnalysisResult, g, k: KreinProduct):
     reg_ok = all(r - l > POINT_TOL for l, r in zip(lo_g, hi_g))
     posts.append(Certification("omega_g_regular", 0.0 if reg_ok else 1.0, 0.0, reg_ok))
 
-    # (4) σ(f) = X ∪ σ(g), X = σ(k_Γ)
+    # (4) σ(f) = X ∪ σ(g), X = σ(k_Γ) with the atoms whose poles a zero of f
+    # cancels within POINT_TOL, which the analysis's zeros stand at
     x = k.structure.sigma
-    sig_c = SigmaDescriptor(x.points + sig_g.points, sig_g.intervals, x.has_inf or sig_g.has_inf)
+    cancelled = tuple(e for e, _ in ana.zeros or () if e in sig_f.points)
+    sig_c = SigmaDescriptor(x.points + cancelled + sig_g.points, sig_g.intervals,
+                            x.has_inf or sig_g.has_inf)
     lo_c, hi_c = sig_c.support
     ok4 = (sig_c.has_inf == sig_f.has_inf and len(lo_c) == len(lo_f)
            and all(x == y or abs(x - y) <= 1e-7 for x, y in zip(lo_c + hi_c, lo_f + hi_f)))

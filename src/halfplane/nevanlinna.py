@@ -77,11 +77,11 @@ class Measure:
         object.__setattr__(self, "ac", tuple((l, r, d) for l, r, d in ac if d > 0))
 
     @staticmethod
-    def cantor_atoms(depth: int, base=(0.0, 1.0), mass: float = 1.0) -> "Measure":
-        """Depth-k atomic stand-in for the Cantor measure: 2^k atoms of weight
-        mass·2^(−k) at the midpoints of the surviving level-k intervals."""
-        *_, kept = cantor_levels(base, depth)
-        w = mass / len(kept)
+    def cantor_atoms(depth: int) -> "Measure":
+        """Depth-k atomic stand-in for the Cantor measure on [0, 1]: 2^k atoms
+        of weight 2^(−k) at the midpoints of the surviving level-k intervals."""
+        *_, kept = cantor_levels((0.0, 1.0), depth)
+        w = 1.0 / len(kept)
         return Measure(atoms=tuple((0.5 * (u + v), w) for u, v in kept))
 
     def mass(self) -> float:
@@ -369,17 +369,13 @@ def analyze(rep: NevanlinnaRep, narrow: bool = False) -> AnalysisResult:
     radii = roots[1][0].tolist() if narrow else [BRACKET * max(1.0, abs(x)) for x in a]
     # a zero at ∞ has a bound on 1/|zero|; a zero merged with the next pole
     # stands at that pole; atoms within POINT_TOL of the next share one piece
-    # of σ's support, of which k_Γ keeps one pole (the last, or the first
-    # where the piece is all of σ and Ω the circle punctured there): each zero
-    # between two of them stands at the first of the two, and in the
-    # punctured case the first pole at the last
+    # of σ's support, of which k_Γ keeps one pole, the last: each zero
+    # between two of them stands at the first of the two
     zeros = [(INF, _far_radius(rep, lo, hi)) if zero == INF
              else (end, float(np.nextafter(r + abs(zero - end), INF))) if join else (zero, r)
              for zero, r, end, join in zip(a, radii, nxt, merged)]
     ts = sig.points
     zeros += [(t, u - t) for t, u in zip(ts, ts[1:]) if u - t <= POINT_TOL]
-    if lo and b[0] == lo[0] < hi[0]:
-        zeros.append((hi[0], hi[0] - lo[0]))
     return AnalysisResult(sig, gamma, tuple(zeros))
 
 
@@ -402,13 +398,12 @@ def _far_radius(rep: NevanlinnaRep, lo, hi) -> float:
 # boundary recovery
 
 
-def recover_alpha(f, *, k_min: int = 3, k_max: int = 14,
-                  consistency: float = 1e-6) -> float:
-    """α = lim_{y→∞} f(iy)/(iy), via a y = 2^k ladder with Richardson
-    extrapolation.  Raises RecoveryError when the estimates oscillate."""
+def recover_alpha(f) -> float:
+    """α = lim_{y→∞} f(iy)/(iy), via a y = 2^k ladder (k = 3 … 14) with
+    Richardson extrapolation.  Raises RecoveryError when the last two
+    extrapolations differ by more than 1e-6."""
     est = ladder_limit(lambda y: complex(f(1j * y)).imag / y,
-                       [float(2 ** k) for k in range(k_min, k_max + 1)],
-                       consistency=consistency)
+                       [float(2 ** k) for k in range(3, 15)], consistency=1e-6)
     if est < -1e-8:
         raise RecoveryError(f"negative alpha estimate {est}")
     return max(est, 0.0)
@@ -426,23 +421,23 @@ def stieltjes_density(f, t: float, eps: float) -> float:
     return complex(f(t + 1j * eps)).imag / (math.pi * (1.0 + t * t))
 
 
-def stieltjes_density_limit(f, t: float, *, eps0: float = 1e-1, n: int = 6,
-                            consistency: float = 1e-5) -> float:
-    """ε↓0 extrapolation of the smoothed density (the a.c. density of ρ)."""
-    ladder = [eps0 * 10.0 ** (-k) for k in range(n)]
+def stieltjes_density_limit(f, t: float) -> float:
+    """ε↓0 extrapolation of the smoothed density (the a.c. density of ρ),
+    along ε = 0.1 … 1e-6, settled to 1e-5."""
+    ladder = [1e-1 * 10.0 ** (-k) for k in range(6)]
     return ladder_limit(lambda e: stieltjes_density(f, t, e), ladder,
-                        ratio=10.0, consistency=consistency)
+                        ratio=10.0, consistency=1e-5)
 
 
-def recover_atom(f, t0: float, *, eps0: float = 1e-2, n: int = 9,
-                 consistency: float = 1e-6) -> float:
-    """Weight at an isolated point of σ(f): w = lim ε·Im f(t0+iε)/(1+t0²)."""
-    ladder = [eps0 * 0.5 ** k for k in range(n)]
+def recover_atom(f, t0: float) -> float:
+    """Weight at an isolated point of σ(f): w = lim ε·Im f(t0+iε)/(1+t0²),
+    along ε = 1e-2·2^−k (k = 0 … 8), settled to 1e-6."""
+    ladder = [1e-2 * 0.5 ** k for k in range(9)]
 
     def sample(e):
         return e * complex(f(t0 + 1j * e)).imag / (1.0 + t0 * t0)
 
-    w = ladder_limit(sample, ladder, ratio=2.0, consistency=consistency)
+    w = ladder_limit(sample, ladder, ratio=2.0, consistency=1e-6)
     return max(w, 0.0)
 
 
@@ -469,7 +464,9 @@ def boole_superlevel_measure(mu: Measure, y: float):
     All roots come from one secular-matrix solve: the roots of G = y, one
     right of each atom, are the eigenvalues of diag(t) + zzᵀ with z = √(w/y),
     and those of G = −y, one left of each atom, the eigenvalues of
-    diag(t) − zzᵀ (the same problem on the reflected atoms t → −t).  They
+    diag(t) − zzᵀ (the same problem on the reflected atoms t → −t); at
+    small y the solve runs at a level where its error leaves the gaps between
+    atoms apart, and the outer two seeds move out to y.  They
     only seed ``util.branch_roots``, which polishes each root on G itself and
     certifies it by a sign bracket inside its gap.  The bracket is the
     certificate: the lengths match μ(R)/y by the trace identity whatever the
@@ -527,20 +524,35 @@ def _boole_roots(ts, ws, y: float):
     """Roots of G = y (one right of each atom) and of G = −y (one left of
     each), for sorted atoms ts with weights ws."""
     # by Weyl, every eigenvalue lies within ‖z‖² = μ(R)/y of an atom
-    reach = 2.0 * float(np.sum(ws)) / y
+    mass = float(np.sum(ws))
+    reach = 2.0 * mass / y
     if not (math.isfinite(ts[0] - reach) and math.isfinite(ts[-1] + reach)):
         raise ValueError(f"y = {y} is too small: the outer roots' brackets reach "
                          f"2μ(R)/y = {reach:.3g} past the atoms, out of the float range")
-    z = np.sqrt(ws / y)
+    # eigvalsh errs by about n·eps·μ(R)/y, which swamps the bounded branches
+    # at small y; their roots hardly move below the level where that error is
+    # 1e-4 of the narrowest, so all seeds come from that level, and the outer
+    # two, near ±μ(R)/y, move out by μ(R)·(1/y − 1/level)
+    level = max(y, 1e4 * len(ts) * _EPS * mass / (ts[1:] - ts[:-1]).min(initial=INF).item())
+    z = np.sqrt(ws / level)
     rank_one = np.outer(z, z)
     diag = np.diag(ts)
     seeds = np.linalg.eigvalsh(np.stack((diag + rank_one, diag - rank_one)))
+    shift = mass / y - mass / level
+    seeds[0, -1] += shift
+    seeds[1, 0] -= shift
     lo = np.concatenate((ts, [ts[0] - reach], ts[:-1]))
     hi = np.concatenate((ts[1:], [ts[-1] + reach], ts))
-    target = np.repeat((-y, y), len(ts))
-    # the summands of −G_μ, which increases between atoms, and its slope
-    roots = branch_roots(lambda x: ws / (ts - x[:, None]), np.ones(len(ts)), target, seeds.ravel(),
-                         lo, hi, lambda x: np.sum(ws / (x[:, None] - ts) ** 2, axis=1))
+    # the summands of −G_μ, which increases between atoms, and its slope, both
+    # times 4^m ≈ 1/y, m ≥ 0 (exactly, through the weights, the target and the
+    # points and atoms times r = 2^−m): the outer roots lie near μ(R)/y, where
+    # Σ w/(x − t)² would overflow past |x| ≈ 1.3e154 and stall Newton
+    m = max(0, -math.frexp(y)[1]) // 2
+    r = 2.0 ** -m
+    sw, rts = ws / r / r, ts * r
+    target = np.repeat((-y / r / r, y / r / r), len(ts))
+    roots = branch_roots(lambda x: sw / (ts - x[:, None]), np.ones(len(ts)), target, seeds.ravel(),
+                         lo, hi, lambda x: np.sum(ws / (x[:, None] * r - rts) ** 2, axis=1))
     return roots[:len(ts)], roots[len(ts):]
 
 

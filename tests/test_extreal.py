@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from halfplane.cli import _krein_product
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL,
-                               INF, angle_subtended, arcs_overlap,
+                               INF, angle_subtended, arc_contains_arc,
+                               arcs_overlap, arcset_contains_arc,
                                as_point, circle_minus_points,
                                closed_complement, complement_of_closed,
                                measure, normalize,
@@ -241,8 +242,13 @@ class TestSetOps:
 class TestNormalizeFuzz:
     def test_membership_oracle(self, rng):
         def rand_arc():
-            kind = rng.integers(0, 4)
+            kind = rng.integers(0, 5)
             a, b = sorted(rng.uniform(-5, 5, size=2))
+            if rng.random() < 0.3:
+                # integer ends, some 1e-13 off: ends of different arcs that
+                # meet within POINT_TOL, where the union's gaps are points
+                a, b = (float(np.round(e)) + float(rng.choice((0.0, 1e-13, -1e-13)))
+                        for e in (a, b))
             if abs(b - a) < 0.05:
                 b = a + 0.5
             if kind == 0:
@@ -251,7 +257,9 @@ class TestNormalizeFuzz:
                 return Arc(INF, a)
             if kind == 2:
                 return Arc(b, INF)
-            return Arc(b, a)  # wrap
+            if kind == 3:
+                return Arc(b, a)  # wrap
+            return Arc(a, a, puncture=True)
 
         for _ in range(120):
             arcs = [rand_arc() for _ in range(int(rng.integers(1, 6)))]
@@ -414,6 +422,52 @@ def reference_contains(arc, x):
     turn = 2.0 * math.pi
     span = (angle(arc.a) - angle(arc.b)) % turn or turn
     return 0.0 < (angle(x) - angle(arc.b)) % turn < span
+
+
+def grid_arc(scale):
+    """Arcs with ends scale·k (k = −12 … 12) or ∞: bounded, through ∞, both
+    half-lines and punctures."""
+    end = st.one_of(st.integers(-12, 12).map(lambda k: k * scale), st.just(INF))
+    return st.one_of(end.map(lambda p: Arc(p, p, puncture=True)),
+                     st.lists(end, min_size=2, max_size=2, unique=True).map(lambda e: Arc(*e)))
+
+
+# two arcs on one grid, coarse, fine or far from 0, where ends compare to
+# within a tolerance that grows with |p|
+grid_arc_pairs = st.sampled_from((1.0, 1.0 / 3.0, 1e4)).flatmap(
+    lambda s: st.tuples(grid_arc(s), grid_arc(s), st.just(s)))
+
+
+def grid_cells(scale):
+    """A point of each cell that the grid cuts the circle into: the grid
+    points, ∞, the midpoints between neighbours and a point past each end;
+    arcs with ends on the grid are unions of these cells."""
+    return [k / 2 * scale for k in range(-26, 27)] + [INF]
+
+
+class TestArcRelations:
+    @settings(max_examples=400, deadline=None)
+    @given(grid_arc_pairs)
+    # (2, −1) runs from 2 through ∞ to −1 and holds (−3, −2), which (−2, −3) misses
+    @example((Arc(-2.0, -3.0), Arc(2.0, -1.0), 1.0))
+    @example((Arc(-2.0, -3.0), Arc(2.0, -4.0), 1.0))
+    @example((Arc(0.0, 1.0), Arc(1.0, 0.0), 1.0))  # the complement
+    @example((Arc(0.0, 0.0, puncture=True), Arc(1.0, -1.0), 1.0))
+    @example((Arc(0.0, 0.0, puncture=True), Arc(0.0, 0.0, puncture=True), 1.0))
+    def test_containment_matches_the_cells(self, pair):
+        outer, inner, scale = pair
+        cells = [x for x in grid_cells(scale) if reference_contains(inner, x)]
+        want = all(reference_contains(outer, x) for x in cells)
+        assert arc_contains_arc(outer, inner) == want, (outer, inner)
+        assert arcset_contains_arc(normalize([outer]), inner) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(grid_arc_pairs)
+    def test_overlap_matches_the_cells(self, pair):
+        x, y, scale = pair
+        want = any(reference_contains(x, p) and reference_contains(y, p)
+                   for p in grid_cells(scale))
+        assert arcs_overlap(x, y) == arcs_overlap(y, x) == want, (x, y)
 
 
 class TestPointModel:

@@ -110,6 +110,31 @@ class TestDivideSingle:
         values, refused = g.masked(np.array([0j, 1e-12 + 0j, 2 + 0j, 1j]))
         assert refused.tolist() == [True, True, False, False]
         assert np.allclose(values[2:], 1.0, rtol=1e-15, atol=0.0)
+        # f = z is p_(∞,0): f and p_J both vanish at 0
+        rep = NevanlinnaRep(1.0, 0.0)
+        g = divide_single(BlackBoxFunction(rep.eval, rep.sigma()), Arc(INF, 0.0))
+        with pytest.raises(EvaluationDomainError):
+            g(0.0)
+        assert g(1.0) == 1.0
+
+    def test_rejects_an_arc_the_long_way_round(self):
+        # Γ = (−2, −3) runs from −2 through ∞ to −3, and J = (2, −1) from 2
+        # through ∞ to −1: J holds −2.5, where f > 0, though both its ends
+        # and ∞ lie in Γ
+        f = CompositeFunction(1.0, KreinProduct(normalize([Arc(-2.0, -3.0)])))
+        assert f(-2.5) > 0
+        with pytest.raises(ValueError, match="not contained in the negativity set"):
+            divide_single(f, Arc(2.0, -1.0))
+
+    def test_blackbox_quotient_by_an_inner_sub_arc(self):
+        # f/p_J has a pole at J's zero end −2, where f ≠ 0: the quotient's σ
+        # holds it, it reads the ∞ marker there, and its Γ is (−2, −1), where
+        # f < 0 < p_J
+        g = divide_single(SQRT_BB, Arc(INF, -2.0))
+        assert g.sigma.contains(-2.0) and g(-2.0) == INF
+        assert analyze_pick(g).gamma.isclose(normalize([Arc(-2.0, -1.0)]), 1e-9)
+        res = factorize(g)
+        assert res.ok and res.gamma.isclose(normalize([Arc(-2.0, -1.0)]), 1e-9)
 
     def test_wrap_component_division(self):
         rep = NevanlinnaRep(0.0, -2.0, Measure(atoms=((-1.0, 1.0), (1.0, 1.0))))
@@ -442,6 +467,20 @@ class TestCorollary:
         rep = NevanlinnaRep(0.5, 0.3, Measure(atoms=((-1.0, 1.0), (0.5, 0.4), (2.0, 1.5))))
         res = factorize(RepFunction(rep))
         assert res.ok and calls == [res.gamma]
+
+    def test_zero_merged_with_the_next_pole(self):
+        # f's zero in (0, 1) lies within POINT_TOL of the atom at 1, so Γ =
+        # (0, −2e13) runs through it and k_Γ has no pole there; post 4 counts
+        # the atom whose pole that zero cancels, and the constant's bound the
+        # zero it stands for
+        rep = NevanlinnaRep(0.0, 0.0, Measure(atoms=((0.0, 1.0), (1.0, 5e-14))))
+        res = factorize(RepFunction(rep))
+        assert res.ok and res.k.structure.sigma.points == (0.0,)
+        assert len(res.gamma.arcs) == 1 and res.gamma.arcs[0].b == 0.0
+        # a Γ missing that arc still fails post 4
+        ana = analyze(rep)
+        assert not self._posts(AnalysisResult(ana.sigma, EMPTY, ana.zeros),
+                               NevanlinnaRep(0.0, res.constant))["omega_intersection"]
 
 
 class TestConstantBound:

@@ -15,6 +15,7 @@ from halfplane.nevanlinna import (Measure, NevanlinnaRep, _boole_roots,
                                   letac_pushforward_check, recover_alpha,
                                   recover_atom, recover_beta,
                                   stieltjes_density, stieltjes_density_limit)
+from halfplane import util
 from halfplane.util import (BRACKET, RecoveryError, RootBracketError,
                             branch_roots)
 
@@ -599,6 +600,18 @@ class TestSecularKernel:
             for k, x in enumerate(row.tolist()):
                 assert_certified_root(mp_rep(rep, target), x, edges[k], edges[k + 1])
         assert abs(letac_pushforward_check(rep, (c, d)) - (d - c)) <= 1e-8
+
+    @pytest.mark.parametrize("y", [1e-160, 1e-200])
+    def test_far_roots_take_newton_steps(self, y, monkeypatch):
+        # the outer roots lie near ±μ(R)/y, past where Σ w/(x − t)² overflows,
+        # and the eigensolver's error μ(R)·eps/y swamps the inner branch
+        calls = []
+        bisect = util._bisect
+        monkeypatch.setattr(util, "_bisect", lambda *a: calls.append(a) or bisect(*a))
+        plus, minus = boole_superlevel_measure(Measure(atoms=((0.0, 1.0), (1.0, 2.0))), y)
+        assert not calls
+        for length in (plus, minus):
+            assert abs(length - 3.0 / y) <= 1e-15 * (3.0 / y)
 
     def test_bad_seeds_are_bisected(self):
         # every seed at the right end of its branch: Newton steps from there
