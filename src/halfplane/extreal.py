@@ -14,10 +14,12 @@ it rather than splitting on the kinds of arc themselves:
 * closed sets such as σ(f): :class:`SigmaDescriptor`, their one type;
 * complements: :func:`closed_complement` reads an arc set's gaps as a
   closed set and :func:`complement_of_closed` turns a closed set (points,
-  intervals, ∞) back into arcs through :func:`merged_support`; the union
-  (:func:`normalize`, from the gaps between the arcs' line segments), the
-  regularization, :meth:`ArcSet.remove_points` and
-  :func:`circle_minus_points` are this one round trip;
+  intervals, ∞) back into arcs through :func:`merged_support` and
+  :func:`complement_ends`; the union (:func:`normalize`, whose gaps between
+  the arcs' line segments come sorted and merged, so it hands them to
+  :func:`complement_ends` itself), the regularization,
+  :meth:`ArcSet.remove_points` and :func:`circle_minus_points` are this one
+  round trip;
 * segment decomposition: :func:`arc_segments` writes an arc as open segments
   of the line;
 * arc membership: :meth:`Arc.contains`, one rule for every kind of arc, on
@@ -284,17 +286,24 @@ def normalize(arcs: Iterable[Arc]) -> ArcSet:
         segs, has_inf = arc_segments(c)
         segments.extend(segs)
         covers_inf = covers_inf or has_inf
-    # the gaps between the merged segments, from −∞ to +∞; segments that
-    # share an end (within POINT_TOL) leave it as a one-point gap, and one
-    # from −∞ leaves none before it (−∞ − −∞ is NaN)
-    gaps, reach = [], _LINE_NEG
-    for s, e in sorted(segments):
+    # the gaps between the merged segments, from −∞ to +∞, as the sorted
+    # pieces [lo, hi] of merged_support, each merged into the last when
+    # within POINT_TOL of it; segments that share an end (within POINT_TOL)
+    # leave it as a one-point gap, and one from −∞ leaves none before it
+    # (−∞ − −∞ is NaN), and a last segment at +∞ closes the last gap; a
+    # gap reaches ±∞ only where no arc covers ∞
+    lo, hi, reach = [], [], _LINE_NEG
+    for s, e in sorted(segments + [(_LINE_POS, _LINE_POS)]):
         if s - reach >= -POINT_TOL:
-            gaps.append((reach, s))
+            if hi and reach - hi[-1] <= POINT_TOL:
+                hi[-1] = max(hi[-1], s)
+            else:
+                lo.append(reach)
+                hi.append(s)
         reach = max(reach, e)
-    if reach < _LINE_POS:
-        gaps.append((reach, _LINE_POS))
-    return complement_of_closed((), gaps, not covers_inf)
+    if covers_inf and not lo:
+        return FULL
+    return _from_ends(*complement_ends(lo, hi, not covers_inf))
 
 
 def regularize(o) -> ArcSet:
@@ -448,7 +457,11 @@ def complement_of_closed(points: Sequence[float], intervals: Sequence[tuple],
     lo, hi = merged_support(points, intervals)
     if not (lo or has_inf):
         return FULL
-    b, a = complement_ends(lo, hi, has_inf)
+    return _from_ends(*complement_ends(lo, hi, has_inf))
+
+
+def _from_ends(b, a) -> ArcSet:
+    # the arc set of complement_ends' lists
     return ArcSet(tuple(Arc(y, x, puncture=y == x) for y, x in zip(b, a)))
 
 
@@ -505,18 +518,17 @@ def closed_complement(o: ArcSet) -> tuple:
 
 def arc_segments(arc: Arc):
     """The arc as open segments of the line, plus whether it contains ∞;
-    unbounded ends are the float infinities."""
+    unbounded ends are the float infinities (∞ = ``INF`` is +inf)."""
+    b, a = arc.b, arc.a
     if arc.puncture:
-        if is_inf(arc.b):
+        if b == INF:
             return [(_LINE_NEG, _LINE_POS)], False
-        return [(_LINE_NEG, arc.b), (arc.b, _LINE_POS)], True
-    if is_inf(arc.b):
-        return [(_LINE_NEG, arc.a)], False
-    if is_inf(arc.a):
-        return [(arc.b, _LINE_POS)], False
-    if arc.is_wrap:
-        return [(arc.b, _LINE_POS), (_LINE_NEG, arc.a)], True
-    return [(arc.b, arc.a)], False
+        return [(_LINE_NEG, b), (b, _LINE_POS)], True
+    if b < a:  # bounded, or the half-line (b, +∞)
+        return [(b, a)], False
+    if b == INF:
+        return [(_LINE_NEG, a)], False
+    return [(b, _LINE_POS), (_LINE_NEG, a)], True
 
 
 def arcs_overlap(x: Arc, y: Arc, tol: float = POINT_TOL) -> bool:

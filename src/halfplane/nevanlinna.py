@@ -9,8 +9,9 @@ the array contract of ``krein``: a scalar call is the same pass on one point,
 the ∞ marker sits at an atom, ±inf in a real array is ∞.  Boundary recovery
 (α, β, atoms, densities) uses geometric ladders with Richardson
 extrapolation.  The zeros that bound Γ(f) and the roots of the Boole and
-pushforward identities come from secular-matrix seeds, each polished and
-sign-bracketed on its own component.  σ's merged support is derived once
+pushforward identities come from secular-matrix seeds, each sign-bracketed
+on its own component and stepped from the same evaluation (Newton-polished
+where that fails).  σ's merged support is derived once
 per descriptor: Ω's arcs, the branches of the root kernel and the pieces
 of Γ all run between its pieces.
 """
@@ -225,7 +226,7 @@ class NevanlinnaRep:
         cplx = z_.dtype.kind == "c"
         inf = None if cplx or not np.isinf(z_).any() else np.isinf(z_)
         z_ = z_ if cplx else np.where(inf, 0.0, z_) if inf is not None else z_.astype(float)
-        ts, ws, _ = self._atoms
+        ts, ws, *_ = self._atoms
         val, pole = self.alpha * z_ + self.beta, None
         if ts.size:
             # αz + β, then the atoms' terms, summed in order
@@ -270,9 +271,12 @@ class NevanlinnaRep:
 
     @functools.cached_property
     def _atoms(self):
-        # t, w and u² = w(1 + t²), an atom's weight in f' and in the root kernel
+        # t, w, u² = w(1 + t²), an atom's weight in f' and in the root
+        # kernel, and Σ u²; inf past the float range, which the kernel refuses
         ts, ws = np.array(self.rho.atoms, dtype=float).reshape(-1, 2).T
-        return ts, ws, ws * (1.0 + ts * ts)
+        with np.errstate(over="ignore"):
+            u2 = ws * (1.0 + ts * ts)
+            return ts, ws, u2, float(u2.sum())
 
     @functools.cached_property
     def _ac(self):
@@ -387,10 +391,10 @@ def _far_radius(rep: NevanlinnaRep, lo, hi) -> float:
     −K/(x − t) and −K/(x + t) past it."""
     if rep.beta - rep.rho.moment1() != 0.0:
         return 1.0 / _FMAX
-    ts, ws, u2 = rep._atoms
+    ts, ws, _, atoms_k = rep._atoms
     # twice the correctly rounded β′, and the smallest subnormal for one that underflows
     gap = 2.0 * abs(_exact_offset(rep.beta, ws, ts, ())) + 5e-324
-    reach = 0.5 * float(u2.sum()) / gap - max(abs(lo[0]), abs(hi[-1]))
+    reach = 0.5 * atoms_k / gap - max(abs(lo[0]), abs(hi[-1]))
     return 1.0 / reach if reach > 1.0 else INF
 
 
@@ -467,10 +471,11 @@ def boole_superlevel_measure(mu: Measure, y: float):
     diag(t) − zzᵀ (the same problem on the reflected atoms t → −t); at
     small y the solve runs at a level where its error leaves the gaps between
     atoms apart, and the outer two seeds move out to y.  They
-    only seed ``util.branch_roots``, which polishes each root on G itself and
-    certifies it by a sign bracket inside its gap.  The bracket is the
-    certificate: the lengths match μ(R)/y by the trace identity whatever the
-    roots' quality.
+    only seed ``util.branch_roots``: a seed certifies first, by a sign
+    bracket of G itself inside its gap, from the same table that gives its
+    last (secant) step; one that does not is polished by Newton steps on G
+    and bracketed then.  The bracket is the certificate: the lengths match
+    μ(R)/y by the trace identity whatever the roots' quality.
     """
     if not mu.is_atomic():
         raise ValueError("the superlevel identity is computed for atomic measures")
@@ -636,6 +641,19 @@ def _density_slope(x, l, r):
     return np.where(far, series, closed)
 
 
+def _refuse_far_atoms(ts, ws, u2, atoms_k):
+    """ValueError naming the first atom whose u² = w(1 + t²) is past the float
+    range (|t| past about 1.3e154, or a huge weight), or their sum if it is."""
+    if math.isfinite(atoms_k):
+        return
+    for t, w, u in zip(ts.tolist(), ws.tolist(), u2.tolist()):
+        if not math.isfinite(u):
+            raise ValueError(f"the atom ({t}, {w}) is past the float range of the root "
+                             "kernel: its w(1 + t²) overflows")
+    raise ValueError("the atoms are past the float range of the root kernel: "
+                     "their sum of w(1 + t²) overflows")
+
+
 def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
     """Roots of f = target on the arcs of Ω(f), which run between the pieces
     (lo, hi) of σ's ``support`` in the order of ``SigmaDescriptor.omega``:
@@ -646,11 +664,15 @@ def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
     slope at a far zero), the integral at most K = ∫(1+t²)dρ over the
     distance.  With u = √(w(1+t²)), atomic ρ is seeded by the eigenvalues of
     [[diag t, u/√α], [uᵀ/√α, (target − β′)/α]] (α > 0) or of
-    diag(t) + uuᵀ/(β′ − target) (α = 0), densities by midpoints."""
+    diag(t) + uuᵀ/(β′ − target) (α = 0), densities by midpoints; an atom
+    whose u² overflows is refused.  ``util.branch_roots`` certifies a seed and
+    takes its last step from one table of f at it and at its bracket's ends,
+    and falls back to Newton steps (every midpoint seed) where that fails."""
     alpha, ac = rep.alpha, rep.rho.ac
     targets = [float(t) for t in targets]
-    ts, ws, u2 = rep._atoms
-    big_k = float(u2.sum()) + sum(d * (r - l + (r**3 - l**3) / 3) for l, r, d in ac)
+    ts, ws, u2, atoms_k = rep._atoms
+    _refuse_far_atoms(ts, ws, u2, atoms_k)
+    big_k = atoms_k + sum(d * (r - l + (r**3 - l**3) / 3) for l, r, d in ac)
     offset = rep.beta - rep.rho.moment1()
     shifts = [offset - t for t in targets]  # β′ − target
 

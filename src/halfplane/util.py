@@ -34,34 +34,72 @@ def branch_roots(terms, ulps, target, seeds, lo, hi, slope=None):
     summand's rounding error in eps (one bound per column); slope maps the
     points to f′.  The other arguments are aligned arrays.
 
-    Seeds are clipped into their branches and, given the slope, polished by
-    Newton steps inside them.  A root x is accepted on a sign bracket
-    f(x − δ) ≤ target ≤ f(x + δ), δ = 4e-12·max(1, |x|), its ends clipped
-    into the open branch, where each sign must clear a bound on the float
-    error of f: the summands' own rounding plus that of summing them.
-    Unsettled or unbracketed roots are bisected to the bracket's width,
-    polished and checked again; a root that still fails raises
-    RootBracketError."""
+    A root x is accepted on a sign bracket f(x − δ) ≤ target ≤ f(x + δ),
+    δ = 4e-12·max(1, |x|), its ends clipped into the open branch, where each
+    sign must clear a bound on the float error of f: the summands' own
+    rounding plus that of summing them.  Seeds are clipped into their
+    branches.  Given the slope, each seed x first certifies from one table
+    of f at x and at x ∓ w, w = (1 − 2e-3)·δ(x): where both ends' signs
+    clear that bound and the secant step s = x − f(x)·(x₊ − x₋)/(f(x₊) − f(x₋))
+    stays in the bracket and moves x by at most 1e-3·δ(x), the root is s,
+    and |s − root| ≤ |s − x| + w ≤ (1 − 1e-3)·δ(x) ≤ δ(s).  Every other seed
+    is polished by Newton steps inside its branch (given the slope) and
+    bracketed at δ; unsettled or unbracketed roots are bisected to the
+    bracket's width, polished and checked again; a root that still fails
+    raises RootBracketError."""
     target = np.asarray(target, dtype=float)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     inner = np.nextafter(lo, hi), np.nextafter(hi, lo)  # the open branches' float ends
     with np.errstate(all="ignore"):
         x = np.minimum(np.maximum(seeds, inner[0]), inner[1])
-        x, settled = _newton(terms, slope, target, x, lo, hi)
-        ok = settled & _bracketed(terms, ulps, target, x, lo, hi, inner)[0]
+        if slope is None:
+            ok = np.zeros(len(x), dtype=bool)
+        else:
+            x, ok = _tabled(terms, ulps, target, x, inner)
         if not ok.all():
             bad = ~ok
-            blo, bhi = _bisect(terms, target[bad], lo[bad], hi[bad])
-            # in the open branch, as the seeds: adjacent floats' midpoint may round onto an end
-            mid = np.minimum(np.maximum(0.5 * blo + 0.5 * bhi, inner[0][bad]), inner[1][bad])
-            x[bad] = _newton(terms, slope, target[bad], mid, blo, bhi)[0]
-            ok = _bracketed(terms, ulps, target, x, lo, hi, inner)[0]
+            x[bad], ok[bad] = _polished(terms, ulps, slope, target[bad], x[bad], lo[bad], hi[bad],
+                                        (inner[0][bad], inner[1][bad]))
     if not ok.all():
         k = int(np.argmin(ok))
         raise RootBracketError(
             f"no sign bracket for the root {float(x[k])} of f = {float(target[k])} "
             f"on the branch ({float(lo[k])}, {float(hi[k])})")
     return x + 0.0  # a root at −0.0 reads 0.0
+
+
+def _tabled(terms, ulps, target, x, inner):
+    # (the roots, accepted): f at the 3m points x, x − w and x + w in one
+    # table, w = (1 − 2e-3)·δ(x) with the ends clipped into the open branch;
+    # an accepted seed is replaced by its secant step, the others are kept
+    m = len(x)
+    delta = BRACKET * np.maximum(1.0, np.abs(x))
+    w = (1.0 - 2e-3) * delta
+    pts = np.concatenate((x, np.maximum(x - w, inner[0]), np.minimum(x + w, inner[1])))
+    summands, targets = terms(pts), np.concatenate((target, target, target))
+    values, rounding, slack = _sum_error(summands, ulps, targets)
+    _exact_close(summands[m:], values[m:], rounding[m:] + slack[m:], targets[m:])
+    lower, upper = pts[m:2 * m], pts[2 * m:]
+    below, above = values[m:2 * m], values[2 * m:]
+    step = x - values[:m] * (upper - lower) / (above - below)
+    ok = ((below <= -rounding[m:2 * m]) & (above >= rounding[2 * m:])
+          & (lower <= step) & (step <= upper) & (np.abs(step - x) <= 1e-3 * delta))
+    return np.where(ok, step, x), ok
+
+
+def _polished(terms, ulps, slope, target, x, lo, hi, inner):
+    # (the roots, accepted) by Newton from x, then the bracket at δ, then
+    # bisection of the roots that fail it, polished and bracketed again
+    x, settled = _newton(terms, slope, target, x, lo, hi)
+    ok = settled & _bracketed(terms, ulps, target, x, lo, hi, inner)[0]
+    if not ok.all():
+        bad = ~ok
+        blo, bhi = _bisect(terms, target[bad], lo[bad], hi[bad])
+        # in the open branch, as the seeds: adjacent floats' midpoint may round onto an end
+        mid = np.minimum(np.maximum(0.5 * blo + 0.5 * bhi, inner[0][bad]), inner[1][bad])
+        x[bad] = _newton(terms, slope, target[bad], mid, blo, bhi)[0]
+        ok = _bracketed(terms, ulps, target, x, lo, hi, inner)[0]
+    return x, ok
 
 
 def root_radii(terms, ulps, target, x, lo, hi):
@@ -137,12 +175,18 @@ def excess(terms, ulps, target, x):
     sums instead."""
     summands = terms(x)
     values, rounding, slack = _sum_error(summands, ulps, target)
-    close = (np.abs(values) <= rounding + slack).nonzero()[0].tolist()
+    _exact_close(summands, values, rounding + slack, target)
+    return values, rounding, slack
+
+
+def _exact_close(summands, values, error, target):
+    # values (in place) as exact sums of each row less its target where the
+    # float error could flip their sign
+    close = (np.abs(values) <= error).nonzero()[0].tolist()
     if close:  # as lists: one conversion, not one per row
         rows, targets = summands.tolist(), target.tolist()
         for k in close:
             values[k] = math.fsum([*rows[k], -targets[k]])
-    return values, rounding, slack
 
 
 def _bisect(terms, target, lo, hi):

@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +18,7 @@ from halfplane.nevanlinna import (Measure, NevanlinnaRep, _boole_roots,
                                   recover_atom, recover_beta,
                                   stieltjes_density, stieltjes_density_limit)
 from halfplane import util
+from halfplane.factor import RepFunction, factorize
 from halfplane.util import (BRACKET, RecoveryError, RootBracketError,
                             branch_roots)
 
@@ -629,6 +632,144 @@ class TestSecularKernel:
                              lo, hi, lambda x: np.sum(ws / (x[:, None] - ts) ** 2, axis=1))
         for (g, left, right), x in zip(cases, roots.tolist()):
             assert_certified_root(mp_cauchy(mu, g), x, left, right)
+
+
+def spy_newton(monkeypatch):
+    """The outputs of every Newton pass of the root kernel (with a slope), as
+    a list that fills while the kernel runs."""
+    out, newton = [], util._newton
+
+    def counted(terms, slope, target, x, lo, hi):
+        res = newton(terms, slope, target, x, lo, hi)
+        if slope is not None:
+            out.append(res[0].copy())
+        return res
+    monkeypatch.setattr(util, "_newton", counted)
+    return out
+
+
+def separated_atoms(rng, n, half):
+    """n atoms on (−half, half), one per random slot of 2n, jittered inside
+    it, with weights 0.2 … 2: the draw of the atomic-factor benchmark."""
+    width = half / n
+    slots = np.sort(rng.choice(2 * n, size=n, replace=False))
+    ts = -half + width * (slots + 0.5 + rng.uniform(-0.3, 0.3, n))
+    return tuple(zip(ts.tolist(), rng.uniform(0.2, 2.0, n).tolist()))
+
+
+class TestTableAcceptance:
+    """The root kernel's first pass: a seed certifies from one table of f at
+    x and x ∓ w and returns its secant step; every other seed takes Newton."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(atomic_supports(), st.floats(-7.0, 1.0), st.floats(-3.0, 3.0),
+           st.floats(-5.0, 5.0), st.floats(0.1, 5.0))
+    def test_roots_hold_a_sign_change(self, support, log_y, beta, c, width):
+        # Boole levels 1e-7 … 10 and Letac intervals: each root, whether from
+        # its table or from Newton, has a sign change of the 50-digit
+        # function within 4e-12·max(1, |x|) inside its branch
+        ts, ws = support
+        mu, y = Measure(atoms=tuple(zip(ts.tolist(), ws.tolist()))), 10.0 ** log_y
+        plus, minus = _boole_roots(ts, ws, y)
+        edges = [None] + ts.tolist() + [None]
+        for k, x in enumerate(plus.tolist()):
+            assert_certified_root(mp_cauchy(mu, y), x, edges[k + 1], edges[k + 2])
+        for k, x in enumerate(minus.tolist()):
+            assert_certified_root(mp_cauchy(mu, -y), x, edges[k], edges[k + 1])
+        rep = NevanlinnaRep(1.0, beta, mu)
+        targets = (c, c + width)
+        for target, row in zip(targets, _component_roots(rep, targets, rep.sigma().support)):
+            for k, x in enumerate(row.tolist()):
+                assert_certified_root(mp_rep(rep, target), x, edges[k], edges[k + 1])
+
+    @pytest.mark.parametrize("n, half", [(4, 2.0), (8, 4.0)])
+    def test_atomic_factorizations_run_no_newton_pass(self, n, half, monkeypatch):
+        # the eigvalsh seeds of 4 and 8 separated atoms with α ≥ 0.1 all
+        # certify from their tables, and each zero end of Γ holds a sign
+        # change of the 50-digit function within its bracket
+        newton = spy_newton(monkeypatch)
+        rng = np.random.default_rng(n)
+        for _ in range(25):
+            atoms = separated_atoms(rng, n, half)
+            rep = NevanlinnaRep(float(rng.uniform(0.1, 2.0)), float(rng.uniform(-3.0, 3.0)),
+                                Measure(atoms=atoms))
+            res = factorize(RepFunction(rep))
+            ts = [t for t, _ in atoms]
+            for arc in res.gamma.arcs:
+                x = float(arc.a)
+                left = max((t for t in ts if t < x), default=None)
+                right = min((t for t in ts if t > x), default=None)
+                assert_certified_root(mp_rep(rep), x, left, right)
+        assert not newton
+
+    @staticmethod
+    def _boole_kernel(ts, ws, y):
+        # the roots of G = y right of each atom, as branch_roots' arguments
+        reach = 2.0 * float(ws.sum()) / y
+        return (lambda x: ws / (ts - x[:, None]), np.full(len(ts), -y), ts,
+                np.append(ts[1:], ts[-1] + reach),
+                lambda x: np.sum(ws / (x[:, None] - ts) ** 2, axis=1))
+
+    @pytest.mark.parametrize("shift", [5e-4, 2e-3, 0.3, 5.0])
+    def test_displaced_seeds(self, shift, monkeypatch):
+        # seeds shift·δ off the roots: within 1e-3·δ the table's step is the
+        # root; past it the step is too long or the bracket misses the root,
+        # and the root is Newton's from the seed
+        ts, ws, y = np.array([-1.0, 0.5, 2.0]), np.array([1.0, 0.3, 2.0]), 0.7
+        mu = Measure(atoms=tuple(zip(ts.tolist(), ws.tolist())))
+        terms, target, lo, hi, slope = self._boole_kernel(ts, ws, y)
+        roots = _boole_roots(ts, ws, y)[0]
+        seeds = roots + shift * BRACKET * np.maximum(1.0, np.abs(roots))
+        newton = spy_newton(monkeypatch)
+        got = branch_roots(terms, np.ones(3), target, seeds, lo, hi, slope)
+        if shift < 1e-3:
+            assert not newton
+        else:
+            assert len(newton) == 1
+            assert got.tolist() == util._newton(terms, slope, target, seeds, lo, hi)[0].tolist()
+        edges = ts.tolist() + [None]
+        for k, x in enumerate(got.tolist()):
+            assert_certified_root(mp_cauchy(mu, y), x, edges[k], edges[k + 1])
+
+    def test_density_midpoint_seeds_take_newton(self, monkeypatch):
+        # branch midpoints are far from the roots: each zero end of Γ is one
+        # that a Newton pass returned
+        rep = NevanlinnaRep(0.0, 0.3, Measure(atoms=((-1.0, 1.0),),
+                                              ac=((0.0, 1.0, 1.0), (2.0, 3.0, 0.5))))
+        newton = spy_newton(monkeypatch)
+        zeros = [float(arc.a) for arc in analyze(rep).gamma.arcs if not is_inf(arc.a)]
+        assert newton and zeros
+        polished = set(np.concatenate(newton).tolist())
+        assert all(x in polished for x in zeros)
+
+
+class TestFarAtoms:
+    @pytest.mark.parametrize("atoms", [
+        ((-1e160, 1.0), (0.0, 1.0)), ((0.0, 1.0), (1e160, 2.0)),
+        ((-1e200, 1.0), (1e200, 2.0)), ((1e5, 1e300),)],
+        ids=["-1e160", "1e160", "pm1e200", "weight1e300"])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_refused_naming_the_atom(self, atoms, alpha):
+        # u² = w(1 + t²) leaves the float range: numpy warned of an overflow
+        # and eigvalsh raised "Eigenvalues did not converge"
+        rep = NevanlinnaRep(alpha, 0.0, Measure(atoms=atoms))
+        far = next(f"({t}, {w})" for t, w in atoms if not math.isfinite(w * (1.0 + t * t)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (lambda: analyze(rep), lambda: factorize(RepFunction(rep)),
+                          lambda: letac_pushforward_check(NevanlinnaRep(1.0, 0.0, rep.rho),
+                                                          (0.0, 1.0))):
+                with pytest.raises(ValueError, match=re.escape(f"the atom {far} is past")):
+                    solve()
+            assert math.isfinite(abs(rep(1j)))  # evaluation still runs
+
+    def test_refused_when_their_sum_overflows(self):
+        rep = NevanlinnaRep(1.0, 0.0, Measure(atoms=((0.0, 1e308), (1.0, 4e307))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="their sum of w"):
+                analyze(rep)
 
 
 @st.composite

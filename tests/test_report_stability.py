@@ -16,12 +16,18 @@ dump also runs each ``eval`` spec with ``--eps 0.01`` and the suites at seed
 123:
 
     PYTHONPATH=src python tests/test_report_stability.py --dump DIR
+
+Dump afresh and byte-compare every case with an earlier dump in DIR; the
+cases that differ are listed, and any difference exits 1:
+
+    PYTHONPATH=src python tests/test_report_stability.py --compare DIR
 """
 
 import json
 import math
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -119,12 +125,20 @@ def test_compare_tolerances():
     assert not _compare(math.inf, math.inf)
 
 
-if __name__ == "__main__" and (sys.argv[1:] == ["--regen"] or sys.argv[1:2] == ["--dump"]):
-    import tempfile
-    regen = sys.argv[1] == "--regen"
-    if not regen and len(sys.argv) != 3:
-        sys.exit("usage: test_report_stability.py --regen | --dump DIR")
-    target = GOLDEN if regen else pathlib.Path(sys.argv[2])
+def test_compare_lists_differing_dumps(tmp_path):
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir(), there.mkdir()
+    for name, text in (("same", "exit 0\n{}"), ("moved", "exit 0\n1.0"), ("mine", "exit 2\n")):
+        (here / f"{name}.json").write_text(text)
+    (there / "same.json").write_text("exit 0\n{}")
+    (there / "moved.json").write_text("exit 0\n1.0000000000000002")
+    (there / "theirs.json").write_text("exit 1\n")
+    assert _differing(here, there) == ["mine", "moved", "theirs"]
+    assert _differing(here, here) == []
+
+
+def _write_cases(target, regen=False, quiet=False):
+    """Each case's golden (``regen``) or dump text, one file per case in target."""
     target.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "report.json"
@@ -136,4 +150,30 @@ if __name__ == "__main__" and (sys.argv[1:] == ["--regen"] or sys.argv[1:2] == [
             else:
                 text = f"exit {got['code']}\n" + (out.read_text() if out.exists() else "")
             (target / f"{name}.json").write_text(text)
-            print(name)
+            if not quiet:
+                print(name)
+
+
+def _differing(here, there):
+    """The cases whose dump files differ byte for byte between two dump
+    directories, or that only one of them holds."""
+    names = {p.name for p in here.glob("*.json")} | {p.name for p in there.glob("*.json")}
+    return sorted(n[:-len(".json")] for n in names
+                  if not ((here / n).exists() and (there / n).exists()
+                          and (here / n).read_bytes() == (there / n).read_bytes()))
+
+
+if __name__ == "__main__":
+    args = sys.argv[1:]
+    if args == ["--regen"]:
+        _write_cases(GOLDEN, regen=True)
+    elif len(args) == 2 and args[0] == "--dump":
+        _write_cases(pathlib.Path(args[1]))
+    elif len(args) == 2 and args[0] == "--compare":
+        with tempfile.TemporaryDirectory() as fresh:
+            _write_cases(pathlib.Path(fresh), quiet=True)
+            differ = _differing(pathlib.Path(fresh), pathlib.Path(args[1]))
+        print("\n".join(differ + [f"{len(differ)} of {len(_dump_cases())} cases differ"]))
+        sys.exit(1 if differ else 0)
+    else:
+        sys.exit("usage: test_report_stability.py --regen | --dump DIR | --compare DIR")
