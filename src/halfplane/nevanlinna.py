@@ -641,17 +641,29 @@ def _density_slope(x, l, r):
     return np.where(far, series, closed)
 
 
-def _refuse_far_atoms(ts, ws, u2, atoms_k):
-    """ValueError naming the first atom whose u² = w(1 + t²) is past the float
-    range (|t| past about 1.3e154, or a huge weight), or their sum if it is."""
-    if math.isfinite(atoms_k):
-        return
+def _density_k(l, r, d):
+    # d∫_l^r (1 + t²) dt, a density's share of K; r**3 may raise OverflowError
+    return d * (r - l + (r**3 - l**3) / 3)
+
+
+def _refuse_past_float_range(ts, ws, u2, ac):
+    """ValueError naming the first atom whose u² = w(1 + t²), or density piece
+    whose d∫(1 + t²)dt, is past the float range (an atom past |t| ≈ 1.3e154,
+    a piece past |t| ≈ 5.6e102, or a huge weight), else naming their sum."""
     for t, w, u in zip(ts.tolist(), ws.tolist(), u2.tolist()):
         if not math.isfinite(u):
             raise ValueError(f"the atom ({t}, {w}) is past the float range of the root "
                              "kernel: its w(1 + t²) overflows")
-    raise ValueError("the atoms are past the float range of the root kernel: "
-                     "their sum of w(1 + t²) overflows")
+    for l, r, d in ac:
+        try:
+            k = _density_k(l, r, d)
+        except OverflowError:
+            k = INF
+        if not math.isfinite(k):
+            raise ValueError(f"the density piece ({l}, {r}, {d}) is past the float range of "
+                             "the root kernel: its d∫(1 + t²)dt overflows")
+    raise ValueError("the measure is past the float range of the root kernel: "
+                     "its ∫(1 + t²)dρ overflows")
 
 
 def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
@@ -664,15 +676,19 @@ def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
     slope at a far zero), the integral at most K = ∫(1+t²)dρ over the
     distance.  With u = √(w(1+t²)), atomic ρ is seeded by the eigenvalues of
     [[diag t, u/√α], [uᵀ/√α, (target − β′)/α]] (α > 0) or of
-    diag(t) + uuᵀ/(β′ − target) (α = 0), densities by midpoints; an atom
-    whose u² overflows is refused.  ``util.branch_roots`` certifies a seed and
+    diag(t) + uuᵀ/(β′ − target) (α = 0), densities by midpoints; a ρ whose
+    K overflows is refused.  ``util.branch_roots`` certifies a seed and
     takes its last step from one table of f at it and at its bracket's ends,
     and falls back to Newton steps (every midpoint seed) where that fails."""
     alpha, ac = rep.alpha, rep.rho.ac
     targets = [float(t) for t in targets]
     ts, ws, u2, atoms_k = rep._atoms
-    _refuse_far_atoms(ts, ws, u2, atoms_k)
-    big_k = atoms_k + sum(d * (r - l + (r**3 - l**3) / 3) for l, r, d in ac)
+    try:
+        big_k = atoms_k + sum(_density_k(*piece) for piece in ac)
+    except OverflowError:
+        big_k = INF
+    if not math.isfinite(big_k):
+        _refuse_past_float_range(ts, ws, u2, ac)
     offset = rep.beta - rep.rho.moment1()
     shifts = [offset - t for t in targets]  # β′ − target
 

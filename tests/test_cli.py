@@ -420,23 +420,31 @@ class TestErrors:
         assert not caught and captured.out == "" and "Traceback" not in captured.err
         assert captured.err.startswith("input error: ") and named in captured.err
 
-    @pytest.mark.parametrize("command, spec", [
-        ("factor", {"nevanlinna": {"alpha": 1.0, "atoms": [[-1e200, 1.0], [1e200, 2.0]]}}),
-        ("factor", {"nevanlinna": {"atoms": [[0.0, 1.0], [1e160, 2.0]]}}),
-        ("solve", {"letac": {"atoms": [[1e200, 1.0]], "interval": [0.0, 1.0]}}),
-        ("solve", {"letac": {"atoms": [[1e5, 1e300]], "interval": [0.0, 1.0]}}),
-    ], ids=["factor-pm1e200", "factor-1e160", "letac-1e200", "letac-weight1e300"])
-    def test_atom_past_the_root_kernel_range_is_input_error(self, tmp_path, capsys,
-                                                             command, spec):
+    @pytest.mark.parametrize("command, spec, named", [
+        ("factor", {"nevanlinna": {"alpha": 1.0, "atoms": [[-1e200, 1.0], [1e200, 2.0]]}},
+         "the atom (-1e+200, 1.0)"),
+        ("factor", {"nevanlinna": {"atoms": [[0.0, 1.0], [1e160, 2.0]]}}, "the atom (1e+160, 2.0)"),
+        ("solve", {"letac": {"atoms": [[1e200, 1.0]], "interval": [0.0, 1.0]}},
+         "the atom (1e+200, 1.0)"),
+        ("solve", {"letac": {"atoms": [[1e5, 1e300]], "interval": [0.0, 1.0]}},
+         "the atom (100000.0, 1e+300)"),
+        ("factor", {"nevanlinna": {"atoms": [[0.0, 1.0]],
+                                   "ac": [{"interval": [1e103, 2e103], "density": 1.0}]}},
+         "the density piece (1e+103, 2e+103, 1.0)"),
+    ], ids=["factor-pm1e200", "factor-1e160", "letac-1e200", "letac-weight1e300",
+            "factor-density-1e103"])
+    def test_measure_past_the_root_kernel_range_is_input_error(self, tmp_path, capsys,
+                                                                command, spec, named):
         # w(1 + t²) overflows: numpy warned, then factor exited 2 with
-        # "Eigenvalues did not converge" and letac exited 1
+        # "Eigenvalues did not converge" and letac exited 1; a density's
+        # ends cubed overflowed in a traceback
         path = write_spec(tmp_path, "f.json", spec)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main([command, "--spec", path]) == 2
         captured = capsys.readouterr()
         assert not caught and captured.out == "" and "Traceback" not in captured.err
-        assert captured.err.startswith("input error: the atom (") and "past the float range" in captured.err
+        assert captured.err.startswith(f"input error: {named} is past the float range")
 
     def test_unbracketable_root_is_certification_failure(self, tmp_path, capsys):
         # the root of G = 1 right of the 1e-30 atom lies within roundoff of

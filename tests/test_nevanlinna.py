@@ -764,12 +764,19 @@ class TestFarAtoms:
                     solve()
             assert math.isfinite(abs(rep(1j)))  # evaluation still runs
 
-    def test_refused_when_their_sum_overflows(self):
-        rep = NevanlinnaRep(1.0, 0.0, Measure(atoms=((0.0, 1e308), (1.0, 4e307))))
+    @pytest.mark.parametrize("rho, named", [
+        (Measure(atoms=((0.0, 1e308), (1.0, 4e307))), "the measure is past"),
+        (Measure(atoms=((0.0, 1.0),), ac=((1e103, 2e103, 1.0),)),
+         "the density piece (1e+103, 2e+103, 1.0) is past"),
+        (Measure(ac=((0.0, 1.0, 1.5e308), (2.0, 3.0, 1.0))),
+         "the density piece (0.0, 1.0, 1.5e+308) is past"),
+    ], ids=["atoms-sum", "density-end", "density-weight"])
+    def test_refused_naming_the_density_or_the_sum(self, rho, named):
+        # a density's ends cubed raised OverflowError, a traceback in the CLI
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="their sum of w"):
-                analyze(rep)
+            with pytest.raises(ValueError, match=re.escape(named)):
+                analyze(NevanlinnaRep(1.0, 0.0, rho))
 
 
 @st.composite
