@@ -287,11 +287,12 @@ def normalize(arcs: Iterable[Arc]) -> ArcSet:
         segments.extend(segs)
         covers_inf = covers_inf or has_inf
     # the gaps between the merged segments, from −∞ to +∞, as the sorted
-    # pieces [lo, hi] of merged_support, each merged into the last when
-    # within POINT_TOL of it; segments that share an end (within POINT_TOL)
-    # leave it as a one-point gap, and one from −∞ leaves none before it
-    # (−∞ − −∞ is NaN), and a last segment at +∞ closes the last gap; a
-    # gap reaches ±∞ only where no arc covers ∞
+    # pieces [lo, hi] that merged_support would make of them (a gap within
+    # POINT_TOL of the last joins it); segments that share an end (within
+    # POINT_TOL) leave it as a one-point gap, one from −∞ leaves none before
+    # it (−∞ − −∞ is NaN), and a last segment at +∞ closes the last gap.
+    # A gap reaches ±∞ only where no arc covers ∞, so ∞ is in the closed
+    # set exactly when no arc covers it
     lo, hi, reach = [], [], _LINE_NEG
     for s, e in sorted(segments + [(_LINE_POS, _LINE_POS)]):
         if s - reach >= -POINT_TOL:
