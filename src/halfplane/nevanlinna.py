@@ -2,18 +2,18 @@
 
 Measures are finite and positive, given as atoms plus piecewise-constant
 densities (optionally a depth-k atomic stand-in for the Cantor measure).
-Both the representation and its derivative have closed forms, so evaluation
-never needs quadrature.  ``NevanlinnaRep.eval`` takes a point or an ndarray
+The representation has a closed form, so evaluation never needs
+quadrature.  ``NevanlinnaRep.eval`` takes a point or an ndarray
 of points, broadcast over the atoms and summed term by term in order, with
 the array contract of ``krein``: a scalar call is the same pass on one point,
 the ∞ marker sits at an atom, ±inf in a real array is ∞.  Boundary recovery
 (α, β, atoms, densities) uses geometric ladders with Richardson
 extrapolation.  The zeros that bound Γ(f) and the roots of the Boole and
 pushforward identities come from secular-matrix seeds, each sign-bracketed
-on its own component and stepped from the same evaluation (Newton-polished
-where that fails).  σ's merged support is derived once
-per descriptor: Ω's arcs, the branches of the root kernel and the pieces
-of Γ all run between its pieces.
+on its own component and stepped by the secant of the same evaluation,
+tabled again from that step where the first table does not settle it.
+σ's merged support is derived once per descriptor: Ω's arcs, the branches
+of the root kernel and the pieces of Γ all run between its pieces.
 """
 
 from __future__ import annotations
@@ -139,22 +139,6 @@ def _off_supports(z, skip, ls, rs):
     return x if skip is None else np.where(skip[:, None], ls - 1.0, x)
 
 
-def _closed_form(z, ts, atom, ac, density, start=0.0):
-    """start + Σ atom(t − z) + Σ d·density(z, l, r) over atoms ts and densities ac =
-    (ls, rs, ds) or None, in one pass (a scalar z is the pass on one point); ∞ at an atom."""
-    x = np.ravel(z)
-    den = ts - x[:, None]
-    pole = _poles(den)
-    val = start + atom(den).sum(axis=1)
-    if ac is not None:
-        ls, rs, ds = ac
-        x = _off_supports(x, pole, ls, rs)
-        val += (ds * density(x, ls, rs)).sum(axis=1)
-    if pole is not None:
-        val[pole] = INF
-    return _point_or_array(val, pole, z)
-
-
 def _point_or_array(val, pole, z):
     # an evaluator's result: the array in z's shape, or the value at the one
     # point z, a complex for a complex z and a float at a real z or the ∞ marker
@@ -271,8 +255,8 @@ class NevanlinnaRep:
 
     @functools.cached_property
     def _atoms(self):
-        # t, w, u² = w(1 + t²), an atom's weight in f' and in the root
-        # kernel, and Σ u²; inf past the float range, which the kernel refuses
+        # t, w, u² = w(1 + t²), an atom's weight in the root kernel, and
+        # Σ u²; inf past the float range, which the kernel refuses
         ts, ws = np.array(self.rho.atoms, dtype=float).reshape(-1, 2).T
         with np.errstate(over="ignore"):
             u2 = ws * (1.0 + ts * ts)
@@ -281,11 +265,6 @@ class NevanlinnaRep:
     @functools.cached_property
     def _ac(self):
         return np.array(self.rho.ac, dtype=float).T
-
-    def derivative(self, z):
-        """f'(z) = α + ∫ (1+t²)/(t−z)² dρ(t), the root kernel's slope: a _closed_form pass."""
-        return _closed_form(z, self._atoms[0], lambda den: self._atoms[2] / den ** 2,
-                            self._ac if self.rho.ac else None, _density_slope, self.alpha)
 
     def value_at_inf(self) -> float:
         """Common limit of f along both ends of R (finite only when α = 0)."""
@@ -450,11 +429,20 @@ def recover_atom(f, t0: float) -> float:
 
 
 def cauchy_transform(mu: Measure, z):
-    """G_μ(z) = ∫ dμ(t)/(z−t), atoms and constant densities: a :func:`_closed_form` pass."""
+    """G_μ(z) = ∫ dμ(t)/(z−t), atoms and constant densities, in one pass over
+    the points (a scalar z is the pass on one point); ∞ at an atom."""
     ts, ws = np.array(mu.atoms, dtype=float).reshape(-1, 2).T
-    # ∫_l^r d/(z−t) dt = d log((z−l)/(z−r))
-    return _closed_form(z, ts, lambda den: -ws / den, np.array(mu.ac).T if mu.ac else None,
-                        lambda x, l, r: -_log_ratios(x, l, r))
+    x = np.ravel(z)
+    den = ts - x[:, None]
+    pole = _poles(den)
+    val = 0.0 + (-ws / den).sum(axis=1)  # a sum of −0.0 reads 0.0
+    if mu.ac:
+        ls, rs, ds = np.array(mu.ac).T
+        # ∫_l^r d/(z−t) dt = d log((z−l)/(z−r))
+        val += (ds * -_log_ratios(_off_supports(x, pole, ls, rs), ls, rs)).sum(axis=1)
+    if pole is not None:
+        val[pole] = INF
+    return _point_or_array(val, pole, z)
 
 
 def boole_superlevel_measure(mu: Measure, y: float):
@@ -471,11 +459,11 @@ def boole_superlevel_measure(mu: Measure, y: float):
     diag(t) − zzᵀ (the same problem on the reflected atoms t → −t); at
     small y the solve runs at a level where its error leaves the gaps between
     atoms apart, and the outer two seeds move out to y.  They
-    only seed ``util.branch_roots``: a seed certifies first, by a sign
-    bracket of G itself inside its gap, from the same table that gives its
-    last (secant) step; one that does not is polished by Newton steps on G
-    and bracketed then.  The bracket is the certificate: the lengths match
-    μ(R)/y by the trace identity whatever the roots' quality.
+    only seed ``util.branch_roots``: a seed certifies by a sign bracket of
+    G itself inside its gap, from the same table that gives its last
+    (secant) step; one that does not is tabled again from that step.  The
+    bracket is the certificate: the lengths match μ(R)/y by the trace
+    identity whatever the roots' quality.
     """
     if not mu.is_atomic():
         raise ValueError("the superlevel identity is computed for atomic measures")
@@ -548,16 +536,16 @@ def _boole_roots(ts, ws, y: float):
     seeds[1, 0] -= shift
     lo = np.concatenate((ts, [ts[0] - reach], ts[:-1]))
     hi = np.concatenate((ts[1:], [ts[-1] + reach], ts))
-    # the summands of −G_μ, which increases between atoms, and its slope, both
-    # times 4^m ≈ 1/y, m ≥ 0 (exactly, through the weights, the target and the
-    # points and atoms times r = 2^−m): the outer roots lie near μ(R)/y, where
-    # Σ w/(x − t)² would overflow past |x| ≈ 1.3e154 and stall Newton
+    # the summands of −G_μ, which increases between atoms, times 4^m ≈ 1/y,
+    # m ≥ 0 (exactly, through the weights and the target): at small y the
+    # table's differences f(x + w) − f(x − w) would fall into the subnormal
+    # range and lose their digits
     m = max(0, -math.frexp(y)[1]) // 2
     r = 2.0 ** -m
-    sw, rts = ws / r / r, ts * r
+    sw = ws / r / r
     target = np.repeat((-y / r / r, y / r / r), len(ts))
     roots = branch_roots(lambda x: sw / (ts - x[:, None]), np.ones(len(ts)), target, seeds.ravel(),
-                         lo, hi, lambda x: np.sum(ws / (x[:, None] * r - rts) ** 2, axis=1))
+                         lo, hi)
     return roots[:len(ts)], roots[len(ts):]
 
 
@@ -613,33 +601,6 @@ _FMAX = np.finfo(float).max
 _EPS = float(np.finfo(float).eps)
 _HUGE = 1e150  # past it, the density brackets avoid z² (see _huge_brackets)
 
-# coefficients of T(v) = Σ_k≥1 (2k−1)/(2k+1)·v^k and Q(v) = Σ_k≥1 2k/(2k+1)·v^k
-# for np.polyval, highest power first; 26 terms reach one ulp at v ≤ 1/4
-_SLOPE_T = np.append(np.arange(51.0, 0.0, -2.0) / np.arange(53.0, 2.0, -2.0), 0.0)
-_SLOPE_Q = np.append(np.arange(52.0, 1.0, -2.0) / np.arange(53.0, 2.0, -2.0), 0.0)
-
-
-def _density_slope(x, l, r):
-    """∫_l^r (1+t²)/(t−x)² dt for x off [l, r], at arrays of real or complex
-    points, broadcast against l and r.  With h, m and
-    u = h/(x − m) as in :func:`_density_terms` and v = u², it is
-    2h·T(v) + 4um·Q(v) + 2h(1 + m²)/((x−l)(x−r)) for |x − m| ≥ 2h, the parts
-    of 1 + t² = s² + 2ms + (1 + m²), s = t − m, which cancel by at most a
-    bounded factor; nearer it is the closed form
-    (r − l)(1 + (1 + x²)/((x−l)(x−r))) + 2x·log((x−r)/(x−l)), whose terms
-    cancel like x² far out."""
-    h = 0.5 * (r - l)
-    dl, dr = x - l, x - r
-    u = h / (dl - h)
-    far = abs(u) <= 0.5
-    u = np.where(far, u, 0.0)
-    v = u * u
-    m = l + h
-    series = (2.0 * h * np.polyval(_SLOPE_T, v) + 4.0 * u * m * np.polyval(_SLOPE_Q, v)
-              + 2.0 * h * (1.0 + m * m) / (dl * dr))
-    closed = (r - l) * (1.0 + (1.0 + x * x) / (dl * dr)) + 2.0 * x * _log_ratios(x, l, r)
-    return np.where(far, series, closed)
-
 
 def _density_k(l, r, d):
     # d∫_l^r (1 + t²) dt, a density's share of K; r**3 may raise OverflowError
@@ -649,7 +610,8 @@ def _density_k(l, r, d):
 def _refuse_past_float_range(ts, ws, u2, ac):
     """ValueError naming the first atom whose u² = w(1 + t²), or density piece
     whose d∫(1 + t²)dt, is past the float range (an atom past |t| ≈ 1.3e154,
-    a piece past |t| ≈ 5.6e102, or a huge weight), else naming their sum."""
+    a piece past |t| ≈ 5.6e102, or a huge weight), else naming the measure,
+    whose K, a far bracket's end or a row's exact sum leaves the range."""
     for t, w, u in zip(ts.tolist(), ws.tolist(), u2.tolist()):
         if not math.isfinite(u):
             raise ValueError(f"the atom ({t}, {w}) is past the float range of the root "
@@ -662,8 +624,8 @@ def _refuse_past_float_range(ts, ws, u2, ac):
         if not math.isfinite(k):
             raise ValueError(f"the density piece ({l}, {r}, {d}) is past the float range of "
                              "the root kernel: its d∫(1 + t²)dt overflows")
-    raise ValueError("the measure is past the float range of the root kernel: "
-                     "its ∫(1 + t²)dρ overflows")
+    raise ValueError("the measure is past the float range of the root kernel: its "
+                     "∫(1 + t²)dρ, a far bracket's end or an exact sum over it overflows")
 
 
 def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
@@ -677,9 +639,10 @@ def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
     distance.  With u = √(w(1+t²)), atomic ρ is seeded by the eigenvalues of
     [[diag t, u/√α], [uᵀ/√α, (target − β′)/α]] (α > 0) or of
     diag(t) + uuᵀ/(β′ − target) (α = 0), densities by midpoints; a ρ whose
-    K overflows is refused.  ``util.branch_roots`` certifies a seed and
-    takes its last step from one table of f at it and at its bracket's ends,
-    and falls back to Newton steps (every midpoint seed) where that fails."""
+    K, far brackets or exact sums overflow is refused.  ``util.branch_roots``
+    certifies a seed and takes its last step from one table of f at it and
+    at its bracket's ends, and tables it again from that step (every
+    midpoint seed) where that fails."""
     alpha, ac = rep.alpha, rep.rho.ac
     targets = [float(t) for t in targets]
     ts, ws, u2, atoms_k = rep._atoms
@@ -687,8 +650,6 @@ def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
         big_k = atoms_k + sum(_density_k(*piece) for piece in ac)
     except OverflowError:
         big_k = INF
-    if not math.isfinite(big_k):
-        _refuse_past_float_range(ts, ws, u2, ac)
     offset = rep.beta - rep.rho.moment1()
     shifts = [offset - t for t in targets]  # β′ − target
 
@@ -713,6 +674,8 @@ def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
                 lo[-1] = max(starts[0] - reach, -_FMAX)
         # a zero at ∞ when α = 0 and β′ = target
         live += [True] * (n_arcs - 1) + [alpha > 0 or s != 0]
+    if not (math.isfinite(big_k) and math.isfinite(min(lo)) and math.isfinite(max(hi))):
+        _refuse_past_float_range(ts, ws, u2, ac)
     lo, hi = np.array(lo), np.array(hi)
 
     if ac or len(starts) < len(ts):
@@ -752,30 +715,33 @@ def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
             out[:, 2 + n:] = np.concatenate(_density_terms(xc, *rep._ac), axis=1)
         return out
 
-    if alpha == 0:
-        for j, (target, s) in enumerate(zip(targets, shifts)):
-            last = (j + 1) * n_arcs - 1
-            edge = float(hi[last] if s > 0 else lo[last])
-            if abs(edge) == _FMAX and live[last]:
-                # f still on the target's side there: the zero lies past the float
-                # range, and k_Γ with the zero at ∞ differs by under 1e-300 relative;
-                # an uncertain sign (density summands overflow there) keeps the branch
-                with np.errstate(all="ignore"):
-                    values, rounding, _ = excess(terms, ulps, np.array([target]),
-                                                 np.array([edge]))
-                live[last] = not (values[0] <= -rounding[0] if s > 0 else values[0] >= rounding[0])
-    target = np.array(targets).repeat(n_arcs)
-    if all(live):
-        roots = branch_roots(terms, ulps, target, seeds, lo, hi, rep.derivative)
-    else:
-        live = np.array(live)
-        roots = np.full(len(live), INF)
-        roots[live] = branch_roots(terms, ulps, target[live], seeds[live], lo[live], hi[live],
-                                   rep.derivative)
-    shape = len(targets), n_arcs
-    if not radii:
-        return roots.reshape(shape)
-    finite = roots != INF
-    r = np.full(len(roots), INF)
-    r[finite] = root_radii(terms, ulps, target[finite], roots[finite], lo[finite], hi[finite])
-    return roots.reshape(shape), r.reshape(shape)
+    try:
+        if alpha == 0:
+            for j, (target, s) in enumerate(zip(targets, shifts)):
+                last = (j + 1) * n_arcs - 1
+                edge = float(hi[last] if s > 0 else lo[last])
+                if abs(edge) == _FMAX and live[last]:
+                    # f still on the target's side there: the zero lies past the float
+                    # range, and k_Γ with the zero at ∞ differs by under 1e-300 relative;
+                    # an uncertain sign (density summands overflow there) keeps the branch
+                    with np.errstate(all="ignore"):
+                        values, rounding, _ = excess(terms, ulps, np.array([target]),
+                                                     np.array([edge]))
+                    live[last] = not (values[0] <= -rounding[0] if s > 0
+                                      else values[0] >= rounding[0])
+        target = np.array(targets).repeat(n_arcs)
+        if all(live):
+            roots = branch_roots(terms, ulps, target, seeds, lo, hi)
+        else:
+            live = np.array(live)
+            roots = np.full(len(live), INF)
+            roots[live] = branch_roots(terms, ulps, target[live], seeds[live], lo[live], hi[live])
+        shape = len(targets), n_arcs
+        if not radii:
+            return roots.reshape(shape)
+        finite = roots != INF
+        r = np.full(len(roots), INF)
+        r[finite] = root_radii(terms, ulps, target[finite], roots[finite], lo[finite], hi[finite])
+        return roots.reshape(shape), r.reshape(shape)
+    except OverflowError:  # math.fsum's partials of a row leave the float range
+        _refuse_past_float_range(ts, ws, u2, ac)

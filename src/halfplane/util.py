@@ -27,39 +27,33 @@ BRACKET = 4e-12  # relative half-width of the sign bracket that accepts a root
 _EPS = float(np.finfo(float).eps)
 
 
-def branch_roots(terms, ulps, target, seeds, lo, hi, slope=None):
+def branch_roots(terms, ulps, target, seeds, lo, hi):
     """Certified roots of f(x) = target[k], one on each branch (lo[k], hi[k])
     where f increases from below target to above it.  terms maps an array
     of points to the summands of f, one row per point; ulps bounds each
-    summand's rounding error in eps (one bound per column); slope maps the
-    points to f′.  The other arguments are aligned arrays.
+    summand's rounding error in eps (one bound per column).  The other
+    arguments are aligned arrays.
 
-    A root x is accepted on a sign bracket f(x − δ) ≤ target ≤ f(x + δ),
-    δ = 4e-12·max(1, |x|), its ends clipped into the open branch, where each
-    sign must clear a bound on the float error of f: the summands' own
-    rounding plus that of summing them.  Seeds are clipped into their
-    branches.  Given the slope, each seed x first certifies from one table
-    of f at x and at x ∓ w, w = (1 − 2e-3)·δ(x): where both ends' signs
-    clear that bound and the secant step s = x − f(x)·(x₊ − x₋)/(f(x₊) − f(x₋))
-    stays in the bracket and moves x by at most 1e-3·δ(x), the root is s,
-    and |s − root| ≤ |s − x| + w ≤ (1 − 1e-3)·δ(x) ≤ δ(s).  Every other seed
-    is polished by Newton steps inside its branch (given the slope) and
-    bracketed at δ; unsettled or unbracketed roots are bisected to the
-    bracket's width, polished and checked again; a root that still fails
+    Seeds are clipped into their open branches.  Each root comes from tables
+    of f at x and at x ∓ w, w = (1 − 2e-3)·δ(x), δ = 4e-12·max(1, |x|), with
+    the ends clipped into the open branch: a bracket end's sign counts where
+    it clears a bound on the float error of f, the summands' own rounding
+    plus that of summing them.  Where both signs count and the secant step
+    s = x − f(x)·(x₊ − x₋)/(f(x₊) − f(x₋)) stays in the bracket and moves x
+    by at most 1e-3·δ(x), the root is s, and
+    |s − root| ≤ |s − x| + w ≤ (1 − 1e-3)·δ(x) ≤ δ(s).  Otherwise x moves to
+    s and is tabled again, while s lies inside the branch, differs from x
+    and the root has tables left, eight at a time.  Where it cannot, x is
+    bisected to the bracket's width, once, and restarts from the midpoint
+    with eight more tables; after those, the root stands at x where the
+    signs of the table at x count, within w of the root, and otherwise
     raises RootBracketError."""
     target = np.asarray(target, dtype=float)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     inner = np.nextafter(lo, hi), np.nextafter(hi, lo)  # the open branches' float ends
     with np.errstate(all="ignore"):
         x = np.minimum(np.maximum(seeds, inner[0]), inner[1])
-        if slope is None:
-            ok = np.zeros(len(x), dtype=bool)
-        else:
-            x, ok = _tabled(terms, ulps, target, x, inner)
-        if not ok.all():
-            bad = ~ok
-            x[bad], ok[bad] = _polished(terms, ulps, slope, target[bad], x[bad], lo[bad], hi[bad],
-                                        (inner[0][bad], inner[1][bad]))
+        x, ok = _settled(terms, ulps, target, x, inner, _TABLES, True)
     if not ok.all():
         k = int(np.argmin(ok))
         raise RootBracketError(
@@ -68,10 +62,43 @@ def branch_roots(terms, ulps, target, seeds, lo, hi, slope=None):
     return x + 0.0  # a root at −0.0 reads 0.0
 
 
+_TABLES = 8  # tables a row steps through before it is bisected, and after
+
+
+def _settled(terms, ulps, target, x, inner, left, fresh):
+    # (the roots, accepted): the table at x gives the roots it accepts; each
+    # other row moves to its step while that lies in its branch and it has
+    # tables ``left``, else is bisected once (while ``fresh``), and is
+    # tabled again; a row that can do neither stands at x on its signs
+    step, ok, signs = _tabled(terms, ulps, target, x, inner)
+    if ok.all():
+        return step, ok
+    rows = (~ok).nonzero()[0]
+    lo, hi, s, x = inner[0][rows], inner[1][rows], step[rows], x[rows]
+    left = np.broadcast_to(left, ok.shape)[rows] - 1
+    fresh = np.broadcast_to(fresh, ok.shape)[rows]
+    move = (lo <= s) & (s <= hi) & (s != x) & (left > 0)
+    stuck = ~move & fresh
+    x[move] = s[move]
+    if stuck.any():
+        below, above = _bisect(terms, target[rows][stuck], lo[stuck], hi[stuck])
+        # in the open branch, as the seeds: adjacent floats' midpoint may round onto an end
+        x[stuck] = np.minimum(np.maximum(0.5 * below + 0.5 * above, lo[stuck]), hi[stuck])
+        left[stuck] = _TABLES
+    again = move | stuck
+    stand = rows[~again]
+    step[stand], ok[stand] = x[~again], signs[stand]
+    if again.any():
+        sub = rows[again]
+        step[sub], ok[sub] = _settled(terms, ulps, target[sub], x[again], (lo[again], hi[again]),
+                                      left[again], fresh[again] & ~stuck[again])
+    return step, ok
+
+
 def _tabled(terms, ulps, target, x, inner):
-    # (the roots, accepted): f at the 3m points x, x − w and x + w in one
-    # table, w = (1 − 2e-3)·δ(x) with the ends clipped into the open branch;
-    # an accepted seed is replaced by its secant step, the others are kept
+    # (the secant steps, accepted, signs that count): f at the 3m points x,
+    # x − w and x + w in one table, w = (1 − 2e-3)·δ(x), the ends clipped
+    # into the open branch
     m = len(x)
     delta = BRACKET * np.maximum(1.0, np.abs(x))
     w = (1.0 - 2e-3) * delta
@@ -82,24 +109,9 @@ def _tabled(terms, ulps, target, x, inner):
     lower, upper = pts[m:2 * m], pts[2 * m:]
     below, above = values[m:2 * m], values[2 * m:]
     step = x - values[:m] * (upper - lower) / (above - below)
-    ok = ((below <= -rounding[m:2 * m]) & (above >= rounding[2 * m:])
-          & (lower <= step) & (step <= upper) & (np.abs(step - x) <= 1e-3 * delta))
-    return np.where(ok, step, x), ok
-
-
-def _polished(terms, ulps, slope, target, x, lo, hi, inner):
-    # (the roots, accepted) by Newton from x, then the bracket at δ, then
-    # bisection of the roots that fail it, polished and bracketed again
-    x, settled = _newton(terms, slope, target, x, lo, hi)
-    ok = settled & _bracketed(terms, ulps, target, x, lo, hi, inner)[0]
-    if not ok.all():
-        bad = ~ok
-        blo, bhi = _bisect(terms, target[bad], lo[bad], hi[bad])
-        # in the open branch, as the seeds: adjacent floats' midpoint may round onto an end
-        mid = np.minimum(np.maximum(0.5 * blo + 0.5 * bhi, inner[0][bad]), inner[1][bad])
-        x[bad] = _newton(terms, slope, target[bad], mid, blo, bhi)[0]
-        ok = _bracketed(terms, ulps, target, x, lo, hi, inner)[0]
-    return x, ok
+    signs = (below <= -rounding[m:2 * m]) & (above >= rounding[2 * m:])
+    short = (lower <= step) & (step <= upper) & (np.abs(step - x) <= 1e-3 * delta)
+    return step, signs & short, signs
 
 
 def root_radii(terms, ulps, target, x, lo, hi):
@@ -114,8 +126,11 @@ def root_radii(terms, ulps, target, x, lo, hi):
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     m = len(x)
     with np.errstate(all="ignore"):
-        _, (delta, ends, values, rounding, slack) = _bracketed(
-            terms, ulps, target, x, lo, hi, (np.nextafter(lo, hi), np.nextafter(hi, lo)))
+        # the accepted bracket: its lower ends, then its upper ones
+        delta = BRACKET * np.maximum(1.0, np.abs(x))
+        ends = np.concatenate((np.maximum(x - delta, np.nextafter(lo, hi)),
+                               np.minimum(x + delta, np.nextafter(hi, lo))))
+        values, rounding, slack = excess(terms, ulps, np.concatenate((target, target)), ends)
         error = rounding + slack
         w = 4.0 * np.maximum(error[:m], error[m:]) * (ends[m:] - ends[:m]) / (values[m:] - values[:m])
         narrow = np.concatenate((x - w, x + w))
@@ -125,36 +140,6 @@ def root_radii(terms, ulps, target, x, lo, hi):
     ok = (w < delta) & (lo < lower) & (upper < hi) & (v[:m] <= -1.0) & (v[m:] >= 1.0)
     # the distance to the bracket's own ends, x ∓ w rounded, rounded up
     return np.where(ok, np.nextafter(np.maximum(x - lower, upper - x), np.inf), delta)
-
-
-def _newton(terms, slope, target, x, lo, hi):
-    # at most eight steps, each kept only inside the branch; a root settles
-    # when its last step moves it by at most 1e-3 of the bracket
-    if slope is None:
-        return x, np.ones(len(x), dtype=bool)
-    for _ in range(8):
-        step = x - (terms(x).sum(axis=1) - target) / slope(x)
-        inside = (lo < step) & (step < hi)
-        settled = inside & (np.abs(step - x) <= 1e-3 * BRACKET * np.maximum(1.0, np.abs(x)))
-        if settled.all():  # every step inside: no need to pick
-            return step, settled
-        x = np.where(inside, step, x)
-    return x, settled
-
-
-def _bracketed(terms, ulps, target, x, lo, hi, inner):
-    # (accepted, the bracket): its 2m ends in one array, the lower ends, then
-    # the upper ones, with δ, f there less the target and its error bounds
-    m = len(x)
-    delta = BRACKET * np.maximum(1.0, np.abs(x))
-    ends = np.empty(2 * m)
-    lower, upper = ends[:m], ends[m:]
-    np.maximum(np.subtract(x, delta, out=lower), inner[0], out=lower)
-    np.minimum(np.add(x, delta, out=upper), inner[1], out=upper)
-    values, rounding, slack = excess(terms, ulps, np.concatenate((target, target)), ends)
-    ok = ((lo < lower) & (upper < hi)
-          & (values <= -rounding)[:m] & (values >= rounding)[m:])
-    return ok, (delta, ends, values, rounding, slack)
 
 
 def _sum_error(summands, ulps, target):

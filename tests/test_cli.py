@@ -431,13 +431,21 @@ class TestErrors:
         ("factor", {"nevanlinna": {"atoms": [[0.0, 1.0]],
                                    "ac": [{"interval": [1e103, 2e103], "density": 1.0}]}},
          "the density piece (1e+103, 2e+103, 1.0)"),
+        ("factor", {"nevanlinna": {"alpha": 1.0, "ac": [{"interval": [0, 1], "density": 1e308},
+                                                        {"interval": [2, 3], "density": 1.0}]}},
+         "the measure"),
+        ("factor", {"nevanlinna": {"ac": [{"interval": [0, 1], "density": 1e308},
+                                          {"interval": [2, 3], "density": 1.0}]}},
+         "the measure"),
     ], ids=["factor-pm1e200", "factor-1e160", "letac-1e200", "letac-weight1e300",
-            "factor-density-1e103"])
+            "factor-density-1e103", "factor-density-1e308", "factor-density-1e308-alpha0"])
     def test_measure_past_the_root_kernel_range_is_input_error(self, tmp_path, capsys,
                                                                 command, spec, named):
         # w(1 + t²) overflows: numpy warned, then factor exited 2 with
         # "Eigenvalues did not converge" and letac exited 1; a density's
-        # ends cubed overflowed in a traceback
+        # ends cubed overflowed in a traceback; a density of 1e308 has a
+        # finite K, but its far bracket's end (α = 1) or an exact sum of a
+        # row (α = 0) overflowed in a traceback
         path = write_spec(tmp_path, "f.json", spec)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -771,6 +771,15 @@ class TestAnalyzeDispatch:
         ana = analyze_pick(SQRT_BB)
         assert ana.gamma.isclose(normalize([Arc(INF, -1.0)]), 1e-9)
 
+    def test_blackbox_zero_end_to_the_ulp(self):
+        # f = −1/(z − 2) + 0.3z − 0.5 vanishes at 0 and 11/3; the zero end
+        # right of 2 is a secant step of the root kernel's tables, not the
+        # midpoint of a bisected bracket (about 5,800 ulps off)
+        fn = lambda z: -1 / (z - 2) + 0.3 * z - 0.5
+        ana = analyze_pick(BlackBoxFunction(fn, SigmaDescriptor(points=(2.0,), has_inf=True)))
+        end = next(arc.a for arc in ana.gamma.arcs if arc.b == 2.0)
+        assert abs(end - 11 / 3) <= 4 * math.ulp(11 / 3)
+
     @pytest.mark.parametrize("fn, zero", [(lambda z: z - 1.0, 1.0),
                                           (lambda z: 2.0 * z + 5.0, -2.5),
                                           (lambda z: z + 1e3, -1e3)],

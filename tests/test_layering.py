@@ -1,5 +1,6 @@
 """Module boundaries inside the package: no module imports another
-module's private (_-prefixed) names."""
+module's private (_-prefixed) names, and each module-level private name
+has a reader."""
 
 import ast
 import pathlib
@@ -40,3 +41,46 @@ def test_flags_private_import_in_function_body():
               "    from halfplane.krein import _hyp, p_eval\n")
     assert private_imports(source) == [(3, "factor", "_omega_samples"),
                                        (4, "halfplane.krein", "_hyp")]
+
+
+def unread_private_names(sources):
+    """(module, name) of every module-level _-prefixed function, class or
+    constant of the {module: source} map that no code reads: neither a name
+    in its own module (private names do not cross modules) nor an attribute
+    anywhere."""
+    trees = {mod: ast.parse(source, mod) for mod, source in sources.items()}
+    attrs = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    found = []
+    for mod, tree in trees.items():
+        loads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found.extend((mod, name) for name in names if name.startswith("_")
+                         and not name.endswith("__") and name not in loads | attrs)
+    return found
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_flags_an_unread_private_name():
+    source = ("_USED, _UNUSED = 1.0, 2.0\n"
+              "__all__ = ['f']\n"
+              "def _helper():\n"
+              "    return _USED\n"
+              "def _orphan():\n"
+              "    return _helper()\n"
+              "class _Kept:\n"
+              "    pass\n"
+              "def f():\n"
+              "    return x._Kept\n")
+    assert unread_private_names({"m.py": source}) == [("m.py", "_UNUSED"), ("m.py", "_orphan")]

@@ -22,7 +22,7 @@ from halfplane.factor import RepFunction, factorize
 from halfplane.util import (BRACKET, RecoveryError, RootBracketError,
                             branch_roots)
 
-from conftest import random_atomic_rep, random_upper_points, sep_points
+from conftest import random_atomic_rep, random_upper_points
 
 
 def delta(t, w=1.0):
@@ -140,49 +140,6 @@ class TestEval:
                 xs = np.linspace(ts[i] + 1e-3, ts[i + 1] - 1e-3, 9)
                 vals = [rep.eval(float(x)) for x in xs]
                 assert all(u < v for u, v in zip(vals, vals[1:]))
-
-
-class TestDerivative:
-    def test_reciprocal(self):
-        rep = NevanlinnaRep(0.0, 0.0, delta(0.0))
-        for x in (0.5, -2.0, 3.0):
-            assert rep.derivative(x) == pytest.approx(1.0 / x ** 2)
-
-    def test_constant_slope(self):
-        rep = NevanlinnaRep(1.0, 0.0)
-        assert rep.derivative(2j) == 1.0
-
-    def test_matches_finite_differences(self, rng):
-        h = 1e-5
-        for _ in range(20):
-            rep = random_atomic_rep(rng)
-            z = 2j
-            fd = (rep.eval(z + h) - rep.eval(z - h)) / (2 * h)
-            assert abs(rep.derivative(z) - fd) < 1e-7
-
-    def test_positive_off_support(self, rng):
-        for _ in range(10):
-            rep = random_atomic_rep(rng)
-            for x in sep_points(rng, 5, -9, 9, 0.5):
-                if all(abs(x - t) > 0.1 for t, _ in rep.rho.atoms):
-                    assert rep.derivative(float(x)) > 0
-
-    @pytest.mark.parametrize("x", [-1e5, 2e5, -1.6e6])
-    def test_far_from_density_support(self, x):
-        # the closed form's terms cancel like x² out here (relative error up
-        # to 3.3e-5); the far-field series keeps every digit
-        (t, w), (l, r, d) = FAR_REP.rho.atoms[0], FAR_REP.rho.ac[0]
-        with mpmath.workdps(50):
-            exact = (w * (1 + t * t) / mpmath.mpf(t - x) ** 2
-                     + d * mpmath.quad(lambda s: (1 + s * s) / (s - x) ** 2, [l, r]))
-        assert abs(FAR_REP.derivative(x) - exact) <= 1e-12 * abs(exact)
-
-    def test_density_piece_derivative(self):
-        rep = NevanlinnaRep(0.0, 0.0, Measure(ac=((-1.0, 1.0, 0.7),)))
-        h = 1e-6
-        for z in (2j, 3.0 + 0j, -4.0 + 0j):
-            fd = (rep.eval(z + h) - rep.eval(z - h)) / (2 * h)
-            assert abs(rep.derivative(z) - fd) < 1e-6
 
 
 class TestRecovery:
@@ -369,24 +326,8 @@ def _scalar_and_array(f, points):
 
 
 class TestClosedFormPasses:
-    """derivative and cauchy_transform: one array pass, its scalar call the
-    pass on one point, within 64 eps of 50 digits relative to their terms."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(measures_and_points(), st.floats(0.0, 2.0))
-    def test_derivative(self, case, alpha):
-        mu, points = case
-        rep = NevanlinnaRep(alpha, 0.3, mu)
-        for z, v in _scalar_and_array(rep.derivative, points):
-            got = rep.derivative(z)
-            assert got == v and type(got) is type(z)
-            # ∫(1+t²)/(t−z)² dt = (r − l) + 2z·log((r−z)/(l−z)) − (1+z²)(1/(r−z) − 1/(l−z))
-            size, exact = _mp_size_and_value(
-                mu, z, lambda t, z: (1 + t * t) / (t - z) ** 2,
-                lambda l, r, z: (r - l) + 2 * z * mpmath.log((r - z) / (l - z))
-                - (1 + z * z) * (1 / (r - z) - 1 / (l - z)),
-                lambda t, z: (1 + t * t) / abs(t - z) ** 2)
-            assert abs(got - (alpha + exact)) <= 64 * 2.0 ** -52 * (alpha + size)
+    """cauchy_transform: one array pass, its scalar call the pass on one
+    point, within 64 eps of 50 digits relative to its terms."""
 
     @settings(max_examples=80, deadline=None)
     @given(measures_and_points())
@@ -403,11 +344,10 @@ class TestClosedFormPasses:
 
     def test_pole_and_density_refusal(self):
         mu = Measure(atoms=((3.0, 1.0),), ac=((0.0, 1.0, 1.0),))
-        rep = NevanlinnaRep(0.0, 0.0, mu)
-        for f in (rep.derivative, lambda z: cauchy_transform(mu, z)):
-            assert f(3.0) == INF and f(np.array([3.0, 2.0]))[0] == INF
-            with pytest.raises(ValueError, match="real evaluation at 0.5 inside"):
-                f(np.array([2.0, 0.5]))
+        assert cauchy_transform(mu, 3.0) == INF
+        assert cauchy_transform(mu, np.array([3.0, 2.0]))[0] == INF
+        with pytest.raises(ValueError, match="real evaluation at 0.5 inside"):
+            cauchy_transform(mu, np.array([2.0, 0.5]))
 
 
 class TestCauchy:
@@ -604,21 +544,33 @@ class TestSecularKernel:
                 assert_certified_root(mp_rep(rep, target), x, edges[k], edges[k + 1])
         assert abs(letac_pushforward_check(rep, (c, d)) - (d - c)) <= 1e-8
 
-    @pytest.mark.parametrize("y", [1e-160, 1e-200])
-    def test_far_roots_take_newton_steps(self, y, monkeypatch):
-        # the outer roots lie near ±μ(R)/y, past where Σ w/(x − t)² overflows,
-        # and the eigensolver's error μ(R)·eps/y swamps the inner branch
+    @pytest.mark.parametrize("atoms, y", [
+        (((0.0, 1.0), (1.0, 2.0)), 1e-160), (((0.0, 1.0), (1.0, 2.0)), 1e-200),
+        (((0.0, 1.0), (1e-6, 2.0), (10.0, 0.5), (11.0, 1e-3)), 1e-250),
+        (((0.0, 1.0), (1e-6, 2.0), (10.0, 0.5), (11.0, 1e-3)), 1e-300)],
+        ids=["1e-160", "1e-200", "near-1e-250", "near-1e-300"])
+    def test_far_roots_run_no_bisection(self, atoms, y, monkeypatch):
+        # the outer roots lie near ±μ(R)/y, and the eigensolver's error
+        # μ(R)·eps/y swamps the inner branches; near atoms 1e-6 apart at
+        # y = 1e-300, a slope's scaled differences once squared below the
+        # normal float range and sent a root to bisection
         calls = []
         bisect = util._bisect
         monkeypatch.setattr(util, "_bisect", lambda *a: calls.append(a) or bisect(*a))
-        plus, minus = boole_superlevel_measure(Measure(atoms=((0.0, 1.0), (1.0, 2.0))), y)
+        mass = sum(w for _, w in atoms)
+        plus, minus = boole_superlevel_measure(Measure(atoms=atoms), y)
         assert not calls
         for length in (plus, minus):
-            assert abs(length - 3.0 / y) <= 1e-15 * (3.0 / y)
+            assert abs(length - mass / y) <= 1e-15 * (mass / y)
 
-    def test_bad_seeds_are_bisected(self):
-        # every seed at the right end of its branch: Newton steps from there
-        # leave the branch, so each root comes from the bisection fallback
+    def test_bad_seeds_are_bisected(self, monkeypatch):
+        # every seed at the right end of its branch: the secant steps from
+        # there leave the branch, or creep away from an atom's pole by about
+        # the bracket's width per table, so each root comes from the
+        # bisection fallback
+        calls = []
+        bisect = util._bisect
+        monkeypatch.setattr(util, "_bisect", lambda *a: calls.append(a) or bisect(*a))
         ts, ws, y = np.array([-1.0, 0.5, 2.0]), np.array([1.0, 0.3, 2.0]), 0.7
         mu = Measure(atoms=tuple(zip(ts.tolist(), ws.tolist())))
         reach = 2.0 * ws.sum() / y
@@ -629,22 +581,22 @@ class TestSecularKernel:
         lo = np.array([-1.0 - reach if l is None else l for _, l, _ in cases])
         hi = np.array([2.0 + reach if r is None else r for _, _, r in cases])
         roots = branch_roots(lambda x: ws / (ts - x[:, None]), np.ones(3), target, hi.copy(),
-                             lo, hi, lambda x: np.sum(ws / (x[:, None] - ts) ** 2, axis=1))
+                             lo, hi)
+        assert sum(len(args[1]) for args in calls) == len(cases)
         for (g, left, right), x in zip(cases, roots.tolist()):
             assert_certified_root(mp_cauchy(mu, g), x, left, right)
 
 
-def spy_newton(monkeypatch):
-    """The outputs of every Newton pass of the root kernel (with a slope), as
-    a list that fills while the kernel runs."""
-    out, newton = [], util._newton
+def spy_tables(monkeypatch):
+    """(points, secant steps, accepted) of every table the root kernel
+    reads, as a list that fills while the kernel runs."""
+    out, tabled = [], util._tabled
 
-    def counted(terms, slope, target, x, lo, hi):
-        res = newton(terms, slope, target, x, lo, hi)
-        if slope is not None:
-            out.append(res[0].copy())
-        return res
-    monkeypatch.setattr(util, "_newton", counted)
+    def counted(terms, ulps, target, x, inner):
+        step, ok, signs = tabled(terms, ulps, target, x, inner)
+        out.append((x.copy(), step.copy(), ok.copy()))
+        return step, ok, signs
+    monkeypatch.setattr(util, "_tabled", counted)
     return out
 
 
@@ -658,8 +610,9 @@ def separated_atoms(rng, n, half):
 
 
 class TestTableAcceptance:
-    """The root kernel's first pass: a seed certifies from one table of f at
-    x and x ∓ w and returns its secant step; every other seed takes Newton."""
+    """The root kernel's tables: a seed certifies from one table of f at x
+    and x ∓ w and returns its secant step; every other seed moves to that
+    step and is tabled again."""
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -667,7 +620,7 @@ class TestTableAcceptance:
            st.floats(-5.0, 5.0), st.floats(0.1, 5.0))
     def test_roots_hold_a_sign_change(self, support, log_y, beta, c, width):
         # Boole levels 1e-7 … 10 and Letac intervals: each root, whether from
-        # its table or from Newton, has a sign change of the 50-digit
+        # its first table or a later one, has a sign change of the 50-digit
         # function within 4e-12·max(1, |x|) inside its branch
         ts, ws = support
         mu, y = Measure(atoms=tuple(zip(ts.tolist(), ws.tolist()))), 10.0 ** log_y
@@ -686,9 +639,10 @@ class TestTableAcceptance:
     @pytest.mark.parametrize("n, half", [(4, 2.0), (8, 4.0)])
     def test_atomic_factorizations_run_no_newton_pass(self, n, half, monkeypatch):
         # the eigvalsh seeds of 4 and 8 separated atoms with α ≥ 0.1 all
-        # certify from their tables, and each zero end of Γ holds a sign
-        # change of the 50-digit function within its bracket
-        newton = spy_newton(monkeypatch)
+        # certify from their first table, with no second pass of any kind,
+        # and each zero end of Γ holds a sign change of the 50-digit
+        # function within its bracket
+        tables = spy_tables(monkeypatch)
         rng = np.random.default_rng(n)
         for _ in range(25):
             atoms = separated_atoms(rng, n, half)
@@ -701,47 +655,47 @@ class TestTableAcceptance:
                 left = max((t for t in ts if t < x), default=None)
                 right = min((t for t in ts if t > x), default=None)
                 assert_certified_root(mp_rep(rep), x, left, right)
-        assert not newton
+        assert tables and all(ok.all() for _, _, ok in tables)
 
     @staticmethod
     def _boole_kernel(ts, ws, y):
         # the roots of G = y right of each atom, as branch_roots' arguments
         reach = 2.0 * float(ws.sum()) / y
         return (lambda x: ws / (ts - x[:, None]), np.full(len(ts), -y), ts,
-                np.append(ts[1:], ts[-1] + reach),
-                lambda x: np.sum(ws / (x[:, None] - ts) ** 2, axis=1))
+                np.append(ts[1:], ts[-1] + reach))
 
     @pytest.mark.parametrize("shift", [5e-4, 2e-3, 0.3, 5.0])
     def test_displaced_seeds(self, shift, monkeypatch):
         # seeds shift·δ off the roots: within 1e-3·δ the table's step is the
         # root; past it the step is too long or the bracket misses the root,
-        # and the root is Newton's from the seed
+        # and the root is the step of a second table, read at that step
         ts, ws, y = np.array([-1.0, 0.5, 2.0]), np.array([1.0, 0.3, 2.0]), 0.7
         mu = Measure(atoms=tuple(zip(ts.tolist(), ws.tolist())))
-        terms, target, lo, hi, slope = self._boole_kernel(ts, ws, y)
+        terms, target, lo, hi = self._boole_kernel(ts, ws, y)
         roots = _boole_roots(ts, ws, y)[0]
         seeds = roots + shift * BRACKET * np.maximum(1.0, np.abs(roots))
-        newton = spy_newton(monkeypatch)
-        got = branch_roots(terms, np.ones(3), target, seeds, lo, hi, slope)
+        tables = spy_tables(monkeypatch)
+        got = branch_roots(terms, np.ones(3), target, seeds, lo, hi)
         if shift < 1e-3:
-            assert not newton
+            assert len(tables) == 1 and tables[0][2].all()
         else:
-            assert len(newton) == 1
-            assert got.tolist() == util._newton(terms, slope, target, seeds, lo, hi)[0].tolist()
+            (_, first, rejected), (x, step, ok) = tables
+            assert not rejected.any() and ok.all()
+            assert x.tolist() == first.tolist() and got.tolist() == step.tolist()
         edges = ts.tolist() + [None]
         for k, x in enumerate(got.tolist()):
             assert_certified_root(mp_cauchy(mu, y), x, edges[k], edges[k + 1])
 
-    def test_density_midpoint_seeds_take_newton(self, monkeypatch):
-        # branch midpoints are far from the roots: each zero end of Γ is one
-        # that a Newton pass returned
+    def test_density_midpoint_seeds_take_later_tables(self, monkeypatch):
+        # branch midpoints are far from the roots: the first table accepts
+        # none, and each zero end of Γ is the step of a later table
         rep = NevanlinnaRep(0.0, 0.3, Measure(atoms=((-1.0, 1.0),),
                                               ac=((0.0, 1.0, 1.0), (2.0, 3.0, 0.5))))
-        newton = spy_newton(monkeypatch)
+        tables = spy_tables(monkeypatch)
         zeros = [float(arc.a) for arc in analyze(rep).gamma.arcs if not is_inf(arc.a)]
-        assert newton and zeros
-        polished = set(np.concatenate(newton).tolist())
-        assert all(x in polished for x in zeros)
+        assert zeros and not tables[0][2].any()
+        later = set(np.concatenate([step[ok] for _, step, ok in tables[1:]]).tolist())
+        assert all(x in later for x in zeros)
 
 
 class TestFarAtoms:
