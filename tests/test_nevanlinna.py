@@ -771,9 +771,9 @@ class TestAnalyzeRoots:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(analysis_reps())
-    # a zero within an ulp of a density's end: the bisected bracket shrank to
-    # two adjacent floats, and its midpoint rounded onto the end, where the
-    # slope refuses a real point
+    # a zero within an ulp of a density's end: the bisected bracket shrinks
+    # to two adjacent floats, whose midpoint can round onto the end, so the
+    # kernel clips it into the open branch
     @example(NevanlinnaRep(0.0, 1.0, Measure(
         atoms=((998.9248146475176, 2.649602985999599), (998.9254462545206, 1.1053067184050849),
                (1000.1315322744058, 1.8653994405438425)),
