@@ -3,11 +3,12 @@
 Spec files are JSON with exactly one task key among
   nevanlinna | krein | product          (function specs)
   interp | realizable | boole | letac   (problem specs)
-plus an optional "options" object.  Unknown fields are rejected: at the top
-level, in a task body, in "options", in a nested "cantor" or "exp" and in
-a realizable pair's "omega" and "o".  A field holding a number takes a JSON
-number only (``extreal.number_from_json``), a point also "inf", "-inf" or
-"oo" (``extreal.point_from_json``).
+plus an optional "options" object with eval's "grid" and "eps", which its
+flags override.  Unknown fields are rejected: at the top level, in a task
+body, in "options", in a nested "cantor" or "exp" and in a realizable pair's
+"omega" and "o".  A field holding a number takes a JSON number only
+(``extreal.number_from_json``), a point also "inf", "-inf" or "oo"
+(``extreal.point_from_json``).
 
 Exit codes: 0 all certifications pass, 1 certification failure, 2 input error.
 """
@@ -23,7 +24,6 @@ import json
 import math
 import sys
 import time
-import zlib
 
 import numpy as np
 
@@ -46,7 +46,7 @@ SUITES = ("krein-props", "nevanlinna-roundtrip", "boole", "letac",
 # ignored without a word
 FIELDS = {
     "nevanlinna": ("alpha", "beta", "atoms", "ac", "cantor_depth"),
-    "krein": ("arcs", "full", "cantor", "tol", "max_factors"),
+    "krein": ("arcs", "full", "cantor", "tol"),
     "product": ("c", "krein", "exp"),
     "interp": ("zeros", "poles", "singular", "alpha", "beta", "zeta"),
     "realizable": ("omega", "o"),
@@ -54,7 +54,7 @@ FIELDS = {
     "o": ("arcs", "full"),
     "boole": ("atoms", "y"),
     "letac": ("atoms", "beta", "interval"),
-    "options": ("depth", "tol", "eps", "grid"),
+    "options": ("eps", "grid"),
     "cantor": ("interval", "depth"),
     "exp": ("gamma", "psi"),
 }
@@ -83,12 +83,9 @@ def load_spec(path):
         raise SpecError(f"unsupported spec version {obj['version']!r}; "
                         "this program reads version 1")
     options = _fields(obj.get("options", {}), "options")
-    if "depth" in options:
-        _integer(options["depth"], "options.depth")
-    for key in ("tol", "eps"):
-        if key in options:
-            number_from_json(options[key], f"options.{key}")
-    return tasks[0], _fields(obj[tasks[0]], tasks[0]), options, obj
+    if "eps" in options:
+        number_from_json(options["eps"], "options.eps")
+    return tasks[0], _fields(obj[tasks[0]], tasks[0]), options
 
 
 def _fields(obj, name):
@@ -101,47 +98,39 @@ def _fields(obj, name):
     return obj
 
 
-def _integer(value, field):
-    # a generator depth or a factor budget is a JSON integer >= 0, as a
-    # cantor_depth is
-    if type(value) is not int or value < 0:
-        raise SpecError(f"{field} must be an integer >= 0, got {value!r}")
+def _pair(value, field, form):
+    # letac's interval, a Cantor base and a disk point are two-entry lists
+    if not (isinstance(value, list) and len(value) == 2):
+        raise SpecError(f"{field}: {value!r} is not a {form} pair")
     return value
 
 
-def spec_seed(obj, seed):
-    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canon.encode()) ^ (seed & 0xFFFFFFFF)
-
-
-def _krein_product(kspec, options):
+def _krein_product(kspec):
     """The Kreĭn product of a "krein" body: explicit arcs, or the Cantor
-    complement with the body's (else the options') depth and tolerance."""
+    complement at the body's depth (default 26) and tolerance (default 1e-6)."""
     if "cantor" not in kspec:
-        if "tol" in kspec or "max_factors" in kspec:
-            raise SpecError("krein tol and max_factors go with a cantor generator, "
-                            "not with explicit arcs")
+        if "tol" in kspec:
+            raise SpecError("krein tol goes with a cantor generator, not with explicit arcs")
         return KreinProduct(ArcSet.from_json(kspec))
     if "arcs" in kspec or "full" in kspec:
         raise SpecError("krein takes arcs or a cantor generator, not both")
     cc = _fields(kspec["cantor"], "cantor")
-    return cantor_complement_product(
-        tuple(cc.get("interval", [0, 1])),
-        _integer(cc["depth"], "cantor.depth") if "depth" in cc else options.get("depth", 26),
-        tol=(number_from_json(kspec["tol"], "krein.tol") if "tol" in kspec
-             else float(options.get("tol", 1e-6))),
-        max_factors=(_integer(kspec["max_factors"], "krein.max_factors")
-                     if "max_factors" in kspec else 2_000_000))
+    base = _pair(cc.get("interval", [0, 1]), "cantor.interval", "[l, r]")
+    depth = cc.get("depth", 26)
+    if type(depth) is not int or depth < 0:  # as a cantor_depth
+        raise SpecError(f"cantor.depth must be an integer >= 0, got {depth!r}")
+    tol = number_from_json(kspec.get("tol", 1e-6), "krein.tol")
+    return cantor_complement_product(base, depth, tol)
 
 
-def build_function_spec(task, body, options):
+def build_function_spec(task, body):
     if task == "nevanlinna":
         return RepFunction(NevanlinnaRep.from_json(body))
     if task == "krein":
-        return CompositeFunction(1.0, _krein_product(body, options))
+        return CompositeFunction(1.0, _krein_product(body))
     if task == "product":
         c = number_from_json(body.get("c", 1.0), "product.c")
-        prod = _krein_product(_fields(body.get("krein", {}), "krein"), options)
+        prod = _krein_product(_fields(body.get("krein", {}), "krein"))
         exp = ExpRep.from_json(_fields(body["exp"], "exp")) if "exp" in body else None
         return CompositeFunction(c, prod, exp)
     raise SpecError(f"not a function task: {task}")
@@ -180,20 +169,11 @@ def _grid_numbers(parts, field):
     return ends + [int(count)]
 
 
-def merge_options(options, args):
-    merged = dict(options)
-    for key in ("depth", "tol", "eps", "grid"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
-
-
 def cmd_eval(args):
-    task, body, options, raw = load_spec(args.spec)
+    task, body, options = load_spec(args.spec)
     if task not in FUNCTION_TASKS:
         raise SpecError(f"eval needs a function spec, got '{task}'")
-    fn = build_function_spec(task, body, merge_options(options, args))
+    fn = build_function_spec(task, body)
     grid = (parse_grid(args.grid, "--grid") if args.grid
             else parse_grid(options.get("grid", "-5:5:21"), "options.grid"))
     eps = args.eps if args.eps is not None else options.get("eps")
@@ -237,10 +217,10 @@ def _cert_entries(certs):
 
 
 def cmd_factor(args):
-    task, body, options, raw = load_spec(args.spec)
+    task, body, _ = load_spec(args.spec)
     if task not in FUNCTION_TASKS:
         raise SpecError(f"factor needs a function spec, got '{task}'")
-    fn = build_function_spec(task, body, merge_options(options, args))
+    fn = build_function_spec(task, body)
     res = factorize(fn)
     report = {
         "task": "factor",
@@ -266,7 +246,7 @@ def cmd_factor(args):
 
 
 def cmd_solve(args):
-    task, body, options, raw = load_spec(args.spec)
+    task, body, _ = load_spec(args.spec)
     if task not in PROBLEM_TASKS:
         raise SpecError(f"solve needs a problem spec, got '{task}'")
     if task == "interp":
@@ -300,12 +280,10 @@ def cmd_solve(args):
     if task == "letac":
         rep = NevanlinnaRep(1.0, number_from_json(body.get("beta", 0.0), "letac.beta"),
                             Measure(atoms=atoms_from_json(body["atoms"], "letac.atoms")))
-        interval = body["interval"]
-        if not (isinstance(interval, list) and len(interval) == 2):
-            raise SpecError(f"letac.interval {interval!r} is not a [c, d] pair")
-        for x in interval:
+        # as given: an int interval's target d − c stays an int
+        c, d = _pair(body["interval"], "letac.interval", "[c, d]")
+        for x in (c, d):
             number_from_json(x, "letac.interval")
-        c, d = interval  # as given: an int interval's target d − c stays an int
         length = letac_pushforward_check(rep, (c, d))
         resid = abs(length - (d - c))
         cert = {"name": "letac_preimage_length", "residual": resid,
@@ -325,9 +303,7 @@ def _arc_set(body, key):
 
 def _complex(p, field):
     # a point of the disk problem is a [re, im] pair of numbers
-    if not (isinstance(p, list) and len(p) == 2):
-        raise SpecError(f"{field}: {p!r} is not a [re, im] pair")
-    return complex(*(number_from_json(x, field) for x in p))
+    return complex(*(number_from_json(x, field) for x in _pair(p, field, "[re, im]")))
 
 
 def _solve_interp(body):
@@ -505,16 +481,7 @@ def _random_interp_problem(rng, interlaced=None):
 def cmd_check(args):
     if args.suite not in SUITES:
         raise SpecError(f"unknown suite '{args.suite}'; choose from {SUITES}")
-    seed = args.seed
-    if args.spec:
-        _, _, _, raw = load_spec(args.spec)
-        seed = spec_seed(raw, args.seed)
-        if args.suite in ("boole", "letac"):
-            # a problem spec provides the concrete instance
-            report, code = cmd_solve(args)
-            report["suite"] = args.suite
-            return report, code
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     entries = []
     {"krein-props": suite_krein_props,
      "nevanlinna-roundtrip": suite_nevanlinna_roundtrip,
@@ -525,7 +492,7 @@ def cmd_check(args):
     certs = [{"name": n, "residual": r, "tolerance": t, "pass": r <= t}
              for n, r, t in entries]
     ok = all(c["pass"] for c in certs)
-    return {"task": "check", "suite": args.suite, "seed": int(seed),
+    return {"task": "check", "suite": args.suite, "seed": args.seed,
             "certifications": certs}, (0 if ok else 1)
 
 
@@ -559,8 +526,9 @@ def _parser():
         description="numerics for analytic self-maps of the upper half-plane")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--spec", help="JSON spec file")
+    def common(p, spec=True):
+        if spec:
+            p.add_argument("--spec", help="JSON spec file")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the report")
@@ -574,17 +542,13 @@ def _parser():
 
     p_factor = sub.add_parser("factor", help="factorize a function spec")
     common(p_factor)
-    # a function spec's Cantor generator: its depth and tail tolerance
-    for p in (p_eval_cmd, p_factor):
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
 
     p_solve = sub.add_parser("solve", help="run a problem spec "
                                            "(interp | realizable | boole | letac)")
     common(p_solve)
 
     p_check = sub.add_parser("check", help="run a verification suite")
-    common(p_check)
+    common(p_check, spec=False)
     p_check.add_argument("--suite", required=True)
     p_check.add_argument("--seed", type=int, default=0)
     return parser

@@ -46,6 +46,7 @@ from .moebius import HalfPlaneAuto, pullback_arcset
 from .util import quotient
 
 REAL_GUARD = 1e-9
+_MAX_FACTORS = 2_000_000  # the generator refuses a depth whose 2^d − 1 factors exceed it
 
 
 class TailNotCertified(RuntimeError):
@@ -337,14 +338,13 @@ class KreinProduct:
 
     ``tol`` is the tail tolerance τ: evaluation enumerates generator arcs in
     decreasing length until the certified tail bound at the evaluation point
-    drops below τ (within ``max_factors`` and the generator's depth cap), and
-    returns that bound alongside the value.
+    drops below τ (within the generator's depth cap and a budget of
+    ``_MAX_FACTORS`` factors), and returns that bound alongside the value.
     """
 
     arcs: ArcSet = EMPTY
     cantor: CantorComplement | None = None
     tol: float = 1e-9
-    max_factors: int = 2_000_000
 
     def __post_init__(self):
         if not 0 <= self.tol < INF:
@@ -463,7 +463,7 @@ class KreinProduct:
         while (r - l) * (2.0 / 3.0) ** depth * m > 0.5 * min(self.tol, 0.25) and depth < cap:
             depth += 1
         reached = None
-        while 2 ** depth - 1 <= self.max_factors:
+        while 2 ** depth - 1 <= _MAX_FACTORS:
             value, tail = truncation(depth)
             if tail <= self.tol:
                 return value, tail
@@ -473,8 +473,8 @@ class KreinProduct:
                                        f"at depth {depth}, the generator's depth cap")
             depth += 1
         raise TailNotCertified(f"tail not certified to tol {self.tol:.3e}: depth {depth} "
-                               f"needs {2 ** depth - 1} factors, over max_factors "
-                               f"{self.max_factors}{reached or '; no depth evaluated'}")
+                               f"needs {2 ** depth - 1} factors, over the budget of "
+                               f"{_MAX_FACTORS}{reached or '; no depth evaluated'}")
 
     def support_json(self):
         out = {}
@@ -637,12 +637,10 @@ def equivariance_transport(k: KreinProduct, phi: HalfPlaneAuto):
     return KreinProduct(pullback_arcset(phi, k.arcs)), c
 
 
-def cantor_complement_product(base=(0, 1), depth: int = 30, tol: float = 1e-9,
-                              max_factors: int = 2_000_000) -> KreinProduct:
+def cantor_complement_product(base=(0, 1), depth: int = 30, tol: float = 1e-9) -> KreinProduct:
     """Kreĭn product over the full complement of the Cantor set built on base:
     the two half-lines outside [l, r] plus the removed middle thirds.  Its
     value is −1 in the infinite-depth limit."""
     l, r = base
     exterior = normalize([Arc(INF, l), Arc(r, INF)])
-    return KreinProduct(arcs=exterior, cantor=CantorComplement((l, r), depth),
-                        tol=tol, max_factors=max_factors)
+    return KreinProduct(arcs=exterior, cantor=CantorComplement((l, r), depth), tol=tol)

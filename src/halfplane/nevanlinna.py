@@ -513,6 +513,13 @@ def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
 # roots on the branches of Ω, seeded from secular matrices
 
 
+def _seed_level(y, ts, mass):
+    """A level, y or above, at which eigvalsh's error on the secular matrix of
+    Σ w/(t − x) = ±level over sorted atoms ts, about n·eps·mass/level, is at
+    most 1e-4 of the narrowest gap: the bounded roots hardly move below it."""
+    return max(y, 1e4 * len(ts) * _EPS * mass / (ts[1:] - ts[:-1]).min(initial=INF).item())
+
+
 def _boole_roots(ts, ws, y: float):
     """Roots of G = y (one right of each atom) and of G = −y (one left of
     each), for sorted atoms ts with weights ws."""
@@ -522,16 +529,12 @@ def _boole_roots(ts, ws, y: float):
     if not (math.isfinite(ts[0] - reach) and math.isfinite(ts[-1] + reach)):
         raise ValueError(f"y = {y} is too small: the outer roots' brackets reach "
                          f"2μ(R)/y = {reach:.3g} past the atoms, out of the float range")
-    # eigvalsh errs by about n·eps·μ(R)/y, which swamps the bounded branches
-    # at small y; their roots hardly move below the level where that error is
-    # 1e-4 of the narrowest, so all seeds come from that level, and the outer
-    # two, near ±μ(R)/y, move out by μ(R)·(1/y − 1/level)
-    level = max(y, 1e4 * len(ts) * _EPS * mass / (ts[1:] - ts[:-1]).min(initial=INF).item())
+    level = _seed_level(y, ts, mass)
     z = np.sqrt(ws / level)
     rank_one = np.outer(z, z)
     diag = np.diag(ts)
     seeds = np.linalg.eigvalsh(np.stack((diag + rank_one, diag - rank_one)))
-    shift = mass / y - mass / level
+    shift = mass / y - mass / level  # the outer seeds, near ±μ(R)/y, move out to y
     seeds[0, -1] += shift
     seeds[1, 0] -= shift
     lo = np.concatenate((ts, [ts[0] - reach], ts[:-1]))
@@ -689,12 +692,15 @@ def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
         seeds = np.linalg.eigvalsh(arrow).ravel()
     else:
         # the root past the support is the top eigenvalue when β′ > target
-        # and the bottom one otherwise, which goes last
-        scale = np.array([s if s != 0 else 1.0 for s in shifts])[:, None, None]
+        # and the bottom one otherwise, which goes last; seeded at _seed_level
+        level = [math.copysign(_seed_level(abs(s), ts, big_k), s) if s else 1.0 for s in shifts]
         with np.errstate(over="ignore"):  # as the reach above
-            seeds = np.linalg.eigvalsh(np.diag(ts) + np.sqrt(np.outer(u2, u2)) / scale)
+            seeds = np.linalg.eigvalsh(np.diag(ts) + np.sqrt(np.outer(u2, u2))
+                                       / np.array(level)[:, None, None])
         seeds = np.concatenate([np.roll(row, -1) if s < 0 else row
                                 for row, s in zip(seeds, shifts)])
+        seeds[n_arcs - 1::n_arcs] += [big_k / s - big_k / v if abs(v) > abs(s) > 0 else 0.0
+                                      for s, v in zip(shifts, level)]
 
     beta_a = _exact_offset(rep.beta, ws, ts, ac)
     # rounding bounds in eps: αx and β′, the atoms, each density's three summands

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from halfplane import krein
 from halfplane.extreal import Arc, CantorComplement, INF, normalize
 from halfplane.factor import CompositeFunction, ExpRep, RepFunction
 from halfplane.interp import disk_interpolate
@@ -207,8 +208,9 @@ class TestMasks:
         with pytest.raises(EvaluationDomainError, match=f"real evaluation at {near[0]} "):
             k(zs)
 
-    def test_generator_marks_its_refusals(self):
-        k = cantor_complement_product((0, 1), 26, 1e-2, max_factors=2 ** 12)
+    def test_generator_marks_its_refusals(self, monkeypatch):
+        monkeypatch.setattr(krein, "_MAX_FACTORS", 2 ** 12)
+        k = cantor_complement_product((0, 1), 26, 1e-2)
         zs = [0.0, 1.0, 1 / 3, 0.5, 0.49, -1.0, 2.0 + 0.5j, 0.5 + 0.02j, INF]
         values, tails = k.eval(np.array(zs, dtype=complex), strict=False)
         for z, v, t in zip(zs, values.tolist(), tails.tolist()):

@@ -106,9 +106,8 @@ class TestEval:
     def test_product_cantor_honours_tol(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "p.json", {
             "version": 1,
-            "product": {"c": 2.0, "krein": {"cantor": {"interval": [0, 1]}}}})
-        code, out = run(capsys, ["eval", "--spec", spec, "--tol", "1e-2",
-                                 "--grid", "box:0:1:0.5:1:2"])
+            "product": {"c": 2.0, "krein": {"cantor": {"interval": [0, 1]}, "tol": 1e-2}}})
+        code, out = run(capsys, ["eval", "--spec", spec, "--grid", "box:0:1:0.5:1:2"])
         assert code == 0
         rows = json.loads(out)["rows"]
         assert [r[4] for r in rows] == ["interior"] * 4
@@ -333,15 +332,19 @@ class TestCheck:
         assert main(["check", "--suite", "nope"]) == 2
 
 
-# each flag a command never reads, with a value it would take
-_INERT_FLAGS = [("eval", "--seed", "3"),
+# each flag a command never reads, with a value it would take; a Cantor
+# generator's depth and tolerance are set in its spec only, and check runs
+# its suites from --seed alone
+_INERT_FLAGS = [("eval", "--seed", "3"), ("eval", "--depth", "4"), ("eval", "--tol", "0.01"),
                 ("factor", "--format", "csv"), ("factor", "--eps", "0.01"),
-                ("factor", "--seed", "3"),
+                ("factor", "--seed", "3"), ("factor", "--depth", "4"),
+                ("factor", "--tol", "0.01"),
                 ("solve", "--format", "csv"), ("solve", "--eps", "0.01"),
                 ("solve", "--depth", "4"), ("solve", "--tol", "0.01"),
                 ("solve", "--seed", "3"),
                 ("check", "--format", "csv"), ("check", "--eps", "0.01"),
-                ("check", "--depth", "4"), ("check", "--tol", "0.01")]
+                ("check", "--depth", "4"), ("check", "--tol", "0.01"),
+                ("check", "--spec", "cli_examples/boole_two_atoms.json")]
 _EXAMPLES = pathlib.Path(__file__).parent.parent / "cli_examples"
 
 
@@ -548,17 +551,26 @@ class TestErrors:
         ("eval", {"krein": {"arcs": [[0, 1]]}, "options": {"grd": "0:1:2"}},
          "unknown options fields: ['grd']"),
         ("eval", {"krein": {"arcs": [[0, 1]]}, "options": {"depth": -1}},
-         "options.depth must be an integer >= 0, got -1"),
+         "unknown options fields: ['depth']"),
+        ("eval", {"krein": {"cantor": {"interval": [0, 1]}}, "options": {"tol": 1e-2}},
+         "unknown options fields: ['tol']"),
+        ("eval", {"krein": {"cantor": {"interval": [0, 1]}, "max_factors": 10}},
+         "unknown krein fields: ['max_factors']"),
+        ("eval", {"krein": {"cantor": {"interval": 5, "depth": 3}}},
+         "cantor.interval: 5 is not a [l, r] pair"),
+        ("eval", {"krein": {"cantor": {"interval": [0], "depth": 3}}},
+         "cantor.interval: [0] is not a [l, r] pair"),
         ("eval", {"krein": {"arcs": [[0, 1]], "cantor": {"interval": [2, 3]}}},
          "krein takes arcs or a cantor generator, not both"),
         ("eval", {"krein": {"arcs": [[0, 1]], "tol": "0.1"}},
-         "krein tol and max_factors go with a cantor generator, not with explicit arcs"),
+         "krein tol goes with a cantor generator, not with explicit arcs"),
         ("eval", {"krein": {"arcs": [[0, 1]], "tol": 10 ** 400}},
-         "krein tol and max_factors go with a cantor generator, not with explicit arcs"),
+         "krein tol goes with a cantor generator, not with explicit arcs"),
         ("factor", {"product": {"krein": {"arcs": [[0, 1]], "max_factors": "x"}}},
-         "krein tol and max_factors go with a cantor generator, not with explicit arcs"),
+         "unknown krein fields: ['max_factors']"),
     ], ids=["krein", "nevanlinna", "interp", "cantor-depth", "cantor", "exp",
-            "product-krein", "options", "options-depth", "arcs-and-cantor",
+            "product-krein", "options", "options-depth", "options-tol", "max-factors",
+            "cantor-interval-number", "cantor-interval-short", "arcs-and-cantor",
             "arcs-and-tol-string", "arcs-and-tol-past-float-range",
             "arcs-and-max-factors"])
     def test_unread_field_is_input_error(self, tmp_path, capsys, command, spec, named):
@@ -619,7 +631,7 @@ class TestErrors:
         code, out = run(capsys, ["factor", "--spec", path])
         assert code == 0
         piece = cli.build_function_spec(
-            "product", {"krein": {"arcs": [[0, 1]]}, **spec}, {}).exp.pieces[0]
+            "product", {"krein": {"arcs": [[0, 1]]}, **spec}).exp.pieces[0]
         assert piece == (-math.inf, -3.0, 0.5)
 
     def test_unread_arc_set_field_is_input_error(self, tmp_path, capsys):
@@ -831,7 +843,7 @@ _options = st.one_of(st.just({}), _body({}, {
                              "nan:1:2", "-1e308:1e308:3", "box:-1e309:1:0.5:1:2",
                              "box:-1:1:0.5:inf:2", "0:1:2.5", "box:0:1:1:2:x",
                              "0:1:-1", "0:1:0"]),
-    "depth": _depth, "tol": _tol, "eps": st.sampled_from([0, 1e-3, -1.0, "x"])}))
+    "eps": st.sampled_from([0, 1e-3, -1.0, "x"])}))
 
 
 @st.composite

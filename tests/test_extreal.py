@@ -232,7 +232,7 @@ class TestSetOps:
     def test_generator_json_roundtrip(self):
         # to_json writes a krein body, which the CLI's one reader reads back
         cc = CantorComplement((0, 1), 5)
-        assert _krein_product(cc.to_json(), {}).cantor == cc
+        assert _krein_product(cc.to_json()).cantor == cc
 
     def test_puncture_json_roundtrip(self):
         o = normalize([Arc(0, 2), Arc(1, 0)])

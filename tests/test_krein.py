@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
                                SigmaDescriptor, angle_subtended, arc_ends, is_inf,
                                normalize, regularize)
+from halfplane import krein
 from halfplane.krein import (REAL_GUARD, EvaluationDomainError, KreinProduct,
                              TailNotCertified, cantor_complement_product,
                              equivariance_transport, k_structure, log_p, p_eval)
@@ -442,18 +443,19 @@ class TestCantorProduct:
         val, tail = k.eval_at_depth(0.5 + 1e-9j, 20)
         assert tail == INF and cmath.isfinite(val)
 
-    def test_tail_checked_with_explicit_factor(self):
+    def test_tail_checked_with_explicit_factor(self, monkeypatch):
         # |explicit| ≈ 1.7 here, so the generator-only tail passed at depth 14
         # while the reported one did not; depth 16 certifies the whole value
+        monkeypatch.setattr(krein, "_MAX_FACTORS", 2 ** 18)
         k = KreinProduct(arcs=normalize([Arc(2, 3)]), cantor=CantorComplement((0, 1), 26),
-                         tol=1e-2, max_factors=2 ** 18)
+                         tol=1e-2)
         val, tail = k.eval(2.05 + 0.05j)
         assert (val, tail) == k.eval_at_depth(2.05 + 0.05j, 16)
         assert tail <= 1e-2
         # the budget names the depth it could not afford and the last tail
-        k = KreinProduct(arcs=k.arcs, cantor=k.cantor, tol=1e-2, max_factors=2 ** 15 - 2)
-        with pytest.raises(TailNotCertified, match=r"depth 15 needs 32767 factors, over "
-                           r"max_factors 32766; tail bound 1\.724e-02 at depth 14"):
+        monkeypatch.setattr(krein, "_MAX_FACTORS", 2 ** 15 - 2)
+        with pytest.raises(TailNotCertified, match=r"depth 15 needs 32767 factors, over the "
+                           r"budget of 32766; tail bound 1\.724e-02 at depth 14"):
             k.eval(2.05 + 0.05j)
 
     def test_base_ends(self):
@@ -489,11 +491,11 @@ class TestCantorProduct:
         z = 0.3 + 0.9j
         assert abs(explicit(z) - gen.eval(z)[0]) < 1e-12
 
-    def test_real_point_inside_gap(self):
+    def test_real_point_inside_gap(self, monkeypatch):
         # x = 1/2 sits in the level-1 gap; the tail distance is to the gap
         # endpoints, so certification needs a deeper budget than at z = i
-        k = cantor_complement_product((0, 1), depth=26, tol=1e-2,
-                                      max_factors=20_000_000)
+        monkeypatch.setattr(krein, "_MAX_FACTORS", 20_000_000)
+        k = cantor_complement_product((0, 1), depth=26, tol=1e-2)
         val, tail = k.eval(0.5)
         assert abs(val + 1.0) <= tail <= 1e-2
         # outside the base the certificate is cheap again
@@ -510,7 +512,7 @@ class TestCantorProduct:
     def test_real_point_refusals(self):
         k = cantor_complement_product((0, 1), depth=24, tol=1e-3)
         with pytest.raises(TailNotCertified, match="depth 24 needs 16777215 factors, over "
-                           "max_factors 2000000; no depth evaluated"):
+                           "the budget of 2000000; no depth evaluated"):
             k.eval(0.5)  # budget cannot reach the interior certificate
         with pytest.raises(EvaluationDomainError):
             k.eval(1.0 / 3.0 + 1e-13)  # within the guard of a gap endpoint

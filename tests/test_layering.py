@@ -84,3 +84,62 @@ def test_flags_an_unread_private_name():
               "def f():\n"
               "    return x._Kept\n")
     assert unread_private_names({"m.py": source}) == [("m.py", "_UNUSED"), ("m.py", "_orphan")]
+
+
+def unread_flags(source):
+    """The long options that ``_parser`` in a cli source adds and that no
+    code reads as ``args.<dest>``."""
+    tree = ast.parse(source)
+    parser = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_parser")
+    flags = [arg.value for node in ast.walk(parser)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"
+             for arg in node.args[:1]
+             if isinstance(arg, ast.Constant) and arg.value.startswith("--")]
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    return [flag for flag in flags if flag[2:].replace("-", "_") not in read]
+
+
+def test_every_flag_is_read():
+    assert unread_flags((SRC / "cli.py").read_text()) == []
+
+
+def test_flags_a_flag_read_only_through_getattr():
+    source = ("def _parser():\n"
+              "    p.add_argument('--spec')\n"
+              "    p.add_argument('--max-depth', type=int)\n"
+              "def main(args):\n"
+              "    return args.spec, getattr(args, 'max_depth')\n")
+    assert unread_flags(source) == ["--max-depth"]
+
+
+def unread_fields(fields, sources):
+    """The names of a {object: names} spec-field table that no source reads
+    as a string literal outside the table's own assignment (docstrings do
+    not count)."""
+    literals = set()
+    for source in sources:
+        tree = ast.parse(source)
+        skip = {id(node) for top in tree.body
+                if isinstance(top, ast.Assign) and any(getattr(t, "id", "") == "FIELDS"
+                                                       for t in top.targets)
+                for node in ast.walk(top)}
+        skip |= {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        literals |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str) and id(node) not in skip}
+    names = sorted({name for names in fields.values() for name in names})
+    return [name for name in names if name not in literals]
+
+
+def test_every_spec_field_is_read():
+    from halfplane.cli import FIELDS
+    assert unread_fields(FIELDS, [p.read_text() for p in MODULES]) == []
+
+
+def test_flags_a_field_no_code_reads():
+    source = ('"""Reads "depth" only in this docstring."""\n'
+              'FIELDS = {"cantor": ("interval", "depth")}\n'
+              'def read(body):\n'
+              '    return body.get("interval")\n')
+    assert unread_fields({"cantor": ("interval", "depth")}, [source]) == ["depth"]

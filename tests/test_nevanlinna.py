@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import re
 import warnings
@@ -18,6 +19,7 @@ from halfplane.nevanlinna import (Measure, NevanlinnaRep, _boole_roots,
                                   recover_atom, recover_beta,
                                   stieltjes_density, stieltjes_density_limit)
 from halfplane import util
+from halfplane.cli import main
 from halfplane.factor import RepFunction, factorize
 from halfplane.util import (BRACKET, RecoveryError, RootBracketError,
                             branch_roots)
@@ -562,6 +564,32 @@ class TestSecularKernel:
         assert not calls
         for length in (plus, minus):
             assert abs(length - mass / y) <= 1e-15 * (mass / y)
+
+    @pytest.mark.parametrize("beta", [1e-100, 1e-200, 1e-300, 1e-305, 1e-310, -1e-310, 5e-324])
+    def test_tiny_offset_runs_no_bisection(self, beta, monkeypatch, tmp_path, capsys):
+        # α = 0 and β′ = β: solved at the level β′, the secular matrix's
+        # error swamped the bounded seeds and sent a root to bisection, and
+        # past 1e-308 its entries were inf ("Eigenvalues did not converge")
+        calls = []
+        bisect = util._bisect
+        monkeypatch.setattr(util, "_bisect", lambda *a: calls.append(a) or bisect(*a))
+        atoms = [[-1, 1], [1, 1], [3, 0.5], [-3, 0.5]]
+        rep = NevanlinnaRep(0.0, beta, Measure(atoms=tuple(map(tuple, atoms))))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"nevanlinna": {"beta": beta, "atoms": atoms}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zeros = analyze(rep).zeros
+            assert factorize(RepFunction(rep)).ok
+            assert main(["factor", "--spec", str(path)]) == 0
+        assert not calls
+        ts = sorted(t for t, _ in atoms)
+        for x in [x for x, _ in zeros if x != INF]:
+            left = max((t for t in ts if t < x), default=None)
+            right = min((t for t in ts if t > x), default=None)
+            # far out the summands cancel like |x|: carry its digits too
+            assert_certified_root(mp_rep(rep), x, left, right,
+                                  dps=50 + 2 * int(math.log10(max(1.0, abs(x)))))
 
     def test_bad_seeds_are_bisected(self, monkeypatch):
         # every seed at the right end of its branch: the secant steps from
