@@ -40,8 +40,6 @@ from .util import RootBracketError
 
 FUNCTION_TASKS = ("nevanlinna", "krein", "product")
 PROBLEM_TASKS = ("interp", "realizable", "boole", "letac")
-SUITES = ("krein-props", "nevanlinna-roundtrip", "boole", "letac",
-          "factor-posts", "interp-equivalence")
 # the fields each spec object reads: a misspelt field would otherwise be
 # ignored without a word
 FIELDS = {
@@ -478,17 +476,17 @@ def _random_interp_problem(rng, interlaced=None):
         return interp.InterpProblem((0.0,), (1.0,), ())
 
 
+SUITES = {"krein-props": suite_krein_props, "nevanlinna-roundtrip": suite_nevanlinna_roundtrip,
+          "boole": suite_boole, "letac": suite_letac, "factor-posts": suite_factor_posts,
+          "interp-equivalence": suite_interp_equivalence}
+
+
 def cmd_check(args):
     if args.suite not in SUITES:
-        raise SpecError(f"unknown suite '{args.suite}'; choose from {SUITES}")
+        raise SpecError(f"unknown suite '{args.suite}'; choose from {tuple(SUITES)}")
     rng = np.random.default_rng(args.seed)
     entries = []
-    {"krein-props": suite_krein_props,
-     "nevanlinna-roundtrip": suite_nevanlinna_roundtrip,
-     "boole": suite_boole,
-     "letac": suite_letac,
-     "factor-posts": suite_factor_posts,
-     "interp-equivalence": suite_interp_equivalence}[args.suite](rng, entries)
+    SUITES[args.suite](rng, entries)
     certs = [{"name": n, "residual": r, "tolerance": t, "pass": r <= t}
              for n, r, t in entries]
     ok = all(c["pass"] for c in certs)
@@ -528,7 +526,7 @@ def _parser():
 
     def common(p, spec=True):
         if spec:
-            p.add_argument("--spec", help="JSON spec file")
+            p.add_argument("--spec", required=True, help="JSON spec file")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the report")

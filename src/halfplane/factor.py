@@ -12,7 +12,7 @@ are evaluated on the 20-point grid.  Every other quotient is one black-box
 form, f/k one point at a time.
 
 The function forms take a point or an ndarray of points, with the array
-contract of ``krein``; ``masked(z)`` returns (values, refused) for an array,
+contract of ``util``; ``masked(z)`` returns (values, refused) for an array,
 refused marking the points a scalar call refuses.  A composite c·k_O·e^h
 is canonical once built: a ψ = 1 piece of h is an arc of O and a ψ = 0 piece
 is gone, so σ, Γ and the posts read 0 < ψ < 1 pieces only.  The posts on a
@@ -37,10 +37,9 @@ from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL, SigmaDescriptor,
                       arc_contains_arc, arcs_overlap, arcset_contains_arc,
                       boundary_samples, complement_ends, end_samples, normalize,
                       number_from_json, points_equal, regularize, sweep_points)
-from .krein import (EvaluationDomainError, KreinProduct, TailNotCertified, log_factors,
-                    scalar_or_array)
+from .krein import EvaluationDomainError, KreinProduct, TailNotCertified, log_factors
 from .nevanlinna import AnalysisResult, NevanlinnaRep, analyze, interval_entries
-from .util import BRACKET, branch_roots, frozen, halton_box, ladder_limit, quotient
+from .util import BRACKET, branch_roots, frozen, halton_box, ladder_limit, quotient, shaped
 
 
 class CertificationError(RuntimeError):
@@ -122,10 +121,10 @@ class ExpRep:
         """γ + Σ ψ_j · log p_{J_j}(z): complex above the real line, real at a
         real point off the pieces; EvaluationDomainError on a piece or at its
         end."""
-        return scalar_or_array(self._h(z, True)[0], z)
+        return shaped(self._h(z, True)[0], z, line=True)
 
     def __call__(self, z):
-        return scalar_or_array(_exp(self._h(z, True)[0], z), z)
+        return shaped(_exp(self._h(z, True)[0], z), z, line=True)
 
     def masked(self, z):
         """(e^h, refused) at the points of an ndarray z; ``refused`` marks
@@ -207,7 +206,7 @@ class CompositeFunction:
             point = np.ravel(z)[np.argmax(refused)].item()
             self.product(point)
             self.exp.h(point)
-        return scalar_or_array(values, z)
+        return shaped(values, z, line=True)
 
     def masked(self, z):
         """(values, refused) at the points of an ndarray z: ``refused`` marks
@@ -587,7 +586,7 @@ def _constant_certificate(f, ana: AnalysisResult, k: KreinProduct):
     c = abs(fv[0].item())
     # |f/k − c|/c: f/k through util.quotient, and c divides only a real, as
     # numpy divides a complex by a reciprocal that a subnormal c overflows
-    dev = np.abs(quotient(fv[1:], k(_CONSTANT_GRID[1:])) - c) / c
+    dev = np.abs(quotient(fv[1:], k(_CONSTANT_GRID[1:]))[0] - c) / c
     return c, float(np.max(dev))
 
 

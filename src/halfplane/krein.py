@@ -15,13 +15,16 @@ that share an end (∞ included) are merged first, by p_(b,c)·p_(c,a) =
 p_(b,a), so a zero of one factor never meets the pole of the next; the
 zeros, poles, σ and Γ of k_O are read from the same merged arcs.
 
-Every evaluator takes one point or an ndarray of points.  An array is
-evaluated in one pass over points × arcs in numpy's own arithmetic.  A
-scalar call is that pass on one point, so an array value equals the scalar
-call at its point bit for bit; it returns a complex off the real line, else
-a float.  Three per-point conditions are masks of that pass: an exact real
+Every evaluator keeps the array contract whose one home is ``util``
+(``points``, ``quotient``, ``shaped``): it takes one point or an ndarray of
+points, and an array is evaluated in one pass over points × arcs in numpy's
+own arithmetic.  A scalar call is that pass on one point, so an array value
+equals the scalar call at its point bit for bit; k_O and log p_J return a
+complex off the real line, else a float, and p_J a complex at any complex
+point.  Three per-point conditions are masks of that pass: an exact real
 pole (the ∞ marker, math.inf), a real point within ``REAL_GUARD`` of a pole
-(refused: EvaluationDomainError), and the point ∞ (±inf in a real array).
+(refused: EvaluationDomainError), and the point ∞ (±inf in a real array,
+inf+0j in a complex one).
 
 A Cantor-complement generator contributes the factors of its middle thirds
 (b, a) down to a depth d.  Since every factor has |p_J(i)| = 1, their
@@ -43,7 +46,7 @@ import numpy as np
 from .extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
                       SigmaDescriptor, arc_ends, is_regular, normalize)
 from .moebius import HalfPlaneAuto, pullback_arcset
-from .util import quotient
+from .util import points, quotient, shaped
 
 REAL_GUARD = 1e-9
 _MAX_FACTORS = 2_000_000  # the generator refuses a depth whose 2^d − 1 factors exceed it
@@ -86,25 +89,17 @@ class _Factors:
     def poles(self):  # the finite poles: B where R = 1
         return self.rows[0, self.n:][self.rows[1, self.n:] != 0]
 
-    def columns(self, pts, off_line=False):
+    def columns(self, pts, inf=None):
         """(values, poles), shape (points, arcs): p_J at each point of a flat
         array, in complex arithmetic for a complex array, else in real
-        arithmetic with ±inf as ∞.  An exact pole holds the ∞ marker;
-        ``poles`` is None when there is none, as ``off_line``."""
-        inf = None if pts.dtype.kind == "c" or not np.isinf(pts).any() else np.isinf(pts)
-        num, den = self._num_den((pts if inf is None else np.where(inf, 0.0, pts))[:, None])
-        poles = None if off_line else den == 0
-        if poles is not None and poles.any():
-            den[poles] = 1.0
-            if inf is not None:
-                poles[inf] = False
-        else:
-            poles = None
-        vals = quotient(num, den)
-        if poles is not None:
-            vals[poles] = INF
+        arithmetic, the points of ``inf`` (read as 0, as ``util.points``
+        reads them) at ∞.  An exact pole holds the ∞ marker, which ``poles``
+        marks (None when there is none)."""
+        vals, poles = quotient(*self._num_den(pts[:, None]))
         if inf is not None:
             vals[inf] = self.at_inf
+            if poles is not None:
+                poles[inf] = False
         return vals, poles
 
     def _num_den(self, z):
@@ -147,7 +142,7 @@ class _Factors:
             return self._on_line(pts)
         n_off = np.count_nonzero(pts.imag) if n_off is None else n_off
         if n_off == pts.size:
-            vals = self.columns(pts, off_line=True)[0]
+            vals = self.columns(pts)[0]
             # a factor or a partial product past the float range turns into
             # inf or NaN parts; only those points are multiplied out again
             with np.errstate(invalid="ignore", over="ignore"):
@@ -165,7 +160,7 @@ class _Factors:
         return full, _spread(pole, ~off), _spread(near, ~off)
 
     def _on_line(self, x):
-        vals, poles = self.columns(x)
+        vals, poles = self.columns(*points(x))
         pole = None if poles is None else poles.any(axis=1)
         if pole is not None:
             vals[pole] = 1.0  # the ∞ marker goes in after the product
@@ -191,15 +186,6 @@ def _factors(arcs: tuple) -> _Factors:
     return _Factors(*arc_ends(arcs))
 
 
-def scalar_or_array(values, z):
-    """The values of an evaluation at z: an ndarray for an ndarray z, else
-    the one value, complex off the real line and a float on it or at ∞."""
-    if isinstance(z, np.ndarray):
-        return values.reshape(z.shape)
-    v = values[0] if isinstance(values, list) else values.item(0)
-    return complex(v) if isinstance(z, complex) and z.imag != 0 else float(v.real)
-
-
 def _single_arc(j):
     # an ArcSet as its one arc: the full circle as the circle punctured at ∞,
     # the empty set as None (the factor 1)
@@ -216,17 +202,13 @@ def p_eval(j, z):
 
     Real z must differ from the pole b; evaluation exactly at the pole
     returns the ∞ marker (math.inf).  A complex z is evaluated in complex
-    arithmetic even on the real line; in a real array, ±inf is ∞.
+    arithmetic even on the real line; ∞ is ±inf in a real array and inf+0j
+    in a complex one.
     """
     j = _single_arc(j)
     if j is None:
         return np.ones(np.shape(z)) if isinstance(z, np.ndarray) else 1.0
-    pts = np.ravel(z)
-    vals, poles = _factors((j,)).columns(pts if pts.dtype.kind == "c" else pts.astype(float))
-    if isinstance(z, np.ndarray):
-        return vals[:, 0].reshape(z.shape)
-    marker = j.puncture or (poles is not None and poles[0, 0])
-    return complex(vals[0, 0]) if isinstance(z, complex) and not marker else float(vals[0, 0].real)
+    return shaped(_factors((j,)).columns(*points(z))[0][:, 0], z)
 
 
 def log_p(j, z):
@@ -242,7 +224,7 @@ def log_p(j, z):
     j = _single_arc(j)
     if j is None:
         return np.zeros(np.shape(z)) if isinstance(z, np.ndarray) else 0.0
-    return scalar_or_array(log_factors((j,), z)[0][..., 0], z)
+    return shaped(log_factors((j,), z)[0][..., 0], z, line=True)
 
 
 def log_factors(arcs, z, strict: bool = True):
@@ -257,13 +239,13 @@ def log_factors(arcs, z, strict: bool = True):
         raise ValueError("log_p requires Im z ≥ 0")
     table, off = _factors(tuple(arcs)), pts.imag != 0
     # p_J maps C⁺ into C⁺, so the principal branch keeps Im in (0, π)
-    logs = np.log(table.columns(pts, off_line=True)[0]) if off.all() else np.zeros(
+    logs = np.log(table.columns(pts)[0]) if off.all() else np.zeros(
         (pts.size, table.n), dtype=pts.dtype)
     refused = np.zeros(pts.size, dtype=bool)
     if not off.all():
         if off.any():
-            logs[off] = np.log(table.columns(pts[off], off_line=True)[0])
-        v = table.columns(pts.real[~off])[0]
+            logs[off] = np.log(table.columns(pts[off])[0])
+        v = table.columns(*points(pts.real[~off]))[0]
         bad = ~((v > 0) & (v < INF))
         logs[~off], refused[~off] = np.log(np.where(bad, 1.0, v)), bad.any(axis=1)
     if strict and refused.any():
@@ -423,16 +405,12 @@ class KreinProduct:
                         raise
                     refused[k] = True
             refused = np.array(refused) if any(refused) else None
-            if refused is None and not isinstance(z, np.ndarray):
-                return scalar_or_array(values, z), tails[0]
             values, tails = np.array(values, dtype=pts.dtype), np.array(tails)
         if refused is not None:
             if strict:
                 raise self._near_pole(float(pts[np.argmax(refused)].real))
             values[refused], tails[refused] = np.nan, INF
-        if isinstance(z, np.ndarray):
-            return values.reshape(z.shape), tails.reshape(z.shape)
-        return scalar_or_array(values, z), tails.item(0)
+        return shaped(values, z, line=True), shaped(tails, z)
 
     def _near_pole(self, x: float) -> EvaluationDomainError:
         near = [b for b in self._table.poles.tolist() if abs(x - b) < REAL_GUARD]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import INF, Arc, ArcSet, arc_ends, normalize
-from .util import quotient
+from .util import points, quotient, shaped
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class HalfPlaneAuto:
     def __call__(self, z):
         """At a point, or each point of an ndarray, by :class:`DiskMap`'s pass:
         complex at a complex z, real at a real one (∞ = ``INF``); the pole → ∞."""
-        w = _mobius(z, self.a, self.b, self.c, self.d,
-                    INF if self.c == 0 else complex(self.a / self.c))
+        w = _mobius(z, self.a, self.b, self.c, self.d, INF if self.c == 0 else self.a / self.c)
         if np.iscomplexobj(z):
             return w
         return w.real if isinstance(z, np.ndarray) else float(w.real)
@@ -89,8 +88,8 @@ def pullback_arcset(phi: HalfPlaneAuto, o: ArcSet) -> ArcSet:
 class DiskMap:
     """Complex Möbius map w ↦ (aw+b)/(cw+d), used for C⁺ → disk transports.
 
-    Both directions take a point or an ndarray of points, where ∞ is a
-    real inf; the pole goes to the ∞ marker."""
+    Both directions take a point or an ndarray of points, where ∞ is ±inf
+    (inf+0j in a complex array); the pole goes to the ∞ marker."""
 
     a: complex
     b: complex
@@ -108,25 +107,14 @@ class DiskMap:
 
 def _mobius(z, a, b, c, d, at_inf):
     """(az + b)/(cz + d) at z, or at each point of an ndarray z in one pass
-    (a scalar z is the pass on one point, so the two agree bit for bit);
-    ``at_inf`` is the image of ∞."""
-    w = np.array(np.ravel(z), dtype=complex)
-    inf = np.isinf(w.real) & (w.imag == 0)
-    if np.count_nonzero(inf):
-        w[inf] = 0.0
-    den = w * c + d
-    pole = den == 0
-    if np.count_nonzero(pole):
-        den[pole] = 1.0
-        pole &= ~inf  # ∞ goes to at_inf, even where d = 0
-    out = quotient(w * a + b, den)
-    out[pole] = INF
-    out[inf] = at_inf
-    if isinstance(z, np.ndarray):
-        return out.reshape(z.shape)
-    if pole[0] or (inf[0] and not isinstance(at_inf, complex)):
-        return INF
-    return complex(out[0])
+    (a scalar z is the pass on one point, so the two agree bit for bit), in
+    complex arithmetic, so that a point of the circle maps to a complex;
+    ``at_inf`` is the image of ∞, the pole maps to the ∞ marker."""
+    w, inf = points(np.asarray(z, dtype=complex))
+    out = quotient(w * a + b, w * c + d)[0]
+    if inf is not None:
+        out[inf] = at_inf  # even where d = 0
+    return shaped(out, z)
 
 
 def cayley(zeta: complex) -> DiskMap:

@@ -3,10 +3,11 @@
 Measures are finite and positive, given as atoms plus piecewise-constant
 densities (optionally a depth-k atomic stand-in for the Cantor measure).
 The representation has a closed form, so evaluation never needs
-quadrature.  ``NevanlinnaRep.eval`` takes a point or an ndarray
-of points, broadcast over the atoms and summed term by term in order, with
-the array contract of ``krein``: a scalar call is the same pass on one point,
-the ∞ marker sits at an atom, ±inf in a real array is ∞.  Boundary recovery
+quadrature.  ``NevanlinnaRep.eval`` and ``cauchy_transform`` take a point
+or an ndarray of points, broadcast over the atoms and summed term by term in
+order, with the array contract whose one home is ``util``: a scalar call is
+the same pass on one point, the ∞ marker sits at an atom, and ∞ is ±inf in a
+real array and inf+0j in a complex one.  Boundary recovery
 (α, β, atoms, densities) uses geometric ladders with Richardson
 extrapolation.  The zeros that bound Γ(f) and the roots of the Boole and
 pushforward identities come from secular-matrix seeds, each sign-bracketed
@@ -29,7 +30,7 @@ import numpy as np
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL, SigmaDescriptor,
                       cantor_levels, complement_ends, number_from_json, regularize)
 from .util import (BRACKET, RecoveryError, RootBracketError, branch_roots, excess,
-                   ladder_limit, quotient, root_radii)
+                   ladder_limit, points, quotient, root_radii, shaped)
 
 __all__ = [
     "Measure", "NevanlinnaRep", "SigmaDescriptor", "AnalysisResult",
@@ -115,20 +116,15 @@ def _log_ratios(z, l, r):
     line = z.imag == 0
     off = np.where(line, l - 1.0 + 1j, z)
     return np.where(line, _log_ratios(np.where(line, z.real, l - 1.0), l, r),
-                    np.log(quotient(off - r, off - l)))
+                    np.log(quotient(off - r, off - l)[0]))
 
 
-def _poles(den):
-    # the rows of den (points × atoms) with a zero, which is set to 1 (their values are set apart)
-    hit = den == 0
-    if np.count_nonzero(hit):
-        den[hit] = 1.0
-        return hit.any(axis=1)
-
-
-def _off_supports(z, skip, ls, rs):
-    """The array z as a column against the supports [l, r], the points of ``skip``
-    moved off each to l − 1; ValueError at the first other real point inside one."""
+def _off_supports(z, ls, rs, *skipped):
+    """The array z as a column against the supports [l, r], the points of the
+    ``skipped`` masks (None for none) moved off each to l − 1; ValueError at
+    the first other real point inside one."""
+    skip = [m for m in skipped if m is not None]
+    skip = np.logical_or.reduce(skip) if skip else None
     real = z.imag == 0 if skip is None else (z.imag == 0) & ~skip
     x = z[:, None]
     inside = real[:, None] & (ls <= x.real) & (x.real <= rs)
@@ -137,15 +133,6 @@ def _off_supports(z, skip, ls, rs):
         raise ValueError(f"real evaluation at {float(z.real[k])} inside the density "
                          f"support [{float(ls[i])}, {float(rs[i])}]")
     return x if skip is None else np.where(skip[:, None], ls - 1.0, x)
-
-
-def _point_or_array(val, pole, z):
-    # an evaluator's result: the array in z's shape, or the value at the one
-    # point z, a complex for a complex z and a float at a real z or the ∞ marker
-    if isinstance(z, np.ndarray):
-        return val.reshape(z.shape)
-    marker = pole is not None and pole[0]
-    return complex(val[0]) if isinstance(z, complex) and not marker else float(val[0].real)
 
 
 def interval_entries(entries, value_key: str, field: str, half_line: bool = False) -> tuple:
@@ -202,34 +189,30 @@ class NevanlinnaRep:
     def eval(self, z):
         """Value at z, or at each point of an ndarray z in its shape.
 
-        The ∞ marker at an atom; at ∞ (±inf in a real array), ∞ when α > 0
-        and β − m₁ otherwise.  A complex point is evaluated in complex
-        arithmetic even on the real line, a real one in real arithmetic; a
-        real point inside a density's support raises ValueError."""
-        z_ = np.ravel(z)
-        cplx = z_.dtype.kind == "c"
-        inf = None if cplx or not np.isinf(z_).any() else np.isinf(z_)
-        z_ = z_ if cplx else np.where(inf, 0.0, z_) if inf is not None else z_.astype(float)
+        The ∞ marker at an atom; at ∞ (±inf in a real array, inf+0j in a
+        complex one), ∞ when α > 0 and β − m₁ otherwise.  A complex point is
+        evaluated in complex arithmetic even on the real line, a real one in
+        real arithmetic; a real point inside a density's support raises
+        ValueError."""
+        z_, inf = points(z)
         ts, ws, *_ = self._atoms
         val, pole = self.alpha * z_ + self.beta, None
         if ts.size:
             # αz + β, then the atoms' terms, summed in order
             terms = np.empty((z_.size, ts.size + 1), dtype=z_.dtype)
             terms[:, 0] = val
-            den = ts - z_[:, None]
-            pole = _poles(den)
-            num = ws * (1.0 + z_[:, None] * ts)
-            terms[:, 1:] = quotient(num, den)
+            terms[:, 1:], hit = quotient(ws * (1.0 + z_[:, None] * ts), ts - z_[:, None])
             val = np.add.accumulate(terms, axis=1)[:, -1]
+            pole = None if hit is None else hit.any(axis=1)
         if self.rho.ac:
-            val = self._densities(z_, val, [m for m in (pole, inf) if m is not None])
+            val = self._densities(z_, val, pole, inf)
         if pole is not None:
             val[pole] = INF
         if inf is not None:
-            val[inf] = INF if self.alpha > 0 else self.value_at_inf()
-        return _point_or_array(val, pole, z)
+            val[inf] = self.value_at_inf()
+        return shaped(val, z)
 
-    def _densities(self, z, val, skipped):
+    def _densities(self, z, val, *skipped):
         """val plus each density's d(z(r − l) + (1 + z²)·log((z−r)/(z−l))), in
         one pass, summed in order, leaving the ``skipped`` masks aside.  With
         h, m and u = h/(z − m) as in :func:`_density_terms`, the bracket is
@@ -237,7 +220,7 @@ class NevanlinnaRep:
         cancels like |z|² far from the support, the series not at all; past
         |z| = 1e150 its brackets come from :func:`_huge_brackets`."""
         ls, rs, ds = self._ac
-        z = _off_supports(z, np.logical_or.reduce(skipped) if skipped else None, ls, rs)
+        z = _off_supports(z, ls, rs, *skipped)
         h = 0.5 * (rs - ls)
         w = (z - ls) - h  # near a support far from 0, z − m is off by m's rounding
         far = np.abs(w) >= 2.0 * h
@@ -430,19 +413,22 @@ def recover_atom(f, t0: float) -> float:
 
 def cauchy_transform(mu: Measure, z):
     """G_μ(z) = ∫ dμ(t)/(z−t), atoms and constant densities, in one pass over
-    the points (a scalar z is the pass on one point); ∞ at an atom."""
+    the points (a scalar z is the pass on one point); the ∞ marker at an
+    atom, and 0 at ∞."""
     ts, ws = np.array(mu.atoms, dtype=float).reshape(-1, 2).T
-    x = np.ravel(z)
-    den = ts - x[:, None]
-    pole = _poles(den)
-    val = 0.0 + (-ws / den).sum(axis=1)  # a sum of −0.0 reads 0.0
+    x, inf = points(z)
+    terms, hit = quotient(-ws, ts - x[:, None])
+    val = 0.0 + terms.sum(axis=1)  # a sum of −0.0 reads 0.0
+    pole = None if hit is None else hit.any(axis=1)
     if mu.ac:
         ls, rs, ds = np.array(mu.ac).T
         # ∫_l^r d/(z−t) dt = d log((z−l)/(z−r))
-        val += (ds * -_log_ratios(_off_supports(x, pole, ls, rs), ls, rs)).sum(axis=1)
+        val += (ds * -_log_ratios(_off_supports(x, ls, rs, pole, inf), ls, rs)).sum(axis=1)
     if pole is not None:
         val[pole] = INF
-    return _point_or_array(val, pole, z)
+    if inf is not None:
+        val[inf] = 0.0
+    return shaped(val, z)
 
 
 def boole_superlevel_measure(mu: Measure, y: float):
@@ -513,11 +499,26 @@ def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
 # roots on the branches of Ω, seeded from secular matrices
 
 
-def _seed_level(y, ts, mass):
-    """A level, y or above, at which eigvalsh's error on the secular matrix of
-    Σ w/(t − x) = ±level over sorted atoms ts, about n·eps·mass/level, is at
-    most 1e-4 of the narrowest gap: the bounded roots hardly move below it."""
-    return max(y, 1e4 * len(ts) * _EPS * mass / (ts[1:] - ts[:-1]).min(initial=INF).item())
+def _secular_seeds(ts, ws, mass, shifts):
+    """Seeds for the roots of Σ w/(t − x) = −s over sorted atoms ts with
+    weights ws of sum ``mass``, one row for each s in ``shifts``: the
+    eigenvalues of diag(t) ± zzᵀ (the sign of s), z = √(w/|v|), at a level
+    v = ±max(|s|, n·1e4·eps·mass/(the narrowest gap)), where eigvalsh's
+    error leaves the gaps between atoms apart (v = 1 for s = 0).  The outer
+    seed, near ±mass/v, moves out to ±mass/|s|.  z takes w/|v| first, as
+    the products w·w overflow for weights past 1.3e154."""
+    floor = 1e4 * len(ts) * _EPS * mass / (ts[1:] - ts[:-1]).min(initial=INF).item()
+    rows, moves = [], []
+    for s in shifts:
+        v = math.copysign(max(abs(s), floor), s) if s else 1.0
+        with np.errstate(over="ignore"):  # a lone atom has no gap to floor v: its seed may be inf
+            z = np.sqrt(ws / abs(v))
+        rows.append(np.diag(ts) + math.copysign(1.0, v) * np.outer(z, z))
+        moves.append(mass / s - mass / v if s else 0.0)
+    seeds = np.linalg.eigvalsh(np.stack(rows))
+    for row, s, move in zip(seeds, shifts, moves):
+        row[0 if s < 0 else -1] += move
+    return seeds
 
 
 def _boole_roots(ts, ws, y: float):
@@ -529,14 +530,7 @@ def _boole_roots(ts, ws, y: float):
     if not (math.isfinite(ts[0] - reach) and math.isfinite(ts[-1] + reach)):
         raise ValueError(f"y = {y} is too small: the outer roots' brackets reach "
                          f"2μ(R)/y = {reach:.3g} past the atoms, out of the float range")
-    level = _seed_level(y, ts, mass)
-    z = np.sqrt(ws / level)
-    rank_one = np.outer(z, z)
-    diag = np.diag(ts)
-    seeds = np.linalg.eigvalsh(np.stack((diag + rank_one, diag - rank_one)))
-    shift = mass / y - mass / level  # the outer seeds, near ±μ(R)/y, move out to y
-    seeds[0, -1] += shift
-    seeds[1, 0] -= shift
+    seeds = _secular_seeds(ts, ws, mass, (y, -y))
     lo = np.concatenate((ts, [ts[0] - reach], ts[:-1]))
     hi = np.concatenate((ts[1:], [ts[-1] + reach], ts))
     # the summands of −G_μ, which increases between atoms, times 4^m ≈ 1/y,
@@ -600,7 +594,7 @@ def _huge_brackets(z, h, m, w):
 # S(v) = Σ_k≥1 v^k/(2k+1) = v·polyval(_ARTANH, v), so that artanh(u) = u + u·S(u²);
 # 26 terms reach one ulp at |v| ≤ 1/4
 _ARTANH = 1.0 / np.arange(53.0, 2.0, -2.0)
-_FMAX = np.finfo(float).max
+_FMAX = float(np.finfo(float).max)
 _EPS = float(np.finfo(float).eps)
 _HUGE = 1e150  # past it, the density brackets avoid z² (see _huge_brackets)
 
@@ -640,8 +634,9 @@ def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
     the kernel w(1+xt)/(t−x) rounds a −w·t into every term, which drowns the
     slope at a far zero), the integral at most K = ∫(1+t²)dρ over the
     distance.  With u = √(w(1+t²)), atomic ρ is seeded by the eigenvalues of
-    [[diag t, u/√α], [uᵀ/√α, (target − β′)/α]] (α > 0) or of
-    diag(t) + uuᵀ/(β′ − target) (α = 0), densities by midpoints; a ρ whose
+    [[diag t, u/√α], [uᵀ/√α, (target − β′)/α]] (α > 0) or, as Boole's
+    roots, of diag(t) + uuᵀ/(β′ − target) (α = 0, :func:`_secular_seeds`),
+    densities by midpoints; a ρ whose
     K, far brackets or exact sums overflow is refused.  ``util.branch_roots``
     certifies a seed and takes its last step from one table of f at it and
     at its bracket's ends, and tables it again from that step (every
@@ -692,15 +687,9 @@ def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
         seeds = np.linalg.eigvalsh(arrow).ravel()
     else:
         # the root past the support is the top eigenvalue when β′ > target
-        # and the bottom one otherwise, which goes last; seeded at _seed_level
-        level = [math.copysign(_seed_level(abs(s), ts, big_k), s) if s else 1.0 for s in shifts]
-        with np.errstate(over="ignore"):  # as the reach above
-            seeds = np.linalg.eigvalsh(np.diag(ts) + np.sqrt(np.outer(u2, u2))
-                                       / np.array(level)[:, None, None])
-        seeds = np.concatenate([np.roll(row, -1) if s < 0 else row
-                                for row, s in zip(seeds, shifts)])
-        seeds[n_arcs - 1::n_arcs] += [big_k / s - big_k / v if abs(v) > abs(s) > 0 else 0.0
-                                      for s, v in zip(shifts, level)]
+        # and the bottom one otherwise, which goes last
+        seeds = np.concatenate([np.roll(row, -1) if s < 0 else row for row, s in
+                                zip(_secular_seeds(ts, u2, big_k, shifts), shifts)])
 
     beta_a = _exact_offset(rep.beta, ws, ts, ac)
     # rounding bounds in eps: αx and β′, the atoms, each density's three summands

@@ -1,11 +1,17 @@
 """Shared numeric helpers: ``branch_roots``, the one root kernel behind Γ(f),
 Boole, Letac and black-box Γ (certified roots of increasing functions, one
 per branch, and a narrower certified radius on request), Richardson
-ladders, low-discrepancy grids, and the complex quotient of the evaluators.
+ladders, low-discrepancy grids, and the evaluators' array contract.
 
-Complex arithmetic is numpy's own: a scalar call of an evaluator is its
-array pass on one point, so an array value equals the scalar one bit for
-bit by construction, whatever numpy's last bit is."""
+The contract has one home here.  Every evaluator (p_J, k_O, the Nevanlinna
+representation and its Cauchy transform, e^h, the composite, the Möbius
+and Cayley maps) reads z's points with :func:`points`, so that ∞ is ±inf
+in a real array and inf+0j in a complex one; divides with
+:func:`quotient`, which puts the ∞ marker math.inf where a denominator is
+0; and returns :func:`shaped` values.  Complex arithmetic is numpy's own:
+a scalar call of an evaluator is its array pass on one point, so an array
+value equals the scalar one bit for bit by construction, whatever numpy's
+last bit is."""
 
 from __future__ import annotations
 
@@ -250,14 +256,48 @@ def frozen(a):
     return a
 
 
+def points(z):
+    """(pts, inf): the points of z as a flat array, floats for a real z and
+    complexes for a complex one, with ∞ (±inf in a real array, inf+0j in a
+    complex one) read as 0, and the mask of ∞, None where no point is ∞."""
+    pts = np.ravel(z)
+    pts = pts if pts.dtype.kind == "c" else pts.astype(float, copy=False)
+    inf = np.isinf(pts.real)
+    if pts.dtype.kind == "c" and np.count_nonzero(inf):
+        inf &= pts.imag == 0
+    if not np.count_nonzero(inf):
+        return pts, None
+    return np.where(inf, 0.0, pts), inf
+
+
 def quotient(num, den):
-    """num/den for arrays, den nonzero everywhere, by numpy's division; where
-    its scaled reciprocal of a tiny den leaves the float range, the quotients
-    it leaves non-finite are divided again by CPython's Smith division."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """(num/den, zero) for arrays by numpy's division, with the ∞ marker
+    math.inf where den is 0 and ``zero`` marking those (None where no den
+    is 0); where numpy's scaled reciprocal of a tiny den leaves the float
+    range, the quotients it leaves non-finite are divided again by CPython's
+    Smith division.  Both cases are found from the one finiteness check."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = num / den
-    if not np.isfinite(out).all():
-        bad = ~np.isfinite(out)
-        nums, dens = np.broadcast_to(num, out.shape)[bad], np.broadcast_to(den, out.shape)[bad]
-        out[bad] = [x / y for x, y in zip(nums.tolist(), dens.tolist())]
-    return out
+    if np.isfinite(out).all():
+        return out, None
+    bad = ~np.isfinite(out)
+    dens = np.broadcast_to(den, out.shape)
+    zero = bad & (dens == 0)
+    bad &= ~zero
+    nums = np.broadcast_to(num, out.shape)[bad]
+    out[bad] = [x / y for x, y in zip(nums.tolist(), dens[bad].tolist())]
+    out[zero] = math.inf
+    return out, zero if zero.any() else None
+
+
+def shaped(values, z, line=False):
+    """An evaluator's values at the points of z: in z's shape for an ndarray
+    z; at one point, the value as a complex where the values are complex,
+    unless it is the ∞ marker, or ``line`` says that the evaluator takes a
+    point of the real line in real arithmetic and z is one; else a float."""
+    if isinstance(z, np.ndarray):
+        return values.reshape(z.shape)
+    v = values.item(0)
+    if isinstance(v, complex) and v != math.inf and not (line and z.imag == 0):
+        return v
+    return float(v.real)

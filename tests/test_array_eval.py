@@ -18,8 +18,8 @@ from halfplane.interp import disk_interpolate
 from halfplane.krein import (REAL_GUARD, EvaluationDomainError, KreinProduct,
                              TailNotCertified, cantor_complement_product, log_p,
                              p_eval)
-from halfplane.moebius import cayley, disk_target_map
-from halfplane.nevanlinna import Measure, NevanlinnaRep
+from halfplane.moebius import HalfPlaneAuto, cayley, disk_target_map
+from halfplane.nevanlinna import Measure, NevanlinnaRep, cauchy_transform
 
 from test_krein import _mp_krein, chained_arcsets
 
@@ -259,8 +259,8 @@ class TestMasks:
 def evaluators():
     k = KreinProduct(normalize([Arc(INF, -3.0), Arc(-1.0, 0.5), Arc(1.0, 2.0)]))
     gen = KreinProduct(normalize([Arc(2.0, 3.0)]), CantorComplement((0, 1), 26), tol=1e-2)
-    rep = NevanlinnaRep(0.5, -0.3, Measure(atoms=((-1.0, 0.7), (2.0, 1.1)),
-                                           ac=((3.0, 4.0, 0.5),)))
+    mu = Measure(atoms=((-1.0, 0.7), (2.0, 1.1)), ac=((3.0, 4.0, 0.5),))
+    rep = NevanlinnaRep(0.5, -0.3, mu)
     e = ExpRep(0.2, ((-5.0, -4.0, 0.3), (4.5, INF, 0.6)))
     comp = CompositeFunction(1.5, KreinProduct(normalize([Arc(0.0, 1.0)])), e)
     theta = disk_interpolate([1.0 + 0j], [-1.0 + 0j], [], -1.0, 1.0, 1j)
@@ -269,7 +269,9 @@ def evaluators():
             "rep function": RepFunction(rep), "exponent": e.h, "exp": e,
             "composite": comp, "disk map": m, "disk inverse": m.inverse_apply,
             "disk interpolant": theta, "p_eval": lambda z: p_eval(Arc(1.0, 2.0), z),
-            "log_p": lambda z: log_p(Arc(1.0, 2.0), z)}
+            "log_p": lambda z: log_p(Arc(1.0, 2.0), z),
+            "cauchy transform": lambda z: cauchy_transform(mu, z),
+            "half-plane map": HalfPlaneAuto(2.0, 1.0, -1.0, 3.0)}
 
 
 @pytest.mark.parametrize("name", sorted(evaluators()))
@@ -338,3 +340,13 @@ def test_markers_keep_scalar_types():
     m = cayley(1j)
     assert m(INF) == 1 and type(m(INF)) is complex
     assert m.inverse_apply(1.0 + 0j) == INF
+    # ∞ is inf+0j at a complex point, as ±inf at a real one
+    z = complex(INF, 0.0)
+    assert same(k(z), k(INF)) and same(m(z), m(INF))
+    assert type(rep.eval(z)) is float and rep.eval(z) == INF
+    rep0 = NevanlinnaRep(0.0, 0.5, Measure(atoms=((-1.0, 1.0), (2.0, 0.5))))
+    assert same(rep0.eval(z), complex(rep0.value_at_inf()))
+    assert same(complex(rep0.eval(np.array([z]))[0]), complex(rep0.eval(np.array([INF]))[0]))
+    assert p_eval(Arc(INF, 0.0), z) == INF and type(p_eval(Arc(INF, 0.0), z)) is float
+    assert same(p_eval(Arc(0.0, 1.0), z), complex(p_eval(Arc(0.0, 1.0), INF)))
+    assert same(cauchy_transform(rep0.rho, z), 0j)

@@ -177,6 +177,16 @@ class TestFactor:
         assert code == 0
         assert rep["constant_residual"] <= 1e-9
 
+    @pytest.mark.parametrize("weight", [1e155, 1e160, 1e200])
+    def test_huge_atom_weights_certify(self, tmp_path, capsys, weight):
+        # α = 0: the root seeds' matrix overflowed past u² = w(1 + t²) ≈ 1.3e154
+        # ("input error: Eigenvalues did not converge", exit 2)
+        spec = write_spec(tmp_path, "f.json", {"nevanlinna": {
+            "beta": 0.5, "atoms": [[-1, weight], [0, weight], [2, weight]]}})
+        code, out = run(capsys, ["factor", "--spec", spec])
+        assert code == 0
+        assert all(c["pass"] for c in json.loads(out)["certifications"])
+
     def test_wrap_product_reads_as_its_representation(self, tmp_path, capsys):
         # k over (−∞, 0) ∪ (1, ∞) is p_(1,0) = √2/2·(1+z)/(1−z) − √2/2, finite
         # and negative at ∞: both forms report σ = {1} and Γ = (1, 0) through ∞
@@ -330,6 +340,10 @@ class TestCheck:
 
     def test_unknown_suite(self, capsys):
         assert main(["check", "--suite", "nope"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: unknown suite 'nope'; choose from ('krein-props', "
+            "'nevanlinna-roundtrip', 'boole', 'letac', 'factor-posts', "
+            "'interp-equivalence')\n")
 
 
 # each flag a command never reads, with a value it would take; a Cantor
@@ -361,6 +375,14 @@ class TestErrors:
             main(argv + [flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "factor", "solve"])
+    def test_missing_spec_names_the_flag(self, command, capsys):
+        # it reached open(None): "expected str, bytes or os.PathLike object"
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --spec" in capsys.readouterr().err
 
     def test_unknown_field(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "bad.json",

@@ -583,6 +583,8 @@ class TestSecularKernel:
             assert factorize(RepFunction(rep)).ok
             assert main(["factor", "--spec", str(path)]) == 0
         assert not calls
+        # a zero at ∞ had a numpy.float64 radius, every other one a float
+        assert all(type(e) is float and type(r) is float for e, r in zeros)
         ts = sorted(t for t, _ in atoms)
         for x in [x for x, _ in zeros if x != INF]:
             left = max((t for t in ts if t < x), default=None)
@@ -590,6 +592,23 @@ class TestSecularKernel:
             # far out the summands cancel like |x|: carry its digits too
             assert_certified_root(mp_rep(rep), x, left, right,
                                   dps=50 + 2 * int(math.log10(max(1.0, abs(x)))))
+
+    @pytest.mark.parametrize("weight", [1e150, 1e155, 1e160, 1e200])
+    def test_huge_weights_seed_in_float_range(self, weight):
+        # α = 0: the seeds' matrix held √(u²·u²) for u² = w(1 + t²), which
+        # overflows past u² ≈ 1.3e154 ("Eigenvalues did not converge");
+        # Boole's form √(u²/level) does not
+        atoms = ((-1.0, weight), (0.0, weight), (2.0, weight))
+        rep = NevanlinnaRep(0.0, 0.5, Measure(atoms=atoms))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zeros = analyze(rep).zeros
+        assert len(zeros) == 3
+        ts = [t for t, _ in atoms]
+        for x, _ in zeros:
+            left = max((t for t in ts if t < x), default=None)
+            right = min((t for t in ts if t > x), default=None)
+            assert_certified_root(mp_rep(rep), x, left, right)
 
     def test_bad_seeds_are_bisected(self, monkeypatch):
         # every seed at the right end of its branch: the secant steps from
