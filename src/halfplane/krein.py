@@ -375,6 +375,7 @@ class KreinProduct:
         return self._eval(z, depth, True)
 
     def _eval(self, z, depth, strict):
+        # ∞ lies on the line, so only _on_line reads it (util.points)
         pts = np.ravel(z)
         pts = pts if pts.dtype.kind == "c" else pts.astype(float)
         # a scalar tells by its type whether it lies off the real line

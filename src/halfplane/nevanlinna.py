@@ -636,8 +636,8 @@ def _component_roots(rep: NevanlinnaRep, targets, support, radii=False):
     distance.  With u = √(w(1+t²)), atomic ρ is seeded by the eigenvalues of
     [[diag t, u/√α], [uᵀ/√α, (target − β′)/α]] (α > 0) or, as Boole's
     roots, of diag(t) + uuᵀ/(β′ − target) (α = 0, :func:`_secular_seeds`),
-    densities by midpoints; a ρ whose
-    K, far brackets or exact sums overflow is refused.  ``util.branch_roots``
+    densities by midpoints; a ρ whose K, far brackets or exact sums
+    overflow is refused.  ``util.branch_roots``
     certifies a seed and takes its last step from one table of f at it and
     at its bracket's ends, and tables it again from that step (every
     midpoint seed) where that fails."""
