@@ -21,18 +21,23 @@ points, and an array is evaluated in one pass over points × arcs in numpy's
 own arithmetic.  A scalar call is that pass on one point, so an array value
 equals the scalar call at its point bit for bit; k_O and log p_J return a
 complex off the real line, else a float, and p_J a complex at any complex
-point.  Three per-point conditions are masks of that pass: an exact real
-pole (the ∞ marker, math.inf), a real point within ``REAL_GUARD`` of a pole
-(refused: EvaluationDomainError), and the point ∞ (±inf in a real array,
-inf+0j in a complex one).
+point.  The explicit product splits the points once by the real line:
+those off it in complex arithmetic, those on it in real arithmetic, whose
+pass gives three per-point masks: an exact real pole (the ∞ marker,
+math.inf), a real point within ``REAL_GUARD`` of a pole (refused:
+EvaluationDomainError), and the point ∞ (±inf in a real array, inf+0j in a
+complex one).
 
 A Cantor-complement generator contributes the factors of its middle thirds
 (b, a) down to a depth d.  Since every factor has |p_J(i)| = 1, their
 product is R_d(z)/|R_d(i)| with R_d(z) = ∏ (z−a)/(z−b); R_d is reduced
 pairwise, in blocks of a fixed size, from the factors' deviations from 1,
-one point at a time.  Generator tails carry a certified bound derived from
-|v_J(z)| ≤ len(J)·sup_J |1/(t−z) − t/(1+t²)|; the depth grows until the
-tail of the whole value, explicit factor included, is within tolerance.
+one point at a time, in grid order, at each point the explicit pass leaves
+unmarked: where it put the ∞ marker (an exact pole, and ∞ where σ holds it)
+the marker stays, with tail 0.  Generator tails carry a certified bound
+derived from |v_J(z)| ≤ len(J)·sup_J |1/(t−z) − t/(1+t²)|; the depth grows
+until the tail of the whole value, explicit factor included, is within
+tolerance.
 """
 
 from __future__ import annotations
@@ -132,51 +137,40 @@ class _Factors:
             out.real, out.imag = np.ldexp(out.real, power), np.ldexp(out.imag, power)
         return out
 
-    def product(self, pts, n_off=None):
-        """(∏ p_J in order, pole, near) at the points of a flat array, those
-        off the real line in complex arithmetic, the others in real; ``pole``
-        marks the ∞ marker at an exact pole, ``near`` a real point within
-        REAL_GUARD of a pole, each None when empty.  ``n_off`` is the number
-        of points off the line, if known."""
-        if pts.dtype.kind != "c":
-            return self._on_line(pts)
-        n_off = np.count_nonzero(pts.imag) if n_off is None else n_off
-        if n_off == pts.size:
-            vals = self.columns(pts)[0]
+    def product(self, pts):
+        """(∏ p_J in order, pole, near) at the points of a flat array, split
+        once by the real line: those off it in complex arithmetic, where a
+        product past the float range is multiplied out again, and those on it,
+        ∞ included (``util.points``), in real arithmetic.  ``pole`` marks the
+        ∞ marker at an exact pole, ``near`` a real point within REAL_GUARD of
+        a pole."""
+        off = pts.imag != 0
+        n_off = np.count_nonzero(off)
+        out = np.empty(pts.size, dtype=pts.dtype)
+        pole, near = np.zeros(pts.size, dtype=bool), np.zeros(pts.size, dtype=bool)
+        if n_off:
+            part = off if n_off < pts.size else slice(None)  # a slice takes a view
+            z = pts[part]
             # a factor or a partial product past the float range turns into
             # inf or NaN parts; only those points are multiplied out again
             with np.errstate(invalid="ignore", over="ignore"):
-                out = np.multiply.reduce(vals, axis=1, initial=1 + 0j)
-            big = ~np.isfinite(out)
-            if big.any():
-                out[big] = self._scaled_product(pts[big])
-            return out, None, None
-        off = pts.imag != 0
-        out, pole, near = self._on_line(pts.real[~off])
-        if n_off == 0:
-            return out.astype(complex), pole, near
-        full = np.empty(pts.size, dtype=complex)
-        full[off], full[~off] = self.product(pts[off], n_off)[0], out
-        return full, _spread(pole, ~off), _spread(near, ~off)
-
-    def _on_line(self, x):
-        vals, poles = self.columns(*points(x))
-        pole = None if poles is None else poles.any(axis=1)
-        if pole is not None:
-            vals[pole] = 1.0  # the ∞ marker goes in after the product
-        out = np.multiply.reduce(vals, axis=1, initial=1.0)
-        near = (np.abs(x[:, None] - self.poles) < REAL_GUARD).any(axis=1)
-        if pole is not None:
-            out[pole], near = INF, near & ~pole
-        return out, pole, near if np.count_nonzero(near) else None
-
-
-def _spread(mask, where):
-    # a mask over the points of ``where`` as one over all points
-    if mask is not None:
-        full = np.zeros(where.size, dtype=bool)
-        full[where] = mask
-        return full
+                v = np.multiply.reduce(self.columns(z)[0], axis=1, initial=1 + 0j)
+            big = ~np.isfinite(v)
+            if np.count_nonzero(big):
+                v[big] = self._scaled_product(z[big])
+            out[part] = v
+        if n_off < pts.size:
+            part = ~off if n_off else slice(None)
+            x = pts.real[part]
+            vals, poles = self.columns(*points(x))
+            if poles is not None:
+                pole[part] = at = poles.any(axis=1)
+                vals[at] = 1.0  # the ∞ marker goes in after the product
+            out[part] = np.multiply.reduce(vals, axis=1, initial=1.0)
+            near[part] = (np.abs(x[:, None] - self.poles) < REAL_GUARD).any(axis=1)
+            if poles is not None:
+                out[pole], near = INF, near & ~pole
+        return out, pole, near
 
 
 @functools.lru_cache(maxsize=64)
@@ -207,7 +201,7 @@ def p_eval(j, z):
     """
     j = _single_arc(j)
     if j is None:
-        return np.ones(np.shape(z)) if isinstance(z, np.ndarray) else 1.0
+        return shaped(np.ones_like(points(z)[0]), z)
     return shaped(_factors((j,)).columns(*points(z))[0][:, 0], z)
 
 
@@ -223,7 +217,7 @@ def log_p(j, z):
     """
     j = _single_arc(j)
     if j is None:
-        return np.zeros(np.shape(z)) if isinstance(z, np.ndarray) else 0.0
+        return shaped(np.zeros_like(points(z)[0]), z, line=True)
     return shaped(log_factors((j,), z)[0][..., 0], z, line=True)
 
 
@@ -252,27 +246,6 @@ def log_factors(arcs, z, strict: bool = True):
         x = float(pts[np.argmax(refused)].real)
         raise EvaluationDomainError(f"p_J({x}) is not positive")
     return logs.reshape(np.shape(z) + (table.n,)), refused.reshape(np.shape(z))
-
-
-def _locate_gap(base, cap_depth: int, x: float):
-    """(gb, ga, level) of the removed middle third containing x, found by
-    walking the construction; fails when x is not in a gap within the cap."""
-    lo, hi = base
-    if not lo < x < hi:
-        raise EvaluationDomainError(f"{x} lies on the generator's Cantor set: "
-                                    f"it is an end of the base interval [{lo}, {hi}]")
-    for level in range(1, cap_depth + 1):
-        third = (hi - lo) / 3.0
-        gb, ga = lo + third, hi - third
-        if gb < x < ga:
-            return gb, ga, level
-        if x <= gb:
-            hi = lo + third
-        else:
-            lo = hi - third
-    raise EvaluationDomainError(
-        f"{x} is within the un-enumerated part of the generator "
-        f"(no gap found down to depth {cap_depth})")
 
 
 def _cantor_majorant(base, z, gap) -> float:
@@ -375,29 +348,21 @@ class KreinProduct:
         return self._eval(z, depth, True)
 
     def _eval(self, z, depth, strict):
-        # ∞ lies on the line, so only _on_line reads it (util.points)
         pts = np.ravel(z)
         pts = pts if pts.dtype.kind == "c" else pts.astype(float)
-        # a scalar tells by its type whether it lies off the real line
-        n_off = None if isinstance(z, np.ndarray) else int(isinstance(z, complex) and z.imag != 0)
-        values, pole, near = self._table.product(pts, n_off)
-        refused = near
-        if self.cantor is None:
-            tails = np.zeros(pts.size)
-        else:
-            # one point at a time from the explicit factor's value: an exact
-            # pole keeps the ∞ marker before any gap lookup
-            tails = [0.0] * pts.size
-            values, refused = values.tolist(), ([False] * pts.size if near is None
-                                                else near.tolist())
-            skip = [False] * pts.size if pole is None else pole.tolist()
-            for k, point in enumerate(pts.tolist()):
-                if refused[k] and strict:
-                    break
-                if skip[k] or refused[k]:
-                    continue
-                value = values[k]
-                if isinstance(point, complex) and point.imag == 0:
+        values, pole, refused = self._table.product(pts)
+        tails = np.zeros(pts.size)
+        if self.cantor is not None:
+            # the ∞ marker stays where the explicit pass put it: at an exact
+            # pole, and at ∞ where σ holds it
+            if self.structure.sigma.has_inf:
+                pole |= np.isinf(pts.real) & (pts.imag == 0)
+            # the generator runs in grid order on the other points; a strict
+            # call stops at the first refusal
+            stop = np.argmax(refused) if strict and np.count_nonzero(refused) else pts.size
+            for k in np.flatnonzero(~(pole | refused)[:stop]).tolist():
+                point, value = pts.item(k), values.item(k)
+                if not point.imag:
                     point, value = point.real, value.real
                 try:
                     values[k], tails[k] = self._generator(value, point, depth)
@@ -405,9 +370,7 @@ class KreinProduct:
                     if strict:
                         raise
                     refused[k] = True
-            refused = np.array(refused) if any(refused) else None
-            values, tails = np.array(values, dtype=pts.dtype), np.array(tails)
-        if refused is not None:
+        if np.count_nonzero(refused):
             if strict:
                 raise self._near_pole(float(pts[np.argmax(refused)].real))
             values[refused], tails[refused] = np.nan, INF
@@ -487,14 +450,29 @@ def _merged_ends(o: ArcSet) -> tuple:
 
 def _gap(base, cap_depth: int, z):
     """(gap, level) of the removed middle third holding a real z inside the
-    base, off its guard band; (None, 0) for any other point."""
-    if isinstance(z, complex) or not base[0] <= z <= base[1]:
+    base, off its guard band; (None, 0) for any other point.  The walk down
+    the construction ends at the cap, or past the first level whose gaps are
+    narrower than 2·REAL_GUARD: no deeper gap holds a point off its band."""
+    lo, hi = base
+    if isinstance(z, complex) or not lo <= z <= hi:
         return None, 0
-    gb, ga, level = _locate_gap(base, cap_depth, z)
-    if min(z - gb, ga - z) < REAL_GUARD:
-        raise EvaluationDomainError(f"{z} is within the guard distance of "
-                                    "a gap endpoint")
-    return (gb, ga), level
+    if z in (lo, hi):
+        raise EvaluationDomainError(f"{z} lies on the generator's Cantor set: "
+                                    f"it is an end of the base interval [{lo}, {hi}]")
+    level = 0
+    for level in range(1, cap_depth + 1):
+        third = (hi - lo) / 3.0
+        gb, ga = lo + third, hi - third
+        if gb < z < ga:
+            if min(z - gb, ga - z) < REAL_GUARD:
+                raise EvaluationDomainError(f"{z} is within the guard distance of "
+                                            "a gap endpoint")
+            return (gb, ga), level
+        if third < 2 * REAL_GUARD:
+            break
+        lo, hi = (lo, gb) if z <= gb else (ga, hi)
+    raise EvaluationDomainError(f"{z} lies in no gap of the generator off its guard band "
+                                f"down to depth {level}")
 
 
 # levels of the unit gap table.  A block of 2^_FINE_LEVELS factors is the

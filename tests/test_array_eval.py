@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfplane import krein
-from halfplane.extreal import Arc, CantorComplement, INF, normalize
+from halfplane.extreal import Arc, CantorComplement, EMPTY, INF, normalize
 from halfplane.factor import CompositeFunction, ExpRep, RepFunction
 from halfplane.interp import disk_interpolate
 from halfplane.krein import (REAL_GUARD, EvaluationDomainError, KreinProduct,
@@ -222,6 +222,20 @@ class TestMasks:
         with pytest.raises(EvaluationDomainError, match="0.0 lies on the generator's Cantor set"):
             k(np.array(zs))
 
+    def test_generator_keeps_the_marker_at_infinity(self):
+        # the explicit arc has its pole at ∞: there the ∞ marker stands with
+        # tail 0, as at an exact real pole, and the generator does not run
+        k = KreinProduct(normalize([Arc(INF, -1.0)]), CantorComplement((0, 1), 26), tol=1e-2)
+        for z in (INF, complex(INF, 0.0)):
+            value, tail = k.eval(z)
+            assert same(value, INF) and same(tail, 0.0)
+        for zs in (np.array([-1.0, INF, 3.0]), np.array([-1.0, INF, 3.0], dtype=complex)):
+            values, tails = k.eval(zs)
+            assert values[1] == INF and tails[1] == 0.0
+            for z, v, t in zip(zs.tolist(), values.tolist(), tails.tolist()):
+                value, tail = k.eval(z)
+                assert same(type(v)(value), v) and same(tail, t)
+
     def test_composite_refuses_on_pieces_not_at_poles(self):
         # the piece (−1, 0) meets O = (0, 1) at O's pole end
         f = CompositeFunction(2.0, KreinProduct(normalize([Arc(0.0, 1.0)])),
@@ -350,3 +364,9 @@ def test_markers_keep_scalar_types():
     assert p_eval(Arc(INF, 0.0), z) == INF and type(p_eval(Arc(INF, 0.0), z)) is float
     assert same(p_eval(Arc(0.0, 1.0), z), complex(p_eval(Arc(0.0, 1.0), INF)))
     assert same(cauchy_transform(rep0.rho, z), 0j)
+    # p_∅ = 1 is complex at any complex point, and log p_∅ = 0 off the line
+    assert same(p_eval(EMPTY, 0.5 + 1j), 1 + 0j) and same(p_eval(EMPTY, 0.5 + 0j), 1 + 0j)
+    assert same(log_p(EMPTY, 0.5 + 1j), 0j) and same(log_p(EMPTY, 0.5 + 0j), 0.0)
+    assert same(p_eval(EMPTY, 0.5), 1.0) and same(log_p(EMPTY, INF), 0.0)
+    zs = np.array([0.5 + 1j, 2.0])
+    assert p_eval(EMPTY, zs).dtype == log_p(EMPTY, zs).dtype == complex

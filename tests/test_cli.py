@@ -30,6 +30,13 @@ def run(capsys, argv):
     return code, out
 
 
+def child_env():
+    # a child process imports the same halfplane as this process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 class TestEval:
     def test_shift_boundary_row(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "f.json", {
@@ -102,6 +109,17 @@ class TestEval:
         assert flags[(0.0, 1e-9)] == flags[(1.0, 1e-9)] == "uncertified"
         assert all(flags[(x, 1e-9)] == "interior" for x in (-4.0, -3.0, 2.0, 4.0))
         assert all(math.isfinite(r[2]) for r in rows if r[4] == "interior")
+
+    def test_walk_to_a_cantor_point_ends_at_the_guard_band(self, tmp_path):
+        # 1/4 lies on the Cantor set; its walk ends where the gaps fall within
+        # the guard band, about level 19, not at the depth of 10**9
+        spec = write_spec(tmp_path, "deep.json", {
+            "krein": {"cantor": {"interval": [0, 1], "depth": 10 ** 9}, "tol": 0.01},
+            "options": {"grid": "0.25:0.25:1"}})
+        done = subprocess.run([sys.executable, "-m", "halfplane.cli", "eval", "--spec", spec],
+                              capture_output=True, text=True, env=child_env(), timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert [r[4] for r in json.loads(done.stdout)["rows"]] == ["near-sigma"]
 
     def test_product_cantor_honours_tol(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "p.json", {
@@ -797,12 +815,8 @@ class TestProcess:
         code = ("import sys, halfplane, halfplane.cli; "
                 f"assert [halfplane.cli.main(argv) for argv in {runs!r}] == [0, 0]; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        # the child imports the same halfplane as this process
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env=env).stdout
+                             text=True, check=True, env=child_env()).stdout
         assert out.strip() == "[]"
 
 

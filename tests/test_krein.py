@@ -303,19 +303,27 @@ class TestProductProperties:
         poles = [arc.b for arc in o.arcs if not is_inf(arc.b)]
         zs = np.array([complex(x, y if up else -y) for x, y, up in points])
         reals = np.array(xs + [INF, -INF] + poles + [b + 5e-10 for b in poles])
+        parts = []
         for pts in (zs, reals):
             out, pole, near = table.product(pts)
+            parts.append((out, pole, near))
             # numpy's reduction multiplies in order, one point at a time
             want = np.multiply.reduce(np.stack([p_eval(arc, pts) for arc in o.arcs], axis=1),
                                       axis=1, initial=pts.dtype.type(1))
             at_pole = np.isin(pts, poles) if pts.dtype.kind == "f" else np.zeros(pts.size, bool)
-            assert np.array_equal((pole if pole is not None else np.zeros(pts.size, bool)), at_pole)
+            assert np.array_equal(pole, at_pole)
             assert np.all(out[at_pole] == INF) and np.all(np.abs(want[at_pole]) == INF)
             assert np.array_equal(out[~at_pole].view(np.int64), want[~at_pole].view(np.int64))
             if pts.dtype.kind == "f":
                 close = (np.abs(pts[:, None] - np.array(poles + [np.nan])) < REAL_GUARD).any(axis=1)
-                got = near if near is not None else np.zeros(pts.size, bool)
-                assert np.array_equal(got, close & ~at_pole)
+                assert np.array_equal(near, close & ~at_pole)
+        # both interleaved in one complex array: each point keeps its value and
+        # masks from its own part
+        order = np.argsort(np.r_[2 * np.arange(zs.size), 2 * np.arange(reals.size) + 1])
+        mixed = np.concatenate((zs, reals.astype(complex)))[order]
+        for got, z_part, x_part in zip(table.product(mixed), *parts):
+            want = np.concatenate((z_part, x_part))[order]
+            assert got.dtype == want.dtype and np.array_equal(got.view(np.int8), want.view(np.int8))
 
 
 class TestStructure:
