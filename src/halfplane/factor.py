@@ -1,15 +1,16 @@
 """Factorization of self-maps of C⁺ into Kreĭn products times positive parts.
 
 Every nonzero f in the class factors as f = k_Γ · g where Γ is the set of
-boundary negativity of f and g is positive on its own regular boundary set;
-when the singular set of f has measure zero, g collapses to the positive
-constant |f(i)|, which is how atomic representations are factored and
-divided: f/p_J is c·k_Γ with J cut out of Γ, once c is certified.  For an
-atomic representation that certificate evaluates nothing: c is the closed
-form |β + i(α + ρ(R))|, and f/(c·k_Γ) − 1 is bounded from the radii that
-the analysis certifies around Γ's zero ends.  Composites and black boxes
-are evaluated on the 20-point grid.  Every other quotient is one black-box
-form, f/k one point at a time.
+boundary negativity of f and g is positive on its own regular boundary set.
+When the singular set of f has measure zero, g collapses to the positive
+constant |f(i)|: every such f, whatever its form, factors as c·k_Γ and is
+divided as it, f/p_J being c·k_Γ with J cut out of Γ, once c is certified.
+For an atomic representation that certificate evaluates nothing: c is the
+closed form |β + i(α + ρ(R))|, and f/(c·k_Γ) − 1 is bounded from the radii
+that the analysis certifies around Γ's zero ends.  Composites and black
+boxes are evaluated on the 20-point grid.  A composite with exponent pieces
+factors as c·e^h.  Only a σ(f) of positive measure leaves a quotient, one
+black-box form, f/k one point at a time.
 
 The function forms take a point or an ndarray of points, with the array
 contract of ``util``; ``masked(z)`` returns (values, refused) for an array,
@@ -17,10 +18,9 @@ refused marking the points a scalar call refuses.  A composite c·k_O·e^h
 is canonical once built: a ψ = 1 piece of h is an arc of O and a ψ = 0 piece
 is gone, so σ, Γ and the posts read 0 < ψ < 1 pieces only.  The posts on a
 structured g (a representation, or c·e^h) compare supports, sharing σ(f)'s
-merged support with the analysis; of them only g > 0 for a representation
-that is no constant samples g, on Ω(g).  A black-box g is sampled across
-Ω(f).  Certification grids are fixed read-only arrays, each evaluated in one
-call.
+merged support with the analysis, and read g's sign off its form.  A
+black-box g is sampled across Ω(f).  Certification grids are fixed
+read-only arrays, each evaluated in one call.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import numpy as np
 
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL, SigmaDescriptor,
                       arc_contains_arc, arcs_overlap, arcset_contains_arc,
-                      boundary_samples, complement_ends, end_samples, normalize,
-                      number_from_json, points_equal, regularize, sweep_points)
+                      boundary_samples, normalize, number_from_json, points_equal,
+                      regularize, sweep_points)
 from .krein import EvaluationDomainError, KreinProduct, TailNotCertified, log_factors
 from .nevanlinna import AnalysisResult, NevanlinnaRep, analyze, interval_entries
 from .util import BRACKET, branch_roots, frozen, halton_box, ladder_limit, quotient, shaped
@@ -383,25 +383,17 @@ def _quotient(f, k: KreinProduct, sigma: Optional[SigmaDescriptor]) -> BlackBoxF
 def divide_single(f, j: Arc):
     """g with f = p_J · g, for an arc J inside the negativity set of f.
 
-    An atomic representation divides through the corollary f = c·k_Γ: its
-    constant c = |f(i)| is certified to 1e−9 by the bound of
-    :func:`_constant_certificate` (CertificationError above it), and c·k_Γ
-    is divided as a composite.  A composite drops (or splits) the arc inside
-    its Kreĭn set, which leaves a composite in the class by construction.
-    Anything else returns a quotient evaluator whose Im ≥ 0 is certified on
-    a grid.
+    A composite drops (or splits) the arc inside its Kreĭn set, which leaves
+    a composite in the class by construction.  Any other f whose σ has
+    measure zero is first the composite c·k_Γ of the corollary, its constant
+    c = |f(i)| certified to 1e−9 by the bound of :func:`_constant_certificate`
+    (CertificationError above it).  Only a σ of positive measure leaves a
+    quotient evaluator, whose Im ≥ 0 is certified on a grid.
     """
-    if isinstance(j, ArcSet):
-        if j.full:
-            raise ValueError("divide by the full circle via factorize")
-        if len(j.arcs) != 1:
-            raise ValueError("divide_single expects a single arc")
-        j = j.arcs[0]
     ana = analyze_pick(f)
     if not arcset_contains_arc(ana.gamma, j):
         raise ValueError(f"{j!r} is not contained in the negativity set")
-
-    if isinstance(f, RepFunction) and f.rep.rho.is_atomic():
+    if not isinstance(f, CompositeFunction) and ana.sigma.is_measure_zero():
         k = KreinProduct(ana.gamma)
         f = CompositeFunction(_certified_constant(f, ana, k), k)
     if isinstance(f, CompositeFunction):
@@ -453,26 +445,22 @@ def factorize(f) -> FactorizationResult:
     """f = k_Γ(f) · g, with the four posts verified on the result.
 
     (1) σ(g) ⊆ σ(f); (2) g > 0 on Ω(g); (3) Ω(g) Lebesgue regular;
-    (4) Ω(f) = Ω(k) ∩ Ω(g).  When σ(f) has measure zero the positive
-    constant of the corollary is certified as well: the ``constant_factor``
-    post, 1e−9, on the residual of :func:`_constant_certificate`.
+    (4) Ω(f) = Ω(k) ∩ Ω(g).  When σ(f) has measure zero, g is the positive
+    constant c = |f(i)| of the corollary, certified as well: the
+    ``constant_factor`` post, 1e−9, on the residual of
+    :func:`_constant_certificate`.  Otherwise a composite's g is c·e^h, and
+    any other f's is the quotient f/k_Γ.
     """
     ana = analyze_pick(f)
     gamma = ana.gamma
     k = KreinProduct(gamma)
-    # the corollary's constant |f(i)| and its residual
-    constant = _constant_certificate(f, ana, k) if ana.sigma.is_measure_zero() else None
-
-    if gamma.is_empty:
-        g = f
+    constant = None
+    if ana.sigma.is_measure_zero():
+        constant = _constant_certificate(f, ana, k)
+        g = RepFunction(NevanlinnaRep(0.0, constant[0]))
     elif isinstance(f, CompositeFunction):
         # k_O / k_Γ is exactly 1 (the sets differ by measure zero)
-        g = CompositeFunction(f.c, KreinProduct(EMPTY), f.exp) \
-            if f.exp is not None else RepFunction(NevanlinnaRep(0.0, f.c))
-    elif isinstance(f, RepFunction) and f.rep.rho.is_atomic():
-        # the corollary: σ(f) has measure zero, so g is the constant |f(i)|
-        # (−β bit for bit for a constant β < 0, whose Γ is the full circle)
-        g = RepFunction(NevanlinnaRep(0.0, constant[0]))
+        g = CompositeFunction(f.c, KreinProduct(EMPTY), f.exp)
     else:
         g = _quotient(f, k, ana.sigma)
 
@@ -491,9 +479,12 @@ def factorize(f) -> FactorizationResult:
 
 def _structure(g):
     """(σ(g), the weight of ∞ in it, how far g dips below 0 on Ω(g)) for a
-    structured g, else None.  A representation's σ(g) leaves out negligible
-    atoms and linear term.  c·k_O·e^h has c > 0 and e^h > 0 off its pieces,
-    so it is positive on Ω exactly when Γ(k_O) is empty."""
+    structured g, else None, read off g's form: nothing is evaluated.
+    c·k_O·e^h has c > 0 and e^h > 0 off its pieces, so it is positive on Ω
+    exactly when Γ(k_O) is empty.  A constant β dips to max(0, −β); any other
+    representation has a zero on the arc of Ω after each piece of σ(g) (or
+    from −∞), so it dips by the 1.0 of a failed post.  A representation's
+    σ(g) leaves out negligible atoms and linear term."""
     if isinstance(g, CompositeFunction) and g.product.cantor is None:
         ana = _analyze_composite(g)
         return ana.sigma, 1.0, 0.0 if ana.gamma.is_empty else 1.0
@@ -502,11 +493,8 @@ def _structure(g):
     rep, rho = g.rep, g.rep.rho
     sig = SigmaDescriptor(tuple(t for t, w in rho.atoms if w > 1e-9),
                           tuple((l, r) for l, r, _ in rho.ac), rep.alpha > 1e-9)
-    if rep.alpha == 0 and not (rho.atoms or rho.ac):
-        return sig, 0.0, max(0.0, -float(rep.beta))  # the constant β: what sampling it reads
-    v = rep.eval(np.array(end_samples(*complement_ends(*sig.support, sig.has_inf))))
-    v = v[np.isfinite(v)]  # the ∞ marker and NaN are skipped
-    return sig, rep.alpha, max(0.0, -float(v.min())) if v.size else 0.0
+    constant = rep.alpha == 0 and not (rho.atoms or rho.ac)
+    return sig, rep.alpha, max(0.0, -float(rep.beta)) if constant else 1.0
 
 
 def _verify_posts(ana: AnalysisResult, g, k: KreinProduct):

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,9 +101,12 @@ class TestDivideSingle:
 
     def test_quotient_refuses_a_shared_pole(self):
         # f = −1/z is p_(0,∞): the quotient is 1, also at 0, where f and p_J
-        # both have their pole and a black box cannot read the limit
+        # both have their pole and a black box cannot read the limit.  The
+        # declared σ holds an interval where f is analytic, so it has
+        # positive measure and f divides as a quotient
         rep = NevanlinnaRep(0.0, 0.0, Measure(atoms=((0.0, 1.0),)))
-        g = divide_single(BlackBoxFunction(rep.eval, rep.sigma()), Arc(0.0, INF))
+        sigma = replace(rep.sigma(), intervals=((-3.0, -2.0),))
+        g = divide_single(BlackBoxFunction(rep.eval, sigma), Arc(0.0, INF))
         assert g.label == "quotient"
         for x in (0.0, 1e-12):  # the pole, and a point within REAL_GUARD of it
             with pytest.raises(EvaluationDomainError):
@@ -112,7 +116,8 @@ class TestDivideSingle:
         assert np.allclose(values[2:], 1.0, rtol=1e-15, atol=0.0)
         # f = z is p_(∞,0): f and p_J both vanish at 0
         rep = NevanlinnaRep(1.0, 0.0)
-        g = divide_single(BlackBoxFunction(rep.eval, rep.sigma()), Arc(INF, 0.0))
+        sigma = replace(rep.sigma(), intervals=((5.0, 6.0),))
+        g = divide_single(BlackBoxFunction(rep.eval, sigma), Arc(INF, 0.0))
         with pytest.raises(EvaluationDomainError):
             g(0.0)
         assert g(1.0) == 1.0
@@ -135,6 +140,14 @@ class TestDivideSingle:
         assert analyze_pick(g).gamma.isclose(normalize([Arc(-2.0, -1.0)]), 1e-9)
         res = factorize(g)
         assert res.ok and res.gamma.isclose(normalize([Arc(-2.0, -1.0)]), 1e-9)
+
+    def test_quotient_is_zero_where_only_the_divisor_has_a_pole(self):
+        # J = (−3, −2) inside Γ = (∞, −1): p_J has its pole at −3, where f is
+        # finite, so the quotient is 0 there
+        g = divide_single(SQRT_BB, Arc(-3.0, -2.0))
+        assert g(-3.0) == 0.0
+        values, refused = g.masked(np.array([-3.0 + 0j]))
+        assert values.tolist() == [0j] and refused.tolist() == [False]
 
     def test_wrap_component_division(self):
         rep = NevanlinnaRep(0.0, -2.0, Measure(atoms=((-1.0, 1.0), (1.0, 1.0))))
@@ -459,6 +472,22 @@ class TestCorollary:
         stray = NevanlinnaRep(0.0, c, Measure(atoms=((1.0, 0.2),)))
         assert not self._posts(ana, stray)["sigma_subset"]
 
+    def test_posts_evaluate_no_representation(self, monkeypatch):
+        # g's sign is read off its form: a constant's β, and any other
+        # representation runs below 0 after each piece of its σ
+        rep = NevanlinnaRep(0.5, 0.3, Measure(atoms=((-1.0, 1.0), (0.5, 0.4), (2.0, 1.5))))
+        ana = analyze(rep)
+        c = abs(rep.eval(1j))
+
+        def refuse(self, z):
+            raise AssertionError("a representation was evaluated")
+
+        monkeypatch.setattr(NevanlinnaRep, "eval", refuse)
+        assert all(self._posts(ana, NevanlinnaRep(0.0, c)).values())
+        posts = {p.name: p for p in _verify_posts(ana, RepFunction(rep), KreinProduct(ana.gamma))}
+        assert not posts["g_positive_on_omega"].passed
+        assert posts["g_positive_on_omega"].residual == 1.0
+
     def test_merged_ends_built_once(self, monkeypatch):
         # k_Γ's table and post 4's σ(k_Γ) read one merge of Γ's ends
         calls = []
@@ -739,17 +768,23 @@ class TestAnalyzeDispatch:
         assert ana.sigma.contains(0.0) and ana.sigma.contains(2.5)
         assert not ana.sigma.contains(5.0)
 
+    # σ of f = 1/(0 − z) + 1/(1 − z) as a black box declares it: its poles,
+    # and an interval where f is analytic and positive, which leaves Γ alone
+    # and gives σ positive measure, so that f factors through a quotient
+    QUOTIENT_SIGMA = SigmaDescriptor(points=(0.0, 1.0), intervals=((-3.0, -2.0),))
+
     def test_refused_sample_points_are_counted(self):
-        # f = 1/(0 − z) + 1/(1 − z) refuses the real points k/25 of (0, 1),
-        # which the g > 0 samples of a quotient hit and the Γ sweep does not
+        # f refuses the real points k/25 of (0, 1), which the g > 0 samples
+        # of a quotient hit and the Γ sweep does not
         def fn(z):
             if z.imag == 0 and 0 < z.real < 1 and abs(25 * z.real - round(25 * z.real)) < 1e-9:
                 raise ValueError("refused")
             return 1 / (0 - z) + 1 / (1 - z)
 
-        res = factorize(BlackBoxFunction(fn, SigmaDescriptor(points=(0.0, 1.0))))
+        res = factorize(BlackBoxFunction(fn, self.QUOTIENT_SIGMA))
+        assert res.g.label == "quotient"
         post = next(p for p in res.posts if p.name == "g_positive_on_omega")
-        assert post.passed and post.note == "24 of 38 sample points refused"
+        assert post.passed and post.note == "24 of 62 sample points refused"
         assert res.gamma.isclose(normalize([Arc(0.0, 0.5), Arc(1.0, INF)]), 1e-9)
 
     def test_other_exceptions_propagate(self):
@@ -761,7 +796,7 @@ class TestAnalyzeDispatch:
             return 1 / (0 - z) + 1 / (1 - z)
 
         with pytest.raises(TypeError, match="a fault"):
-            factorize(BlackBoxFunction(fn, SigmaDescriptor(points=(0.0, 1.0))))
+            factorize(BlackBoxFunction(fn, self.QUOTIENT_SIGMA))
 
     def test_blackbox_requires_sigma(self):
         with pytest.raises(ValueError):
@@ -806,6 +841,43 @@ class TestAnalyzeDispatch:
             assert arc.a == INF
         else:
             assert abs(arc.a - zero) <= 1e-11 * abs(zero)
+
+
+# f = −1/(z − 2) + 0.3z − 0.5 and −1/z − 1/(z − 1), black boxes whose σ
+# holds points only
+POINT_BOXES = [BlackBoxFunction(lambda z: -1 / (z - 2) + 0.3 * z - 0.5,
+                                SigmaDescriptor(points=(2.0,), has_inf=True)),
+               BlackBoxFunction(lambda z: -1 / z - 1 / (z - 1), SigmaDescriptor(points=(0.0, 1.0)))]
+
+
+class TestPointSigmaBlackBox:
+    """A black box whose σ has measure zero is c·k_Γ by the corollary: it
+    factors to its certified constant and divides as a composite."""
+
+    @pytest.mark.parametrize("f", POINT_BOXES, ids=["pole-and-infinity", "two-poles"])
+    def test_division_is_a_composite(self, f):
+        zs = halton_box(30, -6.0, 6.0, 0.05, 4.0)  # off the constant's grid
+        for j in analyze_pick(f).gamma.arcs:
+            g = divide_single(f, j)
+            assert isinstance(g, CompositeFunction)
+            want = np.array([f.fn(z) for z in zs.tolist()]) / p_eval(j, zs)
+            assert np.max(np.abs(g(zs) - want) / np.abs(want)) <= 1e-12
+
+    @pytest.mark.parametrize("f", POINT_BOXES, ids=["pole-and-infinity", "two-poles"])
+    def test_factorization_posts_are_structural(self, f):
+        res = factorize(f)
+        assert res.ok and isinstance(res.g, RepFunction)
+        assert res.g.rep.beta == res.constant
+        assert all("not structurally checkable" not in p.note for p in res.posts)
+
+    @pytest.mark.parametrize("value, gamma", [(-2.0, FULL), (3.0, EMPTY)])
+    def test_empty_sigma(self, value, gamma):
+        # Ω is the whole line: the sign of f at one point decides Γ, and f is
+        # the constant |f|·k_Γ
+        f = BlackBoxFunction(lambda z: value, SigmaDescriptor())
+        assert analyze_pick(f).gamma == gamma
+        res = factorize(f)
+        assert res.ok and res.gamma == gamma and res.constant == abs(value)
 
 
 @st.composite
