@@ -456,8 +456,10 @@ def factorize(f) -> FactorizationResult:
     k = KreinProduct(gamma)
     constant = None
     if ana.sigma.is_measure_zero():
-        constant = _constant_certificate(f, ana, k)
-        g = RepFunction(NevanlinnaRep(0.0, constant[0]))
+        constant = c, resid = _constant_certificate(f, ana, k)
+        if not math.isfinite(c):  # no representation holds it, and it certifies nothing
+            raise CertificationError(f"the constant |f(i)| = {c} is not finite", worst=resid)
+        g = RepFunction(NevanlinnaRep(0.0, c))
     elif isinstance(f, CompositeFunction):
         # k_O / k_Γ is exactly 1 (the sets differ by measure zero)
         g = CompositeFunction(f.c, KreinProduct(EMPTY), f.exp)
@@ -467,8 +469,7 @@ def factorize(f) -> FactorizationResult:
     posts = _verify_posts(ana, g, k)
     res = FactorizationResult(gamma, k, g, posts)
     if constant is not None:
-        c, resid = constant
-        res.constant, res.constant_residual = c, resid
+        res.constant, res.constant_residual = constant
         posts.append(Certification("constant_factor", resid, 1e-9, resid <= 1e-9,
                                f"c = {c:.12g}"))
     if not res.ok:

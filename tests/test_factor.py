@@ -592,6 +592,15 @@ class TestConstantBound:
         res = factorize(CompositeFunction(1e-310, KreinProduct(ArcSet((Arc(0.0, 1.0),)))))
         assert res.ok and res.constant == pytest.approx(1e-310, rel=1e-12)
 
+    def test_constant_that_is_no_float_is_refused(self):
+        # −1/z, but NaN at i: no constant g holds |f(i)|, and it certifies
+        # nothing; a certification failure, not the ValueError of the rep
+        f = BlackBoxFunction(lambda z: complex(math.nan, math.nan) if z == 1j else -1 / z,
+                             SigmaDescriptor(points=(0.0,)))
+        with pytest.raises(CertificationError, match=r"the constant \|f\(i\)\| = nan "
+                                                     "is not finite"):
+            factorize(f)
+
     @pytest.mark.parametrize("c", [1e-320, 5e-324])
     def test_composite_constant_with_too_few_bits_is_refused(self, c):
         # the composite's values carry a few bits at most: the grid sees it
