@@ -390,13 +390,24 @@ class KreinProduct:
         gap, level = _gap(base, cap, z)
         m = _cantor_majorant(base, z, gap)
 
-        def truncation(d):
+        def value_at(d):
             gen = (1.0 + _ratio_minus_one(l, r - l, d, z)) / _ratio_norm_at_i(l, r, d)
-            value = explicit * (complex(gen) if isinstance(z, complex) else float(gen))
+            return explicit * (complex(gen) if isinstance(z, complex) else float(gen))
+
+        def truncation(d):
             try:
-                return value, abs(value) * math.expm1((r - l) * (2.0 / 3.0) ** d * m)
+                bound = math.expm1((r - l) * (2.0 / 3.0) ** d * m)
             except OverflowError:  # e^x − 1 past the float range bounds nothing
-                return value, INF
+                bound = INF
+            if bound < INF:
+                value = value_at(d)
+                return value, abs(value) * bound
+            # so close above the base that the kernel's floats may not hold
+            # the value (dx² + y² is 0 at a gap's end): NaN then, as
+            # eval(strict=False) marks a refused point
+            with np.errstate(all="ignore"):
+                value = value_at(d)
+            return (value if np.isfinite(value) else math.nan), INF
 
         if depth is not None:
             return truncation(min(max(depth, level), cap))

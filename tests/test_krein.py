@@ -451,6 +451,21 @@ class TestCantorProduct:
         val, tail = k.eval_at_depth(0.5 + 1e-9j, 20)
         assert tail == INF and cmath.isfinite(val)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("y", [1e-320, 1e-170])
+    def test_gap_end_past_the_kernel_floats(self, y):
+        # just above the level-1 gap's end 1/3, b − x is 0 and y² underflows,
+        # so the kernel's dx² + y² is 0: NaN and an infinite tail, as
+        # eval(strict=False) marks a refused point, in a scalar or an array call
+        k = cantor_complement_product((0, 1), 26, 1e-2)
+        z = 1.0 / 3.0 + y * 1j
+        val, tail = k.eval_at_depth(z, 3)
+        assert cmath.isnan(val) and tail == INF
+        vals, tails = k.eval_at_depth(np.array([z, 0.5 + 1j]), 3)
+        marked = k.eval(np.array([z]), strict=False)
+        assert cmath.isnan(vals[0]) and tails[0] == INF == marked[1][0]
+        assert cmath.isnan(marked[0][0]) and math.isfinite(tails[1])
+
     def test_tail_checked_with_explicit_factor(self, monkeypatch):
         # |explicit| ≈ 1.7 here, so the generator-only tail passed at depth 14
         # while the reported one did not; depth 16 certifies the whole value
