@@ -346,18 +346,15 @@ def _random_arcset(rng):
     return normalize(arcs)
 
 
-def _random_rep(rng, n_max=8, alpha_positive=None):
+def _random_rep(rng, n_max=8, draw_alpha=True):
     n = int(rng.integers(1, n_max + 1))
     ts = np.sort(rng.uniform(-5, 5, size=n))
     while n > 1 and np.min(np.diff(ts)) < 0.3:
         ts = np.sort(rng.uniform(-5, 5, size=n))
     ws = rng.uniform(0.2, 2.0, size=n)
-    if alpha_positive is None:
-        alpha = float(rng.uniform(0, 2)) if rng.random() < 0.7 else 0.0
-    elif alpha_positive:
-        alpha = float(rng.uniform(0.2, 2))
-    else:
-        alpha = 0.0
+    alpha = 0.0
+    if draw_alpha and rng.random() < 0.7:
+        alpha = float(rng.uniform(0, 2))
     beta = float(rng.uniform(-3, 3))
     return NevanlinnaRep(alpha, beta, Measure(
         atoms=tuple((float(t), float(w)) for t, w in zip(ts, ws))))
@@ -414,7 +411,7 @@ def suite_boole(rng, report):
 def suite_letac(rng, report):
     worst = 0.0
     for _ in range(20):
-        rep = _random_rep(rng, 5, alpha_positive=False)
+        rep = _random_rep(rng, 5, draw_alpha=False)
         rep = NevanlinnaRep(1.0, rep.beta, rep.rho)
         c = float(rng.uniform(-4, 0))
         d = c + float(rng.uniform(0.5, 4))
@@ -455,7 +452,7 @@ def suite_interp_equivalence(rng, report):
     report.append(("equivalence_agreement", total - agree, 0.0))
 
 
-def _random_interp_problem(rng, interlaced=None):
+def _random_interp_problem(rng):
     n_y = int(rng.integers(0, 3))
     ys = sorted(rng.uniform(-8, 8, size=n_y)) if n_y else []
     pts = np.sort(rng.uniform(-7.5, 7.5, size=int(rng.integers(1, 8))))
@@ -463,13 +460,8 @@ def _random_interp_problem(rng, interlaced=None):
            if all(abs(t - y) > 0.3 for y in ys)]
     pts = [t for i, t in enumerate(pts) if i == 0 or t - pts[i - 1] > 0.2]
     zeros, poles = [], []
-    if interlaced is None:
-        for t in pts:
-            (zeros if rng.random() < 0.5 else poles).append(t)
-    else:
-        start = rng.random() < 0.5
-        for i, t in enumerate(pts):
-            (zeros if (i % 2 == 0) == start else poles).append(t)
+    for t in pts:
+        (zeros if rng.random() < 0.5 else poles).append(t)
     try:
         return interp.InterpProblem(tuple(zeros), tuple(poles), tuple(ys))
     except ValueError:
