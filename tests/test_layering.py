@@ -43,6 +43,39 @@ def test_flags_private_import_in_function_body():
                                        (4, "halfplane.krein", "_hyp")]
 
 
+def unread_imports(source, filename="<string>"):
+    """(line, name) of every name a module imports, at any depth, and no
+    code of it reads; ``__future__`` features are no names."""
+    tree = ast.parse(source, filename)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+# the package's __init__ imports the names it exports
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unread_imports(path.read_text(), str(path)) == []
+
+
+def test_flags_an_import_no_code_reads():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "import numpy as np\n"
+              "from .extreal import INF, end_samples\n"
+              "def f(x):\n"
+              "    from .util import shaped\n"
+              "    return np.float64(x) < INF\n")
+    assert unread_imports(source) == [(2, "math"), (4, "end_samples"), (6, "shaped")]
+
+
 def unread_private_names(sources):
     """(module, name) of every module-level _-prefixed function, class or
     constant of the {module: source} map that no code reads: neither a name
