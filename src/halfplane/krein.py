@@ -342,7 +342,9 @@ class KreinProduct:
         return self._eval(z, None, strict)
 
     def eval_at_depth(self, z, depth: int):
-        """(value, tail_bound) for a fixed truncation depth of the generator."""
+        """(value, tail_bound) for a fixed truncation depth of the generator;
+        the tail is infinite where its bound leaves the float range, and the
+        value there NaN where the kernel's floats cannot hold it."""
         if self.cantor is None:
             raise ValueError("no generator attached")
         return self._eval(z, depth, True)
