@@ -483,9 +483,9 @@ def _structure(g):
     structured g, else None, read off g's form: nothing is evaluated.
     c·k_O·e^h has c > 0 and e^h > 0 off its pieces, so it is positive on Ω
     exactly when Γ(k_O) is empty.  A constant β dips to max(0, −β); any other
-    representation has a zero on the arc of Ω after each piece of σ(g) (or
-    from −∞), so it dips by the 1.0 of a failed post.  A representation's
-    σ(g) leaves out negligible atoms and linear term."""
+    representation rises from −∞ on the arc of Ω after each piece of σ(g)
+    (and from x = −∞ where α > 0), so it dips by the 1.0 of a failed post.
+    A representation's σ(g) leaves out negligible atoms and linear term."""
     if isinstance(g, CompositeFunction) and g.product.cantor is None:
         ana = _analyze_composite(g)
         return ana.sigma, 1.0, 0.0 if ana.gamma.is_empty else 1.0
