@@ -4,11 +4,12 @@ Spec files are JSON with exactly one task key among
   nevanlinna | krein | product          (function specs)
   interp | realizable | boole | letac   (problem specs)
 plus an optional "options" object with eval's "grid" and "eps", which its
-flags override.  Unknown fields are rejected: at the top level, in a task
-body, in "options", in a nested "cantor" or "exp" and in a realizable pair's
-"omega" and "o".  A field holding a number takes a JSON number only
-(``extreal.number_from_json``), a point also "inf", "-inf" or "oo"
-(``extreal.point_from_json``).
+flags override.  This module is the one reader of the format; the types
+keep their ``to_json`` writers.  Unknown fields are rejected: at the top
+level, in a task body, in "options", in a nested "cantor" or "exp" and in a
+realizable pair's "omega" and "o".  A list field takes a JSON list only, a
+number a JSON number, a point also "inf", "-inf" or "oo", and a malformed or
+missing field is an input error naming its path ("nevanlinna.ac entry 0").
 
 Exit codes: 0 all certifications pass, 1 certification failure, 2 input error.
 """
@@ -28,14 +29,13 @@ import time
 import numpy as np
 
 from . import extreal, factor, interp, krein
-from .extreal import Arc, ArcSet, INF, normalize, number_from_json
+from .extreal import Arc, FULL, INF, as_point, normalize
 from .factor import CompositeFunction, ExpRep, RepFunction, factorize
 from .krein import (KreinProduct, TailNotCertified,
                     cantor_complement_product, p_eval)
-from .nevanlinna import (Measure, NevanlinnaRep, atoms_from_json,
-                         boole_superlevel_measure, boole_tolerance,
-                         letac_pushforward_check, recover_alpha, recover_atom,
-                         recover_beta)
+from .nevanlinna import (Measure, NevanlinnaRep, boole_superlevel_measure,
+                         boole_tolerance, letac_pushforward_check, recover_alpha,
+                         recover_atom, recover_beta)
 from .util import RootBracketError
 
 FUNCTION_TASKS = ("nevanlinna", "krein", "product")
@@ -43,6 +43,7 @@ PROBLEM_TASKS = ("interp", "realizable", "boole", "letac")
 # the fields each spec object reads: a misspelt field would otherwise be
 # ignored without a word
 FIELDS = {
+    "spec": FUNCTION_TASKS + PROBLEM_TASKS + ("version", "options"),
     "nevanlinna": ("alpha", "beta", "atoms", "ac", "cantor_depth"),
     "krein": ("arcs", "full", "cantor", "tol"),
     "product": ("c", "krein", "exp"),
@@ -56,6 +57,9 @@ FIELDS = {
     "cantor": ("interval", "depth"),
     "exp": ("gamma", "psi"),
 }
+# the largest depth of a spec's ``cantor_depth`` stand-in: 2^16 atoms, which
+# a process builds and evaluates in under 100 MB (2^18 took 225 MB)
+MAX_CANTOR_DEPTH = 16
 
 
 class SpecError(ValueError):
@@ -68,12 +72,7 @@ def load_spec(path):
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read spec: {exc}")
-    if not isinstance(obj, dict):
-        raise SpecError("spec must be a JSON object")
-    known = set(FUNCTION_TASKS) | set(PROBLEM_TASKS) | {"version", "options"}
-    unknown = set(obj) - known
-    if unknown:
-        raise SpecError(f"unknown spec fields: {sorted(unknown)}")
+    _fields(obj, "spec")
     tasks = [k for k in obj if k in FUNCTION_TASKS or k in PROBLEM_TASKS]
     if len(tasks) != 1:
         raise SpecError(f"spec must contain exactly one task, found {tasks}")
@@ -82,54 +81,168 @@ def load_spec(path):
                         "this program reads version 1")
     options = _fields(obj.get("options", {}), "options")
     if "eps" in options:
-        number_from_json(options["eps"], "options.eps")
+        _eps(options["eps"], "options.eps")
     return tasks[0], _fields(obj[tasks[0]], tasks[0]), options
 
 
-def _fields(obj, name):
-    """obj, a JSON object with no field outside ``FIELDS[name]``."""
+# ---------------------------------------------------------------------------
+# the spec reader: each reader takes a JSON value and its field's path, which
+# names the field in the message of a malformed value
+
+
+def _at(body, path, key, *default):
+    # (the field's value, its path); a field with no default is required
+    if key not in body and not default:
+        raise SpecError(f"{path}.{key} is required")
+    return body.get(key, *default), f"{path}.{key}"
+
+
+def _fields(obj, path, what=None):
+    # obj, a JSON object (of ``what``) with no field outside FIELDS[path's last name]
     if not isinstance(obj, dict):
-        raise SpecError(f"{name} must be a JSON object, got {obj!r}")
+        raise SpecError(f"{path}: {what} {obj!r} is not a JSON object" if what
+                        else f"{path} must be a JSON object, got {obj!r}")
+    name = path.rsplit(".", 1)[-1]
     unknown = set(obj) - set(FIELDS[name])
     if unknown:
         raise SpecError(f"unknown {name} fields: {sorted(unknown)}")
     return obj
 
 
-def _pair(value, field, form):
-    # letac's interval, a Cantor base and a disk point are two-entry lists
-    if not (isinstance(value, list) and len(value) == 2):
-        raise SpecError(f"{field}: {value!r} is not a {form} pair")
+def _list(value, path):
+    # the one rule of every list field
+    if not isinstance(value, list):
+        raise SpecError(f"{path} must be a JSON list, got {value!r}")
     return value
 
 
-def _krein_product(kspec):
+def _number(value, path, half_line=False) -> float:
+    # a JSON number (no bool or string) as a float, or with half_line (a ψ
+    # piece's ends) "inf" and "-inf"; NaN and ±inf go on to the range checks
+    if half_line and value in ("inf", "-inf"):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{path} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecError(f"{path}: a {len(str(abs(value)))}-digit integer is past "
+                        "the float range") from None
+
+
+def _pair(value, path, form, read=_number) -> tuple:
+    # a two-entry list (an interval, an atom, a disk point), each entry read
+    if not (isinstance(value, list) and len(value) == 2):
+        raise SpecError(f"{path}: {value!r} is not a {form} pair")
+    return tuple(read(x, path) for x in value)
+
+
+def _point(value, path) -> float:
+    # a JSON number, or "inf", "-inf" or "oo" for ∞
+    return INF if value in ("inf", "-inf", "oo") else as_point(value, path)
+
+
+def _interval(value, path, ends, read):
+    # the pair [l, r] as given, its ends read by read(end, path), with l < r
+    lo, hi = _pair(value, path, f"[{ends[0]}, {ends[1]}]", read)
+    if not lo < hi:
+        raise SpecError(f"{path}: {value!r} is no interval {ends[0]} < {ends[1]}")
+    return value
+
+
+def _depth(value, path, top=None):
+    # a JSON integer >= 0, and <= top where there is one
+    if type(value) is not int or not 0 <= value <= (INF if top is None else top):
+        bound = ">= 0" if top is None else f"from 0 to {top}"
+        raise SpecError(f"{path} must be an integer {bound}, got {value!r}")
+    return value
+
+
+def _eps(value, path):
+    # eval's ladder height
+    if not 0 <= _number(value, path) < INF:
+        raise SpecError(f"{path} must be finite and >= 0 (rows at Im z = eps lie "
+                        f"in the upper half-plane), got {value}")
+    return value
+
+
+def _atoms(value, path) -> tuple:
+    # (t, w) of a list of [t, w] pairs of numbers
+    return tuple(_pair(p, f"{path} entry {k}", "[t, w]") for k, p in enumerate(_list(value, path)))
+
+
+def _pieces(value, path, key, half_line=False) -> tuple:
+    # (l, r, v) of a list of {"interval": [l, r], key: v} entries, as given,
+    # for the object they build to convert
+    out = []
+    for k, p in enumerate(_list(value, path)):
+        what = f"{path} entry {k}"
+        iv = p.get("interval") if isinstance(p, dict) else None
+        if not (isinstance(iv, list) and len(iv) == 2 and key in p):
+            raise SpecError(f"{what} {p!r} is not of the form "
+                            f'{{"interval": [l, r], "{key}": v}}')
+        for x in iv:
+            _number(x, what, half_line)
+        _number(p[key], what)
+        out.append((iv[0], iv[1], p[key]))
+    return tuple(out)
+
+
+def _arc_set(body, path):
+    # the arc set of an object's "full" and "arcs" fields
+    full, where = _at(body, path, "full", False)
+    if not isinstance(full, bool):
+        raise SpecError(f"{where} {full!r} is not a JSON boolean")
+    if full:
+        return FULL
+    arcs = []
+    for k, item in enumerate(_list(*_at(body, path, "arcs", []))):
+        end = f"{path}.arcs entry {k}: an arc end"
+        if isinstance(item, dict) and "puncture" in item:
+            x = _point(item["puncture"], end)
+            arcs.append(Arc(x, x, puncture=True))
+        elif isinstance(item, list) and len(item) == 2:
+            arcs.append(Arc(*(_point(x, end) for x in item)))
+        else:
+            raise SpecError(f"{path}.arcs entry {k} {item!r} is not a [b, a] pair of points")
+    return normalize(arcs)
+
+
+def _krein_product(kspec, path="krein"):
     """The Kreĭn product of a "krein" body: explicit arcs, or the Cantor
     complement at the body's depth (default 26) and tolerance (default 1e-6)."""
     if "cantor" not in kspec:
         if "tol" in kspec:
             raise SpecError("krein tol goes with a cantor generator, not with explicit arcs")
-        return KreinProduct(ArcSet.from_json(kspec))
+        return KreinProduct(_arc_set(kspec, path))
     if "arcs" in kspec or "full" in kspec:
         raise SpecError("krein takes arcs or a cantor generator, not both")
-    cc = _fields(kspec["cantor"], "cantor")
-    base = _pair(cc.get("interval", [0, 1]), "cantor.interval", "[l, r]")
-    depth = cc.get("depth", 26)
-    if type(depth) is not int or depth < 0:  # as a cantor_depth
-        raise SpecError(f"cantor.depth must be an integer >= 0, got {depth!r}")
-    tol = number_from_json(kspec.get("tol", 1e-6), "krein.tol")
-    return cantor_complement_product(base, depth, tol)
+    cc = _fields(*_at(kspec, path, "cantor"))
+    base = _interval(*_at(cc, f"{path}.cantor", "interval", [0, 1]), "lr",
+                     lambda x, where: as_point(x, f"{where}: an arc end"))
+    depth = _depth(*_at(cc, f"{path}.cantor", "depth", 26))
+    return cantor_complement_product(base, depth, _number(*_at(kspec, path, "tol", 1e-6)))
 
 
 def build_function_spec(task, body):
     if task == "nevanlinna":
-        return RepFunction(NevanlinnaRep.from_json(body))
+        rho = Measure(atoms=_atoms(*_at(body, task, "atoms", [])),
+                      ac=_pieces(*_at(body, task, "ac", []), "density"))
+        if "cantor_depth" in body:
+            depth = _depth(*_at(body, task, "cantor_depth"), MAX_CANTOR_DEPTH)
+            rho = Measure(atoms=rho.atoms + Measure.cantor_atoms(depth).atoms, ac=rho.ac)
+        return RepFunction(NevanlinnaRep(_number(*_at(body, task, "alpha", 0.0)),
+                                         _number(*_at(body, task, "beta", 0.0)), rho))
     if task == "krein":
         return CompositeFunction(1.0, _krein_product(body))
     if task == "product":
-        c = number_from_json(body.get("c", 1.0), "product.c")
-        prod = _krein_product(_fields(body.get("krein", {}), "krein"))
-        exp = ExpRep.from_json(_fields(body["exp"], "exp")) if "exp" in body else None
+        c = _number(*_at(body, task, "c", 1.0))
+        prod = _krein_product(_fields(*_at(body, task, "krein", {})), "product.krein")
+        exp = None
+        if "exp" in body:
+            spec = _fields(*_at(body, task, "exp"))
+            exp = ExpRep(_number(*_at(spec, "product.exp", "gamma", 0.0)),
+                         _pieces(*_at(spec, "product.exp", "psi", []), "value", True))
         return CompositeFunction(c, prod, exp)
     raise SpecError(f"not a function task: {task}")
 
@@ -174,11 +287,8 @@ def cmd_eval(args):
     fn = build_function_spec(task, body)
     grid = (parse_grid(args.grid, "--grid") if args.grid
             else parse_grid(options.get("grid", "-5:5:21"), "options.grid"))
-    eps = args.eps if args.eps is not None else options.get("eps")
-    if eps is not None and not 0 <= float(eps) < INF:
-        field = "--eps" if args.eps is not None else "options.eps"
-        raise SpecError(f"{field} must be finite and >= 0 (rows at Im z = eps lie "
-                        f"in the upper half-plane), got {eps}")
+    # load_spec has read options.eps
+    eps = _eps(args.eps, "--eps") if args.eps is not None else options.get("eps")
     # a point off the line, a real point lifted to Im z = eps, or one on it
     points, flags = zip(*[(z, "interior") if isinstance(z, complex) else
                           (complex(z, float(eps)), "eps") if eps else (complex(z, 0.0), "cont")
@@ -250,19 +360,20 @@ def cmd_solve(args):
     if task == "interp":
         return _solve_interp(body), 0
     if task == "realizable":
-        ok, failures, fcert = interp.realizable_pair(_arc_set(body, "omega"),
-                                                     _arc_set(body, "o"))
+        omega, o = (_arc_set(_fields(*_at(body, task, key), "arc set"), f"{task}.{key}")
+                    for key in ("omega", "o"))
+        ok, failures, fcert = interp.realizable_pair(omega, o)
         return {"task": "realizable", "ok": ok,
                 "failures": [list(f) for f in failures]}, (0 if ok else 1)
     if task == "boole":
-        mu = Measure(atoms=atoms_from_json(body["atoms"], "boole.atoms"))
+        mu = Measure(atoms=_atoms(*_at(body, task, "atoms")))
         ys = body.get("y", [1.0])
         ys = ys if isinstance(ys, list) else [ys]
         if not ys:
             raise SpecError("boole.y is an empty list: it names no level to check")
         certs = []
         for y in ys:
-            value = number_from_json(y, "boole.y")
+            value = _number(y, "boole.y")
             try:
                 plus, minus = boole_superlevel_measure(mu, value)
             except ValueError as exc:  # a level out of range
@@ -276,12 +387,10 @@ def cmd_solve(args):
         ok = all(c["pass"] for c in certs)
         return {"task": "boole", "certifications": certs}, (0 if ok else 1)
     if task == "letac":
-        rep = NevanlinnaRep(1.0, number_from_json(body.get("beta", 0.0), "letac.beta"),
-                            Measure(atoms=atoms_from_json(body["atoms"], "letac.atoms")))
+        rep = NevanlinnaRep(1.0, _number(*_at(body, task, "beta", 0.0)),
+                            Measure(atoms=_atoms(*_at(body, task, "atoms"))))
         # as given: an int interval's target d − c stays an int
-        c, d = _pair(body["interval"], "letac.interval", "[c, d]")
-        for x in (c, d):
-            number_from_json(x, "letac.interval")
+        c, d = _interval(*_at(body, task, "interval"), "cd", _number)
         length = letac_pushforward_check(rep, (c, d))
         resid = abs(length - (d - c))
         cert = {"name": "letac_preimage_length", "residual": resid,
@@ -291,33 +400,21 @@ def cmd_solve(args):
     raise SpecError(task)
 
 
-def _arc_set(body, key):
-    # ArcSet.from_json refuses a value that is no JSON object, _fields one
-    # holding a field it does not read
-    arcs = ArcSet.from_json(body[key])
-    _fields(body[key], key)
-    return arcs
-
-
-def _complex(p, field):
-    # a point of the disk problem is a [re, im] pair of numbers
-    return complex(*(number_from_json(x, field) for x in _pair(p, field, "[re, im]")))
-
-
 def _solve_interp(body):
+    lists = [_at(body, "interp", key, []) for key in ("zeros", "poles", "singular")]
     if "alpha" in body or "beta" in body or "zeta" in body:
-        points = [[_complex(p, field) for p in body.get(field, [])]
-                  for field in ("zeros", "poles", "singular")]
-        alpha, beta, zeta = (_complex(body[field], field) for field in ("alpha", "beta", "zeta"))
+        # a point of the disk problem is a [re, im] pair of numbers
+        points = [[complex(*_pair(p, path, "[re, im]")) for p in _list(value, path)]
+                  for value, path in lists]
+        alpha, beta, zeta = (complex(*_pair(*_at(body, "interp", key), "[re, im]"))
+                             for key in ("alpha", "beta", "zeta"))
         theta = interp.disk_interpolate(*points, alpha, beta, zeta)
         return {"task": "interp-disk",
                 "region": theta.region.to_json(),
                 "problem": theta.problem.to_json(),
                 "certifications": _cert_entries(theta.certifications)}
-    problem = interp.InterpProblem(
-        zeros=tuple(extreal.point_from_json(x) for x in body.get("zeros", [])),
-        poles=tuple(extreal.point_from_json(x) for x in body.get("poles", [])),
-        singular=tuple(extreal.point_from_json(x) for x in body.get("singular", [])))
+    problem = interp.InterpProblem(*(tuple(_point(x, path) for x in _list(value, path))
+                                     for value, path in lists))
     build = interp.build_function(problem)
     return {"task": "interp",
             "region": build.region.to_json(),

@@ -32,13 +32,12 @@ it rather than splitting on the kinds of arc themselves:
 A point of the circle is one float, with ∞ = ``INF`` (+inf).  It is made
 once, where an arc, a generator or a prescribed point is made, by
 :func:`as_point`: ints, Fractions and numpy scalars become the nearest
-float, −inf becomes ``INF``, and anything else is refused.  A spec's other
-numbers (weights, constants, tolerances, ψ ends) are read by
-:func:`number_from_json`, which takes JSON numbers only.  Two points are
-equal when they are within the absolute tolerance ``POINT_TOL``, so that
-abutment detection stays reliable.  With ∞ the largest float, the circle's
-order from ∞ is the floats' order, and one rule decides membership in every
-kind of arc (see :meth:`Arc.contains`).
+float, −inf becomes ``INF``, and anything else is refused; ``cli`` reads a
+spec's JSON into these types.  Two points are equal when they are within
+the absolute tolerance ``POINT_TOL``, so that abutment detection stays
+reliable.  With ∞ the largest float, the circle's order from ∞ is the
+floats' order, and one rule decides membership in every kind of arc (see
+:meth:`Arc.contains`).
 """
 
 from __future__ import annotations
@@ -76,25 +75,6 @@ def as_point(x, what: str = "a point") -> float:
     if x != x:
         raise ValueError(f"{what} is NaN")
     return INF if x == -INF else x
-
-
-def number_from_json(obj, what: str, *, half_line: bool = False) -> float:
-    """The float that a spec field holding a number rather than a point
-    names: a JSON number (an int or a float, not a bool or a string).  With
-    ``half_line``, for the ends of a ψ piece, which may be a half-line, the
-    strings "inf" and "-inf" name ±inf, sign kept.  Any other value, and an
-    int past the float range, raises ValueError naming the field ``what``.
-    NaN and ±inf, which JSON writes only as non-standard tokens, go on to
-    the range check of the object the field builds."""
-    if half_line and obj in ("inf", "-inf"):
-        return float(obj)
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ValueError(f"{what} {obj!r} is not a number")
-    try:
-        return float(obj)
-    except OverflowError:
-        raise ValueError(f"{what}: a {len(str(abs(obj)))}-digit integer is past "
-                         "the float range") from None
 
 
 def points_equal(x: float, y: float, tol: float = POINT_TOL) -> bool:
@@ -182,12 +162,6 @@ def point_to_json(x: float):
     return "inf" if is_inf(x) else x
 
 
-def point_from_json(obj, what: str = "a point") -> float:
-    """The point a JSON value names: a number, or "inf", "-inf" or "oo" for
-    ∞ (:func:`as_point`)."""
-    return INF if obj in ("inf", "-inf", "oo") else as_point(obj, what)
-
-
 @dataclass(frozen=True)
 class ArcSet:
     """Canonical disjoint union of open arcs; ``full=True`` is the whole circle."""
@@ -231,26 +205,6 @@ class ArcSet:
         if self.full:
             return {"full": True}
         return {"arcs": [arc.to_json() for arc in self.arcs]}
-
-    @staticmethod
-    def from_json(obj) -> "ArcSet":
-        if not isinstance(obj, dict):
-            raise ValueError(f"arc set {obj!r} is not a JSON object")
-        full = obj.get("full", False)
-        if not isinstance(full, bool):
-            raise ValueError(f"full {full!r} is not a JSON boolean")
-        if full:
-            return FULL
-        arcs = []
-        for item in obj.get("arcs", []):
-            if isinstance(item, dict) and "puncture" in item:
-                x = point_from_json(item["puncture"], "an arc end")
-                arcs.append(Arc(x, x, puncture=True))
-            elif isinstance(item, (list, tuple)) and len(item) == 2:
-                arcs.append(Arc(*(point_from_json(x, "an arc end") for x in item)))
-            else:
-                raise ValueError(f"arc {item!r} is not a [b, a] pair of points")
-        return normalize(arcs)
 
     def __repr__(self):
         if self.full:

@@ -12,15 +12,15 @@ boxes are evaluated on the 20-point grid.  A composite with exponent pieces
 factors as c·e^h.  Only a σ(f) of positive measure leaves a quotient, one
 black-box form, f/k one point at a time.
 
-The function forms take a point or an ndarray of points, with the array
-contract of ``util``; ``masked(z)`` returns (values, refused) for an array,
-refused marking the points a scalar call refuses.  A composite c·k_O·e^h
-is canonical once built: a ψ = 1 piece of h is an arc of O and a ψ = 0 piece
-is gone, so σ, Γ and the posts read 0 < ψ < 1 pieces only.  The posts on a
-structured g (a representation, or c·e^h) compare supports, sharing σ(f)'s
-merged support with the analysis, and read g's sign off its form.  A
-black-box g is sampled across Ω(f).  Certification grids are fixed
-read-only arrays, each evaluated in one call.
+The function forms, which ``cli`` reads from a spec, take a point or an
+ndarray of points, with the array contract of ``util``; ``masked(z)``
+returns (values, refused) for an array, refused marking the points a scalar
+call refuses.  A composite c·k_O·e^h is canonical once built: a ψ = 1 piece
+of h is an arc of O and a ψ = 0 piece is gone, so σ, Γ and the posts read 0
+< ψ < 1 pieces only.  The posts on a structured g (a representation, or
+c·e^h) compare supports, sharing σ(f)'s merged support with the analysis,
+and read g's sign off its form.  A black-box g is sampled across Ω(f).
+Certification grids are fixed read-only arrays, each evaluated in one call.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ import numpy as np
 
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL, SigmaDescriptor,
                       arc_contains_arc, arcs_overlap, arcset_contains_arc,
-                      boundary_samples, normalize, number_from_json, points_equal,
+                      boundary_samples, normalize, points_equal,
                       regularize, sweep_points)
 from .krein import EvaluationDomainError, KreinProduct, TailNotCertified, log_factors
-from .nevanlinna import AnalysisResult, NevanlinnaRep, analyze, interval_entries
+from .nevanlinna import AnalysisResult, NevanlinnaRep, analyze
 from .util import BRACKET, branch_roots, frozen, halton_box, ladder_limit, quotient, shaped
 
 
@@ -148,13 +148,6 @@ class ExpRep:
         return {"gamma": self.gamma,
                 "psi": [{"interval": [l, r], "value": psi}
                         for l, r, psi in self.pieces]}
-
-    @staticmethod
-    def from_json(obj) -> "ExpRep":
-        if not isinstance(obj, dict):
-            raise ValueError(f"exp {obj!r} is not a JSON object")
-        return ExpRep(number_from_json(obj.get("gamma", 0.0), "gamma"),
-                      interval_entries(obj.get("psi", []), "value", "psi", half_line=True))
 
 
 def _exp(h, z):

@@ -1,18 +1,18 @@
 """Nevanlinna representations f(z) = αz + β + ∫ (1+zt)/(t−z) dρ(t).
 
 Measures are finite and positive, given as atoms plus piecewise-constant
-densities (optionally a depth-k atomic stand-in for the Cantor measure).
-The representation has a closed form, so evaluation never needs
-quadrature.  ``NevanlinnaRep.eval`` and ``cauchy_transform`` take a point
-or an ndarray of points, broadcast over the atoms and summed term by term in
+densities (optionally a depth-k atomic stand-in for the Cantor measure);
+``cli`` reads them from a spec.  Evaluation is a closed form, with no
+quadrature.  ``NevanlinnaRep.eval`` and ``cauchy_transform`` take a point or
+an ndarray of points, broadcast over the atoms and summed term by term in
 order, with the array contract whose one home is ``util``: a scalar call is
 the same pass on one point, the ∞ marker sits at an atom, and ∞ is ±inf in a
-real array and inf+0j in a complex one.  Boundary recovery
-(α, β, atoms, densities) uses geometric ladders with Richardson
-extrapolation.  The zeros that bound Γ(f) and the roots of the Boole and
-pushforward identities come from secular-matrix seeds, each sign-bracketed
-on its own component and stepped by the secant of the same evaluation,
-tabled again from that step where the first table does not settle it.
+real array and inf+0j in a complex one.  Boundary recovery (α, β, atoms,
+densities) uses geometric ladders with Richardson extrapolation.  The zeros
+that bound Γ(f) and the roots of the Boole and pushforward identities come
+from secular-matrix seeds, each sign-bracketed on its own component and
+stepped by the secant of the same evaluation, tabled again from that step
+where the first table does not settle it.
 σ's merged support is derived once per descriptor: Ω's arcs, the branches
 of the root kernel and the pieces of Γ all run between its pieces.
 """
@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL, SigmaDescriptor,
-                      cantor_levels, complement_ends, number_from_json, regularize)
+                      cantor_levels, complement_ends, regularize)
 from .util import (BRACKET, RecoveryError, RootBracketError, branch_roots, excess,
                    ladder_limit, points, quotient, root_radii, shaped)
 
@@ -39,11 +39,6 @@ __all__ = [
     "boole_superlevel_measure", "boole_tolerance", "letac_pushforward_check",
     "RecoveryError",
 ]
-
-
-# the largest depth of a spec's ``cantor_depth`` stand-in: 2^16 atoms, which
-# a process builds and evaluates in under 100 MB (2^18 took 225 MB)
-MAX_CANTOR_DEPTH = 16
 
 
 @dataclass(frozen=True)
@@ -133,40 +128,6 @@ def _off_supports(z, ls, rs, *skipped):
         raise ValueError(f"real evaluation at {float(z.real[k])} inside the density "
                          f"support [{float(ls[i])}, {float(rs[i])}]")
     return x if skip is None else np.where(skip[:, None], ls - 1.0, x)
-
-
-def interval_entries(entries, value_key: str, field: str, half_line: bool = False) -> tuple:
-    """(l, r, value) triples of JSON entries {"interval": [l, r], value_key: v},
-    as given, for the object they build to convert; a malformed entry, one
-    holding a value that ``extreal.number_from_json`` refuses included (with
-    ``half_line``, the ends may be "inf" and "-inf"), raises ValueError
-    naming the field and the entry."""
-    out = []
-    for k, p in enumerate(entries):
-        iv = p.get("interval") if isinstance(p, dict) else None
-        if not (isinstance(iv, (list, tuple)) and len(iv) == 2 and value_key in p):
-            raise ValueError(f"{field} entry {k} {p!r} is not of the form "
-                             f'{{"interval": [l, r], "{value_key}": v}}')
-        for x in iv:
-            number_from_json(x, f"{field} entry {k}", half_line=half_line)
-        number_from_json(p[value_key], f"{field} entry {k}")
-        out.append((iv[0], iv[1], p[value_key]))
-    return tuple(out)
-
-
-def atoms_from_json(entries, field: str = "atoms") -> tuple:
-    """(t, w) pairs of a JSON list of [t, w] pairs of numbers
-    (``extreal.number_from_json``); a malformed entry raises ValueError
-    naming the field and the entry."""
-    if not isinstance(entries, (list, tuple)):
-        raise ValueError(f"{field} {entries!r} is not a list of [t, w] pairs")
-    out = []
-    for k, pair in enumerate(entries):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ValueError(f"{field} entry {k} {pair!r} is not a [t, w] pair")
-        what = f"{field} entry {k}"
-        out.append((number_from_json(pair[0], what), number_from_json(pair[1], what)))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -264,21 +225,6 @@ class NevanlinnaRep:
         out = {"alpha": self.alpha, "beta": self.beta}
         out.update(self.rho.to_json())
         return out
-
-    @staticmethod
-    def from_json(obj) -> "NevanlinnaRep":
-        atoms = atoms_from_json(obj.get("atoms", []))
-        ac = interval_entries(obj.get("ac", []), "density", "ac")
-        rho = Measure(atoms=atoms, ac=ac)
-        if "cantor_depth" in obj:
-            depth = obj["cantor_depth"]
-            if type(depth) is not int or not 0 <= depth <= MAX_CANTOR_DEPTH:
-                raise ValueError(f"cantor_depth must be an integer from 0 to "
-                                 f"{MAX_CANTOR_DEPTH}, got {depth!r}")
-            extra = Measure.cantor_atoms(depth)
-            rho = Measure(atoms=rho.atoms + extra.atoms, ac=rho.ac)
-        return NevanlinnaRep(number_from_json(obj.get("alpha", 0.0), "alpha"),
-                             number_from_json(obj.get("beta", 0.0), "beta"), rho)
 
 
 @dataclass(frozen=True)

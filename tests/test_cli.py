@@ -784,6 +784,83 @@ class TestErrors:
         assert f"cantor_depth must be an integer from 0 to 16, got {depth}" in err
         assert "Traceback" not in err
 
+    # every list field, in the spec that holds it with the list in place of None
+    _DISK = {"alpha": [-1, 0], "beta": [1, 0], "zeta": [0, 1]}
+    _LIST_FIELDS = [
+        ("eval", "krein.arcs", {"krein": {"arcs": None}}),
+        ("eval", "product.krein.arcs", {"product": {"krein": {"arcs": None}}}),
+        ("solve", "realizable.omega.arcs",
+         {"realizable": {"omega": {"arcs": None}, "o": {"arcs": [[0, 1]]}}}),
+        ("solve", "realizable.o.arcs",
+         {"realizable": {"omega": {"arcs": [[2, 3]]}, "o": {"arcs": None}}}),
+        ("eval", "nevanlinna.atoms", {"nevanlinna": {"alpha": 1, "atoms": None}}),
+        ("eval", "nevanlinna.ac", {"nevanlinna": {"alpha": 1, "ac": None}}),
+        ("eval", "product.exp.psi", {"product": {"krein": {"arcs": [[0, 1]]},
+                                                 "exp": {"psi": None}}}),
+        ("solve", "boole.atoms", {"boole": {"atoms": None}}),
+        ("solve", "letac.atoms", {"letac": {"atoms": None, "interval": [0, 1]}}),
+        ("solve", "interp.zeros", {"interp": {"zeros": None, "poles": [1]}}),
+        ("solve", "interp.poles", {"interp": {"zeros": [1], "poles": None}}),
+        ("solve", "interp.singular", {"interp": {"zeros": [1], "singular": None}}),
+        ("solve", "interp.zeros", {"interp": {"zeros": None, **_DISK}}),
+        ("solve", "interp.poles", {"interp": {"poles": None, **_DISK}}),
+        ("solve", "interp.singular", {"interp": {"singular": None, **_DISK}}),
+    ]
+
+    @pytest.mark.parametrize("value", ["", {}, 3, "12"], ids=["string", "object", "number",
+                                                            "digits"])
+    @pytest.mark.parametrize("command, field, spec", _LIST_FIELDS,
+                             ids=[field + ("-disk" if "zeta" in spec.get("interp", {}) else "")
+                                  for _, field, spec in _LIST_FIELDS])
+    def test_list_field_that_is_no_list_is_input_error(self, tmp_path, capsys, command,
+                                                        field, spec, value):
+        # "" and {} were read as the empty list and exited 0; 3 exited 2 with
+        # "'int' object is not iterable", and "12" was read as its characters
+        text = json.dumps(spec).replace("null", json.dumps(value))
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main([command, "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {field} must be a JSON list, got {value!r}\n"
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"boole": {"y": [1]}}, "boole.atoms"),
+        ({"letac": {"interval": [0, 1]}}, "letac.atoms"),
+        ({"letac": {"atoms": [[0, 1]]}}, "letac.interval"),
+        ({"interp": {"beta": [1, 0], "zeta": [0, 1]}}, "interp.alpha"),
+        ({"interp": {"alpha": [-1, 0], "zeta": [0, 1]}}, "interp.beta"),
+        ({"interp": {"alpha": [-1, 0], "beta": [1, 0]}}, "interp.zeta"),
+        ({"realizable": {"o": {}}}, "realizable.omega"),
+        ({"realizable": {"omega": {}}}, "realizable.o"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_missing_required_field_names_its_path(self, tmp_path, capsys, spec, field):
+        # a KeyError named the key alone: "input error: 'atoms'"
+        path = write_spec(tmp_path, "bad.json", spec)
+        assert main(["solve", "--spec", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {field} is required\n"
+
+    @pytest.mark.parametrize("command, spec, message", [
+        ("eval", {"krein": {"cantor": {"interval": [1, 0]}}},
+         "krein.cantor.interval: [1, 0] is no interval l < r"),
+        ("eval", {"product": {"krein": {"cantor": {"interval": [0.5, 0.5]}}}},
+         "product.krein.cantor.interval: [0.5, 0.5] is no interval l < r"),
+        ("solve", {"letac": {"atoms": [[0, 1]], "interval": [1, 0]}},
+         "letac.interval: [1, 0] is no interval c < d"),
+        ("solve", {"letac": {"atoms": [[0, 1]], "interval": [2.5, 2.5]}},
+         "letac.interval: [2.5, 2.5] is no interval c < d"),
+    ], ids=["cantor-reversed", "cantor-point", "letac-reversed", "letac-point"])
+    def test_interval_with_l_not_below_r_names_its_field(self, tmp_path, capsys, command,
+                                                         spec, message):
+        # "base must be a finite interval (l, r) with l < r" and "need c < d"
+        # named no field
+        path = write_spec(tmp_path, "bad.json", spec)
+        assert main([command, "--spec", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"input error: {message}\n"
+
 
 class TestProcess:
     def test_parser_shared_across_calls(self, tmp_path, capsys):
@@ -834,7 +911,8 @@ _number = st.one_of(st.integers(-5, 5), st.floats(-5.0, 5.0), st.sampled_from(["
 _value = st.one_of(_number, _number, _number, _junk)
 _pair = st.one_of(st.lists(_value, min_size=2, max_size=2),
                   st.lists(_number, min_size=2, max_size=2), _junk)
-_pairs = st.lists(_pair, max_size=4)
+# a list field also draws values that are no list
+_pairs = st.one_of(st.lists(_pair, max_size=4), _junk)
 _depth = st.one_of(st.integers(-2, 5), st.sampled_from([3.5, "2", True, None]))
 _tol = st.one_of(st.sampled_from([1e-2, 1e-3]), st.sampled_from([-1.0, "x", None]))
 _typo = st.dictionaries(st.sampled_from(["arcz", "atom", "pole", "x"]), _value, max_size=1)
@@ -853,12 +931,13 @@ _krein = st.one_of(
     _body({}, {"arcs": _pairs, "full": _full}),
     _body({"cantor": st.one_of(_body({}, {"interval": _pair, "depth": _depth}), _junk)},
           {"tol": _tol}))
-_psi = st.lists(st.one_of(_body({}, {"interval": _pair, "value": _value}), _junk), max_size=2)
+_psi = st.one_of(st.lists(st.one_of(_body({}, {"interval": _pair, "value": _value}), _junk),
+                          max_size=2), _junk)
 _function = st.one_of(
     st.tuples(st.just("nevanlinna"), _body({}, {
         "alpha": _value, "beta": _value, "atoms": _pairs,
-        "ac": st.lists(st.one_of(_body({}, {"interval": _pair, "density": _value}), _junk),
-                       max_size=2),
+        "ac": st.one_of(st.lists(st.one_of(_body({}, {"interval": _pair, "density": _value}),
+                                           _junk), max_size=2), _junk),
         "cantor_depth": _depth})),
     st.tuples(st.just("krein"), _krein),
     st.tuples(st.just("product"), _body({}, {
@@ -866,8 +945,9 @@ _function = st.one_of(
         "exp": st.one_of(_body({}, {"gamma": _value, "psi": _psi}), _junk)})))
 _problem = st.one_of(
     st.tuples(st.just("interp"), _body({}, {
-        "zeros": st.lists(_value, max_size=4), "poles": st.lists(_value, max_size=4),
-        "singular": st.lists(_value, max_size=3)})),
+        "zeros": st.one_of(st.lists(_value, max_size=4), _junk),
+        "poles": st.one_of(st.lists(_value, max_size=4), _junk),
+        "singular": st.one_of(st.lists(_value, max_size=3), _junk)})),
     st.tuples(st.just("interp"), _body({"alpha": _pair, "beta": _pair, "zeta": _pair}, {
         "zeros": _pairs, "poles": _pairs, "singular": _pairs})),
     st.tuples(st.just("realizable"), _body({"omega": _arcset, "o": _arcset}, {})),

@@ -166,8 +166,9 @@ def unread_fields(fields, sources):
 
 
 def test_every_spec_field_is_read():
+    # cli is the one reader of the spec format
     from halfplane.cli import FIELDS
-    assert unread_fields(FIELDS, [p.read_text() for p in MODULES]) == []
+    assert unread_fields(FIELDS, [(SRC / "cli.py").read_text()]) == []
 
 
 def test_flags_a_field_no_code_reads():
@@ -176,3 +177,35 @@ def test_flags_a_field_no_code_reads():
               'def read(body):\n'
               '    return body.get("interval")\n')
     assert unread_fields({"cantor": ("interval", "depth")}, [source]) == ["depth"]
+
+
+def from_json_readers(source, filename="<string>"):
+    """(line, name) of every function or method, at any depth, whose name
+    ends in ``from_json``."""
+    return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(source, filename))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.endswith("from_json"))
+
+
+# cli reads the spec format; the other modules only write it (to_json)
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_cli_reads_the_spec_format(path):
+    assert from_json_readers(path.read_text(), str(path)) == []
+
+
+def test_flags_a_from_json_reader():
+    source = ("class ArcSet:\n"
+              "    def to_json(self):\n"
+              "        return {}\n"
+              "    @staticmethod\n"
+              "    def from_json(obj):\n"
+              "        return ArcSet()\n"
+              "def atoms_from_json(entries):\n"
+              "    def point_from_json(x):\n"
+              "        return x\n"
+              "    return ()\n"
+              "def from_json_text(text):\n"
+              "    return text\n")
+    assert from_json_readers(source) == [(5, "from_json"), (7, "atoms_from_json"),
+                                         (8, "point_from_json")]
