@@ -50,6 +50,7 @@ from typing import Iterable, Sequence
 
 INF = math.inf
 POINT_TOL = 1e-12
+_CONTAINS_TOL = 1e-9  # relative, for arc containment
 
 _LINE_NEG = float("-inf")  # sweep-line sentinel, distinct from the circle point ∞
 _LINE_POS = float("inf")
@@ -441,11 +442,11 @@ class SigmaDescriptor:
     def is_measure_zero(self) -> bool:
         return not self.intervals
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         if is_inf(x):
             return self.has_inf
-        return (any(abs(x - p) <= tol for p in self.points)
-                or any(l - tol <= x <= r + tol for l, r in self.intervals))
+        return (any(abs(x - p) <= POINT_TOL for p in self.points)
+                or any(l - POINT_TOL <= x <= r + POINT_TOL for l, r in self.intervals))
 
 
 def closed_complement(o: ArcSet) -> tuple:
@@ -486,23 +487,24 @@ def arc_segments(arc: Arc):
     return [(b, _LINE_POS), (_LINE_NEG, a)], True
 
 
-def arcs_overlap(x: Arc, y: Arc, tol: float = POINT_TOL) -> bool:
+def arcs_overlap(x: Arc, y: Arc) -> bool:
     """True when the two open arcs intersect in a set of positive length:
     one holds an end of the other, or both run between the same ends in the
     same direction."""
-    return (any(x.contains(p, tol) for p in (y.b, y.a))
-            or any(y.contains(p, tol) for p in (x.b, x.a))
-            or (points_equal(x.b, y.b, tol) and points_equal(x.a, y.a, tol)))
+    return (any(x.contains(p) for p in (y.b, y.a))
+            or any(y.contains(p) for p in (x.b, x.a))
+            or (points_equal(x.b, y.b) and points_equal(x.a, y.a)))
 
 
-def arc_contains_arc(outer: Arc, inner: Arc, tol: float = 1e-9) -> bool:
+def arc_contains_arc(outer: Arc, inner: Arc) -> bool:
     """inner ⊆ outer: each end of inner lies in outer's closure, inner holds
     neither end of outer, and inner is not outer's complement (outer's ends
     in reverse order, unless outer is a puncture).  A point p is compared to
-    within tol·max(1, |p|): zeros far from the origin carry an absolute
+    within 1e-9·max(1, |p|): zeros far from the origin carry an absolute
     roundoff that grows with |p|."""
     b, a, ib, ia = outer.b, outer.a, inner.b, inner.a
-    tb, ta, tib, tia = (tol if p == INF else tol * max(1.0, abs(p)) for p in (b, a, ib, ia))
+    tb, ta, tib, tia = (_CONTAINS_TOL * (1.0 if p == INF else max(1.0, abs(p)))
+                        for p in (b, a, ib, ia))
     if inner.contains(b, tb) or inner.contains(a, ta):
         return False
     for p, t in ((ib, tib), (ia, tia)):
@@ -511,10 +513,10 @@ def arc_contains_arc(outer: Arc, inner: Arc, tol: float = 1e-9) -> bool:
     return outer.puncture or not (points_equal(ib, a, tib) and points_equal(ia, b, tia))
 
 
-def arcset_contains_arc(o: ArcSet, j: Arc, tol: float = 1e-9) -> bool:
+def arcset_contains_arc(o: ArcSet, j: Arc) -> bool:
     if o.full:
         return True
-    return any(arc_contains_arc(arc, j, tol) for arc in o.arcs)
+    return any(arc_contains_arc(arc, j) for arc in o.arcs)
 
 
 def boundary_samples(o: ArcSet) -> list:
