@@ -450,8 +450,6 @@ def factorize(f) -> FactorizationResult:
     constant = None
     if ana.sigma.is_measure_zero():
         constant = c, resid = _constant_certificate(f, ana, k)
-        if not math.isfinite(c):  # no representation holds it, and it certifies nothing
-            raise CertificationError(f"the constant |f(i)| = {c} is not finite", worst=resid)
         g = RepFunction(NevanlinnaRep(0.0, c))
     elif isinstance(f, CompositeFunction):
         # k_O / k_Γ is exactly 1 (the sets differ by measure zero)
@@ -555,20 +553,27 @@ def _constant_certificate(f, ana: AnalysisResult, k: KreinProduct):
     0.2 to 5).  An atomic representation evaluates neither: c is its closed
     form and the residual a bound from the analysis's zero radii
     (:func:`_zeros_bound`), narrowed where the accepted brackets leave it
-    above 1e−9.  Other forms are evaluated on the grid."""
-    if ana.zeros is not None:
-        rep = f.rep
-        # the kernel (1 + it)/(t − i) is i, so f(i) = β + i(α + ρ(R))
+    above 1e−9.  Other forms are evaluated on the grid, numpy's warnings off
+    (a value past the floats fails the residual).  A c not finite and > 0
+    certifies nothing, and no g holds it: CertificationError."""
+    rep = f.rep if ana.zeros is not None else None
+    if rep is not None:  # the kernel (1 + it)/(t − i) is i: f(i) = β + i(α + ρ(R))
         c = math.hypot(rep.beta, math.fsum([rep.alpha, *(w for _, w in rep.rho.atoms)]))
+    else:
+        with np.errstate(all="ignore"):
+            fv = f(_CONSTANT_GRID)
+        c = abs(fv[0].item())
+    if not 0 < c < INF:
+        raise CertificationError(f"the constant |f(i)| = {c} is not finite and positive")
+    if rep is not None:
         resid = _zeros_bound(ana.zeros)
         if not resid <= 1e-9:
             resid = min(resid, _zeros_bound(analyze(rep, narrow=True).zeros))
         return c, resid
-    fv = f(_CONSTANT_GRID)
-    c = abs(fv[0].item())
-    # |f/k − c|/c: f/k through util.quotient, and c divides only a real, as
-    # numpy divides a complex by a reciprocal that a subnormal c overflows
-    dev = np.abs(quotient(fv[1:], k(_CONSTANT_GRID[1:]))[0] - c) / c
+    with np.errstate(all="ignore"):
+        # |f/k − c|/c: f/k through util.quotient, and c divides only a real, as
+        # numpy divides a complex by a reciprocal that a subnormal c overflows
+        dev = np.abs(quotient(fv[1:], k(_CONSTANT_GRID[1:]))[0] - c) / c
     return c, float(np.max(dev))
 
 

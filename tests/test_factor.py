@@ -601,6 +601,24 @@ class TestConstantBound:
                                                      "is not finite"):
             factorize(f)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("f, c", [
+        (BlackBoxFunction(lambda z: math.inf if z == 1j else -1 / z,
+                          SigmaDescriptor(points=(0.0,))), "inf"),
+        (BlackBoxFunction(lambda z: 0j if z == 1j else -1 / z,
+                          SigmaDescriptor(points=(0.0,))), "0.0"),
+        # e^800 overflows at i, and inf·k(i) is NaN
+        (CompositeFunction(1.0, KreinProduct(normalize([Arc(0, 1)])), ExpRep(800.0)), "nan"),
+    ], ids=["inf-at-i", "zero-at-i", "exp-past-the-floats"])
+    def test_constant_past_the_floats_is_refused_without_a_warning(self, f, c):
+        # the grid divided by c (numpy "invalid value" or "divide by zero")
+        # or overflowed in e^h, and the warning was raised in the refusal's place
+        refusal = rf"the constant \|f\(i\)\| = {c} is not finite and positive"
+        with pytest.raises(CertificationError, match=refusal):
+            factorize(f)
+        with pytest.raises(CertificationError, match=refusal):
+            constant_factor_check(f)
+
     @pytest.mark.parametrize("c", [1e-320, 5e-324])
     def test_composite_constant_with_too_few_bits_is_refused(self, c):
         # the composite's values carry a few bits at most: the grid sees it
