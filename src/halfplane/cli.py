@@ -134,7 +134,7 @@ def _pair(value, path, form, read=_number) -> tuple:
     # a two-entry list (an interval, an atom, a disk point), each entry read
     if not (isinstance(value, list) and len(value) == 2):
         raise SpecError(f"{path}: {value!r} is not a {form} pair")
-    return tuple(read(x, path) for x in value)
+    return read(value[0], path), read(value[1], path)
 
 
 def _point(value, path) -> float:
