@@ -16,8 +16,8 @@ The function forms, which ``cli`` reads from a spec, take a point or an
 ndarray of points, with the array contract of ``util``; ``masked(z)``
 returns (values, refused) for an array, refused marking the points a scalar
 call refuses.  A composite c·k_O·e^h is canonical once built: a ψ = 1 piece
-of h is an arc of O and a ψ = 0 piece is gone, so σ, Γ and the posts read 0
-< ψ < 1 pieces only.  The posts on a structured g (a representation, or
+of h is an arc of O and a ψ = 0 piece is gone, so σ, Γ and the posts read
+0 < ψ < 1 pieces only.  The posts on a structured g (a representation, or
 c·e^h) compare supports, sharing σ(f)'s merged support with the analysis,
 and read g's sign off its form.  A black-box g is sampled across Ω(f).
 Certification grids are fixed read-only arrays, each evaluated in one call.
