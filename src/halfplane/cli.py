@@ -9,9 +9,11 @@ keep their ``to_json`` writers.  Unknown fields are rejected: at the top
 level, in a task body, in "options", in a nested "cantor" or "exp" and in a
 realizable pair's "omega" and "o".  A list field takes a JSON list only, a
 number a JSON number, a point also "inf", "-inf" or "oo", and a malformed or
-missing field is an input error naming its path ("nevanlinna.ac entry 0").
+missing field is an input error naming its path ("nevanlinna.ac entry 0"), as
+is an object's own rule (a positive weight) at the path of the field it read.
 
-Exit codes: 0 all certifications pass, 1 certification failure, 2 input error.
+Exit codes: 0 all certifications pass, 1 certification failure, 2 input error
+(the message begins with a spec path or a flag), 3 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -66,28 +68,40 @@ class SpecError(ValueError):
     pass
 
 
-def load_spec(path):
+def load_spec(path, command):
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecError(f"cannot read spec: {exc}")
+    except (OSError, ValueError, RecursionError) as exc:  # not text, not JSON, too deep
+        raise SpecError(f"--spec: cannot read spec: {exc}") from None
     _fields(obj, "spec")
     tasks = [k for k in obj if k in FUNCTION_TASKS or k in PROBLEM_TASKS]
     if len(tasks) != 1:
         raise SpecError(f"spec must contain exactly one task, found {tasks}")
     if obj.get("version", 1) != 1:
-        raise SpecError(f"unsupported spec version {obj['version']!r}; "
+        raise SpecError(f"version {obj['version']!r} is unsupported; "
                         "this program reads version 1")
     options = _fields(obj.get("options", {}), "options")
     if "eps" in options:
         _eps(options["eps"], "options.eps")
+    if (tasks[0] in PROBLEM_TASKS) != (command == "solve"):
+        kind = "problem" if command == "solve" else "function"
+        raise SpecError(f"spec: {command} needs a {kind} spec, got '{tasks[0]}'")
     return tasks[0], _fields(obj[tasks[0]], tasks[0]), options
 
 
 # ---------------------------------------------------------------------------
 # the spec reader: each reader takes a JSON value and its field's path, which
 # names the field in the message of a malformed value
+
+
+def _made(path, make, *args):
+    # make(*args), an object or a library call, its ValueError (an object's
+    # own rule) an input error at the path of the field it read
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SpecError(f"{path}: {exc}") from None
 
 
 def _at(body, path, key, *default):
@@ -105,7 +119,7 @@ def _fields(obj, path, what=None):
     name = path.rsplit(".", 1)[-1]
     unknown = set(obj) - set(FIELDS[name])
     if unknown:
-        raise SpecError(f"unknown {name} fields: {sorted(unknown)}")
+        raise SpecError(f"{path}: unknown {name} fields: {sorted(unknown)}")
     return obj
 
 
@@ -137,17 +151,9 @@ def _pair(value, path, form, read=_number) -> tuple:
     return read(value[0], path), read(value[1], path)
 
 
-def _point(value, path) -> float:
+def _point(value, path, what="a point") -> float:
     # a JSON number, or "inf", "-inf" or "oo" for ∞
-    return INF if value in ("inf", "-inf", "oo") else as_point(value, path)
-
-
-def _interval(value, path, ends, read):
-    # the pair [l, r] as given, its ends read by read(end, path), with l < r
-    lo, hi = _pair(value, path, f"[{ends[0]}, {ends[1]}]", read)
-    if not lo < hi:
-        raise SpecError(f"{path}: {value!r} is no interval {ends[0]} < {ends[1]}")
-    return value
+    return INF if value in ("inf", "-inf", "oo") else _made(path, as_point, value, what)
 
 
 def _depth(value, path, top=None):
@@ -197,14 +203,14 @@ def _arc_set(body, path):
         return FULL
     arcs = []
     for k, item in enumerate(_list(*_at(body, path, "arcs", []))):
-        end = f"{path}.arcs entry {k}: an arc end"
+        entry = f"{path}.arcs entry {k}"
         if isinstance(item, dict) and "puncture" in item:
-            x = _point(item["puncture"], end)
-            arcs.append(Arc(x, x, puncture=True))
+            x = _point(item["puncture"], entry, "an arc end")
+            arcs.append(_made(entry, Arc, x, x, True))
         elif isinstance(item, list) and len(item) == 2:
-            arcs.append(Arc(*(_point(x, end) for x in item)))
+            arcs.append(_made(entry, Arc, *(_point(x, entry, "an arc end") for x in item)))
         else:
-            raise SpecError(f"{path}.arcs entry {k} {item!r} is not a [b, a] pair of points")
+            raise SpecError(f"{entry} {item!r} is not a [b, a] pair of points")
     return normalize(arcs)
 
 
@@ -213,38 +219,39 @@ def _krein_product(kspec, path="krein"):
     complement at the body's depth (default 26) and tolerance (default 1e-6)."""
     if "cantor" not in kspec:
         if "tol" in kspec:
-            raise SpecError("krein tol goes with a cantor generator, not with explicit arcs")
+            raise SpecError(f"{path} tol goes with a cantor generator, not with explicit arcs")
         return KreinProduct(_arc_set(kspec, path))
     if "arcs" in kspec or "full" in kspec:
-        raise SpecError("krein takes arcs or a cantor generator, not both")
+        raise SpecError(f"{path} takes arcs or a cantor generator, not both")
     cc = _fields(*_at(kspec, path, "cantor"))
-    base = _interval(*_at(cc, f"{path}.cantor", "interval", [0, 1]), "lr",
-                     lambda x, where: as_point(x, f"{where}: an arc end"))
+    # the base's rule and then tol's, each at its own field
+    base, where = _at(cc, f"{path}.cantor", "interval", [0, 1])
+    base = _made(where, extreal.finite_interval,
+                 _pair(base, where, "[l, r]", functools.partial(_point, what="an arc end")))
     depth = _depth(*_at(cc, f"{path}.cantor", "depth", 26))
-    return cantor_complement_product(base, depth, _number(*_at(kspec, path, "tol", 1e-6)))
+    tol, where = _at(kspec, path, "tol", 1e-6)
+    return _made(where, cantor_complement_product, base, depth, _number(tol, where))
 
 
 def build_function_spec(task, body):
     if task == "nevanlinna":
-        rho = Measure(atoms=_atoms(*_at(body, task, "atoms", [])),
-                      ac=_pieces(*_at(body, task, "ac", []), "density"))
+        rho = _made(task, Measure, _atoms(*_at(body, task, "atoms", [])),
+                    _pieces(*_at(body, task, "ac", []), "density"))
         if "cantor_depth" in body:
             depth = _depth(*_at(body, task, "cantor_depth"), MAX_CANTOR_DEPTH)
-            rho = Measure(atoms=rho.atoms + Measure.cantor_atoms(depth).atoms, ac=rho.ac)
-        return RepFunction(NevanlinnaRep(_number(*_at(body, task, "alpha", 0.0)),
-                                         _number(*_at(body, task, "beta", 0.0)), rho))
+            rho = _made(task, Measure, rho.atoms + Measure.cantor_atoms(depth).atoms, rho.ac)
+        return RepFunction(_made(task, NevanlinnaRep, _number(*_at(body, task, "alpha", 0.0)),
+                                 _number(*_at(body, task, "beta", 0.0)), rho))
     if task == "krein":
         return CompositeFunction(1.0, _krein_product(body))
-    if task == "product":
-        c = _number(*_at(body, task, "c", 1.0))
-        prod = _krein_product(_fields(*_at(body, task, "krein", {})), "product.krein")
-        exp = None
-        if "exp" in body:
-            spec = _fields(*_at(body, task, "exp"))
-            exp = ExpRep(_number(*_at(spec, "product.exp", "gamma", 0.0)),
-                         _pieces(*_at(spec, "product.exp", "psi", []), "value", True))
-        return CompositeFunction(c, prod, exp)
-    raise SpecError(f"not a function task: {task}")
+    c = _number(*_at(body, task, "c", 1.0))
+    prod = _krein_product(_fields(*_at(body, task, "krein", {})), "product.krein")
+    exp = None
+    if "exp" in body:
+        spec = _fields(*_at(body, task, "exp"))
+        exp = _made("product.exp", ExpRep, _number(*_at(spec, "product.exp", "gamma", 0.0)),
+                    _pieces(*_at(spec, "product.exp", "psi", []), "value", True))
+    return _made(task, CompositeFunction, c, prod, exp)
 
 
 def parse_grid(text, field):
@@ -253,26 +260,25 @@ def parse_grid(text, field):
     if text.startswith("box:"):
         parts = text.split(":")[1:]
         if len(parts) != 5:
-            raise SpecError("box grid needs box:re1:re2:im1:im2:n")
+            raise SpecError(f"{field}: a box grid needs box:re1:re2:im1:im2:n")
         r1, r2, i1, i2, n = _grid_numbers(parts, field)
         if not (i1 > 0 and i2 > 0):
             raise SpecError(f"{field}: the box's Im range [{i1}, {i2}] must be "
                             "strictly positive (the upper half-plane)")
-        xs = np.linspace(r1, r2, n)
-        ys = np.linspace(i1, i2, n)
+        xs, ys = (_made(field, np.linspace, lo, hi, n) for lo, hi in ((r1, r2), (i1, i2)))
         return [complex(x, y) for y in ys for x in xs]
     parts = text.split(":")
     if len(parts) != 3:
-        raise SpecError("grid needs a:b:n or box:re1:re2:im1:im2:n")
+        raise SpecError(f"{field}: a grid needs a:b:n or box:re1:re2:im1:im2:n")
     a, b, n = _grid_numbers(parts, field)
-    return [float(x) for x in np.linspace(a, b, n)]
+    return [float(x) for x in _made(field, np.linspace, a, b, n)]
 
 
 def _grid_numbers(parts, field):
     # a grid's ends as pairs (lo, hi), each span finite, and so each end, then
     # its point count, a decimal integer >= 0
     *spans, count = parts
-    ends = [float(t) for t in spans]
+    ends = [_made(field, float, t) for t in spans]
     if not all(math.isfinite(hi - lo) for lo, hi in zip(ends[::2], ends[1::2])):
         raise SpecError(f"{field}: a grid end or span in {':'.join(spans)} is not finite")
     if not count.isdecimal():
@@ -281,12 +287,10 @@ def _grid_numbers(parts, field):
 
 
 def cmd_eval(args):
-    task, body, options = load_spec(args.spec)
-    if task not in FUNCTION_TASKS:
-        raise SpecError(f"eval needs a function spec, got '{task}'")
+    task, body, options = load_spec(args.spec, "eval")
     fn = build_function_spec(task, body)
-    grid = (parse_grid(args.grid, "--grid") if args.grid
-            else parse_grid(options.get("grid", "-5:5:21"), "options.grid"))
+    field = "--grid" if args.grid else "options.grid"
+    grid = parse_grid(args.grid or options.get("grid", "-5:5:21"), field)
     # load_spec has read options.eps
     eps = _eps(args.eps, "--eps") if args.eps is not None else options.get("eps")
     # a point off the line, a real point lifted to Im z = eps, or one on it
@@ -294,8 +298,9 @@ def cmd_eval(args):
                           (complex(z, float(eps)), "eps") if eps else (complex(z, 0.0), "cont")
                           for z in grid]) if grid else ((), ())
     # off the real line only the generator's tail can refuse a point
-    # (TailNotCertified); on it, the guard band and the Cantor set too
-    values, refused = fn.masked(np.array(points, dtype=complex))
+    # (TailNotCertified); on it, the guard band and the Cantor set too, and
+    # a real grid point inside a density is an input error
+    values, refused = _made(field, fn.masked, np.array(points, dtype=complex))
     rows = []
     for point, flag, v, no in zip(points, flags, values.tolist(), refused.tolist()):
         if no:
@@ -325,11 +330,9 @@ def _cert_entries(certs):
 
 
 def cmd_factor(args):
-    task, body, _ = load_spec(args.spec)
-    if task not in FUNCTION_TASKS:
-        raise SpecError(f"factor needs a function spec, got '{task}'")
-    fn = build_function_spec(task, body)
-    res = factorize(fn)
+    task, body, _ = load_spec(args.spec, "factor")
+    # the zero function, a generator-backed product, a measure past the floats
+    res = _made(task, factorize, build_function_spec(task, body))
     report = {
         "task": "factor",
         "gamma": res.gamma.to_json(),
@@ -354,9 +357,7 @@ def cmd_factor(args):
 
 
 def cmd_solve(args):
-    task, body, _ = load_spec(args.spec)
-    if task not in PROBLEM_TASKS:
-        raise SpecError(f"solve needs a problem spec, got '{task}'")
+    task, body, _ = load_spec(args.spec, "solve")
     if task == "interp":
         return _solve_interp(body), 0
     if task == "realizable":
@@ -366,7 +367,7 @@ def cmd_solve(args):
         return {"task": "realizable", "ok": ok,
                 "failures": [list(f) for f in failures]}, (0 if ok else 1)
     if task == "boole":
-        mu = Measure(atoms=_atoms(*_at(body, task, "atoms")))
+        mu = _made("boole.atoms", Measure, _atoms(*_at(body, task, "atoms")))
         ys = body.get("y", [1.0])
         ys = ys if isinstance(ys, list) else [ys]
         if not ys:
@@ -374,10 +375,7 @@ def cmd_solve(args):
         certs = []
         for y in ys:
             value = _number(y, "boole.y")
-            try:
-                plus, minus = boole_superlevel_measure(mu, value)
-            except ValueError as exc:  # a level out of range
-                raise SpecError(f"boole.y: {exc}") from None
+            plus, minus = _made("boole.y", boole_superlevel_measure, mu, value)
             target = mu.mass() / value
             resid = max(abs(plus - target), abs(minus - target))
             tol = boole_tolerance(mu, target, plus, minus)
@@ -386,18 +384,19 @@ def cmd_solve(args):
                           "plus": plus, "minus": minus, "target": target})
         ok = all(c["pass"] for c in certs)
         return {"task": "boole", "certifications": certs}, (0 if ok else 1)
-    if task == "letac":
-        rep = NevanlinnaRep(1.0, _number(*_at(body, task, "beta", 0.0)),
-                            Measure(atoms=_atoms(*_at(body, task, "atoms"))))
-        # as given: an int interval's target d − c stays an int
-        c, d = _interval(*_at(body, task, "interval"), "cd", _number)
-        length = letac_pushforward_check(rep, (c, d))
-        resid = abs(length - (d - c))
-        cert = {"name": "letac_preimage_length", "residual": resid,
-                "tolerance": 1e-8, "pass": resid <= 1e-8,
-                "length": length, "target": d - c}
-        return {"task": "letac", "certifications": [cert]}, (0 if cert["pass"] else 1)
-    raise SpecError(task)
+    rep = _made("letac.beta", NevanlinnaRep, 1.0, _number(*_at(body, task, "beta", 0.0)),
+                _made("letac.atoms", Measure, _atoms(*_at(body, task, "atoms"))))
+    # the interval's rule at its field, then the roots at the task; the
+    # interval as given: an int interval's target d − c stays an int
+    interval, where = _at(body, task, "interval")
+    _made(where, extreal.finite_interval, _pair(interval, where, "[c, d]"))
+    length = _made(task, letac_pushforward_check, rep, interval)
+    c, d = interval
+    resid = abs(length - (d - c))
+    cert = {"name": "letac_preimage_length", "residual": resid,
+            "tolerance": 1e-8, "pass": resid <= 1e-8,
+            "length": length, "target": d - c}
+    return {"task": "letac", "certifications": [cert]}, (0 if cert["pass"] else 1)
 
 
 def _solve_interp(body):
@@ -408,13 +407,13 @@ def _solve_interp(body):
                   for value, path in lists]
         alpha, beta, zeta = (complex(*_pair(*_at(body, "interp", key), "[re, im]"))
                              for key in ("alpha", "beta", "zeta"))
-        theta = interp.disk_interpolate(*points, alpha, beta, zeta)
+        theta = _made("interp", interp.disk_interpolate, *points, alpha, beta, zeta)
         return {"task": "interp-disk",
                 "region": theta.region.to_json(),
                 "problem": theta.problem.to_json(),
                 "certifications": _cert_entries(theta.certifications)}
-    problem = interp.InterpProblem(*(tuple(_point(x, path) for x in _list(value, path))
-                                     for value, path in lists))
+    problem = _made("interp", interp.InterpProblem,
+                    *(tuple(_point(x, path) for x in _list(value, path)) for value, path in lists))
     build = interp.build_function(problem)
     return {"task": "interp",
             "region": build.region.to_json(),
@@ -597,8 +596,11 @@ def write_output(report, code, args, t0):
             report["rows"] = [list(r) for r in report["rows"]]
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecError(f"--out: {exc}") from None
     else:
         sys.stdout.write(text)
     return code
@@ -644,15 +646,10 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     t0 = time.perf_counter()
+    run = {"eval": cmd_eval, "factor": cmd_factor, "solve": cmd_solve, "check": cmd_check}
     try:
-        if args.command == "eval":
-            report, code = cmd_eval(args)
-        elif args.command == "factor":
-            report, code = cmd_factor(args)
-        elif args.command == "solve":
-            report, code = cmd_solve(args)
-        else:
-            report, code = cmd_check(args)
+        report, code = run[args.command](args)
+        return write_output(report, code, args, t0)
     except SpecError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
@@ -660,10 +657,9 @@ def main(argv=None):
             RootBracketError, TailNotCertified) as exc:
         sys.stderr.write(f"certification failure: {exc}\n")
         return 1
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    return write_output(report, code, args, t0)
+    except Exception as exc:  # every input error is a SpecError: this is a fault
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

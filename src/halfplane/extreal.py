@@ -78,6 +78,15 @@ def as_point(x, what: str = "a point") -> float:
     return INF if x == -INF else x
 
 
+def finite_interval(ends, what: str = "an interval end") -> tuple:
+    """(l, r), the two ends made points (:func:`as_point`, ``what`` naming
+    them); ValueError unless both are finite and l < r."""
+    l, r = (as_point(x, what) for x in ends)
+    if not l < r < INF:
+        raise ValueError(f"({l}, {r}) is no finite interval l < r")
+    return l, r
+
+
 def points_equal(x: float, y: float, tol: float = POINT_TOL) -> bool:
     """Point equality: ``x == y`` or ``|x - y| <= tol``, so ∞ equals only ∞."""
     return x == y or abs(x - y) <= tol
@@ -346,12 +355,9 @@ class CantorComplement:
     depth: int
 
     def __post_init__(self):
-        l, r = (as_point(x, "a Cantor base end") for x in self.base)
-        if not l < r < INF:
-            raise ValueError("base must be a finite interval (l, r) with l < r")
+        object.__setattr__(self, "base", finite_interval(self.base, "a Cantor base end"))
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
-        object.__setattr__(self, "base", (l, r))
 
     def levels(self) -> list:
         """Removed arcs grouped by level: levels()[m-1] has 2^(m-1) arcs."""

@@ -36,8 +36,8 @@ from .krein import KreinProduct
 from .moebius import DiskMap, cayley, disk_target_map
 
 
-class InterlacingError(ValueError):
-    """The prescribed zeros and poles do not interlace."""
+class InterlacingError(RuntimeError):
+    """The prescribed zeros and poles do not interlace (a verdict, as a failed check is)."""
 
 
 _SETS = ("zeros", "poles", "singular")

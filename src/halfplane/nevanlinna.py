@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL, SigmaDescriptor,
-                      cantor_levels, complement_ends, regularize)
+                      cantor_levels, complement_ends, finite_interval, regularize)
 from .util import (BRACKET, RecoveryError, RootBracketError, branch_roots, excess,
                    ladder_limit, points, quotient, root_radii, shaped)
 
@@ -428,11 +428,7 @@ def letac_pushforward_check(rep: NevanlinnaRep, interval) -> float:
     each of the N+1 branches contributes f⁻¹(d) − f⁻¹(c), both solved in
     one call; the total equals d − c (f preserves Lebesgue measure).
     """
-    c, d = float(interval[0]), float(interval[1])
-    if not c < d:
-        raise ValueError("need c < d")
-    if not (math.isfinite(c) and math.isfinite(d)):
-        raise ValueError(f"the interval ({c}, {d}) must be finite")
+    c, d = finite_interval(interval)
     if abs(rep.alpha - 1.0) > 1e-12:
         raise ValueError("the pushforward identity requires alpha = 1")
     if not rep.rho.is_atomic():

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -488,14 +489,16 @@ class TestErrors:
         # "Eigenvalues did not converge" and letac exited 1; a density's
         # ends cubed overflowed in a traceback; a density of 1e308 has a
         # finite K, but its far bracket's end (α = 1) or an exact sum of a
-        # row (α = 0) overflowed in a traceback
+        # row (α = 0) overflowed in a traceback.  The root kernel reads the
+        # whole measure, so the message names the task
         path = write_spec(tmp_path, "f.json", spec)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main([command, "--spec", path]) == 2
         captured = capsys.readouterr()
         assert not caught and captured.out == "" and "Traceback" not in captured.err
-        assert captured.err.startswith(f"input error: {named} is past the float range")
+        (task,) = spec
+        assert captured.err.startswith(f"input error: {task}: {named} is past the float range")
 
     def test_unbracketable_root_is_certification_failure(self, tmp_path, capsys):
         # the root of G = 1 right of the 1e-30 atom lies within roundoff of
@@ -844,22 +847,137 @@ class TestErrors:
 
     @pytest.mark.parametrize("command, spec, message", [
         ("eval", {"krein": {"cantor": {"interval": [1, 0]}}},
-         "krein.cantor.interval: [1, 0] is no interval l < r"),
+         "krein.cantor.interval: (1.0, 0.0) is no finite interval l < r"),
         ("eval", {"product": {"krein": {"cantor": {"interval": [0.5, 0.5]}}}},
-         "product.krein.cantor.interval: [0.5, 0.5] is no interval l < r"),
+         "product.krein.cantor.interval: (0.5, 0.5) is no finite interval l < r"),
         ("solve", {"letac": {"atoms": [[0, 1]], "interval": [1, 0]}},
-         "letac.interval: [1, 0] is no interval c < d"),
+         "letac.interval: (1.0, 0.0) is no finite interval l < r"),
         ("solve", {"letac": {"atoms": [[0, 1]], "interval": [2.5, 2.5]}},
-         "letac.interval: [2.5, 2.5] is no interval c < d"),
+         "letac.interval: (2.5, 2.5) is no finite interval l < r"),
     ], ids=["cantor-reversed", "cantor-point", "letac-reversed", "letac-point"])
     def test_interval_with_l_not_below_r_names_its_field(self, tmp_path, capsys, command,
                                                          spec, message):
         # "base must be a finite interval (l, r) with l < r" and "need c < d"
-        # named no field
+        # named no field; the objects' one interval rule now names it
         path = write_spec(tmp_path, "bad.json", spec)
         assert main([command, "--spec", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("solve", '{"letac": {"atoms": [[0, 1]], "interval": [0, 1e309]}}',
+         "letac.interval: (0.0, inf) is no finite interval l < r"),
+        ("eval", '{"krein": {"cantor": {"interval": [0, 1e309]}}}',
+         "krein.cantor.interval: (0.0, inf) is no finite interval l < r"),
+    ], ids=["letac", "cantor"])
+    def test_interval_past_the_floats_names_its_field(self, tmp_path, capsys, command,
+                                                      text, message):
+        # JSON reads 1e309 as inf: "the interval (0.0, inf) must be finite"
+        # and "degenerate arc (inf, inf)" named no field
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main([command, "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+    _DENSITY = {"nevanlinna": {"ac": [{"interval": [0, 1], "density": 1}]}}
+
+    @pytest.mark.parametrize("argv, spec, message", [
+        (["factor"], {"nevanlinna": {"atoms": [[0.0, 0.0]]}},
+         "nevanlinna: atom weight must be positive, got 0.0 at 0.0"),
+        (["factor"], {"nevanlinna": {}}, "nevanlinna: analysis of the zero function is undefined"),
+        (["factor"], {"krein": {"cantor": {"depth": 3}, "tol": 1e-2}},
+         "krein: analysis of generator-backed products is out of scope"),
+        (["eval"], {"krein": {"cantor": {"depth": 3}, "tol": -1.0}},
+         "krein.tol: tol must be >= 0 and finite, got -1.0"),
+        (["eval"], {"product": {"c": 0, "krein": {"arcs": [[0, 1]]}}},
+         "product: composite constant must be positive and finite, got 0.0"),
+        (["eval"], {"krein": {"arcs": [[1, 1]]}}, "krein.arcs entry 0: degenerate arc (1.0, 1.0)"),
+        (["solve"], {"boole": {"atoms": [[0, 1], [0, 2]]}},
+         "boole.atoms: atoms must sit at distinct points"),
+        (["solve"], {"letac": {"atoms": [[0, 1]], "beta": math.nan, "interval": [0, 1]}},
+         "letac.beta: alpha 1.0 and beta nan must be finite"),
+        (["solve"], {"interp": {"zeros": [0], "poles": [0]}},
+         "interp: zeros/poles sets are not disjoint at 0.0"),
+        (["solve"], {"interp": {"alpha": [-1, 0], "beta": [1, 0], "zeta": [0, -1]}},
+         "interp: cayley base point needs Im ζ > 0"),
+        (["eval", "--grid", "0.5:0.5:1"], _DENSITY,
+         "--grid: real evaluation at 0.5 inside the density support [0.0, 1.0]"),
+        (["eval"], {**_DENSITY, "options": {"grid": "0:1:3"}},
+         "options.grid: real evaluation at 0.0 inside the density support [0.0, 1.0]"),
+    ], ids=["atom-weight", "zero-function", "generator-factor", "cantor-tol",
+            "composite-constant", "degenerate-arc", "boole-atoms", "letac-beta",
+            "interp-disjoint", "disk-zeta", "grid-flag-in-density", "grid-option-in-density"])
+    def test_object_rule_names_the_field_it_read(self, tmp_path, capsys, argv, spec, message):
+        # each object's own ValueError left main through a catch-all that
+        # named no field ("atom weight must be positive, got 0.0 at 0.0")
+        path = write_spec(tmp_path, "bad.json", spec)
+        assert main(argv[:1] + ["--spec", path] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"input error: {message}")
+
+    @pytest.mark.parametrize("flags, options, message", [
+        (["--grid=0:1"], {}, "--grid: a grid needs a:b:n or box:re1:re2:im1:im2:n"),
+        ([], {"grid": "box:0:1:2"}, "options.grid: a box grid needs box:re1:re2:im1:im2:n"),
+        (["--grid=a:1:3"], {}, "--grid: could not convert string to float: 'a'"),
+        (["--grid=0:1:" + "9" * 25], {}, "--grid: "),
+    ], ids=["grid-form", "box-form", "grid-end", "grid-count-past-memory"])
+    def test_grid_message_names_its_flag_or_field(self, tmp_path, capsys, flags, options,
+                                                  message):
+        path = write_spec(tmp_path, "k.json", {"krein": {"arcs": [[0, 1]]}, "options": options})
+        assert main(["eval", "--spec", path] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"input error: {message}")
+
+    @pytest.mark.parametrize("content", [None, "{", b"\xff\xfe",
+                                         '{"krein": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}"],
+                             ids=["missing", "not-json", "not-text", "nested-past-the-parser"])
+    def test_unreadable_spec_names_the_flag(self, tmp_path, capsys, content):
+        # a spec nested past the JSON parser's recursion raised RecursionError
+        path = tmp_path / "spec.json"
+        if content is not None:
+            (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+        assert main(["eval", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("input error: --spec: cannot read spec: ")
+
+    @pytest.mark.parametrize("command, spec, kind", [
+        ("eval", "boole_two_atoms.json", "function"),
+        ("factor", "letac_single_atom.json", "function"),
+        ("solve", "eval_shift.json", "problem"),
+    ])
+    def test_wrong_task_kind_names_the_command(self, capsys, command, spec, kind):
+        task = next(iter(set(json.loads((_EXAMPLES / spec).read_text())) - {"version"}))
+        assert main([command, "--spec", str(_EXAMPLES / spec)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: spec: {command} needs a {kind} spec, got '{task}'\n")
+
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        # the report was written outside main's handlers: a traceback, exit 1
+        out = tmp_path / "missing" / "report.json"
+        argv = ["eval", "--spec", str(_EXAMPLES / "eval_shift.json"), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: --out: ")
+        assert not out.parent.exists()
+
+    def test_non_interlacing_disk_problem_is_certification_failure(self, tmp_path, capsys):
+        # disk_interpolate raises its input rules and this verdict from one
+        # call; only the rules are input errors
+        spec = write_spec(tmp_path, "p.json", {"interp": {
+            "zeros": [[1, 0], [-1, 0]], "alpha": [-1, 0], "beta": [1, 0], "zeta": [0, 1]}})
+        assert main(["solve", "--spec", spec]) == 1
+        assert capsys.readouterr().err.startswith("certification failure: interlacing violated")
+
+    def test_program_fault_is_internal_error(self, capsys, monkeypatch):
+        # main read any KeyError as an input error (exit 2); input errors
+        # reach it as SpecError only, so this one is a fault of the program
+        def fault(f):
+            raise KeyError("gamma")
+
+        monkeypatch.setattr(cli, "factorize", fault)
+        assert main(["factor", "--spec", str(_EXAMPLES / "factor_atoms.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "internal error: KeyError: 'gamma'\n"
 
 
 class TestProcess:
@@ -895,6 +1013,20 @@ class TestProcess:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env=child_env()).stdout
         assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--spec", str(_EXAMPLES / "eval_shift.json")],
+        ["factor", "--spec", str(_EXAMPLES / "factor_atoms.json")],
+        ["solve", "--spec", str(_EXAMPLES / "boole_two_atoms.json")],
+        ["check", "--suite", "boole"],
+    ], ids=lambda argv: argv[0])
+    def test_timing_adds_only_timing_s(self, capsys, argv):
+        # default reports carry no wall-clock time, so they stay deterministic
+        plain = json.loads(run(capsys, argv)[1])
+        code, out = run(capsys, argv + ["--timing"])
+        timed = json.loads(out)
+        assert code == 0 and "timing_s" not in plain
+        assert timed.pop("timing_s") >= 0 and timed == plain
 
 
 # -- fuzz ---------------------------------------------------------------------
@@ -976,6 +1108,12 @@ def _specs(draw):
     return command, spec
 
 
+# an input error's message begins with the path of the field it read (from
+# the root "spec", a task, "options" or "version") or with a flag
+_INPUT_ERROR = re.compile(r"input error: (--[a-z]+|(%s)\b)"
+                          % "|".join(cli.FIELDS["spec"] + ("spec",)))
+
+
 class TestFuzz:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -984,8 +1122,9 @@ class TestFuzz:
     @example(("factor", {"product": {"krein": {"arcs": [[0, 1]]},
                                      "exp": {"psi": [{"interval": [2.0, 1.0], "value": 0.5}]}}}))
     def test_every_spec_exits_0_1_or_2(self, case):
-        # malformed input exits 2 with a message and certification failures
-        # exit 1; no spec ends in a traceback
+        # malformed input exits 2 with a message naming its field and
+        # certification failures exit 1; no spec ends in a traceback or in
+        # an internal error (exit 3)
         command, spec = case
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "spec.json")
@@ -996,4 +1135,4 @@ class TestFuzz:
                 code = main([command, "--spec", path])
         assert code in (0, 1, 2)
         if code == 2:
-            assert err.getvalue().startswith("input error: "), err.getvalue()
+            assert _INPUT_ERROR.match(err.getvalue()), err.getvalue()

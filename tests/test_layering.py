@@ -209,3 +209,38 @@ def test_flags_a_from_json_reader():
               "    return text\n")
     assert from_json_readers(source) == [(5, "from_json"), (7, "atoms_from_json"),
                                          (8, "point_from_json")]
+
+
+def main_handler_names(source):
+    """The names of the exceptions that the ``except`` clauses of a cli
+    source's ``main`` catch, in order (a dotted name by its last part)."""
+    main = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    names = []
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+            caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            names.extend(getattr(node, "id", None) or node.attr for node in caught)
+    return names
+
+
+# an input error reaches main as a SpecError only: a builtin error there is a
+# fault of the program, which main must not report as an input error
+BUILTIN_INPUT_ERRORS = {"KeyError", "TypeError", "ValueError", "OSError"}
+
+
+def test_main_names_no_builtin_input_error():
+    names = main_handler_names((SRC / "cli.py").read_text())
+    assert "SpecError" in names and not BUILTIN_INPUT_ERRORS & set(names)
+
+
+def test_flags_a_builtin_error_in_main():
+    source = ("def main(argv):\n"
+              "    try:\n"
+              "        return run(argv)\n"
+              "    except SpecError:\n"
+              "        return 2\n"
+              "    except (factor.CertificationError, OSError, ValueError):\n"
+              "        return 1\n")
+    assert main_handler_names(source) == ["SpecError", "CertificationError", "OSError",
+                                          "ValueError"]
