@@ -35,9 +35,11 @@ pairwise, in blocks of a fixed size, from the factors' deviations from 1,
 one point at a time, in grid order, at each point the explicit pass leaves
 unmarked: where it put the ∞ marker (an exact pole, and ∞ where σ holds it)
 the marker stays, with tail 0.  Generator tails carry a certified bound
-derived from |v_J(z)| ≤ len(J)·sup_J |1/(t−z) − t/(1+t²)|; the depth grows
-until the tail of the whole value, explicit factor included, is within
-tolerance.
+derived from |v_J(z)| ≤ len(J)·sup_J |1/(t−z) − t/(1+t²)|, the sup taken
+over the 2^L intervals that survive L = min(d, 5) steps of the
+construction, which hold every arc past depth d (:func:`_tail_sups`); the
+depth grows until the tail of the whole value, explicit factor included,
+is within tolerance.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
-                      SigmaDescriptor, arc_ends, is_regular, normalize)
+                      SigmaDescriptor, arc_ends, cantor_levels, is_regular, normalize)
 from .moebius import HalfPlaneAuto, pullback_arcset
 from .util import points, quotient, shaped
 
@@ -248,35 +250,66 @@ def log_factors(arcs, z, strict: bool = True):
     return logs.reshape(np.shape(z) + (table.n,)), refused.reshape(np.shape(z))
 
 
-def _cantor_majorant(base, z, gap) -> float:
-    """sup over t in the un-enumerated arcs of |1/(t−z) − t/(1+t²)|.
+# steps of the construction whose surviving intervals bound a generator's
+# tail: 2^_TAIL_LEVELS intervals at most
+_TAIL_LEVELS = 5
+_EPS = float(np.finfo(float).eps)
 
-    The tail arcs sit inside the base interval; for a real point inside an
-    enumerated gap they additionally stay outside that gap, so the distance
-    to the gap's endpoints is the sound denominator there.
+
+@functools.lru_cache(maxsize=256)
+def _tail_intervals(l: float, r: float):
+    """(ends, umax, sq, first): the intervals that survive 0.._TAIL_LEVELS
+    steps of the construction on [l, r], level after level, as ends of shape
+    (2, n), each widened by a few ulps of the base's ends (the walk's own
+    rounding) and clipped to the base; on each, max |t|/(1+t²) and 1 + min t²;
+    and where each level starts."""
+    kept = list(cantor_levels((l, r), _TAIL_LEVELS))
+    ends = np.array([pair for level in kept for pair in level]).T
+    slack = 32 * _EPS * max(abs(l), abs(r))
+    ends = np.clip(ends + [[-slack], [slack]], l, r)
+    lo, hi = ends
+    with np.errstate(over="ignore", divide="ignore"):
+        # |t|/(1+t²) rises up to |t| = 1 and falls after, below 1/|t|
+        t = np.abs(ends)
+        u = np.where(t < 1e150, t / (1.0 + t * t), 1.0 / t).max(axis=0)
+        sq = 1.0 + np.where((lo <= 0) & (hi >= 0), 0.0, (t * t).min(axis=0))
+    umax = np.where((lo <= 1) & (hi >= 1) | (lo <= -1) & (hi >= -1), 0.5, u)
+    first = np.cumsum([0] + [len(level) for level in kept[:-1]])
+    for a in (ends, umax, sq, first):
+        a.flags.writeable = False
+    return ends, umax, sq, first
+
+
+def _tail_sups(base, z, gap) -> list:
+    """Bounds on sup |k(t)|, k(t) = 1/(t−z) − t/(1+t²) = (1+tz)/((t−z)(1+t²)),
+    over the intervals that survive L steps of the construction, for
+    L = 0.._TAIL_LEVELS: every arc of a level past L lies in them.
+
+    On each interval the bound is the smaller of |1+tz| at its ends (|1+tz|
+    is convex in t) over dist(z, interval)·(1 + min t²), and 1/dist + max
+    |t|/(1+t²); the largest over the intervals, raised by a few ulps, bounds
+    the level.  A real z inside an enumerated gap reads its distance to the
+    gap's ends: no tail arc enters the gap.  At ∞, k(t) is −t/(1+t²).
     """
-    l, r = base
+    ends, umax, sq, first = _tail_intervals(*base)
     if isinstance(z, complex):
         x, y = z.real, z.imag
-        if x < l:
-            dist = math.hypot(l - x, y)
-        elif x > r:
-            dist = math.hypot(x - r, y)
-        else:
-            dist = abs(y)
-    elif gap is not None:
-        dist = min(z - gap[0], gap[1] - z)
+    elif math.isinf(z):
+        return (np.maximum.reduceat(umax, first) * (1.0 + 16 * _EPS)).tolist()
     else:
-        dist = l - z if z < l else z - r
-
-    def u(t):
-        return abs(t) / (1.0 + t * t)
-
-    sup_t = max(u(l), u(r))
-    if l <= 1.0 <= r or l <= -1.0 <= r:
-        sup_t = max(sup_t, 0.5)
-    inv = 0.0 if math.isinf(dist) else 1.0 / dist
-    return inv + sup_t
+        x, y = z, 0.0
+    with np.errstate(all="ignore"):
+        # the distance to each interval; a gap's ends where the interval holds z
+        dist = np.maximum(np.maximum(ends[0] - x, x - ends[1]),
+                          min(z - gap[0], gap[1] - z) if gap is not None else 0.0)
+        if y:
+            dist = np.hypot(dist, y)
+        # |1 + tz| at the ends, with the rounding of 1 + tx added
+        tx = ends * x
+        num = (np.hypot(1.0 + tx, ends * y) + _EPS * np.abs(tx)).max(axis=0)
+        # NaN only where inf meets inf or 0; fmin takes the other bound there
+        bound = np.fmin(num / dist / sq, 1.0 / dist + umax)
+    return (np.maximum.reduceat(bound, first) * (1.0 + 16 * _EPS)).tolist()
 
 
 @dataclass(frozen=True)
@@ -390,7 +423,10 @@ class KreinProduct:
         base, cap = self.cantor.base, self.cantor.depth
         l, r = base
         gap, level = _gap(base, cap, z)
-        m = _cantor_majorant(base, z, gap)
+        sups = _tail_sups(base, z, gap)
+
+        def m(d):  # the arcs of levels past d lie in the intervals of level d
+            return sups[min(d, _TAIL_LEVELS)]
 
         def value_at(d):
             gen = (1.0 + _ratio_minus_one(l, r - l, d, z)) / _ratio_norm_at_i(l, r, d)
@@ -398,7 +434,7 @@ class KreinProduct:
 
         def truncation(d):
             try:
-                bound = math.expm1((r - l) * (2.0 / 3.0) ** d * m)
+                bound = math.expm1((r - l) * (2.0 / 3.0) ** d * m(d))
             except OverflowError:  # e^x − 1 past the float range bounds nothing
                 bound = INF
             if bound < INF:
@@ -415,7 +451,7 @@ class KreinProduct:
             return truncation(min(max(depth, level), cap))
         # skip the depths whose bound alone exceeds half the tolerance
         depth = max(1, level)
-        while (r - l) * (2.0 / 3.0) ** depth * m > 0.5 * min(self.tol, 0.25) and depth < cap:
+        while (r - l) * (2.0 / 3.0) ** depth * m(depth) > 0.5 * min(self.tol, 0.25) and depth < cap:
             depth += 1
         reached = None
         while 2 ** depth - 1 <= _MAX_FACTORS:

@@ -442,13 +442,23 @@ class TestCantorProduct:
             k.eval(1j)
 
     def test_tail_beyond_float_range(self):
-        # close above the base the tail's exponent reaches about 3e5, and
-        # e^x − 1 past the float range bounds nothing: the tail is infinite
+        # 0.5 + 1e-9j lies over the level-1 gap, which no tail arc enters: the
+        # arcs stay 1/6 away, and depth 20 bounds the tail by 1.9e-3 (it was
+        # infinite while the bound read the distance to the whole base)
         k = cantor_complement_product((0, 1), 20, 1e-3)
-        with pytest.raises(TailNotCertified, match="tail bound inf exceeds tol 1.000e-03 "
+        with pytest.raises(TailNotCertified, match="tail bound 1.897e-03 exceeds tol 1.000e-03 "
                                                    "at depth 20, the generator's depth cap"):
             k.eval(0.5 + 1e-9j)
         val, tail = k.eval_at_depth(0.5 + 1e-9j, 20)
+        assert abs(val + 1.0) <= tail < 1.9e-3
+        assert cantor_complement_product((0, 1), 20, 2e-3).eval(0.5 + 1e-9j) == (val, tail)
+        # just above the Cantor point 1/4 every level's intervals hold 0.25, the
+        # tail's exponent reaches about 3e5, and e^x − 1 past the float range
+        # bounds nothing: the tail is infinite
+        with pytest.raises(TailNotCertified, match="tail bound inf exceeds tol 1.000e-03 "
+                                                   "at depth 20, the generator's depth cap"):
+            k.eval(0.25 + 1e-9j)
+        val, tail = k.eval_at_depth(0.25 + 1e-9j, 20)
         assert tail == INF and cmath.isfinite(val)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -468,7 +478,9 @@ class TestCantorProduct:
 
     def test_tail_checked_with_explicit_factor(self, monkeypatch):
         # |explicit| ≈ 1.7 here, so the generator-only tail passed at depth 14
-        # while the reported one did not; depth 16 certifies the whole value
+        # while the reported one did not; depth 16 certifies the whole value.
+        # Beside the base's end 1, where |t|/(1+t²) peaks, the intervals'
+        # bound is today's 1/dist + 1/2 within its margin: the depth stays
         monkeypatch.setattr(krein, "_MAX_FACTORS", 2 ** 18)
         k = KreinProduct(arcs=normalize([Arc(2, 3)]), cantor=CantorComplement((0, 1), 26),
                          tol=1e-2)
@@ -605,3 +617,82 @@ class TestGeneratorKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+def _whole_base_sup(base, z, gap):
+    """The reference: sup |1/(t−z) − t/(1+t²)| over the tail arcs as the
+    whole base bounds it, 1/dist(z, [l, r]) (for a real z in an enumerated
+    gap, 1/dist to the gap's ends) plus max |t|/(1+t²) on [l, r]."""
+    l, r = base
+    if isinstance(z, complex):
+        x, y = z.real, z.imag
+        dist = math.hypot(l - x, y) if x < l else math.hypot(x - r, y) if x > r else abs(y)
+    elif gap is not None:
+        dist = min(z - gap[0], gap[1] - z)
+    else:
+        dist = l - z if z < l else z - r
+    sup_t = max(abs(t) / (1.0 + t * t) for t in base)
+    if l <= 1.0 <= r or l <= -1.0 <= r:
+        sup_t = max(sup_t, 0.5)
+    return (0.0 if math.isinf(dist) else 1.0 / dist) + sup_t
+
+
+@st.composite
+def cantor_cases(draw):
+    """(base, explicit arcs beside it, z): a base [l, r] of width 0.1 to 10
+    on (−3, 13), an arc to either side or none, and z complex with Im z from
+    1e-6 to 10 over, beside or off the base, real inside a gap of levels 1–8
+    at least 1 % of its width from its ends, or ∞."""
+    l = draw(st.integers(-300, 300)) / 100.0
+    r = l + draw(st.floats(0.1, 10.0))
+    pairs = []
+    if draw(st.booleans()):
+        b = r + draw(st.floats(0.01, 2.0))
+        pairs.append((b, b + draw(st.floats(0.01, 3.0))))
+    if draw(st.booleans()):
+        a = l - draw(st.floats(0.01, 2.0))
+        pairs.insert(0, (a - draw(st.floats(0.01, 3.0)), a))
+    kind = draw(st.sampled_from(["complex", "real", "inf"]))
+    if kind == "complex":
+        z = complex(l + (r - l) * draw(st.floats(-2.0, 3.0)), 10.0 ** draw(st.floats(-6.0, 1.0)))
+    elif kind == "real":
+        lo, width = l, r - l
+        for _ in range(draw(st.integers(1, 8)) - 1):
+            width /= 3.0
+            if draw(st.booleans()):
+                lo += 2.0 * width
+        z = lo + width / 3.0 * (1.0 + draw(st.floats(0.01, 0.99)))
+    else:
+        z = INF
+    return (l, r), pairs, z
+
+
+class TestGeneratorTail:
+    @settings(max_examples=100, deadline=None)
+    @given(cantor_cases())
+    @example(((0.0, 1.0), [], INF))
+    @example(((0.0, 1.0), [], 0.5))
+    @example(((0.0, 1.0), [(2.0, 3.0)], 2.05 + 0.05j))
+    @example(((0.0, 1.0), [], 0.5 + 1e-6j))
+    def test_tail_bounds_the_limit_within_the_whole_base_bound(self, case):
+        # the limit is explicit·p_(l,r)(z): the gaps fill (l, r) up to the
+        # Cantor set, which has measure zero.  At every depth the tail bounds
+        # the distance to it, and stays within the bound the whole base gives,
+        # raised by 32 ulps: twice the intervals' margin, so that the two
+        # formulas' own rounding does not decide the comparison
+        (l, r), pairs, z = case
+        arcs = normalize([Arc(b, a) for b, a in pairs]) if pairs else EMPTY
+        k = KreinProduct(arcs, CantorComplement((l, r), 16), tol=1.0)
+        exact = _mp_krein(pairs + [(l, r)], z, exact=True)
+        gap, level = krein._gap((l, r), 16, z)
+        reference = _whole_base_sup((l, r), z, gap) * (1.0 + 32 * 2.0 ** -52)
+        for depth in range(1, 17):
+            val, tail = k.eval_at_depth(z, depth)
+            assert isinstance(val, complex) == isinstance(z, complex)
+            if tail < INF:
+                assert abs(val - exact) <= tail
+            try:
+                bound = math.expm1((r - l) * (2.0 / 3.0) ** max(depth, level) * reference)
+            except OverflowError:
+                bound = INF
+            assert tail <= (abs(val) * bound if bound < INF else INF)
