@@ -476,15 +476,16 @@ def _structure(g):
     exactly when Γ(k_O) is empty.  A constant β dips to max(0, −β); any other
     representation rises from −∞ on the arc of Ω after each piece of σ(g)
     (and from x = −∞ where α > 0), so it dips by the 1.0 of a failed post.
-    A representation's σ(g) leaves out negligible atoms and linear term."""
+    A representation's σ(g) holds all its atoms (each of positive weight),
+    and ∞ where α > 0."""
     if isinstance(g, CompositeFunction) and g.product.cantor is None:
         ana = _analyze_composite(g)
         return ana.sigma, 1.0, 0.0 if ana.gamma.is_empty else 1.0
     if not isinstance(g, RepFunction):
         return None
     rep, rho = g.rep, g.rep.rho
-    sig = SigmaDescriptor(tuple(t for t, w in rho.atoms if w > 1e-9),
-                          tuple((l, r) for l, r, _ in rho.ac), rep.alpha > 1e-9)
+    sig = SigmaDescriptor(tuple(t for t, _ in rho.atoms),
+                          tuple((l, r) for l, r, _ in rho.ac), rep.alpha > 0)
     constant = rep.alpha == 0 and not (rho.atoms or rho.ac)
     return sig, rep.alpha, max(0.0, -float(rep.beta)) if constant else 1.0
 
@@ -504,7 +505,7 @@ def _verify_posts(ana: AnalysisResult, g, k: KreinProduct):
     reach = (min((max(lf - l if l < lf else 0.0, r - rf if r > rf else 0.0)
                   for lf, rf in zip(lo_f, hi_f)), default=INF)
              for l, r in zip(lo_g, hi_g))
-    resid1 = max((e for e in reach if e > 1e-6), default=0.0)
+    resid1 = max((e for e in reach if e > 0), default=0.0)
     if sig_g.has_inf and not sig_f.has_inf:
         resid1 = max(resid1, inf_weight)
     posts = [Certification("sigma_subset", resid1, 1e-6, resid1 <= 1e-6),
@@ -521,8 +522,7 @@ def _verify_posts(ana: AnalysisResult, g, k: KreinProduct):
     sig_c = SigmaDescriptor(x.points + cancelled + sig_g.points, sig_g.intervals,
                             x.has_inf or sig_g.has_inf)
     lo_c, hi_c = sig_c.support
-    ok4 = (sig_c.has_inf == sig_f.has_inf and len(lo_c) == len(lo_f)
-           and all(x == y or abs(x - y) <= 1e-7 for x, y in zip(lo_c + hi_c, lo_f + hi_f)))
+    ok4 = sig_c.has_inf == sig_f.has_inf and (lo_c, hi_c) == (lo_f, hi_f)
     posts.append(Certification("omega_intersection", 0.0 if ok4 else 1.0, 0.0, ok4))
     return posts
 

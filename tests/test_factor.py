@@ -1075,3 +1075,20 @@ class TestCompositePosts:
         ana = analyze_pick(self.F)
         posts = self.posts(factorize(self.F).g, AnalysisResult(ana.sigma, EMPTY))
         assert not posts["omega_intersection"].passed and posts["sigma_subset"].passed
+
+    def test_posts_compare_exactly(self):
+        # no absolute slack: a reach of 5e-7 out of σ(f) is post 1's residual
+        # (it read 0 under 1e-6), a support end 5e-8 off fails post 4 (ends
+        # matched within 1e-7), and an atom of weight 1e-10 or α = 1e-10
+        # counts in σ(g) (both were dropped under 1e-9)
+        ana = analyze_pick(self.F)
+        g = CompositeFunction(2.0, KreinProduct(EMPTY), ExpRep(0.1, ((1.5, 2.5 + 5e-7, 0.5),)))
+        post = self.posts(g)["sigma_subset"]
+        assert post.passed and post.residual == pytest.approx(5e-7, rel=1e-6)
+        g = CompositeFunction(2.0, KreinProduct(EMPTY), ExpRep(0.1, ((1.5, 2.5 - 5e-8, 0.5),)))
+        posts = self.posts(g)
+        assert not posts["omega_intersection"].passed and posts["sigma_subset"].passed
+        stray = RepFunction(NevanlinnaRep(0.0, 2.0, Measure(atoms=((5.0, 1e-10),))))
+        assert not self.posts(stray, ana)["sigma_subset"].passed
+        linear = self.posts(RepFunction(NevanlinnaRep(1e-10, 2.0)), ana)["sigma_subset"]
+        assert linear.passed and linear.residual == 1e-10  # ∞ ∈ σ(g), not in σ(f)
