@@ -62,6 +62,9 @@ FIELDS = {
 # the largest depth of a spec's ``cantor_depth`` stand-in: 2^16 atoms, which
 # a process builds and evaluates in under 100 MB (2^18 took 225 MB)
 MAX_CANTOR_DEPTH = 16
+# the most points an eval grid may have, n or n² for a box: 10^5 points
+# evaluate in under 1 s and 120 MB (10^6 took 7.6 s and 870 MB)
+MAX_GRID_POINTS = 100_000
 
 
 class SpecError(ValueError):
@@ -276,14 +279,20 @@ def parse_grid(text, field):
 
 def _grid_numbers(parts, field):
     # a grid's ends as pairs (lo, hi), each span finite, and so each end, then
-    # its point count, a decimal integer >= 0
+    # its point count n, a decimal integer >= 0 whose n per axis stay within
+    # MAX_GRID_POINTS; a count with more digits than the cap is past it
     *spans, count = parts
     ends = [_made(field, float, t) for t in spans]
     if not all(math.isfinite(hi - lo) for lo, hi in zip(ends[::2], ends[1::2])):
         raise SpecError(f"{field}: a grid end or span in {':'.join(spans)} is not finite")
     if not count.isdecimal():
         raise SpecError(f"{field}: the point count {count!r} is not an integer >= 0")
-    return ends + [int(count)]
+    digits = count.lstrip("0") or "0"
+    if (len(digits) > len(str(MAX_GRID_POINTS))
+            or int(digits) ** (len(spans) // 2) > MAX_GRID_POINTS):
+        raise SpecError(f"{field}: the grid has more than {MAX_GRID_POINTS} points "
+                        "(n, or n² for a box)")
+    return ends + [int(digits)]
 
 
 def cmd_eval(args):

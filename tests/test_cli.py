@@ -929,6 +929,25 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"input error: {message}")
 
+    @pytest.mark.parametrize("flags, options", [
+        (["--grid=0:1:9999999999"], {}),
+        (["--grid=box:0:1:1:2:317"], {}),
+        ([], {"grid": "0:1:100001"}),
+        ([], {"grid": "box:0:1:1:2:" + "9" * 5000}),
+    ], ids=["grid", "box", "options-grid", "options-box-past-int-digits"])
+    def test_grid_past_the_point_cap_is_input_error(self, tmp_path, capsys, flags, options):
+        # a grid of 10^10 points asked numpy for 74.5 GiB (exit 3, MemoryError),
+        # and a count of 5000 digits went past int()'s digit limit (exit 3)
+        path = write_spec(tmp_path, "k.json", {"krein": {"arcs": [[0, 1]]}, "options": options})
+        assert main(["eval", "--spec", path] + flags) == 2
+        field = "--grid" if flags else "options.grid"
+        assert capsys.readouterr().err == (
+            f"input error: {field}: the grid has more than {cli.MAX_GRID_POINTS} points "
+            "(n, or n² for a box)\n")
+        # the cap itself is a grid
+        assert len(cli.parse_grid("0:1:100000", field)) == cli.MAX_GRID_POINTS
+        assert len(cli.parse_grid("box:0:1:1:2:316", field)) == 316 ** 2
+
     @pytest.mark.parametrize("content", [None, "{", b"\xff\xfe",
                                          '{"krein": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}"],
                              ids=["missing", "not-json", "not-text", "nested-past-the-parser"])
@@ -946,7 +965,9 @@ class TestErrors:
         ("solve", "eval_shift.json", "problem"),
     ])
     def test_wrong_task_kind_names_the_command(self, capsys, command, spec, kind):
-        task = next(iter(set(json.loads((_EXAMPLES / spec).read_text())) - {"version"}))
+        # the spec's one task key, whatever else it holds (options, version)
+        task, = (k for k in json.loads((_EXAMPLES / spec).read_text())
+                 if k in cli.FUNCTION_TASKS + cli.PROBLEM_TASKS)
         assert main([command, "--spec", str(_EXAMPLES / spec)]) == 2
         assert capsys.readouterr().err == (
             f"input error: spec: {command} needs a {kind} spec, got '{task}'\n")
