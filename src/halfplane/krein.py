@@ -292,23 +292,21 @@ def _tail_sups(base, z, gap) -> list:
     gap's ends: no tail arc enters the gap.  At ∞, k(t) is −t/(1+t²).
     """
     ends, umax, sq, first = _tail_intervals(*base)
-    if isinstance(z, complex):
-        x, y = z.real, z.imag
-    elif math.isinf(z):
-        return (np.maximum.reduceat(umax, first) * (1.0 + 16 * _EPS)).tolist()
+    x, y = (z.real, z.imag) if isinstance(z, complex) else (z, 0.0)
+    if math.isinf(x):
+        bound = umax
     else:
-        x, y = z, 0.0
-    with np.errstate(all="ignore"):
-        # the distance to each interval; a gap's ends where the interval holds z
-        dist = np.maximum(np.maximum(ends[0] - x, x - ends[1]),
-                          min(z - gap[0], gap[1] - z) if gap is not None else 0.0)
-        if y:
-            dist = np.hypot(dist, y)
-        # |1 + tz| at the ends, with the rounding of 1 + tx added
-        tx = ends * x
-        num = (np.hypot(1.0 + tx, ends * y) + _EPS * np.abs(tx)).max(axis=0)
-        # NaN only where inf meets inf or 0; fmin takes the other bound there
-        bound = np.fmin(num / dist / sq, 1.0 / dist + umax)
+        with np.errstate(all="ignore"):
+            # the distance to each interval; a gap's ends where it holds z
+            dist = np.maximum(np.maximum(ends[0] - x, x - ends[1]),
+                              min(x - gap[0], gap[1] - x) if gap is not None else 0.0)
+            if y:
+                dist = np.hypot(dist, y)
+            # |1 + tz| at the ends, with the rounding of 1 + tx added
+            tx = ends * x
+            num = (np.hypot(1.0 + tx, ends * y) + _EPS * np.abs(tx)).max(axis=0)
+            # NaN only where inf meets inf or 0; fmin takes the other bound there
+            bound = np.fmin(num / dist / sq, 1.0 / dist + umax)
     return (np.maximum.reduceat(bound, first) * (1.0 + 16 * _EPS)).tolist()
 
 

@@ -637,6 +637,26 @@ def _whole_base_sup(base, z, gap):
     return (0.0 if math.isinf(dist) else 1.0 / dist) + sup_t
 
 
+def _sampled_sup(base, z, depth):
+    """max |1/(t−z) − t/(1+t²)| over the middle thirds of levels depth+1 ..
+    depth+4 (up to 14), at their ends, midpoints and points nearest Re z:
+    the sup that the tail at that depth bounds."""
+    u, v = np.array([base[0]]), np.array([base[1]])
+    for _ in range(depth):
+        w = (v - u) / 3.0
+        u, v = np.concatenate([u, v - w]), np.concatenate([u + w, v])
+    x = z.real if isinstance(z, complex) else z
+    sup = 0.0
+    for _ in range(min(4, 14 - depth)):
+        w = (v - u) / 3.0
+        b, a = u + w, v - w
+        t = np.array([b, a, (a + b) / 2.0, np.clip(x, b, a)])
+        k = -t / (1.0 + t * t) + (0.0 if z == INF else 1.0 / (t - z))
+        sup = max(sup, float(np.abs(k).max()))
+        u, v = np.concatenate([u, a]), np.concatenate([b, v])
+    return sup
+
+
 @st.composite
 def cantor_cases(draw):
     """(base, explicit arcs beside it, z): a base [l, r] of width 0.1 to 10
@@ -674,6 +694,8 @@ class TestGeneratorTail:
     @example(((0.0, 1.0), [], 0.5))
     @example(((0.0, 1.0), [(2.0, 3.0)], 2.05 + 0.05j))
     @example(((0.0, 1.0), [], 0.5 + 1e-6j))
+    @example(((0.0, 1.0), [], 1.0 / 6.0 + 1e-4j))  # over a level-2 gap's middle
+    @example(((0.01, 10.0), [], 0.02 + 1e-3j))  # beside 0.01, where |t|/(1+t²) is small
     def test_tail_bounds_the_limit_within_the_whole_base_bound(self, case):
         # the limit is explicit·p_(l,r)(z): the gaps fill (l, r) up to the
         # Cantor set, which has measure zero.  At every depth the tail bounds
@@ -696,3 +718,8 @@ class TestGeneratorTail:
             except OverflowError:
                 bound = INF
             assert tail <= (abs(val) * bound if bound < INF else INF)
+            # the sup read back from the tail covers |k| on the arcs past the depth
+            if tail < INF:
+                length = (r - l) * (2.0 / 3.0) ** max(depth, level)
+                sup = math.log1p(tail / abs(val)) / length
+                assert sup >= _sampled_sup((l, r), z, max(depth, level)) * (1.0 - 1e-9)
