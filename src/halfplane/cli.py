@@ -439,14 +439,14 @@ def _solve_interp(body):
 def _random_arcset(rng):
     kind = rng.integers(0, 4)
     pts = np.sort(rng.uniform(-8, 8, size=2 * int(rng.integers(1, 4))))
-    while np.min(np.diff(pts)) < 0.05 if len(pts) > 1 else False:
+    while np.min(np.diff(pts)) < 0.05:
         pts = np.sort(rng.uniform(-8, 8, size=len(pts)))
     arcs = [Arc(pts[2 * i], pts[2 * i + 1]) for i in range(len(pts) // 2)]
-    if kind == 1 and len(pts) >= 2:
+    if kind == 1:
         arcs[-1] = Arc(pts[-2], INF)
-    elif kind == 2 and len(pts) >= 2:
+    elif kind == 2:
         arcs[0] = Arc(INF, pts[1])
-    elif kind == 3 and len(pts) >= 2:
+    elif kind == 3:
         arcs = arcs[:-1] + [Arc(pts[-1], pts[0] - 0.5)]
     return normalize(arcs)
 

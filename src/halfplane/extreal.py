@@ -6,7 +6,7 @@ of points strictly between ``b`` and ``a`` in the increasing direction of
 the line; when ``b > a`` the arc wraps through ∞, so that
 ``(b, a) = (b, +oo) ∪ {∞} ∪ (-oo, a)``.  ``ArcSet`` is a canonical disjoint
 union of arcs, and ``CantorComplement`` generates the middle thirds removed
-from a base interval, which :func:`cantor_levels` walks level by level.
+from a base interval, whose ends :func:`cantor_starts` encodes.
 
 This module is the one home of the circle's geometry; the other modules ask
 it rather than splitting on the kinds of arc themselves:
@@ -47,6 +47,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 INF = math.inf
 POINT_TOL = 1e-12
@@ -348,7 +350,7 @@ class CantorComplement:
     ``(r-l)·3^(-m)``; enumeration is level by level, i.e. in decreasing arc
     length.  The base's ends are points (:func:`as_point`).  Explicit
     enumeration is intended for moderate depth; the Kreĭn-product evaluator
-    uses its own vectorized enumeration instead.
+    reads the same ends from :func:`cantor_starts` without building arcs.
     """
 
     base: tuple
@@ -360,9 +362,12 @@ class CantorComplement:
             raise ValueError("depth must be >= 0")
 
     def levels(self) -> list:
-        """Removed arcs grouped by level: levels()[m-1] has 2^(m-1) arcs."""
-        return [[Arc(kept[k][1], kept[k + 1][0]) for k in range(0, len(kept), 2)]
-                for kept in list(cantor_levels(self.base, self.depth))[1:]]
+        """Removed arcs by level, left to right: levels()[m-1] has 2^(m-1) arcs
+        (l + w·(s + 3^-m), l + w·(s + 2·3^-m)), w = r − l, s in cantor_starts(m-1)."""
+        l, r = self.base
+        return [[Arc(l + (r - l) * (s + 3.0 ** -m), l + (r - l) * (s + 2.0 * 3.0 ** -m))
+                 for s in sorted(cantor_starts(m - 1).tolist())]
+                for m in range(1, self.depth + 1)]
 
     def arcs(self) -> list:
         return [g for level in self.levels() for g in level]
@@ -381,18 +386,17 @@ class CantorComplement:
         return {"cantor": {"interval": [l, r], "depth": self.depth}}
 
 
-def cantor_levels(base, depth: int):
-    """The middle-thirds construction on base = [l, r]: the float pairs (u, v)
-    that each level 0, 1, …, depth keeps, in order."""
-    kept = [(float(base[0]), float(base[1]))]
-    yield kept
-    for _ in range(depth):
-        nxt = []
-        for u, v in kept:
-            t = (v - u) / 3.0
-            nxt += ((u, u + t), (v - t, v))
-        kept = nxt
-        yield kept
+@functools.cache
+def cantor_starts(level: int) -> np.ndarray:
+    """Left ends s of the 2^level intervals [s, s + 3^-level] of [0, 1] that
+    survive ``level`` steps, read-only: the package's one encoding of the
+    middle thirds, every Cantor end on [l, r] being l + (r − l)·(s + j·3^-k).
+    Step k appends the entries plus 2·3^-k, so the order is not increasing."""
+    starts = np.zeros(1)
+    for k in range(1, level + 1):
+        starts = np.concatenate([starts, starts + 2.0 * 3.0 ** -k])
+    starts.flags.writeable = False
+    return starts
 
 
 def merged_support(points: Sequence[float], intervals: Sequence[tuple]) -> tuple:

@@ -29,7 +29,8 @@ EvaluationDomainError), and the point ∞ (±inf in a real array, inf+0j in a
 complex one).
 
 A Cantor-complement generator contributes the factors of its middle thirds
-(b, a) down to a depth d.  Since every factor has |p_J(i)| = 1, their
+(b, a) down to a depth d, read from ``extreal.cantor_starts`` like every
+Cantor end here.  Since every factor has |p_J(i)| = 1, their
 product is R_d(z)/|R_d(i)| with R_d(z) = ∏ (z−a)/(z−b); R_d is reduced
 pairwise, in blocks of a fixed size, from the factors' deviations from 1,
 one point at a time, in grid order, at each point the explicit pass leaves
@@ -39,7 +40,8 @@ derived from |v_J(z)| ≤ len(J)·sup_J |1/(t−z) − t/(1+t²)|, the sup taken
 over the 2^L intervals that survive L = min(d, 5) steps of the
 construction, which hold every arc past depth d (:func:`_tail_sups`); the
 depth grows until the tail of the whole value, explicit factor included,
-is within tolerance.
+is within tolerance, up to one last depth, min(cap, ``_MAX_DEPTH``), run
+only where its bound is within log(1 + tol).
 """
 
 from __future__ import annotations
@@ -51,12 +53,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
-                      SigmaDescriptor, arc_ends, cantor_levels, is_regular, normalize)
+                      SigmaDescriptor, arc_ends, cantor_starts, is_regular, normalize)
 from .moebius import HalfPlaneAuto, pullback_arcset
 from .util import points, quotient, shaped
 
 REAL_GUARD = 1e-9
-_MAX_FACTORS = 2_000_000  # the generator refuses a depth whose 2^d − 1 factors exceed it
+_MAX_DEPTH = 20  # eval's deepest generator level: 2^20 − 1 factors
 
 
 class TailNotCertified(RuntimeError):
@@ -259,12 +261,14 @@ _EPS = float(np.finfo(float).eps)
 @functools.lru_cache(maxsize=256)
 def _tail_intervals(l: float, r: float):
     """(ends, umax, sq, first): the intervals that survive 0.._TAIL_LEVELS
-    steps of the construction on [l, r], level after level, as ends of shape
-    (2, n), each widened by a few ulps of the base's ends (the walk's own
-    rounding) and clipped to the base; on each, max |t|/(1+t²) and 1 + min t²;
-    and where each level starts."""
-    kept = list(cantor_levels((l, r), _TAIL_LEVELS))
-    ends = np.array([pair for level in kept for pair in level]).T
+    steps of the construction on [l, r] (``extreal.cantor_starts``), level
+    after level, as ends of shape (2, n), each widened by a few ulps of the
+    base's ends (their own rounding) and clipped to the base; on each, max
+    |t|/(1+t²) and 1 + min t²; and where each level starts."""
+    levels = range(_TAIL_LEVELS + 1)
+    s = np.concatenate([cantor_starts(k) for k in levels])
+    width = np.concatenate([np.full(2 ** k, 3.0 ** -k) for k in levels])
+    ends = l + (r - l) * np.array([s, s + width])
     slack = 32 * _EPS * max(abs(l), abs(r))
     ends = np.clip(ends + [[-slack], [slack]], l, r)
     lo, hi = ends
@@ -274,7 +278,7 @@ def _tail_intervals(l: float, r: float):
         u = np.where(t < 1e150, t / (1.0 + t * t), 1.0 / t).max(axis=0)
         sq = 1.0 + np.where((lo <= 0) & (hi >= 0), 0.0, (t * t).min(axis=0))
     umax = np.where((lo <= 1) & (hi >= 1) | (lo <= -1) & (hi >= -1), 0.5, u)
-    first = np.cumsum([0] + [len(level) for level in kept[:-1]])
+    first = 2 ** np.arange(_TAIL_LEVELS + 1) - 1
     for a in (ends, umax, sq, first):
         a.flags.writeable = False
     return ends, umax, sq, first
@@ -324,8 +328,9 @@ class KreinProduct:
 
     ``tol`` is the tail tolerance τ: evaluation enumerates generator arcs in
     decreasing length until the certified tail bound at the evaluation point
-    drops below τ (within the generator's depth cap and a budget of
-    ``_MAX_FACTORS`` factors), and returns that bound alongside the value.
+    drops below τ, up to the last depth min(depth cap, ``_MAX_DEPTH``), and
+    returns that bound alongside the value.  The last depth runs only where
+    its bound is within log(1 + τ): past it no value of modulus ≥ 1 certifies.
     """
 
     arcs: ArcSet = EMPTY
@@ -423,8 +428,8 @@ class KreinProduct:
         gap, level = _gap(base, cap, z)
         sups = _tail_sups(base, z, gap)
 
-        def m(d):  # the arcs of levels past d lie in the intervals of level d
-            return sups[min(d, _TAIL_LEVELS)]
+        def exponent(d):  # the arcs of levels past d lie in the intervals of level d
+            return (r - l) * (2.0 / 3.0) ** d * sups[min(d, _TAIL_LEVELS)]
 
         def value_at(d):
             gen = (1.0 + _ratio_minus_one(l, r - l, d, z)) / _ratio_norm_at_i(l, r, d)
@@ -432,7 +437,7 @@ class KreinProduct:
 
         def truncation(d):
             try:
-                bound = math.expm1((r - l) * (2.0 / 3.0) ** d * m(d))
+                bound = math.expm1(exponent(d))
             except OverflowError:  # e^x − 1 past the float range bounds nothing
                 bound = INF
             if bound < INF:
@@ -447,23 +452,23 @@ class KreinProduct:
 
         if depth is not None:
             return truncation(min(max(depth, level), cap))
+        last = min(cap, _MAX_DEPTH)
         # skip the depths whose bound alone exceeds half the tolerance
-        depth = max(1, level)
-        while (r - l) * (2.0 / 3.0) ** depth * m(depth) > 0.5 * min(self.tol, 0.25) and depth < cap:
+        depth = min(max(1, level), last)
+        while exponent(depth) > 0.5 * min(self.tol, 0.25) and depth < last:
             depth += 1
-        reached = None
-        while 2 ** depth - 1 <= _MAX_FACTORS:
+        # the gate: the last depth runs only where a value of modulus ≥ 1 can
+        # certify there, and no depth for a real point whose gap lies past it
+        gate = level <= last and exponent(last) <= math.log1p(self.tol)
+        for depth in range(depth, last + gate):
             value, tail = truncation(depth)
             if tail <= self.tol:
                 return value, tail
-            reached = f"; tail bound {tail:.3e} at depth {depth}"
-            if depth == cap:
-                raise TailNotCertified(f"tail bound {tail:.3e} exceeds tol {self.tol:.3e} "
-                                       f"at depth {depth}, the generator's depth cap")
-            depth += 1
-        raise TailNotCertified(f"tail not certified to tol {self.tol:.3e}: depth {depth} "
-                               f"needs {2 ** depth - 1} factors, over the budget of "
-                               f"{_MAX_FACTORS}{reached or '; no depth evaluated'}")
+        limit = "the generator's depth cap" if last == cap else "the evaluator's depth limit"
+        found = (f"tail bound {tail:.3e} there" if gate else
+                 "its tail bound exceeds log(1 + tol) there, so it was not evaluated")
+        raise TailNotCertified(f"tail not certified to tol {self.tol:.3e} by depth {last}, "
+                               f"{limit}: {found}")
 
     def support_json(self):
         out = {}
@@ -499,25 +504,27 @@ def _gap(base, cap_depth: int, z):
     """(gap, level) of the removed middle third holding a real z inside the
     base, off its guard band; (None, 0) for any other point.  The walk down
     the construction ends at the cap, or past the first level whose gaps are
-    narrower than 2·REAL_GUARD: no deeper gap holds a point off its band."""
-    lo, hi = base
-    if isinstance(z, complex) or not lo <= z <= hi:
+    narrower than 2·REAL_GUARD: no deeper gap holds a point off its band.
+    It sums z's interval start s as ``extreal.cantor_starts`` does."""
+    l, r = base
+    if isinstance(z, complex) or not l <= z <= r:
         return None, 0
-    if z in (lo, hi):
+    if z in (l, r):
         raise EvaluationDomainError(f"{z} lies on the generator's Cantor set: "
-                                    f"it is an end of the base interval [{lo}, {hi}]")
-    level = 0
+                                    f"it is an end of the base interval [{l}, {r}]")
+    w, s, level = r - l, 0.0, 0
     for level in range(1, cap_depth + 1):
-        third = (hi - lo) / 3.0
-        gb, ga = lo + third, hi - third
+        t = 3.0 ** -level
+        gb, ga = l + w * (s + t), l + w * (s + 2.0 * t)
         if gb < z < ga:
             if min(z - gb, ga - z) < REAL_GUARD:
                 raise EvaluationDomainError(f"{z} is within the guard distance of "
                                             "a gap endpoint")
             return (gb, ga), level
-        if third < 2 * REAL_GUARD:
+        if w * t < 2 * REAL_GUARD:
             break
-        lo, hi = (lo, gb) if z <= gb else (ga, hi)
+        if z > gb:
+            s += 2.0 * t
     raise EvaluationDomainError(f"{z} lies in no gap of the generator off its guard band "
                                 f"down to depth {level}")
 
@@ -529,22 +536,13 @@ def _gap(base, cap_depth: int, z):
 _FINE_LEVELS = 13
 
 
-def _cantor_starts(levels: int):
-    """Left ends of the 2^levels intervals of [0, 1] that survive ``levels``
-    steps of the construction."""
-    starts = np.zeros(1)
-    for k in range(1, levels + 1):
-        starts = np.concatenate([starts, starts + 2.0 * 3.0 ** -k])
-    return starts
-
-
 @functools.cache
 def _fine_gaps():
     """Left ends and widths of the middle thirds removed from [0, 1] in the
     first _FINE_LEVELS steps, level by level: the 2^f − 1 gaps of levels
     1..f are the first 2^f − 1 entries."""
     levels = range(1, _FINE_LEVELS + 1)
-    b = np.concatenate([_cantor_starts(k - 1) + 3.0 ** -k for k in levels])
+    b = np.concatenate([cantor_starts(k - 1) + 3.0 ** -k for k in levels])
     g = np.concatenate([np.full(2 ** (k - 1), 3.0 ** -k) for k in levels])
     b.flags.writeable = g.flags.writeable = False
     return b, g
@@ -593,7 +591,7 @@ def _ratio_minus_one(l: float, w: float, depth: int, z):
     x, y = (z.real, z.imag) if cplx else (z, 0.0)
     dx, den = np.empty(n), np.empty(n)
     u = np.empty(n, dtype=complex if cplx else float)
-    starts = l + w * _cantor_starts(m)
+    starts = l + w * cantor_starts(m)
     blocks = np.empty(starts.size, dtype=u.dtype)
     for i, c in enumerate(starts):
         np.add(b, c - x, out=dx)  # b − x

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .extreal import (Arc, ArcSet, EMPTY, FULL, INF, POINT_TOL, SigmaDescriptor,
-                      cantor_levels, complement_ends, finite_interval, regularize)
+                      cantor_starts, complement_ends, finite_interval, regularize)
 from .util import (BRACKET, RecoveryError, RootBracketError, branch_roots, excess,
                    ladder_limit, points, quotient, root_radii, shaped)
 
@@ -76,10 +76,9 @@ class Measure:
     @staticmethod
     def cantor_atoms(depth: int) -> "Measure":
         """Depth-k atomic stand-in for the Cantor measure on [0, 1]: 2^k atoms
-        of weight 2^(−k) at the midpoints of the surviving level-k intervals."""
-        *_, kept = cantor_levels((0.0, 1.0), depth)
-        w = 1.0 / len(kept)
-        return Measure(atoms=tuple((0.5 * (u + v), w) for u, v in kept))
+        of weight 2^(−k) at the midpoints s + 3^-k/2 of ``cantor_starts(k)``."""
+        mids = cantor_starts(depth) + 0.5 * 3.0 ** -depth
+        return Measure(atoms=tuple((t, 0.5 ** depth) for t in mids.tolist()))
 
     def mass(self) -> float:
         return (sum(w for _, w in self.atoms)

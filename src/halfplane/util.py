@@ -238,14 +238,12 @@ def halton(index: int, base: int) -> float:
 
 @functools.cache
 def halton_box(n: int, re_lo: float, re_hi: float, im_lo: float, im_hi: float):
-    """n quasi-random complex points in the open box (re, im) ranges, as a
-    read-only array built once per box."""
+    """n quasi-random complex points in the open box (re, im) ranges,
+    im_lo > 0, as a read-only array built once per box."""
     pts = []
     for k in range(1, n + 1):
         x = re_lo + (re_hi - re_lo) * halton(k, 2)
         y = im_lo + (im_hi - im_lo) * halton(k, 3)
-        if y <= 0:
-            y = im_lo + 0.5 * (im_hi - im_lo) * halton(k, 5)
         pts.append(complex(x, y))
     return frozen(np.array(pts, dtype=complex))
 

@@ -209,7 +209,7 @@ class TestMasks:
             k(zs)
 
     def test_generator_marks_its_refusals(self, monkeypatch):
-        monkeypatch.setattr(krein, "_MAX_FACTORS", 2 ** 12)
+        monkeypatch.setattr(krein, "_MAX_DEPTH", 12)
         k = cantor_complement_product((0, 1), 26, 1e-2)
         zs = [0.0, 1.0, 1 / 3, 0.5, 0.49, -1.0, 2.0 + 0.5j, 0.5 + 0.02j, 2j, INF]
         values, tails = k.eval(np.array(zs, dtype=complex), strict=False)
@@ -219,8 +219,8 @@ class TestMasks:
             if kind == "ok":
                 assert same(complex(scalar[0]), v) and scalar[1] == t
         assert outcome(k.eval, 0.5 + 0.02j)[0] == "TailNotCertified"
-        # the surviving intervals' bound certifies 2i at depth 12, within the
-        # budget; the whole base's bound needed depth 14
+        # the surviving intervals' bound certifies 2i at depth 12, the last
+        # depth; the whole base's bound needed depth 14
         assert outcome(k.eval, 2j)[0] == "ok"
         with pytest.raises(EvaluationDomainError, match="0.0 lies on the generator's Cantor set"):
             k(np.array(zs))

@@ -89,7 +89,7 @@ class TestEval:
         assert row[3] == pytest.approx(1e3, rel=1e-5)
 
     def test_eps_row_uncertified(self, tmp_path, capsys):
-        # the tail budget refuses tol 1e-9 at height 0.01: that row is flagged
+        # no depth certifies tol 1e-9 at height 0.01: that row is flagged
         # and the rest of the grid still reports
         spec = write_spec(tmp_path, "c.json", {
             "version": 1, "krein": {"cantor": {"interval": [0, 1]}, "tol": 1e-9}})

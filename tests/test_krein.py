@@ -3,6 +3,7 @@ import functools
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from halfplane.extreal import (Arc, ArcSet, CantorComplement, EMPTY, FULL, INF,
                                SigmaDescriptor, angle_subtended, arc_ends, is_inf,
                                normalize, regularize)
-from halfplane import krein
+from halfplane import extreal, krein
+from halfplane.nevanlinna import Measure
 from halfplane.krein import (REAL_GUARD, EvaluationDomainError, KreinProduct,
                              TailNotCertified, cantor_complement_product,
                              equivariance_transport, k_structure, log_p, p_eval)
@@ -437,17 +439,23 @@ class TestCantorProduct:
         assert abs(abs(val) - 1.0) <= tail + 1e-12
 
     def test_tail_not_certified(self):
+        # the cap, depth 4, is the last depth; its bound is far past
+        # log(1 + tol), so the gate refuses without evaluating it
         k = cantor_complement_product((0, 1), depth=4, tol=1e-12)
-        with pytest.raises(TailNotCertified, match="at depth 4, the generator's depth cap"):
+        with pytest.raises(TailNotCertified, match=r"^tail not certified to tol 1\.000e-12 by "
+                           r"depth 4, the generator's depth cap: its tail bound exceeds "
+                           r"log\(1 \+ tol\) there, so it was not evaluated$"):
             k.eval(1j)
 
     def test_tail_beyond_float_range(self):
         # 0.5 + 1e-9j lies over the level-1 gap, which no tail arc enters: the
         # arcs stay 1/6 away, and depth 20 bounds the tail by 1.9e-3 (it was
-        # infinite while the bound read the distance to the whole base)
+        # infinite while the bound read the distance to the whole base).  At
+        # tol 1e-3 that bound exceeds log(1 + tol): the gate refuses unevaluated
         k = cantor_complement_product((0, 1), 20, 1e-3)
-        with pytest.raises(TailNotCertified, match="tail bound 1.897e-03 exceeds tol 1.000e-03 "
-                                                   "at depth 20, the generator's depth cap"):
+        gated = (r"tail not certified to tol 1\.000e-03 by depth 20, the generator's depth "
+                 r"cap: its tail bound exceeds log\(1 \+ tol\) there")
+        with pytest.raises(TailNotCertified, match=gated):
             k.eval(0.5 + 1e-9j)
         val, tail = k.eval_at_depth(0.5 + 1e-9j, 20)
         assert abs(val + 1.0) <= tail < 1.9e-3
@@ -455,8 +463,7 @@ class TestCantorProduct:
         # just above the Cantor point 1/4 every level's intervals hold 0.25, the
         # tail's exponent reaches about 3e5, and e^x − 1 past the float range
         # bounds nothing: the tail is infinite
-        with pytest.raises(TailNotCertified, match="tail bound inf exceeds tol 1.000e-03 "
-                                                   "at depth 20, the generator's depth cap"):
+        with pytest.raises(TailNotCertified, match=gated):
             k.eval(0.25 + 1e-9j)
         val, tail = k.eval_at_depth(0.25 + 1e-9j, 20)
         assert tail == INF and cmath.isfinite(val)
@@ -481,16 +488,18 @@ class TestCantorProduct:
         # while the reported one did not; depth 16 certifies the whole value.
         # Beside the base's end 1, where |t|/(1+t²) peaks, the intervals'
         # bound is today's 1/dist + 1/2 within its margin: the depth stays
-        monkeypatch.setattr(krein, "_MAX_FACTORS", 2 ** 18)
+        monkeypatch.setattr(krein, "_MAX_DEPTH", 18)
         k = KreinProduct(arcs=normalize([Arc(2, 3)]), cantor=CantorComplement((0, 1), 26),
                          tol=1e-2)
         val, tail = k.eval(2.05 + 0.05j)
         assert (val, tail) == k.eval_at_depth(2.05 + 0.05j, 16)
         assert tail <= 1e-2
-        # the budget names the depth it could not afford and the last tail
-        monkeypatch.setattr(krein, "_MAX_FACTORS", 2 ** 15 - 2)
-        with pytest.raises(TailNotCertified, match=r"depth 15 needs 32767 factors, over the "
-                           r"budget of 32766; tail bound 1\.724e-02 at depth 14"):
+        # with the limit at 14 the generator's own bound there is within
+        # log(1 + tol), so the gate lets the last depth run; the message names
+        # the limit and the tail it left
+        monkeypatch.setattr(krein, "_MAX_DEPTH", 14)
+        with pytest.raises(TailNotCertified, match=r"^tail not certified to tol 1\.000e-02 by "
+                           r"depth 14, the evaluator's depth limit: tail bound 1\.724e-02 there$"):
             k.eval(2.05 + 0.05j)
 
     def test_base_ends(self):
@@ -528,11 +537,13 @@ class TestCantorProduct:
 
     def test_real_point_inside_gap(self, monkeypatch):
         # x = 1/2 sits in the level-1 gap; the tail distance is to the gap
-        # endpoints, so certification needs a deeper budget than at z = i
-        monkeypatch.setattr(krein, "_MAX_FACTORS", 20_000_000)
+        # endpoints, 1/6 away, and depth 18 certifies it: a deeper limit
+        # leaves the depth where the bound put it
+        monkeypatch.setattr(krein, "_MAX_DEPTH", 24)
         k = cantor_complement_product((0, 1), depth=26, tol=1e-2)
         val, tail = k.eval(0.5)
         assert abs(val + 1.0) <= tail <= 1e-2
+        assert (val, tail) == k.eval_at_depth(0.5, 18)
         # outside the base the certificate is cheap again
         val, tail = k.eval(3.0)
         assert abs(val + 1.0) <= tail
@@ -545,10 +556,14 @@ class TestCantorProduct:
             assert abs(k(z.conjugate()) - k(z).conjugate()) < 1e-12
 
     def test_real_point_refusals(self):
+        # the evaluator's limit, depth 20, sets the last depth under the cap
+        # 24; there the bound is 1.897e-3, past log(1 + tol): the gate refuses
         k = cantor_complement_product((0, 1), depth=24, tol=1e-3)
-        with pytest.raises(TailNotCertified, match="depth 24 needs 16777215 factors, over "
-                           "the budget of 2000000; no depth evaluated"):
-            k.eval(0.5)  # budget cannot reach the interior certificate
+        with pytest.raises(TailNotCertified, match=r"^tail not certified to tol 1\.000e-03 by "
+                           r"depth 20, the evaluator's depth limit: its tail bound exceeds "
+                           r"log\(1 \+ tol\) there, so it was not evaluated$"):
+            k.eval(0.5)
+        assert f"{k.eval_at_depth(0.5, 20)[1]:.3e}" == "1.897e-03"
         with pytest.raises(EvaluationDomainError):
             k.eval(1.0 / 3.0 + 1e-13)  # within the guard of a gap endpoint
         with pytest.raises(EvaluationDomainError):
@@ -723,3 +738,67 @@ class TestGeneratorTail:
                 length = (r - l) * (2.0 / 3.0) ** max(depth, level)
                 sup = math.log1p(tail / abs(val)) / length
                 assert sup >= _sampled_sup((l, r), z, max(depth, level)) * (1.0 - 1e-9)
+
+
+class TestStoppingDepth:
+    def test_points_close_above_the_set_certify(self, rng):
+        # at Im z = 0.05 the bound reaches tol only near depth 20, the last
+        # depth: 60 even steps across (−0.5, 1.5) and 60 random points
+        k = cantor_complement_product((0, 1), depth=26, tol=1e-2)
+        xs = np.concatenate([np.linspace(-0.5, 1.5, 60), rng.uniform(-0.5, 1.5, 60)])
+        values, tails = k.eval(xs + 0.05j)
+        assert np.all(tails <= 1e-2)
+        assert np.all(np.abs(values + 1.0) <= tails)
+
+    def test_cap_zero_runs_depth_zero_only(self):
+        # a generator of depth 0 has no arcs: eval stops at depth 0, with the
+        # value 1 and the tail bound over the whole base
+        k = KreinProduct(cantor=CantorComplement((0, 1), 0), tol=10.0)
+        val, tail = k.eval(1j)
+        assert val == 1.0 and (val, tail) == k.eval_at_depth(1j, 0)
+        assert abs(val - p_eval(Arc(0, 1), 1j)) <= tail
+        with pytest.raises(TailNotCertified, match="by depth 0, the generator's depth cap"):
+            KreinProduct(cantor=CantorComplement((0, 1), 0), tol=1e-2).eval(1j)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cantor_cases(), st.sampled_from([1e-2, 1e-3]), st.sampled_from([8, 14, 26]))
+    @example(((0.0, 1.0), [], 0.5 + 1e-9j), 1e-3, 26)
+    @example(((0.0, 1.0), [], 0.3 + 0.05j), 1e-2, 26)  # certifies only at depth 20
+    @example(((0.0, 1.0), [(2.0, 3.0)], 2.05 + 0.05j), 1e-2, 14)
+    def test_refused_only_where_the_last_depth_cannot_certify(self, case, tol, cap):
+        # eval stops at one last depth and evaluates nothing past it; where it
+        # refuses, that depth's own tail exceeds tol, or its value has modulus
+        # below 1, which the gate does not try
+        (l, r), pairs, z = case
+        arcs = normalize([Arc(b, a) for b, a in pairs]) if pairs else EMPTY
+        k = KreinProduct(arcs, CantorComplement((l, r), cap), tol=tol)
+        last = min(cap, krein._MAX_DEPTH)
+        with mock.patch.object(krein, "_ratio_minus_one", wraps=krein._ratio_minus_one) as kernel:
+            try:
+                k.eval(z)
+                refused = False
+            except TailNotCertified as exc:
+                assert f"by depth {last}, " in str(exc)
+                refused = True
+        assert all(call.args[2] <= last for call in kernel.call_args_list)
+        if refused:
+            value, tail = k.eval_at_depth(z, last)
+            assert tail > tol or abs(value) < 1.0
+
+
+class TestOneConstruction:
+    @pytest.mark.parametrize("base", [(0.0, 1.0), (-3.0, 5.5), (1e3, 1e3 + 7.0)])
+    def test_gap_walk_reads_the_levels_arcs(self, base):
+        # the walk to a real point's gap and the enumerated arcs read the same
+        # ends from cantor_starts, bit for bit
+        for level, arcs in enumerate(CantorComplement(base, 8).levels(), start=1):
+            for arc in arcs:
+                assert krein._gap(base, 8, 0.5 * (arc.b + arc.a)) == ((arc.b, arc.a), level)
+
+    @pytest.mark.parametrize("depth", range(9))
+    def test_cantor_atoms_are_the_intervals_midpoints(self, depth):
+        starts = extreal.cantor_starts(depth)
+        assert starts is extreal.cantor_starts(depth) and not starts.flags.writeable
+        atoms = Measure.cantor_atoms(depth).atoms
+        assert [t for t, _ in atoms] == sorted((starts + 0.5 * 3.0 ** -depth).tolist())
+        assert all(w == 2.0 ** -depth for _, w in atoms)
